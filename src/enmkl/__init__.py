@@ -26,7 +26,6 @@ from .solvers import (
     solve_svm_dual,
 )
 from .mkl import (
-    BlockNormState,
     MklModel,
     PrimalModel,
     blocknorm_objective,
@@ -58,7 +57,6 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockNormState",
     "ConvergenceError",
     "CvReport",
     "DataError",

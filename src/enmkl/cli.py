@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io, mkl
+from . import io, mkl, solvers
 from .errors import ConvergenceError, DataError, UsageError
 from .evaluation import (
     DEFAULT_C_VALUES,
@@ -56,8 +56,8 @@ class RunConfig:
     kernel_format: str = "csv"
     conv_tol: float = mkl.DEFAULT_CONV_TOL
     max_iter: int = mkl.DEFAULT_MAX_ITER
-    solver_tol: float = 1e-3
-    smo_max_updates: int = 10_000_000
+    solver_tol: float = solvers.DEFAULT_SVM_TOL
+    smo_max_updates: int = solvers.DEFAULT_MAX_UPDATES
     baseline: bool = False
 
     def validate(self) -> "RunConfig":
@@ -399,9 +399,9 @@ def _add_solver_options(parser) -> None:
                         help="weight-update convergence tolerance")
     parser.add_argument("--max-iter", type=int, default=mkl.DEFAULT_MAX_ITER,
                         help="maximum alternating iterations")
-    parser.add_argument("--solver-tol", type=float, default=1e-3,
+    parser.add_argument("--solver-tol", type=float, default=solvers.DEFAULT_SVM_TOL,
                         help="inner SVM KKT tolerance")
-    parser.add_argument("--smo-max-updates", type=int, default=10_000_000,
+    parser.add_argument("--smo-max-updates", type=int, default=solvers.DEFAULT_MAX_UPDATES,
                         help="hard cap on SMO pair updates")
     parser.add_argument("--no-center", action="store_true",
                         help="skip kernel centering")

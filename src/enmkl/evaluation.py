@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .errors import DataError
-from . import mkl
+from . import mkl, solvers
 from .kernels import (
     GroupedDataset,
     StackPreprocessor,
@@ -42,6 +41,25 @@ def balanced_accuracy(predicted, truth) -> float:
     return float(np.mean(recalls))
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores``, ties sharing the mean of their ranks.
+
+    Matches ``scipy.stats.rankdata`` (method "average") exactly: each tie
+    group's mean rank is a half-integer, computed without round-off. A NaN
+    score makes every rank NaN.
+    """
+    n = scores.size
+    if np.isnan(scores).any():
+        return np.full(n, np.nan)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc(decision_values, truth) -> float:
     """Area under the ROC curve via the rank-sum formulation.
 
@@ -57,7 +75,7 @@ def auc(decision_values, truth) -> float:
     n_neg = int(scores.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs both classes in the true labels")
-    ranks = scipy.stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -447,8 +465,8 @@ def nested_cv(
     normalize: bool = True,
     conv_tol: float = mkl.DEFAULT_CONV_TOL,
     max_iter: int = mkl.DEFAULT_MAX_ITER,
-    solver_tol: float = 1e-3,
-    max_updates: int = 10_000_000,
+    solver_tol: float = solvers.DEFAULT_SVM_TOL,
+    max_updates: int = solvers.DEFAULT_MAX_UPDATES,
 ) -> CvReport:
     """Run nested cross-validation and pool outer-fold test predictions.
 

@@ -20,7 +20,7 @@ rescaled pair produces bit-for-bit identical decision values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,44 +59,6 @@ def _check_task(task: str) -> str:
     if task not in _TASKS:
         raise ValueError(f"task must be one of {_TASKS}, got {task!r}")
     return task
-
-
-@dataclass(frozen=True)
-class BlockNormState:
-    """One iteration's block norms and the weights derived from them.
-
-    Invariants (checked when any norm is positive): ``lambdas`` follow from
-    ``w_norms`` by the scaling rule above, so ``sqrt(mu) * sum(lambdas)``
-    equals one.
-    """
-
-    w_norms: np.ndarray
-    lambdas: np.ndarray
-    beta_raw: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        w = np.array(self.w_norms, dtype=np.float64, copy=True)
-        lam = np.array(self.lambdas, dtype=np.float64, copy=True)
-        beta = np.array(self.beta_raw, dtype=np.float64, copy=True)
-        mu = _check_mu(self.mu)
-        if not (w.shape == lam.shape == beta.shape) or w.ndim != 1:
-            raise ValueError("w_norms, lambdas, and beta_raw must be parallel 1-d arrays")
-        if (w < 0).any():
-            raise ValueError("block norms must be nonnegative")
-        total = float(w.sum())
-        if total > 0:
-            expected = w / (np.sqrt(mu) * total)
-            if float(np.abs(lam - expected).max()) > 1e-10:
-                raise ValueError("lambdas are inconsistent with the block norms")
-            if abs(np.sqrt(mu) * float(lam.sum()) - 1.0) > 1e-10:
-                raise ValueError("lambdas do not satisfy sqrt(mu) * sum(lambda) = 1")
-        for arr in (w, lam, beta):
-            arr.setflags(write=False)
-        object.__setattr__(self, "w_norms", w)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "beta_raw", beta)
-        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -258,16 +220,26 @@ def update_beta(lambdas, mu: float) -> np.ndarray:
     return np.where(lam > 0, 1.0 / (np.sqrt(mu) / safe + (1.0 - mu)), 0.0)
 
 
-def _slack_loss(stack, targets, alpha, bias, beta, C, task, labels):
-    """The loss term of the training objective at the given state."""
-    combined = weighted_sum(stack, beta)
+def _slack_loss(combined, targets, alpha, bias, C, task, labels):
+    """The loss term of the training objective, given the combined kernel."""
     if task == "classification":
         decisions = solvers.predict(alpha, bias, combined, labels=labels)
         slack = np.maximum(0.0, 1.0 - targets * decisions)
         return C * float(slack.sum())
     decisions = solvers.predict(alpha, 0.0, combined)
     residual = (targets - bias) - decisions
-    return (C / stack.n_rows) * float(residual @ residual)
+    return (C / combined.n_rows) * float(residual @ residual)
+
+
+def _objective(combined, w, targets, alpha, bias, mu, C, task, labels) -> float:
+    """The elastic-net objective from one state's combined kernel and block norms."""
+    total = float(w.sum())
+    penalty = 0.5 * (1.0 - mu) * float(w @ w)
+    if total > 0:
+        lam = update_lambda(w, mu)
+        pos = lam > 0
+        penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
+    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
 
 
 def enmkl_objective(
@@ -287,13 +259,8 @@ def enmkl_objective(
     targets = np.asarray(targets, dtype=np.float64)
     labels = targets if task == "classification" else None
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-    total = float(w.sum())
-    penalty = 0.5 * (1.0 - mu) * float(w @ w)
-    if total > 0:
-        lam = update_lambda(w, mu)
-        pos = lam > 0
-        penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
-    return penalty + _slack_loss(stack, targets, alpha, bias, beta, C, task, labels)
+    combined = weighted_sum(stack, beta)
+    return _objective(combined, w, targets, alpha, bias, mu, C, task, labels)
 
 
 def blocknorm_objective(
@@ -313,7 +280,8 @@ def blocknorm_objective(
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
     total = float(w.sum())
     penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
-    return penalty + _slack_loss(stack, targets, alpha, bias, beta, C, task, labels)
+    combined = weighted_sum(stack, beta)
+    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
 
 
 def _normalized(beta: np.ndarray) -> np.ndarray:
@@ -375,9 +343,7 @@ def _train_enmkl(
             alpha, bias = sol.alpha, sol.target_offset
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-        history.append(
-            enmkl_objective(stack, targets, alpha, bias, beta, mu, C, task)
-        )
+        history.append(_objective(combined, w, targets, alpha, bias, mu, C, task, labels))
         if not (w > 0).any():
             degenerate = True
             break

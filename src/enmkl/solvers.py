@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
-from .kernels import KernelMatrix
+from .kernels import SYMMETRY_TOL, KernelMatrix
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -84,15 +83,24 @@ def _kernel_values(k, name: str = "kernel") -> np.ndarray:
     return arr
 
 
-def _check_train_kernel(values: np.ndarray) -> None:
+def _train_kernel_values(k) -> np.ndarray:
+    """The values of a train kernel, checked to be square, finite and symmetric.
+
+    A train :class:`KernelMatrix` is taken as is: its constructor has run
+    the same checks at the same tolerance.
+    """
+    if isinstance(k, KernelMatrix) and k.is_train:
+        return k.values
+    values = _kernel_values(k)
     n = values.shape[0]
     if values.shape != (n, n):
         raise ValueError("train kernel must be square")
     if not np.isfinite(values).all():
         raise ValueError("kernel contains non-finite entries")
     scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-    if values.size and float(np.abs(values - values.T).max()) > 1e-10 * scale:
+    if values.size and float(np.abs(values - values.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError("train kernel is not symmetric")
+    return values
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -127,8 +135,7 @@ def solve_svm_dual(
         free support vectors; with no free support vector it falls back to
         the midpoint of the remaining KKT interval.
     """
-    K = _kernel_values(k)
-    _check_train_kernel(K)
+    K = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -154,19 +161,34 @@ def solve_svm_dual(
             raise ValueError("alpha0 violates the equality constraint")
         grad = y * (K @ (alpha * y)) - 1.0
 
+    # The loop keeps g = -y * grad and reads two tables built once per call:
+    # row i of ``curv`` holds the pair curvatures diag_i + diag_t - 2 y_i y_t
+    # K_it (flat pairs set to _TAU), row t of ``steps`` holds -y_t K[:, t],
+    # the change of g per unit change of alpha_t. Multiplying by y = +-1 and
+    # negating are exact, so every value is bit for bit what the textbook
+    # update on grad computes.
     diag = np.diagonal(K)
+    curv = np.multiply.outer(2.0 * y, y)
+    curv *= K
+    np.subtract(np.add.outer(diag, diag), curv, out=curv)
+    curv[~(curv > 0)] = _TAU
+    steps = np.multiply(K.T, -y[:, None], order="C")
+    g = -y * grad
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    # Scalar bookkeeping runs on Python floats, which are the same doubles.
+    a = alpha.tolist()
+    ys = y.tolist()
+    ds = diag.tolist()
     updates = 0
     while True:
-        minus_y_grad = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
         # Initial feasible points always populate both sets (both classes
         # present), so the selection below is well defined.
-        up_vals = np.where(up, minus_y_grad, -np.inf)
-        i = int(np.argmax(up_vals))
-        m_val = up_vals[i]
-        low_vals = np.where(low, minus_y_grad, np.inf)
-        M_val = float(np.min(low_vals))
+        up_vals = np.where(up, g, -np.inf)
+        i = int(up_vals.argmax())
+        m_val = float(up_vals[i])
+        low_vals = np.where(low, g, np.inf)
+        M_val = float(low_vals.min())
         if m_val - M_val <= tol:
             break
         if updates >= max_updates:
@@ -176,23 +198,22 @@ def solve_svm_dual(
             )
 
         # Second-order choice of j: among violating candidates, maximize the
-        # guaranteed objective decrease -b^2 / a for the pair (i, t).
-        cand = low & (minus_y_grad < m_val)
-        b_it = m_val - minus_y_grad
-        a_it = diag[i] + diag - 2.0 * y[i] * y * K[i]
-        a_it = np.where(a_it > 0, a_it, _TAU)
-        gain = np.where(cand, -(b_it * b_it) / a_it, np.inf)
-        j = int(np.argmin(gain))
+        # guaranteed objective decrease b^2 / a for the pair (i, t).
+        b_it = m_val - g
+        gain = np.where(low_vals < m_val, b_it * b_it / curv[i], -np.inf)
+        j = int(gain.argmax())
 
         # Two-variable subproblem, clipped to the box (LIBSVM update rules).
-        Qii, Qjj = diag[i], diag[j]
-        Qij = y[i] * y[j] * K[i, j]
-        ai_old, aj_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
+        yi, yj = ys[i], ys[j]
+        Qii, Qjj = ds[i], ds[j]
+        Qij = yi * yj * K.item(i, j)
+        grad_i, grad_j = -yi * g.item(i), -yj * g.item(j)
+        ai_old, aj_old = a[i], a[j]
+        if yi != yj:
             quad = Qii + Qjj + 2.0 * Qij
             if quad <= 0:
                 quad = _TAU
-            delta = (-grad[i] - grad[j]) / quad
+            delta = (-grad_i - grad_j) / quad
             diff = ai_old - aj_old
             ai, aj = ai_old + delta, aj_old + delta
             if diff > 0:
@@ -211,7 +232,7 @@ def solve_svm_dual(
             quad = Qii + Qjj - 2.0 * Qij
             if quad <= 0:
                 quad = _TAU
-            delta = (grad[i] - grad[j]) / quad
+            delta = (grad_i - grad_j) / quad
             total = ai_old + aj_old
             ai, aj = ai_old - delta, aj_old + delta
             if total > C:
@@ -226,14 +247,16 @@ def solve_svm_dual(
             else:
                 if ai < 0:
                     ai, aj = 0.0, total
-        dai, daj = ai - ai_old, aj - aj_old
-        alpha[i], alpha[j] = ai, aj
-        grad += (y * K[:, i] * y[i]) * dai + (y * K[:, j] * y[j]) * daj
+        a[i], a[j] = ai, aj
+        g += steps[i] * (ai - ai_old) + steps[j] * (aj - aj_old)
+        up[i], low[i] = (ai < C, ai > 0) if yi > 0 else (ai > 0, ai < C)
+        up[j], low[j] = (aj < C, aj > 0) if yj > 0 else (aj > 0, aj < C)
         updates += 1
 
+    alpha = np.array(a)
     free = (alpha > 0) & (alpha < C)
     if free.any():
-        bias = float(np.mean(minus_y_grad[free]))
+        bias = float(np.mean(g[free]))
     else:
         bias = (m_val + M_val) / 2.0
 
@@ -250,8 +273,7 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     positive definite for any PSD kernel; if factorization still fails
     numerically, a least-squares solve takes over.
     """
-    K = _kernel_values(k)
-    _check_train_kernel(K)
+    K = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -261,6 +283,8 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     C = float(C)
     if not (np.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
+
+    import scipy.linalg  # deferred: loading it costs every CLI command start-up time
 
     offset = float(y.mean())
     y_c = y - offset

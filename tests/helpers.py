@@ -64,6 +64,113 @@ def svm_dual_bruteforce(K, y, C):
     return best_alpha, best_obj
 
 
+# Fallback curvature for numerically flat working pairs, as in the solver.
+_TAU = 1e-12
+
+
+def smo_reference(K, y, C, tol=1e-3, max_updates=10_000_000, alpha0=None):
+    """The SMO loop exactly as first written: one numpy pass per update.
+
+    A frozen copy, kept as a bit-for-bit reference for ``solve_svm_dual``,
+    which computes the same updates from precomputed sign-folded tables.
+    Inputs are assumed valid. Returns (alpha, bias, objective, iterations).
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = K.shape[0]
+    C = float(C)
+    if alpha0 is None:
+        alpha = np.zeros(n)
+        grad = -np.ones(n)  # grad of 1/2 a'Qa - e'a at a = 0
+    else:
+        alpha = np.clip(np.array(alpha0, dtype=np.float64, copy=True), 0.0, C)
+        grad = y * (K @ (alpha * y)) - 1.0
+
+    diag = np.diagonal(K)
+    updates = 0
+    while True:
+        minus_y_grad = -y * grad
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        # Initial feasible points always populate both sets (both classes
+        # present), so the selection below is well defined.
+        up_vals = np.where(up, minus_y_grad, -np.inf)
+        i = int(np.argmax(up_vals))
+        m_val = up_vals[i]
+        low_vals = np.where(low, minus_y_grad, np.inf)
+        M_val = float(np.min(low_vals))
+        if m_val - M_val <= tol:
+            break
+        if updates >= max_updates:
+            raise AssertionError(f"SMO exceeded {max_updates} updates")
+
+        # Second-order choice of j: among violating candidates, maximize the
+        # guaranteed objective decrease -b^2 / a for the pair (i, t).
+        cand = low & (minus_y_grad < m_val)
+        b_it = m_val - minus_y_grad
+        a_it = diag[i] + diag - 2.0 * y[i] * y * K[i]
+        a_it = np.where(a_it > 0, a_it, _TAU)
+        gain = np.where(cand, -(b_it * b_it) / a_it, np.inf)
+        j = int(np.argmin(gain))
+
+        # Two-variable subproblem, clipped to the box (LIBSVM update rules).
+        Qii, Qjj = diag[i], diag[j]
+        Qij = y[i] * y[j] * K[i, j]
+        ai_old, aj_old = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            quad = Qii + Qjj + 2.0 * Qij
+            if quad <= 0:
+                quad = _TAU
+            delta = (-grad[i] - grad[j]) / quad
+            diff = ai_old - aj_old
+            ai, aj = ai_old + delta, aj_old + delta
+            if diff > 0:
+                if aj < 0:
+                    aj, ai = 0.0, diff
+            else:
+                if ai < 0:
+                    ai, aj = 0.0, -diff
+            if diff > 0:
+                if ai > C:
+                    ai, aj = C, C - diff
+            else:
+                if aj > C:
+                    aj, ai = C, C + diff
+        else:
+            quad = Qii + Qjj - 2.0 * Qij
+            if quad <= 0:
+                quad = _TAU
+            delta = (grad[i] - grad[j]) / quad
+            total = ai_old + aj_old
+            ai, aj = ai_old - delta, aj_old + delta
+            if total > C:
+                if ai > C:
+                    ai, aj = C, total - C
+            else:
+                if aj < 0:
+                    aj, ai = 0.0, total
+            if total > C:
+                if aj > C:
+                    aj, ai = C, total - C
+            else:
+                if ai < 0:
+                    ai, aj = 0.0, total
+        dai, daj = ai - ai_old, aj - aj_old
+        alpha[i], alpha[j] = ai, aj
+        grad += (y * K[:, i] * y[i]) * dai + (y * K[:, j] * y[j]) * daj
+        updates += 1
+
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        bias = float(np.mean(minus_y_grad[free]))
+    else:
+        bias = (m_val + M_val) / 2.0
+
+    coef = alpha * y
+    objective = float(alpha.sum() - 0.5 * coef @ (K @ coef))
+    return alpha, bias, objective, updates
+
+
 def oracle_feature_pipeline(train_X, group_cols, test_X=None, center=True, normalize=True):
     """Preprocess feature rows directly and recompute inner products.
 

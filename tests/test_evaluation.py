@@ -95,6 +95,24 @@ class TestAuc:
         truth = np.array([1.0, -1.0, 1.0, -1.0])
         assert auc(-decisions, truth) == pytest.approx(1.0 - 0.75)
 
+    def test_matches_scipy_rank_sum_exactly(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(91)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            decisions = rng.normal(size=n)
+            if trial % 2:
+                # Coarse rounding makes ties within and across classes.
+                decisions = np.round(decisions, 1)
+            truth = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            truth[0], truth[1] = 1.0, -1.0
+            pos = truth > 0
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            rank_sum = float(rankdata(decisions)[pos].sum())
+            expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            assert auc(decisions, truth) == expected
+
 
 class TestRegressionMetrics:
     def test_mse_hand_case(self):

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enmkl
 from enmkl import io
 from enmkl.cli import main
 from enmkl.errors import DataError
@@ -417,6 +421,21 @@ class TestTrainAndPredict:
         ])
         assert code == 2
         assert "changed" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone costs most of a command's start-up; scipy.linalg is
+    # loaded only when a ridge model is solved.
+    src = str(Path(enmkl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, enmkl.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enmkl.errors import ConvergenceError
+from enmkl.kernels import KernelMatrix
 from enmkl.solvers import (
     SvmDualSolution,
     predict,
@@ -11,7 +12,7 @@ from enmkl.solvers import (
     solve_svm_dual,
 )
 
-from helpers import random_labels, random_psd_kernel, svm_dual_bruteforce
+from helpers import random_labels, random_psd_kernel, smo_reference, svm_dual_bruteforce
 
 TIGHT = 1e-8
 
@@ -101,6 +102,89 @@ class TestSvmAgainstBruteforce:
         sol = solve_svm_dual(K, y, C=1.0, tol=1e-9)
         assert sol.objective == pytest.approx(expected_obj, abs=1e-7)
 
+
+
+def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None):
+    sol = solve_svm_dual(K, y, C, tol=tol, alpha0=alpha0)
+    alpha, bias, objective, iterations = smo_reference(K, y, C, tol=tol, alpha0=alpha0)
+    assert np.array_equal(sol.alpha, alpha)
+    assert np.array_equal(sol.bias, bias)
+    assert np.array_equal(sol.objective, objective)
+    assert sol.iterations == iterations
+
+
+class TestSvmMatchesReferenceExactly:
+    """``solve_svm_dual`` replays the reference SMO loop bit for bit."""
+
+    @pytest.mark.parametrize("C", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_cold_start(self, C):
+        for seed in range(6):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(5, 40))
+            K = random_psd_kernel(rng, n)
+            y = random_labels(rng, n)
+            for tol in (1e-3, 1e-8):
+                _assert_same_as_reference(K, y, C, tol=tol)
+
+    @pytest.mark.parametrize("C", [1e-3, 0.1, 1.0])
+    def test_rank_deficient_kernel(self, C):
+        for seed in range(6):
+            rng = np.random.default_rng(1050 + seed)
+            n = int(rng.integers(5, 40))
+            K = random_psd_kernel(rng, n, rank=max(2, n // 3))
+            y = random_labels(rng, n)
+            for tol in (1e-3, 1e-8):
+                _assert_same_as_reference(K, y, C, tol=tol)
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3])
+    def test_warm_start(self, C):
+        for seed in range(6):
+            rng = np.random.default_rng(1100 + seed)
+            n = int(rng.integers(5, 50))
+            K = random_psd_kernel(rng, n)
+            y = random_labels(rng, n)
+            # A feasible start from a neighbouring problem, as the trainer's
+            # outer loop passes, and the scaled solution of another C.
+            other = solve_svm_dual(K + random_psd_kernel(rng, n, rank=3), y, C)
+            _assert_same_as_reference(K, y, C, alpha0=other.alpha)
+            smaller = solve_svm_dual(K, y, C / 10.0)
+            _assert_same_as_reference(K, y, C, alpha0=smaller.alpha * 10.0)
+
+    @pytest.mark.parametrize("C", [1e-2, 1.0, 10.0])
+    def test_duplicated_samples(self, C):
+        # Repeated rows tie gradients, and a pair of copies with equal labels
+        # has zero curvature, which falls back to the flat-pair constant.
+        for seed in range(6):
+            rng = np.random.default_rng(1200 + seed)
+            X = rng.normal(size=(12, 3))
+            X = np.vstack([X, X[:6], X[:2]])
+            K = X @ X.T
+            y = random_labels(rng, X.shape[0])
+            y[12:18] = y[:6]
+            y[18] = -y[0]
+            _assert_same_as_reference(K, y, C)
+            _assert_same_as_reference(K, y, C, tol=1e-9)
+
+    def test_asymmetric_raw_array_within_tolerance(self):
+        for seed in range(6):
+            rng = np.random.default_rng(1300 + seed)
+            n = 20
+            K = random_psd_kernel(rng, n)
+            # Off-symmetric noise below the 1e-10 relative acceptance bound.
+            K = K + 0.4e-10 * np.abs(K).max() * rng.uniform(-1.0, 1.0, size=(n, n))
+            assert not np.array_equal(K, K.T)
+            y = random_labels(rng, n)
+            _assert_same_as_reference(K, y, 1.0, tol=1e-8)
+
+    def test_kernel_matrix_input(self):
+        rng = np.random.default_rng(1400)
+        K = random_psd_kernel(rng, 30)
+        y = random_labels(rng, 30)
+        ids = tuple(f"s{i}" for i in range(30))
+        sol = solve_svm_dual(KernelMatrix(K, ids, ids), y, 1.0, tol=1e-6)
+        alpha, bias, objective, iterations = smo_reference(K, y, 1.0, tol=1e-6)
+        assert np.array_equal(sol.alpha, alpha)
+        assert (sol.bias, sol.objective, sol.iterations) == (bias, objective, iterations)
 
 class TestSvmSolutionInvariants:
     def _solve(self, seed, n=10, C=1.0, tol=1e-6):
