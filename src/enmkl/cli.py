@@ -216,11 +216,24 @@ def cmd_train(args) -> None:
     print(f"wrote model to {args.out}")
 
 
+def _model_section(path, payload: dict, key: str, decode):
+    """``decode(payload[key])`` for one section of a model file.
+
+    A missing or ill-typed key becomes a :class:`DataError` naming the file.
+    """
+    try:
+        return decode(payload[key])
+    except KeyError as exc:
+        raise DataError(f"{path}: model file is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from None
+
+
 def _load_model_payload(path):
     payload = io.read_json(path)
-    if "model" not in payload:
+    if not isinstance(payload, dict) or "model" not in payload:
         raise DataError(f"{path}: not a model file")
-    return payload, mkl.model_from_dict(payload["model"])
+    return payload, _model_section(path, payload, "model", mkl.model_from_dict)
 
 
 def _decisions_to_output(model, payload, decisions):
@@ -252,7 +265,7 @@ def cmd_predict(args) -> None:
             raise DataError(
                 f"{args.features}: feature columns do not match the model's training features"
             )
-        primal = mkl.PrimalModel.from_dict(payload["primal"])
+        primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
         decisions = primal.decision_values(features, sample_ids=sample_ids)
     else:
         raw_stack, self_sims, manifest = io.read_stack(args.stack)
@@ -262,7 +275,9 @@ def cmd_predict(args) -> None:
             raise DataError(
                 f"{args.stack}: cross-kernel columns do not match the model's train samples"
             )
-        pre = StackPreprocessor.from_stats_dict(payload["preprocessing"])
+        pre = _model_section(
+            args.model, payload, "preprocessing", StackPreprocessor.from_stats_dict
+        )
         cross = pre.transform_cross(raw_stack, self_sims)
         decisions = mkl.predict_model(model, cross)
         sample_ids = raw_stack.row_ids

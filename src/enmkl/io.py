@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -68,10 +69,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     path = Path(path)
     if not path.is_file():
@@ -92,9 +89,25 @@ def _parse_float(path, lineno: int, text: str) -> float:
         value = float(text)
     except ValueError:
         raise DataError(f"{path}:{lineno}: not a number: {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"{path}:{lineno}: non-finite value: {text!r}")
     return value
+
+
+def _parse_row(path, lineno: int, fields) -> list[float]:
+    """The floats of one row's fields, in one ``float`` pass per row.
+
+    A row that holds a non-number or a non-finite value is parsed again
+    field by field, so the error names its first bad value exactly as
+    :func:`_parse_float` words it.
+    """
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        values = None
+    if values is not None and all(map(math.isfinite, values)):
+        return values
+    return [_parse_float(path, lineno, text) for text in fields]
 
 
 def read_features_csv(path):
@@ -126,7 +139,7 @@ def read_features_csv(path):
             raise DataError(f"{path}:{lineno}: duplicate sample id '{sid}'")
         seen.add(sid)
         ids.append(sid)
-        data.append([_parse_float(path, lineno, v) for v in row[1:]])
+        data.append(_parse_row(path, lineno, row[1:]))
     if not ids:
         raise DataError(f"{path}: no data rows")
     return tuple(ids), feature_names, np.array(data, dtype=np.float64)
@@ -260,9 +273,25 @@ def read_blocks(path, sample_ids) -> dict:
 
 
 def write_kernel_csv(path, kernel: KernelMatrix) -> None:
+    """One ``id,<col ids>`` header, then one row of values per row id.
+
+    A kernel that equals its transpose bit for bit has each value of its
+    upper triangle formatted once, with the lower triangle's strings
+    mirrored from it. The bit test matters: ``-0.0 == 0.0`` but their
+    strings differ, so such a kernel takes the full-matrix path.
+    """
+    values = kernel.values
+    rows = values.tolist()
+    bits = values.view(np.uint64)
+    if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
+        cells = []
+        for i, row in enumerate(rows):
+            cells.append([above[i] for above in cells] + list(map(float.__repr__, row[i:])))
+    else:
+        cells = [list(map(float.__repr__, row)) for row in rows]
     lines = ["id," + ",".join(kernel.col_ids)]
-    for rid, row in zip(kernel.row_ids, kernel.values):
-        lines.append(rid + "," + ",".join(_format_float(v) for v in row))
+    for rid, row in zip(kernel.row_ids, cells):
+        lines.append(rid + "," + ",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -278,7 +307,7 @@ def read_kernel_csv(path, centered: bool = False, normalized: bool = False) -> K
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         row_ids.append(row[0].strip())
-        values.append([_parse_float(path, lineno, v) for v in row[1:]])
+        values.append(_parse_row(path, lineno, row[1:]))
     if not row_ids:
         raise DataError(f"{path}: no data rows")
     return KernelMatrix(
@@ -317,8 +346,8 @@ def read_kernel_binary(
 
 def write_self_sim_csv(path, sample_ids, values) -> None:
     lines = ["id,self_similarity"]
-    for sid, v in zip(sample_ids, values):
-        lines.append(f"{sid},{_format_float(v)}")
+    for sid, v in zip(sample_ids, np.asarray(values, dtype=np.float64).tolist()):
+        lines.append(f"{sid},{float.__repr__(v)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -399,54 +428,99 @@ def write_stack(
     return manifest_path
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
+
+
+def _json_value(where: str, obj, key: str, kind: type):
+    """``obj[key]`` of a decoded JSON object; it must have exactly type ``kind``.
+
+    A missing or ill-typed value is a :class:`DataError` that starts with
+    ``where``, so it names the file it came from.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{where}: missing '{key}'")
+    value = obj[key]
+    if type(value) is not kind:
+        raise DataError(f"{where}: '{key}' must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _json_ids(where: str, obj, key: str) -> tuple[str, ...]:
+    ids = _json_value(where, obj, key, list)
+    if not all(type(i) is str for i in ids):
+        raise DataError(f"{where}: '{key}' must be a list of strings")
+    return tuple(ids)
+
+
 def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
-    Returns (stack, self_sims or None, manifest dict). Sidecar metadata is
-    cross-checked against the actual kernel files.
+    Returns (stack, self_sims or None, manifest dict). Each sidecar's ids
+    must match the manifest and its shape the kernel file it describes.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
     base = manifest_path.parent
-    for key in ("kind", "format", "sample_ids", "col_ids", "groups"):
-        if key not in manifest:
-            raise DataError(f"{manifest_path}: manifest is missing '{key}'")
-    fmt = manifest["format"]
-    row_ids = tuple(manifest["sample_ids"])
-    col_ids = tuple(manifest["col_ids"])
+    where = str(manifest_path)
+    kind = _json_value(where, manifest, "kind", str)
+    fmt = _json_value(where, manifest, "format", str)
+    if kind not in ("train", "cross"):
+        raise DataError(f"{where}: unknown stack kind {kind!r}")
+    if fmt not in ("csv", "binary"):
+        raise DataError(f"{where}: unknown kernel format {fmt!r}")
+    row_ids = _json_ids(where, manifest, "sample_ids")
+    col_ids = _json_ids(where, manifest, "col_ids")
     kernels = []
     names = []
     sizes = []
-    self_sims = [] if manifest["kind"] == "cross" else None
-    for entry in manifest["groups"]:
-        meta = read_json(base / entry["meta_file"])
-        flags = {"centered": bool(meta["centered"]), "normalized": bool(meta["normalized"])}
-        data_path = base / entry["data_file"]
+    self_sims = [] if kind == "cross" else None
+    for j, entry in enumerate(_json_value(where, manifest, "groups", list)):
+        entry_where = f"{where}: groups[{j}]"
+        names.append(_json_value(entry_where, entry, "name", str))
+        sizes.append(_json_value(entry_where, entry, "size", int))
+        data_path = base / _json_value(entry_where, entry, "data_file", str)
+        meta_path = base / _json_value(entry_where, entry, "meta_file", str)
+        meta = read_json(meta_path)
+        meta_where = str(meta_path)
+        flags = {
+            "centered": _json_value(meta_where, meta, "centered", bool),
+            "normalized": _json_value(meta_where, meta, "normalized", bool),
+        }
+        if (
+            _json_ids(meta_where, meta, "row_ids") != row_ids
+            or _json_ids(meta_where, meta, "col_ids") != col_ids
+        ):
+            raise DataError(f"{meta_where}: sidecar ids do not match the manifest {where}")
         if fmt == "csv":
             kernel = read_kernel_csv(data_path, **flags)
             if kernel.row_ids != row_ids or kernel.col_ids != col_ids:
                 raise DataError(f"{data_path}: kernel ids do not match the manifest")
         else:
             kernel = read_kernel_binary(data_path, row_ids, col_ids, **flags)
+        rows = _json_value(meta_where, meta, "rows", int)
+        cols = _json_value(meta_where, meta, "cols", int)
+        if (rows, cols) != (kernel.n_rows, kernel.n_cols):
+            raise DataError(
+                f"{meta_where}: sidecar says {rows}x{cols}, "
+                f"but {data_path} holds a {kernel.n_rows}x{kernel.n_cols} kernel"
+            )
         kernels.append(kernel)
-        names.append(entry["name"])
-        sizes.append(int(entry["size"]))
         if self_sims is not None:
-            if "self_sim_file" not in entry:
-                raise DataError(f"{manifest_path}: cross manifest lacks a self-similarity file")
-            self_sims.append(read_self_sim_csv(base / entry["self_sim_file"], row_ids))
+            sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
+            self_sims.append(read_self_sim_csv(sim_path, row_ids))
     stack = KernelStack(tuple(kernels), tuple(names), tuple(sizes))
     return stack, self_sims, manifest
 
 
 def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:
     """Prediction rows: decision values plus, for classification, labels."""
+    decisions = np.asarray(decisions, dtype=np.float64).tolist()
     if labels is None:
         lines = ["id,prediction"]
         for sid, d in zip(sample_ids, decisions):
-            lines.append(f"{sid},{_format_float(d)}")
+            lines.append(f"{sid},{float.__repr__(d)}")
     else:
         lines = ["id,decision_value,predicted_label"]
         for sid, d, l in zip(sample_ids, decisions, labels):
-            lines.append(f"{sid},{_format_float(d)},{l}")
+            lines.append(f"{sid},{float.__repr__(d)},{l}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -171,6 +171,18 @@ def smo_reference(K, y, C, tol=1e-3, max_updates=10_000_000, alpha0=None):
     return alpha, bias, objective, updates
 
 
+def kernel_csv_reference(kernel):
+    """Kernel CSV text as the original writer built it: one ``repr`` per value.
+
+    The line builder of the first ``io.write_kernel_csv``, kept verbatim
+    (with its ``_format_float`` inlined) as an exact-bytes oracle.
+    """
+    lines = ["id," + ",".join(kernel.col_ids)]
+    for rid, row in zip(kernel.row_ids, kernel.values):
+        lines.append(rid + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def oracle_feature_pipeline(train_X, group_cols, test_X=None, center=True, normalize=True):
     """Preprocess feature rows directly and recompute inner products.
 

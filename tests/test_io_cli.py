@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import enmkl
 from enmkl import io
@@ -20,7 +23,7 @@ from enmkl.kernels import (
     build_linear_kernels,
 )
 
-from helpers import make_classification_data, make_regression_data
+from helpers import kernel_csv_reference, make_classification_data, make_regression_data
 
 
 def _write(path, text):
@@ -206,6 +209,132 @@ class TestKernelFiles:
         io.write_self_sim_csv(path, ("t0",), np.array([1.0]))
         with pytest.raises(DataError, match="no self-similarity"):
             io.read_self_sim_csv(path, ("t1",))
+
+
+def _mirror_upper(a):
+    """The symmetric matrix whose upper triangle is ``a``'s, copied bit for bit."""
+    return np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+
+
+def _ids(prefix, n):
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+class TestKernelCsvCodec:
+    """The kernel CSV writer against the one-``repr``-per-value reference."""
+
+    def _assert_reference_bytes(self, tmp_path, kernel):
+        path = tmp_path / "k.csv"
+        io.write_kernel_csv(path, kernel)
+        assert path.read_text() == kernel_csv_reference(kernel)
+        loaded = io.read_kernel_csv(path)
+        np.testing.assert_array_equal(
+            loaded.values.view(np.int64), kernel.values.view(np.int64)
+        )
+        return path.read_text()
+
+    def test_symmetric_train_kernels(self, tmp_path):
+        data = make_regression_data(
+            n=12, seed=67, group_specs=[("a", 3, "signal"), ("b", 1, "noise")]
+        )
+        for kernel in build_linear_kernels(data).kernels:
+            self._assert_reference_bytes(tmp_path, kernel)
+
+    def test_cross_kernels(self, tmp_path):
+        data = make_classification_data(n=9, seed=68, group_specs=[("a", 3, "signal")])
+        test_X = np.random.default_rng(69).normal(size=(4, 3))
+        stack, _ = build_linear_cross_kernels(data, test_X, _ids("t", 4))
+        self._assert_reference_bytes(tmp_path, stack.kernels[0])
+
+    def test_square_cross_kernel_keeps_its_own_values(self, tmp_path):
+        values = np.random.default_rng(70).normal(size=(3, 3))
+        self._assert_reference_bytes(tmp_path, KernelMatrix(values, _ids("t", 3), _ids("s", 3)))
+
+    def test_mirrored_signed_zeros_keep_their_signs(self, tmp_path):
+        values = np.array([[1.0, -0.0, 0.5], [0.0, 2.0, -0.0], [0.5, -0.0, 3.0]])
+        kernel = KernelMatrix(values, _ids("s", 3), _ids("s", 3))
+        text = self._assert_reference_bytes(tmp_path, kernel)
+        assert text.splitlines()[1:3] == ["s0,1.0,-0.0,0.5", "s1,0.0,2.0,-0.0"]
+
+    def test_subnormals(self, tmp_path):
+        tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-310, -4.9e-322, 0.0])
+        upper = np.resize(tiny, (6, 6)) * np.arange(1, 7)[:, None]
+        self._assert_reference_bytes(
+            tmp_path, KernelMatrix(_mirror_upper(upper), _ids("s", 6), _ids("s", 6))
+        )
+        self._assert_reference_bytes(tmp_path, KernelMatrix(upper, _ids("t", 6), _ids("s", 6)))
+
+    def test_repr_exponent_switches(self, tmp_path):
+        edges = []
+        for edge in (1e16, 1e-4):
+            for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                edges += [x, -x]
+        upper = np.resize(np.array(edges), (5, 5))
+        kernel = KernelMatrix(_mirror_upper(upper), _ids("s", 5), _ids("s", 5))
+        text = self._assert_reference_bytes(tmp_path, kernel)
+        assert "1e+16" in text and "9999999999999998.0" in text
+        assert "0.0001" in text and "9.999999999999999e-05" in text
+
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        symmetric=st.booleans(),
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, values, symmetric):
+        # tmp_path_factory, not tmp_path: one directory serves every example.
+        tmp_path = tmp_path_factory.getbasetemp()
+        if symmetric:
+            n = min(values.shape)
+            values = _mirror_upper(values[:n, :n])
+            kernel = KernelMatrix(values, _ids("s", n), _ids("s", n))
+        else:
+            kernel = KernelMatrix(values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
+        self._assert_reference_bytes(tmp_path, kernel)
+
+
+class TestCsvParseErrors:
+    """Row-level parsing reports the same first bad value as per-value parsing."""
+
+    READERS = {
+        "kernel": (io.read_kernel_csv, "id,c0,c1,c2\n"),
+        "features": (io.read_features_csv, "id,f0,f1,f2\n"),
+    }
+
+    def _error(self, tmp_path, reader, body):
+        read, header = self.READERS[reader]
+        path = tmp_path / "x.csv"
+        path.write_text(header + body)
+        with pytest.raises(DataError) as info:
+            read(path)
+        return str(info.value).replace(str(path), "FILE")
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_non_number_mid_row(self, tmp_path, reader):
+        body = "r0,1.0,2.0,3.0\n\nr1,1.0,abc,3.0\n"
+        assert self._error(tmp_path, reader, body) == "FILE:4: not a number: 'abc'"
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_infinity_mid_row(self, tmp_path, reader):
+        body = "r0,1.0,2.0,3.0\nr1,1.0,-inf,3.0\n"
+        assert self._error(tmp_path, reader, body) == "FILE:3: non-finite value: '-inf'"
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_earlier_row_nan_beats_later_non_number(self, tmp_path, reader):
+        body = "r0,1.0,nan,3.0\nr1,1.0,abc,3.0\n"
+        assert self._error(tmp_path, reader, body) == "FILE:2: non-finite value: 'nan'"
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_first_bad_value_in_row_wins(self, tmp_path, reader):
+        assert (
+            self._error(tmp_path, reader, "r0,1.0,inf,abc\n")
+            == "FILE:2: non-finite value: 'inf'"
+        )
+        assert (
+            self._error(tmp_path, reader, "r0,x,inf,abc\n") == "FILE:2: not a number: 'x'"
+        )
 
 
 class TestStackFiles:
@@ -436,6 +565,90 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _run_cli(*args):
+    """Run ``python -m enmkl`` in a child process, as a user would."""
+    src = str(Path(enmkl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "enmkl", *args], env=env, capture_output=True, text=True
+    )
+
+
+class TestMalformedStackAndModel:
+    """Broken manifests, sidecars and model files exit 2 and name the file."""
+
+    def _stack(self, tmp_path, fmt="csv"):
+        _, features, groups, targets = _workspace(tmp_path, n=12)
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--format", fmt, "--out", str(tmp_path / "stack"),
+        ]) == 0
+        return tmp_path / "stack", features, targets
+
+    def _train(self, tmp_path, stack_dir, targets):
+        return _run_cli(
+            "train", "--stack", str(stack_dir / "stack.json"), "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "1.0",
+            "--out", str(tmp_path / "model.json"),
+        )
+
+    def _assert_data_error(self, result, file_name):
+        assert result.returncode == 2, result.stderr
+        assert file_name in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def _edit_json(self, path, edit):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+
+    def test_group_entry_without_meta_file(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "stack.json", lambda m: m["groups"][0].pop("meta_file"))
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "stack.json")
+        assert "meta_file" in result.stderr
+
+    def test_ill_typed_manifest_ids(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "stack.json", lambda m: m.update(sample_ids="s0"))
+        self._assert_data_error(self._train(tmp_path, stack_dir, targets), "stack.json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize(
+        "edit",
+        [{"rows": 5}, {"row_ids": ["x"]}, {"col_ids": []}, {"centered": "no"}],
+        ids=["rows", "row_ids", "col_ids", "flag"],
+    )
+    def test_sidecar_disagreeing_with_its_kernel(self, tmp_path, capsys, fmt, edit):
+        stack_dir, _, targets = self._stack(tmp_path, fmt)
+        self._edit_json(stack_dir / "kernel_001.meta.json", lambda meta: meta.update(edit))
+        self._assert_data_error(self._train(tmp_path, stack_dir, targets), "kernel_001.meta.json")
+
+    def test_model_without_alpha(self, tmp_path, capsys):
+        stack_dir, features, targets = self._stack(tmp_path)
+        assert self._train(tmp_path, stack_dir, targets).returncode == 0
+        model = tmp_path / "model.json"
+        self._edit_json(model, lambda payload: payload["model"].pop("alpha"))
+        result = _run_cli(
+            "predict", "--model", str(model), "--features", features,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        self._assert_data_error(result, "model.json")
+        assert "'alpha'" in result.stderr
+
+    def test_ill_typed_model_sections(self, tmp_path, capsys):
+        stack_dir, features, targets = self._stack(tmp_path)
+        assert self._train(tmp_path, stack_dir, targets).returncode == 0
+        model = tmp_path / "model.json"
+        self._edit_json(model, lambda payload: payload["model"].update(beta="heavy"))
+        assert main(["report", "--model", str(model)]) == 2
+        assert "model.json" in capsys.readouterr().err
+        self._edit_json(model, lambda payload: payload.update(model=[]))
+        assert main(["report", "--model", str(model)]) == 2
+        assert "model.json" in capsys.readouterr().err
 
 
 class TestExitCodes:
