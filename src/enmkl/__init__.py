@@ -8,14 +8,10 @@ alternated with standard single-kernel dual solvers.
 from .errors import ConvergenceError, DataError, EnmklError, UsageError
 from .kernels import (
     GroupedDataset,
-    KernelMatrix,
     KernelStack,
     StackPreprocessor,
     build_linear_cross_kernels,
     build_linear_kernels,
-    center_test_kernel,
-    center_train_kernel,
-    normalize_kernel,
     weighted_sum,
 )
 from .solvers import (
@@ -28,7 +24,6 @@ from .solvers import (
 from .mkl import (
     MklModel,
     PrimalModel,
-    blocknorm_objective,
     compute_block_norms,
     enmkl_objective,
     model_from_dict,
@@ -64,7 +59,6 @@ __all__ = [
     "FoldPlan",
     "GroupedDataset",
     "HyperGrid",
-    "KernelMatrix",
     "KernelStack",
     "KrrDualSolution",
     "MklModel",
@@ -74,11 +68,8 @@ __all__ = [
     "UsageError",
     "auc",
     "balanced_accuracy",
-    "blocknorm_objective",
     "build_linear_cross_kernels",
     "build_linear_kernels",
-    "center_test_kernel",
-    "center_train_kernel",
     "compute_block_norms",
     "enmkl_objective",
     "make_fold_plan",
@@ -86,7 +77,6 @@ __all__ = [
     "model_to_dict",
     "mse",
     "nested_cv",
-    "normalize_kernel",
     "pearson_correlation",
     "predict",
     "predict_model",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -123,24 +123,6 @@ def cmd_kernels(args) -> None:
     print(f"wrote {stack.m} kernels over {stack.n_rows} samples to {manifest_path}")
 
 
-def _train_from_stack(stack, targets, cfg: RunConfig):
-    if cfg.trainer == "sum-baseline":
-        return mkl.train_sum_baseline(
-            stack, targets, cfg.task, cfg.c_value,
-            solver_tol=cfg.solver_tol, max_updates=cfg.smo_max_updates,
-        )
-    if cfg.task == "classification":
-        return mkl.train_enmkl_svm(
-            stack, targets, cfg.c_value, cfg.mu,
-            conv_tol=cfg.conv_tol, max_iter=cfg.max_iter,
-            solver_tol=cfg.solver_tol, max_updates=cfg.smo_max_updates,
-        )
-    return mkl.train_enmkl_krr(
-        stack, targets, cfg.c_value, cfg.mu,
-        conv_tol=cfg.conv_tol, max_iter=cfg.max_iter,
-    )
-
-
 def _recoverable_sources(manifest: dict):
     """Feature/group paths recorded at kernel-build time, when still intact."""
     sources = manifest.get("sources") or {}
@@ -184,7 +166,11 @@ def cmd_train(args) -> None:
         raise DataError(f"{args.stack}: training needs a train stack, got a cross stack")
     targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, cfg.task)
     pre = StackPreprocessor(center=cfg.center, normalize=cfg.normalize).fit(raw_stack)
-    model = _train_from_stack(pre.train_stack_, targets, cfg)
+    model = mkl.train_model(
+        pre.train_stack_, targets, cfg.task, cfg.trainer, cfg.c_value, cfg.mu,
+        conv_tol=cfg.conv_tol, max_iter=cfg.max_iter,
+        solver_tol=cfg.solver_tol, max_updates=cfg.smo_max_updates,
+    )
 
     payload = {
         "format_version": io.MODEL_FORMAT_VERSION,
@@ -236,11 +222,19 @@ def _load_model_payload(path):
     return payload, _model_section(path, payload, "model", mkl.model_from_dict)
 
 
-def _decisions_to_output(model, payload, decisions):
+def _label_names(mapping) -> dict:
+    """Raw label per -1/+1 class from a model file's ``label_mapping``."""
+    if not isinstance(mapping, dict):
+        raise TypeError("'label_mapping' must be an object")
+    return {float(v): str(k) for k, v in mapping.items()}
+
+
+def _decisions_to_output(path, model, payload, decisions):
     if model.task != "classification":
         return decisions, None
-    mapping = payload.get("label_mapping") or {}
-    reverse = {float(v): str(k) for k, v in mapping.items()}
+    reverse = {}
+    if payload.get("label_mapping") is not None:
+        reverse = _model_section(path, payload, "label_mapping", _label_names)
     labels = [
         reverse.get(1.0 if d >= 0 else -1.0, "+1" if d >= 0 else "-1") for d in decisions
     ]
@@ -282,7 +276,7 @@ def cmd_predict(args) -> None:
         decisions = mkl.predict_model(model, cross)
         sample_ids = raw_stack.row_ids
 
-    decisions, labels = _decisions_to_output(model, payload, decisions)
+    decisions, labels = _decisions_to_output(args.model, model, payload, decisions)
     io.write_predictions_csv(args.out, sample_ids, decisions, labels)
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
 

@@ -10,7 +10,7 @@ and everything downstream of it, is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -412,23 +412,10 @@ def _fit_and_decide(
     eval_data = data.subset(eval_ids)
     raw_train = build_linear_kernels(train_data)
     pre = StackPreprocessor(center=center, normalize=normalize).fit(raw_train)
-    train_stack = pre.train_stack_
-    if trainer == "sum-baseline":
-        model = mkl.train_sum_baseline(
-            train_stack, train_data.targets, task, C,
-            solver_tol=solver_tol, max_updates=max_updates,
-        )
-    elif task == "classification":
-        model = mkl.train_enmkl_svm(
-            train_stack, train_data.targets, C, mu,
-            conv_tol=conv_tol, max_iter=max_iter,
-            solver_tol=solver_tol, max_updates=max_updates,
-        )
-    else:
-        model = mkl.train_enmkl_krr(
-            train_stack, train_data.targets, C, mu,
-            conv_tol=conv_tol, max_iter=max_iter,
-        )
+    model = mkl.train_model(
+        pre.train_stack_, train_data.targets, task, trainer, C, mu,
+        conv_tol=conv_tol, max_iter=max_iter, solver_tol=solver_tol, max_updates=max_updates,
+    )
     raw_cross, self_sims = build_linear_cross_kernels(
         train_data, eval_data.features, eval_data.sample_ids
     )

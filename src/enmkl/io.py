@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .kernels import GroupedDataset, KernelMatrix, KernelStack
+from .kernels import GroupedDataset, KernelStack
 
 KERNEL_BINARY_MAGIC = b"ENMKLKRN"
 MANIFEST_VERSION = 1
@@ -272,15 +272,14 @@ def read_blocks(path, sample_ids) -> dict:
     return out
 
 
-def write_kernel_csv(path, kernel: KernelMatrix) -> None:
-    """One ``id,<col ids>`` header, then one row of values per row id.
+def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
+    """One ``id,<col ids>`` header, then one row of ``values`` per row id.
 
     A kernel that equals its transpose bit for bit has each value of its
     upper triangle formatted once, with the lower triangle's strings
     mirrored from it. The bit test matters: ``-0.0 == 0.0`` but their
     strings differ, so such a kernel takes the full-matrix path.
     """
-    values = kernel.values
     rows = values.tolist()
     bits = values.view(np.uint64)
     if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
@@ -289,13 +288,17 @@ def write_kernel_csv(path, kernel: KernelMatrix) -> None:
             cells.append([above[i] for above in cells] + list(map(float.__repr__, row[i:])))
     else:
         cells = [list(map(float.__repr__, row)) for row in rows]
-    lines = ["id," + ",".join(kernel.col_ids)]
-    for rid, row in zip(kernel.row_ids, cells):
+    lines = ["id," + ",".join(col_ids)]
+    for rid, row in zip(row_ids, cells):
         lines.append(rid + "," + ",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_kernel_csv(path, centered: bool = False, normalized: bool = False) -> KernelMatrix:
+def read_kernel_csv(path):
+    """Parse a kernel CSV written by :func:`write_kernel_csv`.
+
+    Returns (row ids, column ids, values).
+    """
     rows = _read_csv_rows(path)
     header_line, header = rows[0]
     if len(header) < 2:
@@ -310,25 +313,26 @@ def read_kernel_csv(path, centered: bool = False, normalized: bool = False) -> K
         values.append(_parse_row(path, lineno, row[1:]))
     if not row_ids:
         raise DataError(f"{path}: no data rows")
-    return KernelMatrix(
-        np.array(values), tuple(row_ids), col_ids, centered=centered, normalized=normalized
-    )
+    return tuple(row_ids), col_ids, np.array(values)
 
 
-def write_kernel_binary(path, kernel: KernelMatrix) -> None:
+def write_kernel_binary(path, values: np.ndarray) -> None:
     """Binary kernel layout: 8-byte magic, two uint64 dims, float64 row-major."""
-    rows, cols = kernel.values.shape
+    rows, cols = values.shape
     payload = (
         KERNEL_BINARY_MAGIC
         + struct.pack("<QQ", rows, cols)
-        + np.ascontiguousarray(kernel.values, dtype="<f8").tobytes()
+        + np.ascontiguousarray(values, dtype="<f8").tobytes()
     )
     atomic_write_bytes(path, payload)
 
 
-def read_kernel_binary(
-    path, row_ids, col_ids, centered: bool = False, normalized: bool = False
-) -> KernelMatrix:
+def read_kernel_binary(path, row_ids, col_ids) -> np.ndarray:
+    """The values of a binary kernel whose rows and columns carry these ids.
+
+    The header's dimensions must match the id counts; the returned array
+    is a read-only view of the file's bytes.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: file not found")
@@ -337,11 +341,15 @@ def read_kernel_binary(
     if len(blob) < header or not blob.startswith(KERNEL_BINARY_MAGIC):
         raise DataError(f"{path}: not a kernel binary file (bad magic)")
     rows, cols = struct.unpack("<QQ", blob[len(KERNEL_BINARY_MAGIC):header])
+    if (rows, cols) != (len(row_ids), len(col_ids)):
+        raise DataError(
+            f"{path}: header says {rows}x{cols}, but the stack has "
+            f"{len(row_ids)} row ids and {len(col_ids)} column ids"
+        )
     expected = header + rows * cols * 8
     if len(blob) != expected:
         raise DataError(f"{path}: expected {expected} bytes for a {rows}x{cols} kernel, got {len(blob)}")
-    values = np.frombuffer(blob[header:], dtype="<f8").reshape(rows, cols)
-    return KernelMatrix(values, tuple(row_ids), tuple(col_ids), centered=centered, normalized=normalized)
+    return np.frombuffer(blob, dtype="<f8", offset=header).reshape(rows, cols)
 
 
 def write_self_sim_csv(path, sample_ids, values) -> None:
@@ -385,27 +393,25 @@ def write_stack(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = []
-    for j, (name, size, kernel) in enumerate(
-        zip(stack.group_names, stack.group_sizes, stack.kernels)
-    ):
+    for j, (name, size) in enumerate(zip(stack.group_names, stack.group_sizes)):
         stem = f"kernel_{j:03d}"
         data_file = f"{stem}.{'csv' if fmt == 'csv' else 'bin'}"
         meta_file = f"{stem}.meta.json"
         if fmt == "csv":
-            write_kernel_csv(out_dir / data_file, kernel)
+            write_kernel_csv(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
         else:
-            write_kernel_binary(out_dir / data_file, kernel)
+            write_kernel_binary(out_dir / data_file, stack.values[j])
         meta = {
             "group": name,
             "size": size,
             "format": fmt,
             "data_file": data_file,
-            "rows": kernel.n_rows,
-            "cols": kernel.n_cols,
-            "row_ids": list(kernel.row_ids),
-            "col_ids": list(kernel.col_ids),
-            "centered": kernel.centered,
-            "normalized": kernel.normalized,
+            "rows": stack.n_rows,
+            "cols": stack.n_cols,
+            "row_ids": list(stack.row_ids),
+            "col_ids": list(stack.col_ids),
+            "centered": stack.centered,
+            "normalized": stack.normalized,
         }
         write_json(out_dir / meta_file, meta)
         entry = {"name": name, "size": size, "data_file": data_file, "meta_file": meta_file}
@@ -456,7 +462,9 @@ def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
     Returns (stack, self_sims or None, manifest dict). Each sidecar's ids
-    must match the manifest and its shape the kernel file it describes.
+    must match the manifest, its shape the kernel file it describes, and
+    its flags those of every other sidecar. Each kernel file is read into
+    its slice of the stack's values.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -470,11 +478,13 @@ def read_stack(manifest_path):
         raise DataError(f"{where}: unknown kernel format {fmt!r}")
     row_ids = _json_ids(where, manifest, "sample_ids")
     col_ids = _json_ids(where, manifest, "col_ids")
-    kernels = []
+    groups = _json_value(where, manifest, "groups", list)
+    values = np.empty((0, len(row_ids), len(col_ids)))
     names = []
     sizes = []
+    flags = None
     self_sims = [] if kind == "cross" else None
-    for j, entry in enumerate(_json_value(where, manifest, "groups", list)):
+    for j, entry in enumerate(groups):
         entry_where = f"{where}: groups[{j}]"
         names.append(_json_value(entry_where, entry, "name", str))
         sizes.append(_json_value(entry_where, entry, "size", int))
@@ -482,33 +492,41 @@ def read_stack(manifest_path):
         meta_path = base / _json_value(entry_where, entry, "meta_file", str)
         meta = read_json(meta_path)
         meta_where = str(meta_path)
-        flags = {
+        meta_flags = {
             "centered": _json_value(meta_where, meta, "centered", bool),
             "normalized": _json_value(meta_where, meta, "normalized", bool),
         }
+        if flags is None:
+            flags = meta_flags
+        elif meta_flags != flags:
+            raise DataError(f"{meta_where}: flags differ from the first kernel's sidecar")
         if (
             _json_ids(meta_where, meta, "row_ids") != row_ids
             or _json_ids(meta_where, meta, "col_ids") != col_ids
         ):
             raise DataError(f"{meta_where}: sidecar ids do not match the manifest {where}")
         if fmt == "csv":
-            kernel = read_kernel_csv(data_path, **flags)
-            if kernel.row_ids != row_ids or kernel.col_ids != col_ids:
+            kernel_rows, kernel_cols, kernel = read_kernel_csv(data_path)
+            if kernel_rows != row_ids or kernel_cols != col_ids:
                 raise DataError(f"{data_path}: kernel ids do not match the manifest")
         else:
-            kernel = read_kernel_binary(data_path, row_ids, col_ids, **flags)
+            kernel = read_kernel_binary(data_path, row_ids, col_ids)
         rows = _json_value(meta_where, meta, "rows", int)
         cols = _json_value(meta_where, meta, "cols", int)
-        if (rows, cols) != (kernel.n_rows, kernel.n_cols):
+        if (rows, cols) != kernel.shape:
             raise DataError(
                 f"{meta_where}: sidecar says {rows}x{cols}, "
-                f"but {data_path} holds a {kernel.n_rows}x{kernel.n_cols} kernel"
+                f"but {data_path} holds a {kernel.shape[0]}x{kernel.shape[1]} kernel"
             )
-        kernels.append(kernel)
+        if not j:
+            # Allocated only once a kernel file has matched the manifest's ids,
+            # so a manifest listing bogus ids fails on them, not on memory.
+            values = np.empty((len(groups),) + kernel.shape)
+        values[j] = kernel
         if self_sims is not None:
             sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
             self_sims.append(read_self_sim_csv(sim_path, row_ids))
-    stack = KernelStack(tuple(kernels), tuple(names), tuple(sizes))
+    stack = KernelStack(values, row_ids, col_ids, tuple(names), tuple(sizes), **(flags or {}))
     return stack, self_sims, manifest
 
 

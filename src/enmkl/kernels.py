@@ -15,7 +15,7 @@ routes against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,46 +40,68 @@ def _as_float_matrix(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KernelMatrix:
-    """A Gram matrix with sample identifiers and preprocessing flags.
+class KernelStack:
+    """The Gram matrices of one dataset, one per feature group.
 
-    Rows and columns are labeled by sample ids. When ``row_ids == col_ids``
-    the matrix is a train kernel and must be symmetric; otherwise it is a
-    cross kernel (test rows against train columns). The ``centered`` and
-    ``normalized`` flags record which preprocessing steps have been applied,
-    and the corresponding numeric invariants are checked at construction for
-    train kernels.
+    ``values[j]`` is group j's kernel: rows are labeled by ``row_ids`` and
+    columns by ``col_ids``. When the two agree the stack holds train
+    kernels, and each must be symmetric; otherwise it holds cross kernels
+    (test rows against train columns). ``centered`` and ``normalized``
+    record which preprocessing steps were applied, and their numeric
+    invariants are checked here for train kernels. ``group_sizes`` records
+    how many feature columns fed each kernel (informational).
+
+    ``values`` is kept as a read-only C-contiguous float64 array of shape
+    ``(m, n_rows, n_cols)``. An array already in that form is taken without
+    a copy, so the caller must not write to it afterwards.
     """
 
     values: np.ndarray
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
+    group_names: tuple[str, ...]
+    group_sizes: tuple[int, ...]
     centered: bool = False
     normalized: bool = False
 
     def __post_init__(self):
-        values = _as_float_matrix(self.values, "kernel")
+        values = np.ascontiguousarray(self.values, dtype=np.float64).view()
         row_ids = tuple(str(i) for i in self.row_ids)
         col_ids = tuple(str(i) for i in self.col_ids)
-        if values.shape != (len(row_ids), len(col_ids)):
+        names = tuple(str(g) for g in self.group_names)
+        sizes = tuple(int(s) for s in self.group_sizes)
+        if values.ndim != 3:
+            raise ValueError(f"kernel values must be a 3-d array, got shape {values.shape}")
+        if not values.shape[0]:
+            raise ValueError("a kernel stack needs at least one kernel")
+        if not (values.shape[0] == len(names) == len(sizes)):
+            raise ValueError("kernels, group_names, and group_sizes must have equal length")
+        if len(set(names)) != len(names):
+            raise ValueError("group names must be unique")
+        if values.shape[1:] != (len(row_ids), len(col_ids)):
             raise ValueError(
-                f"kernel shape {values.shape} does not match "
+                f"kernel shape {values.shape[1:]} does not match "
                 f"{len(row_ids)} row ids and {len(col_ids)} column ids"
             )
-        if row_ids == col_ids:
-            scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-            if values.size and float(np.abs(values - values.T).max()) > SYMMETRY_TOL * scale:
+        train = row_ids == col_ids
+        for k in values:
+            # The largest magnitude is NaN or inf exactly when an entry is.
+            largest = float(np.abs(k).max(initial=0.0))
+            if not np.isfinite(largest):
+                raise ValueError("kernel contains non-finite entries")
+            if not train:
+                continue
+            if float(np.abs(k - k.T).max(initial=0.0)) > SYMMETRY_TOL * max(1.0, largest):
                 raise ValueError("train kernel is not symmetric")
             if self.normalized:
-                if float(np.abs(np.diagonal(values) - 1.0).max()) > UNIT_DIAG_TOL:
+                if float(np.abs(np.diagonal(k) - 1.0).max(initial=0.0)) > UNIT_DIAG_TOL:
                     raise ValueError("kernel flagged normalized does not have a unit diagonal")
-            if self.centered and not self.normalized:
+            elif self.centered:
                 # Normalization rescales rows unevenly, so zero means are
                 # only checkable before it; afterwards the flag just records
                 # that centering happened earlier in the pipeline.
                 worst = max(
-                    float(np.abs(values.mean(axis=0)).max()),
-                    float(np.abs(values.mean(axis=1)).max()),
+                    float(np.abs(k.mean(axis=axis)).max(initial=0.0)) for axis in (0, 1)
                 )
                 if worst > CENTERED_MEAN_TOL:
                     raise ValueError("kernel flagged centered has nonzero row or column means")
@@ -87,78 +109,22 @@ class KernelMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "row_ids", row_ids)
         object.__setattr__(self, "col_ids", col_ids)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def is_train(self) -> bool:
-        return self.row_ids == self.col_ids
-
-
-@dataclass(frozen=True)
-class KernelStack:
-    """An ordered collection of kernels sharing the same samples.
-
-    All member kernels must carry identical row and column ids, group names
-    must be unique, and ``group_sizes`` records how many feature columns fed
-    each kernel (informational, used for reporting).
-    """
-
-    kernels: tuple[KernelMatrix, ...]
-    group_names: tuple[str, ...]
-    group_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        kernels = tuple(self.kernels)
-        names = tuple(str(g) for g in self.group_names)
-        sizes = tuple(int(s) for s in self.group_sizes)
-        if not kernels:
-            raise ValueError("a kernel stack needs at least one kernel")
-        if not (len(kernels) == len(names) == len(sizes)):
-            raise ValueError("kernels, group_names, and group_sizes must have equal length")
-        if len(set(names)) != len(names):
-            raise ValueError("group names must be unique")
-        first = kernels[0]
-        for k in kernels[1:]:
-            if k.row_ids != first.row_ids or k.col_ids != first.col_ids:
-                raise ValueError("all kernels in a stack must share the same sample ids")
-        object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "group_names", names)
         object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "centered", bool(self.centered))
+        object.__setattr__(self, "normalized", bool(self.normalized))
 
     @property
     def m(self) -> int:
-        return len(self.kernels)
+        return self.values.shape[0]
 
     @property
     def n_rows(self) -> int:
-        return self.kernels[0].n_rows
+        return self.values.shape[1]
 
     @property
     def n_cols(self) -> int:
-        return self.kernels[0].n_cols
-
-    @property
-    def row_ids(self) -> tuple[str, ...]:
-        return self.kernels[0].row_ids
-
-    @property
-    def col_ids(self) -> tuple[str, ...]:
-        return self.kernels[0].col_ids
-
-    @property
-    def centered(self) -> bool:
-        return all(k.centered for k in self.kernels)
-
-    @property
-    def normalized(self) -> bool:
-        return all(k.normalized for k in self.kernels)
+        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -275,16 +241,15 @@ def build_linear_kernels(data: GroupedDataset) -> KernelStack:
     ``K_j[a, b] = <x_a[group j], x_b[group j]>``. Building the m kernels is
     independent across groups.
     """
-    kernels = []
-    for j, name in enumerate(data.group_names):
-        cols = data.group_columns(j)
-        if cols.size == 0:
-            raise DataError(f"group '{name}' has no feature columns")
-        block = data.features[:, cols]
+    n = data.n_samples
+    values = np.empty((data.n_groups, n, n))
+    for j in range(data.n_groups):
+        block = data.features[:, data.group_columns(j)]
         gram = block @ block.T
-        gram = (gram + gram.T) / 2.0  # kill round-off asymmetry from BLAS
-        kernels.append(KernelMatrix(gram, data.sample_ids, data.sample_ids))
-    return KernelStack(tuple(kernels), data.group_names, data.group_sizes)
+        values[j] = (gram + gram.T) / 2.0  # kill round-off asymmetry from BLAS
+    return KernelStack(
+        values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes
+    )
 
 
 def build_linear_cross_kernels(
@@ -306,108 +271,15 @@ def build_linear_cross_kernels(
             f"test features have {test_features.shape[1]} columns, "
             f"train data has {train.n_features}"
         )
-    kernels = []
+    values = np.empty((train.n_groups, len(test_ids), train.n_samples))
     self_sims = []
     for j in range(train.n_groups):
         cols = train.group_columns(j)
         test_block = test_features[:, cols]
-        cross = test_block @ train.features[:, cols].T
-        kernels.append(KernelMatrix(cross, test_ids, train.sample_ids))
+        values[j] = test_block @ train.features[:, cols].T
         self_sims.append(np.einsum("ij,ij->i", test_block, test_block))
-    stack = KernelStack(tuple(kernels), train.group_names, train.group_sizes)
+    stack = KernelStack(values, test_ids, train.sample_ids, train.group_names, train.group_sizes)
     return stack, self_sims
-
-
-def center_train_kernel(k: KernelMatrix) -> KernelMatrix:
-    """Double-center a train kernel in feature space.
-
-    Equivalent to subtracting the train mean from the underlying features:
-    ``K_c = K - rowmean - colmean + grandmean``. Idempotent in exact
-    arithmetic; a second application is rejected via the ``centered`` flag.
-    """
-    if not k.is_train:
-        raise ValueError("train centering requires a square train kernel")
-    if k.centered:
-        raise ValueError("kernel is already centered")
-    v = k.values
-    row_means = v.mean(axis=1, keepdims=True)
-    col_means = v.mean(axis=0, keepdims=True)
-    grand = v.mean()
-    out = v - row_means - col_means + grand
-    out = (out + out.T) / 2.0
-    return KernelMatrix(out, k.row_ids, k.col_ids, centered=True, normalized=False)
-
-
-def _center_cross_values(
-    cross: np.ndarray, train_col_means: np.ndarray, train_grand_mean: float
-) -> np.ndarray:
-    # Test rows are centered with the *train* statistics: subtract each test
-    # row's mean over train columns, subtract the train kernel's column means,
-    # add back the train grand mean.
-    row_means = cross.mean(axis=1, keepdims=True)
-    return cross - row_means - train_col_means[None, :] + train_grand_mean
-
-
-def center_test_kernel(k_test: KernelMatrix, k_train: KernelMatrix) -> KernelMatrix:
-    """Center a cross kernel using the train kernel's statistics.
-
-    ``k_train`` must be the raw (uncentered) train kernel whose samples are
-    the columns of ``k_test``. A test sample identical to a train sample gets
-    exactly that train sample's centered kernel row.
-    """
-    if not k_train.is_train:
-        raise ValueError("k_train must be a square train kernel")
-    if k_train.centered:
-        raise ValueError("k_train must be uncentered; centering statistics come from raw values")
-    if k_test.centered:
-        raise ValueError("kernel is already centered")
-    if k_test.col_ids != k_train.row_ids:
-        raise ValueError("column ids of the test kernel do not match the train kernel's samples")
-    out = _center_cross_values(
-        k_test.values, k_train.values.mean(axis=0), float(k_train.values.mean())
-    )
-    return KernelMatrix(out, k_test.row_ids, k_test.col_ids, centered=True, normalized=False)
-
-
-def normalize_kernel(
-    k: KernelMatrix,
-    self_diag_test: np.ndarray | None = None,
-    self_diag_train: np.ndarray | None = None,
-) -> KernelMatrix:
-    """Scale kernel entries so every sample has unit self-similarity.
-
-    ``K'[i, j] = K[i, j] / sqrt(s_i * s_j)``. For a train kernel the
-    self-similarities ``s`` are its own diagonal and the two optional
-    arguments must be omitted. For a cross kernel the caller must supply
-    ``self_diag_test`` (one value per row) and ``self_diag_train`` (one per
-    column), computed under the same centering state as ``k``.
-    """
-    if k.normalized:
-        raise ValueError("kernel is already normalized")
-    if k.is_train:
-        if self_diag_test is not None or self_diag_train is not None:
-            raise ValueError("train kernels are normalized by their own diagonal")
-        s = np.diagonal(k.values).copy()
-        _check_self_similarities(s, k.row_ids)
-        scale = np.sqrt(s)
-        out = k.values / np.outer(scale, scale)
-        out = (out + out.T) / 2.0
-        np.fill_diagonal(out, 1.0)  # exactly 1 by definition
-    else:
-        if self_diag_test is None or self_diag_train is None:
-            raise ValueError(
-                "cross kernels need self_diag_test and self_diag_train to be normalized"
-            )
-        s_test = np.asarray(self_diag_test, dtype=np.float64)
-        s_train = np.asarray(self_diag_train, dtype=np.float64)
-        if s_test.shape != (k.n_rows,):
-            raise ValueError("self_diag_test must hold one value per test row")
-        if s_train.shape != (k.n_cols,):
-            raise ValueError("self_diag_train must hold one value per train column")
-        _check_self_similarities(s_test, k.row_ids)
-        _check_self_similarities(s_train, k.col_ids)
-        out = k.values / np.outer(np.sqrt(s_test), np.sqrt(s_train))
-    return KernelMatrix(out, k.row_ids, k.col_ids, centered=k.centered, normalized=True)
 
 
 def _check_self_similarities(s: np.ndarray, ids: tuple[str, ...]) -> None:
@@ -420,15 +292,12 @@ def _check_self_similarities(s: np.ndarray, ids: tuple[str, ...]) -> None:
         )
 
 
-def weighted_sum(stack: KernelStack, beta) -> KernelMatrix:
-    """The combined kernel ``sum_j beta_j * K_j``.
+def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
+    """The combined kernel ``sum_j beta_j * K_j``, as an (n_rows, n_cols) array.
 
     Weights must be nonnegative with at least one strictly positive entry.
     Exact zeros are skipped, so kernels dropped by the optimizer cost
-    nothing. The result's flags claim only properties the combined values
-    actually have: zero means survive any combination of centered-only
-    kernels, and a unit diagonal survives a unit-sum combination of
-    normalized ones; everything else is unflagged.
+    nothing.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (stack.m,):
@@ -440,13 +309,10 @@ def weighted_sum(stack: KernelStack, beta) -> KernelMatrix:
     if not (beta > 0).any():
         raise ValueError("at least one kernel weight must be positive")
     acc = np.zeros((stack.n_rows, stack.n_cols))
-    for b, k in zip(beta, stack.kernels):
+    for b, k in zip(beta, stack.values):
         if b != 0.0:
-            acc += b * k.values
-    any_normalized = any(k.normalized for k in stack.kernels)
-    centered = stack.centered and not any_normalized
-    normalized = stack.normalized and abs(float(beta.sum()) - 1.0) <= 1e-12
-    return KernelMatrix(acc, stack.row_ids, stack.col_ids, centered=centered, normalized=normalized)
+            acc += b * k
+    return acc
 
 
 @dataclass
@@ -501,22 +367,33 @@ class StackPreprocessor:
     def fit(self, raw_stack: KernelStack) -> "StackPreprocessor":
         if raw_stack.centered or raw_stack.normalized:
             raise ValueError("fit expects a raw (uncentered, unnormalized) train stack")
-        if not raw_stack.kernels[0].is_train:
+        if raw_stack.row_ids != raw_stack.col_ids:
             raise ValueError("fit expects a train stack")
+        ids = raw_stack.row_ids
+        out = np.empty_like(raw_stack.values)
         stats = []
-        processed = []
-        for k in raw_stack.kernels:
-            col_means = k.values.mean(axis=0)
-            grand = float(k.values.mean())
-            work = center_train_kernel(k) if self.center else k
-            self_sim = np.diagonal(work.values).copy()
+        for j, k in enumerate(raw_stack.values):
+            col_means = k.mean(axis=0)
+            grand = float(k.mean())
+            if self.center:
+                # Double centering, K - rowmean - colmean + grandmean, equals
+                # subtracting the train mean from the underlying features.
+                k = k - k.mean(axis=1, keepdims=True) - col_means + grand
+                k = (k + k.T) / 2.0
+            self_sim = np.diagonal(k).copy()
             if self.normalize:
-                work = normalize_kernel(work)
+                # K'[a, b] = K[a, b] / sqrt(s_a * s_b) with s the diagonal.
+                _check_self_similarities(self_sim, ids)
+                scale = np.sqrt(self_sim)
+                k = k / np.outer(scale, scale)
+                k = (k + k.T) / 2.0
+                np.fill_diagonal(k, 1.0)  # exactly 1 by definition
+            out[j] = k
             stats.append(GroupKernelStats(col_means, grand, self_sim))
-            processed.append(work)
         self.stats_ = stats
         self.train_stack_ = KernelStack(
-            tuple(processed), raw_stack.group_names, raw_stack.group_sizes
+            out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
+            centered=self.center, normalized=self.normalize,
         )
         self.group_names_ = raw_stack.group_names
         return self
@@ -536,25 +413,36 @@ class StackPreprocessor:
             raise ValueError("cross stack group names do not match the fitted stack")
         if len(raw_self_sims) != raw_cross.m:
             raise ValueError("need one self-similarity vector per group")
-        processed = []
-        for k, st, sims in zip(raw_cross.kernels, self.stats_, raw_self_sims):
+        if raw_cross.centered or raw_cross.normalized:
+            raise ValueError("transform_cross expects raw cross kernels")
+        if self.train_stack_ is not None and raw_cross.col_ids != self.train_stack_.row_ids:
+            raise ValueError("cross stack columns do not match the fitted train samples")
+        out = np.empty_like(raw_cross.values)
+        for j, (k, st, sims) in enumerate(zip(raw_cross.values, self.stats_, raw_self_sims)):
             sims = np.asarray(sims, dtype=np.float64)
-            if sims.shape != (k.n_rows,):
+            if sims.shape != (raw_cross.n_rows,):
                 raise ValueError("self-similarities must hold one value per test sample")
-            if k.centered or k.normalized:
-                raise ValueError("transform_cross expects raw cross kernels")
-            if len(st.col_means) != k.n_cols:
+            if len(st.col_means) != raw_cross.n_cols:
                 raise ValueError("cross kernel columns do not match the fitted train samples")
-            work = k
             if self.center:
-                values = _center_cross_values(k.values, st.col_means, st.grand_mean)
-                work = KernelMatrix(values, k.row_ids, k.col_ids, centered=True)
+                # Test rows are centered with the *train* statistics: subtract
+                # each test row's mean over train columns and the train
+                # kernel's column means, add back the train grand mean.
+                row_means = k.mean(axis=1)
+                k = k - row_means[:, None] - st.col_means[None, :] + st.grand_mean
                 # <x_c, x_c> = <x, x> - 2 * mean_t <x, x_t> + grand mean
-                sims = sims - 2.0 * k.values.mean(axis=1) + st.grand_mean
+                sims = sims - 2.0 * row_means + st.grand_mean
             if self.normalize:
-                work = normalize_kernel(work, self_diag_test=sims, self_diag_train=st.self_sim)
-            processed.append(work)
-        return KernelStack(tuple(processed), raw_cross.group_names, raw_cross.group_sizes)
+                if st.self_sim.shape != (raw_cross.n_cols,):
+                    raise ValueError("self_sim must hold one value per train column")
+                _check_self_similarities(sims, raw_cross.row_ids)
+                _check_self_similarities(st.self_sim, raw_cross.col_ids)
+                k = k / np.outer(np.sqrt(sims), np.sqrt(st.self_sim))
+            out[j] = k
+        return KernelStack(
+            out, raw_cross.row_ids, raw_cross.col_ids, raw_cross.group_names,
+            raw_cross.group_sizes, centered=self.center, normalized=self.normalize,
+        )
 
     def stats_to_dict(self) -> dict:
         if self.stats_ is None:

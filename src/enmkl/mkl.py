@@ -173,8 +173,8 @@ def compute_block_norms(
         q = alpha * labels
     q_scale = float(q @ q)
     norms = np.empty(stack.m)
-    for j, k in enumerate(stack.kernels):
-        form = float(q @ (k.values @ q))
+    for j, k in enumerate(stack.values):
+        form = float(q @ (k @ q))
         if form < -1e-8 * max(q_scale, 1e-300):
             raise DataError(
                 f"kernel '{stack.group_names[j]}' is not positive semidefinite "
@@ -228,7 +228,7 @@ def _slack_loss(combined, targets, alpha, bias, C, task, labels):
         return C * float(slack.sum())
     decisions = solvers.predict(alpha, 0.0, combined)
     residual = (targets - bias) - decisions
-    return (C / combined.n_rows) * float(residual @ residual)
+    return (C / combined.shape[0]) * float(residual @ residual)
 
 
 def _objective(combined, w, targets, alpha, bias, mu, C, task, labels) -> float:
@@ -261,27 +261,6 @@ def enmkl_objective(
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
     combined = weighted_sum(stack, beta)
     return _objective(combined, w, targets, alpha, bias, mu, C, task, labels)
-
-
-def blocknorm_objective(
-    stack: KernelStack, targets, alpha, bias: float, beta, mu: float, C: float, task: str
-) -> float:
-    """The equivalent block-norm form of the training objective.
-
-    ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2`` plus the loss.
-    With the scale variables at their closed-form optimum the two forms
-    coincide; keeping both on separate code paths lets tests check the
-    identity numerically.
-    """
-    mu = _check_mu(mu)
-    task = _check_task(task)
-    targets = np.asarray(targets, dtype=np.float64)
-    labels = targets if task == "classification" else None
-    w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-    total = float(w.sum())
-    penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
-    combined = weighted_sum(stack, beta)
-    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
 
 
 def _normalized(beta: np.ndarray) -> np.ndarray:
@@ -471,6 +450,37 @@ def train_sum_baseline(
         centered=stack.centered,
         normalized=stack.normalized,
     )
+
+
+def train_model(
+    stack: KernelStack,
+    targets,
+    task: str,
+    trainer: str,
+    C: float,
+    mu: float | None = None,
+    conv_tol: float = DEFAULT_CONV_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    solver_tol: float = solvers.DEFAULT_SVM_TOL,
+    max_updates: int = solvers.DEFAULT_MAX_UPDATES,
+) -> MklModel:
+    """Fit the named trainer, ``"enmkl"`` or ``"sum-baseline"``, for a task.
+
+    Options a trainer does not use are ignored: the baseline has no ``mu``
+    and no outer loop, and ridge regression has no SMO settings.
+    """
+    if trainer == "sum-baseline":
+        return train_sum_baseline(
+            stack, targets, task, C, solver_tol=solver_tol, max_updates=max_updates
+        )
+    if trainer != "enmkl":
+        raise ValueError(f"unknown trainer {trainer!r}")
+    if task == "classification":
+        return train_enmkl_svm(
+            stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter,
+            solver_tol=solver_tol, max_updates=max_updates,
+        )
+    return train_enmkl_krr(stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter)
 
 
 def predict_model(model: MklModel, stack: KernelStack) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import SYMMETRY_TOL, KernelMatrix
+from .kernels import SYMMETRY_TOL
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -75,8 +75,6 @@ class KrrDualSolution:
 
 
 def _kernel_values(k, name: str = "kernel") -> np.ndarray:
-    if isinstance(k, KernelMatrix):
-        return k.values
     arr = np.asarray(k, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array")
@@ -84,13 +82,7 @@ def _kernel_values(k, name: str = "kernel") -> np.ndarray:
 
 
 def _train_kernel_values(k) -> np.ndarray:
-    """The values of a train kernel, checked to be square, finite and symmetric.
-
-    A train :class:`KernelMatrix` is taken as is: its constructor has run
-    the same checks at the same tolerance.
-    """
-    if isinstance(k, KernelMatrix) and k.is_train:
-        return k.values
+    """The values of a train kernel, checked to be square, finite and symmetric."""
     values = _kernel_values(k)
     n = values.shape[0]
     if values.shape != (n, n):
@@ -121,7 +113,7 @@ def solve_svm_dual(
     """Solve the soft-margin SVM dual by SMO.
 
     Args:
-        k: train kernel, as a :class:`KernelMatrix` or square array.
+        k: train kernel, a square array.
         y: -1/+1 labels, both classes present.
         C: box constraint, > 0.
         tol: stop once the maximal KKT violation ``m(a) - M(a)`` drops to

@@ -10,7 +10,8 @@ import itertools
 
 import numpy as np
 
-from enmkl.kernels import GroupedDataset
+from enmkl.kernels import GroupedDataset, KernelStack, weighted_sum
+from enmkl.mkl import _check_mu, _check_task, _slack_loss, compute_block_norms
 from enmkl.solvers import solve_svm_dual
 
 
@@ -171,16 +172,37 @@ def smo_reference(K, y, C, tol=1e-3, max_updates=10_000_000, alpha0=None):
     return alpha, bias, objective, updates
 
 
-def kernel_csv_reference(kernel):
+def kernel_csv_reference(values, row_ids, col_ids):
     """Kernel CSV text as the original writer built it: one ``repr`` per value.
 
     The line builder of the first ``io.write_kernel_csv``, kept verbatim
     (with its ``_format_float`` inlined) as an exact-bytes oracle.
     """
-    lines = ["id," + ",".join(kernel.col_ids)]
-    for rid, row in zip(kernel.row_ids, kernel.values):
+    lines = ["id," + ",".join(col_ids)]
+    for rid, row in zip(row_ids, values):
         lines.append(rid + "," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def blocknorm_objective(
+    stack: KernelStack, targets, alpha, bias: float, beta, mu: float, C: float, task: str
+) -> float:
+    """The equivalent block-norm form of the training objective.
+
+    ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2`` plus the loss.
+    With the scale variables at their closed-form optimum the two forms
+    coincide; keeping both on separate code paths lets tests check the
+    identity numerically.
+    """
+    mu = _check_mu(mu)
+    task = _check_task(task)
+    targets = np.asarray(targets, dtype=np.float64)
+    labels = targets if task == "classification" else None
+    w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
+    total = float(w.sum())
+    penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
+    combined = weighted_sum(stack, beta)
+    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
 
 
 def oracle_feature_pipeline(train_X, group_cols, test_X=None, center=True, normalize=True):
@@ -223,11 +245,11 @@ def mkl_svm_grid_oracle(stack, y, C, mu, step=0.01, svm_tol=1e-7):
         u = np.array([u1, 1.0 - u1])
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(u > 0, u / (mu + (1.0 - mu) * u), 0.0)
-        K = sum(b * k.values for b, k in zip(beta, stack.kernels) if b > 0)
+        K = sum(b * k for b, k in zip(beta, stack.values) if b > 0)
         sol = solve_svm_dual(K, y, C, tol=svm_tol)
         q = sol.alpha * y
         w = np.array(
-            [beta[j] * np.sqrt(max(float(q @ stack.kernels[j].values @ q), 0.0)) for j in range(2)]
+            [beta[j] * np.sqrt(max(float(q @ stack.values[j] @ q), 0.0)) for j in range(2)]
         )
         decisions = K @ q + sol.bias
         slack = np.maximum(0.0, 1.0 - y * decisions)

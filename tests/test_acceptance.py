@@ -19,7 +19,6 @@ from enmkl.kernels import (
     build_linear_kernels,
 )
 from enmkl.mkl import (
-    blocknorm_objective,
     compute_block_norms,
     enmkl_objective,
     predict_model,
@@ -33,6 +32,7 @@ from enmkl.mkl import (
 from enmkl.solvers import solve_krr_dual, solve_svm_dual
 
 from helpers import (
+    blocknorm_objective,
     make_classification_data,
     make_regression_data,
     mkl_svm_grid_oracle,
@@ -294,7 +294,7 @@ def test_criterion_09_primal_recovery():
 
             q = model.alpha if task == "regression" else model.alpha * model.train_labels
             for j, block in enumerate(primal.weights):
-                kernel_form = q @ pre.train_stack_.kernels[j].values @ q
+                kernel_form = q @ pre.train_stack_.values[j] @ q
                 expected = model.beta[j] * np.sqrt(max(kernel_form, 0.0))
                 assert abs(np.linalg.norm(block) - expected) <= 1e-8
 
@@ -321,8 +321,8 @@ def test_criterion_10_pipeline_integrity():
         group_cols = [data.group_columns(j) for j in range(data.n_groups)]
         oracle = oracle_feature_pipeline(data.features, group_cols, test_X)
         for j, (oracle_train, oracle_cross) in enumerate(oracle):
-            assert np.abs(pre.train_stack_.kernels[j].values - oracle_train).max() <= 1e-8
-            assert np.abs(cross.kernels[j].values - oracle_cross).max() <= 1e-8
+            assert np.abs(pre.train_stack_.values[j] - oracle_train).max() <= 1e-8
+            assert np.abs(cross.values[j] - oracle_cross).max() <= 1e-8
 
         # Byte-reproducible cross-validation and the baseline comparison.
         plan = make_fold_plan(data.sample_ids, 3, 2, seed=5)

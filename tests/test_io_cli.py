@@ -1,7 +1,10 @@
 """File formats and the command-line surface."""
 
+import contextlib
+import io as stdio
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,6 @@ from enmkl import io
 from enmkl.cli import main
 from enmkl.errors import DataError
 from enmkl.kernels import (
-    KernelMatrix,
     StackPreprocessor,
     build_linear_cross_kernels,
     build_linear_kernels,
@@ -166,23 +168,21 @@ class TestKernelFiles:
     def _kernel(self, seed=61, n=5):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 3))
-        ids = tuple(f"s{i}" for i in range(n))
-        return KernelMatrix(X @ X.T, ids, ids)
+        return X @ X.T, tuple(f"s{i}" for i in range(n))
 
     def test_csv_round_trip_is_exact(self, tmp_path):
-        kernel = self._kernel()
+        values, ids = self._kernel()
         path = tmp_path / "k.csv"
-        io.write_kernel_csv(path, kernel)
-        loaded = io.read_kernel_csv(path)
-        np.testing.assert_array_equal(loaded.values, kernel.values)
-        assert loaded.row_ids == kernel.row_ids
+        io.write_kernel_csv(path, values, ids, ids)
+        row_ids, col_ids, loaded = io.read_kernel_csv(path)
+        np.testing.assert_array_equal(loaded, values)
+        assert row_ids == ids and col_ids == ids
 
     def test_binary_round_trip_is_exact(self, tmp_path):
-        kernel = self._kernel(62)
+        values, ids = self._kernel(62)
         path = tmp_path / "k.bin"
-        io.write_kernel_binary(path, kernel)
-        loaded = io.read_kernel_binary(path, kernel.row_ids, kernel.col_ids)
-        np.testing.assert_array_equal(loaded.values, kernel.values)
+        io.write_kernel_binary(path, values)
+        np.testing.assert_array_equal(io.read_kernel_binary(path, ids, ids), values)
 
     def test_binary_magic_checked(self, tmp_path):
         path = tmp_path / "k.bin"
@@ -191,12 +191,22 @@ class TestKernelFiles:
             io.read_kernel_binary(path, ("s0",), ("s0",))
 
     def test_binary_truncation_detected(self, tmp_path):
-        kernel = self._kernel(63)
+        values, ids = self._kernel(63)
         path = tmp_path / "k.bin"
-        io.write_kernel_binary(path, kernel)
+        io.write_kernel_binary(path, values)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
-            io.read_kernel_binary(path, kernel.row_ids, kernel.col_ids)
+            io.read_kernel_binary(path, ids, ids)
+
+    def test_binary_header_checked_against_ids(self, tmp_path):
+        values, ids = self._kernel(64)
+        path = tmp_path / "k.bin"
+        io.write_kernel_binary(path, values)
+        with pytest.raises(DataError) as info:
+            io.read_kernel_binary(path, ids[:-1], ids[:-1])
+        assert str(info.value) == (
+            f"{path}: header says 5x5, but the stack has 4 row ids and 4 column ids"
+        )
 
     def test_self_sim_round_trip(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -223,46 +233,42 @@ def _ids(prefix, n):
 class TestKernelCsvCodec:
     """The kernel CSV writer against the one-``repr``-per-value reference."""
 
-    def _assert_reference_bytes(self, tmp_path, kernel):
+    def _assert_reference_bytes(self, tmp_path, values, row_ids, col_ids):
         path = tmp_path / "k.csv"
-        io.write_kernel_csv(path, kernel)
-        assert path.read_text() == kernel_csv_reference(kernel)
-        loaded = io.read_kernel_csv(path)
-        np.testing.assert_array_equal(
-            loaded.values.view(np.int64), kernel.values.view(np.int64)
-        )
+        io.write_kernel_csv(path, values, row_ids, col_ids)
+        assert path.read_text() == kernel_csv_reference(values, row_ids, col_ids)
+        _, _, loaded = io.read_kernel_csv(path)
+        np.testing.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
         return path.read_text()
 
     def test_symmetric_train_kernels(self, tmp_path):
         data = make_regression_data(
             n=12, seed=67, group_specs=[("a", 3, "signal"), ("b", 1, "noise")]
         )
-        for kernel in build_linear_kernels(data).kernels:
-            self._assert_reference_bytes(tmp_path, kernel)
+        stack = build_linear_kernels(data)
+        for values in stack.values:
+            self._assert_reference_bytes(tmp_path, values, stack.row_ids, stack.col_ids)
 
     def test_cross_kernels(self, tmp_path):
         data = make_classification_data(n=9, seed=68, group_specs=[("a", 3, "signal")])
         test_X = np.random.default_rng(69).normal(size=(4, 3))
         stack, _ = build_linear_cross_kernels(data, test_X, _ids("t", 4))
-        self._assert_reference_bytes(tmp_path, stack.kernels[0])
+        self._assert_reference_bytes(tmp_path, stack.values[0], stack.row_ids, stack.col_ids)
 
     def test_square_cross_kernel_keeps_its_own_values(self, tmp_path):
         values = np.random.default_rng(70).normal(size=(3, 3))
-        self._assert_reference_bytes(tmp_path, KernelMatrix(values, _ids("t", 3), _ids("s", 3)))
+        self._assert_reference_bytes(tmp_path, values, _ids("t", 3), _ids("s", 3))
 
     def test_mirrored_signed_zeros_keep_their_signs(self, tmp_path):
         values = np.array([[1.0, -0.0, 0.5], [0.0, 2.0, -0.0], [0.5, -0.0, 3.0]])
-        kernel = KernelMatrix(values, _ids("s", 3), _ids("s", 3))
-        text = self._assert_reference_bytes(tmp_path, kernel)
+        text = self._assert_reference_bytes(tmp_path, values, _ids("s", 3), _ids("s", 3))
         assert text.splitlines()[1:3] == ["s0,1.0,-0.0,0.5", "s1,0.0,2.0,-0.0"]
 
     def test_subnormals(self, tmp_path):
         tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-310, -4.9e-322, 0.0])
         upper = np.resize(tiny, (6, 6)) * np.arange(1, 7)[:, None]
-        self._assert_reference_bytes(
-            tmp_path, KernelMatrix(_mirror_upper(upper), _ids("s", 6), _ids("s", 6))
-        )
-        self._assert_reference_bytes(tmp_path, KernelMatrix(upper, _ids("t", 6), _ids("s", 6)))
+        self._assert_reference_bytes(tmp_path, _mirror_upper(upper), _ids("s", 6), _ids("s", 6))
+        self._assert_reference_bytes(tmp_path, upper, _ids("t", 6), _ids("s", 6))
 
     def test_repr_exponent_switches(self, tmp_path):
         edges = []
@@ -270,8 +276,9 @@ class TestKernelCsvCodec:
             for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
                 edges += [x, -x]
         upper = np.resize(np.array(edges), (5, 5))
-        kernel = KernelMatrix(_mirror_upper(upper), _ids("s", 5), _ids("s", 5))
-        text = self._assert_reference_bytes(tmp_path, kernel)
+        text = self._assert_reference_bytes(
+            tmp_path, _mirror_upper(upper), _ids("s", 5), _ids("s", 5)
+        )
         assert "1e+16" in text and "9999999999999998.0" in text
         assert "0.0001" in text and "9.999999999999999e-05" in text
 
@@ -289,10 +296,10 @@ class TestKernelCsvCodec:
         if symmetric:
             n = min(values.shape)
             values = _mirror_upper(values[:n, :n])
-            kernel = KernelMatrix(values, _ids("s", n), _ids("s", n))
+            row_ids = col_ids = _ids("s", n)
         else:
-            kernel = KernelMatrix(values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
-        self._assert_reference_bytes(tmp_path, kernel)
+            row_ids, col_ids = _ids("r", values.shape[0]), _ids("c", values.shape[1])
+        self._assert_reference_bytes(tmp_path, values, row_ids, col_ids)
 
 
 class TestCsvParseErrors:
@@ -351,8 +358,8 @@ class TestStackFiles:
         assert sims is None
         assert loaded.group_names == stack.group_names
         assert loaded.row_ids == stack.row_ids
-        for got, want in zip(loaded.kernels, stack.kernels):
-            np.testing.assert_array_equal(got.values, want.values)
+        assert loaded.values.flags.c_contiguous and not loaded.values.flags.writeable
+        np.testing.assert_array_equal(loaded.values, stack.values)
 
     def test_cross_stack_round_trip_with_sims(self, tmp_path):
         data = make_classification_data(n=8, seed=65, group_specs=[("a", 2, "signal")])
@@ -650,6 +657,37 @@ class TestMalformedStackAndModel:
         assert main(["report", "--model", str(model)]) == 2
         assert "model.json" in capsys.readouterr().err
 
+    def test_ill_typed_label_mapping(self, tmp_path, capsys):
+        stack_dir, features, targets = self._stack(tmp_path)
+        assert self._train(tmp_path, stack_dir, targets).returncode == 0
+        model = tmp_path / "model.json"
+        self._edit_json(model, lambda payload: payload.update(label_mapping=[1]))
+        result = _run_cli(
+            "predict", "--model", str(model), "--features", features,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        self._assert_data_error(result, "model.json")
+        assert "label_mapping" in result.stderr
+
+    # 200,000 ids would ask for a stack of hundreds of GiB: the file must be
+    # refused before any array of the manifest's size is allocated.
+    @pytest.mark.parametrize("n_ids", [11, 200_000])
+    def test_binary_header_disagreeing_with_manifest_ids(self, tmp_path, capsys, n_ids):
+        stack_dir, _, targets = self._stack(tmp_path, "binary")
+        ids = [f"id{i}" for i in range(n_ids)]
+        self._edit_json(stack_dir / "stack.json", lambda m: m.update(sample_ids=ids, col_ids=ids))
+        for meta in sorted(stack_dir.glob("*.meta.json")):
+            self._edit_json(meta, lambda obj: obj.update(row_ids=ids, col_ids=ids))
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_000.bin")
+        assert result.stderr.startswith(f"error: {stack_dir / 'kernel_000.bin'}: ")
+        assert "12x12" in result.stderr and f"{n_ids} row ids" in result.stderr
+
+    def test_sidecar_flags_disagreeing_with_each_other(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "kernel_001.meta.json", lambda meta: meta.update(centered=True))
+        self._assert_data_error(self._train(tmp_path, stack_dir, targets), "kernel_001.meta.json")
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, capsys):
@@ -812,3 +850,23 @@ class TestReportCommand:
     def test_wrong_file_kind_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path / "x.json", '{"not": "a model"}\n')
         assert main(["report", "--model", str(path)]) == 2
+
+
+def test_readme_library_snippet_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    data = make_classification_data(
+        n=20, seed=90, group_specs=[("pathway_a", 3, "signal"), ("pathway_b", 2, "noise")]
+    )
+    names = {
+        "X": data.features, "group_index": data.groups, "y": data.targets,
+        "ids": data.sample_ids,
+    }
+    printed = stdio.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(snippet, names)
+    assert names["pre"].train_stack_.values.shape == (2, 20, 20)
+    weights = eval(printed.getvalue(), {"np": np})
+    assert sorted(weights) == ["pathway_a", "pathway_b"]
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-10)

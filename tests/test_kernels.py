@@ -6,14 +6,10 @@ import pytest
 from enmkl.errors import DataError
 from enmkl.kernels import (
     GroupedDataset,
-    KernelMatrix,
     KernelStack,
     StackPreprocessor,
     build_linear_cross_kernels,
     build_linear_kernels,
-    center_test_kernel,
-    center_train_kernel,
-    normalize_kernel,
     preprocess_feature_rows,
     weighted_sum,
 )
@@ -34,10 +30,16 @@ def _dataset(features, groups, names, ids=None):
     )
 
 
-def _train_kernel(values, ids=None, **flags):
-    values = np.asarray(values, dtype=float)
-    ids = ids or tuple(f"s{i}" for i in range(values.shape[0]))
-    return KernelMatrix(values, ids, ids, **flags)
+def _stack(*matrices, ids=None, **flags):
+    """A train stack holding the given square matrices, one group each."""
+    values = np.array(matrices, dtype=float)
+    ids = ids or tuple(f"s{i}" for i in range(values.shape[1]))
+    names = tuple(f"g{j}" for j in range(values.shape[0]))
+    return KernelStack(values, ids, ids, names, (1,) * len(names), **flags)
+
+
+def _cross_stack(values, row_ids, col_ids):
+    return KernelStack(np.array([values], dtype=float), row_ids, col_ids, ("g0",), (1,))
 
 
 def _random_grouped(rng, n, dims=(3, 4, 2)):
@@ -47,32 +49,93 @@ def _random_grouped(rng, n, dims=(3, 4, 2)):
     return _dataset(features, groups, names)
 
 
-class TestKernelMatrixInvariants:
+def _centered(values):
+    """The train kernel after centering alone, through the preprocessor."""
+    pre = StackPreprocessor(center=True, normalize=False).fit(_stack(values))
+    return pre.train_stack_.values[0]
+
+
+def _normalized(values):
+    """The train kernel after normalization alone, through the preprocessor."""
+    pre = StackPreprocessor(center=False, normalize=True).fit(_stack(values))
+    return pre.train_stack_.values[0]
+
+
+class TestKernelStackInvariants:
     def test_rejects_asymmetric_train_kernel(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            _train_kernel([[1.0, 2.0], [3.0, 1.0]])
+            _stack([[1.0, 2.0], [3.0, 1.0]])
 
     def test_rejects_false_normalized_claim(self):
         with pytest.raises(ValueError, match="unit diagonal"):
-            _train_kernel([[2.0, 0.0], [0.0, 2.0]], normalized=True)
+            _stack([[2.0, 0.0], [0.0, 2.0]], normalized=True)
 
     def test_rejects_false_centered_claim(self):
         with pytest.raises(ValueError, match="nonzero row or column means"):
-            _train_kernel([[1.0, 1.0], [1.0, 1.0]], centered=True)
+            _stack([[1.0, 1.0], [1.0, 1.0]], centered=True)
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="non-finite"):
-            _train_kernel([[1.0, np.nan], [np.nan, 1.0]])
+            _stack([[1.0, np.nan], [np.nan, 1.0]])
 
     def test_cross_kernel_needs_no_symmetry(self):
-        k = KernelMatrix([[1.0, 2.0, 3.0]], ("t0",), ("s0", "s1", "s2"))
-        assert not k.is_train
+        k = _cross_stack([[1.0, 2.0, 3.0]], ("t0",), ("s0", "s1", "s2"))
+        assert k.row_ids != k.col_ids
         assert k.n_rows == 1 and k.n_cols == 3
 
     def test_values_are_immutable(self):
-        k = _train_kernel(np.eye(2))
+        k = _stack(np.eye(2))
         with pytest.raises(ValueError):
-            k.values[0, 0] = 5.0
+            k.values[0, 0, 0] = 5.0
+
+    def test_every_kernel_is_checked(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            _stack(np.eye(2), [[1.0, 2.0], [3.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            _stack(np.eye(2), [[1.0, np.inf], [np.inf, 1.0]])
+        with pytest.raises(ValueError, match="unit diagonal"):
+            _stack(np.eye(2), 2.0 * np.eye(2), normalized=True)
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        values = np.array([[4.0, 1.0], [1.0 + 3e-10, 4.0]])
+        _stack(values)
+        with pytest.raises(ValueError, match="not symmetric"):
+            _stack(values + [[0.0, 0.0], [2e-9, 0.0]])
+
+    def test_shape_must_match_ids(self):
+        with pytest.raises(
+            ValueError, match=r"kernel shape \(2, 2\) does not match 3 row ids and 3 column ids"
+        ):
+            _stack(np.eye(2), ids=("a", "b", "c"))
+
+    def test_names_and_sizes_checked(self):
+        ids = ("a", "b")
+        values = np.array([np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="unique"):
+            KernelStack(values, ids, ids, ("g", "g"), (1, 1))
+        with pytest.raises(ValueError, match="equal length"):
+            KernelStack(values, ids, ids, ("g",), (1,))
+        with pytest.raises(ValueError, match="at least one kernel"):
+            KernelStack(np.empty((0, 2, 2)), ids, ids, (), ())
+
+    def test_one_c_contiguous_float64_array(self):
+        ready = np.array([np.eye(3), 2.0 * np.eye(3)])
+        stack = _stack(*ready)
+        assert stack.values.shape == (2, 3, 3)
+        assert stack.values.dtype == np.float64 and stack.values.flags.c_contiguous
+        # An array already in that form is kept, not copied.
+        kept = KernelStack(ready, stack.row_ids, stack.col_ids, ("a", "b"), (1, 1))
+        assert np.shares_memory(kept.values, ready)
+        transposed = KernelStack(
+            np.asfortranarray(ready), stack.row_ids, stack.col_ids, ("a", "b"), (1, 1)
+        )
+        assert transposed.values.flags.c_contiguous
+        np.testing.assert_array_equal(transposed.values, ready)
+
+    def test_ids_and_names_become_strings(self):
+        stack = KernelStack(np.ones((1, 1, 1)), [7], [7], [3], [1.0])
+        assert stack.row_ids == ("7",) and stack.col_ids == ("7",)
+        assert stack.group_names == ("3",) and stack.group_sizes == (1,)
 
 
 class TestGroupedDataset:
@@ -100,20 +163,19 @@ class TestBuildLinearKernels:
     def test_two_samples_one_group(self):
         data = _dataset([[1.0, 2.0], [3.0, 4.0]], [0, 0], ("g",))
         stack = build_linear_kernels(data)
-        np.testing.assert_allclose(
-            stack.kernels[0].values, [[5.0, 11.0], [11.0, 25.0]], atol=0
-        )
+        np.testing.assert_allclose(stack.values[0], [[5.0, 11.0], [11.0, 25.0]], atol=0)
 
     def test_zero_features_give_zero_kernel(self):
         data = _dataset(np.zeros((3, 2)), [0, 0], ("g",))
         stack = build_linear_kernels(data)
-        np.testing.assert_array_equal(stack.kernels[0].values, np.zeros((3, 3)))
+        np.testing.assert_array_equal(stack.values[0], np.zeros((3, 3)))
 
     def test_two_single_column_groups(self):
         data = _dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], ("a", "b"))
         stack = build_linear_kernels(data)
-        np.testing.assert_allclose(stack.kernels[0].values, [[1.0, 3.0], [3.0, 9.0]])
-        np.testing.assert_allclose(stack.kernels[1].values, [[4.0, 8.0], [8.0, 16.0]])
+        assert stack.values.shape == (2, 2, 2)
+        np.testing.assert_allclose(stack.values[0], [[1.0, 3.0], [3.0, 9.0]])
+        np.testing.assert_allclose(stack.values[1], [[4.0, 8.0], [8.0, 16.0]])
         assert stack.group_sizes == (1, 1)
 
     def test_kernels_carry_sample_ids(self):
@@ -127,67 +189,83 @@ class TestBuildLinearKernels:
         stack = build_linear_kernels(data)
         for j in range(data.n_groups):
             block = data.features[:, data.group_columns(j)]
-            np.testing.assert_allclose(
-                stack.kernels[j].values, block @ block.T, rtol=0, atol=1e-12
+            np.testing.assert_allclose(stack.values[j], block @ block.T, rtol=0, atol=1e-12)
+
+    def test_cross_kernels_fill_one_array(self):
+        rng = np.random.default_rng(8)
+        data = _random_grouped(rng, 6)
+        test_X = rng.normal(size=(2, data.n_features))
+        stack, sims = build_linear_cross_kernels(data, test_X, ("t0", "t1"))
+        assert stack.values.shape == (3, 2, 6)
+        assert stack.row_ids == ("t0", "t1") and stack.col_ids == data.sample_ids
+        for j in range(data.n_groups):
+            cols = data.group_columns(j)
+            np.testing.assert_array_equal(
+                stack.values[j], test_X[:, cols] @ data.features[:, cols].T
             )
+            np.testing.assert_allclose(sims[j], (test_X[:, cols] ** 2).sum(axis=1))
 
 
 class TestCenterTrainKernel:
+    """Centering of train kernels, through ``StackPreprocessor.fit``."""
+
     def test_constant_features_center_to_zero(self):
-        k = _train_kernel(np.ones((3, 3)))
-        centered = center_train_kernel(k)
-        np.testing.assert_allclose(centered.values, np.zeros((3, 3)), atol=1e-15)
+        np.testing.assert_allclose(_centered(np.ones((3, 3))), np.zeros((3, 3)), atol=1e-15)
 
     def test_zero_mean_features_unchanged(self):
         # 1-d features {-1, +1} already have zero mean.
-        k = _train_kernel([[1.0, -1.0], [-1.0, 1.0]])
-        centered = center_train_kernel(k)
-        np.testing.assert_allclose(centered.values, k.values, atol=1e-15)
+        k = [[1.0, -1.0], [-1.0, 1.0]]
+        np.testing.assert_allclose(_centered(k), k, atol=1e-15)
 
     def test_identity_kernel(self):
-        k = _train_kernel(np.eye(2))
-        centered = center_train_kernel(k)
         np.testing.assert_allclose(
-            centered.values, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
+            _centered(np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
         )
 
     def test_rejects_cross_kernel(self):
-        k = KernelMatrix([[1.0, 2.0]], ("t0",), ("s0", "s1"))
-        with pytest.raises(ValueError, match="square train kernel"):
-            center_train_kernel(k)
+        k = _cross_stack([[1.0, 2.0]], ("t0",), ("s0", "s1"))
+        with pytest.raises(ValueError, match="train stack"):
+            StackPreprocessor(center=True, normalize=False).fit(k)
 
     def test_rejects_double_centering(self):
-        k = center_train_kernel(_train_kernel(np.eye(2)))
-        with pytest.raises(ValueError, match="already centered"):
-            center_train_kernel(k)
+        pre = StackPreprocessor(center=True, normalize=False).fit(_stack(np.eye(2)))
+        assert pre.train_stack_.centered and not pre.train_stack_.normalized
+        with pytest.raises(ValueError, match="raw"):
+            StackPreprocessor(center=True, normalize=False).fit(pre.train_stack_)
 
     def test_row_and_column_means_vanish(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 5))
-        centered = center_train_kernel(_train_kernel(X @ X.T))
-        assert np.abs(centered.values.mean(axis=0)).max() < 1e-12
-        assert np.abs(centered.values.mean(axis=1)).max() < 1e-12
+        centered = _centered(X @ X.T)
+        assert np.abs(centered.mean(axis=0)).max() < 1e-12
+        assert np.abs(centered.mean(axis=1)).max() < 1e-12
 
     def test_idempotent_in_values(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(6, 3))
-        once = center_train_kernel(_train_kernel(X @ X.T))
+        once = _centered(X @ X.T)
         # Re-centering the already-centered values must not change them.
-        again = center_train_kernel(_train_kernel(once.values))
-        np.testing.assert_allclose(again.values, once.values, atol=1e-12)
+        again = _centered(once)
+        np.testing.assert_allclose(again, once, atol=1e-12)
 
 
 class TestCenterTestKernel:
+    """Centering of cross kernels, through ``StackPreprocessor.transform_cross``."""
+
+    def _center_cross(self, train_X, test_X):
+        data = _dataset(train_X, [0] * train_X.shape[1], ("g",))
+        pre = StackPreprocessor(center=True, normalize=False).fit(build_linear_kernels(data))
+        test_ids = tuple(f"t{i}" for i in range(test_X.shape[0]))
+        cross = pre.transform_cross(*build_linear_cross_kernels(data, test_X, test_ids))
+        assert cross.centered and not cross.normalized
+        return pre, cross
+
     def test_duplicated_train_sample_matches_train_row(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 4))
-        k_train = _train_kernel(X @ X.T)
-        test_X = X[[2]]
-        k_cross = KernelMatrix(test_X @ X.T, ("t0",), k_train.row_ids)
-        centered_cross = center_test_kernel(k_cross, k_train)
-        centered_train = center_train_kernel(k_train)
+        pre, cross = self._center_cross(X, X[[2]])
         np.testing.assert_allclose(
-            centered_cross.values[0], centered_train.values[2], atol=1e-12
+            cross.values[0, 0], pre.train_stack_.values[0, 2], atol=1e-12
         )
 
     def test_one_dimensional_example_matches_feature_oracle(self):
@@ -195,123 +273,152 @@ class TestCenterTestKernel:
         # mean sends the test point to zero, so the centered row vanishes.
         train_X = np.array([[0.0], [2.0]])
         test_X = np.array([[1.0]])
-        k_train = _train_kernel(train_X @ train_X.T)
-        k_cross = KernelMatrix(test_X @ train_X.T, ("t0",), k_train.row_ids)
-        centered = center_test_kernel(k_cross, k_train)
+        _, cross = self._center_cross(train_X, test_X)
         (_, oracle_cross), = oracle_feature_pipeline(
             train_X, [np.array([0])], test_X, center=True, normalize=False
         )
-        np.testing.assert_allclose(centered.values, oracle_cross, atol=1e-12)
-        np.testing.assert_allclose(centered.values, [[0.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(cross.values[0], oracle_cross, atol=1e-12)
+        np.testing.assert_allclose(cross.values[0], [[0.0, 0.0]], atol=1e-12)
 
     def test_rejects_mismatched_ids(self):
-        k_train = _train_kernel(np.eye(2), ids=("a", "b"))
-        k_cross = KernelMatrix([[1.0, 0.0]], ("t0",), ("a", "c"))
+        pre = StackPreprocessor(center=True, normalize=False).fit(
+            _stack(np.eye(2), ids=("a", "b"))
+        )
         with pytest.raises(ValueError, match="do not match"):
-            center_test_kernel(k_cross, k_train)
+            pre.transform_cross(_cross_stack([[1.0, 0.0]], ("t0",), ("a", "c")), [[1.0]])
+        with pytest.raises(ValueError, match="do not match"):
+            pre.transform_cross(_cross_stack([[1.0]], ("t0",), ("a",)), [[1.0]])
 
     def test_rejects_centered_train_kernel(self):
-        k_train = center_train_kernel(_train_kernel(np.eye(3)))
-        k_cross = KernelMatrix(np.ones((1, 3)), ("t0",), k_train.row_ids)
+        # Centering statistics come from raw values, never centered ones.
+        centered = _stack(_centered(np.eye(3)), centered=True)
         with pytest.raises(ValueError, match="uncentered"):
-            center_test_kernel(k_cross, k_train)
+            StackPreprocessor(center=True, normalize=False).fit(centered)
+
+    def test_rejects_preprocessed_cross_kernel(self):
+        pre = StackPreprocessor().fit(_stack(np.eye(2)))
+        cross = KernelStack(np.ones((1, 1, 2)), ("t0",), ("s0", "s1"), ("g0",), (1,),
+                            centered=True)
+        with pytest.raises(ValueError, match="raw cross kernels"):
+            pre.transform_cross(cross, [[1.0]])
 
 
 class TestNormalizeKernel:
+    """Normalization, through ``StackPreprocessor`` with centering off."""
+
     def test_hand_computed_train_case(self):
-        k = _train_kernel([[4.0, 2.0], [2.0, 9.0]])
-        normalized = normalize_kernel(k)
         np.testing.assert_allclose(
-            normalized.values, [[1.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]], atol=1e-15
+            _normalized([[4.0, 2.0], [2.0, 9.0]]),
+            [[1.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]],
+            atol=1e-15,
         )
 
     def test_identity_unchanged(self):
-        normalized = normalize_kernel(_train_kernel(np.eye(3)))
-        np.testing.assert_array_equal(normalized.values, np.eye(3))
+        np.testing.assert_array_equal(_normalized(np.eye(3)), np.eye(3))
 
     def test_unit_diagonal_exact(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(7, 4))
-        normalized = normalize_kernel(_train_kernel(X @ X.T))
-        np.testing.assert_array_equal(np.diagonal(normalized.values), np.ones(7))
+        np.testing.assert_array_equal(np.diagonal(_normalized(X @ X.T)), np.ones(7))
+        # Also after centering, where the diagonal is computed, not given.
+        pre = StackPreprocessor().fit(_stack(X @ X.T))
+        assert pre.train_stack_.centered and pre.train_stack_.normalized
+        np.testing.assert_array_equal(np.diagonal(pre.train_stack_.values[0]), np.ones(7))
 
     def test_zero_self_similarity_names_sample(self):
         values = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(DataError, match="'s1'"):
-            normalize_kernel(_train_kernel(values))
+            _normalized(values)
 
     def test_cross_kernel_requires_both_diagonals(self):
-        k = KernelMatrix([[1.0, 2.0]], ("t0",), ("s0", "s1"))
-        with pytest.raises(ValueError, match="self_diag"):
-            normalize_kernel(k)
+        pre = StackPreprocessor(center=False, normalize=True).fit(_stack(np.eye(2)))
+        cross = _cross_stack([[1.0, 2.0]], ("t0",), ("s0", "s1"))
+        with pytest.raises(ValueError, match="self-similarity vector per group"):
+            pre.transform_cross(cross, [])
+        with pytest.raises(ValueError, match="one value per test sample"):
+            pre.transform_cross(cross, [[1.0, 2.0]])
 
     def test_cross_kernel_normalization(self):
-        k = KernelMatrix([[2.0, 6.0]], ("t0",), ("s0", "s1"))
-        normalized = normalize_kernel(
-            k, self_diag_test=np.array([4.0]), self_diag_train=np.array([1.0, 9.0])
+        pre = StackPreprocessor(center=False, normalize=True).fit(
+            _stack(np.diag([1.0, 9.0]))
         )
-        np.testing.assert_allclose(normalized.values, [[1.0, 1.0]], atol=1e-15)
+        cross = _cross_stack([[2.0, 6.0]], ("t0",), ("s0", "s1"))
+        normalized = pre.transform_cross(cross, [np.array([4.0])])
+        assert normalized.normalized and not normalized.centered
+        np.testing.assert_allclose(normalized.values[0], [[1.0, 1.0]], atol=1e-15)
 
     def test_rejects_double_normalization(self):
-        normalized = normalize_kernel(_train_kernel(np.eye(2)))
-        with pytest.raises(ValueError, match="already normalized"):
-            normalize_kernel(normalized)
+        pre = StackPreprocessor(center=False, normalize=True).fit(_stack(np.eye(2)))
+        with pytest.raises(ValueError, match="unnormalized"):
+            StackPreprocessor(center=False, normalize=True).fit(pre.train_stack_)
 
 
 class TestWeightedSum:
-    def _stack(self, *matrices):
-        kernels = tuple(_train_kernel(m) for m in matrices)
-        names = tuple(f"g{j}" for j in range(len(kernels)))
-        return KernelStack(kernels, names, tuple(1 for _ in kernels))
-
     def test_single_kernel_identity_weight(self):
-        stack = self._stack([[2.0, 1.0], [1.0, 3.0]])
+        stack = _stack([[2.0, 1.0], [1.0, 3.0]])
         combined = weighted_sum(stack, [1.0])
-        np.testing.assert_array_equal(combined.values, stack.kernels[0].values)
+        np.testing.assert_array_equal(combined, stack.values[0])
 
     def test_equal_weights_of_identical_kernels(self):
         k = [[2.0, 1.0], [1.0, 3.0]]
-        combined = weighted_sum(self._stack(k, k), [0.5, 0.5])
-        np.testing.assert_allclose(combined.values, k, atol=1e-15)
+        combined = weighted_sum(_stack(k, k), [0.5, 0.5])
+        np.testing.assert_allclose(combined, k, atol=1e-15)
 
     def test_hand_computed_mixture(self):
         combined = weighted_sum(
-            self._stack([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),
+            _stack([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),
             [0.25, 0.75],
         )
-        np.testing.assert_allclose(
-            combined.values, [[0.25, 0.75], [0.75, 0.25]], atol=1e-15
-        )
+        np.testing.assert_allclose(combined, [[0.25, 0.75], [0.75, 0.25]], atol=1e-15)
 
     def test_rejects_negative_weight(self):
-        stack = self._stack(np.eye(2), np.eye(2))
+        stack = _stack(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="nonnegative"):
             weighted_sum(stack, [1.0, -0.1])
 
     def test_rejects_all_zero_weights(self):
-        stack = self._stack(np.eye(2), np.eye(2))
+        stack = _stack(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="at least one"):
             weighted_sum(stack, [0.0, 0.0])
 
     def test_rejects_length_mismatch(self):
-        stack = self._stack(np.eye(2), np.eye(2))
+        stack = _stack(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="2 weights"):
             weighted_sum(stack, [1.0])
 
     def test_linear_in_the_weights(self):
         rng = np.random.default_rng(21)
         mats = [m @ m.T for m in (rng.normal(size=(5, 5)) for _ in range(3))]
-        stack = self._stack(*mats)
+        stack = _stack(*mats)
         b1 = rng.uniform(0.1, 1.0, size=3)
         b2 = rng.uniform(0.1, 1.0, size=3)
-        lhs = weighted_sum(stack, b1 + b2).values
-        rhs = weighted_sum(stack, b1).values + weighted_sum(stack, b2).values
+        lhs = weighted_sum(stack, b1 + b2)
+        rhs = weighted_sum(stack, b1) + weighted_sum(stack, b2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_zero_weight_skips_kernel_exactly(self):
-        stack = self._stack([[1.0, 0.0], [0.0, 1.0]], [[5.0, 5.0], [5.0, 5.0]])
+        stack = _stack([[1.0, 0.0], [0.0, 1.0]], [[5.0, 5.0], [5.0, 5.0]])
         combined = weighted_sum(stack, [1.0, 0.0])
-        np.testing.assert_array_equal(combined.values, np.eye(2))
+        np.testing.assert_array_equal(combined, np.eye(2))
+
+    def test_sums_in_kernel_order_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        mats = [m @ m.T for m in (rng.normal(size=(6, 6)) for _ in range(4))]
+        beta = np.array([0.3, 0.0, 0.1 + 1e-9, 0.6])
+        expected = np.zeros((6, 6))
+        for b, k in zip(beta, mats):
+            if b != 0.0:
+                expected += b * k
+        combined = weighted_sum(_stack(*mats), beta)
+        assert combined.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_cross_stack_gives_a_plain_rectangular_array(self):
+        stack = KernelStack(
+            np.arange(12.0).reshape(2, 2, 3), ("t0", "t1"), ("a", "b", "c"), ("g", "h"), (1, 1)
+        )
+        combined = weighted_sum(stack, [0.5, 0.5])
+        assert type(combined) is np.ndarray and combined.shape == (2, 3)
+        np.testing.assert_array_equal(combined, 0.5 * stack.values[0] + 0.5 * stack.values[1])
 
 
 class TestPipelineAgainstFeatureOracle:
@@ -335,12 +442,8 @@ class TestPipelineAgainstFeatureOracle:
                 data.features, group_cols, test_X, center=center, normalize=normalize
             )
             for j, (oracle_train, oracle_cross) in enumerate(oracle):
-                np.testing.assert_allclose(
-                    pre.train_stack_.kernels[j].values, oracle_train, atol=1e-8
-                )
-                np.testing.assert_allclose(
-                    cross.kernels[j].values, oracle_cross, atol=1e-8
-                )
+                np.testing.assert_allclose(pre.train_stack_.values[j], oracle_train, atol=1e-8)
+                np.testing.assert_allclose(cross.values[j], oracle_cross, atol=1e-8)
 
     def test_feature_row_helper_matches_oracle(self):
         rng = np.random.default_rng(42)
@@ -362,8 +465,8 @@ class TestPipelineAgainstFeatureOracle:
             rng = np.random.default_rng(200 + seed)
             data = _random_grouped(rng, 8)
             pre = StackPreprocessor().fit(build_linear_kernels(data))
-            for k in pre.train_stack_.kernels:
-                eigenvalues = np.linalg.eigvalsh(k.values)
+            for k in pre.train_stack_.values:
+                eigenvalues = np.linalg.eigvalsh(k)
                 assert eigenvalues.min() >= -1e-8
 
     def test_zero_norm_sample_error_names_it(self):

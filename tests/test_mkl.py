@@ -7,7 +7,6 @@ import pytest
 
 from enmkl.errors import DataError
 from enmkl.kernels import (
-    KernelMatrix,
     KernelStack,
     StackPreprocessor,
     build_linear_cross_kernels,
@@ -17,7 +16,6 @@ from enmkl.kernels import (
 from enmkl.mkl import (
     MklModel,
     PrimalModel,
-    blocknorm_objective,
     compute_block_norms,
     enmkl_objective,
     model_from_dict,
@@ -27,21 +25,26 @@ from enmkl.mkl import (
     selected_kernel_count,
     train_enmkl_krr,
     train_enmkl_svm,
+    train_model,
     train_sum_baseline,
     update_beta,
     update_lambda,
 )
 from enmkl.solvers import predict, solve_krr_dual, solve_svm_dual
 
-from helpers import make_classification_data, make_regression_data, mkl_svm_grid_oracle
+from helpers import (
+    blocknorm_objective,
+    make_classification_data,
+    make_regression_data,
+    mkl_svm_grid_oracle,
+)
 
 
 def _stack_from_matrices(*matrices, names=None):
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    ids = tuple(f"s{i}" for i in range(mats[0].shape[0]))
-    kernels = tuple(KernelMatrix(m, ids, ids) for m in mats)
-    names = names or tuple(f"g{j}" for j in range(len(kernels)))
-    return KernelStack(kernels, names, tuple(1 for _ in kernels))
+    values = np.array(matrices, dtype=float)
+    ids = tuple(f"s{i}" for i in range(values.shape[1]))
+    names = names or tuple(f"g{j}" for j in range(values.shape[0]))
+    return KernelStack(values, ids, ids, names, (1,) * values.shape[0])
 
 
 def _preprocessed_stack(data):
@@ -191,7 +194,7 @@ class TestTrainerStructure:
         data = make_classification_data(n=20, seed=1, group_specs=[("g", 3, "signal")])
         stack = _preprocessed_stack(data)
         model = train_enmkl_svm(stack, data.targets, C=1.0, mu=0.5, solver_tol=1e-8)
-        plain = solve_svm_dual(stack.kernels[0].values, data.targets, 1.0, tol=1e-8)
+        plain = solve_svm_dual(stack.values[0], data.targets, 1.0, tol=1e-8)
         np.testing.assert_allclose(model.beta, [1.0], atol=1e-15)
         np.testing.assert_allclose(model.alpha, plain.alpha, atol=1e-10)
         assert model.bias == pytest.approx(plain.bias, abs=1e-10)
@@ -201,7 +204,7 @@ class TestTrainerStructure:
         data = make_regression_data(n=18, seed=2, group_specs=[("g", 3, "signal")])
         stack = _preprocessed_stack(data)
         model = train_enmkl_krr(stack, data.targets, C=1.0, mu=0.5)
-        plain = solve_krr_dual(stack.kernels[0].values, data.targets, 1.0)
+        plain = solve_krr_dual(stack.values[0], data.targets, 1.0)
         np.testing.assert_allclose(model.beta, [1.0], atol=1e-15)
         np.testing.assert_allclose(model.alpha, plain.alpha, atol=1e-12)
 
@@ -215,13 +218,10 @@ class TestTrainerStructure:
 
     def test_zero_kernel_weight_is_a_fixed_point(self):
         data = make_classification_data(n=20, seed=4, group_specs=[("sig", 3, "signal")])
-        zero = KernelMatrix(
-            np.zeros((20, 20)), data.sample_ids, data.sample_ids,
-            centered=True,
-        )
         base = _preprocessed_stack(data)
         stack = KernelStack(
-            (base.kernels[0], zero), ("sig", "dead"), (3, 1)
+            np.array([base.values[0], np.zeros((20, 20))]),
+            data.sample_ids, data.sample_ids, ("sig", "dead"), (3, 1),
         )
         model = train_enmkl_svm(stack, data.targets, C=1.0, mu=0.7)
         np.testing.assert_allclose(model.beta, [1.0, 0.0], atol=1e-15)
@@ -254,7 +254,7 @@ class TestTrainerStructure:
         raw_alpha = model.alpha / model.beta_raw_sum
         final = predict_model(model, stack)
         q = raw_alpha * model.train_labels
-        raw = sum(b * k.values for b, k in zip(raw_beta, stack.kernels)) @ q + model.bias
+        raw = sum(b * k for b, k in zip(raw_beta, stack.values)) @ q + model.bias
         np.testing.assert_allclose(final, raw, atol=1e-12)
 
     def test_objective_history_monotone(self):
@@ -281,8 +281,7 @@ class TestTrainerStructure:
     def test_degenerate_zero_stack_flags_and_falls_back(self):
         n = 10
         ids = tuple(f"s{i}" for i in range(n))
-        zero = KernelMatrix(np.zeros((n, n)), ids, ids, centered=True)
-        stack = KernelStack((zero, zero), ("a", "b"), (1, 1))
+        stack = KernelStack(np.zeros((2, n, n)), ids, ids, ("a", "b"), (1, 1), centered=True)
         rng = np.random.default_rng(9)
         model = train_enmkl_krr(stack, rng.normal(size=n), C=1.0, mu=0.5)
         assert model.degenerate
@@ -345,11 +344,11 @@ class TestAgainstGridOracle:
             u = np.array([u1, 1.0 - u1])
             with np.errstate(divide="ignore", invalid="ignore"):
                 beta = np.where(u > 0, u / (mu + (1.0 - mu) * u), 0.0)
-            K = sum(b * k.values for b, k in zip(beta, stack.kernels))
+            K = sum(b * k for b, k in zip(beta, stack.values))
             y_c = y - y.mean()
             alpha = np.linalg.solve(K + n / (2.0 * C) * np.eye(n), y_c)
             w = np.array([
-                beta[j] * np.sqrt(max(float(alpha @ stack.kernels[j].values @ alpha), 0.0))
+                beta[j] * np.sqrt(max(float(alpha @ stack.values[j] @ alpha), 0.0))
                 for j in range(2)
             ])
             residual = y_c - K @ alpha
@@ -378,10 +377,8 @@ class TestBaseline:
         model = train_sum_baseline(stack, data.targets, "classification", C=1.0,
                                    solver_tol=1e-8)
         mixture = weighted_sum(stack, np.full(3, 1.0 / 3.0))
-        np.testing.assert_allclose(
-            mixture.values, sum(k.values for k in stack.kernels) / 3.0, atol=1e-14
-        )
-        plain = solve_svm_dual(mixture.values, data.targets, 1.0, tol=1e-8)
+        np.testing.assert_allclose(mixture, sum(k for k in stack.values) / 3.0, atol=1e-14)
+        plain = solve_svm_dual(mixture, data.targets, 1.0, tol=1e-8)
         np.testing.assert_array_equal(model.alpha, plain.alpha)
         assert model.bias == plain.bias
         np.testing.assert_allclose(model.beta, np.full(3, 1.0 / 3.0))
@@ -392,9 +389,51 @@ class TestBaseline:
         stack = _preprocessed_stack(data)
         model = train_sum_baseline(stack, data.targets, "regression", C=1.0)
         mixture = weighted_sum(stack, np.full(2, 0.5))
-        plain = solve_krr_dual(mixture.values, data.targets, 1.0)
+        plain = solve_krr_dual(mixture, data.targets, 1.0)
         np.testing.assert_array_equal(model.alpha, plain.alpha)
         assert model.bias == plain.target_offset
+
+
+class TestTrainModel:
+    """``train_model`` picks the trainer the CLI and nested CV ask for."""
+
+    @staticmethod
+    def _same(a, b):
+        assert model_to_dict(a) == model_to_dict(b)
+
+    def test_dispatch_matches_each_trainer(self):
+        opts = dict(conv_tol=1e-6, max_iter=50, solver_tol=1e-6, max_updates=10**6)
+        data = make_classification_data(
+            n=16, seed=25, group_specs=[("a", 2, "signal"), ("b", 2, "noise")]
+        )
+        stack = _preprocessed_stack(data)
+        self._same(
+            train_model(stack, data.targets, "classification", "enmkl", 2.0, 0.5, **opts),
+            train_enmkl_svm(stack, data.targets, 2.0, 0.5, **opts),
+        )
+        self._same(
+            train_model(stack, data.targets, "classification", "sum-baseline", 2.0, **opts),
+            train_sum_baseline(
+                stack, data.targets, "classification", 2.0, solver_tol=1e-6, max_updates=10**6
+            ),
+        )
+        data = make_regression_data(
+            n=16, seed=26, group_specs=[("a", 2, "signal"), ("b", 2, "noise")]
+        )
+        stack = _preprocessed_stack(data)
+        self._same(
+            train_model(stack, data.targets, "regression", "enmkl", 2.0, 0.5, **opts),
+            train_enmkl_krr(stack, data.targets, 2.0, 0.5, conv_tol=1e-6, max_iter=50),
+        )
+        self._same(
+            train_model(stack, data.targets, "regression", "sum-baseline", 2.0),
+            train_sum_baseline(stack, data.targets, "regression", 2.0),
+        )
+
+    def test_unknown_trainer_rejected(self):
+        data = make_classification_data(n=10, seed=27, group_specs=[("g", 2, "signal")])
+        with pytest.raises(ValueError, match="unknown trainer"):
+            train_model(_preprocessed_stack(data), data.targets, "classification", "svm", 1.0, 0.5)
 
 
 class TestPrediction:
@@ -412,7 +451,7 @@ class TestPrediction:
         decisions = predict_model(model, pre.train_stack_)
         assert decisions.shape == (24,)
         # Re-derive through the generic dual predictor on the mixed kernel.
-        mixed = sum(b * k.values for b, k in zip(model.beta, pre.train_stack_.kernels))
+        mixed = sum(b * k for b, k in zip(model.beta, pre.train_stack_.values))
         np.testing.assert_allclose(
             decisions,
             predict(model.alpha, model.bias, mixed, labels=model.train_labels),
@@ -422,7 +461,10 @@ class TestPrediction:
     def test_rejects_group_name_mismatch(self):
         data, pre, model = self._trained()
         stack = pre.train_stack_
-        renamed = KernelStack(stack.kernels, ("x", "y"), stack.group_sizes)
+        renamed = KernelStack(
+            stack.values, stack.row_ids, stack.col_ids, ("x", "y"), stack.group_sizes,
+            centered=stack.centered, normalized=stack.normalized,
+        )
         with pytest.raises(ValueError, match="group names"):
             predict_model(model, renamed)
 
@@ -497,7 +539,7 @@ class TestPrimalRecovery:
         # quantity the kernel-route norms are built from.
         q = model.alpha * model.train_labels
         for j, block in enumerate(primal.weights):
-            expected = model.beta[j] * np.sqrt(max(q @ stack.kernels[j].values @ q, 0.0))
+            expected = model.beta[j] * np.sqrt(max(q @ stack.values[j] @ q, 0.0))
             assert np.linalg.norm(block) == pytest.approx(expected, abs=1e-10)
 
     def test_unsupported_kernel_kind_guard(self):

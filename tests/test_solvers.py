@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enmkl.errors import ConvergenceError
-from enmkl.kernels import KernelMatrix
+from enmkl.kernels import KernelStack
 from enmkl.solvers import (
     SvmDualSolution,
     predict,
@@ -181,7 +181,9 @@ class TestSvmMatchesReferenceExactly:
         K = random_psd_kernel(rng, 30)
         y = random_labels(rng, 30)
         ids = tuple(f"s{i}" for i in range(30))
-        sol = solve_svm_dual(KernelMatrix(K, ids, ids), y, 1.0, tol=1e-6)
+        stack = KernelStack(np.array([np.eye(30), K]), ids, ids, ("a", "b"), (1, 1))
+        # A read-only slice of a stack's values.
+        sol = solve_svm_dual(stack.values[1], y, 1.0, tol=1e-6)
         alpha, bias, objective, iterations = smo_reference(K, y, 1.0, tol=1e-6)
         assert np.array_equal(sol.alpha, alpha)
         assert (sol.bias, sol.objective, sol.iterations) == (bias, objective, iterations)
