@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,66 +36,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-@dataclass
-class RunConfig:
-    """Validated, normalized options for one CLI invocation."""
+def _checked(convert, refuse, message: str):
+    """An argparse ``type=``: ``convert(text)``, refused when ``refuse(value)``.
 
-    command: str
-    task: str | None = None
-    trainer: str = "enmkl"
-    mu: float | None = None
-    c_value: float | None = None
-    mu_values: tuple[float, ...] | None = None
-    c_values: tuple[float, ...] | None = None
-    k_outer: int = 5
-    k_inner: int = 5
-    seed: int = 0
-    center: bool = True
-    normalize: bool = True
-    kernel_format: str = "csv"
-    conv_tol: float = mkl.DEFAULT_CONV_TOL
-    max_iter: int = mkl.DEFAULT_MAX_ITER
-    solver_tol: float = solvers.DEFAULT_SVM_TOL
-    smo_max_updates: int = solvers.DEFAULT_MAX_UPDATES
-    baseline: bool = False
+    The refusal is an :class:`argparse.ArgumentTypeError` with ``message``
+    formatted with the value, so ``_Parser.error`` turns it into a usage
+    error. The converter keeps ``convert``'s name: text that does not parse
+    is reported as for a plain ``type=float`` or ``type=int``.
+    """
 
-    def validate(self) -> "RunConfig":
-        if self.task is not None and self.task not in ("classification", "regression"):
-            raise UsageError(f"unknown task {self.task!r}")
-        if self.trainer not in ("enmkl", "sum-baseline"):
-            raise UsageError(f"unknown trainer {self.trainer!r}")
-        if self.kernel_format not in ("csv", "binary"):
-            raise UsageError(f"unknown kernel format {self.kernel_format!r}")
-        if self.c_value is not None and not self.c_value > 0:
-            raise UsageError("--C must be positive")
-        if self.mu is not None and not 0.0 < self.mu <= 1.0:
-            raise UsageError(
-                "--mu must lie in (0, 1]; use '--trainer sum-baseline' for the "
-                "unweighted-sum (mu = 0) model"
-            )
-        for c in self.c_values or ():
-            if not c > 0:
-                raise UsageError(f"--C value {c!r} must be positive")
-        for m in self.mu_values or ():
-            if not 0.0 < m <= 1.0:
-                raise UsageError(
-                    f"--mu value {m!r} is outside (0, 1]; the mu = 0 endpoint is the "
-                    "sum baseline (--baseline)"
-                )
-        if self.k_outer < 2 or self.k_inner < 2:
-            raise UsageError("--k-outer and --k-inner must both be at least 2")
-        if not self.conv_tol > 0 or not self.solver_tol > 0:
-            raise UsageError("tolerances must be positive")
-        if self.max_iter < 1 or self.smo_max_updates < 1:
-            raise UsageError("iteration limits must be at least 1")
-        return self
+    def parse(text):
+        value = convert(text)
+        if refuse(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} expects a number or comma-separated numbers, got {text!r}")
+def _float_list(convert):
+    """An argparse ``type=`` for one or comma-separated values, each read by ``convert``."""
+
+    def parse(text):
+        try:
+            return tuple(map(convert, text.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects a number or comma-separated numbers, got {text!r}"
+            ) from None
+
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: not v > 0, "must be positive, got {!r}")
+_MU = _checked(
+    float,
+    lambda mu: not 0.0 < mu <= 1.0,
+    "must lie in (0, 1], got {!r}; use '--trainer sum-baseline' for the "
+    "unweighted-sum (mu = 0) model",
+)
+_FOLDS = _checked(int, lambda k: k < 2, "must be at least 2, got {!r}")
+_LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
 
 
 def _print_beta_table(group_names, beta, group_sizes=None, header="kernel weights"):
@@ -108,7 +89,6 @@ def _print_beta_table(group_names, beta, group_sizes=None, header="kernel weight
 
 
 def cmd_kernels(args) -> None:
-    cfg = RunConfig(command="kernels", kernel_format=args.format).validate()
     data, _ = io.load_grouped_dataset(args.features, args.groups)
     stack = build_linear_kernels(data)
     sources = {
@@ -118,7 +98,7 @@ def cmd_kernels(args) -> None:
         "groups_sha256": io.sha256_file(args.groups),
     }
     manifest_path = io.write_stack(
-        args.out, stack, fmt=cfg.kernel_format, kind="train", sources=sources
+        args.out, stack, fmt=args.format, kind="train", sources=sources
     )
     print(f"wrote {stack.m} kernels over {stack.n_rows} samples to {manifest_path}")
 
@@ -143,33 +123,21 @@ def _recoverable_sources(manifest: dict):
 
 
 def cmd_train(args) -> None:
-    cfg = RunConfig(
-        command="train",
-        task=args.task,
-        trainer=args.trainer,
-        mu=args.mu,
-        c_value=args.C,
-        center=not args.no_center,
-        normalize=not args.no_normalize,
-        conv_tol=args.conv_tol,
-        max_iter=args.max_iter,
-        solver_tol=args.solver_tol,
-        smo_max_updates=args.smo_max_updates,
-    ).validate()
-    if cfg.trainer == "enmkl" and cfg.mu is None:
+    if args.trainer == "enmkl" and args.mu is None:
         raise UsageError("--mu is required when training the enmkl model")
-    if cfg.trainer == "sum-baseline" and cfg.mu is not None:
+    if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
 
     raw_stack, _, manifest = io.read_stack(args.stack)
     if manifest["kind"] != "train":
         raise DataError(f"{args.stack}: training needs a train stack, got a cross stack")
-    targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, cfg.task)
-    pre = StackPreprocessor(center=cfg.center, normalize=cfg.normalize).fit(raw_stack)
+    targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
+    pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
+    pre.fit(raw_stack)
     model = mkl.train_model(
-        pre.train_stack_, targets, cfg.task, cfg.trainer, cfg.c_value, cfg.mu,
-        conv_tol=cfg.conv_tol, max_iter=cfg.max_iter,
-        solver_tol=cfg.solver_tol, max_updates=cfg.smo_max_updates,
+        pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
+        conv_tol=args.conv_tol, max_iter=args.max_iter,
+        solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
     )
 
     payload = {
@@ -219,6 +187,11 @@ def _load_model_payload(path):
     payload = io.read_json(path)
     if not isinstance(payload, dict) or "model" not in payload:
         raise DataError(f"{path}: not a model file")
+    if not io.has_version(payload, "format_version", io.MODEL_FORMAT_VERSION):
+        raise DataError(
+            f"{path}: model file is not format_version {io.MODEL_FORMAT_VERSION}; "
+            "rerun the train command"
+        )
     return payload, _model_section(path, payload, "model", mkl.model_from_dict)
 
 
@@ -321,49 +294,33 @@ def _print_report(report_dict) -> None:
 def cmd_cv(args) -> None:
     if args.grid and (args.C is not None or args.mu is not None):
         raise UsageError("--grid replaces --C/--mu; pass one or the other")
-    c_values = _float_list(args.C, "--C") if args.C is not None else DEFAULT_C_VALUES
-    mu_values = _float_list(args.mu, "--mu") if args.mu is not None else DEFAULT_MU_VALUES
-    cfg = RunConfig(
-        command="cv",
-        task=args.task,
-        trainer=args.trainer,
-        c_values=c_values,
-        mu_values=mu_values,
-        k_outer=args.k_outer,
-        k_inner=args.k_inner,
-        seed=args.seed,
-        center=not args.no_center,
-        normalize=not args.no_normalize,
-        conv_tol=args.conv_tol,
-        max_iter=args.max_iter,
-        solver_tol=args.solver_tol,
-        smo_max_updates=args.smo_max_updates,
-        baseline=args.baseline,
-    ).validate()
 
-    data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, cfg.task)
+    data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
     blocks = io.read_blocks(args.blocks, data.sample_ids) if args.blocks else None
-    labels = data.targets if cfg.task == "classification" else None
+    labels = data.targets if args.task == "classification" else None
     plan = make_fold_plan(
-        data.sample_ids, cfg.k_outer, cfg.k_inner,
-        blocks=blocks, seed=cfg.seed, labels=labels,
+        data.sample_ids, args.k_outer, args.k_inner,
+        blocks=blocks, seed=args.seed, labels=labels,
     )
-    grid = HyperGrid(c_values=cfg.c_values, mu_values=cfg.mu_values)
+    grid = HyperGrid(
+        c_values=DEFAULT_C_VALUES if args.C is None else args.C,
+        mu_values=DEFAULT_MU_VALUES if args.mu is None else args.mu,
+    )
     common = dict(
-        center=cfg.center, normalize=cfg.normalize,
-        conv_tol=cfg.conv_tol, max_iter=cfg.max_iter,
-        solver_tol=cfg.solver_tol, max_updates=cfg.smo_max_updates,
+        center=not args.no_center, normalize=not args.no_normalize,
+        conv_tol=args.conv_tol, max_iter=args.max_iter,
+        solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = nested_cv(data, cfg.task, plan, grid, trainer=cfg.trainer, **common)
+    report = nested_cv(data, args.task, plan, grid, trainer=args.trainer, **common)
     io.write_json(out_dir / "report.json", report.to_dict())
     _report_to_weights_csv(out_dir / "weights.csv", report.to_dict())
     _print_report(report.to_dict())
 
-    if cfg.baseline and cfg.trainer != "sum-baseline":
-        base = nested_cv(data, cfg.task, plan, grid, trainer="sum-baseline", **common)
+    if args.baseline and args.trainer != "sum-baseline":
+        base = nested_cv(data, args.task, plan, grid, trainer="sum-baseline", **common)
         io.write_json(out_dir / "report_baseline.json", base.to_dict())
         print("\nsum-baseline comparison")
         for key, value in sorted(base.pooled_metrics.items()):
@@ -404,13 +361,13 @@ def cmd_report(args) -> None:
 
 
 def _add_solver_options(parser) -> None:
-    parser.add_argument("--conv-tol", type=float, default=mkl.DEFAULT_CONV_TOL,
+    parser.add_argument("--conv-tol", type=_POSITIVE, default=mkl.DEFAULT_CONV_TOL,
                         help="weight-update convergence tolerance")
-    parser.add_argument("--max-iter", type=int, default=mkl.DEFAULT_MAX_ITER,
+    parser.add_argument("--max-iter", type=_LIMIT, default=mkl.DEFAULT_MAX_ITER,
                         help="maximum alternating iterations")
-    parser.add_argument("--solver-tol", type=float, default=solvers.DEFAULT_SVM_TOL,
+    parser.add_argument("--solver-tol", type=_POSITIVE, default=solvers.DEFAULT_SVM_TOL,
                         help="inner SVM KKT tolerance")
-    parser.add_argument("--smo-max-updates", type=int, default=solvers.DEFAULT_MAX_UPDATES,
+    parser.add_argument("--smo-max-updates", type=_LIMIT, default=solvers.DEFAULT_MAX_UPDATES,
                         help="hard cap on SMO pair updates")
     parser.add_argument("--no-center", action="store_true",
                         help="skip kernel centering")
@@ -435,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", required=True, help="stack manifest from the kernels command")
     p.add_argument("--targets", required=True, help="targets CSV (id,target)")
     p.add_argument("--task", required=True, choices=("classification", "regression"))
-    p.add_argument("--C", type=float, required=True, help="regularization weight")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--C", type=_POSITIVE, required=True, help="regularization weight")
+    p.add_argument("--mu", type=_MU, default=None,
                    help="elastic-net mixing value in (0, 1]")
     p.add_argument("--trainer", choices=("enmkl", "sum-baseline"), default="enmkl")
     p.add_argument("--out", required=True, help="output model JSON path")
@@ -458,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--task", required=True, choices=("classification", "regression"))
     p.add_argument("--trainer", choices=("enmkl", "sum-baseline"), default="enmkl")
-    p.add_argument("--C", default=None,
+    p.add_argument("--C", type=_float_list(_POSITIVE), default=None,
                    help="C value or comma-separated C grid (default: 1e-3..1e3)")
-    p.add_argument("--mu", default=None,
+    p.add_argument("--mu", type=_float_list(_MU), default=None,
                    help="mu value or comma-separated mu grid (default: 0.1..1.0)")
     p.add_argument("--grid", action="store_true",
                    help="use the default hyperparameter grid (explicit form)")
-    p.add_argument("--k-outer", type=int, default=5, help="outer folds")
-    p.add_argument("--k-inner", type=int, default=5, help="inner folds")
+    p.add_argument("--k-outer", type=_FOLDS, default=5, help="outer folds")
+    p.add_argument("--k-inner", type=_FOLDS, default=5, help="inner folds")
     p.add_argument("--blocks", default=None,
                    help="CSV mapping sample ids to blocks that must not be split")
     p.add_argument("--seed", type=int, default=0, help="fold-plan RNG seed")

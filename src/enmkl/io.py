@@ -26,7 +26,7 @@ from .errors import DataError
 from .kernels import GroupedDataset, KernelStack
 
 KERNEL_BINARY_MAGIC = b"ENMKLKRN"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MODEL_FORMAT_VERSION = 1
 
 
@@ -380,9 +380,10 @@ def write_stack(
 ) -> Path:
     """Write a kernel stack plus manifest into a directory.
 
-    One data file and one sidecar per group; the manifest ties them
-    together and records the source files. For cross stacks, per-group
-    test self-similarities are written alongside. Returns the manifest path.
+    One data file per group; the manifest ties them together and records
+    the ids, the preprocessing flags and the source files. For cross
+    stacks, per-group test self-similarities are written alongside.
+    Returns the manifest path.
     """
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown kernel format {fmt!r}")
@@ -396,25 +397,11 @@ def write_stack(
     for j, (name, size) in enumerate(zip(stack.group_names, stack.group_sizes)):
         stem = f"kernel_{j:03d}"
         data_file = f"{stem}.{'csv' if fmt == 'csv' else 'bin'}"
-        meta_file = f"{stem}.meta.json"
         if fmt == "csv":
             write_kernel_csv(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
         else:
             write_kernel_binary(out_dir / data_file, stack.values[j])
-        meta = {
-            "group": name,
-            "size": size,
-            "format": fmt,
-            "data_file": data_file,
-            "rows": stack.n_rows,
-            "cols": stack.n_cols,
-            "row_ids": list(stack.row_ids),
-            "col_ids": list(stack.col_ids),
-            "centered": stack.centered,
-            "normalized": stack.normalized,
-        }
-        write_json(out_dir / meta_file, meta)
-        entry = {"name": name, "size": size, "data_file": data_file, "meta_file": meta_file}
+        entry = {"name": name, "size": size, "data_file": data_file}
         if kind == "cross":
             sim_file = f"{stem}.selfsim.csv"
             write_self_sim_csv(out_dir / sim_file, stack.row_ids, self_sims[j])
@@ -424,6 +411,8 @@ def write_stack(
         "manifest_version": MANIFEST_VERSION,
         "kind": kind,
         "format": fmt,
+        "centered": stack.centered,
+        "normalized": stack.normalized,
         "sample_ids": list(stack.row_ids),
         "col_ids": list(stack.col_ids),
         "groups": groups,
@@ -432,6 +421,12 @@ def write_stack(
     manifest_path = out_dir / "stack.json"
     write_json(manifest_path, manifest)
     return manifest_path
+
+
+def has_version(obj, key: str, version: int) -> bool:
+    """Whether decoded JSON ``obj`` is an object whose ``key`` is the integer ``version``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return type(value) is int and value == version
 
 
 _JSON_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
@@ -461,15 +456,19 @@ def _json_ids(where: str, obj, key: str) -> tuple[str, ...]:
 def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
-    Returns (stack, self_sims or None, manifest dict). Each sidecar's ids
-    must match the manifest, its shape the kernel file it describes, and
-    its flags those of every other sidecar. Each kernel file is read into
-    its slice of the stack's values.
+    Returns (stack, self_sims or None, manifest dict). Each kernel file
+    must carry the manifest's ids (a binary file's header, their counts)
+    and is read into its slice of the stack's values.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
     base = manifest_path.parent
     where = str(manifest_path)
+    if not has_version(manifest, "manifest_version", MANIFEST_VERSION):
+        raise DataError(
+            f"{where}: not a version {MANIFEST_VERSION} stack manifest; "
+            "rerun the kernels command to rebuild the stack"
+        )
     kind = _json_value(where, manifest, "kind", str)
     fmt = _json_value(where, manifest, "format", str)
     if kind not in ("train", "cross"):
@@ -478,46 +477,23 @@ def read_stack(manifest_path):
         raise DataError(f"{where}: unknown kernel format {fmt!r}")
     row_ids = _json_ids(where, manifest, "sample_ids")
     col_ids = _json_ids(where, manifest, "col_ids")
+    flags = {key: _json_value(where, manifest, key, bool) for key in ("centered", "normalized")}
     groups = _json_value(where, manifest, "groups", list)
     values = np.empty((0, len(row_ids), len(col_ids)))
     names = []
     sizes = []
-    flags = None
     self_sims = [] if kind == "cross" else None
     for j, entry in enumerate(groups):
         entry_where = f"{where}: groups[{j}]"
         names.append(_json_value(entry_where, entry, "name", str))
         sizes.append(_json_value(entry_where, entry, "size", int))
         data_path = base / _json_value(entry_where, entry, "data_file", str)
-        meta_path = base / _json_value(entry_where, entry, "meta_file", str)
-        meta = read_json(meta_path)
-        meta_where = str(meta_path)
-        meta_flags = {
-            "centered": _json_value(meta_where, meta, "centered", bool),
-            "normalized": _json_value(meta_where, meta, "normalized", bool),
-        }
-        if flags is None:
-            flags = meta_flags
-        elif meta_flags != flags:
-            raise DataError(f"{meta_where}: flags differ from the first kernel's sidecar")
-        if (
-            _json_ids(meta_where, meta, "row_ids") != row_ids
-            or _json_ids(meta_where, meta, "col_ids") != col_ids
-        ):
-            raise DataError(f"{meta_where}: sidecar ids do not match the manifest {where}")
         if fmt == "csv":
             kernel_rows, kernel_cols, kernel = read_kernel_csv(data_path)
             if kernel_rows != row_ids or kernel_cols != col_ids:
                 raise DataError(f"{data_path}: kernel ids do not match the manifest")
         else:
             kernel = read_kernel_binary(data_path, row_ids, col_ids)
-        rows = _json_value(meta_where, meta, "rows", int)
-        cols = _json_value(meta_where, meta, "cols", int)
-        if (rows, cols) != kernel.shape:
-            raise DataError(
-                f"{meta_where}: sidecar says {rows}x{cols}, "
-                f"but {data_path} holds a {kernel.shape[0]}x{kernel.shape[1]} kernel"
-            )
         if not j:
             # Allocated only once a kernel file has matched the manifest's ids,
             # so a manifest listing bogus ids fails on them, not on memory.
@@ -526,7 +502,7 @@ def read_stack(manifest_path):
         if self_sims is not None:
             sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
             self_sims.append(read_self_sim_csv(sim_path, row_ids))
-    stack = KernelStack(values, row_ids, col_ids, tuple(names), tuple(sizes), **(flags or {}))
+    stack = KernelStack(values, row_ids, col_ids, tuple(names), tuple(sizes), **flags)
     return stack, self_sims, manifest
 
 

@@ -147,9 +147,7 @@ class MklModel:
         )
 
 
-def compute_block_norms(
-    stack: KernelStack, alpha, labels=None, beta=None
-) -> np.ndarray:
+def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.ndarray:
     """Per-kernel primal block norms from the dual coefficients.
 
     ``||w_j|| = beta_j * sqrt(q' K_j q)`` with ``q = alpha * labels`` for
@@ -160,8 +158,6 @@ def compute_block_norms(
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (stack.n_rows,):
         raise ValueError("alpha must hold one coefficient per train sample")
-    if beta is None:
-        raise ValueError("beta is required; pass the current kernel weights")
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (stack.m,):
         raise ValueError("beta must hold one weight per kernel")
@@ -270,6 +266,23 @@ def _normalized(beta: np.ndarray) -> np.ndarray:
     return beta / total
 
 
+def _train_targets(stack: KernelStack, targets, task: str):
+    """Float targets, one per train sample, and the -1/+1 labels of a classifier.
+
+    Returns ``(targets, labels)``; ``labels`` is ``targets`` for
+    classification, where both classes must be present, and None otherwise.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (stack.n_rows,):
+        raise ValueError("targets must hold one value per train sample")
+    if task != "classification":
+        return targets, None
+    values = set(np.unique(targets).tolist())
+    if not values <= {-1.0, 1.0} or len(values) != 2:
+        raise DataError("classification targets must be -1/+1 with both classes present")
+    return targets, targets
+
+
 def _train_enmkl(
     stack: KernelStack,
     targets: np.ndarray,
@@ -288,15 +301,7 @@ def _train_enmkl(
         raise ValueError("C must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (stack.n_rows,):
-        raise ValueError("targets must hold one value per train sample")
-    labels = None
-    if task == "classification":
-        labels = targets
-        values = set(np.unique(labels).tolist())
-        if not values <= {-1.0, 1.0} or len(values) != 2:
-            raise DataError("classification targets must be -1/+1 with both classes present")
+    targets, labels = _train_targets(stack, targets, task)
 
     m = stack.m
     beta = np.full(m, 1.0 / m)
@@ -416,17 +421,10 @@ def train_sum_baseline(
     stored ``mu`` of 0 marks the model as the unweighted-sum baseline.
     """
     task = _check_task(task)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (stack.n_rows,):
-        raise ValueError("targets must hold one value per train sample")
+    targets, labels = _train_targets(stack, targets, task)
     beta = np.full(stack.m, 1.0 / stack.m)
     combined = weighted_sum(stack, beta)
-    labels = None
     if task == "classification":
-        labels = targets
-        values = set(np.unique(labels).tolist())
-        if not values <= {-1.0, 1.0} or len(values) != 2:
-            raise DataError("classification targets must be -1/+1 with both classes present")
         sol = solvers.solve_svm_dual(
             combined, labels, C, tol=solver_tol, max_updates=max_updates
         )

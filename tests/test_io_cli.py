@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import enmkl
 from enmkl import io
-from enmkl.cli import main
+from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
 from enmkl.kernels import (
     StackPreprocessor,
@@ -359,7 +359,16 @@ class TestStackFiles:
         assert loaded.group_names == stack.group_names
         assert loaded.row_ids == stack.row_ids
         assert loaded.values.flags.c_contiguous and not loaded.values.flags.writeable
+        assert not (loaded.centered or loaded.normalized)
         np.testing.assert_array_equal(loaded.values, stack.values)
+
+        preprocessed = StackPreprocessor().fit(stack).train_stack_
+        loaded, _, manifest = io.read_stack(
+            io.write_stack(tmp_path / "preprocessed", preprocessed, fmt, "train")
+        )
+        assert manifest["centered"] is True and manifest["normalized"] is True
+        assert loaded.centered and loaded.normalized
+        np.testing.assert_array_equal(loaded.values, preprocessed.values)
 
     def test_cross_stack_round_trip_with_sims(self, tmp_path):
         data = make_classification_data(n=8, seed=65, group_specs=[("a", 2, "signal")])
@@ -377,12 +386,15 @@ class TestStackFiles:
         stack = build_linear_kernels(data)
         manifest_path = io.write_stack(tmp_path / "stack", stack, "csv", "train")
         manifest = io.read_json(manifest_path)
-        assert manifest["kind"] == "train"
+        assert manifest["manifest_version"] == 2
+        assert manifest["kind"] == "train" and manifest["format"] == "csv"
+        assert manifest["centered"] is False and manifest["normalized"] is False
         assert manifest["sample_ids"] == list(data.sample_ids)
-        entry = manifest["groups"][0]
-        assert entry["name"] == "a"
-        meta = io.read_json(tmp_path / "stack" / entry["meta_file"])
-        assert meta["rows"] == 6 and meta["format"] == "csv"
+        assert manifest["groups"] == [{"name": "a", "size": 2, "data_file": "kernel_000.csv"}]
+        assert sorted(p.name for p in (tmp_path / "stack").iterdir()) == [
+            "kernel_000.csv", "stack.json"
+        ]
+        assert not list((tmp_path / "stack").glob("*.meta.json"))
 
 
 class TestPredictionsCsv:
@@ -584,7 +596,7 @@ def _run_cli(*args):
 
 
 class TestMalformedStackAndModel:
-    """Broken manifests, sidecars and model files exit 2 and name the file."""
+    """Broken manifests, kernel files and model files exit 2 and name the file."""
 
     def _stack(self, tmp_path, fmt="csv"):
         _, features, groups, targets = _workspace(tmp_path, n=12)
@@ -611,28 +623,43 @@ class TestMalformedStackAndModel:
         edit(obj)
         path.write_text(json.dumps(obj))
 
-    def test_group_entry_without_meta_file(self, tmp_path, capsys):
+    def test_manifest_without_centered_flag(self, tmp_path, capsys):
         stack_dir, _, targets = self._stack(tmp_path)
-        self._edit_json(stack_dir / "stack.json", lambda m: m["groups"][0].pop("meta_file"))
+        self._edit_json(stack_dir / "stack.json", lambda m: m.pop("centered"))
         result = self._train(tmp_path, stack_dir, targets)
         self._assert_data_error(result, "stack.json")
-        assert "meta_file" in result.stderr
+        assert "missing 'centered'" in result.stderr
+
+    def test_ill_typed_manifest_flag(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "stack.json", lambda m: m.update(centered="no"))
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "stack.json")
+        assert "'centered' must be true or false" in result.stderr
+
+    @pytest.mark.parametrize("version", [1, None, "2"], ids=["v1", "missing", "string"])
+    def test_manifest_of_another_version(self, tmp_path, capsys, version):
+        stack_dir, _, targets = self._stack(tmp_path)
+        if version is None:
+            edit = lambda m: m.pop("manifest_version")
+        else:
+            edit = lambda m: m.update(manifest_version=version)
+        self._edit_json(stack_dir / "stack.json", edit)
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "stack.json")
+        assert "rerun the kernels command" in result.stderr
+
+    def test_manifest_ids_disagreeing_with_csv_kernel(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "stack.json", lambda m: m["sample_ids"].reverse())
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_000.csv")
+        assert "kernel ids do not match the manifest" in result.stderr
 
     def test_ill_typed_manifest_ids(self, tmp_path, capsys):
         stack_dir, _, targets = self._stack(tmp_path)
         self._edit_json(stack_dir / "stack.json", lambda m: m.update(sample_ids="s0"))
         self._assert_data_error(self._train(tmp_path, stack_dir, targets), "stack.json")
-
-    @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    @pytest.mark.parametrize(
-        "edit",
-        [{"rows": 5}, {"row_ids": ["x"]}, {"col_ids": []}, {"centered": "no"}],
-        ids=["rows", "row_ids", "col_ids", "flag"],
-    )
-    def test_sidecar_disagreeing_with_its_kernel(self, tmp_path, capsys, fmt, edit):
-        stack_dir, _, targets = self._stack(tmp_path, fmt)
-        self._edit_json(stack_dir / "kernel_001.meta.json", lambda meta: meta.update(edit))
-        self._assert_data_error(self._train(tmp_path, stack_dir, targets), "kernel_001.meta.json")
 
     def test_model_without_alpha(self, tmp_path, capsys):
         stack_dir, features, targets = self._stack(tmp_path)
@@ -645,6 +672,24 @@ class TestMalformedStackAndModel:
         )
         self._assert_data_error(result, "model.json")
         assert "'alpha'" in result.stderr
+
+    @pytest.mark.parametrize("version", [None, 2, True], ids=["missing", "v2", "bool"])
+    def test_model_of_another_format_version(self, tmp_path, capsys, version):
+        stack_dir, features, targets = self._stack(tmp_path)
+        assert self._train(tmp_path, stack_dir, targets).returncode == 0
+        model = tmp_path / "model.json"
+        if version is None:
+            edit = lambda payload: payload.pop("format_version")
+        else:
+            edit = lambda payload: payload.update(format_version=version)
+        self._edit_json(model, edit)
+        result = _run_cli(
+            "predict", "--model", str(model), "--features", features,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        self._assert_data_error(result, "model.json")
+        assert "format_version" in result.stderr
+        assert not (tmp_path / "p.csv").exists()
 
     def test_ill_typed_model_sections(self, tmp_path, capsys):
         stack_dir, features, targets = self._stack(tmp_path)
@@ -676,17 +721,10 @@ class TestMalformedStackAndModel:
         stack_dir, _, targets = self._stack(tmp_path, "binary")
         ids = [f"id{i}" for i in range(n_ids)]
         self._edit_json(stack_dir / "stack.json", lambda m: m.update(sample_ids=ids, col_ids=ids))
-        for meta in sorted(stack_dir.glob("*.meta.json")):
-            self._edit_json(meta, lambda obj: obj.update(row_ids=ids, col_ids=ids))
         result = self._train(tmp_path, stack_dir, targets)
         self._assert_data_error(result, "kernel_000.bin")
         assert result.stderr.startswith(f"error: {stack_dir / 'kernel_000.bin'}: ")
         assert "12x12" in result.stderr and f"{n_ids} row ids" in result.stderr
-
-    def test_sidecar_flags_disagreeing_with_each_other(self, tmp_path, capsys):
-        stack_dir, _, targets = self._stack(tmp_path)
-        self._edit_json(stack_dir / "kernel_001.meta.json", lambda meta: meta.update(centered=True))
-        self._assert_data_error(self._train(tmp_path, stack_dir, targets), "kernel_001.meta.json")
 
 
 class TestExitCodes:
@@ -712,6 +750,84 @@ class TestExitCodes:
         assert main([
             "predict", "--model", "m.json", "--out", "p.csv",
         ]) == 1
+
+    # Each option's range is checked as argparse converts it, before any file
+    # is opened: a value that slipped through would exit 2 on the missing files.
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--C", "0"), ("--C", "-1"), ("--C", "nan"), ("--C", "x"),
+            ("--mu", "0"), ("--mu", "1.5"), ("--mu", "nan"),
+            ("--conv-tol", "0"), ("--conv-tol", "nan"),
+            ("--solver-tol", "-1e-3"), ("--solver-tol", "nan"),
+            ("--max-iter", "0"), ("--smo-max-updates", "0"), ("--max-iter", "1.5"),
+        ],
+    )
+    def test_out_of_range_train_option_exits_1(self, tmp_path, capsys, flag, value):
+        options = {"--C": "1.0", "--mu": "0.5", flag: value}
+        code = main([
+            "train", "--stack", str(tmp_path / "none.json"), "--targets", "none.csv",
+            "--task", "classification", *(t for item in options.items() for t in item),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--C", "1,0"), ("--C", "nan"), ("--C", "1,x"),
+            ("--mu", "0.5,0"), ("--mu", "nan,1"), ("--mu", "1.5"),
+            ("--k-outer", "1"), ("--k-inner", "0"),
+            ("--conv-tol", "-1"), ("--solver-tol", "nan"),
+            ("--max-iter", "0"), ("--smo-max-updates", "-5"),
+        ],
+    )
+    def test_out_of_range_cv_option_exits_1(self, tmp_path, capsys, flag, value):
+        code = main([
+            "cv", "--features", "none.csv", "--groups", "none.csv", "--targets", "none.csv",
+            "--task", "classification", flag, value, "--out", str(tmp_path / "cv"),
+        ])
+        assert code == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "cv").exists()
+
+    def test_edge_values_still_parse(self):
+        parser = build_parser()
+        train = parser.parse_args([
+            "train", "--stack", "s", "--targets", "t", "--task", "regression",
+            "--C", "inf", "--mu", "5e-324", "--conv-tol", "1e-300", "--solver-tol", "inf",
+            "--max-iter", "1", "--smo-max-updates", "1", "--out", "m",
+        ])
+        assert (train.C, train.mu, train.conv_tol, train.solver_tol) == (
+            float("inf"), 5e-324, 1e-300, float("inf")
+        )
+        assert (train.max_iter, train.smo_max_updates) == (1, 1)
+        assert parser.parse_args([
+            "train", "--stack", "s", "--targets", "t", "--task", "regression",
+            "--C", "1e-300", "--mu", "1", "--out", "m",
+        ]).mu == 1.0
+        cv = parser.parse_args([
+            "cv", "--features", "f", "--groups", "g", "--targets", "t",
+            "--task", "regression", "--C", "1e-300,inf", "--mu", "1,5e-324",
+            "--k-outer", "2", "--k-inner", "2", "--out", "o",
+        ])
+        assert cv.C == (1e-300, float("inf")) and cv.mu == (1.0, 5e-324)
+        assert (cv.k_outer, cv.k_inner) == (2, 2)
+
+    def test_infinite_C_reaches_the_trainer(self, tmp_path, capsys):
+        _, features, groups, targets = _workspace(tmp_path)
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--out", str(tmp_path / "stack"),
+        ]) == 0
+        code = main([
+            "train", "--stack", str(tmp_path / "stack" / "stack.json"),
+            "--targets", targets, "--task", "classification",
+            "--C", "inf", "--mu", "1.0", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert "C must be a positive finite number" in capsys.readouterr().err
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)

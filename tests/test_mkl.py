@@ -1,11 +1,16 @@
 """Elastic-net multiple-kernel training: updates, objectives, models."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from enmkl.errors import DataError
+from enmkl.io import dump_json
 from enmkl.kernels import (
     KernelStack,
     StackPreprocessor,
@@ -606,6 +611,45 @@ class TestModelSerialization:
         assert clone.degenerate == model.degenerate
         if task == "classification":
             np.testing.assert_array_equal(clone.train_labels, model.train_labels)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @given(data=st.data())
+    def test_json_round_trip_reproduces_any_model(self, task, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 8))
+        raw = data.draw(arrays(np.float64, m, elements=st.floats(0.0, 1e6)))
+        raw[data.draw(st.integers(0, m - 1))] += 1.0  # at least one kernel weighted
+        model = MklModel(
+            beta=raw / raw.sum(),
+            alpha=data.draw(arrays(np.float64, n, elements=finite)),
+            bias=data.draw(finite),
+            task=task,
+            mu=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+            C=data.draw(st.floats(0.0, 1e12, exclude_min=True)),
+            iterations=data.draw(st.integers(1, 10**6)),
+            converged=data.draw(st.booleans()),
+            group_names=data.draw(st.lists(st.text(), min_size=m, max_size=m, unique=True)),
+            sample_ids=data.draw(st.lists(st.text(), min_size=n, max_size=n, unique=True)),
+            train_labels=data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+            if task == "classification"
+            else None,
+            group_sizes=data.draw(
+                st.none() | st.lists(st.integers(1, 10**6), min_size=m, max_size=m)
+            ),
+            degenerate=data.draw(st.booleans()),
+            centered=data.draw(st.booleans()),
+            normalized=data.draw(st.booleans()),
+            beta_raw_sum=data.draw(st.floats(0.0, 1e12, exclude_min=True)),
+            objective_history=data.draw(st.lists(finite, max_size=5)),
+        )
+        clone = model_from_dict(json.loads(dump_json(model_to_dict(model))))
+        for field in dataclasses.fields(MklModel):
+            got, want = getattr(clone, field.name), getattr(model, field.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
 
     def test_model_invariants_enforced(self):
         with pytest.raises(ValueError, match="sum to one"):
