@@ -80,12 +80,13 @@ _FOLDS = _checked(int, lambda k: k < 2, "must be at least 2, got {!r}")
 _LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
 
 
-def _print_beta_table(group_names, beta, group_sizes=None, header="kernel weights"):
+def _beta_table(group_names, beta, group_sizes=None, header="kernel weights") -> str:
     order = sorted(range(len(beta)), key=lambda j: (-beta[j], group_names[j]))
-    print(header)
+    lines = [header]
     for j in order:
         size = "" if group_sizes is None else f"  ({group_sizes[j]} features)"
-        print(f"  {group_names[j]:<24s} {beta[j]:.6f}{size}")
+        lines.append(f"  {group_names[j]:<24s} {beta[j]:.6f}{size}")
+    return "\n".join(lines)
 
 
 def cmd_kernels(args) -> None:
@@ -166,7 +167,7 @@ def cmd_train(args) -> None:
     if not model.converged:
         flavor = "degenerate (all block norms zero)" if model.degenerate else "not converged"
         print(f"warning: weight optimization {flavor} after {model.iterations} iterations")
-    _print_beta_table(model.group_names, model.beta, model.group_sizes)
+    print(_beta_table(model.group_names, model.beta, model.group_sizes))
     print(f"wrote model to {args.out}")
 
 
@@ -254,41 +255,47 @@ def cmd_predict(args) -> None:
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
 
 
-def _report_to_weights_csv(path, report_dict) -> None:
+def _weights_csv(report_dict) -> str:
     names = report_dict["group_names"]
     sizes = report_dict["group_sizes"]
     beta = report_dict["mean_beta"]
     order = sorted(range(len(names)), key=lambda j: (-beta[j], names[j]))
     lines = ["group,mean_weight,n_features"]
-    for j in order:
-        lines.append(f"{names[j]},{beta[j]!r},{sizes[j]}")
-    io.atomic_write_text(path, "\n".join(lines) + "\n")
+    lines += [f"{names[j]},{beta[j]!r},{sizes[j]}" for j in order]
+    return "\n".join(lines) + "\n"
 
 
-def _print_report(report_dict) -> None:
-    print(f"task: {report_dict['task']}   trainer: {report_dict['trainer']}")
+def _metrics_text(metrics) -> str:
+    return "  ".join(
+        f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in sorted(metrics.items())
+    )
+
+
+def _report_text(report_dict) -> str:
+    lines = [f"task: {report_dict['task']}   trainer: {report_dict['trainer']}"]
+    names = report_dict["group_names"]
     for fold in report_dict["folds"]:
-        metrics = "  ".join(
-            f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in sorted(fold["metrics"].items())
-        )
-        mu = fold["selected_mu"]
-        mu_text = "-" if mu is None else f"{mu:g}"
-        print(
-            f"  fold {fold['fold_index']}: C={fold['selected_c']:g} mu={mu_text}  {metrics}"
-        )
-    pooled = "  ".join(
-        f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-        for k, v in sorted(report_dict["pooled_metrics"].items())
-    )
-    print(f"pooled: {pooled}")
-    print(f"selected kernels: {report_dict['selected_count']} of {len(report_dict['group_names'])}")
-    _print_beta_table(
-        report_dict["group_names"],
-        report_dict["mean_beta"],
-        report_dict["group_sizes"],
-        header="mean kernel weights",
-    )
+        metrics = _metrics_text(fold["metrics"])
+        mu = "-" if fold["selected_mu"] is None else f"{fold['selected_mu']:g}"
+        lines.append(f"  fold {fold['fold_index']}: C={fold['selected_c']:g} mu={mu}  {metrics}")
+    lines.append(f"pooled: {_metrics_text(report_dict['pooled_metrics'])}")
+    lines.append(f"selected kernels: {report_dict['selected_count']} of {len(names)}")
+    lines.append(_beta_table(names, report_dict["mean_beta"], report_dict["group_sizes"],
+                             header="mean kernel weights"))
+    return "\n".join(lines)
+
+
+def _load_report(path) -> tuple[str, str]:
+    """The printout and the weights CSV of a CV report file, or a DataError naming it."""
+    report_dict = io.read_json(path)
+    if not isinstance(report_dict, dict) or "pooled_metrics" not in report_dict:
+        raise DataError(f"{path}: not a cross-validation report")
+    try:
+        return _report_text(report_dict), _weights_csv(report_dict)
+    except KeyError as exc:
+        raise DataError(f"{path}: report file is missing {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed report file ({exc})") from None
 
 
 def cmd_cv(args) -> None:
@@ -316,8 +323,8 @@ def cmd_cv(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = nested_cv(data, args.task, plan, grid, trainer=args.trainer, **common)
     io.write_json(out_dir / "report.json", report.to_dict())
-    _report_to_weights_csv(out_dir / "weights.csv", report.to_dict())
-    _print_report(report.to_dict())
+    io.atomic_write_text(out_dir / "weights.csv", _weights_csv(report.to_dict()))
+    print(_report_text(report.to_dict()))
 
     if args.baseline and args.trainer != "sum-baseline":
         base = nested_cv(data, args.task, plan, grid, trainer="sum-baseline", **common)
@@ -341,22 +348,20 @@ def cmd_report(args) -> None:
             f"task: {model.task}   mu: {model.mu:g}   C: {model.C:g}   "
             f"iterations: {model.iterations} ({status})"
         )
-        _print_beta_table(model.group_names, model.beta, model.group_sizes)
+        print(_beta_table(model.group_names, model.beta, model.group_sizes))
         if args.csv:
             report_like = {
                 "group_names": list(model.group_names),
                 "group_sizes": list(model.group_sizes or [0] * len(model.group_names)),
                 "mean_beta": model.beta.tolist(),
             }
-            _report_to_weights_csv(args.csv, report_like)
+            io.atomic_write_text(args.csv, _weights_csv(report_like))
             print(f"wrote weights to {args.csv}")
     else:
-        report_dict = io.read_json(args.report)
-        if "pooled_metrics" not in report_dict:
-            raise DataError(f"{args.report}: not a cross-validation report")
-        _print_report(report_dict)
+        text, weights = _load_report(args.report)
+        print(text)
         if args.csv:
-            _report_to_weights_csv(args.csv, report_dict)
+            io.atomic_write_text(args.csv, weights)
             print(f"wrote weights to {args.csv}")
 
 

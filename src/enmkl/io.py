@@ -327,29 +327,34 @@ def write_kernel_binary(path, values: np.ndarray) -> None:
     atomic_write_bytes(path, payload)
 
 
-def read_kernel_binary(path, row_ids, col_ids) -> np.ndarray:
+def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
     """The values of a binary kernel whose rows and columns carry these ids.
 
-    The header's dimensions must match the id counts; the returned array
-    is a read-only view of the file's bytes.
+    The header must match the id counts and the size the header; the payload
+    is read into ``out`` (C-contiguous ``<f8``) or a new array, and returned.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: file not found")
-    blob = path.read_bytes()
     header = len(KERNEL_BINARY_MAGIC) + 16
-    if len(blob) < header or not blob.startswith(KERNEL_BINARY_MAGIC):
-        raise DataError(f"{path}: not a kernel binary file (bad magic)")
-    rows, cols = struct.unpack("<QQ", blob[len(KERNEL_BINARY_MAGIC):header])
-    if (rows, cols) != (len(row_ids), len(col_ids)):
-        raise DataError(
-            f"{path}: header says {rows}x{cols}, but the stack has "
-            f"{len(row_ids)} row ids and {len(col_ids)} column ids"
-        )
-    expected = header + rows * cols * 8
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes for a {rows}x{cols} kernel, got {len(blob)}")
-    return np.frombuffer(blob, dtype="<f8", offset=header).reshape(rows, cols)
+    with path.open("rb") as fh:
+        head = fh.read(header)
+        if len(head) < header or not head.startswith(KERNEL_BINARY_MAGIC):
+            raise DataError(f"{path}: not a kernel binary file (bad magic)")
+        rows, cols = struct.unpack("<QQ", head[len(KERNEL_BINARY_MAGIC):])
+        if (rows, cols) != (len(row_ids), len(col_ids)):
+            raise DataError(
+                f"{path}: header says {rows}x{cols}, but the stack has "
+                f"{len(row_ids)} row ids and {len(col_ids)} column ids"
+            )
+        expected = header + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            out = np.empty((rows, cols), dtype="<f8") if out is None else out
+            size = header + fh.readinto(out)
+        if size != expected:
+            raise DataError(f"{path}: expected {expected} bytes for a {rows}x{cols} kernel, got {size}")
+    return out
 
 
 def write_self_sim_csv(path, sample_ids, values) -> None:
@@ -493,12 +498,12 @@ def read_stack(manifest_path):
             if kernel_rows != row_ids or kernel_cols != col_ids:
                 raise DataError(f"{data_path}: kernel ids do not match the manifest")
         else:
-            kernel = read_kernel_binary(data_path, row_ids, col_ids)
+            kernel = read_kernel_binary(data_path, row_ids, col_ids, out=values[j] if j else None)
         if not j:
             # Allocated only once a kernel file has matched the manifest's ids,
             # so a manifest listing bogus ids fails on them, not on memory.
-            values = np.empty((len(groups),) + kernel.shape)
-        values[j] = kernel
+            values = np.empty((len(groups),) + kernel.shape, dtype="<f8")
+        values[j] = kernel  # a no-op for a kernel read straight into its slice
         if self_sims is not None:
             sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
             self_sims.append(read_self_sim_csv(sim_path, row_ids))

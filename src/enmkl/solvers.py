@@ -81,18 +81,22 @@ def _kernel_values(k, name: str = "kernel") -> np.ndarray:
     return arr
 
 
-def _train_kernel_values(k) -> np.ndarray:
-    """The values of a train kernel, checked to be square, finite and symmetric."""
+def _train_kernel_values(k) -> tuple[np.ndarray, bool]:
+    """The values of a train kernel, checked to be square, finite and symmetric,
+    and whether they equal their transpose bit for bit (-0.0 == 0.0 as floats)."""
     values = _kernel_values(k)
     n = values.shape[0]
     if values.shape != (n, n):
         raise ValueError("train kernel must be square")
     if not np.isfinite(values).all():
         raise ValueError("kernel contains non-finite entries")
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
-    if values.size and float(np.abs(values - values.T).max()) > SYMMETRY_TOL * scale:
-        raise ValueError("train kernel is not symmetric")
-    return values
+    bits = values.view(np.uint64)
+    exact = np.array_equal(bits, bits.T)
+    if not exact:
+        scale = max(1.0, float(np.abs(values).max()))
+        if float(np.abs(values - values.T).max()) > SYMMETRY_TOL * scale:
+            raise ValueError("train kernel is not symmetric")
+    return values, exact
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -127,7 +131,7 @@ def solve_svm_dual(
         free support vectors; with no free support vector it falls back to
         the midpoint of the remaining KKT interval.
     """
-    K = _train_kernel_values(k)
+    K, exact = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -153,18 +157,14 @@ def solve_svm_dual(
             raise ValueError("alpha0 violates the equality constraint")
         grad = y * (K @ (alpha * y)) - 1.0
 
-    # The loop keeps g = -y * grad and reads two tables built once per call:
-    # row i of ``curv`` holds the pair curvatures diag_i + diag_t - 2 y_i y_t
-    # K_it (flat pairs set to _TAU), row t of ``steps`` holds -y_t K[:, t],
-    # the change of g per unit change of alpha_t. Multiplying by y = +-1 and
-    # negating are exact, so every value is bit for bit what the textbook
-    # update on grad computes.
+    # The loop keeps g = -y * grad. Row i of the pair curvatures diag_i +
+    # diag_t - 2 y_i y_t K_it (flat pairs set to _TAU) is made when i is first
+    # chosen. Row t of ``cols`` is K[:, t]: K itself if it equals K.T bit for
+    # bit, else a copy of K.T. Products with +-1 and 2 are exact, so every
+    # value is bit for bit what the textbook update on grad computes.
     diag = np.diagonal(K)
-    curv = np.multiply.outer(2.0 * y, y)
-    curv *= K
-    np.subtract(np.add.outer(diag, diag), curv, out=curv)
-    curv[~(curv > 0)] = _TAU
-    steps = np.multiply(K.T, -y[:, None], order="C")
+    cols = K if exact else np.ascontiguousarray(K.T)
+    curv_rows = {}
     g = -y * grad
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
@@ -191,8 +191,12 @@ def solve_svm_dual(
 
         # Second-order choice of j: among violating candidates, maximize the
         # guaranteed objective decrease b^2 / a for the pair (i, t).
+        curv = curv_rows.get(i)
+        if curv is None:
+            curv = curv_rows[i] = (diag[i] + diag) - (2.0 * y[i] * y) * K[i]
+            curv[~(curv > 0)] = _TAU
         b_it = m_val - g
-        gain = np.where(low_vals < m_val, b_it * b_it / curv[i], -np.inf)
+        gain = np.where(low_vals < m_val, b_it * b_it / curv, -np.inf)
         j = int(gain.argmax())
 
         # Two-variable subproblem, clipped to the box (LIBSVM update rules).
@@ -240,7 +244,7 @@ def solve_svm_dual(
                 if ai < 0:
                     ai, aj = 0.0, total
         a[i], a[j] = ai, aj
-        g += steps[i] * (ai - ai_old) + steps[j] * (aj - aj_old)
+        g += cols[i] * (-yi * (ai - ai_old)) + cols[j] * (-yj * (aj - aj_old))
         up[i], low[i] = (ai < C, ai > 0) if yi > 0 else (ai > 0, ai < C)
         up[j], low[j] = (aj < C, aj > 0) if yj > 0 else (aj > 0, aj < C)
         updates += 1
@@ -265,7 +269,7 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     positive definite for any PSD kernel; if factorization still fails
     numerically, a least-squares solve takes over.
     """
-    K = _train_kernel_values(k)
+    K, _ = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):

@@ -184,6 +184,62 @@ def kernel_csv_reference(values, row_ids, col_ids):
     return "\n".join(lines) + "\n"
 
 
+def weighted_sum_reference(values, beta):
+    """``sum_j beta_j * K_j`` as first written: one whole-matrix pass per kernel.
+
+    A frozen copy of the sequential loop, kept as a bit-for-bit reference
+    for ``weighted_sum``, which adds the same products in row blocks.
+    """
+    acc = np.zeros(np.shape(values)[1:])
+    for b, k in zip(np.asarray(beta, dtype=np.float64), values):
+        if b != 0.0:
+            acc += b * k
+    return acc
+
+
+def preprocess_fit_reference(raw_values, center, normalize):
+    """Train-kernel preprocessing as first written, one temporary per step.
+
+    A frozen copy of ``StackPreprocessor.fit``'s arithmetic, kept as a
+    bit-for-bit reference. Returns (kernels, [(col_means, grand, self_sim)]).
+    """
+    out = np.empty_like(raw_values)
+    stats = []
+    for j, k in enumerate(raw_values):
+        col_means = k.mean(axis=0)
+        grand = float(k.mean())
+        if center:
+            k = k - k.mean(axis=1, keepdims=True) - col_means + grand
+            k = (k + k.T) / 2.0
+        self_sim = np.diagonal(k).copy()
+        if normalize:
+            scale = np.sqrt(self_sim)
+            k = k / np.outer(scale, scale)
+            k = (k + k.T) / 2.0
+            np.fill_diagonal(k, 1.0)
+        out[j] = k
+        stats.append((col_means, grand, self_sim))
+    return out, stats
+
+
+def transform_cross_reference(raw_values, raw_self_sims, stats, center, normalize):
+    """Cross-kernel preprocessing as first written; ``stats`` as returned by
+    :func:`preprocess_fit_reference`. A frozen bit-for-bit reference for
+    ``StackPreprocessor.transform_cross``."""
+    out = np.empty_like(raw_values)
+    for j, (k, (col_means, grand, self_sim), sims) in enumerate(
+        zip(raw_values, stats, raw_self_sims)
+    ):
+        if center:
+            row_means = k.mean(axis=1)
+            k = k - row_means[:, None] - col_means[None, :] + grand
+            sims = sims - 2.0 * row_means + grand
+        if normalize:
+            k = k / np.outer(np.sqrt(sims), np.sqrt(self_sim))
+        out[j] = k
+    return out
+
+
 def blocknorm_objective(
     stack: KernelStack, targets, alpha, bias: float, beta, mu: float, C: float, task: str
 ) -> float:

@@ -967,6 +967,51 @@ class TestReportCommand:
         path = _write(tmp_path / "x.json", '{"not": "a model"}\n')
         assert main(["report", "--model", str(path)]) == 2
 
+    _REPORT = {
+        "task": "classification", "trainer": "enmkl", "seed": 0,
+        "group_names": ["a", "b"], "group_sizes": [2, 3], "mean_beta": [0.25, 0.75],
+        "selected_count": 2, "pooled_metrics": {"accuracy": 0.5},
+        "folds": [{"fold_index": 0, "selected_c": 1.0, "selected_mu": 0.5,
+                   "metrics": {"accuracy": 0.5}}],
+    }
+
+    def test_hand_written_report_prints(self, tmp_path, capsys):
+        path = _write(tmp_path / "r.json", json.dumps(self._REPORT))
+        assert main(["report", "--report", path, "--csv", str(tmp_path / "w.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "fold 0: C=1 mu=0.5  accuracy=0.5000" in out and "b  " in out
+        assert (tmp_path / "w.csv").read_text() == (
+            "group,mean_weight,n_features\nb,0.75,3\na,0.25,2\n"
+        )
+
+    def _without_selected_c(self):
+        report = json.loads(json.dumps(self._REPORT))
+        del report["folds"][0]["selected_c"]
+        return report
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"pooled_metrics": {}}, "report file is missing 'task'"),
+            (5, "not a cross-validation report"),
+            ([], "not a cross-validation report"),
+            ("fold without selected_c", "report file is missing 'selected_c'"),
+            ({**_REPORT, "mean_beta": ["x", 0.75]}, "malformed report file"),
+            ({**_REPORT, "mean_beta": [0.25]}, "malformed report file"),
+            ({**_REPORT, "pooled_metrics": []}, "malformed report file"),
+        ],
+    )
+    def test_report_of_the_wrong_shape_exits_2(self, tmp_path, payload, message):
+        if payload == "fold without selected_c":
+            payload = self._without_selected_c()
+        path = _write(tmp_path / "r.json", json.dumps(payload))
+        result = _run_cli("report", "--report", path, "--csv", str(tmp_path / "w.csv"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert not (tmp_path / "w.csv").exists()
+
 
 def test_readme_library_snippet_runs_as_written():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -14,7 +14,13 @@ from enmkl.kernels import (
     weighted_sum,
 )
 
-from helpers import oracle_feature_pipeline
+from helpers import (
+    oracle_feature_pipeline,
+    preprocess_fit_reference,
+    random_psd_kernel,
+    transform_cross_reference,
+    weighted_sum_reference,
+)
 
 
 def _dataset(features, groups, names, ids=None):
@@ -405,10 +411,7 @@ class TestWeightedSum:
         rng = np.random.default_rng(22)
         mats = [m @ m.T for m in (rng.normal(size=(6, 6)) for _ in range(4))]
         beta = np.array([0.3, 0.0, 0.1 + 1e-9, 0.6])
-        expected = np.zeros((6, 6))
-        for b, k in zip(beta, mats):
-            if b != 0.0:
-                expected += b * k
+        expected = weighted_sum_reference(mats, beta)
         combined = weighted_sum(_stack(*mats), beta)
         assert combined.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
@@ -419,6 +422,84 @@ class TestWeightedSum:
         combined = weighted_sum(stack, [0.5, 0.5])
         assert type(combined) is np.ndarray and combined.shape == (2, 3)
         np.testing.assert_array_equal(combined, 0.5 * stack.values[0] + 0.5 * stack.values[1])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestWeightedSumMatchesReference:
+    """The row-blocked sum is bit for bit the sequential whole-matrix loop."""
+
+    def _check(self, stack, beta):
+        assert _same_bits(weighted_sum(stack, beta), weighted_sum_reference(stack.values, beta))
+
+    def _train(self, rng, m, n):
+        return _stack(*(random_psd_kernel(rng, n) for _ in range(m)))
+
+    def _cross(self, rng, m, n_rows, n_cols):
+        values = rng.normal(size=(m, n_rows, n_cols)) * rng.uniform(0.1, 10.0, size=(m, 1, 1))
+        values[:, 0, :2] = -0.0  # negative zeros must survive where the loop keeps them
+        rows = tuple(f"t{i}" for i in range(n_rows))
+        cols = tuple(f"s{i}" for i in range(n_cols))
+        names = tuple(f"g{j}" for j in range(m))
+        return KernelStack(values, rows, cols, names, (1,) * m)
+
+    def test_rows_not_a_multiple_of_the_block(self):
+        # 300 columns give blocks of 109 rows: two full ones and one of 82.
+        rng = np.random.default_rng(30)
+        self._check(self._train(rng, 4, 300), rng.uniform(0.01, 1.0, size=4))
+
+    def test_rows_wider_than_the_block_budget(self):
+        # More than 256 KiB per row: every block holds a single row.
+        rng = np.random.default_rng(31)
+        self._check(self._cross(rng, 2, 3, 33_000), np.array([0.7, 0.3]))
+
+    def test_cross_stacks(self):
+        rng = np.random.default_rng(32)
+        for n_rows, n_cols in ((70, 130), (130, 70), (1, 500), (500, 1)):
+            self._check(self._cross(rng, 3, n_rows, n_cols), rng.uniform(0.01, 1.0, size=3))
+
+    def test_zero_weights_anywhere(self):
+        rng = np.random.default_rng(33)
+        stack = self._train(rng, 5, 150)
+        for beta in ([0.0, 0.2, 0.0, 0.5, 0.3], [0.4, 0.0, 0.0, 0.0, 0.0], [0.0] * 4 + [1e-9]):
+            self._check(stack, np.array(beta))
+
+    def test_single_kernel(self):
+        rng = np.random.default_rng(34)
+        self._check(self._train(rng, 1, 257), np.array([0.37]))
+        self._check(self._cross(rng, 1, 40, 90), np.array([2.5]))
+
+
+class TestPreprocessingMatchesReference:
+    """``fit`` and ``transform_cross`` give bit for bit the first-written arithmetic."""
+
+    @pytest.mark.parametrize(
+        "center,normalize", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    def test_train_stats_and_cross(self, center, normalize):
+        for seed, (n, n_test) in enumerate(((50, 7), (9, 30), (120, 1))):
+            rng = np.random.default_rng(500 + seed)
+            data = _random_grouped(rng, n, dims=(3, 5, 1, 8))
+            test_X = rng.normal(size=(n_test, data.n_features))
+            raw = build_linear_kernels(data)
+            raw_cross, sims = build_linear_cross_kernels(
+                data, test_X, tuple(f"t{i}" for i in range(n_test))
+            )
+
+            pre = StackPreprocessor(center=center, normalize=normalize).fit(raw)
+            expected, stats = preprocess_fit_reference(raw.values, center, normalize)
+            assert _same_bits(pre.train_stack_.values, expected)
+            for got, (col_means, grand, self_sim) in zip(pre.stats_, stats):
+                assert _same_bits(got.col_means, col_means)
+                assert _same_bits(got.grand_mean, grand)
+                assert _same_bits(got.self_sim, self_sim)
+
+            cross = pre.transform_cross(raw_cross, sims)
+            expected = transform_cross_reference(raw_cross.values, sims, stats, center, normalize)
+            assert _same_bits(cross.values, expected)
 
 
 class TestPipelineAgainstFeatureOracle:

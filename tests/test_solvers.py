@@ -176,6 +176,42 @@ class TestSvmMatchesReferenceExactly:
             y = random_labels(rng, n)
             _assert_same_as_reference(K, y, 1.0, tol=1e-8)
 
+    @pytest.mark.parametrize("C", [1e-2, 0.1, 1.0])
+    def test_many_distinct_first_indices(self, C):
+        # Hundreds of samples: many distinct first indices i, each of whose
+        # curvature rows is made once and then reused within the call.
+        for seed, n in enumerate((200, 263)):
+            rng = np.random.default_rng(1500 + seed)
+            K = random_psd_kernel(rng, n)
+            y = random_labels(rng, n)
+            _assert_same_as_reference(K, y, C)
+            warm = solve_svm_dual(K + random_psd_kernel(rng, n, rank=5), y, C)
+            _assert_same_as_reference(K, y, C, alpha0=warm.alpha)
+
+    def test_fortran_ordered_kernel(self):
+        for seed in range(4):
+            rng = np.random.default_rng(1600 + seed)
+            n = int(rng.integers(10, 60))
+            K = np.asfortranarray(random_psd_kernel(rng, n))
+            assert not K.flags.c_contiguous
+            y = random_labels(rng, n)
+            _assert_same_as_reference(K, y, 1.0, tol=1e-8)
+
+    def test_transpose_differing_only_by_a_signed_zero(self):
+        # K == K.T holds, but not bit for bit: the solver must then take
+        # the columns of K from a copy of K.T, as the reference does.
+        for seed in range(4):
+            rng = np.random.default_rng(1700 + seed)
+            n = 25
+            K = random_psd_kernel(rng, n)
+            K[3, 7], K[7, 3] = 0.0, -0.0
+            K[0, n - 1], K[n - 1, 0] = -0.0, 0.0
+            assert np.array_equal(K, K.T)
+            assert not np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
+            y = random_labels(rng, n)
+            for C in (0.1, 10.0):
+                _assert_same_as_reference(K, y, C, tol=1e-8)
+
     def test_kernel_matrix_input(self):
         rng = np.random.default_rng(1400)
         K = random_psd_kernel(rng, 30)
