@@ -321,13 +321,16 @@ def cmd_cv(args) -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = nested_cv(data, args.task, plan, grid, trainer=args.trainer, **common)
+    report = nested_cv(
+        data, args.task, plan, grid, trainer=args.trainer,
+        baseline=args.baseline and args.trainer != "sum-baseline", **common,
+    )
     io.write_json(out_dir / "report.json", report.to_dict())
     io.atomic_write_text(out_dir / "weights.csv", _weights_csv(report.to_dict()))
     print(_report_text(report.to_dict()))
 
-    if args.baseline and args.trainer != "sum-baseline":
-        base = nested_cv(data, args.task, plan, grid, trainer="sum-baseline", **common)
+    base = report.baseline
+    if base is not None:
         io.write_json(out_dir / "report_baseline.json", base.to_dict())
         print("\nsum-baseline comparison")
         for key, value in sorted(base.pooled_metrics.items()):

@@ -362,6 +362,8 @@ class CvReport:
     Pooled metrics are computed over the concatenated outer-fold test
     predictions (every sample appears exactly once). ``mean_beta`` averages
     the per-fold kernel weights and feeds the selected-kernel count.
+    ``baseline`` holds the sum baseline's report when it was scored in the
+    same run; it is not part of :meth:`to_dict`.
     """
 
     task: str
@@ -373,6 +375,7 @@ class CvReport:
     mean_beta: np.ndarray
     selected_count: int
     seed: int
+    baseline: CvReport | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -388,39 +391,53 @@ class CvReport:
         }
 
 
-def _fit_and_decide(
+def _partition_decisions(
     data: GroupedDataset,
     train_ids,
     eval_ids,
+    keys,
     task: str,
-    trainer: str,
-    C: float,
-    mu: float | None,
     center: bool,
     normalize: bool,
     conv_tol: float,
     max_iter: int,
     solver_tol: float,
     max_updates: int,
-):
-    """Train on one id set, return decision values on another, leakage-free.
+) -> dict:
+    """Fit every candidate key on one id set; decision values on another.
 
-    Preprocessing statistics are fitted on the training partition only and
-    replayed onto the evaluation samples through the cross-kernel path.
+    ``keys`` are (C, mu) pairs, where mu None is the sum baseline. The
+    partition's kernels are built and preprocessed once: the statistics are
+    fitted on the training ids only and replayed onto the evaluation samples
+    through the cross-kernel path, so nothing leaks. The baseline's solve is
+    the first iteration of every enmkl fit at its C, so when more than one
+    key needs it, it is fitted once and each enmkl fit starts from it.
+    Returns ``{key: (decision values, model)}``.
     """
     train_data = data.subset(train_ids)
     eval_data = data.subset(eval_ids)
-    raw_train = build_linear_kernels(train_data)
-    pre = StackPreprocessor(center=center, normalize=normalize).fit(raw_train)
-    model = mkl.train_model(
-        pre.train_stack_, train_data.targets, task, trainer, C, mu,
-        conv_tol=conv_tol, max_iter=max_iter, solver_tol=solver_tol, max_updates=max_updates,
+    pre = StackPreprocessor(center=center, normalize=normalize).fit(
+        build_linear_kernels(train_data)
     )
+    stack, targets = pre.train_stack_, train_data.targets
+    models = {}
+    for C in dict.fromkeys(c for c, _ in keys):
+        mus = [mu for c, mu in keys if c == C and mu is not None]
+        start = None
+        if (C, None) in keys or len(mus) > 1:
+            start = models[(C, None)] = mkl.train_sum_baseline(
+                stack, targets, task, C, solver_tol=solver_tol, max_updates=max_updates
+            )
+        for mu in mus:
+            models[(C, mu)] = mkl.train_model(
+                stack, targets, task, "enmkl", C, mu, conv_tol=conv_tol, max_iter=max_iter,
+                solver_tol=solver_tol, max_updates=max_updates, start=start,
+            )
     raw_cross, self_sims = build_linear_cross_kernels(
         train_data, eval_data.features, eval_data.sample_ids
     )
     cross_stack = pre.transform_cross(raw_cross, self_sims)
-    return mkl.predict_model(model, cross_stack), model
+    return {key: (mkl.predict_model(models[key], cross_stack), models[key]) for key in keys}
 
 
 def _score(decisions: np.ndarray, truth: np.ndarray, task: str) -> float:
@@ -442,6 +459,26 @@ def _pick_best(scores: dict, task: str):
     return min(scores.items(), key=sort_key)[0]
 
 
+def _cv_report(
+    data: GroupedDataset, task: str, trainer: str, outcomes, seed: int, baseline=None
+) -> CvReport:
+    pooled_decisions = np.concatenate([o.decision_values for o in outcomes])
+    pooled_truth = np.concatenate([o.true_targets for o in outcomes])
+    mean_beta = np.mean([o.beta for o in outcomes], axis=0)
+    return CvReport(
+        task=task,
+        trainer=trainer,
+        group_names=data.group_names,
+        group_sizes=data.group_sizes,
+        folds=tuple(outcomes),
+        pooled_metrics=_fold_metrics(pooled_decisions, pooled_truth, task),
+        mean_beta=mean_beta,
+        selected_count=mkl.selected_kernel_count(mean_beta),
+        seed=seed,
+        baseline=baseline,
+    )
+
+
 def nested_cv(
     data: GroupedDataset,
     task: str,
@@ -454,6 +491,7 @@ def nested_cv(
     max_iter: int = mkl.DEFAULT_MAX_ITER,
     solver_tol: float = solvers.DEFAULT_SVM_TOL,
     max_updates: int = solvers.DEFAULT_MAX_UPDATES,
+    baseline: bool = False,
 ) -> CvReport:
     """Run nested cross-validation and pool outer-fold test predictions.
 
@@ -466,6 +504,12 @@ def nested_cv(
 
     Ties in the inner score go to the larger mu (sparser weights), then to
     the smaller C.
+
+    With ``baseline``, the sum-baseline trainer is selected and scored on
+    the same folds in the same pass, and its report is returned as the
+    result's ``baseline``; it equals a separate run with that trainer.
+    Each partition's kernels are built and preprocessed once for all
+    candidates of both trainers.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
@@ -476,6 +520,7 @@ def nested_cv(
         raise ValueError("fold plan does not cover the dataset's sample ids")
     if task == "classification":
         data.require_binary_targets()
+    base_keys = [(c, None) for c in grid.c_values]
     if trainer == "enmkl":
         for mu in grid.mu_values:
             if not 0.0 < mu <= 1.0:
@@ -483,77 +528,65 @@ def nested_cv(
                     f"mu = {mu!r} is outside (0, 1]; "
                     "use the sum-baseline trainer for the mu = 0 endpoint"
                 )
-        candidates = [(c, mu) for c in grid.c_values for mu in grid.mu_values]
+        selections = [[(c, mu) for c in grid.c_values for mu in grid.mu_values]]
     else:
-        candidates = [(c, None) for c in grid.c_values]
+        selections = [base_keys]
+    if baseline:
+        selections.append(base_keys)
+    # One candidate list per report; the inner folds fit their union.
+    inner_keys = list(dict.fromkeys(key for keys in selections for key in keys))
 
     target_of = {i: t for i, t in zip(data.sample_ids, data.targets)}
     fit_kwargs = dict(
-        task=task, trainer=trainer, center=center, normalize=normalize,
+        task=task, center=center, normalize=normalize,
         conv_tol=conv_tol, max_iter=max_iter,
         solver_tol=solver_tol, max_updates=max_updates,
     )
 
-    outcomes = []
+    outcomes = [[] for _ in selections]
     for fold_index, (outer_train, outer_test) in enumerate(plan.outer_folds):
-        inner = plan.inner_folds[fold_index]
-        scores: dict = {}
-        for C, mu in candidates:
-            fold_scores = []
-            for inner_train, inner_val in inner:
-                truth = np.array([target_of[i] for i in inner_val])
-                if task == "classification":
-                    train_truth = np.array([target_of[i] for i in inner_train])
-                    # A split can strand one class; such folds cannot score.
-                    if np.unique(train_truth).size < 2 or np.unique(truth).size < 2:
-                        continue
-                decisions, _ = _fit_and_decide(
-                    data, inner_train, inner_val, C=C, mu=mu, **fit_kwargs
-                )
-                fold_scores.append(_score(decisions, truth, task))
-            if fold_scores:
-                scores[(C, mu)] = float(np.mean(fold_scores))
-        if not scores:
+        fold_scores: dict = {}
+        for inner_train, inner_val in plan.inner_folds[fold_index]:
+            truth = np.array([target_of[i] for i in inner_val])
+            if task == "classification":
+                train_truth = np.array([target_of[i] for i in inner_train])
+                # A split can strand one class; such folds cannot score.
+                if np.unique(train_truth).size < 2 or np.unique(truth).size < 2:
+                    continue
+            fitted = _partition_decisions(data, inner_train, inner_val, inner_keys, **fit_kwargs)
+            for key, (decisions, _) in fitted.items():
+                fold_scores.setdefault(key, []).append(_score(decisions, truth, task))
+        if not fold_scores:
             raise DataError(
                 f"no inner fold of outer fold {fold_index} could score any candidate"
             )
-        best_c, best_mu = _pick_best(scores, task)
+        best = [
+            _pick_best({key: float(np.mean(fold_scores[key])) for key in keys}, task)
+            for keys in selections
+        ]
 
-        decisions, model = _fit_and_decide(
-            data, outer_train, outer_test, C=best_c, mu=best_mu, **fit_kwargs
-        )
+        fitted = _partition_decisions(data, outer_train, outer_test, best, **fit_kwargs)
         truth = np.array([target_of[i] for i in outer_test])
-        outcomes.append(
-            FoldOutcome(
-                fold_index=fold_index,
-                selected_c=float(best_c),
-                selected_mu=None if best_mu is None else float(best_mu),
-                metrics=_fold_metrics(decisions, truth, task),
-                beta=model.beta,
-                iterations=model.iterations,
-                converged=model.converged,
-                degenerate=model.degenerate,
-                test_ids=tuple(outer_test),
-                decision_values=decisions,
-                true_targets=truth,
+        for fold_outcomes, (best_c, best_mu) in zip(outcomes, best):
+            decisions, model = fitted[(best_c, best_mu)]
+            fold_outcomes.append(
+                FoldOutcome(
+                    fold_index=fold_index,
+                    selected_c=float(best_c),
+                    selected_mu=None if best_mu is None else float(best_mu),
+                    metrics=_fold_metrics(decisions, truth, task),
+                    beta=model.beta,
+                    iterations=model.iterations,
+                    converged=model.converged,
+                    degenerate=model.degenerate,
+                    test_ids=tuple(outer_test),
+                    decision_values=decisions,
+                    true_targets=truth,
+                )
             )
-        )
 
-    pooled_decisions = np.concatenate([o.decision_values for o in outcomes])
-    pooled_truth = np.concatenate([o.true_targets for o in outcomes])
-    pooled = _fold_metrics(pooled_decisions, pooled_truth, task)
-    mean_beta = np.mean([o.beta for o in outcomes], axis=0)
-    return CvReport(
-        task=task,
-        trainer=trainer,
-        group_names=data.group_names,
-        group_sizes=data.group_sizes,
-        folds=tuple(outcomes),
-        pooled_metrics=pooled,
-        mean_beta=mean_beta,
-        selected_count=mkl.selected_kernel_count(mean_beta),
-        seed=plan.seed,
-    )
+    base = _cv_report(data, task, "sum-baseline", outcomes[1], plan.seed) if baseline else None
+    return _cv_report(data, task, trainer, outcomes[0], plan.seed, base)
 
 
 def _fold_metrics(decisions: np.ndarray, truth: np.ndarray, task: str) -> dict:

@@ -25,7 +25,10 @@ import numpy as np
 from .errors import DataError
 from .kernels import GroupedDataset, KernelStack
 
-KERNEL_BINARY_MAGIC = b"ENMKLKRN"
+# Binary kernels start with this magic. The first format's magic, which had
+# no id digest in its header, is refused with a hint to rebuild the stack.
+KERNEL_BINARY_MAGIC = b"ENMKLKR2"
+_OLD_KERNEL_BINARY_MAGIC = b"ENMKLKRN"
 MANIFEST_VERSION = 2
 MODEL_FORMAT_VERSION = 1
 
@@ -316,12 +319,19 @@ def read_kernel_csv(path):
     return tuple(row_ids), col_ids, np.array(values)
 
 
-def write_kernel_binary(path, values: np.ndarray) -> None:
-    """Binary kernel layout: 8-byte magic, two uint64 dims, float64 row-major."""
+def _ids_digest(row_ids, col_ids) -> bytes:
+    """sha256 of a kernel's row and column ids, in order."""
+    return hashlib.sha256(json.dumps([list(row_ids), list(col_ids)]).encode()).digest()
+
+
+def write_kernel_binary(path, values: np.ndarray, row_ids, col_ids) -> None:
+    """Binary kernel layout: 8-byte magic, two uint64 dims, the 32-byte
+    sha256 of the row and column ids, then float64 values, row-major."""
     rows, cols = values.shape
     payload = (
         KERNEL_BINARY_MAGIC
         + struct.pack("<QQ", rows, cols)
+        + _ids_digest(row_ids, col_ids)
         + np.ascontiguousarray(values, dtype="<f8").tobytes()
     )
     atomic_write_bytes(path, payload)
@@ -330,22 +340,34 @@ def write_kernel_binary(path, values: np.ndarray) -> None:
 def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
     """The values of a binary kernel whose rows and columns carry these ids.
 
-    The header must match the id counts and the size the header; the payload
-    is read into ``out`` (C-contiguous ``<f8``) or a new array, and returned.
+    The header must match the id counts and the ids' digest, and the file
+    the size the header gives; the payload is read into ``out``
+    (C-contiguous ``<f8``) or a new array, and returned.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: file not found")
-    header = len(KERNEL_BINARY_MAGIC) + 16
+    magic = len(KERNEL_BINARY_MAGIC)
+    header = magic + 16 + 32
     with path.open("rb") as fh:
         head = fh.read(header)
+        if head.startswith(_OLD_KERNEL_BINARY_MAGIC):
+            raise DataError(
+                f"{path}: kernel binary file from an older version, without an id "
+                "digest; rerun the kernels command to rebuild the stack"
+            )
         if len(head) < header or not head.startswith(KERNEL_BINARY_MAGIC):
             raise DataError(f"{path}: not a kernel binary file (bad magic)")
-        rows, cols = struct.unpack("<QQ", head[len(KERNEL_BINARY_MAGIC):])
+        rows, cols = struct.unpack("<QQ", head[magic:magic + 16])
         if (rows, cols) != (len(row_ids), len(col_ids)):
             raise DataError(
                 f"{path}: header says {rows}x{cols}, but the stack has "
                 f"{len(row_ids)} row ids and {len(col_ids)} column ids"
+            )
+        if head[magic + 16:] != _ids_digest(row_ids, col_ids):
+            raise DataError(
+                f"{path}: kernel ids do not match the manifest (the header's id "
+                "digest differs: ids reordered or changed); rerun the kernels command"
             )
         expected = header + rows * cols * 8
         size = os.fstat(fh.fileno()).st_size
@@ -405,7 +427,7 @@ def write_stack(
         if fmt == "csv":
             write_kernel_csv(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
         else:
-            write_kernel_binary(out_dir / data_file, stack.values[j])
+            write_kernel_binary(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
         entry = {"name": name, "size": size, "data_file": data_file}
         if kind == "cross":
             sim_file = f"{stem}.selfsim.csv"
@@ -462,8 +484,8 @@ def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
     Returns (stack, self_sims or None, manifest dict). Each kernel file
-    must carry the manifest's ids (a binary file's header, their counts)
-    and is read into its slice of the stack's values.
+    must carry the manifest's ids (a binary file's header, their counts and
+    digest) and is read into its slice of the stack's values.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)

@@ -85,14 +85,16 @@ class KernelStack:
             )
         train = row_ids == col_ids
         for k in values:
-            # The largest magnitude is NaN or inf exactly when an entry is.
-            largest = float(np.abs(k).max(initial=0.0))
-            if not np.isfinite(largest):
+            # The extremes are NaN or inf exactly when an entry is; two
+            # reductions, with no n x n temporary.
+            high, low = float(k.max(initial=0.0)), float(k.min(initial=0.0))
+            if not (np.isfinite(high) and np.isfinite(low)):
                 raise ValueError("kernel contains non-finite entries")
             if not train:
                 continue
             if not np.array_equal(k, k.T):
-                if float(np.abs(k - k.T).max(initial=0.0)) > SYMMETRY_TOL * max(1.0, largest):
+                scale = max(1.0, high, -low)  # 1 or the largest magnitude
+                if float(np.abs(k - k.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
                     raise ValueError("train kernel is not symmetric")
             if self.normalized:
                 if float(np.abs(np.diagonal(k) - 1.0).max(initial=0.0)) > UNIT_DIAG_TOL:
@@ -312,9 +314,14 @@ def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
     acc = np.zeros((stack.n_rows, stack.n_cols))
     # Rows in blocks of about 256 KiB per kernel: a block of the sum stays in
     # cache while each kernel is added to it, in kernel order, as before.
-    terms = [(b, k) for b, k in zip(beta, stack.values) if b != 0.0]
+    terms = [(b, k) for b, k in zip(beta.tolist(), stack.values) if b != 0.0]
     step = max(1, (256 << 10) // (8 * max(1, stack.n_cols)))
     part = np.empty((min(step, stack.n_rows), stack.n_cols))
+    if step >= stack.n_rows:
+        # One block covers every row: add each product straight into the sum.
+        for b, k in terms:
+            acc += np.multiply(b, k, part)
+        return acc
     for start in range(0, stack.n_rows, step):
         block = acc[start:start + step]
         tmp = part[: len(block)]

@@ -293,6 +293,7 @@ def _train_enmkl(
     max_iter: int,
     solver_tol: float,
     max_updates: int,
+    start: MklModel | None,
 ) -> MklModel:
     mu = _check_mu(mu)
     task = _check_task(task)
@@ -302,6 +303,13 @@ def _train_enmkl(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     targets, labels = _train_targets(stack, targets, task)
+    if start is not None and (
+        (start.mu, start.task, start.C) != (0.0, task, C)
+        or start.sample_ids != stack.row_ids
+        or start.group_names != stack.group_names
+        or (start.centered, start.normalized) != (stack.centered, stack.normalized)
+    ):
+        raise ValueError("start must be the sum-baseline model of this stack, task and C")
 
     m = stack.m
     beta = np.full(m, 1.0 / m)
@@ -316,15 +324,18 @@ def _train_enmkl(
     for _ in range(max_iter):
         iterations += 1
         combined = weighted_sum(stack, beta)
-        if task == "classification":
+        if start is not None:
+            # Iteration 1 solves on the beta = 1/m kernel: the baseline's solve.
+            alpha, bias, start = start.alpha, start.bias, None
+        elif task == "classification":
             sol = solvers.solve_svm_dual(
                 combined, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=warm
             )
             alpha, bias = sol.alpha, sol.bias
-            warm = sol.alpha
         else:
             sol = solvers.solve_krr_dual(combined, targets, C)
             alpha, bias = sol.alpha, sol.target_offset
+        warm = alpha
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
         history.append(_objective(combined, w, targets, alpha, bias, mu, C, task, labels))
@@ -379,6 +390,7 @@ def train_enmkl_svm(
     max_iter: int = DEFAULT_MAX_ITER,
     solver_tol: float = solvers.DEFAULT_SVM_TOL,
     max_updates: int = solvers.DEFAULT_MAX_UPDATES,
+    start: MklModel | None = None,
 ) -> MklModel:
     """Train an elastic-net MKL SVM classifier on a train stack.
 
@@ -386,9 +398,15 @@ def train_enmkl_svm(
     normalized weights move less than ``conv_tol`` in any coordinate, or
     ``max_iter`` is reached (reported via ``converged``, not an error). The
     inner solver warm-starts from the previous iteration's coefficients.
+
+    The first iteration solves on the uniform mixture, which is what
+    :func:`train_sum_baseline` fits. ``start``, that baseline's model on
+    this stack with the same C, ``solver_tol`` and ``max_updates``, stands
+    in for that solve; the result is the same model bit for bit.
     """
     return _train_enmkl(
-        stack, labels, "classification", C, mu, conv_tol, max_iter, solver_tol, max_updates
+        stack, labels, "classification", C, mu, conv_tol, max_iter, solver_tol, max_updates,
+        start,
     )
 
 
@@ -399,11 +417,16 @@ def train_enmkl_krr(
     mu: float,
     conv_tol: float = DEFAULT_CONV_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: MklModel | None = None,
 ) -> MklModel:
-    """Train elastic-net MKL kernel ridge regression on a train stack."""
+    """Train elastic-net MKL kernel ridge regression on a train stack.
+
+    ``start`` is as for :func:`train_enmkl_svm`: the sum baseline's model
+    on this stack with the same C, used as the first iteration's solve.
+    """
     return _train_enmkl(
         stack, targets, "regression", C, mu, conv_tol, max_iter,
-        solvers.DEFAULT_SVM_TOL, solvers.DEFAULT_MAX_UPDATES,
+        solvers.DEFAULT_SVM_TOL, solvers.DEFAULT_MAX_UPDATES, start,
     )
 
 
@@ -461,11 +484,14 @@ def train_model(
     max_iter: int = DEFAULT_MAX_ITER,
     solver_tol: float = solvers.DEFAULT_SVM_TOL,
     max_updates: int = solvers.DEFAULT_MAX_UPDATES,
+    start: MklModel | None = None,
 ) -> MklModel:
     """Fit the named trainer, ``"enmkl"`` or ``"sum-baseline"``, for a task.
 
-    Options a trainer does not use are ignored: the baseline has no ``mu``
-    and no outer loop, and ridge regression has no SMO settings.
+    Options a trainer does not use are ignored: the baseline has no ``mu``,
+    no outer loop and no ``start``, and ridge regression has no SMO
+    settings. ``start`` is the enmkl fit's first iteration, as for
+    :func:`train_enmkl_svm`.
     """
     if trainer == "sum-baseline":
         return train_sum_baseline(
@@ -476,9 +502,11 @@ def train_model(
     if task == "classification":
         return train_enmkl_svm(
             stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter,
-            solver_tol=solver_tol, max_updates=max_updates,
+            solver_tol=solver_tol, max_updates=max_updates, start=start,
         )
-    return train_enmkl_krr(stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter)
+    return train_enmkl_krr(
+        stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter, start=start
+    )
 
 
 def predict_model(model: MklModel, stack: KernelStack) -> np.ndarray:

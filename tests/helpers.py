@@ -10,7 +10,17 @@ import itertools
 
 import numpy as np
 
-from enmkl.kernels import GroupedDataset, KernelStack, weighted_sum
+from enmkl import mkl
+from enmkl.errors import DataError
+from enmkl.evaluation import CvReport, FoldOutcome, HyperGrid, _fold_metrics, _pick_best, _score
+from enmkl.kernels import (
+    GroupedDataset,
+    KernelStack,
+    StackPreprocessor,
+    build_linear_cross_kernels,
+    build_linear_kernels,
+    weighted_sum,
+)
 from enmkl.mkl import _check_mu, _check_task, _slack_loss, compute_block_norms
 from enmkl.solvers import solve_svm_dual
 
@@ -238,6 +248,95 @@ def transform_cross_reference(raw_values, raw_self_sims, stats, center, normaliz
             k = k / np.outer(np.sqrt(sims), np.sqrt(self_sim))
         out[j] = k
     return out
+
+
+def nested_cv_reference(
+    data, task, plan, grid=None, trainer="enmkl", center=True, normalize=True, **fit_options
+):
+    """Nested cross-validation as first written: candidate by candidate.
+
+    A frozen copy of the loop ``evaluation.nested_cv`` ran before it went
+    partition by partition. Every (C, mu) candidate rebuilds and
+    re-preprocesses each partition's kernels and fits cold, and a baseline
+    report is a second run with ``trainer="sum-baseline"``. ``fit_options``
+    are ``mkl.train_model``'s ``conv_tol``, ``max_iter``, ``solver_tol`` and
+    ``max_updates``. Kept as the reference the new pass must equal.
+    """
+    grid = grid or HyperGrid()
+    if task == "classification":
+        data.require_binary_targets()
+    if trainer == "enmkl":
+        candidates = [(c, mu) for c in grid.c_values for mu in grid.mu_values]
+    else:
+        candidates = [(c, None) for c in grid.c_values]
+
+    def fit_and_decide(train_ids, eval_ids, C, mu):
+        train_data = data.subset(train_ids)
+        eval_data = data.subset(eval_ids)
+        pre = StackPreprocessor(center=center, normalize=normalize).fit(
+            build_linear_kernels(train_data)
+        )
+        model = mkl.train_model(
+            pre.train_stack_, train_data.targets, task, trainer, C, mu, **fit_options
+        )
+        raw_cross, self_sims = build_linear_cross_kernels(
+            train_data, eval_data.features, eval_data.sample_ids
+        )
+        return mkl.predict_model(model, pre.transform_cross(raw_cross, self_sims)), model
+
+    target_of = {i: t for i, t in zip(data.sample_ids, data.targets)}
+    outcomes = []
+    for fold_index, (outer_train, outer_test) in enumerate(plan.outer_folds):
+        scores = {}
+        for C, mu in candidates:
+            fold_scores = []
+            for inner_train, inner_val in plan.inner_folds[fold_index]:
+                truth = np.array([target_of[i] for i in inner_val])
+                if task == "classification":
+                    train_truth = np.array([target_of[i] for i in inner_train])
+                    if np.unique(train_truth).size < 2 or np.unique(truth).size < 2:
+                        continue
+                decisions, _ = fit_and_decide(inner_train, inner_val, C, mu)
+                fold_scores.append(_score(decisions, truth, task))
+            if fold_scores:
+                scores[(C, mu)] = float(np.mean(fold_scores))
+        if not scores:
+            raise DataError(
+                f"no inner fold of outer fold {fold_index} could score any candidate"
+            )
+        best_c, best_mu = _pick_best(scores, task)
+        decisions, model = fit_and_decide(outer_train, outer_test, best_c, best_mu)
+        truth = np.array([target_of[i] for i in outer_test])
+        outcomes.append(
+            FoldOutcome(
+                fold_index=fold_index,
+                selected_c=float(best_c),
+                selected_mu=None if best_mu is None else float(best_mu),
+                metrics=_fold_metrics(decisions, truth, task),
+                beta=model.beta,
+                iterations=model.iterations,
+                converged=model.converged,
+                degenerate=model.degenerate,
+                test_ids=tuple(outer_test),
+                decision_values=decisions,
+                true_targets=truth,
+            )
+        )
+
+    pooled_decisions = np.concatenate([o.decision_values for o in outcomes])
+    pooled_truth = np.concatenate([o.true_targets for o in outcomes])
+    mean_beta = np.mean([o.beta for o in outcomes], axis=0)
+    return CvReport(
+        task=task,
+        trainer=trainer,
+        group_names=data.group_names,
+        group_sizes=data.group_sizes,
+        folds=tuple(outcomes),
+        pooled_metrics=_fold_metrics(pooled_decisions, pooled_truth, task),
+        mean_beta=mean_beta,
+        selected_count=mkl.selected_kernel_count(mean_beta),
+        seed=plan.seed,
+    )
 
 
 def blocknorm_objective(

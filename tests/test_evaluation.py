@@ -21,7 +21,7 @@ from enmkl.evaluation import (
 from enmkl.kernels import StackPreprocessor, build_linear_cross_kernels, build_linear_kernels
 from enmkl.mkl import predict_model, train_enmkl_svm
 
-from helpers import make_classification_data, make_regression_data
+from helpers import make_classification_data, make_regression_data, nested_cv_reference
 
 
 class TestBalancedAccuracy:
@@ -274,6 +274,42 @@ class TestPickBest:
         assert _pick_best(scores, "classification") == (0.1, None)
 
 
+def _single_class_inner_folds():
+    """Data and a hand-built plan in which two of outer fold 0's three inner
+    validation sets hold one class only and contribute no score."""
+    data = make_classification_data(
+        n=12, seed=36, group_specs=[("g", 2, "signal")]
+    )
+    pos = [i for i, t in zip(data.sample_ids, data.targets) if t > 0]
+    neg = [i for i, t in zip(data.sample_ids, data.targets) if t < 0]
+    outer_train = tuple(pos[:4] + neg[:4])
+    outer_test = tuple(pos[4:] + neg[4:])
+
+    def inner(val, within):
+        return (tuple(i for i in within if i not in set(val)), tuple(val))
+
+    plan = FoldPlan(
+        sample_ids=tuple(data.sample_ids),
+        outer_folds=(
+            (outer_train, outer_test),
+            (outer_test, outer_train),
+        ),
+        inner_folds=(
+            (
+                inner(pos[:3], outer_train),
+                inner([pos[3], neg[0]], outer_train),
+                inner(neg[1:4], outer_train),
+            ),
+            (
+                inner([pos[4], neg[4]], outer_test),
+                inner([pos[5]], outer_test),
+                inner([neg[5]], outer_test),
+            ),
+        ),
+    )
+    return data, plan
+
+
 class TestNestedCv:
     def _data(self, seed=30):
         return make_classification_data(
@@ -348,39 +384,7 @@ class TestNestedCv:
             nested_cv(data, "classification", plan, grid=grid)
 
     def test_single_class_inner_fold_skipped_not_fatal(self):
-        data = make_classification_data(
-            n=12, seed=36, group_specs=[("g", 2, "signal")]
-        )
-        # Hand-built plan: two of outer fold 0's three inner validation
-        # sets hold one class only and contribute no score; the run must
-        # still complete on the remaining mixed fold.
-        pos = [i for i, t in zip(data.sample_ids, data.targets) if t > 0]
-        neg = [i for i, t in zip(data.sample_ids, data.targets) if t < 0]
-        outer_train = tuple(pos[:4] + neg[:4])
-        outer_test = tuple(pos[4:] + neg[4:])
-
-        def inner(val, within):
-            return (tuple(i for i in within if i not in set(val)), tuple(val))
-
-        plan = FoldPlan(
-            sample_ids=tuple(data.sample_ids),
-            outer_folds=(
-                (outer_train, outer_test),
-                (outer_test, outer_train),
-            ),
-            inner_folds=(
-                (
-                    inner(pos[:3], outer_train),
-                    inner([pos[3], neg[0]], outer_train),
-                    inner(neg[1:4], outer_train),
-                ),
-                (
-                    inner([pos[4], neg[4]], outer_test),
-                    inner([pos[5]], outer_test),
-                    inner([neg[5]], outer_test),
-                ),
-            ),
-        )
+        data, plan = _single_class_inner_folds()
         grid = HyperGrid(c_values=(1.0,), mu_values=(1.0,))
         report = nested_cv(data, "classification", plan, grid=grid)
         assert len(report.folds) == 2
@@ -402,3 +406,64 @@ class TestNestedCv:
         assert len(payload["folds"]) == 3
         assert payload["selected_count"] == report.selected_count
         np.testing.assert_allclose(payload["mean_beta"], report.mean_beta)
+
+
+def _report_json(report) -> str:
+    # JSON keeps every float's bits (``-0.0`` included), unlike ``==``.
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+class TestNestedCvMatchesReference:
+    """The partition-by-partition pass equals the candidate-by-candidate loop."""
+
+    GRID = HyperGrid(c_values=(0.01, 1.0, 100.0), mu_values=(0.3, 1.0))
+
+    def _check(self, data, task, plan, grid=GRID, trainer="enmkl", **options):
+        report = nested_cv(data, task, plan, grid=grid, trainer=trainer, baseline=True, **options)
+        reference = nested_cv_reference(data, task, plan, grid=grid, trainer=trainer, **options)
+        assert _report_json(report) == _report_json(reference)
+        baseline = nested_cv_reference(data, task, plan, grid=grid, trainer="sum-baseline", **options)
+        assert _report_json(report.baseline) == _report_json(baseline)
+        plain = nested_cv(data, task, plan, grid=grid, trainer=trainer, **options)
+        assert plain.baseline is None and _report_json(plain) == _report_json(reference)
+        return report
+
+    # Seed 40: the two trainers pick the same C on every outer fold; 41: a
+    # different C on every fold; 44: the same on two folds, not on the third.
+    @pytest.mark.parametrize("seed,same_c", [(40, 3), (41, 0), (44, 2)])
+    def test_classification_with_baseline(self, seed, same_c):
+        data = make_classification_data(
+            n=30, seed=seed, shift=0.8,
+            group_specs=[("a", 3, "signal"), ("b", 3, "noise"), ("c", 2, "signal")],
+        )
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=seed, labels=data.targets)
+        report = self._check(data, "classification", plan)
+        picks = zip(report.folds, report.baseline.folds)
+        assert sum(a.selected_c == b.selected_c for a, b in picks) == same_c
+
+    def test_regression(self):
+        data = make_regression_data(
+            n=24, seed=33, group_specs=[("sig", 3, "signal"), ("noise", 3, "noise")]
+        )
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=12)
+        self._check(data, "regression", plan, conv_tol=1e-6, max_iter=50)
+
+    def test_blocks(self):
+        data = make_classification_data(
+            n=30, seed=45, group_specs=[("a", 3, "signal"), ("b", 2, "noise")]
+        )
+        blocks = [f"b{i // 3}" for i in range(30)]
+        plan = make_fold_plan(data.sample_ids, 3, 2, blocks=blocks, seed=5)
+        self._check(data, "classification", plan, solver_tol=1e-5, center=False)
+
+    def test_inner_fold_that_loses_a_class(self):
+        data, plan = _single_class_inner_folds()
+        self._check(data, "classification", plan, normalize=False)
+
+    def test_sum_baseline_trainer(self):
+        data = make_classification_data(
+            n=24, seed=34, group_specs=[("sig", 3, "signal"), ("noise", 3, "noise")]
+        )
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=13, labels=data.targets)
+        report = self._check(data, "classification", plan, trainer="sum-baseline")
+        assert _report_json(report.baseline) == _report_json(report)

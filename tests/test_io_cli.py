@@ -181,7 +181,7 @@ class TestKernelFiles:
     def test_binary_round_trip_is_exact(self, tmp_path):
         values, ids = self._kernel(62)
         path = tmp_path / "k.bin"
-        io.write_kernel_binary(path, values)
+        io.write_kernel_binary(path, values, ids, ids)
         np.testing.assert_array_equal(io.read_kernel_binary(path, ids, ids), values)
 
     def test_binary_magic_checked(self, tmp_path):
@@ -193,7 +193,7 @@ class TestKernelFiles:
     def test_binary_truncation_detected(self, tmp_path):
         values, ids = self._kernel(63)
         path = tmp_path / "k.bin"
-        io.write_kernel_binary(path, values)
+        io.write_kernel_binary(path, values, ids, ids)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError):
             io.read_kernel_binary(path, ids, ids)
@@ -201,7 +201,7 @@ class TestKernelFiles:
     def test_binary_header_checked_against_ids(self, tmp_path):
         values, ids = self._kernel(64)
         path = tmp_path / "k.bin"
-        io.write_kernel_binary(path, values)
+        io.write_kernel_binary(path, values, ids, ids)
         with pytest.raises(DataError) as info:
             io.read_kernel_binary(path, ids[:-1], ids[:-1])
         assert str(info.value) == (
@@ -726,6 +726,33 @@ class TestMalformedStackAndModel:
         assert result.stderr.startswith(f"error: {stack_dir / 'kernel_000.bin'}: ")
         assert "12x12" in result.stderr and f"{n_ids} row ids" in result.stderr
 
+    def test_binary_kernel_with_swapped_manifest_ids(self, tmp_path, capsys):
+        # Same ids, same count, two of them swapped: without the header's id
+        # digest the targets would pair with the wrong kernel rows.
+        stack_dir, _, targets = self._stack(tmp_path, "binary")
+
+        def swap(manifest):
+            for key in ("sample_ids", "col_ids"):
+                ids = manifest[key]
+                ids[0], ids[1] = ids[1], ids[0]
+
+        self._edit_json(stack_dir / "stack.json", swap)
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_000.bin")
+        assert "kernel ids do not match the manifest" in result.stderr
+        assert not (tmp_path / "model.json").exists()
+
+    def test_binary_kernel_in_the_first_format(self, tmp_path, capsys):
+        # The first format: old magic, two uint64 dims, then the values.
+        stack_dir, _, targets = self._stack(tmp_path, "binary")
+        for path in stack_dir.glob("kernel_*.bin"):
+            raw = path.read_bytes()
+            path.write_bytes(b"ENMKLKRN" + raw[8:24] + raw[56:])
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_000.bin")
+        assert "older version" in result.stderr
+        assert "rerun the kernels command" in result.stderr
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, capsys):
@@ -890,6 +917,90 @@ class TestCvCommand:
         weights = (tmp_path / "cv1" / "weights.csv").read_text().splitlines()
         assert weights[0] == "group,mean_weight,n_features"
         assert len(weights) == 3
+
+    def test_work_per_partition(self, tmp_path, capsys, monkeypatch):
+        """``cv --baseline`` preprocesses each partition once and solves each
+        (partition, C) beta = 1/m problem once, all through the functions a
+        tracer wraps: ``cli.nested_cv``, the kernel builders ``evaluation``
+        calls, ``StackPreprocessor``, the three trainers and the SMO solver."""
+        from enmkl import cli, evaluation, kernels, mkl, solvers
+
+        log = {"cv": 0, "build": 0, "build_cross": 0, "fit": 0, "transform": 0}
+        fits, smo, open_fits = [], [], []
+
+        def wrap(owner, name, record):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                record(*args, **kwargs)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        def counter(key):
+            return lambda *args, **kwargs: log.__setitem__(key, log[key] + 1)
+
+        def fitter(kind):
+            inner = getattr(mkl, kind)
+
+            def wrapper(stack, targets, *args, **kwargs):
+                open_fits.append(kind)
+                try:
+                    model = inner(stack, targets, *args, **kwargs)
+                finally:
+                    open_fits.pop()
+                fits.append((kind, stack.row_ids, model.C, kwargs.get("start"), model))
+                return model
+
+            monkeypatch.setattr(mkl, kind, wrapper)
+
+        wrap(cli, "nested_cv", counter("cv"))
+        wrap(evaluation, "build_linear_kernels", counter("build"))
+        wrap(evaluation, "build_linear_cross_kernels", counter("build_cross"))
+        wrap(kernels.StackPreprocessor, "fit", counter("fit"))
+        wrap(kernels.StackPreprocessor, "transform_cross", counter("transform"))
+        wrap(solvers, "solve_svm_dual",
+             lambda *a, alpha0=None, **k: smo.append((alpha0 is None, list(open_fits))))
+        for kind in ("train_enmkl_svm", "train_enmkl_krr", "train_sum_baseline"):
+            fitter(kind)
+
+        k_outer, k_inner, c_values, mu_values = 3, 2, (0.1, 10.0), (0.5, 1.0)
+        _, features, groups, targets = _workspace(tmp_path, n=24, seed=69)
+        assert main([
+            "cv", "--features", features, "--groups", groups,
+            "--targets", targets, "--task", "classification",
+            "--C", "0.1,10", "--mu", "0.5,1.0", "--k-outer", str(k_outer),
+            "--k-inner", str(k_inner), "--seed", "5", "--baseline",
+            "--out", str(tmp_path / "cv"),
+        ]) == 0
+        capsys.readouterr()
+
+        partitions = k_outer * k_inner + k_outer
+        assert log == {
+            "cv": 1, "build": partitions, "build_cross": partitions,
+            "fit": partitions, "transform": partitions,
+        }
+        # The outer partitions fit the Cs that enmkl and the baseline picked.
+        folds = [
+            json.loads((tmp_path / "cv" / name).read_text())["folds"]
+            for name in ("report.json", "report_baseline.json")
+        ]
+        outer_cs = sum(len({a["selected_c"], b["selected_c"]}) for a, b in zip(*folds))
+        # A beta = 1/m solve is a baseline fit or a cold enmkl fit: one per (partition, C).
+        cold = [(ids, C) for kind, ids, C, start, _ in fits
+                if kind == "train_sum_baseline" or start is None]
+        assert len(cold) == len(set(cold)) == k_outer * k_inner * len(c_values) + outer_cs
+        enmkl_fits = [f for f in fits if f[0] == "train_enmkl_svm"]
+        assert len(enmkl_fits) == k_outer * k_inner * len(c_values) * len(mu_values) + k_outer
+        assert len(fits) - len(enmkl_fits) == k_outer * k_inner * len(c_values) + k_outer
+        # Every SMO solve runs inside a wrapped fit, and the solves add up to
+        # one per baseline fit plus one per enmkl iteration not started.
+        assert all(inside for _, inside in smo)
+        assert sum(is_cold for is_cold, _ in smo) == len(cold)
+        assert len(smo) == sum(
+            1 if kind == "train_sum_baseline" else model.iterations - (start is not None)
+            for kind, _, _, start, model in fits
+        )
 
     def test_grid_flag_conflicts_with_explicit_values(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)

@@ -83,6 +83,11 @@ class TestKernelStackInvariants:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="non-finite"):
             _stack([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            _stack([[1.0, -np.inf], [-np.inf, 1.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                _cross_stack([[1.0, bad, -3.0]], ("t0",), ("s0", "s1", "s2"))
 
     def test_cross_kernel_needs_no_symmetry(self):
         k = _cross_stack([[1.0, 2.0, 3.0]], ("t0",), ("s0", "s1", "s2"))
@@ -103,10 +108,12 @@ class TestKernelStackInvariants:
             _stack(np.eye(2), 2.0 * np.eye(2), normalized=True)
 
     def test_asymmetry_within_tolerance_accepted(self):
-        values = np.array([[4.0, 1.0], [1.0 + 3e-10, 4.0]])
-        _stack(values)
-        with pytest.raises(ValueError, match="not symmetric"):
-            _stack(values + [[0.0, 0.0], [2e-9, 0.0]])
+        # The tolerance scales with the largest magnitude, whatever its sign.
+        for diagonal in (4.0, -4.0):
+            values = np.array([[diagonal, 1.0], [1.0 + 3e-10, diagonal]])
+            _stack(values)
+            with pytest.raises(ValueError, match="not symmetric"):
+                _stack(values + [[0.0, 0.0], [2e-9, 0.0]])
 
     def test_shape_must_match_ids(self):
         with pytest.raises(

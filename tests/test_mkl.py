@@ -399,6 +399,47 @@ class TestBaseline:
         assert model.bias == plain.target_offset
 
 
+class TestStartFromBaseline:
+    """A fit started from the sum baseline is the cold fit, bit for bit."""
+
+    @staticmethod
+    def _json(model):
+        return json.dumps(model_to_dict(model), sort_keys=True)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_started_fit_equals_cold_fit(self, task):
+        specs = [("a", 3, "signal"), ("b", 2, "noise"), ("c", 2, "signal")]
+        make = make_classification_data if task == "classification" else make_regression_data
+        data = make(n=24, seed=28, group_specs=specs)
+        stack = _preprocessed_stack(data)
+        opts = dict(conv_tol=1e-7, max_iter=60, solver_tol=1e-5, max_updates=10**6)
+        for C in (0.05, 3.0):
+            start = train_sum_baseline(
+                stack, data.targets, task, C, solver_tol=1e-5, max_updates=10**6
+            )
+            for mu in (0.2, 0.7, 1.0):
+                cold = train_model(stack, data.targets, task, "enmkl", C, mu, **opts)
+                started = train_model(
+                    stack, data.targets, task, "enmkl", C, mu, start=start, **opts
+                )
+                assert cold.iterations > 1 and len(cold.objective_history) > 1
+                assert self._json(started) == self._json(cold)
+
+    def test_start_of_another_fit_rejected(self):
+        data = make_classification_data(
+            n=16, seed=29, group_specs=[("a", 2, "signal"), ("b", 2, "noise")]
+        )
+        stack = _preprocessed_stack(data)
+        start = train_sum_baseline(stack, data.targets, "classification", 1.0)
+        enmkl = train_enmkl_svm(stack, data.targets, 1.0, 0.5)
+        other = _preprocessed_stack(data.subset(data.sample_ids[:-1]))
+        for bad, C, target_stack in ((start, 2.0, stack), (enmkl, 1.0, stack),
+                                     (start, 1.0, other)):
+            targets = data.targets[: target_stack.n_rows]
+            with pytest.raises(ValueError, match="start must be the sum-baseline model"):
+                train_enmkl_svm(target_stack, targets, C, 0.5, start=bad)
+
+
 class TestTrainModel:
     """``train_model`` picks the trainer the CLI and nested CV ask for."""
 
