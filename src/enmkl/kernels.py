@@ -317,11 +317,6 @@ def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
     terms = [(b, k) for b, k in zip(beta.tolist(), stack.values) if b != 0.0]
     step = max(1, (256 << 10) // (8 * max(1, stack.n_cols)))
     part = np.empty((min(step, stack.n_rows), stack.n_cols))
-    if step >= stack.n_rows:
-        # One block covers every row: add each product straight into the sum.
-        for b, k in terms:
-            acc += np.multiply(b, k, part)
-        return acc
     for start in range(0, stack.n_rows, step):
         block = acc[start:start + step]
         tmp = part[: len(block)]

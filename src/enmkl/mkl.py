@@ -402,7 +402,11 @@ def train_enmkl_svm(
     The first iteration solves on the uniform mixture, which is what
     :func:`train_sum_baseline` fits. ``start``, that baseline's model on
     this stack with the same C, ``solver_tol`` and ``max_updates``, stands
-    in for that solve; the result is the same model bit for bit.
+    in for that solve; the result is the same model bit for bit. Its C,
+    task, sample ids, groups and preprocessing flags are checked; the SMO
+    settings are not recorded on a model, so keeping them equal is the
+    caller's duty, and a baseline fitted with other settings gives another
+    model without an error.
     """
     return _train_enmkl(
         stack, labels, "classification", C, mu, conv_tol, max_iter, solver_tol, max_updates,
@@ -491,7 +495,8 @@ def train_model(
     Options a trainer does not use are ignored: the baseline has no ``mu``,
     no outer loop and no ``start``, and ridge regression has no SMO
     settings. ``start`` is the enmkl fit's first iteration, as for
-    :func:`train_enmkl_svm`.
+    :func:`train_enmkl_svm`, and must come from the same ``solver_tol``
+    and ``max_updates``, which are not checked.
     """
     if trainer == "sum-baseline":
         return train_sum_baseline(

@@ -1002,6 +1002,34 @@ class TestCvCommand:
             for kind, _, _, start, model in fits
         )
 
+    def test_failing_baseline_refit_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        """Both reports come from one pass: when the baseline's outer refit
+        fails, ``cv --baseline`` exits 3 and writes neither report."""
+        from enmkl import mkl
+        from enmkl.errors import ConvergenceError
+
+        inner = mkl.train_sum_baseline
+        outer_rows = 12  # n=18, k_outer=3; inner partitions hold 6 rows
+
+        def failing(stack, *args, **kwargs):
+            if stack.n_rows == outer_rows:
+                raise ConvergenceError("SMO exceeded 1 updates (baseline refit)")
+            return inner(stack, *args, **kwargs)
+
+        monkeypatch.setattr(mkl, "train_sum_baseline", failing)
+        _, features, groups, targets = _workspace(tmp_path, n=18, seed=67)
+        out_dir = tmp_path / "cv"
+        assert main([
+            "cv", "--features", features, "--groups", groups,
+            "--targets", targets, "--task", "classification",
+            "--C", "1.0", "--mu", "0.5,1.0", "--k-outer", "3", "--k-inner", "2",
+            "--seed", "4", "--baseline", "--out", str(out_dir),
+        ]) == 3
+        captured = capsys.readouterr()
+        assert "baseline refit" in captured.err
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
     def test_grid_flag_conflicts_with_explicit_values(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)
         assert main([
