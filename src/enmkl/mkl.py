@@ -16,10 +16,31 @@ regularization of the kernel weights (mu = 1) and a uniform l2 blend
 until the unit-sum-normalized weights stop moving. After the loop, alpha is
 rescaled by ``sum_j beta_j`` and beta normalized to the unit simplex; the
 rescaled pair produces bit-for-bit identical decision values.
+
+Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
+weights on their way to zero shrink by a near-constant factor per step. The
+loop accelerates it with type-II Anderson extrapolation (Walker & Ni 2011)
+of the scale variables lambda, from its last ``ANDERSON_DEPTH`` residual
+differences. An extrapolated lambda keeps the plain step's sum, so every
+iterate is a weight vector the update can produce. It keeps a kernel the
+plain step zeroed at zero and gives any other at least ``ANDERSON_FLOOR``
+of its plain-step value, so extrapolation never drops a kernel. The
+safeguard keeps an extrapolated iterate only if its objective is at most
+the best accepted objective plus the solver's noise (``solver_tol * max(1,
+C)`` for the SVM, relative 1e-9 for ridge regression). A rejected iterate
+clears the memory, and the loop takes the plain step from the last accepted
+iterate instead.
+
+``conv_tol`` keeps its meaning: the loop stops at an accepted iterate whose
+plain step moves the normalized weights by at most ``conv_tol``, and returns
+that step's weights with the iterate's alpha. ``iterations`` counts inner
+solves, rejected ones included, so ``max_iter`` bounds the work;
+``objective_history`` holds the objectives of accepted iterates only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +62,10 @@ DEFAULT_MAX_ITER = 200
 BETA_DROP_TOL = 1e-12
 # A kernel counts as selected when its normalized weight exceeds this.
 SELECTION_THRESHOLD = 1e-5
+# Anderson acceleration of the weight update: how many residual differences
+# it keeps, and the least share of its plain step an extrapolated weight keeps.
+ANDERSON_DEPTH = 3
+ANDERSON_FLOOR = 1e-2
 
 _TASKS = ("classification", "regression")
 
@@ -227,12 +252,11 @@ def _slack_loss(combined, targets, alpha, bias, C, task, labels):
     return (C / combined.shape[0]) * float(residual @ residual)
 
 
-def _objective(combined, w, targets, alpha, bias, mu, C, task, labels) -> float:
-    """The elastic-net objective from one state's combined kernel and block norms."""
-    total = float(w.sum())
+def _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels) -> float:
+    """The elastic-net objective from one state's combined kernel, block norms
+    and their closed-form scales ``lam`` (None when every block norm is zero)."""
     penalty = 0.5 * (1.0 - mu) * float(w @ w)
-    if total > 0:
-        lam = update_lambda(w, mu)
+    if lam is not None:
         pos = lam > 0
         penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
     return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
@@ -256,7 +280,8 @@ def enmkl_objective(
     labels = targets if task == "classification" else None
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
     combined = weighted_sum(stack, beta)
-    return _objective(combined, w, targets, alpha, bias, mu, C, task, labels)
+    lam = update_lambda(w, mu) if float(w.sum()) > 0 else None
+    return _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
 
 
 def _normalized(beta: np.ndarray) -> np.ndarray:
@@ -281,6 +306,83 @@ def _train_targets(stack: KernelStack, targets, task: str):
     if not values <= {-1.0, 1.0} or len(values) != 2:
         raise DataError("classification targets must be -1/+1 with both classes present")
     return targets, targets
+
+
+def _dot(a: list, b: list) -> float:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _ridge_least_squares(cols: list, rhs: list) -> list | None:
+    """``argmin_c ||rhs - sum_i c_i cols_i||``, from the normal equations with
+    a ridge of 1e-10 of their trace, by Cholesky in Python floats.
+
+    None when there are no columns or they are all zero.
+    """
+    k = len(cols)
+    gram = [[_dot(a, b) for b in cols] for a in cols]
+    ridge = 1e-10 * sum(gram[i][i] for i in range(k))
+    if not ridge > 0:
+        return None
+    low = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            value = gram[i][j] - sum(low[i][p] * low[j][p] for p in range(j))
+            if i == j:
+                low[i][i] = math.sqrt(max(value, 0.0) + ridge)
+            else:
+                low[i][j] = value / low[j][j]
+    z: list[float] = []
+    for i, col in enumerate(cols):
+        z.append((_dot(col, rhs) - _dot(low[i][:i], z)) / low[i][i])
+    c = [0.0] * k
+    for i in reversed(range(k)):
+        c[i] = (z[i] - sum(low[p][i] * c[p] for p in range(i + 1, k))) / low[i][i]
+    return c
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation of a fixed-point map (Walker & Ni 2011,
+    *Anderson acceleration for fixed-point iterations*), without a safeguard.
+
+    :meth:`step` takes an iterate ``x`` and its plain step ``g = T(x)``. It
+    keeps the differences of the last ``ANDERSON_DEPTH + 1`` residuals
+    ``r = g - x`` and plain steps, fits ``r`` by the residual differences in
+    least squares, and moves ``g`` by the same combination of step
+    differences. The result is then made positive and rescaled to the sum
+    of ``g``: an entry ``g`` zeroed stays zero, and any other keeps at least
+    ``ANDERSON_FLOOR`` of its ``g`` before the rescaling, so an
+    extrapolation never drops a kernel.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._last = None
+        self._dr: list[list[float]] = []
+        self._dg: list[list[float]] = []
+
+    def step(self, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The next iterate, and whether it is extrapolated rather than ``g``."""
+        gs = g.tolist()
+        r = [b - a for a, b in zip(x.tolist(), gs)]
+        if self._last is not None:
+            g0, r0 = self._last
+            self._dr.append([b - a for a, b in zip(r0, r)])
+            self._dg.append([b - a for a, b in zip(g0, gs)])
+            if len(self._dr) > ANDERSON_DEPTH:
+                del self._dr[0], self._dg[0]
+        self._last = (gs, r)
+        c = _ridge_least_squares(self._dr, r)
+        if c is None:
+            return g, False
+        nxt = [
+            0.0 if gj == 0.0
+            else max(gj - _dot(c, [d[j] for d in self._dg]), ANDERSON_FLOOR * gj)
+            for j, gj in enumerate(gs)
+        ]
+        scale = sum(gs) / sum(nxt)
+        return np.array([v * scale for v in nxt]), True
 
 
 def _train_enmkl(
@@ -313,13 +415,18 @@ def _train_enmkl(
 
     m = stack.m
     beta = np.full(m, 1.0 / m)
-    alpha = np.zeros(stack.n_rows)
-    bias = 0.0
+    # The scale variables of the current weights: beta = update_beta(lam_x),
+    # or, for the uniform start, the lambda of the same direction.
+    lam_x = np.full(m, 1.0 / (m * math.sqrt(mu)))
     warm = None
     history: list[float] = []
     converged = False
     degenerate = False
     iterations = 0
+    mixer = _Anderson()
+    extrapolated = False
+    best = np.inf
+    accepted = None  # (alpha, bias, plain step's beta, its lambda), last accepted iterate
 
     for _ in range(max_iter):
         iterations += 1
@@ -338,18 +445,42 @@ def _train_enmkl(
         warm = alpha
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-        history.append(_objective(combined, w, targets, alpha, bias, mu, C, task, labels))
         if not (w > 0).any():
+            history.append(
+                _objective(combined, w, None, targets, alpha, bias, mu, C, task, labels)
+            )
             degenerate = True
             break
         lam = update_lambda(w, mu)
+        objective = _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
+        if extrapolated:
+            # The solver noise an accepted objective may rise by: SMO stops at
+            # a KKT violation of solver_tol, and the loss term scales it by C;
+            # the ridge solve is exact up to round-off.
+            if task == "classification":
+                slack = solver_tol * max(1.0, C)
+            else:
+                slack = 1e-9 * max(1.0, abs(best))
+            if objective > best + slack:
+                # Rejected: restart the memory at the last accepted plain step.
+                mixer.clear()
+                _, _, beta, lam_x = accepted
+                extrapolated = False
+                continue
+        history.append(objective)
+        best = min(best, objective)
         beta_new = update_beta(lam, mu)
         beta_new = np.where(beta_new < BETA_DROP_TOL, 0.0, beta_new)
+        lam_new = np.where(beta_new > 0, lam, 0.0)
+        accepted = (alpha, bias, beta_new, lam_new)
         delta = float(np.abs(_normalized(beta_new) - _normalized(beta)).max())
-        beta = beta_new
         if delta <= conv_tol:
             converged = True
             break
+        # Extrapolating lambda, which keeps its sum, puts every iterate on
+        # weights the update can produce, like the plain steps.
+        lam_x, extrapolated = mixer.step(lam_x, lam_new)
+        beta = update_beta(lam_x, mu) if extrapolated else beta_new
 
     if degenerate:
         # No block carries weight; fall back to uniform mixing and flag it.
@@ -357,6 +488,7 @@ def _train_enmkl(
         raw_sum = 1.0
         converged = False
     else:
+        alpha, bias, beta, _ = accepted
         raw_sum = float(beta.sum())
         beta_final = beta / raw_sum
 
@@ -394,10 +526,12 @@ def train_enmkl_svm(
 ) -> MklModel:
     """Train an elastic-net MKL SVM classifier on a train stack.
 
-    Alternates SMO solves with the closed-form weight updates until the
-    normalized weights move less than ``conv_tol`` in any coordinate, or
-    ``max_iter`` is reached (reported via ``converged``, not an error). The
-    inner solver warm-starts from the previous iteration's coefficients.
+    Alternates SMO solves with the closed-form weight updates, accelerated
+    as the module docstring describes, until one update moves the
+    normalized weights by at most ``conv_tol`` in every coordinate, or
+    ``max_iter`` solves are spent (reported via ``converged``, not an
+    error). The inner solver warm-starts from the previous solve's
+    coefficients.
 
     The first iteration solves on the uniform mixture, which is what
     :func:`train_sum_baseline` fits. ``start``, that baseline's model on

@@ -100,7 +100,7 @@ def _train_kernel_values(k) -> tuple[np.ndarray, bool]:
 
 
 def _check_labels(y: np.ndarray) -> None:
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be -1/+1")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("labels contain a single class; need both -1 and +1")

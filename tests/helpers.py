@@ -22,7 +22,7 @@ from enmkl.kernels import (
     weighted_sum,
 )
 from enmkl.mkl import _check_mu, _check_task, _slack_loss, compute_block_norms
-from enmkl.solvers import solve_svm_dual
+from enmkl.solvers import DEFAULT_MAX_UPDATES, DEFAULT_SVM_TOL, solve_krr_dual, solve_svm_dual
 
 
 def svm_dual_bruteforce(K, y, C):
@@ -336,6 +336,84 @@ def nested_cv_reference(
         mean_beta=mean_beta,
         selected_count=mkl.selected_kernel_count(mean_beta),
         seed=plan.seed,
+    )
+
+
+def train_enmkl_reference(
+    stack, targets, task, C, mu, conv_tol=mkl.DEFAULT_CONV_TOL, max_iter=mkl.DEFAULT_MAX_ITER,
+    solver_tol=DEFAULT_SVM_TOL, max_updates=DEFAULT_MAX_UPDATES,
+):
+    """The kernel-weight loop as first written: the plain fixed-point map.
+
+    A frozen copy of ``mkl._train_enmkl`` before Anderson acceleration
+    (without its ``start`` option). Each iteration solves on the current
+    weights, takes the closed-form update, and stops once the normalized
+    weights move by ``conv_tol`` or less. Kept as the reference the
+    accelerated loop is checked against.
+    """
+    mu = _check_mu(mu)
+    task = _check_task(task)
+    C = float(C)
+    targets, labels = mkl._train_targets(stack, targets, task)
+
+    m = stack.m
+    beta = np.full(m, 1.0 / m)
+    warm = None
+    history = []
+    converged = degenerate = False
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        combined = weighted_sum(stack, beta)
+        if task == "classification":
+            sol = solve_svm_dual(
+                combined, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=warm
+            )
+            alpha, bias = sol.alpha, sol.bias
+        else:
+            sol = solve_krr_dual(combined, targets, C)
+            alpha, bias = sol.alpha, sol.target_offset
+        warm = alpha
+
+        w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
+        lam = mkl.update_lambda(w, mu) if float(w.sum()) > 0 else None
+        history.append(
+            mkl._objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
+        )
+        if lam is None:
+            degenerate = True
+            break
+        beta_new = mkl.update_beta(lam, mu)
+        beta_new = np.where(beta_new < mkl.BETA_DROP_TOL, 0.0, beta_new)
+        delta = float(np.abs(beta_new / beta_new.sum() - beta / beta.sum()).max())
+        beta = beta_new
+        if delta <= conv_tol:
+            converged = True
+            break
+
+    if degenerate:
+        beta_final, raw_sum, converged = np.full(m, 1.0 / m), 1.0, False
+    else:
+        raw_sum = float(beta.sum())
+        beta_final = beta / raw_sum
+    return mkl.MklModel(
+        beta=beta_final,
+        alpha=alpha * raw_sum,
+        bias=bias,
+        task=task,
+        mu=mu,
+        C=C,
+        iterations=iterations,
+        converged=converged,
+        group_names=stack.group_names,
+        sample_ids=stack.row_ids,
+        train_labels=labels,
+        group_sizes=stack.group_sizes,
+        degenerate=degenerate,
+        centered=stack.centered,
+        normalized=stack.normalized,
+        beta_raw_sum=raw_sum,
+        objective_history=tuple(history),
     )
 
 

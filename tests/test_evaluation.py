@@ -428,9 +428,9 @@ class TestNestedCvMatchesReference:
         assert plain.baseline is None and _report_json(plain) == _report_json(reference)
         return report
 
-    # Seed 40: the two trainers pick the same C on every outer fold; 41: a
+    # Seed 42: the two trainers pick the same C on every outer fold; 41: a
     # different C on every fold; 44: the same on two folds, not on the third.
-    @pytest.mark.parametrize("seed,same_c", [(40, 3), (41, 0), (44, 2)])
+    @pytest.mark.parametrize("seed,same_c", [(42, 3), (41, 0), (44, 2)])
     def test_classification_with_baseline(self, seed, same_c):
         data = make_classification_data(
             n=30, seed=seed, shift=0.8,

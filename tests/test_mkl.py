@@ -18,7 +18,9 @@ from enmkl.kernels import (
     build_linear_kernels,
     weighted_sum,
 )
+from enmkl import mkl
 from enmkl.mkl import (
+    SELECTION_THRESHOLD,
     MklModel,
     PrimalModel,
     compute_block_norms,
@@ -42,6 +44,7 @@ from helpers import (
     make_classification_data,
     make_regression_data,
     mkl_svm_grid_oracle,
+    train_enmkl_reference,
 )
 
 
@@ -438,6 +441,84 @@ class TestStartFromBaseline:
             targets = data.targets[: target_stack.n_rows]
             with pytest.raises(ValueError, match="start must be the sum-baseline model"):
                 train_enmkl_svm(target_stack, targets, C, 0.5, start=bad)
+
+
+def _model_json(model):
+    return json.dumps(model_to_dict(model), sort_keys=True)
+
+
+class TestAcceleratedLoop:
+    """The Anderson-accelerated weight loop against the frozen plain loop."""
+
+    OPTS = dict(conv_tol=1e-7, max_iter=1000, solver_tol=1e-7)
+
+    @staticmethod
+    def _slack(task, C, objective):
+        # The safeguard's slack: SMO noise for SVM, round-off for ridge.
+        if task == "classification":
+            return TestAcceleratedLoop.OPTS["solver_tol"] * max(1.0, C)
+        return 1e-9 * max(1.0, abs(objective))
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_no_worse_than_plain_loop(self, task, mu):
+        make = make_classification_data if task == "classification" else make_regression_data
+        rng = np.random.default_rng(int(100 * mu) + (task == "regression"))
+        for _ in range(3):
+            n = 2 * int(rng.integers(8, 16))
+            specs = [("g0", int(rng.integers(2, 5)), "signal")] + [
+                (f"g{j}", int(rng.integers(2, 5)), "signal" if rng.random() < 0.3 else "noise")
+                for j in range(1, int(rng.integers(2, 6)))
+            ]
+            C = float(rng.choice([0.1, 1.0, 10.0]))
+            data = make(n=n, seed=int(rng.integers(1 << 30)), group_specs=specs)
+            stack = _preprocessed_stack(data)
+            ref = train_enmkl_reference(stack, data.targets, task, C, mu, **self.OPTS)
+            fit = train_model(stack, data.targets, task, "enmkl", C, mu, **self.OPTS)
+            label = f"n={n}, m={stack.m}, C={C}"
+            assert fit.converged, label
+            ref_objective = ref.objective_history[-1]
+            assert fit.objective_history[-1] <= ref_objective + self._slack(
+                task, C, ref_objective
+            ), label
+            if ref.converged:
+                support = fit.beta > SELECTION_THRESHOLD
+                np.testing.assert_array_equal(support, ref.beta > SELECTION_THRESHOLD, label)
+            again = train_model(stack, data.targets, task, "enmkl", C, mu, **self.OPTS)
+            assert _model_json(again) == _model_json(fit)
+
+    def test_rejected_extrapolation(self, monkeypatch):
+        # Ridge regression at mu = 1 with six noise kernels: an extrapolated
+        # step raises the objective, is rejected, and the fit still drops
+        # kernels only where a plain step gave them zero weight.
+        specs = [("s0", 2, "signal"), ("s1", 2, "signal")] + [
+            (f"n{j}", 2, "noise") for j in range(6)
+        ]
+        data = make_regression_data(n=30, seed=2, group_specs=specs, target_noise=0.5)
+        stack = _preprocessed_stack(data)
+        solves = []
+        norms = mkl.compute_block_norms
+
+        def recording(stack, alpha, labels=None, *, beta):
+            w = norms(stack, alpha, labels=labels, beta=beta)
+            solves.append((np.array(beta), w))
+            return w
+
+        monkeypatch.setattr(mkl, "compute_block_norms", recording)
+        model = train_enmkl_krr(stack, data.targets, C=1.0, mu=1.0)
+        assert model.converged
+        assert len(solves) == model.iterations
+        assert len(model.objective_history) < model.iterations
+        history = np.array(model.objective_history)
+        slack = 1e-9 * max(1.0, abs(history[0]))
+        assert (np.diff(history) <= slack).all()
+        assert (model.beta == 0.0).any()
+        for (beta, w), (beta_next, _) in zip(solves, solves[1:]):
+            # At mu = 1 the update's weights sum to one; extrapolations keep that.
+            assert abs(beta_next.sum() - 1.0) <= 1e-12
+            step = update_beta(update_lambda(w, 1.0), 1.0)
+            step[step < mkl.BETA_DROP_TOL] = 0.0
+            assert set(np.flatnonzero(beta_next == 0)) <= set(np.flatnonzero(step == 0))
 
 
 class TestTrainModel:

@@ -290,8 +290,9 @@ class TestSvmValidation:
             solve_svm_dual(np.eye(2), np.array([1.0, 1.0]), 1.0)
 
     def test_rejects_non_binary_labels(self):
-        with pytest.raises(ValueError, match="-1/\\+1"):
-            solve_svm_dual(np.eye(2), np.array([1.0, 0.0]), 1.0)
+        for bad in (0.0, 2.0, np.nan):
+            with pytest.raises(ValueError, match="-1/\\+1"):
+                solve_svm_dual(np.eye(3), np.array([1.0, -1.0, bad]), 1.0)
 
     def test_rejects_bad_c(self):
         for C in (0.0, -1.0, np.inf):
