@@ -300,8 +300,44 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
 def read_kernel_csv(path):
     """Parse a kernel CSV written by :func:`write_kernel_csv`.
 
-    Returns (row ids, column ids, values).
+    Returns (row ids, column ids, values). numpy's C reader parses the
+    numeric block; a file it refuses goes row by row through the csv module,
+    which gives the same ids and values or names the bad line.
     """
+    return _read_kernel_csv_c(path) or _read_kernel_csv_rows(path)
+
+
+def _read_kernel_csv_c(path):
+    """The parse by one float64 ``np.loadtxt`` call, whose number parser is
+    ``float``'s, or None where the row route must decide: a quote, "\\r", NUL or
+    one of the separators \\x1c-\\x1f that numpy strips around a number but
+    ``float`` refuses; a field count unlike the header's; a field over the csv
+    size limit; a value numpy refuses or reads as non-finite."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError):
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    commas, limit = lines[0].count(","), csv.field_size_limit()
+    if (
+        len(lines) < 2 or not commas
+        or any(c in text for c in '"\r\x00\x1c\x1d\x1e\x1f')
+        or any(line.count(",") != commas for line in lines)
+        or any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines)
+    ):
+        return None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, usecols=range(1, commas + 1), ndmin=2)
+    except ValueError:
+        return None
+    row_ids = tuple(line.partition(",")[0].strip() for line in lines[1:])
+    col_ids = tuple(h.strip() for h in lines[0].split(",")[1:])
+    return (row_ids, col_ids, values) if np.isfinite(values).all() else None
+
+
+def _read_kernel_csv_rows(path):
+    """:func:`read_kernel_csv` by the csv module, one ``float`` pass per row."""
     rows = _read_csv_rows(path)
     header_line, header = rows[0]
     if len(header) < 2:

@@ -265,9 +265,9 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     """Solve kernel ridge regression in its dual form.
 
     Targets are centered by their mean, then ``(K + n/(2C) I) a = y_c`` is
-    solved by Cholesky factorization. The ridge term keeps the system
-    positive definite for any PSD kernel; if factorization still fails
-    numerically, a least-squares solve takes over.
+    solved by LU factorization. The ridge term keeps the system nonsingular
+    for any PSD kernel; where the factorization still meets an exactly
+    singular system, the minimum-norm least-squares solution takes over.
     """
     K, _ = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
@@ -280,16 +280,13 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     if not (np.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
 
-    import scipy.linalg  # deferred: loading it costs every CLI command start-up time
-
     offset = float(y.mean())
     y_c = y - offset
     A = K + (n / (2.0 * C)) * np.eye(n)
     try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-        alpha = scipy.linalg.cho_solve(factor, y_c)
+        alpha = np.linalg.solve(A, y_c)
     except np.linalg.LinAlgError:
-        alpha = scipy.linalg.lstsq(A, y_c)[0]
+        alpha = np.linalg.lstsq(A, y_c, rcond=None)[0]
     return KrrDualSolution(alpha=alpha, target_offset=offset)
 
 

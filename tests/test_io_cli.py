@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -344,6 +344,97 @@ class TestCsvParseErrors:
         )
 
 
+def _perturb_kernel_csv(text, kind, data):
+    """``text`` with one perturbation of ``kind``, placed where ``data`` draws."""
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    lines = text.split("\n")[:-1]
+    if kind == "blank":
+        blank = data.draw(st.sampled_from(["", " ", "\t", "  \t "]))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        return "\n".join(lines) + "\n"
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split(",")
+    j = data.draw(st.integers(0, len(fields) - 1))
+
+    def pick(*options):
+        return data.draw(st.sampled_from(options))
+
+    if kind == "quote":
+        fields[j] = f'"{fields[j]}"'
+    elif kind == "hash":
+        fields[j] = pick("#", "#" + fields[j], fields[j] + "#", fields[j] + " # note")
+    elif kind == "underscore":
+        fields[j] = pick("1_0", "1_000.5", "2e1_0", "_1", "1__0", "1_")
+    elif kind == "padded":
+        fields[j] = pick(" ", "  ", "\t") + fields[j] + pick("", " ", "\t ")
+    elif kind == "non_finite":
+        fields[j] = pick("nan", "-nan", "inf", "-inf", "Infinity", "1e400")
+    elif kind == "drop_field":
+        del fields[j]
+    elif kind == "add_field":
+        fields.insert(j, pick("1.0", ""))
+    elif kind == "empty_field":
+        fields[j] = ""
+    lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestKernelCsvRoutes:
+    """numpy's C reader and the csv row route read every kernel file alike."""
+
+    KINDS = (
+        "none", "quote", "crlf", "blank", "hash", "underscore", "padded",
+        "non_finite", "drop_field", "add_field", "empty_field",
+    )
+
+    @staticmethod
+    def _outcome(read, path):
+        """Ids and value bits of a parse, or the type and message of its error."""
+        try:
+            row_ids, col_ids, values = read(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return row_ids, col_ids, values.dtype.str, values.shape, values.tobytes()
+
+    @settings(max_examples=300)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        kind=st.sampled_from(KINDS),
+        data=st.data(),
+    )
+    def test_routes_agree(self, tmp_path_factory, values, kind, data):
+        path = tmp_path_factory.getbasetemp() / "routes.csv"
+        io.write_kernel_csv(path, values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
+        if kind == "none":
+            assert io._read_kernel_csv_c(path) is not None
+        else:
+            path.write_bytes(_perturb_kernel_csv(path.read_text(), kind, data).encode())
+        expected = self._outcome(io._read_kernel_csv_rows, path)
+        assert self._outcome(io.read_kernel_csv, path) == expected
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("id,c0\nr0,1.5\x1c\n", id="separator-numpy-strips-float-refuses"),
+        pytest.param("id,c0\nr0,1.5,2.5\n", id="field-more-than-header"),
+        pytest.param("id,c0\n\nr0,1.5\n", id="blank-line-shifts-line-numbers"),
+        pytest.param("id,c0\n", id="no-data-rows"),
+        pytest.param("id\nr0\n", id="no-value-column"),
+        pytest.param("", id="empty"),
+        pytest.param("id,c0\nr" + "0" * 131072 + ",1.5\n", id="field-over-csv-size-limit"),
+    ])
+    def test_refused_files_take_the_row_route(self, tmp_path, text):
+        path = tmp_path / "k.csv"
+        path.write_bytes(text.encode())
+        assert io._read_kernel_csv_c(path) is None
+        assert self._outcome(io.read_kernel_csv, path) == self._outcome(
+            io._read_kernel_csv_rows, path
+        )
+
+
 class TestStackFiles:
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_train_stack_round_trip(self, tmp_path, fmt):
@@ -571,27 +662,53 @@ class TestTrainAndPredict:
         assert "changed" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats alone costs most of a command's start-up; scipy.linalg is
-    # loaded only when a ridge model is solved.
+def _src_env():
+    """The environment with this checkout's package first on the import path."""
     src = str(Path(enmkl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, enmkl.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
-    )
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone costs most of a command's start-up.
+    code = f"import sys, enmkl.cli; print({_SCIPY_MODULES})"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
 
 
+def test_ridge_commands_leave_scipy_unloaded(tmp_path):
+    # Ridge solves run on numpy.linalg: no command loads scipy at all.
+    _, features, groups, targets = _workspace(tmp_path, task="regression", n=12)
+    stack = tmp_path / "stack"
+    common = ["--targets", targets, "--task", "regression", "--C", "1.0", "--mu", "0.5"]
+    commands = [
+        ["kernels", "--features", features, "--groups", groups, "--out", str(stack)],
+        ["train", "--stack", str(stack / "stack.json"), *common,
+         "--out", str(tmp_path / "model.json")],
+        ["cv", "--features", features, "--groups", groups, *common,
+         "--k-outer", "2", "--k-inner", "2", "--out", str(tmp_path / "cv")],
+    ]
+    code = (
+        "import json, sys; from enmkl.cli import main; "
+        "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+        f"print(json.dumps([codes, {_SCIPY_MODULES}]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=_src_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert io.read_json(tmp_path / "model.json")["model"]["task"] == "regression"
+
+
 def _run_cli(*args):
     """Run ``python -m enmkl`` in a child process, as a user would."""
-    src = str(Path(enmkl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "enmkl", *args], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "enmkl", *args], env=_src_env(), capture_output=True, text=True
     )
 
 

@@ -346,11 +346,27 @@ class TestKrr:
 
     def test_singular_kernel_falls_back(self):
         # Rank-1 kernel keeps the regularized system solvable; the solver
-        # must not fail even when Cholesky would on the raw kernel.
+        # must not fail on a kernel that is singular by itself.
         v = np.array([1.0, 2.0, 3.0])
         K = np.outer(v, v)
         sol = solve_krr_dual(K, np.array([1.0, 2.0, 2.5]), C=1.0)
         assert np.isfinite(sol.alpha).all()
+
+    def test_exactly_singular_system_takes_least_squares(self):
+        # K = v v' - n/(2C) I makes the ridge system exactly v v' (powers of
+        # two keep every step of the LU elimination exact), so the LU solve
+        # meets a zero pivot and the minimum-norm least-squares solution,
+        # v (v' y_c) / |v|^4, must come back instead.
+        v = np.array([1.0, 2.0, 4.0])
+        n, C = 3, 1.5
+        K = np.outer(v, v) - n / (2.0 * C) * np.eye(n)
+        y = np.array([1.0, 2.0, 6.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(K + n / (2.0 * C) * np.eye(n), y - y.mean())
+        sol = solve_krr_dual(K, y, C)
+        y_c = y - y.mean()
+        np.testing.assert_allclose(sol.alpha, v * (v @ y_c) / (v @ v) ** 2, atol=1e-14)
+        assert sol.target_offset == pytest.approx(3.0)
 
     def test_rejects_non_finite_targets(self):
         with pytest.raises(ValueError, match="non-finite"):
