@@ -14,6 +14,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,11 @@ def _train_kernel_values(k) -> tuple[np.ndarray, bool]:
     return values, exact
 
 
-def _check_labels(y: np.ndarray) -> None:
-    if not ((y == 1.0) | (y == -1.0)).all():
+def _check_labels(ys: list[float]) -> None:
+    kinds = set(ys)
+    if not kinds <= {1.0, -1.0}:
         raise ValueError("labels must be -1/+1")
-    if not ((y > 0).any() and (y < 0).any()):
+    if len(kinds) < 2:
         raise ValueError("labels contain a single class; need both -1 and +1")
 
 
@@ -124,7 +126,7 @@ def solve_svm_dual(
             this value or below.
         max_updates: hard cap on two-variable updates; exceeding it raises
             :class:`ConvergenceError`.
-        alpha0: optional feasible warm start (defaults to zero).
+        alpha0: optional feasible, finite warm start (defaults to zero).
 
     Returns:
         The dual solution. The bias is the mean of ``-y_i * grad_i`` over
@@ -136,51 +138,73 @@ def solve_svm_dual(
     n = K.shape[0]
     if y.shape != (n,):
         raise ValueError("labels must hold one value per kernel row")
-    _check_labels(y)
+    ys = y.tolist()
+    _check_labels(ys)
     C = float(C)
-    if not (np.isfinite(C) and C > 0):
+    if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
-    if not (np.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
 
+    # The rows of G are g = -y * grad, g where alpha_t may move up (else
+    # -inf) and g where it may move down (else +inf). One in-place add moves
+    # all three rows and leaves the infinities infinite, so an entry of rows
+    # 1 and 2 is rewritten only when its flag flips.
+    G = np.empty((3, n))
+    g, g_up, g_low = G
+    pos = y > 0
     if alpha0 is None:
         alpha = np.zeros(n)
-        grad = -np.ones(n)  # grad of 1/2 a'Qa - e'a at a = 0
+        g[:] = y  # -y * grad, where grad = -1 at a = 0
+        up_mask, low_mask = pos, ~pos
     else:
         alpha = np.array(alpha0, dtype=np.float64, copy=True)
         if alpha.shape != (n,):
             raise ValueError("alpha0 must hold one value per sample")
-        if (alpha < -1e-12).any() or (alpha > C + 1e-12).any():
+        # argmin and argmax land on the first NaN if there is one.
+        lo, hi = alpha.item(alpha.argmin()), alpha.item(alpha.argmax())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("alpha0 contains non-finite values")
+        if lo < -1e-12 or hi > C + 1e-12:
             raise ValueError("alpha0 violates the box constraints")
-        alpha = np.clip(alpha, 0.0, C)
-        if abs(float(alpha @ y)) > 1e-8 * max(1.0, float(np.abs(alpha).sum())):
+        if lo < 0.0 or hi > C:
+            # Inside the box np.clip returns alpha as it is, -0.0 included.
+            alpha = np.clip(alpha, 0.0, C)
+        # alpha >= 0 here, so its sum is its 1-norm.
+        if abs(float(alpha @ y)) > 1e-8 * max(1.0, float(alpha.sum())):
             raise ValueError("alpha0 violates the equality constraint")
-        grad = y * (K @ (alpha * y)) - 1.0
+        np.multiply(-y, y * (K @ (alpha * y)) - 1.0, out=g)
+        below, above = alpha < C, alpha > 0
+        up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
+    g_up.fill(-np.inf)
+    g_low.fill(np.inf)
+    np.copyto(g_up, g, where=up_mask)
+    np.copyto(g_low, g, where=low_mask)
 
-    # The loop keeps g = -y * grad. Row i of the pair curvatures diag_i +
-    # diag_t - 2 y_i y_t K_it (flat pairs set to _TAU) is made when i is first
-    # chosen. Row t of ``cols`` is K[:, t]: K itself if it equals K.T bit for
-    # bit, else a copy of K.T. Products with +-1 and 2 are exact, so every
-    # value is bit for bit what the textbook update on grad computes.
+    # Row i of the pair curvatures diag_i + diag_t - 2 y_i y_t K_it (flat
+    # pairs set to _TAU) is made when i is first chosen. Row t of ``cols`` is
+    # K[:, t]: K itself if it equals K.T bit for bit, else a copy of K.T.
+    # Products with +-1 and 2 are exact, so every value is bit for bit what
+    # the textbook update on grad computes. Scalar bookkeeping runs on Python
+    # floats and bools; floats are the same doubles.
     diag = np.diagonal(K)
     cols = K if exact else np.ascontiguousarray(K.T)
+    two_y = 2.0 * y
     curv_rows = {}
-    g = -y * grad
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    # Scalar bookkeeping runs on Python floats, which are the same doubles.
+    score, step, step_j = np.empty((3, n))
+    # Scalars reach the ufuncs as 0-d arrays, which numpy takes in faster
+    # than Python floats; the doubles and the arithmetic are the same.
+    m_box, s_box, zero = np.empty(()), np.empty(()), np.zeros(())
     a = alpha.tolist()
-    ys = y.tolist()
     ds = diag.tolist()
+    up, low = up_mask.tolist(), low_mask.tolist()
     updates = 0
     while True:
         # Initial feasible points always populate both sets (both classes
         # present), so the selection below is well defined.
-        up_vals = np.where(up, g, -np.inf)
-        i = int(up_vals.argmax())
-        m_val = float(up_vals[i])
-        low_vals = np.where(low, g, np.inf)
-        M_val = float(low_vals.min())
+        i = int(g_up.argmax())
+        m_val = g_up.item(i)
+        M_val = g_low.item(g_low.argmin())
         if m_val - M_val <= tol:
             break
         if updates >= max_updates:
@@ -189,21 +213,37 @@ def solve_svm_dual(
                 f"(KKT violation {m_val - M_val:.3e}, tol {tol:.3e})"
             )
 
-        # Second-order choice of j: among violating candidates, maximize the
-        # guaranteed objective decrease b^2 / a for the pair (i, t).
         curv = curv_rows.get(i)
         if curv is None:
-            curv = curv_rows[i] = (diag[i] + diag) - (2.0 * y[i] * y) * K[i]
+            curv = curv_rows[i] = np.add(diag, ds[i])
+            np.multiply(K[i], two_y, out=step)
+            if ys[i] > 0:
+                curv -= step
+            else:
+                curv += step
             curv[~(curv > 0)] = _TAU
-        b_it = m_val - g
-        gain = np.where(low_vals < m_val, b_it * b_it / curv, -np.inf)
-        j = int(gain.argmax())
+
+        # Second-order choice of j: among violating candidates (t in low with
+        # g_t < m), maximize the guaranteed objective decrease b^2 / a for the
+        # pair (i, t), b = m - g_t. Clamping b at 0 scores every other t 0,
+        # and the M index scores (m - M)^2 / a with m - M > tol > 0. Only
+        # when that quotient underflows (huge curvatures) or a score is NaN
+        # can the best score fail to be positive; the candidate mask decides.
+        m_box[()] = m_val
+        np.subtract(m_box, g_low, out=score)
+        np.maximum(score, zero, out=score)
+        score *= score
+        score /= curv
+        j = int(score.argmax())
+        if not score.item(j) > 0.0:
+            j = int(np.where(g_low < m_val, score, -np.inf).argmax())
 
         # Two-variable subproblem, clipped to the box (LIBSVM update rules).
+        # i is in up and j in low, so g_i = m and g_j = g_low[j].
         yi, yj = ys[i], ys[j]
         Qii, Qjj = ds[i], ds[j]
         Qij = yi * yj * K.item(i, j)
-        grad_i, grad_j = -yi * g.item(i), -yj * g.item(j)
+        grad_i, grad_j = -yi * m_val, -yj * g_low.item(j)
         ai_old, aj_old = a[i], a[j]
         if yi != yj:
             quad = Qii + Qjj + 2.0 * Qij
@@ -243,16 +283,29 @@ def solve_svm_dual(
             else:
                 if ai < 0:
                     ai, aj = 0.0, total
-        a[i], a[j] = ai, aj
-        g += cols[i] * (-yi * (ai - ai_old)) + cols[j] * (-yj * (aj - aj_old))
-        up[i], low[i] = (ai < C, ai > 0) if yi > 0 else (ai > 0, ai < C)
-        up[j], low[j] = (aj < C, aj > 0) if yj > 0 else (aj > 0, aj < C)
+        # g += cols[i] * s_i + cols[j] * s_j, with the textbook update's
+        # operands in its order, on all three rows.
+        s_box[()] = -yi * (ai - ai_old)
+        np.multiply(cols[i], s_box, out=step)
+        s_box[()] = -yj * (aj - aj_old)
+        np.multiply(cols[j], s_box, out=step_j)
+        step += step_j
+        G += step
+        for t, at in ((i, ai), (j, aj)):
+            a[t] = at
+            can_up, can_down = (at < C, at > 0) if ys[t] > 0 else (at > 0, at < C)
+            if can_up != up[t]:
+                up[t] = can_up
+                g_up[t] = g[t] if can_up else -np.inf
+            if can_down != low[t]:
+                low[t] = can_down
+                g_low[t] = g[t] if can_down else np.inf
         updates += 1
 
     alpha = np.array(a)
-    free = (alpha > 0) & (alpha < C)
-    if free.any():
-        bias = float(np.mean(g[free]))
+    g_free = g[(alpha > 0) & (alpha < C)]
+    if g_free.size:
+        bias = g_free.sum().item() / g_free.size  # np.mean, bit for bit
     else:
         bias = (m_val + M_val) / 2.0
 

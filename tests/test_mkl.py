@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -313,6 +313,58 @@ class TestTrainerStructure:
         assert selected_kernel_count(sparse.beta) <= selected_kernel_count(smooth.beta)
         # The l2 end keeps every kernel in play.
         assert selected_kernel_count(smooth.beta) == 3
+
+
+class TestTrainerValidation:
+    @pytest.mark.parametrize("conv_tol", [np.nan, -1.0, 0.0])
+    def test_rejects_conv_tol_that_is_not_positive(self, conv_tol):
+        # Such a tolerance can never be met: the fit would spend every
+        # allowed solve and end unconverged.
+        specs = [("a", 2, "signal"), ("b", 2, "noise")]
+        data = make_classification_data(n=12, seed=11, group_specs=specs)
+        with pytest.raises(ValueError, match="conv_tol"):
+            train_enmkl_svm(
+                _preprocessed_stack(data), data.targets, C=1.0, mu=0.5,
+                conv_tol=conv_tol, max_iter=30,
+            )
+        data = make_regression_data(n=12, seed=11, group_specs=specs)
+        with pytest.raises(ValueError, match="conv_tol"):
+            train_enmkl_krr(
+                _preprocessed_stack(data), data.targets, C=1.0, mu=0.5,
+                conv_tol=conv_tol, max_iter=30,
+            )
+
+
+class TestCopiedKernel:
+    """At mu < 1 the squared-norm part of the penalty is strictly convex, so
+    an exact copy of kernel j gets j's weight. Every per-kernel step sees the
+    same inputs for both, so the weights agree bit for bit."""
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_copy_gets_the_same_weight(self, task, data):
+        m = data.draw(st.integers(1, 5))
+        kinds = ["signal"] + [data.draw(st.sampled_from(["signal", "noise"])) for _ in range(m - 1)]
+        specs = [(f"g{k}", data.draw(st.integers(1, 4)), kind) for k, kind in enumerate(kinds)]
+        n = 2 * data.draw(st.integers(4, 20))
+        seed = data.draw(st.integers(0, 2**16))
+        make = make_classification_data if task == "classification" else make_regression_data
+        dataset = make(n=n, seed=seed, group_specs=specs)
+        stack = _preprocessed_stack(dataset)
+        j = data.draw(st.integers(0, m - 1))
+        copied = KernelStack(
+            np.concatenate([stack.values, stack.values[j:j + 1]]),
+            stack.row_ids, stack.col_ids,
+            stack.group_names + ("copy",), stack.group_sizes + (stack.group_sizes[j],),
+            centered=stack.centered, normalized=stack.normalized,
+        )
+        C = 10.0 ** data.draw(st.floats(-2.0, 2.0))
+        mu = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        train = train_enmkl_svm if task == "classification" else train_enmkl_krr
+        model = train(copied, dataset.targets, C, mu)
+        pair = model.beta[[j, m]]
+        assert pair.view(np.uint64)[0] == pair.view(np.uint64)[1], pair
 
 
 class TestAgainstGridOracle:

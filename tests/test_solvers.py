@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enmkl.errors import ConvergenceError
 from enmkl.kernels import KernelStack
@@ -102,6 +104,10 @@ class TestSvmAgainstBruteforce:
         sol = solve_svm_dual(K, y, C=1.0, tol=1e-9)
         assert sol.objective == pytest.approx(expected_obj, abs=1e-7)
 
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None):
@@ -212,6 +218,20 @@ class TestSvmMatchesReferenceExactly:
             for C in (0.1, 10.0):
                 _assert_same_as_reference(K, y, C, tol=1e-8)
 
+    def test_second_index_scores_that_underflow(self):
+        # With entries near 1e307 the curvatures are so large that, in the
+        # last updates, every candidate's b^2 / a rounds to 0: the candidate
+        # mask alone must then pick j. Without it the loop stalls on a pair
+        # that is not violating.
+        rng = np.random.default_rng(0)
+        K = 1e306 * random_psd_kernel(rng, 20)
+        y = random_labels(rng, 20)
+        sol = solve_svm_dual(K, y, 1.0, tol=1e-8, max_updates=100_000)
+        alpha, bias, objective, iterations = smo_reference(K, y, 1.0, tol=1e-8)
+        assert np.array_equal(_bits(sol.alpha), _bits(alpha))
+        assert (_bits(sol.bias), _bits(sol.objective)) == (_bits(bias), _bits(objective))
+        assert sol.iterations == iterations == 287
+
     def test_kernel_matrix_input(self):
         rng = np.random.default_rng(1400)
         K = random_psd_kernel(rng, 30)
@@ -223,6 +243,48 @@ class TestSvmMatchesReferenceExactly:
         alpha, bias, objective, iterations = smo_reference(K, y, 1.0, tol=1e-6)
         assert np.array_equal(sol.alpha, alpha)
         assert (sol.bias, sol.objective, sol.iterations) == (bias, objective, iterations)
+
+
+class TestSvmMatchesReferenceProperty:
+    """Random problems: ``solve_svm_dual`` equals the reference bit for bit.
+
+    Warm starts from a perturbed kernel's solution and C across six decades
+    make alpha_t enter and leave the bounds often, which rewrites the masked
+    gradient rows entry by entry.
+    """
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(2, 60),
+        log_c=st.floats(-3.0, 3.0),
+        tol=st.sampled_from([1e-3, 1e-8]),
+        warm=st.booleans(),
+        signed_zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_alpha_bias_objective_updates(self, n, log_c, tol, warm, signed_zero, seed):
+        rng = np.random.default_rng(seed)
+        C = 10.0**log_c
+        K = random_psd_kernel(rng, n)
+        y = random_labels(rng, n)
+        if signed_zero:
+            # Equal to its transpose only as floats: the columns come from
+            # a copy of K.T.
+            s, t = rng.choice(n, size=2, replace=False)
+            K[s, t], K[t, s] = 0.0, -0.0
+        alpha0 = None
+        if warm:
+            nudge = random_psd_kernel(rng, n, rank=2)
+            alpha0 = solve_svm_dual(K + nudge, y, C, tol=tol).alpha
+        # A cap far above what these problems need turns a loop that stalls
+        # into a failure.
+        sol = solve_svm_dual(K, y, C, tol=tol, max_updates=100_000, alpha0=alpha0)
+        alpha, bias, objective, iterations = smo_reference(K, y, C, tol=tol, alpha0=alpha0)
+        assert np.array_equal(_bits(sol.alpha), _bits(alpha))
+        assert _bits(sol.bias) == _bits(bias)
+        assert _bits(sol.objective) == _bits(objective)
+        assert sol.iterations == iterations
+
 
 class TestSvmSolutionInvariants:
     def _solve(self, seed, n=10, C=1.0, tol=1e-6):
@@ -304,6 +366,16 @@ class TestSvmValidation:
             solve_svm_dual(
                 np.eye(2), np.array([1.0, -1.0]), 1.0, alpha0=np.array([2.0, 2.0])
             )
+
+    def test_rejects_non_finite_warm_start(self):
+        # NaN passes the box and equality checks, which are comparisons;
+        # the loop would then never meet its stopping rule.
+        K = np.eye(6)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            for alpha0 in ([bad, bad, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, bad]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    solve_svm_dual(K, y, 1.0, alpha0=np.array(alpha0))
 
     def test_update_cap_raises_convergence_error(self):
         rng = np.random.default_rng(800)
