@@ -34,8 +34,8 @@ def balanced_accuracy(predicted, truth) -> float:
     truth = np.asarray(truth)
     if predicted.shape != truth.shape or predicted.ndim != 1:
         raise ValueError("predicted and true labels must be parallel 1-d arrays")
-    classes = np.unique(truth)
-    if classes.size < 2:
+    classes = sorted(set(truth.tolist()))
+    if len(classes) < 2:
         raise DataError("balanced accuracy needs both classes in the true labels")
     recalls = [float(np.mean(predicted[truth == c] == c)) for c in classes]
     return float(np.mean(recalls))
@@ -551,7 +551,7 @@ def nested_cv(
             if task == "classification":
                 train_truth = np.array([target_of[i] for i in inner_train])
                 # A split can strand one class; such folds cannot score.
-                if np.unique(train_truth).size < 2 or np.unique(truth).size < 2:
+                if len(set(train_truth.tolist())) < 2 or len(set(truth.tolist())) < 2:
                     continue
             fitted = _partition_decisions(data, inner_train, inner_val, inner_keys, **fit_kwargs)
             for key, (decisions, _) in fitted.items():

@@ -12,6 +12,7 @@ number in the message.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -33,12 +34,24 @@ MANIFEST_VERSION = 2
 MODEL_FORMAT_VERSION = 1
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes so that the target file is never seen half-written."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, so that the target file is
+    never seen half-written.
+
+    They go to a temporary sibling that then replaces the target; a write or
+    replace that fails removes the temporary file and re-raises.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -116,8 +129,19 @@ def _parse_row(path, lineno: int, fields) -> list[float]:
 def read_features_csv(path):
     """Parse a features CSV: header ``id,<name>,...`` then one row per sample.
 
-    Returns (sample_ids, feature_names, features matrix).
+    Returns (sample_ids, feature_names, features matrix). The layout is a
+    kernel CSV's, so numpy's C reader parses it as in :func:`read_kernel_csv`;
+    its parse stands where every id and feature name is non-empty and unique,
+    and any other file goes row by row, which names what is wrong with it.
     """
+    parsed = _read_kernel_csv_c(path)
+    if parsed and all(len(set(names)) == len(names) and all(names) for names in parsed[:2]):
+        return parsed
+    return _read_features_csv_rows(path)
+
+
+def _read_features_csv_rows(path):
+    """:func:`read_features_csv` by the csv module, one ``float`` pass per row."""
     rows = _read_csv_rows(path)
     header_line, header = rows[0]
     if len(header) < 2:
@@ -364,13 +388,10 @@ def write_kernel_binary(path, values: np.ndarray, row_ids, col_ids) -> None:
     """Binary kernel layout: 8-byte magic, two uint64 dims, the 32-byte
     sha256 of the row and column ids, then float64 values, row-major."""
     rows, cols = values.shape
-    payload = (
-        KERNEL_BINARY_MAGIC
-        + struct.pack("<QQ", rows, cols)
-        + _ids_digest(row_ids, col_ids)
-        + np.ascontiguousarray(values, dtype="<f8").tobytes()
-    )
-    atomic_write_bytes(path, payload)
+    header = KERNEL_BINARY_MAGIC + struct.pack("<QQ", rows, cols) + _ids_digest(row_ids, col_ids)
+    # A C-contiguous little-endian float64 kernel goes to the file from its
+    # own buffer; any other is converted once.
+    atomic_write_bytes(path, header, np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:

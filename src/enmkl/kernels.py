@@ -29,6 +29,9 @@ SYMMETRY_TOL = 1e-10
 UNIT_DIAG_TOL = 1e-10
 CENTERED_MEAN_TOL = 1e-8
 
+# The magnitude at and above which doubling a float64 overflows.
+_HALF_MAX = 2.0 ** 1023
+
 
 def _as_float_matrix(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -230,7 +233,7 @@ class GroupedDataset:
 
     def require_binary_targets(self) -> None:
         """Check that targets are -1/+1 with both classes present."""
-        values = set(np.unique(self.targets).tolist())
+        values = set(self.targets.tolist())
         if not values <= {-1.0, 1.0}:
             raise DataError(f"classification targets must be -1/+1, got {sorted(values)}")
         if len(values) != 2:
@@ -398,8 +401,14 @@ class StackPreprocessor:
                 # K'[a, b] = K[a, b] / sqrt(s_a * s_b) with s the diagonal.
                 _check_self_similarities(self_sim, ids)
                 scale = np.sqrt(self_sim)
-                np.divide(k, np.outer(scale, scale, out=buf), out=buf)
-                np.divide(np.add(buf, buf.T, out=dest), 2.0, out=dest)
+                np.divide(k, np.outer(scale, scale, out=buf), out=dest)
+                # A centered kernel equals its transpose bit for bit, and so do
+                # its quotients by the symmetric outer(scale, scale): averaging
+                # them with their transpose returns them unchanged unless the
+                # doubling overflows. A raw kernel keeps the average, which
+                # costs about what a test of its bit symmetry would.
+                if not (self.center and -_HALF_MAX < dest.min() and dest.max() < _HALF_MAX):
+                    np.divide(np.add(dest, dest.T, out=buf), 2.0, out=dest)
                 np.fill_diagonal(dest, 1.0)  # exactly 1 by definition
             elif not self.center:
                 dest[...] = k

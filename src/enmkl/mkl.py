@@ -302,7 +302,7 @@ def _train_targets(stack: KernelStack, targets, task: str):
         raise ValueError("targets must hold one value per train sample")
     if task != "classification":
         return targets, None
-    values = set(np.unique(targets).tolist())
+    values = set(targets.tolist())
     if not values <= {-1.0, 1.0} or len(values) != 2:
         raise DataError("classification targets must be -1/+1 with both classes present")
     return targets, targets

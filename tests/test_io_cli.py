@@ -1,13 +1,16 @@
 """File formats and the command-line surface."""
 
 import contextlib
+import hashlib
 import io as stdio
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +79,14 @@ class TestAtomicWrites:
         io.atomic_write_text(target, "first")
         io.atomic_write_text(target, "second")
         assert target.read_text() == "second"
+
+    def test_failed_write_keeps_target_and_leaves_no_tmp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        io.atomic_write_text(target, "old")
+        with pytest.raises(TypeError):
+            io.atomic_write_bytes(target, b"partial", None)  # None is no buffer
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestJsonConventions:
@@ -183,6 +194,30 @@ class TestKernelFiles:
         path = tmp_path / "k.bin"
         io.write_kernel_binary(path, values, ids, ids)
         np.testing.assert_array_equal(io.read_kernel_binary(path, ids, ids), values)
+
+    @pytest.mark.parametrize(
+        "layout", ["c", "fortran", "strided", "float32", "big_endian", "negative_zero"]
+    )
+    def test_binary_layout_byte_for_byte(self, tmp_path, layout):
+        values, _ = self._kernel(65, n=6)
+        values = {
+            "c": values,
+            "fortran": np.asfortranarray(values),
+            "strided": values[::2, 1::3],
+            "float32": values.astype(np.float32),
+            "big_endian": values.astype(">f8"),
+            "negative_zero": np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, -0.0]]),
+        }[layout]
+        row_ids, col_ids = _ids("r", values.shape[0]), _ids("c", values.shape[1])
+        expected = (
+            b"ENMKLKR2"
+            + struct.pack("<QQ", *values.shape)
+            + hashlib.sha256(json.dumps([list(row_ids), list(col_ids)]).encode()).digest()
+            + values.astype("<f8").tobytes()
+        )
+        path = tmp_path / "k.bin"
+        io.write_kernel_binary(path, values, row_ids, col_ids)
+        assert path.read_bytes() == expected
 
     def test_binary_magic_checked(self, tmp_path):
         path = tmp_path / "k.bin"
@@ -435,6 +470,55 @@ class TestKernelCsvRoutes:
         )
 
 
+def _perturb_features_csv(text, kind, data):
+    """``text`` with a sample id or feature name emptied or duplicated, or any
+    perturbation of :func:`_perturb_kernel_csv`."""
+    if kind not in ("duplicate_id", "empty_id", "duplicate_name", "empty_name"):
+        return _perturb_kernel_csv(text, kind, data)
+    lines = [line.split(",") for line in text.split("\n")[:-1]]
+    if kind.endswith("_id"):
+        cells = [(i, 0) for i in range(1, len(lines))]
+    else:
+        cells = [(0, j) for j in range(1, len(lines[0]))]
+    i, j = data.draw(st.sampled_from(cells))
+    if kind.startswith("empty"):
+        lines[i][j] = data.draw(st.sampled_from(["", " ", "\t"]))
+    else:
+        k, m = data.draw(st.sampled_from(cells))
+        lines[i][j] = lines[k][m]
+    return "\n".join(",".join(line) for line in lines) + "\n"
+
+
+class TestFeatureCsvRoutes:
+    """numpy's C reader and the csv row route read every features file alike."""
+
+    KINDS = TestKernelCsvRoutes.KINDS + (
+        "duplicate_id", "empty_id", "duplicate_name", "empty_name",
+    )
+
+    @settings(max_examples=300)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        kind=st.sampled_from(KINDS),
+        data=st.data(),
+    )
+    def test_routes_agree(self, tmp_path_factory, values, kind, data):
+        path = tmp_path_factory.getbasetemp() / "features.csv"
+        io.write_kernel_csv(path, values, _ids("s", values.shape[0]), _ids("f", values.shape[1]))
+        if kind != "none":
+            path.write_bytes(_perturb_features_csv(path.read_text(), kind, data).encode())
+        expected = TestKernelCsvRoutes._outcome(io._read_features_csv_rows, path)
+        if kind == "none":
+            # A clean file never reaches the row route.
+            with mock.patch.object(io, "_read_features_csv_rows", side_effect=AssertionError):
+                assert TestKernelCsvRoutes._outcome(io.read_features_csv, path) == expected
+        assert TestKernelCsvRoutes._outcome(io.read_features_csv, path) == expected
+
+
 class TestStackFiles:
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_train_stack_round_trip(self, tmp_path, fmt):
@@ -629,6 +713,23 @@ class TestTrainAndPredict:
         payload = io.read_json(tmp_path / "m.json")
         np.testing.assert_allclose(payload["model"]["beta"], [0.5, 0.5])
 
+    def test_predict_into_a_directory_leaves_no_tmp(self, tmp_path, capsys):
+        _, features, groups, targets = _workspace(tmp_path)
+        stack = self._build_stack(tmp_path, features, groups)
+        model_path = str(tmp_path / "model.json")
+        assert main([
+            "train", "--stack", stack, "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "0.5",
+            "--out", model_path,
+        ]) == 0
+        (tmp_path / "dirout").mkdir()
+        assert main([
+            "predict", "--model", model_path, "--features", features,
+            "--out", str(tmp_path / "dirout"),
+        ]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "dirout.tmp").exists()
+
     def test_primal_missing_when_sources_moved(self, tmp_path, capsys):
         data, features, groups, targets = _workspace(tmp_path)
         stack = self._build_stack(tmp_path, features, groups)
@@ -703,6 +804,34 @@ def test_ridge_commands_leave_scipy_unloaded(tmp_path):
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], []]
     assert io.read_json(tmp_path / "model.json")["model"]["task"] == "regression"
+
+
+_NUMPY_MA_MODULES = "sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])"
+
+
+def test_classification_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma; the class checks use sets instead.
+    _, features, groups, targets = _workspace(tmp_path, n=16)
+    stack = tmp_path / "stack"
+    common = ["--targets", targets, "--task", "classification", "--C", "1.0", "--mu", "0.5"]
+    commands = [
+        ["kernels", "--features", features, "--groups", groups, "--out", str(stack)],
+        ["train", "--stack", str(stack / "stack.json"), *common,
+         "--out", str(tmp_path / "model.json")],
+        ["cv", "--features", features, "--groups", groups, *common,
+         "--k-outer", "2", "--k-inner", "2", "--out", str(tmp_path / "cv")],
+    ]
+    code = (
+        "import json, sys; from enmkl.cli import main; "
+        "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+        f"print(json.dumps([codes, {_NUMPY_MA_MODULES}]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=_src_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert io.read_json(tmp_path / "model.json")["model"]["task"] == "classification"
 
 
 def _run_cli(*args):

@@ -508,6 +508,36 @@ class TestPreprocessingMatchesReference:
             expected = transform_cross_reference(raw_cross.values, sims, stats, center, normalize)
             assert _same_bits(cross.values, expected)
 
+    def test_raw_kernels_symmetric_within_tolerance(self):
+        # Raw kernels that equal their transpose under == but not bit for bit:
+        # one entry a unit in the last place off its mirror, and a -0.0
+        # mirrored by 0.0. Normalization alone must still average them.
+        rng = np.random.default_rng(510)
+        off_by_ulp = random_psd_kernel(rng, 9)
+        off_by_ulp = (off_by_ulp + off_by_ulp.T) / 2.0
+        off_by_ulp[2, 5] = np.nextafter(off_by_ulp[2, 5], np.inf)
+        signed_zero = np.eye(4) + 0.5
+        signed_zero[0, 3], signed_zero[3, 0] = -0.0, 0.0
+        for raw in (off_by_ulp, signed_zero):
+            pre = StackPreprocessor(center=False, normalize=True).fit(_stack(raw))
+            got = pre.train_stack_.values
+            expected, _ = preprocess_fit_reference(raw[None], False, True)
+            assert _same_bits(got, expected)
+            assert _same_bits(got[0], got[0].T)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_normalized_entry_whose_double_overflows(self, center):
+        # A symmetric kernel, not PSD, whose normalized entries are finite but
+        # some of them above 2**1023 (1e308 raw, 1.4e308 centered): the
+        # reference's average doubles those to inf, and the stack refuses them.
+        e, h = 1e-200, 1e108
+        raw = np.array([[e, h, -h, -e], [h, e, -e, -h], [-h, -e, e, h], [-e, -h, h, e]])
+        with np.errstate(over="ignore"):
+            expected, _ = preprocess_fit_reference(raw[None], center, True)
+            assert np.isinf(expected).any()
+            with pytest.raises(ValueError, match="non-finite"):
+                StackPreprocessor(center=center, normalize=True).fit(_stack(raw))
+
 
 class TestPipelineAgainstFeatureOracle:
     """The Gram-matrix pipeline must match recomputing from raw features."""
