@@ -129,12 +129,13 @@ def cmd_train(args) -> None:
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
 
-    raw_stack, _, manifest = io.read_stack(args.stack)
+    raw_stack, _, manifest, buffer = io.read_stack(args.stack, return_buffer=True)
     if manifest["kind"] != "train":
         raise DataError(f"{args.stack}: training needs a train stack, got a cross stack")
     targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
     pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
-    pre.fit(raw_stack)
+    # Preprocessed over the raw kernels: only raw_stack's ids are used below.
+    pre.fit(raw_stack, out=buffer)
     model = mkl.train_model(
         pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
         conv_tol=args.conv_tol, max_iter=args.max_iter,

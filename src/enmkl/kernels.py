@@ -249,10 +249,12 @@ def build_linear_kernels(data: GroupedDataset) -> KernelStack:
     """
     n = data.n_samples
     values = np.empty((data.n_groups, n, n))
+    gram = np.empty((n, n))
     for j in range(data.n_groups):
         block = data.features[:, data.group_columns(j)]
-        gram = block @ block.T
-        values[j] = (gram + gram.T) / 2.0  # kill round-off asymmetry from BLAS
+        np.matmul(block, block.T, out=gram)
+        np.add(gram, gram.T, out=values[j])  # kill round-off asymmetry from BLAS
+        values[j] /= 2.0
     return KernelStack(
         values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes
     )
@@ -282,7 +284,7 @@ def build_linear_cross_kernels(
     for j in range(train.n_groups):
         cols = train.group_columns(j)
         test_block = test_features[:, cols]
-        values[j] = test_block @ train.features[:, cols].T
+        np.matmul(test_block, train.features[:, cols].T, out=values[j])
         self_sims.append(np.einsum("ij,ij->i", test_block, test_block))
     stack = KernelStack(values, test_ids, train.sample_ids, train.group_names, train.group_sizes)
     return stack, self_sims
@@ -377,16 +379,31 @@ class StackPreprocessor:
         self.train_stack_: KernelStack | None = None
         self.group_names_: tuple[str, ...] | None = None
 
-    def fit(self, raw_stack: KernelStack) -> "StackPreprocessor":
+    def fit(self, raw_stack: KernelStack, out: np.ndarray | None = None) -> "StackPreprocessor":
+        """Fit on ``raw_stack`` and preprocess it into ``train_stack_``.
+
+        The preprocessed kernels go into ``out``, a new array by default. It
+        may be the writable buffer behind ``raw_stack.values`` itself: each
+        kernel's reductions are taken before its first write, so the result
+        is the same bits, and the raw stack holds the preprocessed values
+        afterwards.
+        """
         if raw_stack.centered or raw_stack.normalized:
             raise ValueError("fit expects a raw (uncentered, unnormalized) train stack")
         if raw_stack.row_ids != raw_stack.col_ids:
             raise ValueError("fit expects a train stack")
-        ids = raw_stack.row_ids
-        out = np.empty_like(raw_stack.values)
-        buf = np.empty(raw_stack.values.shape[1:])
+        ids, raw = raw_stack.row_ids, raw_stack.values
+        if out is None:
+            out = np.empty_like(raw)
+        elif (
+            out.shape != raw.shape or out.dtype != np.float64 or not out.flags.c_contiguous
+            or (np.may_share_memory(out, raw) and out.ctypes.data != raw.ctypes.data)
+        ):
+            raise ValueError("out must be a C-contiguous float64 array of the stack's "
+                             "shape that is the stack's own buffer or does not overlap it")
+        buf = np.empty(raw.shape[1:])
         stats = []
-        for k, dest in zip(raw_stack.values, out):
+        for k, dest in zip(raw, out):
             col_means = k.mean(axis=0)
             grand = float(k.mean())
             if self.center:

@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ import enmkl
 from enmkl import io
 from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
+from enmkl.io import dump_json
 from enmkl.kernels import (
     StackPreprocessor,
     build_linear_cross_kernels,
@@ -763,6 +765,66 @@ class TestTrainAndPredict:
         assert "changed" in capsys.readouterr().err
 
 
+class TestTrainInPlace:
+    """``train`` preprocesses into the buffer it read the raw kernels into."""
+
+    def _train(self, stack, targets, out, flags):
+        assert main([
+            "train", "--stack", stack, "--targets", targets, "--task", "classification",
+            "--C", "1.0", "--mu", "0.5", "--out", str(out), *flags,
+        ]) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--no-center"], ["--no-normalize"], ["--no-center", "--no-normalize"]],
+        ids=["default", "no-center", "no-normalize", "raw"],
+    )
+    def test_same_bits_as_a_separate_raw_stack(self, tmp_path, capsys, monkeypatch, fmt, flags):
+        _, features, groups, targets = _workspace(tmp_path)
+        stack = str(tmp_path / "stack" / "stack.json")
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--format", fmt, "--out", str(tmp_path / "stack"),
+        ]) == 0
+        options = {"center": "--no-center" not in flags, "normalize": "--no-normalize" not in flags}
+
+        separate, _, _ = io.read_stack(stack)
+        raw_bits = separate.values.copy()
+        expected = StackPreprocessor(**options).fit(separate)
+        assert np.array_equal(separate.values.view(np.uint64), raw_bits.view(np.uint64))
+        raw, _, _, buffer = io.read_stack(stack, return_buffer=True)
+        assert np.shares_memory(raw.values, buffer) and buffer.flags.writeable
+        got = StackPreprocessor(**options).fit(raw, out=buffer)
+        assert np.shares_memory(got.train_stack_.values, buffer)
+        assert got.train_stack_.values.tobytes() == expected.train_stack_.values.tobytes()
+        assert dump_json(got.stats_to_dict()) == dump_json(expected.stats_to_dict())
+
+        self._train(stack, targets, tmp_path / "in_place.json", flags)
+        fit = StackPreprocessor.fit
+        monkeypatch.setattr(StackPreprocessor, "fit", lambda pre, raw, out=None: fit(pre, raw))
+        self._train(stack, targets, tmp_path / "separate.json", flags)
+        assert (tmp_path / "in_place.json").read_bytes() == (tmp_path / "separate.json").read_bytes()
+
+    def test_train_holds_one_stack(self, tmp_path, capsys):
+        # Two stacks of 8 kernels at n=300 are 11 MiB: the bound allows one,
+        # 6 more n x n arrays and 2 MiB.
+        m, n = 8, 300
+        data = make_classification_data(
+            n=n, seed=70, group_specs=[(f"g{j}", 4, "signal" if j < 2 else "noise") for j in range(m)]
+        )
+        stack = io.write_stack(tmp_path / "stack", build_linear_kernels(data), "binary")
+        targets = _write(tmp_path / "targets.csv", "id,target\n" + "".join(
+            f"{sid},{t:g}\n" for sid, t in zip(data.sample_ids, data.targets)
+        ))
+        tracemalloc.start()
+        try:
+            self._train(str(stack), targets, tmp_path / "model.json", [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n * n + 6 * 8 * n * n + (2 << 20)
+
+
 def _src_env():
     """The environment with this checkout's package first on the import path."""
     src = str(Path(enmkl.__file__).resolve().parent.parent)
@@ -987,6 +1049,26 @@ class TestMalformedStackAndModel:
         self._assert_data_error(result, "kernel_000.bin")
         assert "kernel ids do not match the manifest" in result.stderr
         assert not (tmp_path / "model.json").exists()
+
+    def test_asymmetric_kernel_names_its_file(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        path = stack_dir / "kernel_001.csv"
+        rows, cols, values = io.read_kernel_csv(path)
+        values[2, 5] += 1.0
+        io.write_kernel_csv(path, values, rows, cols)
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_001.csv")
+        assert result.stderr == f"error: {path}: train kernel is not symmetric\n"
+
+    def test_non_finite_binary_kernel_names_its_file(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path, "binary")
+        path = stack_dir / "kernel_001.bin"
+        raw = bytearray(path.read_bytes())
+        raw[56 + 8 * 13:56 + 8 * 14] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_001.bin")
+        assert result.stderr == f"error: {path}: kernel contains non-finite entries\n"
 
     def test_binary_kernel_in_the_first_format(self, tmp_path, capsys):
         # The first format: old magic, two uint64 dims, then the values.

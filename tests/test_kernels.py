@@ -496,13 +496,23 @@ class TestPreprocessingMatchesReference:
                 data, test_X, tuple(f"t{i}" for i in range(n_test))
             )
 
+            raw_bits = raw.values.copy()
             pre = StackPreprocessor(center=center, normalize=normalize).fit(raw)
+            assert _same_bits(raw.values, raw_bits)  # without out, the raw stack is kept
             expected, stats = preprocess_fit_reference(raw.values, center, normalize)
-            assert _same_bits(pre.train_stack_.values, expected)
-            for got, (col_means, grand, self_sim) in zip(pre.stats_, stats):
-                assert _same_bits(got.col_means, col_means)
-                assert _same_bits(got.grand_mean, grand)
-                assert _same_bits(got.self_sim, self_sim)
+            # In place: the output overwrites the buffer behind the raw stack.
+            buffer = raw.values.copy()
+            in_place = StackPreprocessor(center=center, normalize=normalize).fit(
+                KernelStack(buffer, raw.row_ids, raw.col_ids, raw.group_names, raw.group_sizes),
+                out=buffer,
+            )
+            assert np.shares_memory(in_place.train_stack_.values, buffer)
+            for fitted in (pre, in_place):
+                assert _same_bits(fitted.train_stack_.values, expected)
+                for got, (col_means, grand, self_sim) in zip(fitted.stats_, stats):
+                    assert _same_bits(got.col_means, col_means)
+                    assert _same_bits(got.grand_mean, grand)
+                    assert _same_bits(got.self_sim, self_sim)
 
             cross = pre.transform_cross(raw_cross, sims)
             expected = transform_cross_reference(raw_cross.values, sims, stats, center, normalize)
@@ -524,6 +534,21 @@ class TestPreprocessingMatchesReference:
             expected, _ = preprocess_fit_reference(raw[None], False, True)
             assert _same_bits(got, expected)
             assert _same_bits(got[0], got[0].T)
+
+    def test_out_is_the_raw_buffer_or_apart_from_it(self):
+        rng = np.random.default_rng(511)
+        raw = _stack(random_psd_kernel(rng, 6), random_psd_kernel(rng, 6))
+        memory = np.concatenate([[0.0], raw.values.ravel()])
+        shifted = KernelStack(memory[1:].reshape(raw.values.shape), raw.row_ids, raw.col_ids,
+                              raw.group_names, raw.group_sizes)
+        for stack, out in (
+            (raw, np.empty((1, 6, 6))),  # wrong shape
+            (raw, np.empty(raw.values.shape, dtype=np.float32)),
+            (raw, np.empty(raw.values.shape[::-1]).T),  # not C-contiguous
+            (shifted, memory[:-1].reshape(raw.values.shape)),  # overlaps one entry off
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                StackPreprocessor().fit(stack, out=out)
 
     @pytest.mark.parametrize("center", [True, False])
     def test_normalized_entry_whose_double_overflows(self, center):
