@@ -129,13 +129,13 @@ def cmd_train(args) -> None:
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
 
-    raw_stack, _, manifest, buffer = io.read_stack(args.stack, return_buffer=True)
+    raw_stack, _, manifest, buffer = io.read_stack(args.stack)
     if manifest["kind"] != "train":
         raise DataError(f"{args.stack}: training needs a train stack, got a cross stack")
     targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
     pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
-    # Preprocessed over the raw kernels: only raw_stack's ids are used below.
     pre.fit(raw_stack, out=buffer)
+    del raw_stack  # its values are now the preprocessed ones
     model = mkl.train_model(
         pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
         conv_tol=args.conv_tol, max_iter=args.max_iter,
@@ -156,7 +156,7 @@ def cmd_train(args) -> None:
     sources = _recoverable_sources(manifest)
     if sources is not None:
         feature_data, _ = io.load_grouped_dataset(sources[0], sources[1])
-        train_data = feature_data.subset(raw_stack.row_ids)
+        train_data = feature_data.subset(pre.train_stack_.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
         payload["features"] = {
             "feature_names": list(train_data.feature_names),
@@ -237,7 +237,7 @@ def cmd_predict(args) -> None:
         primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
         decisions = primal.decision_values(features, sample_ids=sample_ids)
     else:
-        raw_stack, self_sims, manifest = io.read_stack(args.stack)
+        raw_stack, self_sims, manifest, _ = io.read_stack(args.stack)
         if manifest["kind"] != "cross":
             raise DataError(f"{args.stack}: predict needs a cross stack (test rows, train columns)")
         if raw_stack.col_ids != model.sample_ids:

@@ -394,12 +394,12 @@ def write_kernel_binary(path, values: np.ndarray, row_ids, col_ids) -> None:
     atomic_write_bytes(path, header, np.ascontiguousarray(values, dtype="<f8"))
 
 
-def read_kernel_binary(path, row_ids, col_ids, alloc=None) -> np.ndarray:
+def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
     """The values of a binary kernel whose rows and columns carry these ids.
 
     The header must match the id counts and the ids' digest, and the file
-    the size the header gives; the payload is then read into the array
-    ``alloc()`` returns (C-contiguous ``<f8``) or a new array, and returned.
+    the size the header gives; the payload is read into ``out``
+    (C-contiguous ``<f8``) or a new array, and returned.
     """
     path = Path(path)
     if not path.is_file():
@@ -429,7 +429,7 @@ def read_kernel_binary(path, row_ids, col_ids, alloc=None) -> np.ndarray:
         expected = header + rows * cols * 8
         size = os.fstat(fh.fileno()).st_size
         if size == expected:
-            out = np.empty((rows, cols), dtype="<f8") if alloc is None else alloc()
+            out = np.empty((rows, cols), dtype="<f8") if out is None else out
             size = header + fh.readinto(out)
         if size != expected:
             raise DataError(f"{path}: expected {expected} bytes for a {rows}x{cols} kernel, got {size}")
@@ -537,14 +537,14 @@ def _json_ids(where: str, obj, key: str) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def read_stack(manifest_path, return_buffer: bool = False):
+def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
-    Returns (stack, self_sims or None, manifest dict), and with
-    ``return_buffer`` also the writable array behind ``stack.values``, for
-    a caller that overwrites the stack once it is done with it. Each kernel
-    file must carry the manifest's ids (a binary file's header, their counts
-    and digest) and is read into its slice of the stack's values.
+    Returns (stack, self_sims or None, manifest dict, values): ``values`` is
+    the writable array behind ``stack.values``, for a caller that overwrites
+    the stack once it is done with it. Each kernel file must carry the
+    manifest's ids (a binary file's header, their counts and digest) and is
+    read into its slice of the stack's values.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -566,15 +566,6 @@ def read_stack(manifest_path, return_buffer: bool = False):
     flags = {key: _json_value(where, manifest, key, bool) for key in ("centered", "normalized")}
     groups = _json_value(where, manifest, "groups", list)
     values = np.empty((0, len(row_ids), len(col_ids)))
-
-    def slot(j):
-        nonlocal values
-        if not len(values):
-            # Allocated only once a kernel file has matched the manifest's ids,
-            # so a manifest listing bogus ids fails on them, not on memory.
-            values = np.empty((len(groups),) + values.shape[1:], dtype="<f8")
-        return values[j]
-
     names, sizes, paths = [], [], []
     self_sims = [] if kind == "cross" else None
     for j, entry in enumerate(groups):
@@ -586,9 +577,13 @@ def read_stack(manifest_path, return_buffer: bool = False):
             kernel_rows, kernel_cols, kernel = read_kernel_csv(paths[j])
             if kernel_rows != row_ids or kernel_cols != col_ids:
                 raise DataError(f"{paths[j]}: kernel ids do not match the manifest")
-            slot(j)[...] = kernel
         else:
-            read_kernel_binary(paths[j], row_ids, col_ids, alloc=lambda: slot(j))
+            kernel = read_kernel_binary(paths[j], row_ids, col_ids, out=values[j] if j else None)
+        if not j:
+            # Allocated only once a kernel file has matched the manifest's ids,
+            # so a manifest listing bogus ids fails on them, not on memory.
+            values = np.empty((len(groups),) + kernel.shape, dtype="<f8")
+        values[j] = kernel  # a no-op for a kernel read straight into its slice
         if self_sims is not None:
             sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
             self_sims.append(read_self_sim_csv(sim_path, row_ids))
@@ -602,7 +597,7 @@ def read_stack(manifest_path, return_buffer: bool = False):
             except ValueError:
                 raise DataError(f"{path}: {exc}") from None
         raise
-    return (stack, self_sims, manifest) + ((values,) if return_buffer else ())
+    return stack, self_sims, manifest, values
 
 
 def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:

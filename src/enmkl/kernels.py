@@ -382,11 +382,11 @@ class StackPreprocessor:
     def fit(self, raw_stack: KernelStack, out: np.ndarray | None = None) -> "StackPreprocessor":
         """Fit on ``raw_stack`` and preprocess it into ``train_stack_``.
 
-        The preprocessed kernels go into ``out``, a new array by default. It
-        may be the writable buffer behind ``raw_stack.values`` itself: each
-        kernel's reductions are taken before its first write, so the result
-        is the same bits, and the raw stack holds the preprocessed values
-        afterwards.
+        The preprocessed kernels go into ``out``, a new array by default, or
+        a float64 array of the stack's shape. It may be the writable buffer
+        behind ``raw_stack.values`` itself: each kernel's reductions are taken
+        before its first write, so the result is the same bits, and the raw
+        stack holds the preprocessed values afterwards.
         """
         if raw_stack.centered or raw_stack.normalized:
             raise ValueError("fit expects a raw (uncentered, unnormalized) train stack")
@@ -395,12 +395,8 @@ class StackPreprocessor:
         ids, raw = raw_stack.row_ids, raw_stack.values
         if out is None:
             out = np.empty_like(raw)
-        elif (
-            out.shape != raw.shape or out.dtype != np.float64 or not out.flags.c_contiguous
-            or (np.may_share_memory(out, raw) and out.ctypes.data != raw.ctypes.data)
-        ):
-            raise ValueError("out must be a C-contiguous float64 array of the stack's "
-                             "shape that is the stack's own buffer or does not overlap it")
+        elif np.may_share_memory(out, raw) and out.ctypes.data != raw.ctypes.data:
+            raise ValueError("out must be the stack's own buffer or not overlap it")
         buf = np.empty(raw.shape[1:])
         stats = []
         for k, dest in zip(raw, out):

@@ -530,7 +530,7 @@ class TestStackFiles:
         stack = build_linear_kernels(data)
         out = tmp_path / "stack"
         manifest_path = io.write_stack(out, stack, fmt, "train")
-        loaded, sims, manifest = io.read_stack(manifest_path)
+        loaded, sims, manifest, _ = io.read_stack(manifest_path)
         assert manifest["kind"] == "train"
         assert sims is None
         assert loaded.group_names == stack.group_names
@@ -540,7 +540,7 @@ class TestStackFiles:
         np.testing.assert_array_equal(loaded.values, stack.values)
 
         preprocessed = StackPreprocessor().fit(stack).train_stack_
-        loaded, _, manifest = io.read_stack(
+        loaded, _, manifest, _ = io.read_stack(
             io.write_stack(tmp_path / "preprocessed", preprocessed, fmt, "train")
         )
         assert manifest["centered"] is True and manifest["normalized"] is True
@@ -553,7 +553,7 @@ class TestStackFiles:
         test_X = rng.normal(size=(3, 2))
         stack, sims = build_linear_cross_kernels(data, test_X, ("t0", "t1", "t2"))
         manifest_path = io.write_stack(tmp_path / "cross", stack, "csv", "cross", self_sims=sims)
-        loaded, loaded_sims, manifest = io.read_stack(manifest_path)
+        loaded, loaded_sims, manifest, _ = io.read_stack(manifest_path)
         assert manifest["kind"] == "cross"
         for got, want in zip(loaded_sims, sims):
             np.testing.assert_array_equal(got, want)
@@ -788,11 +788,11 @@ class TestTrainInPlace:
         ]) == 0
         options = {"center": "--no-center" not in flags, "normalize": "--no-normalize" not in flags}
 
-        separate, _, _ = io.read_stack(stack)
+        separate, _, _, _ = io.read_stack(stack)
         raw_bits = separate.values.copy()
         expected = StackPreprocessor(**options).fit(separate)
         assert np.array_equal(separate.values.view(np.uint64), raw_bits.view(np.uint64))
-        raw, _, _, buffer = io.read_stack(stack, return_buffer=True)
+        raw, _, _, buffer = io.read_stack(stack)
         assert np.shares_memory(raw.values, buffer) and buffer.flags.writeable
         got = StackPreprocessor(**options).fit(raw, out=buffer)
         assert np.shares_memory(got.train_stack_.values, buffer)

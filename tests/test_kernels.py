@@ -535,20 +535,14 @@ class TestPreprocessingMatchesReference:
             assert _same_bits(got, expected)
             assert _same_bits(got[0], got[0].T)
 
-    def test_out_is_the_raw_buffer_or_apart_from_it(self):
+    def test_out_overlapping_the_raw_values_one_entry_off(self):
         rng = np.random.default_rng(511)
         raw = _stack(random_psd_kernel(rng, 6), random_psd_kernel(rng, 6))
         memory = np.concatenate([[0.0], raw.values.ravel()])
         shifted = KernelStack(memory[1:].reshape(raw.values.shape), raw.row_ids, raw.col_ids,
                               raw.group_names, raw.group_sizes)
-        for stack, out in (
-            (raw, np.empty((1, 6, 6))),  # wrong shape
-            (raw, np.empty(raw.values.shape, dtype=np.float32)),
-            (raw, np.empty(raw.values.shape[::-1]).T),  # not C-contiguous
-            (shifted, memory[:-1].reshape(raw.values.shape)),  # overlaps one entry off
-        ):
-            with pytest.raises(ValueError, match="out must be"):
-                StackPreprocessor().fit(stack, out=out)
+        with pytest.raises(ValueError, match="out must be"):
+            StackPreprocessor().fit(shifted, out=memory[:-1].reshape(raw.values.shape))
 
     @pytest.mark.parametrize("center", [True, False])
     def test_normalized_entry_whose_double_overflows(self, center):
