@@ -98,9 +98,7 @@ def cmd_kernels(args) -> None:
         "features_sha256": io.sha256_file(args.features),
         "groups_sha256": io.sha256_file(args.groups),
     }
-    manifest_path = io.write_stack(
-        args.out, stack, fmt=args.format, kind="train", sources=sources
-    )
+    manifest_path = io.write_stack(args.out, stack, fmt=args.format, sources=sources)
     print(f"wrote {stack.m} kernels over {stack.n_rows} samples to {manifest_path}")
 
 
@@ -129,9 +127,7 @@ def cmd_train(args) -> None:
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
 
-    raw_stack, _, manifest, buffer = io.read_stack(args.stack)
-    if manifest["kind"] != "train":
-        raise DataError(f"{args.stack}: training needs a train stack, got a cross stack")
+    raw_stack, manifest, buffer = io.read_stack(args.stack)
     targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
     pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
     pre.fit(raw_stack, out=buffer)
@@ -204,54 +200,35 @@ def _label_names(mapping) -> dict:
     return {float(v): str(k) for k, v in mapping.items()}
 
 
-def _decisions_to_output(path, model, payload, decisions):
+def _predicted_labels(path, model, payload, decisions):
+    """A classifier's raw label per decision value; None for regression."""
     if model.task != "classification":
-        return decisions, None
+        return None
     reverse = {}
     if payload.get("label_mapping") is not None:
         reverse = _model_section(path, payload, "label_mapping", _label_names)
-    labels = [
+    return [
         reverse.get(1.0 if d >= 0 else -1.0, "+1" if d >= 0 else "-1") for d in decisions
     ]
-    return decisions, labels
 
 
 def cmd_predict(args) -> None:
-    if (args.features is None) == (args.stack is None):
-        raise UsageError("predict needs exactly one of --features or --stack")
     payload, model = _load_model_payload(args.model)
-
-    if args.features is not None:
-        if payload.get("primal") is None:
-            raise DataError(
-                f"{args.model}: model carries no primal weights (the kernel stack it "
-                "was trained from did not record a readable features file); "
-                "predict from a cross-kernel stack instead"
-            )
-        sample_ids, feature_names, features = io.read_features_csv(args.features)
-        stored = payload.get("features") or {}
-        if tuple(stored.get("feature_names", ())) != feature_names:
-            raise DataError(
-                f"{args.features}: feature columns do not match the model's training features"
-            )
-        primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
-        decisions = primal.decision_values(features, sample_ids=sample_ids)
-    else:
-        raw_stack, self_sims, manifest, _ = io.read_stack(args.stack)
-        if manifest["kind"] != "cross":
-            raise DataError(f"{args.stack}: predict needs a cross stack (test rows, train columns)")
-        if raw_stack.col_ids != model.sample_ids:
-            raise DataError(
-                f"{args.stack}: cross-kernel columns do not match the model's train samples"
-            )
-        pre = _model_section(
-            args.model, payload, "preprocessing", StackPreprocessor.from_stats_dict
+    if payload.get("primal") is None:
+        raise DataError(
+            f"{args.model}: model carries no primal weights (the feature files the "
+            "kernel stack was built from were not in place at train time); rerun "
+            "kernels and train with the feature files in place"
         )
-        cross = pre.transform_cross(raw_stack, self_sims)
-        decisions = mkl.predict_model(model, cross)
-        sample_ids = raw_stack.row_ids
-
-    decisions, labels = _decisions_to_output(args.model, model, payload, decisions)
+    sample_ids, feature_names, features = io.read_features_csv(args.features)
+    stored = payload.get("features") or {}
+    if tuple(stored.get("feature_names", ())) != feature_names:
+        raise DataError(
+            f"{args.features}: feature columns do not match the model's training features"
+        )
+    primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
+    decisions = primal.decision_values(features, sample_ids=sample_ids)
+    labels = _predicted_labels(args.model, model, payload, decisions)
     io.write_predictions_csv(args.out, sample_ids, decisions, labels)
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
 
@@ -411,10 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="score samples with a trained model")
     p.add_argument("--model", required=True, help="model JSON from the train command")
-    p.add_argument("--features", default=None,
+    p.add_argument("--features", required=True,
                    help="features CSV; uses the recovered primal weights")
-    p.add_argument("--stack", default=None,
-                   help="cross-kernel stack manifest (test rows, train columns)")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=cmd_predict)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from . import mkl, solvers
+from .io import record_dict
 from .kernels import (
     GroupedDataset,
     StackPreprocessor,
@@ -340,19 +341,7 @@ class FoldOutcome:
     true_targets: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "fold_index": self.fold_index,
-            "selected_c": self.selected_c,
-            "selected_mu": self.selected_mu,
-            "metrics": dict(self.metrics),
-            "beta": np.asarray(self.beta).tolist(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-            "test_ids": list(self.test_ids),
-            "decision_values": np.asarray(self.decision_values).tolist(),
-            "true_targets": np.asarray(self.true_targets).tolist(),
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -378,17 +367,7 @@ class CvReport:
     baseline: CvReport | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "trainer": self.trainer,
-            "group_names": list(self.group_names),
-            "group_sizes": list(self.group_sizes),
-            "folds": [f.to_dict() for f in self.folds],
-            "pooled_metrics": dict(self.pooled_metrics),
-            "mean_beta": np.asarray(self.mean_beta).tolist(),
-            "selected_count": self.selected_count,
-            "seed": self.seed,
-        }
+        return record_dict(self, skip=("baseline",))
 
 
 def _partition_decisions(

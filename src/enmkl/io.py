@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,27 @@ def atomic_write_text(path, text: str) -> None:
 def dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, two-space indent, lossless floats."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def record_dict(record, skip=()) -> dict:
+    """The fields of dataclass ``record`` but those in ``skip``, JSON-ready.
+
+    Arrays become ``tolist()`` lists, tuples and lists become lists, dicts
+    keep their keys, and nested dataclasses recurse; other values stay.
+    """
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if is_dataclass(value):
+            return record_dict(value)
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value
+
+    return {f.name: plain(getattr(record, f.name)) for f in fields(record) if f.name not in skip}
 
 
 def write_json(path, obj) -> None:
@@ -436,64 +458,32 @@ def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
     return out
 
 
-def write_self_sim_csv(path, sample_ids, values) -> None:
-    lines = ["id,self_similarity"]
-    for sid, v in zip(sample_ids, np.asarray(values, dtype=np.float64).tolist()):
-        lines.append(f"{sid},{float.__repr__(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_self_sim_csv(path, sample_ids) -> np.ndarray:
-    raw = read_column_csv(path, "self-similarity")
-    out = []
-    for sid in sample_ids:
-        if sid not in raw:
-            raise DataError(f"{path}: no self-similarity for sample '{sid}'")
-        text, lineno = raw[sid]
-        out.append(_parse_float(path, lineno, text))
-    return np.array(out)
-
-
 def write_stack(
-    out_dir,
-    stack: KernelStack,
-    fmt: str = "csv",
-    kind: str = "train",
-    self_sims=None,
-    sources: dict | None = None,
+    out_dir, stack: KernelStack, fmt: str = "csv", *, sources: dict | None = None
 ) -> Path:
-    """Write a kernel stack plus manifest into a directory.
+    """Write a train kernel stack plus manifest into a directory.
 
     One data file per group; the manifest ties them together and records
-    the ids, the preprocessing flags and the source files. For cross
-    stacks, per-group test self-similarities are written alongside.
-    Returns the manifest path.
+    the ids, the preprocessing flags and the source files. Returns the
+    manifest path.
     """
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown kernel format {fmt!r}")
-    if kind not in ("train", "cross"):
-        raise ValueError(f"unknown stack kind {kind!r}")
-    if kind == "cross" and self_sims is None:
-        raise ValueError("cross stacks need per-group self-similarities")
+    if stack.row_ids != stack.col_ids:
+        raise ValueError("write_stack writes train stacks only")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = []
     for j, (name, size) in enumerate(zip(stack.group_names, stack.group_sizes)):
-        stem = f"kernel_{j:03d}"
-        data_file = f"{stem}.{'csv' if fmt == 'csv' else 'bin'}"
+        data_file = f"kernel_{j:03d}.{'csv' if fmt == 'csv' else 'bin'}"
         if fmt == "csv":
             write_kernel_csv(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
         else:
             write_kernel_binary(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
-        entry = {"name": name, "size": size, "data_file": data_file}
-        if kind == "cross":
-            sim_file = f"{stem}.selfsim.csv"
-            write_self_sim_csv(out_dir / sim_file, stack.row_ids, self_sims[j])
-            entry["self_sim_file"] = sim_file
-        groups.append(entry)
+        groups.append({"name": name, "size": size, "data_file": data_file})
     manifest = {
         "manifest_version": MANIFEST_VERSION,
-        "kind": kind,
+        "kind": "train",
         "format": fmt,
         "centered": stack.centered,
         "normalized": stack.normalized,
@@ -540,11 +530,11 @@ def _json_ids(where: str, obj, key: str) -> tuple[str, ...]:
 def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
-    Returns (stack, self_sims or None, manifest dict, values): ``values`` is
-    the writable array behind ``stack.values``, for a caller that overwrites
-    the stack once it is done with it. Each kernel file must carry the
-    manifest's ids (a binary file's header, their counts and digest) and is
-    read into its slice of the stack's values.
+    Returns (stack, manifest dict, values): ``values`` is the writable array
+    behind ``stack.values``, for a caller that overwrites the stack once it
+    is done with it. A manifest of any kind but ``"train"`` is refused. Each
+    kernel file must carry the manifest's ids (a binary file's header, their
+    counts and digest) and is read into its slice of the stack's values.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -557,8 +547,8 @@ def read_stack(manifest_path):
         )
     kind = _json_value(where, manifest, "kind", str)
     fmt = _json_value(where, manifest, "format", str)
-    if kind not in ("train", "cross"):
-        raise DataError(f"{where}: unknown stack kind {kind!r}")
+    if kind != "train":
+        raise DataError(f"{where}: not a train stack (kind {kind!r}); rerun the kernels command")
     if fmt not in ("csv", "binary"):
         raise DataError(f"{where}: unknown kernel format {fmt!r}")
     row_ids = _json_ids(where, manifest, "sample_ids")
@@ -567,7 +557,6 @@ def read_stack(manifest_path):
     groups = _json_value(where, manifest, "groups", list)
     values = np.empty((0, len(row_ids), len(col_ids)))
     names, sizes, paths = [], [], []
-    self_sims = [] if kind == "cross" else None
     for j, entry in enumerate(groups):
         entry_where = f"{where}: groups[{j}]"
         names.append(_json_value(entry_where, entry, "name", str))
@@ -584,9 +573,6 @@ def read_stack(manifest_path):
             # so a manifest listing bogus ids fails on them, not on memory.
             values = np.empty((len(groups),) + kernel.shape, dtype="<f8")
         values[j] = kernel  # a no-op for a kernel read straight into its slice
-        if self_sims is not None:
-            sim_path = base / _json_value(entry_where, entry, "self_sim_file", str)
-            self_sims.append(read_self_sim_csv(sim_path, row_ids))
     try:
         stack = KernelStack(values, row_ids, col_ids, tuple(names), tuple(sizes), **flags)
     except ValueError as exc:
@@ -597,7 +583,7 @@ def read_stack(manifest_path):
             except ValueError:
                 raise DataError(f"{path}: {exc}") from None
         raise
-    return stack, self_sims, manifest, values
+    return stack, manifest, values
 
 
 def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:

@@ -350,14 +350,6 @@ class GroupKernelStats:
             "self_sim": self.self_sim.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupKernelStats":
-        return cls(
-            col_means=np.asarray(d["col_means"], dtype=np.float64),
-            grand_mean=float(d["grand_mean"]),
-            self_sim=np.asarray(d["self_sim"], dtype=np.float64),
-        )
-
 
 class StackPreprocessor:
     """Fits centering/normalization on a raw train stack and replays it.
@@ -377,7 +369,6 @@ class StackPreprocessor:
         self.normalize = bool(normalize)
         self.stats_: list[GroupKernelStats] | None = None
         self.train_stack_: KernelStack | None = None
-        self.group_names_: tuple[str, ...] | None = None
 
     def fit(self, raw_stack: KernelStack, out: np.ndarray | None = None) -> "StackPreprocessor":
         """Fit on ``raw_stack`` and preprocess it into ``train_stack_``.
@@ -431,7 +422,6 @@ class StackPreprocessor:
             out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
             centered=self.center, normalized=self.normalize,
         )
-        self.group_names_ = raw_stack.group_names
         return self
 
     def transform_cross(
@@ -443,15 +433,15 @@ class StackPreprocessor:
         ``<x, x>``; under centering these are converted to centered
         self-similarities via the fitted train statistics.
         """
-        if self.stats_ is None:
+        if self.train_stack_ is None:
             raise ValueError("preprocessor has not been fitted")
-        if raw_cross.group_names != self.group_names_:
+        if raw_cross.group_names != self.train_stack_.group_names:
             raise ValueError("cross stack group names do not match the fitted stack")
         if len(raw_self_sims) != raw_cross.m:
             raise ValueError("need one self-similarity vector per group")
         if raw_cross.centered or raw_cross.normalized:
             raise ValueError("transform_cross expects raw cross kernels")
-        if self.train_stack_ is not None and raw_cross.col_ids != self.train_stack_.row_ids:
+        if raw_cross.col_ids != self.train_stack_.row_ids:
             raise ValueError("cross stack columns do not match the fitted train samples")
         out = np.empty_like(raw_cross.values)
         buf = np.empty(raw_cross.values.shape[1:])
@@ -459,8 +449,6 @@ class StackPreprocessor:
             sims = np.asarray(sims, dtype=np.float64)
             if sims.shape != (raw_cross.n_rows,):
                 raise ValueError("self-similarities must hold one value per test sample")
-            if len(st.col_means) != raw_cross.n_cols:
-                raise ValueError("cross kernel columns do not match the fitted train samples")
             if self.center:
                 # Test rows are centered with the *train* statistics: subtract
                 # each test row's mean over train columns and the train
@@ -472,10 +460,7 @@ class StackPreprocessor:
                 # <x_c, x_c> = <x, x> - 2 * mean_t <x, x_t> + grand mean
                 sims = sims - 2.0 * row_means + st.grand_mean
             if self.normalize:
-                if st.self_sim.shape != (raw_cross.n_cols,):
-                    raise ValueError("self_sim must hold one value per train column")
                 _check_self_similarities(sims, raw_cross.row_ids)
-                _check_self_similarities(st.self_sim, raw_cross.col_ids)
                 np.divide(k, np.outer(np.sqrt(sims), np.sqrt(st.self_sim), out=buf), out=dest)
             elif not self.center:
                 dest[...] = k
@@ -485,23 +470,16 @@ class StackPreprocessor:
         )
 
     def stats_to_dict(self) -> dict:
-        if self.stats_ is None:
+        if self.train_stack_ is None:
             raise ValueError("preprocessor has not been fitted")
         return {
             "center": self.center,
             "normalize": self.normalize,
             "groups": [
                 {"name": name, **st.to_dict()}
-                for name, st in zip(self.group_names_, self.stats_)
+                for name, st in zip(self.train_stack_.group_names, self.stats_)
             ],
         }
-
-    @classmethod
-    def from_stats_dict(cls, d: dict) -> "StackPreprocessor":
-        pre = cls(center=bool(d["center"]), normalize=bool(d["normalize"]))
-        pre.stats_ = [GroupKernelStats.from_dict(g) for g in d["groups"]]
-        pre.group_names_ = tuple(str(g["name"]) for g in d["groups"])
-        return pre
 
 
 def group_feature_means(data: GroupedDataset) -> list[np.ndarray]:

@@ -41,12 +41,13 @@ solves, rejected ones included, so ``max_iter`` bounds the work;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError
 from . import solvers
+from .io import record_dict
 from .kernels import (
     GroupedDataset,
     KernelStack,
@@ -308,6 +309,32 @@ def _train_targets(stack: KernelStack, targets, task: str):
     return targets, targets
 
 
+def _solve(combined, targets, labels, C, solver_tol, max_updates, alpha0=None):
+    """``(alpha, bias)`` of one SVM solve on ``combined``, or of one ridge
+    solve when ``labels`` is None (the bias is then the target offset)."""
+    if labels is not None:
+        sol = solvers.solve_svm_dual(
+            combined, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=alpha0
+        )
+        return sol.alpha, sol.bias
+    sol = solvers.solve_krr_dual(combined, targets, C)
+    return sol.alpha, sol.target_offset
+
+
+def _stack_model(stack: KernelStack, labels, **values) -> MklModel:
+    """A model of ``values`` that records the ids, groups, preprocessing flags
+    and train ``labels`` of the stack it was fitted on."""
+    return MklModel(
+        group_names=stack.group_names,
+        sample_ids=stack.row_ids,
+        train_labels=labels,
+        group_sizes=stack.group_sizes,
+        centered=stack.centered,
+        normalized=stack.normalized,
+        **values,
+    )
+
+
 def _dot(a: list, b: list) -> float:
     return sum(x * y for x, y in zip(a, b))
 
@@ -436,14 +463,8 @@ def _train_enmkl(
         if start is not None:
             # Iteration 1 solves on the beta = 1/m kernel: the baseline's solve.
             alpha, bias, start = start.alpha, start.bias, None
-        elif task == "classification":
-            sol = solvers.solve_svm_dual(
-                combined, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=warm
-            )
-            alpha, bias = sol.alpha, sol.bias
         else:
-            sol = solvers.solve_krr_dual(combined, targets, C)
-            alpha, bias = sol.alpha, sol.target_offset
+            alpha, bias = _solve(combined, targets, labels, C, solver_tol, max_updates, warm)
         warm = alpha
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
@@ -494,7 +515,9 @@ def _train_enmkl(
         raw_sum = float(beta.sum())
         beta_final = beta / raw_sum
 
-    return MklModel(
+    return _stack_model(
+        stack,
+        labels,
         beta=beta_final,
         alpha=alpha * raw_sum,
         bias=bias,
@@ -503,13 +526,7 @@ def _train_enmkl(
         C=C,
         iterations=iterations,
         converged=converged,
-        group_names=stack.group_names,
-        sample_ids=stack.row_ids,
-        train_labels=labels,
-        group_sizes=stack.group_sizes,
         degenerate=degenerate,
-        centered=stack.centered,
-        normalized=stack.normalized,
         beta_raw_sum=raw_sum,
         objective_history=tuple(history),
     )
@@ -587,29 +604,10 @@ def train_sum_baseline(
     targets, labels = _train_targets(stack, targets, task)
     beta = np.full(stack.m, 1.0 / stack.m)
     combined = weighted_sum(stack, beta)
-    if task == "classification":
-        sol = solvers.solve_svm_dual(
-            combined, labels, C, tol=solver_tol, max_updates=max_updates
-        )
-        alpha, bias = sol.alpha, sol.bias
-    else:
-        sol = solvers.solve_krr_dual(combined, targets, C)
-        alpha, bias = sol.alpha, sol.target_offset
-    return MklModel(
-        beta=beta,
-        alpha=alpha,
-        bias=bias,
-        task=task,
-        mu=0.0,
-        C=float(C),
-        iterations=1,
-        converged=True,
-        group_names=stack.group_names,
-        sample_ids=stack.row_ids,
-        train_labels=labels,
-        group_sizes=stack.group_sizes,
-        centered=stack.centered,
-        normalized=stack.normalized,
+    alpha, bias = _solve(combined, targets, labels, C, solver_tol, max_updates)
+    return _stack_model(
+        stack, labels, beta=beta, alpha=alpha, bias=bias, task=task, mu=0.0, C=float(C),
+        iterations=1, converged=True,
     )
 
 
@@ -714,16 +712,7 @@ class PrimalModel:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "weights": [w.tolist() for w in self.weights],
-            "group_names": list(self.group_names),
-            "group_columns": [c.tolist() for c in self.group_columns],
-            "feature_means": [m.tolist() for m in self.feature_means],
-            "bias": self.bias,
-            "centered": self.centered,
-            "normalized": self.normalized,
-            "n_features": self.n_features,
-        }
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrimalModel":
@@ -784,47 +773,9 @@ def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> Prima
 
 def model_to_dict(model: MklModel) -> dict:
     """A JSON-ready mapping of the model; floats survive round trips exactly."""
-    return {
-        "beta": model.beta.tolist(),
-        "alpha": model.alpha.tolist(),
-        "bias": model.bias,
-        "task": model.task,
-        "mu": model.mu,
-        "C": model.C,
-        "iterations": model.iterations,
-        "converged": model.converged,
-        "group_names": list(model.group_names),
-        "sample_ids": list(model.sample_ids),
-        "train_labels": None if model.train_labels is None else model.train_labels.tolist(),
-        "group_sizes": None if model.group_sizes is None else list(model.group_sizes),
-        "degenerate": model.degenerate,
-        "centered": model.centered,
-        "normalized": model.normalized,
-        "kernel_kind": model.kernel_kind,
-        "beta_raw_sum": model.beta_raw_sum,
-        "objective_history": list(model.objective_history),
-    }
+    return record_dict(model)
 
 
 def model_from_dict(d: dict) -> MklModel:
     """Rebuild a model from :func:`model_to_dict` output."""
-    return MklModel(
-        beta=np.asarray(d["beta"], dtype=np.float64),
-        alpha=np.asarray(d["alpha"], dtype=np.float64),
-        bias=float(d["bias"]),
-        task=str(d["task"]),
-        mu=float(d["mu"]),
-        C=float(d["C"]),
-        iterations=int(d["iterations"]),
-        converged=bool(d["converged"]),
-        group_names=tuple(d["group_names"]),
-        sample_ids=tuple(d["sample_ids"]),
-        train_labels=None if d["train_labels"] is None else np.asarray(d["train_labels"]),
-        group_sizes=None if d["group_sizes"] is None else tuple(d["group_sizes"]),
-        degenerate=bool(d["degenerate"]),
-        centered=bool(d["centered"]),
-        normalized=bool(d["normalized"]),
-        kernel_kind=str(d["kernel_kind"]),
-        beta_raw_sum=float(d["beta_raw_sum"]),
-        objective_history=tuple(d["objective_history"]),
-    )
+    return MklModel(**{f.name: d[f.name] for f in fields(MklModel)})

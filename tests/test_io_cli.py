@@ -6,6 +6,7 @@ import io as stdio
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from enmkl import io
 from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
 from enmkl.io import dump_json
+from enmkl.mkl import model_from_dict, predict_model
 from enmkl.kernels import (
     StackPreprocessor,
     build_linear_cross_kernels,
@@ -244,18 +246,6 @@ class TestKernelFiles:
         assert str(info.value) == (
             f"{path}: header says 5x5, but the stack has 4 row ids and 4 column ids"
         )
-
-    def test_self_sim_round_trip(self, tmp_path):
-        path = tmp_path / "s.csv"
-        values = np.array([1.25, 0.5])
-        io.write_self_sim_csv(path, ("t0", "t1"), values)
-        np.testing.assert_array_equal(io.read_self_sim_csv(path, ("t0", "t1")), values)
-
-    def test_self_sim_id_mismatch(self, tmp_path):
-        path = tmp_path / "s.csv"
-        io.write_self_sim_csv(path, ("t0",), np.array([1.0]))
-        with pytest.raises(DataError, match="no self-similarity"):
-            io.read_self_sim_csv(path, ("t1",))
 
 
 def _mirror_upper(a):
@@ -529,10 +519,9 @@ class TestStackFiles:
         )
         stack = build_linear_kernels(data)
         out = tmp_path / "stack"
-        manifest_path = io.write_stack(out, stack, fmt, "train")
-        loaded, sims, manifest, _ = io.read_stack(manifest_path)
+        manifest_path = io.write_stack(out, stack, fmt)
+        loaded, manifest, _ = io.read_stack(manifest_path)
         assert manifest["kind"] == "train"
-        assert sims is None
         assert loaded.group_names == stack.group_names
         assert loaded.row_ids == stack.row_ids
         assert loaded.values.flags.c_contiguous and not loaded.values.flags.writeable
@@ -540,28 +529,24 @@ class TestStackFiles:
         np.testing.assert_array_equal(loaded.values, stack.values)
 
         preprocessed = StackPreprocessor().fit(stack).train_stack_
-        loaded, _, manifest, _ = io.read_stack(
-            io.write_stack(tmp_path / "preprocessed", preprocessed, fmt, "train")
+        loaded, manifest, _ = io.read_stack(
+            io.write_stack(tmp_path / "preprocessed", preprocessed, fmt)
         )
         assert manifest["centered"] is True and manifest["normalized"] is True
         assert loaded.centered and loaded.normalized
         np.testing.assert_array_equal(loaded.values, preprocessed.values)
 
-    def test_cross_stack_round_trip_with_sims(self, tmp_path):
+    def test_cross_stack_not_written(self, tmp_path):
         data = make_classification_data(n=8, seed=65, group_specs=[("a", 2, "signal")])
-        rng = np.random.default_rng(0)
-        test_X = rng.normal(size=(3, 2))
-        stack, sims = build_linear_cross_kernels(data, test_X, ("t0", "t1", "t2"))
-        manifest_path = io.write_stack(tmp_path / "cross", stack, "csv", "cross", self_sims=sims)
-        loaded, loaded_sims, manifest, _ = io.read_stack(manifest_path)
-        assert manifest["kind"] == "cross"
-        for got, want in zip(loaded_sims, sims):
-            np.testing.assert_array_equal(got, want)
+        cross, _ = build_linear_cross_kernels(data, data.features[:3], ("t0", "t1", "t2"))
+        with pytest.raises(ValueError, match="train stacks only"):
+            io.write_stack(tmp_path / "cross", cross, "csv")
+        assert not (tmp_path / "cross").exists()
 
     def test_manifest_structure(self, tmp_path):
         data = make_classification_data(n=6, seed=66, group_specs=[("a", 2, "signal")])
         stack = build_linear_kernels(data)
-        manifest_path = io.write_stack(tmp_path / "stack", stack, "csv", "train")
+        manifest_path = io.write_stack(tmp_path / "stack", stack, "csv")
         manifest = io.read_json(manifest_path)
         assert manifest["manifest_version"] == 2
         assert manifest["kind"] == "train" and manifest["format"] == "csv"
@@ -663,28 +648,18 @@ class TestTrainAndPredict:
             "--out", primal_out,
         ]) == 0
 
-        # Kernel route: cross stack whose test rows are the train samples.
-        cross_stack, sims = build_linear_cross_kernels(
+        # Kernel route, in process: the stored dual model on a cross stack
+        # whose test rows are the train samples.
+        pre = StackPreprocessor().fit(build_linear_kernels(data))
+        cross = pre.transform_cross(*build_linear_cross_kernels(
             data, data.features, tuple(f"t_{i}" for i in data.sample_ids)
-        )
-        cross_manifest = io.write_stack(
-            tmp_path / "cross", cross_stack, "csv", "cross", self_sims=sims
-        )
-        stack_out = str(tmp_path / "pred_stack.csv")
-        assert main([
-            "predict", "--model", model_path, "--stack", str(cross_manifest),
-            "--out", stack_out,
-        ]) == 0
+        ))
+        dual = predict_model(model_from_dict(payload["model"]), cross)
 
-        def decisions(path):
-            lines = open(path).read().splitlines()[1:]
-            return np.array([float(l.split(",")[1]) for l in lines])
-
-        np.testing.assert_allclose(
-            decisions(primal_out), decisions(stack_out), atol=1e-6
-        )
-        labels = [l.split(",")[2] for l in open(primal_out).read().splitlines()[1:]]
-        assert set(labels) <= {"case", "control"}
+        lines = open(primal_out).read().splitlines()[1:]
+        primal = np.array([float(l.split(",")[1]) for l in lines])
+        np.testing.assert_allclose(primal, dual, atol=1e-6)
+        assert {l.split(",")[2] for l in lines} <= {"case", "control"}
 
     def test_regression_chain(self, tmp_path, capsys):
         data, features, groups, targets = _workspace(tmp_path, task="regression")
@@ -788,11 +763,11 @@ class TestTrainInPlace:
         ]) == 0
         options = {"center": "--no-center" not in flags, "normalize": "--no-normalize" not in flags}
 
-        separate, _, _, _ = io.read_stack(stack)
+        separate, _, _ = io.read_stack(stack)
         raw_bits = separate.values.copy()
         expected = StackPreprocessor(**options).fit(separate)
         assert np.array_equal(separate.values.view(np.uint64), raw_bits.view(np.uint64))
-        raw, _, _, buffer = io.read_stack(stack)
+        raw, _, buffer = io.read_stack(stack)
         assert np.shares_memory(raw.values, buffer) and buffer.flags.writeable
         got = StackPreprocessor(**options).fit(raw, out=buffer)
         assert np.shares_memory(got.train_stack_.values, buffer)
@@ -957,6 +932,13 @@ class TestMalformedStackAndModel:
         self._assert_data_error(result, "stack.json")
         assert "rerun the kernels command" in result.stderr
 
+    def test_cross_manifest_refused(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        self._edit_json(stack_dir / "stack.json", lambda m: m.update(kind="cross"))
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "stack.json")
+        assert "not a train stack (kind 'cross')" in result.stderr
+
     def test_manifest_ids_disagreeing_with_csv_kernel(self, tmp_path, capsys):
         stack_dir, _, targets = self._stack(tmp_path)
         self._edit_json(stack_dir / "stack.json", lambda m: m["sample_ids"].reverse())
@@ -1101,10 +1083,22 @@ class TestExitCodes:
         assert "sum-baseline" in capsys.readouterr().err
         # unknown flag
         assert main(["kernels", "--bogus"]) == 1
-        # predict with neither input
+        # predict without --features
         assert main([
             "predict", "--model", "m.json", "--out", "p.csv",
         ]) == 1
+
+    def test_predict_needs_features(self, capsys):
+        assert main(["predict", "--model", "m.json", "--out", "p.csv"]) == 1
+        assert "the following arguments are required: --features" in capsys.readouterr().err
+
+    def test_predict_from_a_kernel_stack_exits_1(self, capsys):
+        # Prediction goes through the primal weights only; --stack is no option.
+        assert main([
+            "predict", "--model", "m.json", "--features", "f.csv", "--stack", "x",
+            "--out", "p.csv",
+        ]) == 1
+        assert "unrecognized arguments: --stack x" in capsys.readouterr().err
 
     # Each option's range is checked as argparse converts it, before any file
     # is opened: a value that slipped through would exit 2 on the missing files.
@@ -1215,6 +1209,16 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "exceeded" in capsys.readouterr().err
+
+    def test_more_outer_folds_than_samples_exits_2(self, tmp_path, capsys):
+        _, features, groups, targets = _workspace(tmp_path)
+        code = main([
+            "cv", "--features", features, "--groups", groups, "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "1.0",
+            "--k-outer", "21", "--out", str(tmp_path / "cv"),
+        ])
+        assert code == 2
+        assert "k_outer = 21 exceeds the 20 available samples" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -1498,3 +1502,57 @@ def test_readme_library_snippet_runs_as_written():
     weights = eval(printed.getvalue(), {"np": np})
     assert sorted(weights) == ["pathway_a", "pathway_b"]
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+def _readme_commands() -> list[str]:
+    """Every ``python3 -m enmkl`` command of README.md's ``sh`` blocks, in
+    order, with its backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("python3 -m enmkl "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_walkthrough_runs_in_order(tmp_path):
+    commands = _readme_commands()
+    assert {shlex.split(c)[3] for c in commands} == {"kernels", "train", "predict", "cv", "report"}
+    _workspace(tmp_path, n=30, seed=91)  # features.csv, groups.csv, targets.csv
+    new = make_classification_data(
+        n=6, seed=92, group_specs=[("sig", 3, "signal"), ("noise", 2, "noise")]
+    )
+    (tmp_path / "new_rows.csv").write_text("".join(
+        [f"id,{','.join(f'f{j}' for j in range(new.n_features))}\n"]
+        + [f"new{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(new.features.tolist())]
+    ))
+    for command in commands:
+        result = subprocess.run(
+            [sys.executable, *shlex.split(command)[1:]],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (command, result.stderr)
+    assert len((tmp_path / "pred.csv").read_text().splitlines()) == 1 + 6
+    assert (tmp_path / "weights.csv").read_text().startswith("group,mean_weight,n_features\n")
+
+
+def test_tracer_still_wraps_train(tmp_path):
+    """The benchmark's tracer wraps package functions by name; a rename or a
+    deletion breaks ``perfbench/run.py --trace 1``."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    _, features, groups, targets = _workspace(tmp_path, n=12)
+    assert main([
+        "kernels", "--features", features, "--groups", groups, "--out", str(tmp_path / "stack"),
+    ]) == 0
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "run0", "train",
+         "--stack", str(tmp_path / "stack" / "stack.json"), "--targets", targets,
+         "--task", "classification", "--C", "1.0", "--mu", "0.5",
+         "--out", str(tmp_path / "model.json")],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span["name"] for span in json.loads(spans.read_text())}
+    assert {"mkl.fit", "solvers.smo", "kernels.preprocess_fit", "io.read_stack"} <= names
