@@ -26,7 +26,9 @@ from .evaluation import (
     make_fold_plan,
     nested_cv,
 )
-from .kernels import StackPreprocessor, build_linear_kernels
+# build_linear_kernels stays importable from here: perfbench/tracer.py wraps
+# it at this name.
+from .kernels import LinearKernelStream, StackPreprocessor, build_linear_kernels  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,15 +93,16 @@ def _beta_table(group_names, beta, group_sizes=None, header="kernel weights") ->
 
 def cmd_kernels(args) -> None:
     data, _ = io.load_grouped_dataset(args.features, args.groups)
-    stack = build_linear_kernels(data)
     sources = {
         "features_file": str(Path(args.features).resolve()),
         "groups_file": str(Path(args.groups).resolve()),
         "features_sha256": io.sha256_file(args.features),
         "groups_sha256": io.sha256_file(args.groups),
     }
-    manifest_path = io.write_stack(args.out, stack, fmt=args.format, sources=sources)
-    print(f"wrote {stack.m} kernels over {stack.n_rows} samples to {manifest_path}")
+    manifest_path = io.write_stack(
+        args.out, LinearKernelStream(data), fmt=args.format, sources=sources
+    )
+    print(f"wrote {data.n_groups} kernels over {data.n_samples} samples to {manifest_path}")
 
 
 def _recoverable_sources(manifest: dict):

@@ -296,7 +296,8 @@ def make_fold_plan(
     inner_all = []
     for fold_index, test_units in enumerate(outer_unit_folds):
         test_ids = {i for u in test_units for i in members_of[u]}
-        train_units = [u for u in units if u not in set(test_units)]
+        test_set = set(test_units)
+        train_units = [u for u in units if u not in test_set]
         train_ids = {i for u in train_units for i in members_of[u]}
         outer.append((in_dataset_order(train_ids), in_dataset_order(test_ids)))
 

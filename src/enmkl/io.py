@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .kernels import GroupedDataset, KernelStack
+from .kernels import GroupedDataset, KernelStack, LinearKernelStream
 
 # Binary kernels start with this magic. The first format's magic, which had
 # no id digest in its header, is refused with a hint to rebuild the stack.
@@ -459,27 +459,34 @@ def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
 
 
 def write_stack(
-    out_dir, stack: KernelStack, fmt: str = "csv", *, sources: dict | None = None
+    out_dir, stack: KernelStack | LinearKernelStream, fmt: str = "csv", *,
+    sources: dict | None = None,
 ) -> Path:
     """Write a train kernel stack plus manifest into a directory.
 
     One data file per group; the manifest ties them together and records
     the ids, the preprocessing flags and the source files. Returns the
-    manifest path.
+    manifest path. ``stack`` may also be a :class:`LinearKernelStream`,
+    whose kernels are computed one at a time: each is written before the
+    next is computed. An existing manifest is removed before the first
+    kernel file is written and the new one is written last, so a run that
+    fails part way leaves no manifest that pairs old and new kernel files.
     """
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown kernel format {fmt!r}")
     if stack.row_ids != stack.col_ids:
         raise ValueError("write_stack writes train stacks only")
+    write_kernel = write_kernel_csv if fmt == "csv" else write_kernel_binary
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "stack.json"
+    manifest_path.unlink(missing_ok=True)
     groups = []
-    for j, (name, size) in enumerate(zip(stack.group_names, stack.group_sizes)):
+    for j, (name, size, kernel) in enumerate(
+        zip(stack.group_names, stack.group_sizes, stack.values)
+    ):
         data_file = f"kernel_{j:03d}.{'csv' if fmt == 'csv' else 'bin'}"
-        if fmt == "csv":
-            write_kernel_csv(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
-        else:
-            write_kernel_binary(out_dir / data_file, stack.values[j], stack.row_ids, stack.col_ids)
+        write_kernel(out_dir / data_file, kernel, stack.row_ids, stack.col_ids)
         groups.append({"name": name, "size": size, "data_file": data_file})
     manifest = {
         "manifest_version": MANIFEST_VERSION,
@@ -492,7 +499,6 @@ def write_stack(
         "groups": groups,
         "sources": sources or {},
     }
-    manifest_path = out_dir / "stack.json"
     write_json(manifest_path, manifest)
     return manifest_path
 

@@ -15,7 +15,7 @@ routes against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class KernelStack:
     ``values`` is kept as a read-only C-contiguous float64 array of shape
     ``(m, n_rows, n_cols)``. An array already in that form is taken without
     a copy, so the caller must not write to it afterwards.
+
+    ``_symmetric`` is for the builders in this module whose train kernels
+    are symmetric by construction: it skips the transposed symmetry scan,
+    and every other check still runs.
     """
 
     values: np.ndarray
@@ -66,8 +70,9 @@ class KernelStack:
     group_sizes: tuple[int, ...]
     centered: bool = False
     normalized: bool = False
+    _symmetric: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _symmetric):
         values = np.ascontiguousarray(self.values, dtype=np.float64).view()
         row_ids = tuple(str(i) for i in self.row_ids)
         col_ids = tuple(str(i) for i in self.col_ids)
@@ -95,7 +100,7 @@ class KernelStack:
                 raise ValueError("kernel contains non-finite entries")
             if not train:
                 continue
-            if not np.array_equal(k, k.T):
+            if not _symmetric and not np.array_equal(k, k.T):
                 scale = max(1.0, high, -low)  # 1 or the largest magnitude
                 if float(np.abs(k - k.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
                     raise ValueError("train kernel is not symmetric")
@@ -240,6 +245,54 @@ class GroupedDataset:
             raise DataError("classification targets contain a single class")
 
 
+def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the linear kernel ``block @ block.T`` of one group into ``out``.
+
+    ``block`` is the group's (n, d) feature slice and ``out`` an (n, n)
+    float64 array; ``out`` is returned. BLAS returns such a product
+    symmetric bit for bit, and averaging it with its transpose then changes
+    no bit. So it is averaged only when it is not symmetric, or when an
+    entry's magnitude is 2**1023 or more, which the average doubles to inf.
+    A kernel with a non-finite entry is refused.
+    """
+    np.matmul(block, block.T, out=out)
+    bits = out.view(np.uint64)
+    # min and max are NaN when any entry is, so this also tests finiteness.
+    if np.array_equal(bits, bits.T) and -_HALF_MAX < out.min() and out.max() < _HALF_MAX:
+        return out
+    np.divide(np.add(out, out.T), 2.0, out=out)
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        raise ValueError("kernel contains non-finite entries")
+    return out
+
+
+class LinearKernelStream:
+    """A dataset's raw linear kernels, computed one at a time as they are read.
+
+    It has the ids, group names and sizes and flags of the raw train
+    :class:`KernelStack` that :func:`build_linear_kernels` returns, and
+    iterating ``values`` yields the same kernels in group order. Each is
+    computed into one reused (n, n) buffer, so a yielded kernel holds only
+    until the next one is asked for: a writer that stores each kernel before
+    asking for the next holds one kernel in memory, not m.
+    """
+
+    centered = normalized = False
+
+    def __init__(self, data: GroupedDataset):
+        self.data = data
+        self.row_ids = self.col_ids = data.sample_ids
+        self.group_names, self.group_sizes = data.group_names, data.group_sizes
+
+    @property
+    def values(self):
+        data, out = self.data, np.empty((self.data.n_samples, self.data.n_samples))
+        return (
+            linear_gram(data.features[:, data.group_columns(j)], out)
+            for j in range(data.n_groups)
+        )
+
+
 def build_linear_kernels(data: GroupedDataset) -> KernelStack:
     """Compute one raw linear kernel per feature group.
 
@@ -249,14 +302,11 @@ def build_linear_kernels(data: GroupedDataset) -> KernelStack:
     """
     n = data.n_samples
     values = np.empty((data.n_groups, n, n))
-    gram = np.empty((n, n))
     for j in range(data.n_groups):
-        block = data.features[:, data.group_columns(j)]
-        np.matmul(block, block.T, out=gram)
-        np.add(gram, gram.T, out=values[j])  # kill round-off asymmetry from BLAS
-        values[j] /= 2.0
+        linear_gram(data.features[:, data.group_columns(j)], values[j])
     return KernelStack(
-        values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes
+        values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes,
+        _symmetric=True,
     )
 
 
@@ -418,9 +468,11 @@ class StackPreprocessor:
                 dest[...] = k
             stats.append(GroupKernelStats(col_means, grand, self_sim))
         self.stats_ = stats
+        # Each kernel above is a symmetric average, a quotient of one by the
+        # symmetric outer(scale, scale), or a copy of a checked raw kernel.
         self.train_stack_ = KernelStack(
             out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
-            centered=self.center, normalized=self.normalize,
+            centered=self.center, normalized=self.normalize, _symmetric=True,
         )
         return self
 

@@ -716,7 +716,14 @@ class PrimalModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrimalModel":
-        return cls(
+        """The model a :meth:`to_dict` record holds.
+
+        ``decision_values`` pairs the per-group lists entry by entry, so a
+        record whose lists differ in length, whose weight or mean vector does
+        not match its group's columns, or whose columns lie outside
+        ``n_features`` is refused with a ``ValueError``.
+        """
+        model = cls(
             weights=tuple(np.asarray(w, dtype=np.float64) for w in d["weights"]),
             group_names=tuple(str(g) for g in d["group_names"]),
             group_columns=tuple(np.asarray(c, dtype=np.int64) for c in d["group_columns"]),
@@ -726,6 +733,22 @@ class PrimalModel:
             normalized=bool(d["normalized"]),
             n_features=int(d["n_features"]),
         )
+        groups = (model.group_names, model.group_columns, model.weights, model.feature_means)
+        if len(set(map(len, groups))) != 1:
+            raise ValueError(
+                "primal group_names, group_columns, weights and feature_means differ in length"
+            )
+        for name, cols, w, mu in zip(*groups):
+            if cols.ndim != 1 or w.shape != cols.shape or mu.shape != cols.shape:
+                raise ValueError(
+                    f"group '{name}': weights and feature_means must hold one value "
+                    "per group column"
+                )
+            if cols.size and (cols.min() < 0 or cols.max() >= model.n_features):
+                raise ValueError(
+                    f"group '{name}': a column lies outside the {model.n_features} features"
+                )
+        return model
 
 
 def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> PrimalModel:

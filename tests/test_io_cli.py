@@ -27,6 +27,7 @@ from enmkl.errors import DataError
 from enmkl.io import dump_json
 from enmkl.mkl import model_from_dict, predict_model
 from enmkl.kernels import (
+    LinearKernelStream,
     StackPreprocessor,
     build_linear_cross_kernels,
     build_linear_kernels,
@@ -40,6 +41,22 @@ def _write(path, text):
     return str(path)
 
 
+def _write_features(tmp_path, data, features=None):
+    """The feature and group CSVs of ``data``, with ``features`` in place of its rows."""
+    features = data.features if features is None else features
+    names = [f"f{j}" for j in range(data.n_features)]
+    lines = ["id," + ",".join(names)]
+    for i, sid in enumerate(data.sample_ids):
+        lines.append(sid + "," + ",".join(repr(float(v)) for v in features[i]))
+    group_lines = ["feature,group"]
+    for j, name in enumerate(names):
+        group_lines.append(f"{name},{data.group_names[data.groups[j]]}")
+    return (
+        _write(tmp_path / "features.csv", "\n".join(lines) + "\n"),
+        _write(tmp_path / "groups.csv", "\n".join(group_lines) + "\n"),
+    )
+
+
 def _workspace(tmp_path, task="classification", n=20, seed=60):
     """Feature, group, and target CSVs for a two-group dataset."""
     if task == "classification":
@@ -50,17 +67,7 @@ def _workspace(tmp_path, task="classification", n=20, seed=60):
         data = make_regression_data(
             n=n, seed=seed, group_specs=[("sig", 3, "signal"), ("noise", 2, "noise")]
         )
-    names = [f"f{j}" for j in range(data.n_features)]
-    lines = ["id," + ",".join(names)]
-    for i, sid in enumerate(data.sample_ids):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in data.features[i]))
-    features = _write(tmp_path / "features.csv", "\n".join(lines) + "\n")
-
-    group_lines = ["feature,group"]
-    for j, name in enumerate(names):
-        group_lines.append(f"{name},{data.group_names[data.groups[j]]}")
-    groups = _write(tmp_path / "groups.csv", "\n".join(group_lines) + "\n")
-
+    features, groups = _write_features(tmp_path, data)
     target_lines = ["id,target"]
     for sid, t in zip(data.sample_ids, data.targets):
         if task == "classification":
@@ -536,6 +543,18 @@ class TestStackFiles:
         assert loaded.centered and loaded.normalized
         np.testing.assert_array_equal(loaded.values, preprocessed.values)
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_stream_writes_the_stack_bytes(self, tmp_path, fmt):
+        data = make_classification_data(
+            n=9, seed=67, group_specs=[("a", 2, "signal"), ("b", 3, "noise")]
+        )
+        io.write_stack(tmp_path / "stack", build_linear_kernels(data), fmt)
+        io.write_stack(tmp_path / "stream", LinearKernelStream(data), fmt)
+        files = sorted(p.name for p in (tmp_path / "stack").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "stream").iterdir())
+        for name in files:
+            assert (tmp_path / "stack" / name).read_bytes() == (tmp_path / "stream" / name).read_bytes()
+
     def test_cross_stack_not_written(self, tmp_path):
         data = make_classification_data(n=8, seed=65, group_specs=[("a", 2, "signal")])
         cross, _ = build_linear_cross_kernels(data, data.features[:3], ("t0", "t1", "t2"))
@@ -603,6 +622,44 @@ class TestKernelsCommand:
         assert manifest["format"] == "binary"
         assert all(e["data_file"].endswith(".bin") for e in manifest["groups"])
         assert len(manifest["sources"]["features_sha256"]) == 64
+
+    def test_holds_one_kernel(self, tmp_path, capsys):
+        # A stack of 8 kernels at n=300 is 5.5 MiB: the bound allows one
+        # kernel and 2 MiB.
+        m, n = 8, 300
+        data = make_classification_data(
+            n=n, seed=71, group_specs=[(f"g{j}", 4, "signal" if j < 2 else "noise") for j in range(m)]
+        )
+        features, groups = _write_features(tmp_path, data)
+        tracemalloc.start()
+        try:
+            assert main([
+                "kernels", "--features", features, "--groups", groups,
+                "--format", "binary", "--out", str(tmp_path / "stack"),
+            ]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + (2 << 20)
+        loaded, _, _ = io.read_stack(tmp_path / "stack" / "stack.json")
+        assert loaded.values.tobytes() == build_linear_kernels(data).values.tobytes()
+
+    def test_overflowing_kernel_leaves_no_manifest(self, tmp_path, capsys):
+        data, features, groups, _ = _workspace(tmp_path)
+        out = tmp_path / "stack"
+        args = ["kernels", "--features", features, "--groups", groups, "--out", str(out)]
+        assert main(args) == 0
+        assert (out / "stack.json").is_file()
+        capsys.readouterr()
+        # The second group's kernel overflows; the first is written over the
+        # old one, so the old manifest must not survive to pair them.
+        huge = data.features.copy()
+        huge[:, data.group_columns(1)] *= 1e200
+        _write_features(tmp_path, data, huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args) == 2
+        assert capsys.readouterr().err == "error: kernel contains non-finite entries\n"
+        assert not (out / "stack.json").exists()
 
     def test_unmapped_feature_exits_2(self, tmp_path, capsys):
         _, features, _, _ = _workspace(tmp_path)
@@ -1003,6 +1060,35 @@ class TestMalformedStackAndModel:
         )
         self._assert_data_error(result, "model.json")
         assert "label_mapping" in result.stderr
+
+    @pytest.mark.parametrize("edit", [
+        lambda primal: primal["weights"].pop(),
+        lambda primal: primal["group_names"].append("extra"),
+        lambda primal: primal["weights"][0].pop(),
+        lambda primal: primal["feature_means"][1].append(0.0),
+        lambda primal: primal["group_columns"][1].__setitem__(0, primal["n_features"]),
+        lambda primal: primal["group_columns"][0].__setitem__(0, -1),
+    ], ids=["short-weights", "extra-name", "short-weight-vector", "long-means",
+            "column-past-the-end", "negative-column"])
+    def test_inconsistent_primal_lists(self, tmp_path, capsys, edit):
+        # decision_values pairs these lists entry by entry, so a model with
+        # a group cut short would predict without it.
+        stack_dir, features, targets = self._stack(tmp_path)
+        assert main([
+            "train", "--stack", str(stack_dir / "stack.json"), "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "0.5",
+            "--out", str(tmp_path / "model.json"),
+        ]) == 0
+        model = tmp_path / "model.json"
+        self._edit_json(model, lambda payload: edit(payload["primal"]))
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(model), "--features", features,
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert f"error: {model}: malformed model file (" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     # 200,000 ids would ask for a stack of hundreds of GiB: the file must be
     # refused before any array of the manifest's size is allocated.

@@ -1,5 +1,7 @@
 """Kernel construction, preprocessing, and combination."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from enmkl.kernels import (
     StackPreprocessor,
     build_linear_cross_kernels,
     build_linear_kernels,
+    linear_gram,
     preprocess_feature_rows,
     weighted_sum,
 )
@@ -145,6 +148,18 @@ class TestKernelStackInvariants:
         assert transposed.values.flags.c_contiguous
         np.testing.assert_array_equal(transposed.values, ready)
 
+    def test_symmetric_flag_skips_only_the_symmetry_scan(self):
+        ids, asymmetric = ("a", "b"), np.array([[[1.0, 2.0], [3.0, 1.0]]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            KernelStack(asymmetric, ids, ids, ("g",), (1,))
+        KernelStack(asymmetric, ids, ids, ("g",), (1,), _symmetric=True)
+        with pytest.raises(ValueError, match="non-finite"):
+            KernelStack(np.array([[[1.0, np.inf], [np.inf, 1.0]]]), ids, ids, ("g",), (1,),
+                        _symmetric=True)
+        with pytest.raises(ValueError, match="unit diagonal"):
+            KernelStack(2.0 * np.eye(2)[None], ids, ids, ("g",), (1,), normalized=True,
+                        _symmetric=True)
+
     def test_ids_and_names_become_strings(self):
         stack = KernelStack(np.ones((1, 1, 1)), [7], [7], [3], [1.0])
         assert stack.row_ids == ("7",) and stack.col_ids == ("7",)
@@ -203,6 +218,43 @@ class TestBuildLinearKernels:
         for j in range(data.n_groups):
             block = data.features[:, data.group_columns(j)]
             np.testing.assert_allclose(stack.values[j], block @ block.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(60, 1), (60, 7), (250, 3), (250, 40)])
+    def test_gram_equals_the_averaged_product(self, n, d):
+        # BLAS returns block @ block.T symmetric bit for bit, so skipping the
+        # average must leave every bit of (g + g.T) / 2.
+        rng = np.random.default_rng(n + d)
+        block = np.ascontiguousarray(rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3))
+        g = block @ block.T
+        expected = (g + g.T) / 2.0
+        got = linear_gram(block, np.empty((n, n)))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_gram_averages_an_asymmetric_product(self):
+        rng = np.random.default_rng(11)
+        block = rng.normal(size=(5, 3))
+        real = np.matmul
+
+        def skewed(a, b, out):
+            real(a, b, out=out)
+            out[0, 1] = np.nextafter(out[0, 1], np.inf)
+            return out
+
+        with mock.patch.object(np, "matmul", skewed):
+            got = linear_gram(block, np.empty((5, 5)))
+        g = skewed(block, block.T, np.empty((5, 5)))
+        assert got.tobytes() == ((g + g.T) / 2.0).tobytes()
+        assert np.array_equal(got.view(np.uint64), got.T.view(np.uint64))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gram_entry_whose_double_overflows(self, sign):
+        # Entries of +-2**1023 are finite, but the average doubles them to inf,
+        # and the kernel is refused as it always was.
+        big = 2.0 ** 511
+        block = np.array([[big, big], [sign * big, sign * big], [1.0, 0.0]])
+        assert np.isfinite(block @ block.T).all()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            linear_gram(block, np.empty((3, 3)))
 
     def test_cross_kernels_fill_one_array(self):
         rng = np.random.default_rng(8)
