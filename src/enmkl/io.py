@@ -27,10 +27,9 @@ import numpy as np
 from .errors import DataError
 from .kernels import GroupedDataset, KernelStack, LinearKernelStream
 
-# Binary kernels start with this magic. The first format's magic, which had
-# no id digest in its header, is refused with a hint to rebuild the stack.
+# Binary kernels start with this magic; a file with any other start, such as
+# the first format's, which had no id digest, is refused.
 KERNEL_BINARY_MAGIC = b"ENMKLKR2"
-_OLD_KERNEL_BINARY_MAGIC = b"ENMKLKRN"
 MANIFEST_VERSION = 2
 MODEL_FORMAT_VERSION = 1
 
@@ -149,30 +148,26 @@ def _parse_row(path, lineno: int, fields) -> list[float]:
 
 
 def read_features_csv(path):
-    """Parse a features CSV: header ``id,<name>,...`` then one row per sample.
+    """Parse an ``id,<name>,...`` table, a features CSV or a kernel CSV: a
+    header, then one row of numbers per id.
 
-    Returns (sample_ids, feature_names, features matrix). The layout is a
-    kernel CSV's, so numpy's C reader parses it as in :func:`read_kernel_csv`;
-    its parse stands where every id and feature name is non-empty and unique,
-    and any other file goes row by row, which names what is wrong with it.
+    Returns (row ids, column names, float64 values). Ids and names must be
+    non-empty and unique. numpy's C reader (:func:`_read_table_c`) parses the
+    file where it can; a file it refuses, or whose ids or names break that
+    rule, goes row by row through the csv module, which names what is wrong.
     """
-    parsed = _read_kernel_csv_c(path)
+    parsed = _read_table_c(path)
     if parsed and all(len(set(names)) == len(names) and all(names) for names in parsed[:2]):
         return parsed
-    return _read_features_csv_rows(path)
-
-
-def _read_features_csv_rows(path):
-    """:func:`read_features_csv` by the csv module, one ``float`` pass per row."""
     rows = _read_csv_rows(path)
     header_line, header = rows[0]
     if len(header) < 2:
-        raise DataError(f"{path}:{header_line}: need an id column and at least one feature")
-    feature_names = tuple(h.strip() for h in header[1:])
-    if len(set(feature_names)) != len(feature_names):
-        raise DataError(f"{path}:{header_line}: duplicate feature name in header")
-    if any(not f for f in feature_names):
-        raise DataError(f"{path}:{header_line}: empty feature name in header")
+        raise DataError(f"{path}:{header_line}: need an id column and at least one value column")
+    col_names = tuple(h.strip() for h in header[1:])
+    if len(set(col_names)) != len(col_names):
+        raise DataError(f"{path}:{header_line}: duplicate column name in header")
+    if not all(col_names):
+        raise DataError(f"{path}:{header_line}: empty column name in header")
     ids = []
     seen = set()
     data = []
@@ -191,46 +186,26 @@ def _read_features_csv_rows(path):
         data.append(_parse_row(path, lineno, row[1:]))
     if not ids:
         raise DataError(f"{path}: no data rows")
-    return tuple(ids), feature_names, np.array(data, dtype=np.float64)
+    return tuple(ids), col_names, np.array(data, dtype=np.float64)
 
 
-def read_group_map_csv(path):
-    """Parse a two-column ``feature,group`` map; keeps first-appearance order.
+def read_column_csv(path, value_name: str = "value", key_name: str = "sample id"):
+    """Parse a ``key,value`` CSV into (key -> (raw string, line number)).
 
-    Returns (feature -> group name mapping, group names in appearance order).
+    Keys are non-empty and unique and keep their file order; ``key_name``
+    and ``value_name`` word the errors.
     """
-    rows = _read_csv_rows(path)
-    mapping: dict[str, str] = {}
-    group_order: list[str] = []
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        feature, group = row[0].strip(), row[1].strip()
-        if not feature or not group:
-            raise DataError(f"{path}:{lineno}: empty feature or group name")
-        if feature in mapping:
-            raise DataError(f"{path}:{lineno}: feature '{feature}' mapped twice")
-        mapping[feature] = group
-        if group not in group_order:
-            group_order.append(group)
-    if not mapping:
-        raise DataError(f"{path}: no map entries")
-    return mapping, tuple(group_order)
-
-
-def read_column_csv(path, value_name: str = "value"):
-    """Parse an ``id,value`` CSV into (id -> (raw string, line number))."""
     rows = _read_csv_rows(path)
     out: dict[str, tuple[str, int]] = {}
     for lineno, row in rows[1:]:
         if len(row) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise DataError(f"{path}:{lineno}: empty sample id")
-        if sid in out:
-            raise DataError(f"{path}:{lineno}: duplicate sample id '{sid}'")
-        out[sid] = (row[1].strip(), lineno)
+        key = row[0].strip()
+        if not key:
+            raise DataError(f"{path}:{lineno}: empty {key_name}")
+        if key in out:
+            raise DataError(f"{path}:{lineno}: duplicate {key_name} '{key}'")
+        out[key] = (row[1].strip(), lineno)
     if not out:
         raise DataError(f"{path}: no {value_name} rows")
     return out
@@ -269,17 +244,23 @@ def load_grouped_dataset(
 ):
     """Assemble a :class:`GroupedDataset` from feature, group, and target CSVs.
 
-    Every feature column must appear in the group map, and every group in
-    the map must match at least one present column. For classification the
-    raw target labels (exactly two distinct values) are mapped onto -1/+1
-    in sorted order; the mapping is returned so predictions can be written
-    back in the caller's vocabulary.
+    The group map is a ``feature,group`` CSV; groups keep the order in which
+    they first appear in it. Every feature column must appear in the group
+    map, and every group in the map must match at least one present column.
+    For classification the raw target labels (exactly two distinct values)
+    are mapped onto -1/+1 in sorted order; the mapping is returned so
+    predictions can be written back in the caller's vocabulary.
 
     Returns (dataset, label_mapping) where label_mapping is None for
     regression or when no targets were given.
     """
     sample_ids, feature_names, features = read_features_csv(features_path)
-    mapping, group_order = read_group_map_csv(groups_path)
+    mapping = {}
+    for name, (group, lineno) in read_column_csv(groups_path, "map", key_name="feature").items():
+        if not group:
+            raise DataError(f"{groups_path}:{lineno}: empty group name")
+        mapping[name] = group
+    group_order = tuple(dict.fromkeys(mapping.values()))
     for name in feature_names:
         if name not in mapping:
             raise DataError(
@@ -343,17 +324,7 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_kernel_csv(path):
-    """Parse a kernel CSV written by :func:`write_kernel_csv`.
-
-    Returns (row ids, column ids, values). numpy's C reader parses the
-    numeric block; a file it refuses goes row by row through the csv module,
-    which gives the same ids and values or names the bad line.
-    """
-    return _read_kernel_csv_c(path) or _read_kernel_csv_rows(path)
-
-
-def _read_kernel_csv_c(path):
+def _read_table_c(path):
     """The parse by one float64 ``np.loadtxt`` call, whose number parser is
     ``float``'s, or None where the row route must decide: a quote, "\\r", NUL or
     one of the separators \\x1c-\\x1f that numpy strips around a number but
@@ -380,25 +351,6 @@ def _read_kernel_csv_c(path):
     row_ids = tuple(line.partition(",")[0].strip() for line in lines[1:])
     col_ids = tuple(h.strip() for h in lines[0].split(",")[1:])
     return (row_ids, col_ids, values) if np.isfinite(values).all() else None
-
-
-def _read_kernel_csv_rows(path):
-    """:func:`read_kernel_csv` by the csv module, one ``float`` pass per row."""
-    rows = _read_csv_rows(path)
-    header_line, header = rows[0]
-    if len(header) < 2:
-        raise DataError(f"{path}:{header_line}: need an id column and at least one value column")
-    col_ids = tuple(h.strip() for h in header[1:])
-    row_ids = []
-    values = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        row_ids.append(row[0].strip())
-        values.append(_parse_row(path, lineno, row[1:]))
-    if not row_ids:
-        raise DataError(f"{path}: no data rows")
-    return tuple(row_ids), col_ids, np.array(values)
 
 
 def _ids_digest(row_ids, col_ids) -> bytes:
@@ -430,13 +382,10 @@ def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
     header = magic + 16 + 32
     with path.open("rb") as fh:
         head = fh.read(header)
-        if head.startswith(_OLD_KERNEL_BINARY_MAGIC):
-            raise DataError(
-                f"{path}: kernel binary file from an older version, without an id "
-                "digest; rerun the kernels command to rebuild the stack"
-            )
         if len(head) < header or not head.startswith(KERNEL_BINARY_MAGIC):
-            raise DataError(f"{path}: not a kernel binary file (bad magic)")
+            raise DataError(
+                f"{path}: not a kernel binary file (bad magic); rerun the kernels command"
+            )
         rows, cols = struct.unpack("<QQ", head[magic:magic + 16])
         if (rows, cols) != (len(row_ids), len(col_ids)):
             raise DataError(
@@ -569,7 +518,7 @@ def read_stack(manifest_path):
         sizes.append(_json_value(entry_where, entry, "size", int))
         paths.append(base / _json_value(entry_where, entry, "data_file", str))
         if fmt == "csv":
-            kernel_rows, kernel_cols, kernel = read_kernel_csv(paths[j])
+            kernel_rows, kernel_cols, kernel = read_features_csv(paths[j])
             if kernel_rows != row_ids or kernel_cols != col_ids:
                 raise DataError(f"{paths[j]}: kernel ids do not match the manifest")
         else:

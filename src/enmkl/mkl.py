@@ -429,8 +429,8 @@ def _train_enmkl(
     C = float(C)
     if not (np.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
-    if not conv_tol > 0:
-        raise ValueError("conv_tol must be positive")
+    if not (np.isfinite(conv_tol) and conv_tol > 0):
+        raise ValueError("conv_tol must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     targets, labels = _train_targets(stack, targets, task)

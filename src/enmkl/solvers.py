@@ -144,7 +144,7 @@ def solve_svm_dual(
     if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive")
+        raise ValueError("tol must be a positive finite number")
 
     # The rows of G are g = -y * grad, g where alpha_t may move up (else
     # -inf) and g where it may move down (else +inf). One in-place add moves

@@ -149,18 +149,23 @@ class TestFeatureCsv:
 
 
 class TestGroupMapCsv:
+    def _load(self, tmp_path, group_map):
+        features = _write(tmp_path / "f.csv", "id,f0,f1,f2\ns0,1.0,2.0,3.0\n")
+        data, _ = io.load_grouped_dataset(features, _write(tmp_path / "g.csv", group_map))
+        return data
+
     def test_appearance_order(self, tmp_path):
-        path = _write(
-            tmp_path / "g.csv", "feature,group\nf0,beta\nf1,alpha\nf2,beta\n"
-        )
-        mapping, order = io.read_group_map_csv(path)
-        assert order == ("beta", "alpha")
-        assert mapping == {"f0": "beta", "f1": "alpha", "f2": "beta"}
+        data = self._load(tmp_path, "feature,group\nf0,beta\nf1,alpha\nf2,beta\n")
+        assert data.group_names == ("beta", "alpha")
+        np.testing.assert_array_equal(data.groups, [0, 1, 0])
 
     def test_double_mapping_rejected(self, tmp_path):
-        path = _write(tmp_path / "g.csv", "feature,group\nf0,a\nf0,b\n")
-        with pytest.raises(DataError, match="mapped twice"):
-            io.read_group_map_csv(path)
+        with pytest.raises(DataError, match=r"g\.csv:3: duplicate feature 'f0'"):
+            self._load(tmp_path, "feature,group\nf0,a\nf0,b\nf1,a\nf2,a\n")
+
+    def test_empty_group_rejected(self, tmp_path):
+        with pytest.raises(DataError, match=r"g\.csv:3: empty group name"):
+            self._load(tmp_path, "feature,group\nf0,a\nf1, \nf2,a\n")
 
 
 class TestTargets:
@@ -196,7 +201,7 @@ class TestKernelFiles:
         values, ids = self._kernel()
         path = tmp_path / "k.csv"
         io.write_kernel_csv(path, values, ids, ids)
-        row_ids, col_ids, loaded = io.read_kernel_csv(path)
+        row_ids, col_ids, loaded = io.read_features_csv(path)
         np.testing.assert_array_equal(loaded, values)
         assert row_ids == ids and col_ids == ids
 
@@ -271,7 +276,7 @@ class TestKernelCsvCodec:
         path = tmp_path / "k.csv"
         io.write_kernel_csv(path, values, row_ids, col_ids)
         assert path.read_text() == kernel_csv_reference(values, row_ids, col_ids)
-        _, _, loaded = io.read_kernel_csv(path)
+        _, _, loaded = io.read_features_csv(path)
         np.testing.assert_array_equal(loaded.view(np.int64), values.view(np.int64))
         return path.read_text()
 
@@ -336,11 +341,26 @@ class TestKernelCsvCodec:
         self._assert_reference_bytes(tmp_path, values, row_ids, col_ids)
 
 
+def _read_csv_stack(path):
+    """Read the CSV kernel file ``path`` as the one kernel of a train stack,
+    as ``train`` reads it."""
+    path = Path(path)
+    ids = [f"r{i}" for i in range(len(path.read_text().splitlines()) - 1)]
+    manifest = {
+        "manifest_version": io.MANIFEST_VERSION, "kind": "train", "format": "csv",
+        "centered": False, "normalized": False, "sample_ids": ids, "col_ids": ids,
+        "groups": [{"name": "g", "size": 1, "data_file": path.name}], "sources": {},
+    }
+    io.write_json(path.with_name("stack.json"), manifest)
+    return io.read_stack(path.with_name("stack.json"))
+
+
 class TestCsvParseErrors:
-    """Row-level parsing reports the same first bad value as per-value parsing."""
+    """Row-level parsing reports the same first bad value as per-value parsing,
+    in a features file and in a kernel file read as part of a stack."""
 
     READERS = {
-        "kernel": (io.read_kernel_csv, "id,c0,c1,c2\n"),
+        "kernel": (_read_csv_stack, "id,c0,c1,c2\n"),
         "features": (io.read_features_csv, "id,f0,f1,f2\n"),
     }
 
@@ -378,22 +398,42 @@ class TestCsvParseErrors:
         )
 
 
-def _perturb_kernel_csv(text, kind, data):
-    """``text`` with one perturbation of ``kind``, placed where ``data`` draws."""
+def _perturb_csv(text, kind, data):
+    """``text`` with one perturbation of ``kind``, placed where ``data`` draws.
+
+    Returns the new text and the 1-based numbers of the lines it changed
+    (none for a change of line ends or an inserted blank line).
+    """
     if kind == "crlf":
-        return text.replace("\n", "\r\n")
+        return text.replace("\n", "\r\n"), set()
     lines = text.split("\n")[:-1]
     if kind == "blank":
         blank = data.draw(st.sampled_from(["", " ", "\t", "  \t "]))
         lines.insert(data.draw(st.integers(0, len(lines))), blank)
-        return "\n".join(lines) + "\n"
-    i = data.draw(st.integers(0, len(lines) - 1))
-    fields = lines[i].split(",")
-    j = data.draw(st.integers(0, len(fields) - 1))
+        return "\n".join(lines) + "\n", set()
+    cells = [line.split(",") for line in lines]
 
     def pick(*options):
         return data.draw(st.sampled_from(options))
 
+    if kind in ("duplicate_id", "empty_id", "duplicate_name", "empty_name"):
+        # A sample id or a column name emptied, or copied from another.
+        if kind.endswith("_id"):
+            spots = [(i, 0) for i in range(1, len(cells))]
+        else:
+            spots = [(0, j) for j in range(1, len(cells[0]))]
+        i, j = data.draw(st.sampled_from(spots))
+        if kind.startswith("empty"):
+            cells[i][j] = pick("", " ", "\t")
+            changed = {i + 1}
+        else:
+            k, m = data.draw(st.sampled_from(spots))
+            cells[i][j] = cells[k][m]
+            changed = {i + 1, k + 1}
+        return "\n".join(",".join(row) for row in cells) + "\n", changed
+    i = data.draw(st.integers(0, len(cells) - 1))
+    fields = cells[i]
+    j = data.draw(st.integers(0, len(fields) - 1))
     if kind == "quote":
         fields[j] = f'"{fields[j]}"'
     elif kind == "hash":
@@ -410,46 +450,82 @@ def _perturb_kernel_csv(text, kind, data):
         fields.insert(j, pick("1.0", ""))
     elif kind == "empty_field":
         fields[j] = ""
-    lines[i] = ",".join(fields)
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(row) for row in cells) + "\n", {i + 1}
+
+
+_CSV_KINDS = (
+    "none", "quote", "crlf", "blank", "hash", "underscore", "padded",
+    "non_finite", "drop_field", "add_field", "empty_field",
+    "duplicate_id", "empty_id", "duplicate_name", "empty_name",
+)
+
+_csv_tables = dict(
+    values=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    kind=st.sampled_from(_CSV_KINDS),
+    data=st.data(),
+)
+
+
+def _write_perturbed_table(path, values, kind, data):
+    """An ``id,<names>`` CSV of ``values``, perturbed by ``kind``; returns the
+    numbers of the lines the perturbation changed."""
+    io.write_kernel_csv(path, values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
+    text, changed = _perturb_csv(path.read_text(), kind, data)
+    path.write_bytes(text.encode())
+    return changed
 
 
 class TestKernelCsvRoutes:
-    """numpy's C reader and the csv row route read every kernel file alike."""
-
-    KINDS = (
-        "none", "quote", "crlf", "blank", "hash", "underscore", "padded",
-        "non_finite", "drop_field", "add_field", "empty_field",
-    )
+    """numpy's C reader and the csv row route read every ``id,<names>``
+    table, kernel or features file, alike."""
 
     @staticmethod
-    def _outcome(read, path):
+    def _outcome(path):
         """Ids and value bits of a parse, or the type and message of its error."""
         try:
-            row_ids, col_ids, values = read(path)
+            row_ids, col_ids, values = io.read_features_csv(path)
         except Exception as exc:
             return type(exc), str(exc)
         return row_ids, col_ids, values.dtype.str, values.shape, values.tobytes()
 
+    def _row_route_outcome(self, path):
+        with mock.patch.object(io, "_read_table_c", return_value=None):
+            return self._outcome(path)
+
     @settings(max_examples=300)
-    @given(
-        values=arrays(
-            np.float64,
-            st.tuples(st.integers(1, 5), st.integers(1, 5)),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        kind=st.sampled_from(KINDS),
-        data=st.data(),
-    )
+    @given(**_csv_tables)
     def test_routes_agree(self, tmp_path_factory, values, kind, data):
         path = tmp_path_factory.getbasetemp() / "routes.csv"
-        io.write_kernel_csv(path, values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
+        _write_perturbed_table(path, values, kind, data)
+        expected = self._row_route_outcome(path)
         if kind == "none":
-            assert io._read_kernel_csv_c(path) is not None
+            # A clean file never reaches the row route.
+            assert io._read_table_c(path) is not None
+            with mock.patch.object(io, "_read_csv_rows", side_effect=AssertionError):
+                assert self._outcome(path) == expected
+        assert self._outcome(path) == expected
+
+    @settings(max_examples=300)
+    @given(**_csv_tables)
+    def test_refusals_name_file_and_line(self, tmp_path_factory, values, kind, data):
+        # A fault in the header or a row is reported at that line; copying an
+        # id or a name reports either copy's line, and a header whose field
+        # count changed may be reported at the first data row.
+        path = tmp_path_factory.getbasetemp() / "refused.csv"
+        changed = _write_perturbed_table(path, values, kind, data)
+        try:
+            io.read_features_csv(path)
+        except DataError as exc:
+            message = str(exc)
         else:
-            path.write_bytes(_perturb_kernel_csv(path.read_text(), kind, data).encode())
-        expected = self._outcome(io._read_kernel_csv_rows, path)
-        assert self._outcome(io.read_kernel_csv, path) == expected
+            return
+        match = re.match(re.escape(str(path)) + r":(\d+): ", message)
+        assert match, message
+        assert int(match[1]) in changed | ({2} if 1 in changed else set()), message
 
     @pytest.mark.parametrize("text", [
         pytest.param("id,c0\nr0,1.5\x1c\n", id="separator-numpy-strips-float-refuses"),
@@ -463,59 +539,8 @@ class TestKernelCsvRoutes:
     def test_refused_files_take_the_row_route(self, tmp_path, text):
         path = tmp_path / "k.csv"
         path.write_bytes(text.encode())
-        assert io._read_kernel_csv_c(path) is None
-        assert self._outcome(io.read_kernel_csv, path) == self._outcome(
-            io._read_kernel_csv_rows, path
-        )
-
-
-def _perturb_features_csv(text, kind, data):
-    """``text`` with a sample id or feature name emptied or duplicated, or any
-    perturbation of :func:`_perturb_kernel_csv`."""
-    if kind not in ("duplicate_id", "empty_id", "duplicate_name", "empty_name"):
-        return _perturb_kernel_csv(text, kind, data)
-    lines = [line.split(",") for line in text.split("\n")[:-1]]
-    if kind.endswith("_id"):
-        cells = [(i, 0) for i in range(1, len(lines))]
-    else:
-        cells = [(0, j) for j in range(1, len(lines[0]))]
-    i, j = data.draw(st.sampled_from(cells))
-    if kind.startswith("empty"):
-        lines[i][j] = data.draw(st.sampled_from(["", " ", "\t"]))
-    else:
-        k, m = data.draw(st.sampled_from(cells))
-        lines[i][j] = lines[k][m]
-    return "\n".join(",".join(line) for line in lines) + "\n"
-
-
-class TestFeatureCsvRoutes:
-    """numpy's C reader and the csv row route read every features file alike."""
-
-    KINDS = TestKernelCsvRoutes.KINDS + (
-        "duplicate_id", "empty_id", "duplicate_name", "empty_name",
-    )
-
-    @settings(max_examples=300)
-    @given(
-        values=arrays(
-            np.float64,
-            st.tuples(st.integers(1, 5), st.integers(1, 5)),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        kind=st.sampled_from(KINDS),
-        data=st.data(),
-    )
-    def test_routes_agree(self, tmp_path_factory, values, kind, data):
-        path = tmp_path_factory.getbasetemp() / "features.csv"
-        io.write_kernel_csv(path, values, _ids("s", values.shape[0]), _ids("f", values.shape[1]))
-        if kind != "none":
-            path.write_bytes(_perturb_features_csv(path.read_text(), kind, data).encode())
-        expected = TestKernelCsvRoutes._outcome(io._read_features_csv_rows, path)
-        if kind == "none":
-            # A clean file never reaches the row route.
-            with mock.patch.object(io, "_read_features_csv_rows", side_effect=AssertionError):
-                assert TestKernelCsvRoutes._outcome(io.read_features_csv, path) == expected
-        assert TestKernelCsvRoutes._outcome(io.read_features_csv, path) == expected
+        assert io._read_table_c(path) is None
+        assert self._outcome(path) == self._row_route_outcome(path)
 
 
 class TestStackFiles:
@@ -1121,7 +1146,7 @@ class TestMalformedStackAndModel:
     def test_asymmetric_kernel_names_its_file(self, tmp_path, capsys):
         stack_dir, _, targets = self._stack(tmp_path)
         path = stack_dir / "kernel_001.csv"
-        rows, cols, values = io.read_kernel_csv(path)
+        rows, cols, values = io.read_features_csv(path)
         values[2, 5] += 1.0
         io.write_kernel_csv(path, values, rows, cols)
         result = self._train(tmp_path, stack_dir, targets)
@@ -1146,8 +1171,19 @@ class TestMalformedStackAndModel:
             path.write_bytes(b"ENMKLKRN" + raw[8:24] + raw[56:])
         result = self._train(tmp_path, stack_dir, targets)
         self._assert_data_error(result, "kernel_000.bin")
-        assert "older version" in result.stderr
         assert "rerun the kernels command" in result.stderr
+
+    def test_repeated_row_id_in_a_csv_kernel(self, tmp_path, capsys):
+        stack_dir, _, targets = self._stack(tmp_path)
+        path = stack_dir / "kernel_001.csv"
+        lines = path.read_text().splitlines()
+        rows = io.read_features_csv(path)[0]
+        lines[4] = rows[2] + lines[4][len(rows[3]):]
+        path.write_text("\n".join(lines) + "\n")
+        result = self._train(tmp_path, stack_dir, targets)
+        self._assert_data_error(result, "kernel_001.csv")
+        assert result.stderr == f"error: {path}:5: duplicate sample id '{rows[2]}'\n"
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestExitCodes:
@@ -1263,6 +1299,28 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "C must be a positive finite number" in capsys.readouterr().err
+
+    # The parser accepts an infinite tolerance (test_edge_values_still_parse);
+    # the trainer refuses it: an infinite --conv-tol would call its first step
+    # converged.
+    @pytest.mark.parametrize("flag, message", [
+        ("--conv-tol", "conv_tol must be a positive finite number"),
+        ("--solver-tol", "tol must be a positive finite number"),
+    ], ids=["conv-tol", "solver-tol"])
+    def test_infinite_tolerance_reaches_the_trainer(self, tmp_path, capsys, flag, message):
+        _, features, groups, targets = _workspace(tmp_path)
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--out", str(tmp_path / "stack"),
+        ]) == 0
+        code = main([
+            "train", "--stack", str(tmp_path / "stack" / "stack.json"),
+            "--targets", targets, "--task", "classification",
+            "--C", "1000", "--mu", "0.5", flag, "inf", "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)

@@ -316,10 +316,11 @@ class TestTrainerStructure:
 
 
 class TestTrainerValidation:
-    @pytest.mark.parametrize("conv_tol", [np.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("conv_tol", [np.nan, -1.0, 0.0, np.inf])
     def test_rejects_conv_tol_that_is_not_positive(self, conv_tol):
-        # Such a tolerance can never be met: the fit would spend every
-        # allowed solve and end unconverged.
+        # A tolerance of zero or less can never be met: the fit would spend
+        # every allowed solve and end unconverged. An infinite one is met by
+        # the first step, which would pass a one-step fit off as converged.
         specs = [("a", 2, "signal"), ("b", 2, "noise")]
         data = make_classification_data(n=12, seed=11, group_specs=specs)
         with pytest.raises(ValueError, match="conv_tol"):
