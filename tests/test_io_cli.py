@@ -453,64 +453,77 @@ def _perturb_csv(text, kind, data):
     return "\n".join(",".join(row) for row in cells) + "\n", {i + 1}
 
 
-_CSV_KINDS = (
+# Perturbations of the values and the layout, and of the ids and names.
+_CSV_VALUE_KINDS = (
     "none", "quote", "crlf", "blank", "hash", "underscore", "padded",
     "non_finite", "drop_field", "add_field", "empty_field",
-    "duplicate_id", "empty_id", "duplicate_name", "empty_name",
 )
-
-_csv_tables = dict(
-    values=arrays(
-        np.float64,
-        st.tuples(st.integers(1, 5), st.integers(1, 5)),
-        elements=st.floats(allow_nan=False, allow_infinity=False),
-    ),
-    kind=st.sampled_from(_CSV_KINDS),
-    data=st.data(),
-)
+_CSV_ID_KINDS = ("none", "duplicate_id", "empty_id", "duplicate_name", "empty_name")
 
 
-def _write_perturbed_table(path, values, kind, data):
-    """An ``id,<names>`` CSV of ``values``, perturbed by ``kind``; returns the
-    numbers of the lines the perturbation changed."""
-    io.write_kernel_csv(path, values, _ids("r", values.shape[0]), _ids("c", values.shape[1]))
+def _csv_tables(kinds):
+    return dict(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        kind=st.sampled_from(kinds),
+        data=st.data(),
+    )
+
+
+def _write_perturbed_table(path, values, kind, data, prefixes=("r", "c")):
+    """An ``id,<names>`` CSV of ``values``, its ids and names drawn from
+    ``prefixes``, perturbed by ``kind``; returns the numbers of the lines the
+    perturbation changed."""
+    row_prefix, col_prefix = prefixes
+    io.write_kernel_csv(
+        path, values, _ids(row_prefix, values.shape[0]), _ids(col_prefix, values.shape[1])
+    )
     text, changed = _perturb_csv(path.read_text(), kind, data)
     path.write_bytes(text.encode())
     return changed
 
 
+def _csv_outcome(path):
+    """Ids and value bits of a parse, or the type and message of its error."""
+    try:
+        row_ids, col_ids, values = io.read_features_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return row_ids, col_ids, values.dtype.str, values.shape, values.tobytes()
+
+
+def _row_route_outcome(path):
+    with mock.patch.object(io, "_read_table_c", return_value=None):
+        return _csv_outcome(path)
+
+
+def _assert_routes_agree(path, kind):
+    expected = _row_route_outcome(path)
+    if kind == "none":
+        # A clean file never reaches the row route.
+        assert io._read_table_c(path) is not None
+        with mock.patch.object(io, "_read_csv_rows", side_effect=AssertionError):
+            assert _csv_outcome(path) == expected
+    assert _csv_outcome(path) == expected
+
+
 class TestKernelCsvRoutes:
     """numpy's C reader and the csv row route read every ``id,<names>``
-    table, kernel or features file, alike."""
-
-    @staticmethod
-    def _outcome(path):
-        """Ids and value bits of a parse, or the type and message of its error."""
-        try:
-            row_ids, col_ids, values = io.read_features_csv(path)
-        except Exception as exc:
-            return type(exc), str(exc)
-        return row_ids, col_ids, values.dtype.str, values.shape, values.tobytes()
-
-    def _row_route_outcome(self, path):
-        with mock.patch.object(io, "_read_table_c", return_value=None):
-            return self._outcome(path)
+    table, kernel or features file, alike: here a kernel file whose values
+    or layout are perturbed."""
 
     @settings(max_examples=300)
-    @given(**_csv_tables)
+    @given(**_csv_tables(_CSV_VALUE_KINDS))
     def test_routes_agree(self, tmp_path_factory, values, kind, data):
         path = tmp_path_factory.getbasetemp() / "routes.csv"
         _write_perturbed_table(path, values, kind, data)
-        expected = self._row_route_outcome(path)
-        if kind == "none":
-            # A clean file never reaches the row route.
-            assert io._read_table_c(path) is not None
-            with mock.patch.object(io, "_read_csv_rows", side_effect=AssertionError):
-                assert self._outcome(path) == expected
-        assert self._outcome(path) == expected
+        _assert_routes_agree(path, kind)
 
     @settings(max_examples=300)
-    @given(**_csv_tables)
+    @given(**_csv_tables(_CSV_VALUE_KINDS + _CSV_ID_KINDS[1:]))
     def test_refusals_name_file_and_line(self, tmp_path_factory, values, kind, data):
         # A fault in the header or a row is reported at that line; copying an
         # id or a name reports either copy's line, and a header whose field
@@ -540,7 +553,19 @@ class TestKernelCsvRoutes:
         path = tmp_path / "k.csv"
         path.write_bytes(text.encode())
         assert io._read_table_c(path) is None
-        assert self._outcome(path) == self._row_route_outcome(path)
+        assert _csv_outcome(path) == _row_route_outcome(path)
+
+
+class TestFeatureCsvRoutes:
+    """The routes agree on a features file whose sample ids or feature names
+    are emptied or copied."""
+
+    @settings(max_examples=300)
+    @given(**_csv_tables(_CSV_ID_KINDS))
+    def test_routes_agree(self, tmp_path_factory, values, kind, data):
+        path = tmp_path_factory.getbasetemp() / "features.csv"
+        _write_perturbed_table(path, values, kind, data, prefixes=("s", "f"))
+        _assert_routes_agree(path, kind)
 
 
 class TestStackFiles:
