@@ -144,7 +144,7 @@ def cmd_train(args) -> None:
     payload = {
         "format_version": io.MODEL_FORMAT_VERSION,
         "model": mkl.model_to_dict(model),
-        "preprocessing": pre.stats_to_dict(),
+        "preprocessing": {"center": pre.center, "normalize": pre.normalize},
         "label_mapping": None
         if label_mapping is None
         else {str(raw): value for raw, value in label_mapping.items()},
@@ -157,10 +157,7 @@ def cmd_train(args) -> None:
         feature_data, _ = io.load_grouped_dataset(sources[0], sources[1])
         train_data = feature_data.subset(pre.train_stack_.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
-        payload["features"] = {
-            "feature_names": list(train_data.feature_names),
-            "group_index": train_data.groups.tolist(),
-        }
+        payload["features"] = {"feature_names": list(train_data.feature_names)}
         payload["primal"] = primal.to_dict()
 
     io.write_json(args.out, payload)
@@ -300,15 +297,17 @@ def cmd_cv(args) -> None:
         solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = nested_cv(
         data, args.task, plan, grid, trainer=args.trainer,
         baseline=args.baseline and args.trainer != "sum-baseline", **common,
     )
-    io.write_json(out_dir / "report.json", report.to_dict())
-    io.atomic_write_text(out_dir / "weights.csv", _weights_csv(report.to_dict()))
-    print(_report_text(report.to_dict()))
+    # Made only now, so a cv that fails in a fit leaves no empty folder.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report_dict = report.to_dict()
+    io.write_json(out_dir / "report.json", report_dict)
+    io.atomic_write_text(out_dir / "weights.csv", _weights_csv(report_dict))
+    print(_report_text(report_dict))
 
     base = report.baseline
     if base is not None:

@@ -88,12 +88,22 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; other bytes are a DataError naming their line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_json(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: file not found")
     try:
-        return json.loads(path.read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
 
@@ -111,11 +121,15 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     if not path.is_file():
         raise DataError(f"{path}: file not found")
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # skip blank lines
-            rows.append((lineno, row))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue  # skip blank lines
+                rows.append((lineno, row))
+    except UnicodeDecodeError:
+        _read_text(path)  # raises the DataError that names the line
+        raise
     if not rows:
         raise DataError(f"{path}: file is empty")
     return rows
@@ -331,7 +345,7 @@ def _read_table_c(path):
     ``float`` refuses; a field count unlike the header's; a field over the csv
     size limit; a value numpy refuses or reads as non-finite."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeError):
         return None

@@ -393,13 +393,6 @@ class GroupKernelStats:
     grand_mean: float
     self_sim: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "col_means": self.col_means.tolist(),
-            "grand_mean": self.grand_mean,
-            "self_sim": self.self_sim.tolist(),
-        }
-
 
 class StackPreprocessor:
     """Fits centering/normalization on a raw train stack and replays it.
@@ -521,18 +514,6 @@ class StackPreprocessor:
             raw_cross.group_sizes, centered=self.center, normalized=self.normalize,
         )
 
-    def stats_to_dict(self) -> dict:
-        if self.train_stack_ is None:
-            raise ValueError("preprocessor has not been fitted")
-        return {
-            "center": self.center,
-            "normalize": self.normalize,
-            "groups": [
-                {"name": name, **st.to_dict()}
-                for name, st in zip(self.train_stack_.group_names, self.stats_)
-            ],
-        }
-
 
 def group_feature_means(data: GroupedDataset) -> list[np.ndarray]:
     """Per-group column means of the train features, in group order."""
@@ -542,7 +523,7 @@ def group_feature_means(data: GroupedDataset) -> list[np.ndarray]:
 def preprocess_feature_rows(
     features,
     group_columns: list[np.ndarray],
-    group_means: list[np.ndarray] | None,
+    group_means: list[np.ndarray],
     center: bool,
     normalize: bool,
     sample_ids=None,
@@ -558,13 +539,9 @@ def preprocess_feature_rows(
     out = np.array(features, dtype=np.float64, copy=True)
     if out.ndim != 2:
         raise ValueError("features must be a 2-d array")
-    if group_means is None:
-        group_means = [None] * len(group_columns)
     for cols, mu in zip(group_columns, group_means):
         block = out[:, cols]
         if center:
-            if mu is None:
-                raise ValueError("centering requires per-group train means")
             block = block - np.asarray(mu, dtype=np.float64)[None, :]
         if normalize:
             norms = np.linalg.norm(block, axis=1)

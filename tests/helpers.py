@@ -182,6 +182,11 @@ def smo_reference(K, y, C, tol=1e-3, max_updates=10_000_000, alpha0=None):
     return alpha, bias, objective, updates
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def kernel_csv_reference(values, row_ids, col_ids):
     """Kernel CSV text as the original writer built it: one ``repr`` per value.
 

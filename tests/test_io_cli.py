@@ -24,7 +24,6 @@ import enmkl
 from enmkl import io
 from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
-from enmkl.io import dump_json
 from enmkl.mkl import model_from_dict, predict_model
 from enmkl.kernels import (
     LinearKernelStream,
@@ -33,7 +32,12 @@ from enmkl.kernels import (
     build_linear_kernels,
 )
 
-from helpers import kernel_csv_reference, make_classification_data, make_regression_data
+from helpers import (
+    _same_bits,
+    kernel_csv_reference,
+    make_classification_data,
+    make_regression_data,
+)
 
 
 def _write(path, text):
@@ -396,6 +400,38 @@ class TestCsvParseErrors:
         assert (
             self._error(tmp_path, reader, "r0,x,inf,abc\n") == "FILE:2: not a number: 'x'"
         )
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are a data error naming the file and line."""
+
+    def test_features_csv(self, tmp_path, capsys):
+        _, features, groups, _ = _workspace(tmp_path)
+        lines = Path(features).read_bytes().split(b"\n")
+        lines[3] += b"\xff"
+        Path(features).write_bytes(b"\n".join(lines))
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--out", str(tmp_path / "stack"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {features}:4: not UTF-8 text\n"
+
+    def test_stack_json(self, tmp_path, capsys):
+        _, features, groups, targets = _workspace(tmp_path)
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--out", str(tmp_path / "stack"),
+        ]) == 0
+        stack = tmp_path / "stack" / "stack.json"
+        raw = stack.read_bytes()
+        stack.write_bytes(raw + b"\xff")
+        assert main([
+            "train", "--stack", str(stack), "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "0.5",
+            "--out", str(tmp_path / "m.json"),
+        ]) == 2
+        line = raw.count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {stack}:{line}: not UTF-8 text\n"
 
 
 def _perturb_csv(text, kind, data):
@@ -846,6 +882,54 @@ class TestTrainAndPredict:
         assert code == 2
         assert "changed" in capsys.readouterr().err
 
+    def _train(self, tmp_path, *flags):
+        """The model.json trained, with its feature files in place, on ``_workspace``."""
+        data, features, groups, targets = _workspace(tmp_path)
+        stack = self._build_stack(tmp_path, features, groups)
+        model_path = tmp_path / "model.json"
+        assert main([
+            "train", "--stack", stack, "--targets", targets,
+            "--task", "classification", "--C", "1.0", "--mu", "0.5",
+            "--out", str(model_path), *flags,
+        ]) == 0
+        return data, features, stack, model_path
+
+    def test_model_holds_only_what_readers_read(self, tmp_path, capsys):
+        _, _, _, model_path = self._train(tmp_path, "--no-normalize")
+        payload = io.read_json(model_path)
+        assert payload["preprocessing"] == {"center": True, "normalize": False}
+        assert payload["features"] == {"feature_names": [f"f{j}" for j in range(5)]}
+
+    def test_model_with_preprocessing_statistics_still_loads(self, tmp_path, capsys):
+        """A model file that also holds the train kernels' statistics and the
+        features' group index, as earlier versions wrote them, predicts and
+        reports exactly as the trimmed file does."""
+        data, features, stack, model_path = self._train(tmp_path)
+        payload = io.read_json(model_path)
+        pre = StackPreprocessor().fit(io.read_stack(stack)[0])
+        payload["preprocessing"]["groups"] = [
+            {
+                "name": name, "col_means": st.col_means.tolist(),
+                "grand_mean": st.grand_mean, "self_sim": st.self_sim.tolist(),
+            }
+            for name, st in zip(pre.train_stack_.group_names, pre.stats_)
+        ]
+        payload["features"]["group_index"] = data.groups.tolist()
+        old_path = tmp_path / "old_model.json"
+        io.write_json(old_path, payload)
+
+        preds, reports = [], []
+        for path in (model_path, old_path):
+            pred = tmp_path / f"pred_{path.stem}.csv"
+            assert main(["predict", "--model", str(path), "--features", features,
+                         "--out", str(pred)]) == 0
+            capsys.readouterr()
+            assert main(["report", "--model", str(path)]) == 0
+            preds.append(pred.read_bytes())
+            reports.append(capsys.readouterr().out)
+        assert preds[0] == preds[1]
+        assert reports[0] == reports[1]
+
 
 class TestTrainInPlace:
     """``train`` preprocesses into the buffer it read the raw kernels into."""
@@ -879,7 +963,11 @@ class TestTrainInPlace:
         got = StackPreprocessor(**options).fit(raw, out=buffer)
         assert np.shares_memory(got.train_stack_.values, buffer)
         assert got.train_stack_.values.tobytes() == expected.train_stack_.values.tobytes()
-        assert dump_json(got.stats_to_dict()) == dump_json(expected.stats_to_dict())
+        assert len(got.stats_) == len(expected.stats_)
+        for a, b in zip(got.stats_, expected.stats_):
+            assert _same_bits(a.col_means, b.col_means)
+            assert _same_bits(a.grand_mean, b.grand_mean)
+            assert _same_bits(a.self_sim, b.self_sim)
 
         self._train(stack, targets, tmp_path / "in_place.json", flags)
         fit = StackPreprocessor.fit
@@ -1419,6 +1507,18 @@ class TestCvCommand:
         assert weights[0] == "group,mean_weight,n_features"
         assert len(weights) == 3
 
+    def test_failed_fit_leaves_no_out_folder(self, tmp_path, capsys):
+        _, features, groups, targets = _workspace(tmp_path, n=18, seed=67)
+        out = tmp_path / "cvout"
+        assert main([
+            "cv", "--features", features, "--groups", groups,
+            "--targets", targets, "--task", "classification",
+            "--C", "1.0", "--mu", "0.5", "--k-outer", "3", "--k-inner", "2",
+            "--conv-tol", "inf", "--out", str(out),
+        ]) == 2
+        assert "conv_tol must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_work_per_partition(self, tmp_path, capsys, monkeypatch):
         """``cv --baseline`` preprocesses each partition once and solves each
         (partition, C) beta = 1/m problem once, all through the functions a
@@ -1505,7 +1605,8 @@ class TestCvCommand:
 
     def test_failing_baseline_refit_writes_no_report(self, tmp_path, capsys, monkeypatch):
         """Both reports come from one pass: when the baseline's outer refit
-        fails, ``cv --baseline`` exits 3 and writes neither report."""
+        fails, ``cv --baseline`` exits 3 and writes neither report, nor its
+        ``--out`` folder."""
         from enmkl import mkl
         from enmkl.errors import ConvergenceError
 
@@ -1529,7 +1630,7 @@ class TestCvCommand:
         captured = capsys.readouterr()
         assert "baseline refit" in captured.err
         assert captured.out == ""
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_grid_flag_conflicts_with_explicit_values(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)

@@ -18,6 +18,7 @@ from enmkl.kernels import (
 )
 
 from helpers import (
+    _same_bits,
     oracle_feature_pipeline,
     preprocess_fit_reference,
     random_psd_kernel,
@@ -481,11 +482,6 @@ class TestWeightedSum:
         combined = weighted_sum(stack, [0.5, 0.5])
         assert type(combined) is np.ndarray and combined.shape == (2, 3)
         np.testing.assert_array_equal(combined, 0.5 * stack.values[0] + 0.5 * stack.values[1])
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestWeightedSumMatchesReference:
