@@ -24,8 +24,6 @@ from .solvers import (
 from .mkl import (
     MklModel,
     PrimalModel,
-    compute_block_norms,
-    enmkl_objective,
     model_from_dict,
     model_to_dict,
     predict_model,
@@ -34,8 +32,6 @@ from .mkl import (
     train_enmkl_krr,
     train_enmkl_svm,
     train_sum_baseline,
-    update_beta,
-    update_lambda,
 )
 from .evaluation import (
     CvReport,
@@ -70,8 +66,6 @@ __all__ = [
     "balanced_accuracy",
     "build_linear_cross_kernels",
     "build_linear_kernels",
-    "compute_block_norms",
-    "enmkl_objective",
     "make_fold_plan",
     "model_from_dict",
     "model_to_dict",
@@ -87,7 +81,5 @@ __all__ = [
     "train_enmkl_krr",
     "train_enmkl_svm",
     "train_sum_baseline",
-    "update_beta",
-    "update_lambda",
     "weighted_sum",
 ]

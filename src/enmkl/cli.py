@@ -280,6 +280,13 @@ def cmd_cv(args) -> None:
     if args.grid and (args.C is not None or args.mu is not None):
         raise UsageError("--grid replaces --C/--mu; pass one or the other")
 
+    # --out is made only after the fits, so a failed cv leaves no folder; an
+    # --out that cannot become a folder is refused before them.
+    out_dir = Path(args.out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"--out {out_dir}: {existing} exists and is not a directory")
+
     data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
     blocks = io.read_blocks(args.blocks, data.sample_ids) if args.blocks else None
     labels = data.targets if args.task == "classification" else None
@@ -301,8 +308,6 @@ def cmd_cv(args) -> None:
         data, args.task, plan, grid, trainer=args.trainer,
         baseline=args.baseline and args.trainer != "sum-baseline", **common,
     )
-    # Made only now, so a cv that fails in a fit leaves no empty folder.
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_dict = report.to_dict()
     io.write_json(out_dir / "report.json", report_dict)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .kernels import GroupedDataset, KernelStack, LinearKernelStream
+from .kernels import GroupedDataset, KernelStack, LinearKernelStream, bit_symmetric
 
 # Binary kernels start with this magic; a file with any other start, such as
 # the first format's, which had no id digest, is refused.
@@ -325,8 +325,7 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
     strings differ, so such a kernel takes the full-matrix path.
     """
     rows = values.tolist()
-    bits = values.view(np.uint64)
-    if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
+    if bit_symmetric(values):
         cells = []
         for i, row in enumerate(rows):
             cells.append([above[i] for above in cells] + list(map(float.__repr__, row[i:])))

@@ -42,6 +42,30 @@ def _as_float_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
+def bit_symmetric(k: np.ndarray) -> bool:
+    """Whether ``k`` is square and equals its transpose bit for bit, where
+    -0.0 and 0.0 differ (as their strings do)."""
+    bits = k.view(np.uint64)
+    return np.array_equal(bits, bits.T)
+
+
+def check_kernel(k: np.ndarray, train: bool = True) -> bool:
+    """Refuse a kernel with a non-finite entry, or a ``train`` kernel that is
+    not symmetric within SYMMETRY_TOL of its largest magnitude (or of 1).
+
+    Returns whether a train kernel is :func:`bit_symmetric`; False when
+    ``train`` is not set.
+    """
+    if not np.isfinite(k).all():
+        raise ValueError("kernel contains non-finite entries")
+    if not train or bit_symmetric(k):
+        return train
+    scale = max(1.0, float(np.abs(k).max()))
+    if float(np.abs(k - k.T).max()) > SYMMETRY_TOL * scale:
+        raise ValueError("train kernel is not symmetric")
+    return False
+
+
 @dataclass(frozen=True)
 class KernelStack:
     """The Gram matrices of one dataset, one per feature group.
@@ -93,17 +117,9 @@ class KernelStack:
             )
         train = row_ids == col_ids
         for k in values:
-            # The extremes are NaN or inf exactly when an entry is; two
-            # reductions, with no n x n temporary.
-            high, low = float(k.max(initial=0.0)), float(k.min(initial=0.0))
-            if not (np.isfinite(high) and np.isfinite(low)):
-                raise ValueError("kernel contains non-finite entries")
+            check_kernel(k, train=train and not _symmetric)
             if not train:
                 continue
-            if not _symmetric and not np.array_equal(k, k.T):
-                scale = max(1.0, high, -low)  # 1 or the largest magnitude
-                if float(np.abs(k - k.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
-                    raise ValueError("train kernel is not symmetric")
             if self.normalized:
                 if float(np.abs(np.diagonal(k) - 1.0).max(initial=0.0)) > UNIT_DIAG_TOL:
                     raise ValueError("kernel flagged normalized does not have a unit diagonal")
@@ -256,9 +272,8 @@ def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     A kernel with a non-finite entry is refused.
     """
     np.matmul(block, block.T, out=out)
-    bits = out.view(np.uint64)
     # min and max are NaN when any entry is, so this also tests finiteness.
-    if np.array_equal(bits, bits.T) and -_HALF_MAX < out.min() and out.max() < _HALF_MAX:
+    if bit_symmetric(out) and -_HALF_MAX < out.min() and out.max() < _HALF_MAX:
         return out
     np.divide(np.add(out, out.T), 2.0, out=out)
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):

@@ -71,9 +71,10 @@ ANDERSON_FLOOR = 1e-2
 _TASKS = ("classification", "regression")
 
 
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if not (np.isfinite(mu) and 0.0 < mu <= 1.0):
+def _check_mu(mu: float | None) -> float:
+    if mu is not None:
+        mu = float(mu)
+    if mu is None or not (np.isfinite(mu) and 0.0 < mu <= 1.0):
         raise ValueError(
             f"mu must lie in (0, 1], got {mu!r}; "
             "mu = 0 corresponds to the unweighted-sum baseline (train_sum_baseline)"
@@ -179,20 +180,13 @@ def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.n
     ``||w_j|| = beta_j * sqrt(q' K_j q)`` with ``q = alpha * labels`` for
     classification and ``q = alpha`` for regression. Tiny negative quadratic
     forms (round-off on PSD kernels) are clamped to zero; anything below
-    ``-1e-8 * ||q||^2`` means the kernel is not PSD and is rejected.
+    ``-1e-8 * ||q||^2`` means the kernel is not PSD and is rejected. The
+    shapes are the caller's to keep: ``alpha`` and ``labels`` hold one value
+    per train sample, ``beta`` one weight per kernel.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (stack.n_rows,):
-        raise ValueError("alpha must hold one coefficient per train sample")
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (stack.m,):
-        raise ValueError("beta must hold one weight per kernel")
-    q = alpha
+    q = np.asarray(alpha, dtype=np.float64)
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != alpha.shape:
-            raise ValueError("labels must be parallel to alpha")
-        q = alpha * labels
+        q = q * labels
     q_scale = float(q @ q)
     norms = np.empty(stack.m)
     for j, k in enumerate(stack.values):
@@ -206,38 +200,23 @@ def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.n
     return norms
 
 
-def update_lambda(w_norms, mu: float) -> np.ndarray:
+def _update_lambda(w: np.ndarray, mu: float) -> np.ndarray:
     """Closed-form scale variables: ``lambda_j = ||w_j|| / (sqrt(mu) * sum)``.
 
     This is the minimizer of the weighted-norm objective over the constraint
     set ``sqrt(mu) * sum(lambda) = 1``, so the returned vector always
-    satisfies that identity.
+    satisfies that identity. The block norms ``w`` are not all zero.
     """
-    mu = _check_mu(mu)
-    w = np.asarray(w_norms, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("block norms must be a 1-d array")
-    if (w < 0).any():
-        raise ValueError("block norms must be nonnegative")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("all block norms are zero; lambda is undefined")
-    return w / (np.sqrt(mu) * total)
+    return w / (np.sqrt(mu) * float(w.sum()))
 
 
-def update_beta(lambdas, mu: float) -> np.ndarray:
+def _update_beta(lam: np.ndarray, mu: float) -> np.ndarray:
     """Closed-form raw kernel weights from the scale variables.
 
     ``beta_j = 1 / (sqrt(mu) / lambda_j + (1 - mu))``, with ``beta_j = 0``
     where ``lambda_j = 0`` (the limit of the formula). At mu = 1 this
     reduces to ``beta = lambda``.
     """
-    mu = _check_mu(mu)
-    lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.ndim != 1:
-        raise ValueError("lambdas must be a 1-d array")
-    if (lam < 0).any():
-        raise ValueError("lambdas must be nonnegative")
     safe = np.where(lam > 0, lam, 1.0)
     return np.where(lam > 0, 1.0 / (np.sqrt(mu) / safe + (1.0 - mu)), 0.0)
 
@@ -279,17 +258,10 @@ def enmkl_objective(
     task = _check_task(task)
     targets = np.asarray(targets, dtype=np.float64)
     labels = targets if task == "classification" else None
+    combined = weighted_sum(stack, beta)  # refuses a beta of the wrong length
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-    combined = weighted_sum(stack, beta)
-    lam = update_lambda(w, mu) if float(w.sum()) > 0 else None
+    lam = _update_lambda(w, mu) if float(w.sum()) > 0 else None
     return _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
-
-
-def _normalized(beta: np.ndarray) -> np.ndarray:
-    total = float(beta.sum())
-    if total <= 0:
-        raise ValueError("kernel weights sum to zero")
-    return beta / total
 
 
 def _train_targets(stack: KernelStack, targets, task: str):
@@ -444,7 +416,7 @@ def _train_enmkl(
 
     m = stack.m
     beta = np.full(m, 1.0 / m)
-    # The scale variables of the current weights: beta = update_beta(lam_x),
+    # The scale variables of the current weights: beta = _update_beta(lam_x),
     # or, for the uniform start, the lambda of the same direction.
     lam_x = np.full(m, 1.0 / (m * math.sqrt(mu)))
     warm = None
@@ -474,7 +446,7 @@ def _train_enmkl(
             )
             degenerate = True
             break
-        lam = update_lambda(w, mu)
+        lam = _update_lambda(w, mu)
         objective = _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
         if extrapolated:
             # The solver noise an accepted objective may rise by: SMO stops at
@@ -492,18 +464,18 @@ def _train_enmkl(
                 continue
         history.append(objective)
         best = min(best, objective)
-        beta_new = update_beta(lam, mu)
+        beta_new = _update_beta(lam, mu)
         beta_new = np.where(beta_new < BETA_DROP_TOL, 0.0, beta_new)
         lam_new = np.where(beta_new > 0, lam, 0.0)
         accepted = (alpha, bias, beta_new, lam_new)
-        delta = float(np.abs(_normalized(beta_new) - _normalized(beta)).max())
+        delta = float(np.abs(beta_new / beta_new.sum() - beta / beta.sum()).max())
         if delta <= conv_tol:
             converged = True
             break
         # Extrapolating lambda, which keeps its sum, puts every iterate on
         # weights the update can produce, like the plain steps.
         lam_x, extrapolated = mixer.step(lam_x, lam_new)
-        beta = update_beta(lam_x, mu) if extrapolated else beta_new
+        beta = _update_beta(lam_x, mu) if extrapolated else beta_new
 
     if degenerate:
         # No block carries weight; fall back to uniform mixing and flag it.

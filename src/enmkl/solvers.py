@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import SYMMETRY_TOL
+from .kernels import check_kernel
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -83,21 +83,12 @@ def _kernel_values(k, name: str = "kernel") -> np.ndarray:
 
 
 def _train_kernel_values(k) -> tuple[np.ndarray, bool]:
-    """The values of a train kernel, checked to be square, finite and symmetric,
-    and whether they equal their transpose bit for bit (-0.0 == 0.0 as floats)."""
+    """The values of a square train kernel that :func:`check_kernel` accepts,
+    and whether they equal their transpose bit for bit."""
     values = _kernel_values(k)
-    n = values.shape[0]
-    if values.shape != (n, n):
+    if values.shape[0] != values.shape[1]:
         raise ValueError("train kernel must be square")
-    if not np.isfinite(values).all():
-        raise ValueError("kernel contains non-finite entries")
-    bits = values.view(np.uint64)
-    exact = np.array_equal(bits, bits.T)
-    if not exact:
-        scale = max(1.0, float(np.abs(values).max()))
-        if float(np.abs(values - values.T).max()) > SYMMETRY_TOL * scale:
-            raise ValueError("train kernel is not symmetric")
-    return values, exact
+    return values, check_kernel(values)
 
 
 def _check_labels(ys: list[float]) -> None:

@@ -381,14 +381,14 @@ def train_enmkl_reference(
         warm = alpha
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-        lam = mkl.update_lambda(w, mu) if float(w.sum()) > 0 else None
+        lam = mkl._update_lambda(w, mu) if float(w.sum()) > 0 else None
         history.append(
             mkl._objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
         )
         if lam is None:
             degenerate = True
             break
-        beta_new = mkl.update_beta(lam, mu)
+        beta_new = mkl._update_beta(lam, mu)
         beta_new = np.where(beta_new < mkl.BETA_DROP_TOL, 0.0, beta_new)
         delta = float(np.abs(beta_new / beta_new.sum() - beta / beta.sum()).max())
         beta = beta_new

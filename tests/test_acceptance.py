@@ -19,6 +19,8 @@ from enmkl.kernels import (
     build_linear_kernels,
 )
 from enmkl.mkl import (
+    _update_beta,
+    _update_lambda,
     compute_block_norms,
     enmkl_objective,
     predict_model,
@@ -26,8 +28,6 @@ from enmkl.mkl import (
     selected_kernel_count,
     train_enmkl_krr,
     train_enmkl_svm,
-    update_beta,
-    update_lambda,
 )
 from enmkl.solvers import solve_krr_dual, solve_svm_dual
 
@@ -121,10 +121,10 @@ def test_criterion_03_weight_update_identities():
             if w.sum() <= 0:
                 w[0] = 1.0
             mu = float(rng.uniform(1e-6, 1.0))
-            lam = update_lambda(w, mu)
+            lam = _update_lambda(w, mu)
             assert abs(np.sqrt(mu) * lam.sum() - 1.0) <= 1e-12
-            lam_sparse = update_lambda(w, 1.0)
-            beta_sparse = update_beta(lam_sparse, 1.0)
+            lam_sparse = _update_lambda(w, 1.0)
+            beta_sparse = _update_beta(lam_sparse, 1.0)
             assert np.abs(beta_sparse - lam_sparse).max() <= 1e-12
 
 

@@ -1519,6 +1519,31 @@ class TestCvCommand:
         assert "conv_tol must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["under_a_file", "a_file"])
+    def test_out_that_cannot_be_a_folder_is_refused_before_the_fits(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        from enmkl import cli
+
+        _, features, groups, targets = _workspace(tmp_path, n=18, seed=67)
+        blocker = tmp_path / "cvfile"
+        blocker.write_text("not a folder\n")
+        out = blocker / "sub" if where == "under_a_file" else blocker
+        fits = []
+        monkeypatch.setattr(cli, "nested_cv", lambda *a, **k: fits.append(1))
+        before = sorted(tmp_path.rglob("*"))
+        assert main([
+            "cv", "--features", features, "--groups", groups,
+            "--targets", targets, "--task", "classification",
+            "--C", "1.0", "--mu", "0.5", "--k-outer", "3", "--k-inner", "2",
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: {blocker} exists and is not a directory" in err
+        assert fits == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "not a folder\n"
+
     def test_work_per_partition(self, tmp_path, capsys, monkeypatch):
         """``cv --baseline`` preprocesses each partition once and solves each
         (partition, C) beta = 1/m problem once, all through the functions a
@@ -1826,3 +1851,24 @@ def test_tracer_still_wraps_train(tmp_path):
     assert result.returncode == 0, result.stderr
     names = {span["name"] for span in json.loads(spans.read_text())}
     assert {"mkl.fit", "solvers.smo", "kernels.preprocess_fit", "io.read_stack"} <= names
+
+
+def test_tracer_still_wraps_cv(tmp_path):
+    """As above, for the names a ``cv --baseline`` run goes through."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    _, features, groups, targets = _workspace(tmp_path, n=12)
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "run0", "cv",
+         "--features", features, "--groups", groups, "--targets", targets,
+         "--task", "classification", "--C", "1.0", "--mu", "0.5",
+         "--k-outer", "2", "--k-inner", "2", "--baseline", "--out", str(tmp_path / "cv")],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span["name"] for span in json.loads(spans.read_text())}
+    assert {
+        "evaluation.nested_cv", "kernels.build", "kernels.build_cross",
+        "kernels.preprocess_fit", "kernels.transform_cross", "kernels.weighted_sum",
+        "mkl.fit", "mkl.block_norms", "solvers.smo",
+    } <= names

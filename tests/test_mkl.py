@@ -23,6 +23,8 @@ from enmkl.mkl import (
     SELECTION_THRESHOLD,
     MklModel,
     PrimalModel,
+    _update_beta,
+    _update_lambda,
     compute_block_norms,
     enmkl_objective,
     model_from_dict,
@@ -34,8 +36,6 @@ from enmkl.mkl import (
     train_enmkl_svm,
     train_model,
     train_sum_baseline,
-    update_beta,
-    update_lambda,
 )
 from enmkl.solvers import predict, solve_krr_dual, solve_svm_dual
 
@@ -60,12 +60,14 @@ def _preprocessed_stack(data):
 
 
 class TestWeightUpdates:
+    """The loop's closed-form steps, on the float arrays the loop holds."""
+
     def test_lambda_equal_norms(self):
-        np.testing.assert_allclose(update_lambda([1.0, 1.0], mu=1.0), [0.5, 0.5])
-        np.testing.assert_allclose(update_lambda([1.0, 1.0], mu=0.25), [1.0, 1.0])
+        np.testing.assert_allclose(_update_lambda(np.array([1.0, 1.0]), mu=1.0), [0.5, 0.5])
+        np.testing.assert_allclose(_update_lambda(np.array([1.0, 1.0]), mu=0.25), [1.0, 1.0])
 
     def test_lambda_proportional_to_norms(self):
-        np.testing.assert_allclose(update_lambda([3.0, 1.0], mu=1.0), [0.75, 0.25])
+        np.testing.assert_allclose(_update_lambda(np.array([3.0, 1.0]), mu=1.0), [0.75, 0.25])
 
     def test_lambda_constraint_identity(self):
         rng = np.random.default_rng(0)
@@ -74,42 +76,29 @@ class TestWeightUpdates:
             if w.sum() == 0:
                 continue
             mu = float(rng.uniform(0.05, 1.0))
-            lam = update_lambda(w, mu)
+            lam = _update_lambda(w, mu)
             assert np.sqrt(mu) * lam.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_zero_block_stays_zero(self):
-        np.testing.assert_allclose(update_lambda([2.0, 0.0], mu=1.0), [1.0, 0.0])
-
-    def test_lambda_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="all block norms are zero"):
-            update_lambda([0.0, 0.0], mu=0.5)
+        np.testing.assert_allclose(_update_lambda(np.array([2.0, 0.0]), mu=1.0), [1.0, 0.0])
 
     def test_beta_reduces_to_lambda_at_mu_one(self):
         lam = np.array([0.75, 0.25])
-        np.testing.assert_allclose(update_beta(lam, mu=1.0), lam, atol=1e-15)
+        np.testing.assert_allclose(_update_beta(lam, mu=1.0), lam, atol=1e-15)
 
     def test_beta_hand_computed_mixed_case(self):
         # mu = 0.25, lambda = 1: 1 / (0.5 / 1 + 0.75) = 0.8.
-        np.testing.assert_allclose(update_beta([1.0, 1.0], mu=0.25), [0.8, 0.8])
+        np.testing.assert_allclose(_update_beta(np.array([1.0, 1.0]), mu=0.25), [0.8, 0.8])
 
     def test_beta_zero_lambda_gives_zero_weight(self):
-        beta = update_beta([0.5, 0.0], mu=0.7)
+        beta = _update_beta(np.array([0.5, 0.0]), mu=0.7)
         assert beta[1] == 0.0
         assert beta[0] > 0
 
     def test_beta_monotone_in_lambda(self):
         lam = np.linspace(0.05, 2.0, 25)
-        beta = update_beta(lam, mu=0.4)
+        beta = _update_beta(lam, mu=0.4)
         assert (np.diff(beta) > 0).all()
-
-    def test_mu_zero_rejected_with_baseline_hint(self):
-        with pytest.raises(ValueError, match="baseline"):
-            update_lambda([1.0], mu=0.0)
-
-    def test_mu_out_of_range_rejected(self):
-        for mu in (-0.5, 1.5):
-            with pytest.raises(ValueError):
-                update_beta([1.0], mu=mu)
 
 
 class TestBlockNorms:
@@ -248,7 +237,7 @@ class TestTrainerStructure:
         raw_beta = model.beta * model.beta_raw_sum
         raw_alpha = model.alpha / model.beta_raw_sum
         w = compute_block_norms(stack, raw_alpha, labels=model.train_labels, beta=raw_beta)
-        beta_next = update_beta(update_lambda(w, model.mu), model.mu)
+        beta_next = _update_beta(_update_lambda(w, model.mu), model.mu)
         np.testing.assert_allclose(beta_next, raw_beta, atol=1e-7)
 
     def test_final_rescale_preserves_decisions(self):
@@ -301,6 +290,13 @@ class TestTrainerStructure:
         stack = _preprocessed_stack(data)
         with pytest.raises(ValueError, match="baseline"):
             train_enmkl_svm(stack, data.targets, C=1.0, mu=0.0)
+
+    @pytest.mark.parametrize("mu", [None, -0.5, 1.5, float("nan")])
+    def test_mu_outside_its_range_is_refused_by_name(self, mu):
+        data = make_classification_data(n=10, seed=10, group_specs=[("g", 2, "signal")])
+        stack = _preprocessed_stack(data)
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\], got "):
+            train_model(stack, data.targets, "classification", "enmkl", 1.0, mu=mu)
 
     def test_sparsity_increases_with_mu(self):
         data = make_classification_data(
@@ -569,7 +565,7 @@ class TestAcceleratedLoop:
         for (beta, w), (beta_next, _) in zip(solves, solves[1:]):
             # At mu = 1 the update's weights sum to one; extrapolations keep that.
             assert abs(beta_next.sum() - 1.0) <= 1e-12
-            step = update_beta(update_lambda(w, 1.0), 1.0)
+            step = _update_beta(_update_lambda(w, 1.0), 1.0)
             step[step < mkl.BETA_DROP_TOL] = 0.0
             assert set(np.flatnonzero(beta_next == 0)) <= set(np.flatnonzero(step == 0))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enmkl import solvers
 from enmkl.errors import ConvergenceError
 from enmkl.kernels import KernelStack
 from enmkl.solvers import (
@@ -383,6 +384,78 @@ class TestSvmValidation:
         y = random_labels(rng, 20)
         with pytest.raises(ConvergenceError, match="exceeded 1 updates"):
             solve_svm_dual(K, y, C=10.0, tol=1e-12, max_updates=1)
+
+
+def _refusal(call):
+    """The message of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneTrainKernelCheck:
+    """``KernelStack`` and both solvers check a train kernel by one rule."""
+
+    N = 12
+    Y = np.array([1.0 if (i * 5) % 3 else -1.0 for i in range(N)])
+
+    @classmethod
+    def _kernel(cls, case):
+        # Integer features keep every entry, and every perturbation below, exact.
+        X = np.array([[(3 * i + 5 * j) % 7 - 3 for j in range(4)] for i in range(cls.N)])
+        K = (X @ X.T).astype(np.float64) + np.eye(cls.N)
+        if case in ("nan", "+inf", "-inf"):
+            K[1, 2] = K[2, 1] = float(case)
+        elif case == "asymmetric":
+            K[0, 1] += 1e-6  # 1e-6 / max|K| = 5e-8, above SYMMETRY_TOL
+        elif case == "within_tolerance":
+            # At most 2 * 2**-32 / max|K| = 2e-11 apart, and differing bits.
+            for i in range(cls.N):
+                for j in range(i + 1, cls.N):
+                    K[i, j] += ((i * 7 + j * 3) % 5 - 2) * 2.0 ** -32
+        elif case == "signed_zero":
+            K[0, 1], K[1, 0] = 0.0, -0.0
+        return K
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("nan", "kernel contains non-finite entries"),
+            ("+inf", "kernel contains non-finite entries"),
+            ("-inf", "kernel contains non-finite entries"),
+            ("asymmetric", "train kernel is not symmetric"),
+            ("within_tolerance", None),
+            ("signed_zero", None),
+        ],
+    )
+    def test_stack_and_solvers_agree(self, case, expected):
+        K = self._kernel(case)
+        ids = tuple(f"s{i}" for i in range(self.N))
+        outcomes = [
+            _refusal(lambda: KernelStack(K[None], ids, ids, ("g",), (1,))),
+            _refusal(lambda: solve_svm_dual(K, self.Y, 0.1)),
+            _refusal(lambda: solve_krr_dual(K, np.arange(self.N, dtype=np.float64), 1.0)),
+        ]
+        assert outcomes == [expected] * 3
+
+    def test_smo_keeps_its_bits_on_an_accepted_asymmetric_kernel(self, monkeypatch):
+        """On an accepted kernel that is not symmetric bit for bit, SMO reads
+        the columns of K from a copy of K.T. Its result keeps the bits it had
+        before the check moved into ``kernels``; K's rows would give others."""
+        K = self._kernel("within_tolerance")
+        sol = solve_svm_dual(K, self.Y, 0.1, tol=1e-12)
+        assert [a.hex() for a in sol.alpha.tolist()] == [
+            "0x1.999999999999ap-4", "0x1.0ed1fc3082bdep-11", "0x1.999999999999ap-4",
+            "0x1.999999999999ap-4", "0x1.839486a16133ep-5", "0x1.1c9caf81db14bp-8",
+            "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.0ed1ff6bacd07p-11",
+            "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.839486b325deap-5",
+        ]
+        assert (sol.bias.hex(), sol.iterations) == ("0x1.9291258ba0b12p-1", 37)
+        monkeypatch.setattr(solvers, "check_kernel", lambda k: True)
+        rows = solve_svm_dual(K, self.Y, 0.1, tol=1e-12)
+        assert rows.alpha.tolist() != sol.alpha.tolist()
 
 
 class TestKrr:
