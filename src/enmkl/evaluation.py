@@ -479,8 +479,9 @@ def nested_cv(
     folds (mean balanced accuracy for classification, mean squared error
     for regression); the winner is refitted on the full outer training set
     and evaluated on the held-out outer test samples. Inner folds that lose
-    a class to the split are skipped for scoring. The ``sum-baseline``
-    trainer ignores the mu axis of the grid.
+    a class to the split are skipped for scoring. A selection with one
+    distinct candidate is not scored: its inner folds are checked, not fitted.
+    The ``sum-baseline`` trainer ignores the mu axis of the grid.
 
     Ties in the inner score go to the larger mu (sparser weights), then to
     the smaller C.
@@ -513,8 +514,10 @@ def nested_cv(
         selections = [base_keys]
     if baseline:
         selections.append(base_keys)
-    # One candidate list per report; the inner folds fit their union.
-    inner_keys = list(dict.fromkeys(key for keys in selections for key in keys))
+    # One list of distinct candidates per report. A list of one has nothing
+    # to choose, so the inner folds fit only the union of the longer lists.
+    selections = [list(dict.fromkeys(keys)) for keys in selections]
+    inner_keys = list(dict.fromkeys(key for keys in selections if len(keys) > 1 for key in keys))
 
     target_of = {i: t for i, t in zip(data.sample_ids, data.targets)}
     fit_kwargs = dict(
@@ -526,6 +529,7 @@ def nested_cv(
     outcomes = [[] for _ in selections]
     for fold_index, (outer_train, outer_test) in enumerate(plan.outer_folds):
         fold_scores: dict = {}
+        usable = False
         for inner_train, inner_val in plan.inner_folds[fold_index]:
             truth = np.array([target_of[i] for i in inner_val])
             if task == "classification":
@@ -533,15 +537,19 @@ def nested_cv(
                 # A split can strand one class; such folds cannot score.
                 if len(set(train_truth.tolist())) < 2 or len(set(truth.tolist())) < 2:
                     continue
+            usable = True
+            if not inner_keys:
+                continue
             fitted = _partition_decisions(data, inner_train, inner_val, inner_keys, **fit_kwargs)
             for key, (decisions, _) in fitted.items():
                 fold_scores.setdefault(key, []).append(_score(decisions, truth, task))
-        if not fold_scores:
+        if not usable:
             raise DataError(
                 f"no inner fold of outer fold {fold_index} could score any candidate"
             )
         best = [
-            _pick_best({key: float(np.mean(fold_scores[key])) for key in keys}, task)
+            keys[0] if len(keys) == 1
+            else _pick_best({key: float(np.mean(fold_scores[key])) for key in keys}, task)
             for keys in selections
         ]
 

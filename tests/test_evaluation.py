@@ -467,3 +467,65 @@ class TestNestedCvMatchesReference:
         plan = make_fold_plan(data.sample_ids, 3, 2, seed=13, labels=data.targets)
         report = self._check(data, "classification", plan, trainer="sum-baseline")
         assert _report_json(report.baseline) == _report_json(report)
+
+    # One C: the baseline selection has one candidate and skips the inner
+    # folds, while the enmkl selection still scores its two mu values there.
+    ONE_C = HyperGrid(c_values=(1.0,), mu_values=(0.3, 1.0))
+
+    def test_one_c_grid_classification(self):
+        data = make_classification_data(
+            n=30, seed=42, shift=0.8,
+            group_specs=[("a", 3, "signal"), ("b", 3, "noise"), ("c", 2, "signal")],
+        )
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=42, labels=data.targets)
+        self._check(data, "classification", plan, grid=self.ONE_C)
+
+    def test_one_c_grid_regression(self):
+        data = make_regression_data(
+            n=24, seed=33, group_specs=[("sig", 3, "signal"), ("noise", 3, "noise")]
+        )
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=12)
+        self._check(data, "regression", plan, grid=self.ONE_C, conv_tol=1e-6, max_iter=50)
+
+
+class TestOneCandidateFitsNoInnerFold:
+    """A selection with one distinct candidate has nothing to choose, so only
+    the outer partitions are built. The reports still equal the reference,
+    which fits and scores every inner fold."""
+
+    ONE = HyperGrid(c_values=(1.0,), mu_values=(0.5,))
+
+    @pytest.mark.parametrize(
+        "task,trainer,grid,baseline",
+        [
+            ("classification", "enmkl", ONE, False),
+            ("regression", "enmkl", ONE, False),
+            ("classification", "sum-baseline", HyperGrid(c_values=(1.0,), mu_values=(0.2, 0.9)), False),
+            ("classification", "enmkl", ONE, True),
+            ("classification", "enmkl", HyperGrid(c_values=(1.0, 1.0), mu_values=(0.5,)), False),
+        ],
+        ids=["enmkl", "regression", "sum-baseline", "with-baseline", "duplicate-C"],
+    )
+    def test_only_outer_partitions_are_built(self, monkeypatch, task, trainer, grid, baseline):
+        from enmkl import evaluation
+
+        specs = [("sig", 3, "signal"), ("noise", 3, "noise")]
+        if task == "classification":
+            data = make_classification_data(n=24, seed=30, group_specs=specs)
+            plan = make_fold_plan(data.sample_ids, 3, 2, seed=9, labels=data.targets)
+        else:
+            data = make_regression_data(n=24, seed=33, group_specs=specs)
+            plan = make_fold_plan(data.sample_ids, 3, 2, seed=12)
+        builds = []
+        build = evaluation.build_linear_kernels
+        monkeypatch.setattr(
+            evaluation, "build_linear_kernels", lambda *a: builds.append(1) or build(*a)
+        )
+        report = nested_cv(data, task, plan, grid=grid, trainer=trainer, baseline=baseline)
+        assert len(builds) == plan.k_outer
+
+        reference = nested_cv_reference(data, task, plan, grid=grid, trainer=trainer)
+        assert _report_json(report) == _report_json(reference)
+        if baseline:
+            reference = nested_cv_reference(data, task, plan, grid=grid, trainer="sum-baseline")
+            assert _report_json(report.baseline) == _report_json(reference)

@@ -1657,6 +1657,48 @@ class TestCvCommand:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    def test_one_candidate_still_needs_a_usable_inner_fold(self, tmp_path, capsys):
+        """A one-candidate run fits no inner fold, but its inner folds are
+        still checked: when each inner fold of outer fold 0 strands a class,
+        ``nested_cv`` refuses and ``cv`` exits 2, as with a longer grid."""
+        from enmkl.evaluation import FoldPlan, HyperGrid, nested_cv
+
+        data, features, groups, targets = _workspace(tmp_path, n=18, seed=67)
+        pos = [i for i, t in zip(data.sample_ids, data.targets) if t > 0]
+        neg = [i for i, t in zip(data.sample_ids, data.targets) if t < 0]
+        train0, test0 = tuple(pos[:6] + neg[:6]), tuple(pos[6:] + neg[6:])
+        plan = FoldPlan(
+            sample_ids=tuple(data.sample_ids),
+            outer_folds=((train0, test0), (test0, train0)),
+            inner_folds=(
+                # Each inner fold of outer fold 0 trains on one class only.
+                ((tuple(neg[:6]), tuple(pos[:6])), (tuple(pos[:6]), tuple(neg[:6]))),
+                (
+                    ((pos[7], pos[8], neg[7], neg[8]), (pos[6], neg[6])),
+                    ((pos[6], neg[6]), (pos[7], pos[8], neg[7], neg[8])),
+                ),
+            ),
+        )
+        grid = HyperGrid(c_values=(1.0,), mu_values=(0.5,))
+        message = "no inner fold of outer fold 0 could score any candidate"
+        with pytest.raises(DataError, match=message):
+            nested_cv(data, "classification", plan, grid=grid)
+
+        # On the CLI, class-pure blocks strand every inner fold the same way.
+        block_of = {i: "n" for i in neg} | {i: "p1" for i in pos[:5]} | {i: "p2" for i in pos[5:]}
+        blocks = _write(tmp_path / "blocks.csv", "id,block\n" + "".join(
+            f"{sid},{block_of[sid]}\n" for sid in data.sample_ids
+        ))
+        out = tmp_path / "cv"
+        assert main([
+            "cv", "--features", features, "--groups", groups,
+            "--targets", targets, "--task", "classification",
+            "--C", "1.0", "--mu", "0.5", "--k-outer", "3", "--k-inner", "2",
+            "--blocks", blocks, "--out", str(out),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_flag_conflicts_with_explicit_values(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)
         assert main([
