@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io, mkl, solvers
-from .errors import ConvergenceError, DataError, UsageError
+from .errors import ConvergenceError, DataError, UsageError, named
 from .evaluation import (
     DEFAULT_C_VALUES,
     DEFAULT_MU_VALUES,
@@ -71,7 +71,7 @@ def _float_list(convert):
     return parse
 
 
-_POSITIVE = _checked(float, lambda v: not v > 0, "must be positive, got {!r}")
+_POSITIVE = _checked(float, lambda v: not 0 < v < np.inf, "must be positive and finite, got {!r}")
 _MU = _checked(
     float,
     lambda mu: not 0.0 < mu <= 1.0,
@@ -80,6 +80,7 @@ _MU = _checked(
 )
 _FOLDS = _checked(int, lambda k: k < 2, "must be at least 2, got {!r}")
 _LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
+_SEED = _checked(int, lambda s: s < 0, "must be non-negative, got {!r}")
 
 
 def _beta_table(group_names, beta, group_sizes=None, header="kernel weights") -> str:
@@ -99,23 +100,25 @@ def cmd_kernels(args) -> None:
         "features_sha256": io.sha256_file(args.features),
         "groups_sha256": io.sha256_file(args.groups),
     }
-    manifest_path = io.write_stack(
-        args.out, LinearKernelStream(data), fmt=args.format, sources=sources
-    )
+    with named(args.features):
+        manifest_path = io.write_stack(
+            args.out, LinearKernelStream(data), fmt=args.format, sources=sources
+        )
     print(f"wrote {data.n_groups} kernels over {data.n_samples} samples to {manifest_path}")
 
 
-def _recoverable_sources(manifest: dict):
+def _recoverable_sources(where: str, manifest: dict):
     """Feature/group paths recorded at kernel-build time, when still intact."""
-    sources = manifest.get("sources") or {}
-    features = sources.get("features_file")
-    groups = sources.get("groups_file")
+    sources = io._json_value(where, manifest, "sources", dict)
+    features, groups, *digests = (
+        io._json_value(where, sources, key, str) if key in sources else None
+        for key in ("features_file", "groups_file", "features_sha256", "groups_sha256")
+    )
     if not features or not groups:
         return None
     if not (Path(features).is_file() and Path(groups).is_file()):
         return None
-    for path, key in ((features, "features_sha256"), (groups, "groups_sha256")):
-        recorded = sources.get(key)
+    for path, recorded in zip((features, groups), digests):
         if recorded and io.sha256_file(path) != recorded:
             raise DataError(
                 f"{path}: contents changed since the kernel stack was built; "
@@ -131,9 +134,11 @@ def cmd_train(args) -> None:
         raise UsageError("--mu does not apply to the sum baseline")
 
     raw_stack, manifest, buffer = io.read_stack(args.stack)
+    sources = _recoverable_sources(args.stack, manifest)
     targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
     pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
-    pre.fit(raw_stack, out=buffer)
+    with named(args.stack):
+        pre.fit(raw_stack, out=buffer)
     del raw_stack  # its values are now the preprocessed ones
     model = mkl.train_model(
         pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
@@ -152,7 +157,6 @@ def cmd_train(args) -> None:
         "primal": None,
     }
 
-    sources = _recoverable_sources(manifest)
     if sources is not None:
         feature_data, _ = io.load_grouped_dataset(sources[0], sources[1])
         train_data = feature_data.subset(pre.train_stack_.row_ids)
@@ -290,10 +294,11 @@ def cmd_cv(args) -> None:
     data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
     blocks = io.read_blocks(args.blocks, data.sample_ids) if args.blocks else None
     labels = data.targets if args.task == "classification" else None
-    plan = make_fold_plan(
-        data.sample_ids, args.k_outer, args.k_inner,
-        blocks=blocks, seed=args.seed, labels=labels,
-    )
+    with named(args.blocks or args.features):
+        plan = make_fold_plan(
+            data.sample_ids, args.k_outer, args.k_inner,
+            blocks=blocks, seed=args.seed, labels=labels,
+        )
     grid = HyperGrid(
         c_values=DEFAULT_C_VALUES if args.C is None else args.C,
         mu_values=DEFAULT_MU_VALUES if args.mu is None else args.mu,
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-inner", type=_FOLDS, default=5, help="inner folds")
     p.add_argument("--blocks", default=None,
                    help="CSV mapping sample ids to blocks that must not be split")
-    p.add_argument("--seed", type=int, default=0, help="fold-plan RNG seed")
+    p.add_argument("--seed", type=_SEED, default=0, help="fold-plan RNG seed")
     p.add_argument("--baseline", action="store_true",
                    help="also run the sum baseline and print a comparison")
     p.add_argument("--out", required=True, help="output directory")
@@ -438,17 +443,11 @@ def main(argv=None) -> int:
         args.func(args)
         return 0
     except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return 0 if code in (None, 0) else 1
-    except UsageError as exc:
+        return 0 if exc.code in (None, 0) else 1
+    except (UsageError, DataError, OSError, ConvergenceError) as exc:
+        # Only these are input faults; any other exception is a bug.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, ConvergenceError) else 2
 
 
 def entry() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, named
 from . import mkl, solvers
 from .io import record_dict
 from .kernels import (
@@ -281,7 +281,7 @@ def make_fold_plan(
         members_of = {b: tuple(i for i in ids if block_of[i] == b) for b in units}
 
     if k_outer > len(units):
-        raise ValueError(
+        raise DataError(
             f"k_outer = {k_outer} exceeds the {len(units)} available "
             + ("blocks" if block_of is not None else "samples")
         )
@@ -302,7 +302,7 @@ def make_fold_plan(
         outer.append((in_dataset_order(train_ids), in_dataset_order(test_ids)))
 
         if k_inner > len(train_units):
-            raise ValueError(
+            raise DataError(
                 f"k_inner = {k_inner} exceeds the {len(train_units)} training "
                 + ("blocks" if block_of is not None else "samples")
                 + f" of outer fold {fold_index}"
@@ -403,16 +403,13 @@ def _partition_decisions(
     models = {}
     for C in dict.fromkeys(c for c, _ in keys):
         mus = [mu for c, mu in keys if c == C and mu is not None]
-        start = None
-        if (C, None) in keys or len(mus) > 1:
-            start = models[(C, None)] = mkl.train_sum_baseline(
-                stack, targets, task, C, solver_tol=solver_tol, max_updates=max_updates
-            )
-        for mu in mus:
-            models[(C, mu)] = mkl.train_model(
-                stack, targets, task, "enmkl", C, mu, conv_tol=conv_tol, max_iter=max_iter,
-                solver_tol=solver_tol, max_updates=max_updates, start=start,
-            )
+        for mu in ([None] if (C, None) in keys or len(mus) > 1 else []) + mus:
+            with named(f"C={C:g} " + ("sum baseline" if mu is None else f"mu={mu:g}")):
+                models[(C, mu)] = mkl.train_model(
+                    stack, targets, task, "sum-baseline" if mu is None else "enmkl", C, mu,
+                    conv_tol=conv_tol, max_iter=max_iter, solver_tol=solver_tol,
+                    max_updates=max_updates, start=models.get((C, None)),
+                )
     raw_cross, self_sims = build_linear_cross_kernels(
         train_data, eval_data.features, eval_data.sample_ids
     )
@@ -520,7 +517,7 @@ def nested_cv(
     inner_keys = list(dict.fromkeys(key for keys in selections if len(keys) > 1 for key in keys))
 
     target_of = {i: t for i, t in zip(data.sample_ids, data.targets)}
-    fit_kwargs = dict(
+    fit_args = dict(
         task=task, center=center, normalize=normalize,
         conv_tol=conv_tol, max_iter=max_iter,
         solver_tol=solver_tol, max_updates=max_updates,
@@ -530,7 +527,7 @@ def nested_cv(
     for fold_index, (outer_train, outer_test) in enumerate(plan.outer_folds):
         fold_scores: dict = {}
         usable = False
-        for inner_train, inner_val in plan.inner_folds[fold_index]:
+        for inner_index, (inner_train, inner_val) in enumerate(plan.inner_folds[fold_index]):
             truth = np.array([target_of[i] for i in inner_val])
             if task == "classification":
                 train_truth = np.array([target_of[i] for i in inner_train])
@@ -540,7 +537,8 @@ def nested_cv(
             usable = True
             if not inner_keys:
                 continue
-            fitted = _partition_decisions(data, inner_train, inner_val, inner_keys, **fit_kwargs)
+            with named(f"outer fold {fold_index}, inner fold {inner_index}"):
+                fitted = _partition_decisions(data, inner_train, inner_val, inner_keys, **fit_args)
             for key, (decisions, _) in fitted.items():
                 fold_scores.setdefault(key, []).append(_score(decisions, truth, task))
         if not usable:
@@ -553,25 +551,26 @@ def nested_cv(
             for keys in selections
         ]
 
-        fitted = _partition_decisions(data, outer_train, outer_test, best, **fit_kwargs)
-        truth = np.array([target_of[i] for i in outer_test])
-        for fold_outcomes, (best_c, best_mu) in zip(outcomes, best):
-            decisions, model = fitted[(best_c, best_mu)]
-            fold_outcomes.append(
-                FoldOutcome(
-                    fold_index=fold_index,
-                    selected_c=float(best_c),
-                    selected_mu=None if best_mu is None else float(best_mu),
-                    metrics=_fold_metrics(decisions, truth, task),
-                    beta=model.beta,
-                    iterations=model.iterations,
-                    converged=model.converged,
-                    degenerate=model.degenerate,
-                    test_ids=tuple(outer_test),
-                    decision_values=decisions,
-                    true_targets=truth,
+        with named(f"outer fold {fold_index}"):
+            fitted = _partition_decisions(data, outer_train, outer_test, best, **fit_args)
+            truth = np.array([target_of[i] for i in outer_test])
+            for fold_outcomes, (best_c, best_mu) in zip(outcomes, best):
+                decisions, model = fitted[(best_c, best_mu)]
+                fold_outcomes.append(
+                    FoldOutcome(
+                        fold_index=fold_index,
+                        selected_c=float(best_c),
+                        selected_mu=None if best_mu is None else float(best_mu),
+                        metrics=_fold_metrics(decisions, truth, task),
+                        beta=model.beta,
+                        iterations=model.iterations,
+                        converged=model.converged,
+                        degenerate=model.degenerate,
+                        test_ids=tuple(outer_test),
+                        decision_values=decisions,
+                        true_targets=truth,
+                    )
                 )
-            )
 
     base = _cv_report(data, task, "sum-baseline", outcomes[1], plan.seed) if baseline else None
     return _cv_report(data, task, trainer, outcomes[0], plan.seed, base)

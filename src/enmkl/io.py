@@ -102,10 +102,13 @@ def read_json(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: file not found")
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), or deep nesting
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
 def sha256_file(path) -> str:
@@ -471,7 +474,8 @@ def has_version(obj, key: str, version: int) -> bool:
     return type(value) is int and value == version
 
 
-_JSON_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list"}
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
+               dict: "an object"}
 
 
 def _json_value(where: str, obj, key: str, kind: type):
@@ -529,6 +533,8 @@ def read_stack(manifest_path):
         entry_where = f"{where}: groups[{j}]"
         names.append(_json_value(entry_where, entry, "name", str))
         sizes.append(_json_value(entry_where, entry, "size", int))
+        if sizes[j] < 1:
+            raise DataError(f"{entry_where}: 'size' must be at least 1, got {sizes[j]}")
         paths.append(base / _json_value(entry_where, entry, "data_file", str))
         if fmt == "csv":
             kernel_rows, kernel_cols, kernel = read_features_csv(paths[j])
@@ -550,7 +556,7 @@ def read_stack(manifest_path):
                 KernelStack(values[j:j + 1], row_ids, col_ids, names[j:j + 1], sizes[j:j + 1], **flags)
             except ValueError:
                 raise DataError(f"{path}: {exc}") from None
-        raise
+        raise DataError(f"{where}: {exc}") from None
     return stack, manifest, values
 
 

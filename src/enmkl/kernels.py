@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, named
 
 # Tolerances behind the type invariants. Train kernels must be symmetric to
 # within SYMMETRY_TOL relative to their largest entry; a kernel flagged
@@ -269,16 +269,23 @@ def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     symmetric bit for bit, and averaging it with its transpose then changes
     no bit. So it is averaged only when it is not symmetric, or when an
     entry's magnitude is 2**1023 or more, which the average doubles to inf.
-    A kernel with a non-finite entry is refused.
+    A kernel that overflows is refused with a DataError, not a numpy warning.
     """
-    np.matmul(block, block.T, out=out)
-    # min and max are NaN when any entry is, so this also tests finiteness.
-    if bit_symmetric(out) and -_HALF_MAX < out.min() and out.max() < _HALF_MAX:
-        return out
-    np.divide(np.add(out, out.T), 2.0, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(block, block.T, out=out)
+        # min and max are NaN when any entry is, so this also tests finiteness.
+        if bit_symmetric(out) and -_HALF_MAX < out.min() and out.max() < _HALF_MAX:
+            return out
+        np.divide(np.add(out, out.T), 2.0, out=out)
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise ValueError("kernel contains non-finite entries")
+        raise DataError("kernel overflows to non-finite entries")
     return out
+
+
+def _group_gram(data: GroupedDataset, j: int, out: np.ndarray) -> np.ndarray:
+    """Group ``j``'s :func:`linear_gram` into ``out``; an overflow names the group."""
+    with named(f"group '{data.group_names[j]}'"):
+        return linear_gram(data.features[:, data.group_columns(j)], out)
 
 
 class LinearKernelStream:
@@ -302,10 +309,7 @@ class LinearKernelStream:
     @property
     def values(self):
         data, out = self.data, np.empty((self.data.n_samples, self.data.n_samples))
-        return (
-            linear_gram(data.features[:, data.group_columns(j)], out)
-            for j in range(data.n_groups)
-        )
+        return (_group_gram(data, j, out) for j in range(data.n_groups))
 
 
 def build_linear_kernels(data: GroupedDataset) -> KernelStack:
@@ -318,7 +322,7 @@ def build_linear_kernels(data: GroupedDataset) -> KernelStack:
     n = data.n_samples
     values = np.empty((data.n_groups, n, n))
     for j in range(data.n_groups):
-        linear_gram(data.features[:, data.group_columns(j)], values[j])
+        _group_gram(data, j, values[j])
     return KernelStack(
         values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes,
         _symmetric=True,
@@ -438,7 +442,7 @@ class StackPreprocessor:
         stack holds the preprocessed values afterwards.
         """
         if raw_stack.centered or raw_stack.normalized:
-            raise ValueError("fit expects a raw (uncentered, unnormalized) train stack")
+            raise DataError("fit expects a raw (uncentered, unnormalized) train stack")
         if raw_stack.row_ids != raw_stack.col_ids:
             raise ValueError("fit expects a train stack")
         ids, raw = raw_stack.row_ids, raw_stack.values

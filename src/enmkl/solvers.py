@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 from .kernels import check_kernel
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
@@ -323,6 +323,8 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     C = float(C)
     if not (np.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")
+    if n / (2.0 * C) == np.inf:
+        raise DataError(f"C = {C!r} is too small for {n} samples: the ridge n/(2C) overflows")
 
     offset = float(y.mean())
     y_c = y - offset

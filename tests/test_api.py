@@ -31,3 +31,14 @@ def test_training_loop_internals_are_not_exported():
     for name in ("update_lambda", "update_beta", "compute_block_norms", "enmkl_objective"):
         assert name not in enmkl.__all__
         assert not hasattr(enmkl, name)
+
+
+def test_exception_hierarchy():
+    # The CLI maps the type to the exit code. A DataError is also a
+    # ValueError, so a library caller that catches those still catches it;
+    # usage and convergence errors are not.
+    assert issubclass(enmkl.DataError, enmkl.EnmklError)
+    assert issubclass(enmkl.DataError, ValueError)
+    for cls in (enmkl.UsageError, enmkl.ConvergenceError):
+        assert issubclass(cls, enmkl.EnmklError) and not issubclass(cls, ValueError)
+    assert not issubclass(enmkl.EnmklError, ValueError)

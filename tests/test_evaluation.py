@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from enmkl.errors import DataError
+from enmkl.errors import ConvergenceError, DataError
 from enmkl.evaluation import (
     CvReport,
     FoldPlan,
@@ -388,6 +388,19 @@ class TestNestedCv:
         grid = HyperGrid(c_values=(1.0,), mu_values=(1.0,))
         report = nested_cv(data, "classification", plan, grid=grid)
         assert len(report.folds) == 2
+
+    @pytest.mark.parametrize("mu_values, where", [
+        ((0.5, 1.0), "outer fold 0, inner fold 0: C=1 sum baseline: "),
+        ((0.5,), "outer fold 0: C=1 mu=0.5: "),
+    ], ids=["inner", "outer"])
+    def test_failed_fit_says_where(self, mu_values, where):
+        # Two candidates are scored on the inner folds first; one is not.
+        data = self._data(36)
+        plan = make_fold_plan(data.sample_ids, 3, 2, seed=14, labels=data.targets)
+        grid = HyperGrid(c_values=(1.0,), mu_values=mu_values)
+        with pytest.raises(ConvergenceError) as failure:
+            nested_cv(data, "classification", plan, grid=grid, max_updates=1)
+        assert str(failure.value).startswith(where + "SMO exceeded 1 updates")
 
     def test_plan_dataset_mismatch_rejected(self):
         data = self._data(37)

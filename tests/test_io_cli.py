@@ -7,11 +7,15 @@ import json
 import os
 import re
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -742,9 +746,15 @@ class TestKernelsCommand:
         huge = data.features.copy()
         huge[:, data.group_columns(1)] *= 1e200
         _write_features(tmp_path, data, huge)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The overflow is reported once, as the error naming the group and
+        # the features file, and not as a numpy warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(args) == 2
-        assert capsys.readouterr().err == "error: kernel contains non-finite entries\n"
+        group = data.group_names[1]
+        assert capsys.readouterr().err == (
+            f"error: {features}: group '{group}': kernel overflows to non-finite entries\n"
+        )
         assert not (out / "stack.json").exists()
 
     def test_unmapped_feature_exits_2(self, tmp_path, capsys):
@@ -1299,6 +1309,139 @@ class TestMalformedStackAndModel:
         assert not (tmp_path / "model.json").exists()
 
 
+def _edit_manifest(edit):
+    """A refusal case: ``train`` on a copy of the stack whose manifest ``edit`` changed."""
+
+    def case(ws, folder):
+        shutil.copytree(ws.root / "stack", folder / "stack")
+        manifest = json.loads((folder / "stack" / "stack.json").read_text())
+        edit(manifest)
+        (folder / "stack" / "stack.json").write_text(json.dumps(manifest))
+        return ws.train(folder / "stack" / "stack.json"), "stack.json"
+
+    return case
+
+
+def _unparsable_manifest(text):
+    """A refusal case: ``train`` on a manifest that json.loads refuses with
+    something other than a JSONDecodeError."""
+
+    def case(ws, folder):
+        return ws.train(_write(folder / "stack.json", text)), "stack.json: invalid JSON"
+
+    return case
+
+
+def _option_case(command, flag, value):
+    def case(ws, folder):
+        argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
+        return argv + [flag, value], f"argument {flag}: "
+
+    return case
+
+
+# name -> (exit code, case); a case maps the workspace and a folder of its
+# own to the command line and to text its error line must hold.
+_REFUSALS = {
+    **{
+        f"{command}{flag}={value}": (1, _option_case(command, flag, value))
+        for command in ("train", "cv")
+        for flag in ("--C", "--conv-tol", "--solver-tol")
+        for value in ("inf", "nan", "0")
+        if not (command == "cv" and flag == "--C")
+    },
+    **{
+        f"cv--C={value}": (1, _option_case("cv", "--C", value))
+        for value in ("1,inf", "nan", "1,0")
+    },
+    "cv--seed=-1": (1, _option_case("cv", "--seed", "-1")),
+    "sources-a-list": (2, _edit_manifest(lambda m: m.update(sources=["x"]))),
+    "features_file-5": (2, _edit_manifest(lambda m: m["sources"].update(features_file=5))),
+    "repeated-group-name": (
+        2, _edit_manifest(lambda m: m["groups"][1].update(name=m["groups"][0]["name"]))
+    ),
+    "no-groups": (2, _edit_manifest(lambda m: m.update(groups=[]))),
+    "size--1": (2, _edit_manifest(lambda m: m["groups"][1].update(size=-1))),
+    # An integer of more than 4300 digits is a ValueError, deep nesting a RecursionError.
+    "huge-int-manifest": (2, _unparsable_manifest('{"manifest_version": ' + "9" * 5000 + "}")),
+    "deep-manifest": (2, _unparsable_manifest("[" * 100_000 + "]" * 100_000)),
+    "more-outer-folds-than-samples": (
+        2, lambda ws, _: (ws.cv() + ["--k-outer", "21"], f"{ws.features}: k_outer = 21")
+    ),
+    "kernels-overflow": (
+        2, lambda ws, folder: (
+            ["kernels", "--features", ws.huge, "--groups", ws.groups, "--out", str(folder)],
+            f"{ws.huge}: group 'noise': kernel overflows",
+        ),
+    ),
+    "cv-overflow": (2, lambda ws, _: (ws.cv(ws.huge), "group 'noise': kernel overflows")),
+    "ridge-C-too-small": (
+        2, lambda ws, folder: (
+            ["train", "--stack", str(ws.root / "ridge" / "stack.json"), "--targets",
+             ws.ridge_targets, "--task", "regression", "--C", "5e-324", "--mu", "0.5",
+             "--out", str(folder / "m.json")],
+            "C = 5e-324 is too small for 20 samples",
+        ),
+    ),
+}
+
+
+class TestRefusalTable:
+    """Each malformed option or input, run as a user runs it, exits 1 or 2
+    with one ``error:`` line that names the option or file: no traceback,
+    and no numpy warning before it."""
+
+    @pytest.fixture(scope="class")
+    def ws(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("refusals")
+        data, features, groups, targets = _workspace(root)
+        assert main(["kernels", "--features", features, "--groups", groups,
+                     "--out", str(root / "stack")]) == 0
+        huge = data.features.copy()
+        huge[:, data.group_columns(1)] *= 1e200
+        (root / "huge").mkdir()
+        huge_features, _ = _write_features(root / "huge", data, huge)
+        (root / "ridge").mkdir()
+        _, ridge_features, ridge_groups, ridge_targets = _workspace(root / "ridge", "regression")
+        assert main(["kernels", "--features", ridge_features, "--groups", ridge_groups,
+                     "--out", str(root / "ridge")]) == 0
+
+        def train(stack):
+            return ["train", "--stack", str(stack), "--targets", targets,
+                    "--task", "classification", "--C", "1", "--mu", "0.5",
+                    "--out", str(root / "m.json")]
+
+        def cv(features=features):
+            return ["cv", "--features", features, "--groups", groups, "--targets", targets,
+                    "--task", "classification", "--C", "1", "--mu", "0.5",
+                    "--k-outer", "2", "--k-inner", "2", "--out", str(root / "cv")]
+
+        return SimpleNamespace(root=root, features=features, groups=groups, huge=huge_features,
+                               ridge_targets=ridge_targets, train=train, cv=cv)
+
+    @pytest.fixture(scope="class")
+    def results(self, ws):
+        """Every case's child process, two at a time: start-up is most of each."""
+
+        def run(name):
+            folder = ws.root / "cases" / name
+            folder.mkdir(parents=True)
+            argv, names = _REFUSALS[name][1](ws, folder)
+            return _run_cli(*argv), names
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return dict(zip(_REFUSALS, pool.map(run, _REFUSALS)))
+
+    @pytest.mark.parametrize("name", list(_REFUSALS))
+    def test_refused_with_one_error_line(self, ws, results, name):
+        result, names = results[name]
+        assert result.returncode == _REFUSALS[name][0], result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error: ") and names in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not (ws.root / "m.json").exists() and not (ws.root / "cv").exists()
+
+
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)
@@ -1340,10 +1483,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--C", "0"), ("--C", "-1"), ("--C", "nan"), ("--C", "x"),
+            ("--C", "0"), ("--C", "-1"), ("--C", "nan"), ("--C", "inf"), ("--C", "x"),
             ("--mu", "0"), ("--mu", "1.5"), ("--mu", "nan"),
-            ("--conv-tol", "0"), ("--conv-tol", "nan"),
-            ("--solver-tol", "-1e-3"), ("--solver-tol", "nan"),
+            ("--conv-tol", "0"), ("--conv-tol", "nan"), ("--conv-tol", "inf"),
+            ("--solver-tol", "-1e-3"), ("--solver-tol", "nan"), ("--solver-tol", "inf"),
             ("--max-iter", "0"), ("--smo-max-updates", "0"), ("--max-iter", "1.5"),
         ],
     )
@@ -1360,11 +1503,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--C", "1,0"), ("--C", "nan"), ("--C", "1,x"),
+            ("--C", "1,0"), ("--C", "nan"), ("--C", "1,inf"), ("--C", "1,x"),
             ("--mu", "0.5,0"), ("--mu", "nan,1"), ("--mu", "1.5"),
             ("--k-outer", "1"), ("--k-inner", "0"),
-            ("--conv-tol", "-1"), ("--solver-tol", "nan"),
-            ("--max-iter", "0"), ("--smo-max-updates", "-5"),
+            ("--conv-tol", "-1"), ("--conv-tol", "inf"), ("--solver-tol", "nan"),
+            ("--max-iter", "0"), ("--smo-max-updates", "-5"), ("--seed", "-1"),
         ],
     )
     def test_out_of_range_cv_option_exits_1(self, tmp_path, capsys, flag, value):
@@ -1380,11 +1523,12 @@ class TestExitCodes:
         parser = build_parser()
         train = parser.parse_args([
             "train", "--stack", "s", "--targets", "t", "--task", "regression",
-            "--C", "inf", "--mu", "5e-324", "--conv-tol", "1e-300", "--solver-tol", "inf",
+            "--C", "1.7976931348623157e308", "--mu", "5e-324", "--conv-tol", "1e-300",
+            "--solver-tol", "1.7976931348623157e308",
             "--max-iter", "1", "--smo-max-updates", "1", "--out", "m",
         ])
         assert (train.C, train.mu, train.conv_tol, train.solver_tol) == (
-            float("inf"), 5e-324, 1e-300, float("inf")
+            sys.float_info.max, 5e-324, 1e-300, sys.float_info.max
         )
         assert (train.max_iter, train.smo_max_updates) == (1, 1)
         assert parser.parse_args([
@@ -1393,47 +1537,25 @@ class TestExitCodes:
         ]).mu == 1.0
         cv = parser.parse_args([
             "cv", "--features", "f", "--groups", "g", "--targets", "t",
-            "--task", "regression", "--C", "1e-300,inf", "--mu", "1,5e-324",
+            "--task", "regression", "--C", "1e-300,1.7976931348623157e308", "--mu", "1,5e-324",
             "--k-outer", "2", "--k-inner", "2", "--out", "o",
         ])
-        assert cv.C == (1e-300, float("inf")) and cv.mu == (1.0, 5e-324)
+        assert cv.C == (1e-300, sys.float_info.max) and cv.mu == (1.0, 5e-324)
         assert (cv.k_outer, cv.k_inner) == (2, 2)
 
-    def test_infinite_C_reaches_the_trainer(self, tmp_path, capsys):
-        _, features, groups, targets = _workspace(tmp_path)
-        assert main([
-            "kernels", "--features", features, "--groups", groups,
-            "--out", str(tmp_path / "stack"),
-        ]) == 0
-        code = main([
-            "train", "--stack", str(tmp_path / "stack" / "stack.json"),
-            "--targets", targets, "--task", "classification",
-            "--C", "inf", "--mu", "1.0", "--out", str(tmp_path / "m.json"),
-        ])
-        assert code == 2
-        assert "C must be a positive finite number" in capsys.readouterr().err
+    def test_a_library_value_error_is_a_bug_not_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # Only a DataError or an OSError exits 2: a plain ValueError from inside
+        # the library propagates, so it is not passed off as bad input.
+        _, features, groups, _ = _workspace(tmp_path)
 
-    # The parser accepts an infinite tolerance (test_edge_values_still_parse);
-    # the trainer refuses it: an infinite --conv-tol would call its first step
-    # converged.
-    @pytest.mark.parametrize("flag, message", [
-        ("--conv-tol", "conv_tol must be a positive finite number"),
-        ("--solver-tol", "tol must be a positive finite number"),
-    ], ids=["conv-tol", "solver-tol"])
-    def test_infinite_tolerance_reaches_the_trainer(self, tmp_path, capsys, flag, message):
-        _, features, groups, targets = _workspace(tmp_path)
-        assert main([
-            "kernels", "--features", features, "--groups", groups,
-            "--out", str(tmp_path / "stack"),
-        ]) == 0
-        code = main([
-            "train", "--stack", str(tmp_path / "stack" / "stack.json"),
-            "--targets", targets, "--task", "classification",
-            "--C", "1000", "--mu", "0.5", flag, "inf", "--out", str(tmp_path / "m.json"),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "m.json").exists()
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(enmkl.kernels, "linear_gram", boom)
+        with pytest.raises(ValueError, match="boom"):
+            main(["kernels", "--features", features, "--groups", groups,
+                  "--out", str(tmp_path / "stack")])
+        assert capsys.readouterr().err == ""
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         _, features, groups, targets = _workspace(tmp_path)
@@ -1514,9 +1636,12 @@ class TestCvCommand:
             "cv", "--features", features, "--groups", groups,
             "--targets", targets, "--task", "classification",
             "--C", "1.0", "--mu", "0.5", "--k-outer", "3", "--k-inner", "2",
-            "--conv-tol", "inf", "--out", str(out),
-        ]) == 2
-        assert "conv_tol must be a positive finite number" in capsys.readouterr().err
+            "--smo-max-updates", "1", "--out", str(out),
+        ]) == 3
+        # One candidate: no inner fold is fitted, so the first outer fit fails.
+        assert capsys.readouterr().err.startswith(
+            "error: outer fold 0: C=1 mu=0.5: SMO exceeded 1 updates"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["under_a_file", "a_file"])
