@@ -231,7 +231,8 @@ def cmd_predict(args) -> None:
             f"{args.features}: feature columns do not match the model's training features"
         )
     primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
-    decisions = primal.decision_values(features, sample_ids=sample_ids)
+    with named(args.features):
+        decisions = primal.decision_values(features, sample_ids=sample_ids)
     labels = _predicted_labels(args.model, model, payload, decisions)
     io.write_predictions_csv(args.out, sample_ids, decisions, labels)
     print(f"wrote {len(sample_ids)} predictions to {args.out}")

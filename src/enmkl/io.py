@@ -126,13 +126,16 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue  # skip blank lines
                 rows.append((lineno, row))
     except UnicodeDecodeError:
         _read_text(path)  # raises the DataError that names the line
         raise
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
     return rows

@@ -15,7 +15,9 @@ routes against each other.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +84,10 @@ class KernelStack:
     ``(m, n_rows, n_cols)``. An array already in that form is taken without
     a copy, so the caller must not write to it afterwards.
 
-    ``_symmetric`` is for the builders in this module whose train kernels
-    are symmetric by construction: it skips the transposed symmetry scan,
-    and every other check still runs.
+    ``exact[j]`` is whether train kernel j is :func:`bit_symmetric` (False
+    in a cross stack). ``_symmetric`` is for the builders in this module whose
+    train kernels are bit-symmetric by construction: it skips the transposed
+    symmetry scan, and every other check still runs.
     """
 
     values: np.ndarray
@@ -95,6 +98,7 @@ class KernelStack:
     centered: bool = False
     normalized: bool = False
     _symmetric: InitVar[bool] = False
+    exact: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self, _symmetric):
         values = np.ascontiguousarray(self.values, dtype=np.float64).view()
@@ -116,8 +120,10 @@ class KernelStack:
                 f"{len(row_ids)} row ids and {len(col_ids)} column ids"
             )
         train = row_ids == col_ids
+        exact = []
         for k in values:
-            check_kernel(k, train=train and not _symmetric)
+            bits = check_kernel(k, train=train and not _symmetric)
+            exact.append(bits or (train and _symmetric))
             if not train:
                 continue
             if self.normalized:
@@ -140,6 +146,12 @@ class KernelStack:
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "centered", bool(self.centered))
         object.__setattr__(self, "normalized", bool(self.normalized))
+        object.__setattr__(self, "exact", tuple(exact))
+
+    @cached_property
+    def magnitudes(self) -> tuple[float, ...]:
+        """Each kernel's largest entry magnitude, computed once per stack."""
+        return tuple(max(k.max(initial=0.0), -k.min(initial=0.0)).item() for k in self.values)
 
     @property
     def m(self) -> int:
@@ -369,33 +381,34 @@ def _check_self_similarities(s: np.ndarray, ids: tuple[str, ...]) -> None:
         )
 
 
-def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
-    """The combined kernel ``sum_j beta_j * K_j``, as an (n_rows, n_cols) array.
-
-    Weights must be nonnegative with at least one strictly positive entry.
-    Exact zeros are skipped, so kernels dropped by the optimizer cost
-    nothing.
-    """
+def check_weights(stack: KernelStack, beta) -> np.ndarray:
+    """``beta`` as float64 kernel weights of ``stack``: one per kernel, finite,
+    nonnegative, and at least one strictly positive."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (stack.m,):
         raise ValueError(f"expected {stack.m} weights, got shape {beta.shape}")
-    if not np.isfinite(beta).all():
+    # On Python floats: a solve checks its few weights in a microsecond or two.
+    values = beta.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("kernel weights contain non-finite values")
-    if (beta < 0).any():
+    if min(values) < 0:
         raise ValueError("kernel weights must be nonnegative")
-    if not (beta > 0).any():
+    if not max(values) > 0:
         raise ValueError("at least one kernel weight must be positive")
+    return beta
+
+
+def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
+    """The combined kernel ``sum_j beta_j * K_j``, as an (n_rows, n_cols) array.
+
+    Weights are as :func:`check_weights` accepts. Exact zeros are skipped, so
+    kernels dropped by the optimizer cost nothing.
+    """
+    beta = check_weights(stack, beta)
     acc = np.zeros((stack.n_rows, stack.n_cols))
-    # Rows in blocks of about 256 KiB per kernel: a block of the sum stays in
-    # cache while each kernel is added to it, in kernel order, as before.
-    terms = [(b, k) for b, k in zip(beta.tolist(), stack.values) if b != 0.0]
-    step = max(1, (256 << 10) // (8 * max(1, stack.n_cols)))
-    part = np.empty((min(step, stack.n_rows), stack.n_cols))
-    for start in range(0, stack.n_rows, step):
-        block = acc[start:start + step]
-        tmp = part[: len(block)]
-        for b, k in terms:
-            block += np.multiply(b, k[start:start + step], tmp)
+    for b, k in zip(beta.tolist(), stack.values):
+        if b != 0.0:
+            acc += b * k
     return acc
 
 
@@ -481,10 +494,11 @@ class StackPreprocessor:
             stats.append(GroupKernelStats(col_means, grand, self_sim))
         self.stats_ = stats
         # Each kernel above is a symmetric average, a quotient of one by the
-        # symmetric outer(scale, scale), or a copy of a checked raw kernel.
+        # symmetric outer(scale, scale), or a copy of a raw kernel.
         self.train_stack_ = KernelStack(
             out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
-            centered=self.center, normalized=self.normalize, _symmetric=True,
+            centered=self.center, normalized=self.normalize,
+            _symmetric=self.center or self.normalize or all(raw_stack.exact),
         )
         return self
 
@@ -546,6 +560,7 @@ def preprocess_feature_rows(
     center: bool,
     normalize: bool,
     sample_ids=None,
+    group_names=None,
 ) -> np.ndarray:
     """Replay the kernel pipeline directly on feature rows.
 
@@ -553,23 +568,26 @@ def preprocess_feature_rows(
     each sample's group slice to unit Euclidean norm (when normalizing).
     Inner products of the returned rows reproduce the centered/normalized
     kernels exactly, which is what makes primal weights comparable to the
-    dual model.
+    dual model. A slice whose norm is zero or overflows is a DataError that
+    names the sample and the group (by index if ``group_names`` is None).
     """
     out = np.array(features, dtype=np.float64, copy=True)
     if out.ndim != 2:
         raise ValueError("features must be a 2-d array")
-    for cols, mu in zip(group_columns, group_means):
+    for g, cols, mu in zip(group_names or range(len(group_columns)), group_columns, group_means):
         block = out[:, cols]
         if center:
             block = block - np.asarray(mu, dtype=np.float64)[None, :]
         if normalize:
-            norms = np.linalg.norm(block, axis=1)
-            bad = np.flatnonzero(norms <= 0.0)
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(block, axis=1)
+            bad = np.flatnonzero(~(norms > 0.0) | (norms == np.inf))
             if bad.size:
                 i = int(bad[0])
                 label = sample_ids[i] if sample_ids is not None else str(i)
                 raise DataError(
-                    f"sample '{label}' has zero norm in a feature group and cannot be normalized"
+                    f"sample '{label}' has {'zero' if norms[i] == 0 else 'overflowing'} "
+                    f"norm in feature group '{g}' and cannot be normalized"
                 )
             block = block / norms[:, None]
         out[:, cols] = block

@@ -17,6 +17,11 @@ until the unit-sum-normalized weights stop moving. After the loop, alpha is
 rescaled by ``sum_j beta_j`` and beta normalized to the unit simplex; the
 rescaled pair produces bit-for-bit identical decision values.
 
+The SVM never builds the combined kernel: SMO computes the rows it needs
+from the stack, and ``K q = sum_j beta_j K_j q`` for the loss term and the
+next warm start comes from the products the block norms take. Ridge
+regression builds the combined kernel for its linear solve.
+
 Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
 weights on their way to zero shrink by a near-constant factor per step. The
 loop accelerates it with type-II Anderson extrapolation (Walker & Ni 2011)
@@ -174,7 +179,7 @@ class MklModel:
         )
 
 
-def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.ndarray:
+def compute_block_norms(stack, alpha, labels=None, *, beta, products=None) -> np.ndarray:
     """Per-kernel primal block norms from the dual coefficients.
 
     ``||w_j|| = beta_j * sqrt(q' K_j q)`` with ``q = alpha * labels`` for
@@ -182,7 +187,8 @@ def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.n
     forms (round-off on PSD kernels) are clamped to zero; anything below
     ``-1e-8 * ||q||^2`` means the kernel is not PSD and is rejected. The
     shapes are the caller's to keep: ``alpha`` and ``labels`` hold one value
-    per train sample, ``beta`` one weight per kernel.
+    per train sample, ``beta`` one weight per kernel; ``products``, if
+    given, is an (m, n) array that receives each ``K_j q``.
     """
     q = np.asarray(alpha, dtype=np.float64)
     if labels is not None:
@@ -190,7 +196,7 @@ def compute_block_norms(stack: KernelStack, alpha, labels=None, *, beta) -> np.n
     q_scale = float(q @ q)
     norms = np.empty(stack.m)
     for j, k in enumerate(stack.values):
-        form = float(q @ (k @ q))
+        form = float(q @ np.matmul(k, q, out=None if products is None else products[j]))
         if form < -1e-8 * max(q_scale, 1e-300):
             raise DataError(
                 f"kernel '{stack.group_names[j]}' is not positive semidefinite "
@@ -221,25 +227,25 @@ def _update_beta(lam: np.ndarray, mu: float) -> np.ndarray:
     return np.where(lam > 0, 1.0 / (np.sqrt(mu) / safe + (1.0 - mu)), 0.0)
 
 
-def _slack_loss(combined, targets, alpha, bias, C, task, labels):
-    """The loss term of the training objective, given the combined kernel."""
+def _slack_loss(kq, targets, bias, C, task):
+    """The loss term of the training objective, given ``K q`` (see
+    :func:`compute_block_norms` for q)."""
     if task == "classification":
-        decisions = solvers.predict(alpha, bias, combined, labels=labels)
-        slack = np.maximum(0.0, 1.0 - targets * decisions)
+        slack = np.maximum(0.0, 1.0 - targets * (kq + bias))
         return C * float(slack.sum())
-    decisions = solvers.predict(alpha, 0.0, combined)
-    residual = (targets - bias) - decisions
-    return (C / combined.shape[0]) * float(residual @ residual)
+    residual = (targets - bias) - kq
+    return (C / kq.shape[0]) * float(residual @ residual)
 
 
-def _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels) -> float:
-    """The elastic-net objective from one state's combined kernel, block norms
-    and their closed-form scales ``lam`` (None when every block norm is zero)."""
+def _objective(kq, w, lam, targets, bias, mu, C, task) -> float:
+    """The elastic-net objective from one state's ``K q`` (see
+    :func:`_slack_loss`), block norms and their closed-form scales ``lam``
+    (None when every block norm is zero)."""
     penalty = 0.5 * (1.0 - mu) * float(w @ w)
     if lam is not None:
         pos = lam > 0
         penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
-    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
+    return penalty + _slack_loss(kq, targets, bias, C, task)
 
 
 def enmkl_objective(
@@ -261,7 +267,8 @@ def enmkl_objective(
     combined = weighted_sum(stack, beta)  # refuses a beta of the wrong length
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
     lam = _update_lambda(w, mu) if float(w.sum()) > 0 else None
-    return _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
+    kq = combined @ np.asarray(alpha if labels is None else alpha * labels, dtype=np.float64)
+    return _objective(kq, w, lam, targets, bias, mu, C, task)
 
 
 def _train_targets(stack: KernelStack, targets, task: str):
@@ -281,12 +288,17 @@ def _train_targets(stack: KernelStack, targets, task: str):
     return targets, targets
 
 
-def _solve(combined, targets, labels, C, solver_tol, max_updates, alpha0=None):
-    """``(alpha, bias)`` of one SVM solve on ``combined``, or of one ridge
-    solve when ``labels`` is None (the bias is then the target offset)."""
+def _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates,
+           alpha0=None, products=None):
+    """``(alpha, bias)`` of one SVM solve on ``sum_j beta_j K_j`` from the
+    stack, warm-started at ``alpha0`` with its block norms' ``products``, or
+    of one ridge solve on ``combined`` when ``labels`` is None (the bias is
+    then the target offset)."""
     if labels is not None:
+        kq0 = None if alpha0 is None else beta @ products
         sol = solvers.solve_svm_dual(
-            combined, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=alpha0
+            stack, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=alpha0,
+            weights=beta, kq0=kq0,
         )
         return sol.alpha, sol.bias
     sol = solvers.solve_krr_dual(combined, targets, C)
@@ -428,26 +440,32 @@ def _train_enmkl(
     extrapolated = False
     best = np.inf
     accepted = None  # (alpha, bias, plain step's beta, its lambda), last accepted iterate
+    # The SVM's K_j q, kept from the block norms to the next solve.
+    products = None if labels is None else np.empty((m, stack.n_rows))
 
     for _ in range(max_iter):
         iterations += 1
-        combined = weighted_sum(stack, beta)
+        combined = weighted_sum(stack, beta) if labels is None else None
         if start is not None:
             # Iteration 1 solves on the beta = 1/m kernel: the baseline's solve.
             alpha, bias, start = start.alpha, start.bias, None
         else:
-            alpha, bias = _solve(combined, targets, labels, C, solver_tol, max_updates, warm)
+            alpha, bias = _solve(
+                stack, beta, combined, targets, labels, C, solver_tol, max_updates, warm, products
+            )
         warm = alpha
 
-        w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
+        if labels is None:
+            w, kq = compute_block_norms(stack, alpha, beta=beta), combined @ alpha
+        else:
+            w = compute_block_norms(stack, alpha, labels=labels, beta=beta, products=products)
+            kq = beta @ products
         if not (w > 0).any():
-            history.append(
-                _objective(combined, w, None, targets, alpha, bias, mu, C, task, labels)
-            )
+            history.append(_objective(kq, w, None, targets, bias, mu, C, task))
             degenerate = True
             break
         lam = _update_lambda(w, mu)
-        objective = _objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
+        objective = _objective(kq, w, lam, targets, bias, mu, C, task)
         if extrapolated:
             # The solver noise an accepted objective may rise by: SMO stops at
             # a KKT violation of solver_tol, and the loss term scales it by C;
@@ -575,8 +593,8 @@ def train_sum_baseline(
     task = _check_task(task)
     targets, labels = _train_targets(stack, targets, task)
     beta = np.full(stack.m, 1.0 / stack.m)
-    combined = weighted_sum(stack, beta)
-    alpha, bias = _solve(combined, targets, labels, C, solver_tol, max_updates)
+    combined = weighted_sum(stack, beta) if labels is None else None
+    alpha, bias = _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates)
     return _stack_model(
         stack, labels, beta=beta, alpha=alpha, bias=bias, task=task, mu=0.0, C=float(C),
         iterations=1, converged=True,
@@ -677,6 +695,7 @@ class PrimalModel:
             self.centered,
             self.normalized,
             sample_ids=sample_ids,
+            group_names=self.group_names,
         )
         out = np.full(features.shape[0], self.bias)
         for cols, w in zip(self.group_columns, self.weights):
@@ -749,6 +768,7 @@ def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> Prima
         model.centered,
         model.normalized,
         sample_ids=train_data.sample_ids,
+        group_names=train_data.group_names,
     )
     coef = model.alpha if model.train_labels is None else model.alpha * model.train_labels
     weights = []

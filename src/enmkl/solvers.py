@@ -10,17 +10,22 @@ is solved by sequential minimal optimization with maximal-violating-pair
 selection and a second-order working-set heuristic. Kernel ridge regression
 solves the regularized linear system ``(K + n/(2C) I) a = y - mean(y)``
 directly.
+
+SMO reads K a row at a time: from the kernel array it is given, or, given a
+train stack and weights, as ``sum_j w_j K_j[i]`` computed when first needed,
+bit for bit the row of :func:`~enmkl.kernels.weighted_sum`, which is never built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .kernels import check_kernel
+from .kernels import check_kernel, check_weights
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -99,6 +104,30 @@ def _check_labels(ys: list[float]) -> None:
         raise ValueError("labels contain a single class; need both -1 and +1")
 
 
+def _stack_rows(stack, weights):
+    """The diagonal, row and column getters, and matrix-vector product of the
+    combined kernel ``sum_j w_j K_j`` of a train stack, from the kernels of
+    nonzero weight alone. A row is computed when first asked for and kept;
+    einsum adds in kernel order from zero, as ``weighted_sum`` does, so it is
+    that row of the built sum bit for bit. Columns are the rows when every
+    kernel used is bit-symmetric (``stack.exact``), and gathered otherwise."""
+    if stack.row_ids != stack.col_ids:
+        raise ValueError("weights combine the kernels of a train stack, not a cross stack")
+    w = check_weights(stack, weights)
+    idx = np.flatnonzero(w)
+    b, values = w[idx], stack.values
+    # Every entry of the sum is at most this; Python floats overflow to inf quietly.
+    bound = sum(bj * stack.magnitudes[j] for bj, j in zip(b.tolist(), idx.tolist()))
+    if not math.isfinite(bound):
+        raise DataError(f"the combined kernel overflows: sum_j beta_j max|K_j| = {bound!r}")
+    used = slice(None) if idx.size == stack.m else idx  # a slice takes views, not copies
+    rows = cache(lambda t: np.einsum("j,jk->k", b, values[used, t]))
+    exact = all(stack.exact[j] for j in idx.tolist())
+    cols = rows if exact else cache(lambda t: np.einsum("j,jk->k", b, values[used, :, t]))
+    diag = np.einsum("j,jk->k", b, np.diagonal(values, axis1=1, axis2=2)[used])
+    return diag, rows, cols, lambda v: b @ np.array([values[j] @ v for j in idx])
+
+
 def solve_svm_dual(
     k,
     y,
@@ -106,11 +135,15 @@ def solve_svm_dual(
     tol: float = DEFAULT_SVM_TOL,
     max_updates: int = DEFAULT_MAX_UPDATES,
     alpha0: np.ndarray | None = None,
+    *,
+    weights=None,
+    kq0: np.ndarray | None = None,
 ) -> SvmDualSolution:
     """Solve the soft-margin SVM dual by SMO.
 
     Args:
-        k: train kernel, a square array.
+        k: train kernel, a square array; with ``weights``, a train
+            :class:`~enmkl.kernels.KernelStack` to solve on ``sum_j weights_j K_j``.
         y: -1/+1 labels, both classes present.
         C: box constraint, > 0.
         tol: stop once the maximal KKT violation ``m(a) - M(a)`` drops to
@@ -118,15 +151,24 @@ def solve_svm_dual(
         max_updates: hard cap on two-variable updates; exceeding it raises
             :class:`ConvergenceError`.
         alpha0: optional feasible, finite warm start (defaults to zero).
+        weights: the stack's kernel weights, as ``check_weights`` accepts.
+        kq0: the kernel times ``alpha0 * y`` if the caller has it.
 
     Returns:
         The dual solution. The bias is the mean of ``-y_i * grad_i`` over
         free support vectors; with no free support vector it falls back to
-        the midpoint of the remaining KKT interval.
+        the midpoint of the remaining KKT interval. The objective is taken
+        from the final gradient, as LIBSVM does.
     """
-    K, exact = _train_kernel_values(k)
+    if weights is None:
+        K, exact = _train_kernel_values(k)
+        diag, rows, matvec = np.diagonal(K), K.__getitem__, K.__matmul__
+        # cols(t) is K[:, t]: from K if it equals K.T bit for bit, else a copy of K.T.
+        cols = (K if exact else np.ascontiguousarray(K.T)).__getitem__
+    else:
+        diag, rows, cols, matvec = _stack_rows(k, weights)
     y = np.asarray(y, dtype=np.float64)
-    n = K.shape[0]
+    n = diag.shape[0]
     if y.shape != (n,):
         raise ValueError("labels must hold one value per kernel row")
     ys = y.tolist()
@@ -160,11 +202,13 @@ def solve_svm_dual(
             raise ValueError("alpha0 violates the box constraints")
         if lo < 0.0 or hi > C:
             # Inside the box np.clip returns alpha as it is, -0.0 included.
-            alpha = np.clip(alpha, 0.0, C)
+            alpha, kq0 = np.clip(alpha, 0.0, C), None
         # alpha >= 0 here, so its sum is its 1-norm.
         if abs(float(alpha @ y)) > 1e-8 * max(1.0, float(alpha.sum())):
             raise ValueError("alpha0 violates the equality constraint")
-        np.multiply(-y, y * (K @ (alpha * y)) - 1.0, out=g)
+        if kq0 is None:
+            kq0 = matvec(alpha * y)
+        np.multiply(-y, y * kq0 - 1.0, out=g)
         below, above = alpha < C, alpha > 0
         up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
     g_up.fill(-np.inf)
@@ -173,13 +217,10 @@ def solve_svm_dual(
     np.copyto(g_low, g, where=low_mask)
 
     # Row i of the pair curvatures diag_i + diag_t - 2 y_i y_t K_it (flat
-    # pairs set to _TAU) is made when i is first chosen. Row t of ``cols`` is
-    # K[:, t]: K itself if it equals K.T bit for bit, else a copy of K.T.
-    # Products with +-1 and 2 are exact, so every value is bit for bit what
-    # the textbook update on grad computes. Scalar bookkeeping runs on Python
-    # floats and bools; floats are the same doubles.
-    diag = np.diagonal(K)
-    cols = K if exact else np.ascontiguousarray(K.T)
+    # pairs set to _TAU) is made when i is first chosen. Products with +-1
+    # and 2 are exact, so every value is bit for bit what the textbook update
+    # on grad computes. Scalar bookkeeping runs on Python floats and bools;
+    # floats are the same doubles.
     two_y = 2.0 * y
     curv_rows = {}
     score, step, step_j = np.empty((3, n))
@@ -207,7 +248,7 @@ def solve_svm_dual(
         curv = curv_rows.get(i)
         if curv is None:
             curv = curv_rows[i] = np.add(diag, ds[i])
-            np.multiply(K[i], two_y, out=step)
+            np.multiply(rows(i), two_y, out=step)
             if ys[i] > 0:
                 curv -= step
             else:
@@ -233,7 +274,7 @@ def solve_svm_dual(
         # i is in up and j in low, so g_i = m and g_j = g_low[j].
         yi, yj = ys[i], ys[j]
         Qii, Qjj = ds[i], ds[j]
-        Qij = yi * yj * K.item(i, j)
+        Qij = yi * yj * rows(i).item(j)
         grad_i, grad_j = -yi * m_val, -yj * g_low.item(j)
         ai_old, aj_old = a[i], a[j]
         if yi != yj:
@@ -277,9 +318,9 @@ def solve_svm_dual(
         # g += cols[i] * s_i + cols[j] * s_j, with the textbook update's
         # operands in its order, on all three rows.
         s_box[()] = -yi * (ai - ai_old)
-        np.multiply(cols[i], s_box, out=step)
+        np.multiply(cols(i), s_box, out=step)
         s_box[()] = -yj * (aj - aj_old)
-        np.multiply(cols[j], s_box, out=step_j)
+        np.multiply(cols(j), s_box, out=step_j)
         step += step_j
         G += step
         for t, at in ((i, ai), (j, aj)):
@@ -300,8 +341,8 @@ def solve_svm_dual(
     else:
         bias = (m_val + M_val) / 2.0
 
-    coef = alpha * y
-    objective = float(alpha.sum() - 0.5 * coef @ (K @ coef))
+    # sum(a) - 1/2 a'Qa = 1/2 a'(1 - grad), and 1 - grad = 1 + y * g.
+    objective = 0.5 * float(alpha @ (1.0 + y * g))
     return SvmDualSolution(alpha=alpha, bias=bias, objective=objective, iterations=updates)
 
 

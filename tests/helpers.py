@@ -177,8 +177,9 @@ def smo_reference(K, y, C, tol=1e-3, max_updates=10_000_000, alpha0=None):
     else:
         bias = (m_val + M_val) / 2.0
 
-    coef = alpha * y
-    objective = float(alpha.sum() - 0.5 * coef @ (K @ coef))
+    # The dual value from the final gradient, as LIBSVM computes it:
+    # sum(a) - 1/2 a'Qa = 1/2 a'(1 - grad).
+    objective = 0.5 * float(alpha @ (1.0 - grad))
     return alpha, bias, objective, updates
 
 
@@ -382,9 +383,8 @@ def train_enmkl_reference(
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
         lam = mkl._update_lambda(w, mu) if float(w.sum()) > 0 else None
-        history.append(
-            mkl._objective(combined, w, lam, targets, alpha, bias, mu, C, task, labels)
-        )
+        kq = combined @ (alpha if labels is None else alpha * labels)
+        history.append(mkl._objective(kq, w, lam, targets, bias, mu, C, task))
         if lam is None:
             degenerate = True
             break
@@ -439,8 +439,8 @@ def blocknorm_objective(
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
     total = float(w.sum())
     penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
-    combined = weighted_sum(stack, beta)
-    return penalty + _slack_loss(combined, targets, alpha, bias, C, task, labels)
+    q = np.asarray(alpha, dtype=np.float64) if labels is None else alpha * labels
+    return penalty + _slack_loss(weighted_sum(stack, beta) @ q, targets, bias, C, task)
 
 
 def oracle_feature_pipeline(train_X, group_cols, test_X=None, center=True, normalize=True):

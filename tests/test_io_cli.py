@@ -1332,6 +1332,17 @@ def _unparsable_manifest(text):
     return case
 
 
+def _wide_field_case(ws, folder):
+    """``kernels`` on features whose first value has 200,000 digits, more
+    than the csv module reads in one field."""
+    lines = Path(ws.features).read_text().splitlines()
+    sid, _, rest = lines[1].partition(",")
+    lines[1] = sid + ",1" + "0" * 199_999 + rest[rest.index(","):]
+    wide = _write(folder / "wide.csv", "\n".join(lines) + "\n")
+    argv = ["kernels", "--features", wide, "--groups", ws.groups, "--out", str(folder / "stack")]
+    return argv, f"{wide}:2: field larger than field limit"
+
+
 def _option_case(command, flag, value):
     def case(ws, folder):
         argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
@@ -1383,6 +1394,14 @@ _REFUSALS = {
             "C = 5e-324 is too small for 20 samples",
         ),
     ),
+    "csv-field-over-limit": (2, _wide_field_case),
+    "predict-overflowing-norm": (
+        2, lambda ws, folder: (
+            ["predict", "--model", str(ws.root / "model.json"), "--features", ws.huge,
+             "--out", str(folder / "p.csv")],
+            f"{ws.huge}: sample 's000' has overflowing norm in feature group 'noise'",
+        ),
+    ),
 }
 
 
@@ -1406,10 +1425,13 @@ class TestRefusalTable:
         assert main(["kernels", "--features", ridge_features, "--groups", ridge_groups,
                      "--out", str(root / "ridge")]) == 0
 
-        def train(stack):
+        def train(stack, out=root / "m.json"):
             return ["train", "--stack", str(stack), "--targets", targets,
                     "--task", "classification", "--C", "1", "--mu", "0.5",
-                    "--out", str(root / "m.json")]
+                    "--out", str(out)]
+
+        # The model that predicts on the overflowing rows.
+        assert main(train(root / "stack" / "stack.json", root / "model.json")) == 0
 
         def cv(features=features):
             return ["cv", "--features", features, "--groups", groups, "--targets", targets,

@@ -161,6 +161,27 @@ class TestKernelStackInvariants:
             KernelStack(2.0 * np.eye(2)[None], ids, ids, ("g",), (1,), normalized=True,
                         _symmetric=True)
 
+    @pytest.mark.parametrize(
+        "center,normalize", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    def test_exact_records_bit_symmetry_through_preprocessing(self, center, normalize):
+        # SMO reads a stack's columns from its rows only where ``exact`` holds.
+        rng = np.random.default_rng(40)
+        k = random_psd_kernel(rng, 12)
+        near = k + 1e-12 * rng.uniform(-1.0, 1.0, size=k.shape)
+        raw = _stack(k, near)
+        assert raw.exact == (True, False)
+        fitted = StackPreprocessor(center=center, normalize=normalize).fit(raw).train_stack_
+        expected = tuple(center or normalize or j == 0 for j in range(2))
+        assert fitted.exact == expected
+        assert tuple(_same_bits(v, v.T) for v in fitted.values) == expected
+        assert build_linear_kernels(_random_grouped(rng, 9, dims=(2, 3))).exact == (True, True)
+        cross, _ = build_linear_cross_kernels(
+            _random_grouped(rng, 9, dims=(2, 3)), rng.normal(size=(4, 5)), "abcd"
+        )
+        assert cross.exact == (False, False)
+        np.testing.assert_array_equal(raw.magnitudes, [np.abs(k).max(), np.abs(near).max()])
+
     def test_ids_and_names_become_strings(self):
         stack = KernelStack(np.ones((1, 1, 1)), [7], [7], [3], [1.0])
         assert stack.row_ids == ("7",) and stack.col_ids == ("7",)

@@ -441,6 +441,43 @@ class TestBaseline:
         np.testing.assert_allclose(model.beta, np.full(3, 1.0 / 3.0))
         assert model.mu == 0.0 and model.converged and model.iterations == 1
 
+    def test_cold_solve_is_the_dense_solve_in_hex(self, monkeypatch):
+        # Rows come from the stack, never from a built mixture, with the same
+        # bits; one kernel differs from its transpose within tolerance, so
+        # columns are gathered too.
+        solves = []
+        monkeypatch.setattr(mkl.solvers, "solve_svm_dual",
+                            lambda *a, **k: solves.append(solve_svm_dual(*a, **k)) or solves[-1])
+        rng = np.random.default_rng(16)
+        data = make_classification_data(
+            n=40, seed=16, group_specs=[("a", 2, "signal"), ("b", 3, "noise"), ("c", 2, "noise")]
+        )
+        values = np.array(_preprocessed_stack(data).values)
+        values[1] += 3e-11 * rng.uniform(-1.0, 1.0, size=values[1].shape)
+        stack = _stack_from_matrices(*values)
+        assert stack.exact == (True, False, True)
+        mixture = weighted_sum(stack, np.full(3, 1.0 / 3.0))
+        for C in (0.1, 1.0, 100.0):
+            model = train_sum_baseline(stack, data.targets, "classification", C, solver_tol=1e-6)
+            plain = solve_svm_dual(mixture, data.targets, C, tol=1e-6)
+            assert [a.hex() for a in model.alpha.tolist()] == [a.hex() for a in plain.alpha.tolist()]
+            assert (model.bias.hex(), solves[-1].iterations) == (plain.bias.hex(), plain.iterations)
+
+    def test_svm_fits_build_no_combined_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mkl, "weighted_sum", lambda *a: calls.append(a) or weighted_sum(*a))
+        data = make_classification_data(
+            n=30, seed=17, group_specs=[("a", 2, "signal"), ("b", 2, "noise"), ("c", 2, "noise")]
+        )
+        stack = _preprocessed_stack(data)
+        model = train_enmkl_svm(stack, data.targets, 1.0, 0.5)
+        assert model.iterations > 1
+        train_sum_baseline(stack, data.targets, "classification", 1.0)
+        assert calls == []
+        # Ridge regression still builds it for its linear solve.
+        train_sum_baseline(stack, data.targets, "regression", 1.0)
+        assert len(calls) == 1
+
     def test_regression_baseline(self):
         data = make_regression_data(n=16, seed=15, group_specs=[("a", 2, "signal"), ("b", 2, "noise")])
         stack = _preprocessed_stack(data)

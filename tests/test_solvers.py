@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enmkl import solvers
-from enmkl.errors import ConvergenceError
-from enmkl.kernels import KernelStack
+from enmkl.errors import ConvergenceError, DataError
+from enmkl.kernels import SYMMETRY_TOL, KernelStack, weighted_sum
 from enmkl.solvers import (
     SvmDualSolution,
     predict,
@@ -285,6 +285,104 @@ class TestSvmMatchesReferenceProperty:
         assert _bits(sol.bias) == _bits(bias)
         assert _bits(sol.objective) == _bits(objective)
         assert sol.iterations == iterations
+
+
+def _random_stack(rng, n, m, asymmetric=None):
+    """A train stack of m random PSD kernels; kernel ``asymmetric``, if
+    given, differs from its transpose within SYMMETRY_TOL."""
+    values = np.array([random_psd_kernel(rng, n) for _ in range(m)])
+    if asymmetric is not None:
+        k = values[asymmetric]
+        k += 0.4 * SYMMETRY_TOL * np.abs(k).max() * rng.uniform(-1.0, 1.0, size=(n, n))
+    ids = tuple(f"s{i}" for i in range(n))
+    return KernelStack(values, ids, ids, tuple(f"g{j}" for j in range(m)), (1,) * m)
+
+
+class TestStackRows:
+    """SMO on a stack computes each row of ``sum_j w_j K_j`` when it needs
+    it; every value equals the built ``weighted_sum`` bit for bit."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 40),
+        weights=st.lists(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 2.5]), min_size=1, max_size=6)
+        .filter(lambda w: any(w)),
+        asymmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_columns_match_the_weighted_sum(self, n, weights, asymmetric, seed):
+        rng = np.random.default_rng(seed)
+        m = len(weights)
+        stack = _random_stack(rng, n, m, int(rng.integers(m)) if asymmetric else None)
+        built = weighted_sum(stack, weights)
+        diag, rows, cols, matvec = solvers._stack_rows(stack, np.array(weights))
+        assert _bits(diag).tolist() == _bits(np.diagonal(built)).tolist()
+        for t in rng.permutation(n).tolist():
+            assert _bits(rows(t)).tolist() == _bits(built[t]).tolist()
+            assert _bits(cols(t)).tolist() == _bits(built[:, t]).tolist()
+        v = rng.normal(size=n)
+        np.testing.assert_allclose(matvec(v), built @ v, rtol=1e-12, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("asymmetric", [None, 1])
+    def test_cold_solve_is_the_dense_solve(self, asymmetric):
+        for seed in range(4):
+            rng = np.random.default_rng(1800 + seed)
+            n = int(rng.integers(10, 60))
+            stack = _random_stack(rng, n, 4, asymmetric)
+            weights = np.array([0.5, 0.0, 0.25, 1.5])
+            y = random_labels(rng, n)
+            for C in (0.01, 1.0, 100.0):
+                dense = solve_svm_dual(weighted_sum(stack, weights), y, C, tol=1e-8)
+                rowwise = solve_svm_dual(stack, y, C, tol=1e-8, weights=weights)
+                assert _bits(rowwise.alpha).tolist() == _bits(dense.alpha).tolist()
+                assert (rowwise.bias.hex(), rowwise.objective.hex(), rowwise.iterations) == (
+                    dense.bias.hex(), dense.objective.hex(), dense.iterations
+                )
+
+    def test_objective_from_the_gradient_matches_the_dense_formula(self):
+        for seed in range(12):
+            rng = np.random.default_rng(1900 + seed)
+            n = int(rng.integers(5, 80))
+            stack = _random_stack(rng, n, 3)
+            weights = np.array([0.2, 0.0, 0.9])
+            K = weighted_sum(stack, weights)
+            y = random_labels(rng, n)
+            C = 10.0 ** rng.uniform(-3.0, 3.0)
+            warm = solve_svm_dual(K + random_psd_kernel(rng, n, rank=2), y, C).alpha
+            for sol in (
+                solve_svm_dual(K, y, C, tol=1e-6),
+                solve_svm_dual(stack, y, C, tol=1e-6, weights=weights),
+                solve_svm_dual(stack, y, C, tol=1e-6, weights=weights, alpha0=warm),
+            ):
+                coef = sol.alpha * y
+                dense = float(sol.alpha.sum() - 0.5 * coef @ (K @ coef))
+                assert abs(sol.objective - dense) <= 1e-12 * abs(dense), (seed, C)
+
+    def test_weights_and_stack_are_checked(self):
+        rng = np.random.default_rng(2001)
+        stack = _random_stack(rng, 6, 2)
+        y = random_labels(rng, 6)
+        for weights, message in (
+            ([1.0], "expected 2 weights"), ([1.0, -0.5], "nonnegative"),
+            ([0.0, 0.0], "positive"), ([1.0, np.nan], "non-finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                solve_svm_dual(stack, y, 1.0, weights=weights)
+        cross = KernelStack(stack.values[:, :5], stack.row_ids[:5], stack.col_ids, ("a", "b"),
+                            (1, 1))
+        with pytest.raises(ValueError, match="not a cross stack"):
+            solve_svm_dual(cross, y[:5], 1.0, weights=[1.0, 1.0])
+
+    def test_a_combined_kernel_that_overflows_is_a_data_error(self):
+        rng = np.random.default_rng(2000)
+        k = random_psd_kernel(rng, 8)
+        ids = tuple(f"s{i}" for i in range(8))
+        stack = KernelStack(np.array([k, k]) * (1e308 / np.abs(k).max()), ids, ids,
+                            ("a", "b"), (1, 1))
+        y = random_labels(rng, 8)
+        # Refused before any arithmetic that would warn.
+        with np.errstate(all="raise"), pytest.raises(DataError, match="kernel overflows"):
+            solve_svm_dual(stack, y, 1.0, weights=[1.0, 1.0])
 
 
 class TestSvmSolutionInvariants:
