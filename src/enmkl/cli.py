@@ -175,13 +175,14 @@ def cmd_train(args) -> None:
 def _model_section(path, payload: dict, key: str, decode):
     """``decode(payload[key])`` for one section of a model file.
 
-    A missing or ill-typed key becomes a :class:`DataError` naming the file.
+    A missing or ill-typed key, or a number that is not a finite float,
+    becomes a :class:`DataError` naming the file.
     """
     try:
         return decode(payload[key])
     except KeyError as exc:
         raise DataError(f"{path}: model file is missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
 
 

@@ -127,10 +127,11 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
+            # line_num, not a row count: a quoted field may span lines.
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue  # skip blank lines
-                rows.append((lineno, row))
+                rows.append((reader.line_num, row))
     except UnicodeDecodeError:
         _read_text(path)  # raises the DataError that names the line
         raise

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +33,9 @@ CENTERED_MEAN_TOL = 1e-8
 # The magnitude at and above which doubling a float64 overflows.
 _HALF_MAX = 2.0 ** 1023
 
+# Rows per block of the passes that stream an n x n kernel through cache.
+_ROWS = 64
+
 
 def _as_float_matrix(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -45,27 +47,35 @@ def _as_float_matrix(values, name: str) -> np.ndarray:
 
 
 def bit_symmetric(k: np.ndarray) -> bool:
-    """Whether ``k`` is square and equals its transpose bit for bit, where
-    -0.0 and 0.0 differ (as their strings do)."""
+    """Whether ``k`` is a square matrix equal to its transpose bit for bit,
+    where -0.0 and 0.0 differ (as their strings do). Each strip of rows right
+    of the diagonal is compared with the strip of columns below it, in cache."""
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        return False
     bits = k.view(np.uint64)
-    return np.array_equal(bits, bits.T)
+    return all(
+        np.array_equal(bits[a:a + _ROWS, a:], bits[a:, a:a + _ROWS].T)
+        for a in range(0, len(bits), _ROWS)
+    )
 
 
-def check_kernel(k: np.ndarray, train: bool = True) -> bool:
+def check_kernel(k: np.ndarray, train: bool = True) -> tuple[bool, float]:
     """Refuse a kernel with a non-finite entry, or a ``train`` kernel that is
     not symmetric within SYMMETRY_TOL of its largest magnitude (or of 1).
 
-    Returns whether a train kernel is :func:`bit_symmetric`; False when
-    ``train`` is not set.
+    Returns whether a train kernel is :func:`bit_symmetric` (False when
+    ``train`` is not set), and the kernel's largest entry magnitude.
     """
-    if not np.isfinite(k).all():
+    low, high = k.min(initial=0.0).item(), k.max(initial=0.0).item()
+    # min and max are NaN when any entry is, so this also tests finiteness.
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("kernel contains non-finite entries")
+    magnitude = max(high, -low)
     if not train or bit_symmetric(k):
-        return train
-    scale = max(1.0, float(np.abs(k).max()))
-    if float(np.abs(k - k.T).max()) > SYMMETRY_TOL * scale:
+        return train, magnitude
+    if float(np.abs(k - k.T).max()) > SYMMETRY_TOL * max(1.0, magnitude):
         raise ValueError("train kernel is not symmetric")
-    return False
+    return False, magnitude
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,8 @@ class KernelStack:
     a copy, so the caller must not write to it afterwards.
 
     ``exact[j]`` is whether train kernel j is :func:`bit_symmetric` (False
-    in a cross stack). ``_symmetric`` is for the builders in this module whose
+    in a cross stack) and ``magnitudes[j]`` its largest entry magnitude, as
+    the checks found them. ``_symmetric`` is for the builders in this module whose
     train kernels are bit-symmetric by construction: it skips the transposed
     symmetry scan, and every other check still runs.
     """
@@ -99,6 +110,7 @@ class KernelStack:
     normalized: bool = False
     _symmetric: InitVar[bool] = False
     exact: tuple[bool, ...] = field(init=False, repr=False)
+    magnitudes: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self, _symmetric):
         values = np.ascontiguousarray(self.values, dtype=np.float64).view()
@@ -120,10 +132,11 @@ class KernelStack:
                 f"{len(row_ids)} row ids and {len(col_ids)} column ids"
             )
         train = row_ids == col_ids
-        exact = []
+        exact, magnitudes = [], []
         for k in values:
-            bits = check_kernel(k, train=train and not _symmetric)
+            bits, magnitude = check_kernel(k, train=train and not _symmetric)
             exact.append(bits or (train and _symmetric))
+            magnitudes.append(magnitude)
             if not train:
                 continue
             if self.normalized:
@@ -147,11 +160,7 @@ class KernelStack:
         object.__setattr__(self, "centered", bool(self.centered))
         object.__setattr__(self, "normalized", bool(self.normalized))
         object.__setattr__(self, "exact", tuple(exact))
-
-    @cached_property
-    def magnitudes(self) -> tuple[float, ...]:
-        """Each kernel's largest entry magnitude, computed once per stack."""
-        return tuple(max(k.max(initial=0.0), -k.min(initial=0.0)).item() for k in self.values)
+        object.__setattr__(self, "magnitudes", tuple(magnitudes))
 
     @property
     def m(self) -> int:
@@ -448,11 +457,21 @@ class StackPreprocessor:
     def fit(self, raw_stack: KernelStack, out: np.ndarray | None = None) -> "StackPreprocessor":
         """Fit on ``raw_stack`` and preprocess it into ``train_stack_``.
 
+        One read of each kernel K takes its column means c. A second, in
+        blocks of ``_ROWS`` rows, writes ``((K_ab - (c_a + c_b)) + g) / (sc_a *
+        sc_b)``, leaving out a step that is off, where g is the mean of c and
+        sc the square root of the diagonal s under the same centering; a
+        normalized diagonal is then set to 1. The sum and the product commute,
+        so a bit-symmetric K gives a bit-symmetric result; any other K is
+        first replaced by its symmetric part ``K/2 + K.T/2``. With both steps
+        off the raw kernels are copied. Entries of 2**1023 or more, which
+        doubling makes inf, are refused.
+
         The preprocessed kernels go into ``out``, a new array by default, or
         a float64 array of the stack's shape. It may be the writable buffer
         behind ``raw_stack.values`` itself: each kernel's reductions are taken
-        before its first write, so the result is the same bits, and the raw
-        stack holds the preprocessed values afterwards.
+        before the pass that writes its rows, so the result is the same bits,
+        and the raw stack holds the preprocessed values afterwards.
         """
         if raw_stack.centered or raw_stack.normalized:
             raise DataError("fit expects a raw (uncentered, unnormalized) train stack")
@@ -463,43 +482,46 @@ class StackPreprocessor:
             out = np.empty_like(raw)
         elif np.may_share_memory(out, raw) and out.ctypes.data != raw.ctypes.data:
             raise ValueError("out must be the stack's own buffer or not overlap it")
-        buf = np.empty(raw.shape[1:])
+        n, step = raw.shape[1], self.center or self.normalize
+        sums, scales = np.empty((2, min(n, _ROWS), n))
         stats = []
-        for k, dest in zip(raw, out):
+        for k, dest, exact in zip(raw, out, raw_stack.exact):
+            if step and not exact:
+                k = np.add(k / 2.0, k.T / 2.0, out=dest)
             col_means = k.mean(axis=0)
-            grand = float(k.mean())
-            if self.center:
-                # Double centering, K - rowmean - colmean + grandmean, equals
-                # subtracting the train mean from the underlying features.
-                np.subtract(k, k.mean(axis=1, keepdims=True), out=buf)
-                buf -= col_means
-                buf += grand
-                k = np.divide(np.add(buf, buf.T, out=dest), 2.0, out=dest)
+            grand = col_means.mean()
             self_sim = np.diagonal(k).copy()
+            if self.center:
+                # Double centering equals subtracting the train mean from
+                # the underlying features.
+                self_sim = (self_sim - (col_means + col_means)) + grand
+            stats.append(GroupKernelStats(col_means, float(grand), self_sim))
+            if not step:
+                dest[...] = k
+                continue
             if self.normalize:
-                # K'[a, b] = K[a, b] / sqrt(s_a * s_b) with s the diagonal.
                 _check_self_similarities(self_sim, ids)
                 scale = np.sqrt(self_sim)
-                np.divide(k, np.outer(scale, scale, out=buf), out=dest)
-                # A centered kernel equals its transpose bit for bit, and so do
-                # its quotients by the symmetric outer(scale, scale): averaging
-                # them with their transpose returns them unchanged unless the
-                # doubling overflows. A raw kernel keeps the average, which
-                # costs about what a test of its bit symmetry would.
-                if not (self.center and -_HALF_MAX < dest.min() and dest.max() < _HALF_MAX):
-                    np.divide(np.add(dest, dest.T, out=buf), 2.0, out=dest)
-                np.fill_diagonal(dest, 1.0)  # exactly 1 by definition
-            elif not self.center:
-                dest[...] = k
-            stats.append(GroupKernelStats(col_means, grand, self_sim))
+            for a in range(0, n, _ROWS):
+                b = min(a + _ROWS, n)
+                rows, into = k[a:b], dest[a:b]
+                if self.center:
+                    t = np.add(col_means[a:b, None], col_means, out=sums[: b - a])
+                    np.subtract(rows, t, out=t)
+                    rows = np.add(t, grand, out=t if self.normalize else into)
+                if self.normalize:
+                    t = np.multiply(scale[a:b, None], scale, out=scales[: b - a])
+                    np.divide(rows, t, out=into)
+            if self.normalize:
+                np.fill_diagonal(dest, 1.0)
         self.stats_ = stats
-        # Each kernel above is a symmetric average, a quotient of one by the
-        # symmetric outer(scale, scale), or a copy of a raw kernel.
         self.train_stack_ = KernelStack(
             out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
             centered=self.center, normalized=self.normalize,
-            _symmetric=self.center or self.normalize or all(raw_stack.exact),
+            _symmetric=step or all(raw_stack.exact),
         )
+        if step and max(self.train_stack_.magnitudes) >= _HALF_MAX:
+            raise ValueError("preprocessed kernel has entries that doubling makes non-finite")
         return self
 
     def transform_cross(

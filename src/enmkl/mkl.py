@@ -719,7 +719,7 @@ class PrimalModel:
             group_names=tuple(str(g) for g in d["group_names"]),
             group_columns=tuple(np.asarray(c, dtype=np.int64) for c in d["group_columns"]),
             feature_means=tuple(np.asarray(m, dtype=np.float64) for m in d["feature_means"]),
-            bias=float(d["bias"]),
+            bias=_finite_float(d["bias"], "bias"),
             centered=bool(d["centered"]),
             normalized=bool(d["normalized"]),
             n_features=int(d["n_features"]),
@@ -791,6 +791,24 @@ def model_to_dict(model: MklModel) -> dict:
     return record_dict(model)
 
 
+def _finite_float(value, name: str) -> float:
+    """``float(value)``, or a ValueError naming the field unless it is finite."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"'{name}' must be a finite number")
+    return number
+
+
 def model_from_dict(d: dict) -> MklModel:
-    """Rebuild a model from :func:`model_to_dict` output."""
-    return MklModel(**{f.name: d[f.name] for f in fields(MklModel)})
+    """Rebuild a model from :func:`model_to_dict` output; every float field
+    must hold a finite number."""
+    values = {f.name: d[f.name] for f in fields(MklModel)}
+    for name in ("bias", "mu", "C", "beta_raw_sum"):
+        values[name] = _finite_float(values[name], name)
+    values["objective_history"] = [
+        _finite_float(v, "objective_history") for v in values["objective_history"]
+    ]
+    return MklModel(**values)

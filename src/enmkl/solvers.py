@@ -87,13 +87,23 @@ def _kernel_values(k, name: str = "kernel") -> np.ndarray:
     return arr
 
 
-def _train_kernel_values(k) -> tuple[np.ndarray, bool]:
+def _train_kernel_values(k) -> tuple[np.ndarray, bool, float]:
     """The values of a square train kernel that :func:`check_kernel` accepts,
-    and whether they equal their transpose bit for bit."""
+    whether they equal their transpose bit for bit, and their largest magnitude."""
     values = _kernel_values(k)
     if values.shape[0] != values.shape[1]:
         raise ValueError("train kernel must be square")
-    return values, check_kernel(values)
+    return (values, *check_kernel(values))
+
+
+def _check_curvature_bound(bound: float, what: str) -> None:
+    """Refuse a kernel whose entry magnitudes are at most ``bound`` (named
+    ``what`` in the message) when ``4 * bound`` is not finite: SMO's pair
+    curvatures ``K_ii + K_tt - 2 K_it`` could then overflow."""
+    if not math.isfinite(4.0 * bound):
+        raise DataError(
+            f"the kernel overflows: SMO's pair curvatures reach 4 * {what} = 4 * {bound!r}"
+        )
 
 
 def _check_labels(ys: list[float]) -> None:
@@ -118,8 +128,7 @@ def _stack_rows(stack, weights):
     b, values = w[idx], stack.values
     # Every entry of the sum is at most this; Python floats overflow to inf quietly.
     bound = sum(bj * stack.magnitudes[j] for bj, j in zip(b.tolist(), idx.tolist()))
-    if not math.isfinite(bound):
-        raise DataError(f"the combined kernel overflows: sum_j beta_j max|K_j| = {bound!r}")
+    _check_curvature_bound(bound, "sum_j beta_j max|K_j|")
     used = slice(None) if idx.size == stack.m else idx  # a slice takes views, not copies
     rows = cache(lambda t: np.einsum("j,jk->k", b, values[used, t]))
     exact = all(stack.exact[j] for j in idx.tolist())
@@ -161,7 +170,8 @@ def solve_svm_dual(
         from the final gradient, as LIBSVM does.
     """
     if weights is None:
-        K, exact = _train_kernel_values(k)
+        K, exact, bound = _train_kernel_values(k)
+        _check_curvature_bound(bound, "max|K|")
         diag, rows, matvec = np.diagonal(K), K.__getitem__, K.__matmul__
         # cols(t) is K[:, t]: from K if it equals K.T bit for bit, else a copy of K.T.
         cols = (K if exact else np.ascontiguousarray(K.T)).__getitem__
@@ -354,7 +364,7 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     for any PSD kernel; where the factorization still meets an exactly
     singular system, the minimum-norm least-squares solution takes over.
     """
-    K, _ = _train_kernel_values(k)
+    K, *_ = _train_kernel_values(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):

@@ -213,11 +213,43 @@ def weighted_sum_reference(values, beta):
     return acc
 
 
+def preprocess_fit_plain(raw_values, center, normalize):
+    """Train-kernel preprocessing in ``StackPreprocessor.fit``'s arithmetic,
+    written out whole, with one temporary per step.
+
+    A bit-for-bit reference for the row-blocked fit: a kernel that is not
+    symmetric bit for bit is replaced by ``K/2 + K.T/2`` first (unless both
+    steps are off), centering uses the column means on both sides, and
+    normalization divides by the outer product of the square-rooted
+    self-similarities. Returns (kernels, [(col_means, grand, self_sim)]).
+    """
+    out = np.empty_like(raw_values)
+    stats = []
+    for j, k in enumerate(raw_values):
+        if (center or normalize) and not _same_bits(k, k.T):
+            k = k / 2.0 + k.T / 2.0
+        col_means = k.mean(axis=0)
+        grand = col_means.mean()
+        self_sim = np.diagonal(k).copy()
+        if center:
+            self_sim = self_sim - (col_means + col_means) + grand
+            k = k - (col_means[:, None] + col_means[None, :]) + grand
+        if normalize:
+            scale = np.sqrt(self_sim)
+            k = k / np.outer(scale, scale)
+            np.fill_diagonal(k, 1.0)
+        out[j] = k
+        stats.append((col_means, float(grand), self_sim))
+    return out, stats
+
+
 def preprocess_fit_reference(raw_values, center, normalize):
     """Train-kernel preprocessing as first written, one temporary per step.
 
-    A frozen copy of ``StackPreprocessor.fit``'s arithmetic, kept as a
-    bit-for-bit reference. Returns (kernels, [(col_means, grand, self_sim)]).
+    A frozen copy of ``StackPreprocessor.fit``'s first arithmetic: row and
+    column means, then averages with the transpose. The one-pass fit agrees
+    with it to a few units in the last place. Returns (kernels,
+    [(col_means, grand, self_sim)]).
     """
     out = np.empty_like(raw_values)
     stats = []
@@ -240,8 +272,8 @@ def preprocess_fit_reference(raw_values, center, normalize):
 
 def transform_cross_reference(raw_values, raw_self_sims, stats, center, normalize):
     """Cross-kernel preprocessing as first written; ``stats`` as returned by
-    :func:`preprocess_fit_reference`. A frozen bit-for-bit reference for
-    ``StackPreprocessor.transform_cross``."""
+    :func:`preprocess_fit_plain` or :func:`preprocess_fit_reference`. A
+    frozen bit-for-bit reference for ``StackPreprocessor.transform_cross``."""
     out = np.empty_like(raw_values)
     for j, (k, (col_means, grand, self_sim), sims) in enumerate(
         zip(raw_values, stats, raw_self_sims)

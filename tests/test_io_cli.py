@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
 from enmkl.mkl import model_from_dict, predict_model
 from enmkl.kernels import (
+    KernelStack,
     LinearKernelStream,
     StackPreprocessor,
     build_linear_cross_kernels,
@@ -41,6 +43,8 @@ from helpers import (
     kernel_csv_reference,
     make_classification_data,
     make_regression_data,
+    random_labels,
+    random_psd_kernel,
 )
 
 
@@ -1343,6 +1347,33 @@ def _wide_field_case(ws, folder):
     return argv, f"{wide}:2: field larger than field limit"
 
 
+def _model_number_case(command, section, key, value):
+    """A refusal case: ``predict`` or ``report`` on a copy of the trained model
+    whose ``section`` (``model`` or ``primal``) holds ``value`` at ``key``:
+    a float field that does not convert to a finite float."""
+
+    def case(ws, folder):
+        payload = json.loads((ws.root / "model.json").read_text())
+        payload[section][key] = value
+        model = _write(folder / "m.json", json.dumps(payload))
+        argv = (
+            ["predict", "--model", model, "--features", ws.features, "--out", str(folder / "p.csv")]
+            if command == "predict" else ["report", "--model", model]
+        )
+        return argv, f"{model}: malformed model file ('{key}' must be a finite number)"
+
+    return case
+
+
+def _quoted_newline_case(ws, folder):
+    """``kernels`` on features whose second row's id is a quoted "s\\n1": the
+    bad value on the next row is on physical line 4, not record 3."""
+    features = _write(folder / "f.csv", 'id,a\n"s\n1",1.0\ns2,x\n')
+    groups = _write(folder / "g.csv", "feature,group\na,g\n")
+    argv = ["kernels", "--features", features, "--groups", groups, "--out", str(folder / "s")]
+    return argv, f"{features}:4: not a number: 'x'"
+
+
 def _option_case(command, flag, value):
     def case(ws, folder):
         argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
@@ -1395,6 +1426,20 @@ _REFUSALS = {
         ),
     ),
     "csv-field-over-limit": (2, _wide_field_case),
+    "csv-quoted-newline": (2, _quoted_newline_case),
+    **{
+        f"report-{key}={label}": (2, _model_number_case("report", "model", key, value))
+        for key, label, value in (
+            ("bias", "400-digits", 10 ** 400), ("bias", "NaN", float("nan")),
+            ("mu", "400-digits", 10 ** 400), ("C", "Infinity", float("inf")),
+            ("beta_raw_sum", "400-digits", -10 ** 400),
+            ("objective_history", "400-digits", [1.0, 10 ** 400]),
+        )
+    },
+    "predict-bias=400-digits": (2, _model_number_case("predict", "model", "bias", 10 ** 400)),
+    "predict-primal-bias=400-digits": (
+        2, _model_number_case("predict", "primal", "bias", 10 ** 400)
+    ),
     "predict-overflowing-norm": (
         2, lambda ws, folder: (
             ["predict", "--model", str(ws.root / "model.json"), "--features", ws.huge,
@@ -1487,6 +1532,28 @@ class TestExitCodes:
         assert main([
             "predict", "--model", "m.json", "--out", "p.csv",
         ]) == 1
+
+    def test_a_kernel_whose_smo_curvatures_overflow_exits_2_at_once(self, tmp_path, capsys):
+        # Entries up to 1e308 are finite, but SMO's pair curvatures
+        # K_ii + K_tt - 2 K_it would overflow: refused before the first update.
+        rng = np.random.default_rng(2002)
+        k = random_psd_kernel(rng, 8)
+        ids = tuple(f"s{i}" for i in range(8))
+        io.write_stack(tmp_path, KernelStack((k * (1e308 / np.abs(k).max()))[None], ids, ids,
+                                             ("g",), (1,)))
+        y = random_labels(rng, 8)
+        targets = _write(tmp_path / "t.csv", "id,target\n" + "".join(
+            f"{i},{t:g}\n" for i, t in zip(ids, y)))
+        start = time.perf_counter()
+        code = main([
+            "train", "--stack", str(tmp_path / "stack.json"), "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5", "--no-center",
+            "--no-normalize", "--out", str(tmp_path / "m.json"),
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "kernel overflows: SMO's pair curvatures" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_predict_needs_features(self, capsys):
         assert main(["predict", "--model", "m.json", "--out", "p.csv"]) == 1

@@ -4,12 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enmkl.errors import DataError
 from enmkl.kernels import (
     GroupedDataset,
     KernelStack,
     StackPreprocessor,
+    bit_symmetric,
     build_linear_cross_kernels,
     build_linear_kernels,
     linear_gram,
@@ -20,6 +23,7 @@ from enmkl.kernels import (
 from helpers import (
     _same_bits,
     oracle_feature_pipeline,
+    preprocess_fit_plain,
     preprocess_fit_reference,
     random_psd_kernel,
     transform_cross_reference,
@@ -186,6 +190,76 @@ class TestKernelStackInvariants:
         stack = KernelStack(np.ones((1, 1, 1)), [7], [7], [3], [1.0])
         assert stack.row_ids == ("7",) and stack.col_ids == ("7",)
         assert stack.group_names == ("3",) and stack.group_sizes == (1,)
+
+
+_STRIP = 64  # rows per strip of bit_symmetric's compare
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A square matrix symmetric bit for bit but for one drawn change, or a
+    non-square one. Indices lean to the rows on either side of a strip edge."""
+    n = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 200]), st.integers(1, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rng.normal(size=(n, n))
+    k = k + k.T  # a commutative sum: symmetric bit for bit
+    edges = [b + d for b in range(_STRIP, n, _STRIP) for d in (-1, 0)]
+
+    def index():
+        if edges and draw(st.booleans()):
+            return draw(st.sampled_from(edges))
+        return draw(st.integers(0, n - 1))
+
+    i, j = index(), index()
+    bits = k.view(np.uint64)
+    change = draw(st.sampled_from(["none", "flip", "signed-zero", "nan", "shape"]))
+    if change == "flip":
+        bits[i, j] ^= np.uint64(1) << np.uint64(draw(st.integers(0, 63)))
+    elif change == "signed-zero":
+        k[i, j], k[j, i] = -0.0, 0.0
+    elif change == "nan":
+        # Quiet NaNs whose payloads may differ.
+        bits[i, j] = np.uint64(0x7FF8000000000000 + draw(st.integers(0, 3)))
+        bits[j, i] = np.uint64(0x7FF8000000000000 + draw(st.integers(0, 3)))
+    elif change == "shape":
+        cut = draw(st.integers(0, n - 1))
+        k = k[:, :cut] if draw(st.booleans()) else k[:cut]
+        k = np.ascontiguousarray(k) if draw(st.booleans()) else k
+    return k
+
+
+class TestBitSymmetric:
+    """The strip-by-strip compare agrees with one whole transposed compare."""
+
+    @given(_near_symmetric())
+    def test_agrees_with_a_whole_transposed_compare(self, k):
+        bits = k.view(np.uint64)
+        with np.errstate(all="raise"):
+            assert bit_symmetric(k) == np.array_equal(bits, bits.T)
+
+    @pytest.mark.parametrize("n", [65, 129, 200])
+    def test_one_flipped_bit_beside_each_strip_edge(self, n):
+        k = np.arange(float(n * n)).reshape(n, n)
+        k = k + k.T
+        assert bit_symmetric(k)
+        for row in (b + d for b in range(_STRIP, n, _STRIP) for d in (-1, 0)):
+            pairs = ((row, row - 1), (row - 1, row), (row, 0), (0, row), (row, n - 1), (n - 1, row))
+            for i, j in (pair for pair in pairs if pair[0] != pair[1]):
+                flipped = k.copy()
+                flipped.view(np.uint64)[i, j] ^= np.uint64(1)
+                assert not bit_symmetric(flipped), (i, j)
+
+    def test_signed_zeros_nan_payloads_and_shapes(self):
+        k = np.zeros((3, 3))
+        k[0, 2] = -0.0
+        assert not bit_symmetric(k) and bit_symmetric(np.zeros((3, 3)))
+        k = np.full((2, 2), np.nan)
+        assert bit_symmetric(k)
+        k.view(np.uint64)[0, 1] += np.uint64(1)
+        assert not bit_symmetric(k)
+        for shape in ((2, 3), (3, 2), (0, 1), (4,)):
+            assert not bit_symmetric(np.zeros(shape))
+        assert bit_symmetric(np.zeros((0, 0))) and bit_symmetric(np.ones((1, 1)))
 
 
 class TestGroupedDataset:
@@ -549,14 +623,38 @@ class TestWeightedSumMatchesReference:
         self._check(self._cross(rng, 1, 40, 90), np.array([2.5]))
 
 
+def _within_four_ulps(got, expected, raw, self_sim, normalize):
+    """Whether ``got`` is within 4 ulps of ``raw``'s largest magnitude of
+    ``expected``, entry by entry; on normalized kernels that tolerance goes
+    through the division by ``sqrt(s_a * s_b)`` to first order."""
+    unit = np.spacing(np.abs(raw).max())
+    if normalize:
+        scale = np.sqrt(self_sim)
+        unit = unit * (
+            1.0 / np.outer(scale, scale)
+            + np.abs(expected) * (1.0 / self_sim[:, None] + 1.0 / self_sim[None, :])
+        )
+    return bool((np.abs(got - expected) <= 4.0 * unit).all())
+
+
 class TestPreprocessingMatchesReference:
-    """``fit`` and ``transform_cross`` give bit for bit the first-written arithmetic."""
+    """``fit`` gives bit for bit the plain whole-matrix rewrite of its arithmetic,
+    within a few ulps the first-written arithmetic, and ``transform_cross``
+    bit for bit its first-written arithmetic. Run with every floating-point
+    error raised, so an overflow or invalid operation in the row-blocked
+    pass cannot pass silently."""
+
+    @pytest.fixture(autouse=True)
+    def _float_errors_raise(self):
+        with np.errstate(all="raise"):
+            yield
 
     @pytest.mark.parametrize(
         "center,normalize", [(True, True), (True, False), (False, True), (False, False)]
     )
     def test_train_stats_and_cross(self, center, normalize):
-        for seed, (n, n_test) in enumerate(((50, 7), (9, 30), (120, 1))):
+        # n = 150 spans two full row blocks and a partial one.
+        for seed, (n, n_test) in enumerate(((50, 7), (9, 30), (120, 1), (150, 4))):
             rng = np.random.default_rng(500 + seed)
             data = _random_grouped(rng, n, dims=(3, 5, 1, 8))
             test_X = rng.normal(size=(n_test, data.n_features))
@@ -568,7 +666,7 @@ class TestPreprocessingMatchesReference:
             raw_bits = raw.values.copy()
             pre = StackPreprocessor(center=center, normalize=normalize).fit(raw)
             assert _same_bits(raw.values, raw_bits)  # without out, the raw stack is kept
-            expected, stats = preprocess_fit_reference(raw.values, center, normalize)
+            expected, stats = preprocess_fit_plain(raw.values, center, normalize)
             # In place: the output overwrites the buffer behind the raw stack.
             buffer = raw.values.copy()
             in_place = StackPreprocessor(center=center, normalize=normalize).fit(
@@ -578,10 +676,19 @@ class TestPreprocessingMatchesReference:
             assert np.shares_memory(in_place.train_stack_.values, buffer)
             for fitted in (pre, in_place):
                 assert _same_bits(fitted.train_stack_.values, expected)
+                assert fitted.train_stack_.exact == (True,) * raw.m
                 for got, (col_means, grand, self_sim) in zip(fitted.stats_, stats):
                     assert _same_bits(got.col_means, col_means)
                     assert _same_bits(got.grand_mean, grand)
                     assert _same_bits(got.self_sim, self_sim)
+
+            first, first_stats = preprocess_fit_reference(raw.values, center, normalize)
+            for j, (got, st) in enumerate(zip(pre.stats_, first_stats)):
+                assert _within_four_ulps(
+                    pre.train_stack_.values[j], first[j], raw.values[j], got.self_sim, normalize
+                )
+                for value, first_value in zip((got.grand_mean, got.self_sim), st[1:]):
+                    assert _within_four_ulps(value, first_value, raw.values[j], None, False)
 
             cross = pre.transform_cross(raw_cross, sims)
             expected = transform_cross_reference(raw_cross.values, sims, stats, center, normalize)
@@ -590,7 +697,7 @@ class TestPreprocessingMatchesReference:
     def test_raw_kernels_symmetric_within_tolerance(self):
         # Raw kernels that equal their transpose under == but not bit for bit:
         # one entry a unit in the last place off its mirror, and a -0.0
-        # mirrored by 0.0. Normalization alone must still average them.
+        # mirrored by 0.0. Each step first takes their symmetric part.
         rng = np.random.default_rng(510)
         off_by_ulp = random_psd_kernel(rng, 9)
         off_by_ulp = (off_by_ulp + off_by_ulp.T) / 2.0
@@ -598,11 +705,15 @@ class TestPreprocessingMatchesReference:
         signed_zero = np.eye(4) + 0.5
         signed_zero[0, 3], signed_zero[3, 0] = -0.0, 0.0
         for raw in (off_by_ulp, signed_zero):
-            pre = StackPreprocessor(center=False, normalize=True).fit(_stack(raw))
-            got = pre.train_stack_.values
-            expected, _ = preprocess_fit_reference(raw[None], False, True)
-            assert _same_bits(got, expected)
-            assert _same_bits(got[0], got[0].T)
+            assert _stack(raw).exact == (False,)
+            for center, normalize in ((False, True), (True, False), (True, True)):
+                pre = StackPreprocessor(center=center, normalize=normalize).fit(_stack(raw))
+                got = pre.train_stack_.values
+                expected, _ = preprocess_fit_plain(raw[None], center, normalize)
+                assert _same_bits(got, expected)
+                assert _same_bits(got[0], got[0].T) and pre.train_stack_.exact == (True,)
+            kept = StackPreprocessor(center=False, normalize=False).fit(_stack(raw)).train_stack_
+            assert _same_bits(kept.values[0], raw) and kept.exact == (False,)
 
     def test_out_overlapping_the_raw_values_one_entry_off(self):
         rng = np.random.default_rng(511)

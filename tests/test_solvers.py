@@ -384,6 +384,20 @@ class TestStackRows:
         with np.errstate(all="raise"), pytest.raises(DataError, match="kernel overflows"):
             solve_svm_dual(stack, y, 1.0, weights=[1.0, 1.0])
 
+    @pytest.mark.parametrize("top", [1e308, 4.5e307])
+    def test_a_kernel_whose_pair_curvatures_overflow_is_a_data_error(self, top):
+        # Each entry is finite, but K_ii + K_tt - 2 K_it can reach 4 * max|K|,
+        # which is not: refused up front, dense or from a one-kernel stack.
+        rng = np.random.default_rng(2001)
+        k = random_psd_kernel(rng, 8)
+        k *= top / np.abs(k).max()
+        ids = tuple(f"s{i}" for i in range(8))
+        stack = KernelStack(k[None], ids, ids, ("a",), (1,))
+        y = random_labels(rng, 8)
+        for args, options in (((k,), {}), ((stack,), {"weights": [1.0]})):
+            with np.errstate(all="raise"), pytest.raises(DataError, match="pair curvatures"):
+                solve_svm_dual(*args, y, 1.0, **options)
+
 
 class TestSvmSolutionInvariants:
     def _solve(self, seed, n=10, C=1.0, tol=1e-6):
@@ -551,7 +565,7 @@ class TestOneTrainKernelCheck:
             "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.839486b325deap-5",
         ]
         assert (sol.bias.hex(), sol.iterations) == ("0x1.9291258ba0b12p-1", 37)
-        monkeypatch.setattr(solvers, "check_kernel", lambda k: True)
+        monkeypatch.setattr(solvers, "check_kernel", lambda k: (True, float(np.abs(k).max())))
         rows = solve_svm_dual(K, self.Y, 0.1, tol=1e-12)
         assert rows.alpha.tolist() != sol.alpha.tolist()
 
