@@ -139,12 +139,12 @@ def cmd_train(args) -> None:
     pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
     with named(args.stack):
         pre.fit(raw_stack, out=buffer)
-    del raw_stack  # its values are now the preprocessed ones
-    model = mkl.train_model(
-        pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
-        conv_tol=args.conv_tol, max_iter=args.max_iter,
-        solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
-    )
+        del raw_stack  # the fit overwrote the values it was read into
+        model = mkl.train_model(
+            pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
+            conv_tol=args.conv_tol, max_iter=args.max_iter,
+            solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
+        )
 
     payload = {
         "format_version": io.MODEL_FORMAT_VERSION,

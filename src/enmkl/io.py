@@ -507,10 +507,11 @@ def read_stack(manifest_path):
     """Load a kernel stack written by :func:`write_stack`.
 
     Returns (stack, manifest dict, values): ``values`` is the writable array
-    behind ``stack.values``, for a caller that overwrites the stack once it
-    is done with it. A manifest of any kind but ``"train"`` is refused. Each
-    kernel file must carry the manifest's ids (a binary file's header, their
-    counts and digest) and is read into its slice of the stack's values.
+    the kernel files were read into, behind ``stack.values`` unless the stack
+    stored a kernel's symmetric part in a copy, for a caller that overwrites
+    it once it is done with the stack. A manifest of any kind but ``"train"``
+    is refused. Each kernel file must carry the manifest's ids (a binary
+    file's header, their counts and digest) and is read into its slice.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)

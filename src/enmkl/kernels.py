@@ -32,6 +32,7 @@ CENTERED_MEAN_TOL = 1e-8
 
 # The magnitude at and above which doubling a float64 overflows.
 _HALF_MAX = 2.0 ** 1023
+_TOO_LARGE = "preprocessing makes entries of 2**1023 or more, whose sums can be non-finite"
 
 # Rows per block of the passes that stream an n x n kernel through cache.
 _ROWS = 64
@@ -59,23 +60,30 @@ def bit_symmetric(k: np.ndarray) -> bool:
     )
 
 
-def check_kernel(k: np.ndarray, train: bool = True) -> tuple[bool, float]:
-    """Refuse a kernel with a non-finite entry, or a ``train`` kernel that is
-    not symmetric within SYMMETRY_TOL of its largest magnitude (or of 1).
-
-    Returns whether a train kernel is :func:`bit_symmetric` (False when
-    ``train`` is not set), and the kernel's largest entry magnitude.
+def check_kernel(k, train: bool = True) -> tuple[np.ndarray, float]:
+    """Refuse a kernel that is not a 2-d array of finite floats, or a ``train``
+    kernel that is not square and symmetric within SYMMETRY_TOL of its largest
+    magnitude (or of 1). Returns the kernel as a float64 array and its largest
+    entry magnitude; a train kernel that is not :func:`bit_symmetric` comes
+    back as its symmetric part ``K/2 + K.T/2``, a new array: all of it that
+    training's quadratic forms see.
     """
+    k = np.asarray(k, dtype=np.float64)
+    if k.ndim != 2:
+        raise ValueError("kernel must be a 2-d array")
     low, high = k.min(initial=0.0).item(), k.max(initial=0.0).item()
     # min and max are NaN when any entry is, so this also tests finiteness.
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("kernel contains non-finite entries")
     magnitude = max(high, -low)
     if not train or bit_symmetric(k):
-        return train, magnitude
+        return k, magnitude
+    if k.shape[0] != k.shape[1]:
+        raise ValueError("train kernel must be square")
     if float(np.abs(k - k.T).max()) > SYMMETRY_TOL * max(1.0, magnitude):
         raise ValueError("train kernel is not symmetric")
-    return False, magnitude
+    k = k / 2.0 + k.T / 2.0  # a + b == b + a bit for bit, signed zeros included
+    return k, float(np.abs(k).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,13 @@ class KernelStack:
 
     ``values`` is kept as a read-only C-contiguous float64 array of shape
     ``(m, n_rows, n_cols)``. An array already in that form is taken without
-    a copy, so the caller must not write to it afterwards.
-
-    ``exact[j]`` is whether train kernel j is :func:`bit_symmetric` (False
-    in a cross stack) and ``magnitudes[j]`` its largest entry magnitude, as
-    the checks found them. ``_symmetric`` is for the builders in this module whose
-    train kernels are bit-symmetric by construction: it skips the transposed
-    symmetry scan, and every other check still runs.
+    a copy, so the caller must not write to it afterwards. A train kernel
+    that is not :func:`bit_symmetric` is stored as the symmetric part that
+    :func:`check_kernel` returns, in a copy, never in the caller's array.
+    ``magnitudes[j]`` is kernel j's largest entry magnitude. ``_symmetric`` is
+    for the builders in this module whose train kernels are bit-symmetric by
+    construction: it skips the transposed symmetry scan; every other check
+    still runs.
     """
 
     values: np.ndarray
@@ -109,7 +117,6 @@ class KernelStack:
     centered: bool = False
     normalized: bool = False
     _symmetric: InitVar[bool] = False
-    exact: tuple[bool, ...] = field(init=False, repr=False)
     magnitudes: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self, _symmetric):
@@ -132,10 +139,12 @@ class KernelStack:
                 f"{len(row_ids)} row ids and {len(col_ids)} column ids"
             )
         train = row_ids == col_ids
-        exact, magnitudes = [], []
-        for k in values:
-            bits, magnitude = check_kernel(k, train=train and not _symmetric)
-            exact.append(bits or (train and _symmetric))
+        magnitudes, given = [], values
+        for j, raw in enumerate(given):
+            k, magnitude = check_kernel(raw, train=train and not _symmetric)
+            if k is not raw:  # a symmetric part, stored in a copy of the given array
+                values = given.copy() if values is given else values
+                values[j] = k
             magnitudes.append(magnitude)
             if not train:
                 continue
@@ -159,7 +168,6 @@ class KernelStack:
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "centered", bool(self.centered))
         object.__setattr__(self, "normalized", bool(self.normalized))
-        object.__setattr__(self, "exact", tuple(exact))
         object.__setattr__(self, "magnitudes", tuple(magnitudes))
 
     @property
@@ -407,13 +415,22 @@ def check_weights(stack: KernelStack, beta) -> np.ndarray:
     return beta
 
 
+def weight_bound(stack: KernelStack, beta: np.ndarray) -> float:
+    """``sum_j beta_j max|K_j|``, which no entry of the weighted sum exceeds (inf on overflow)."""
+    return sum(b * m for b, m in zip(beta.tolist(), stack.magnitudes))
+
+
 def weighted_sum(stack: KernelStack, beta) -> np.ndarray:
     """The combined kernel ``sum_j beta_j * K_j``, as an (n_rows, n_cols) array.
 
     Weights are as :func:`check_weights` accepts. Exact zeros are skipped, so
-    kernels dropped by the optimizer cost nothing.
+    kernels dropped by the optimizer cost nothing. A sum that could overflow,
+    where :func:`weight_bound` is not finite, is refused with a DataError.
     """
     beta = check_weights(stack, beta)
+    bound = weight_bound(stack, beta)
+    if not math.isfinite(bound):
+        raise DataError(f"the combined kernel overflows: sum_j beta_j max|K_j| = {bound!r}")
     acc = np.zeros((stack.n_rows, stack.n_cols))
     for b, k in zip(beta.tolist(), stack.values):
         if b != 0.0:
@@ -462,10 +479,9 @@ class StackPreprocessor:
         sc_b)``, leaving out a step that is off, where g is the mean of c and
         sc the square root of the diagonal s under the same centering; a
         normalized diagonal is then set to 1. The sum and the product commute,
-        so a bit-symmetric K gives a bit-symmetric result; any other K is
-        first replaced by its symmetric part ``K/2 + K.T/2``. With both steps
-        off the raw kernels are copied. Entries of 2**1023 or more, which
-        doubling makes inf, are refused.
+        and every kernel of a train stack is bit-symmetric, so the result is
+        too. With both steps off the raw kernels are copied. A step that
+        makes entries of 2**1023 or more is refused with a DataError.
 
         The preprocessed kernels go into ``out``, a new array by default, or
         a float64 array of the stack's shape. It may be the writable buffer
@@ -485,43 +501,44 @@ class StackPreprocessor:
         n, step = raw.shape[1], self.center or self.normalize
         sums, scales = np.empty((2, min(n, _ROWS), n))
         stats = []
-        for k, dest, exact in zip(raw, out, raw_stack.exact):
-            if step and not exact:
-                k = np.add(k / 2.0, k.T / 2.0, out=dest)
-            col_means = k.mean(axis=0)
-            grand = col_means.mean()
-            self_sim = np.diagonal(k).copy()
-            if self.center:
-                # Double centering equals subtracting the train mean from
-                # the underlying features.
-                self_sim = (self_sim - (col_means + col_means)) + grand
-            stats.append(GroupKernelStats(col_means, float(grand), self_sim))
-            if not step:
-                dest[...] = k
-                continue
-            if self.normalize:
-                _check_self_similarities(self_sim, ids)
-                scale = np.sqrt(self_sim)
-            for a in range(0, n, _ROWS):
-                b = min(a + _ROWS, n)
-                rows, into = k[a:b], dest[a:b]
-                if self.center:
-                    t = np.add(col_means[a:b, None], col_means, out=sums[: b - a])
-                    np.subtract(rows, t, out=t)
-                    rows = np.add(t, grand, out=t if self.normalize else into)
-                if self.normalize:
-                    t = np.multiply(scale[a:b, None], scale, out=scales[: b - a])
-                    np.divide(rows, t, out=into)
-            if self.normalize:
-                np.fill_diagonal(dest, 1.0)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for k, dest in zip(raw, out):
+                    col_means = k.mean(axis=0)
+                    grand = col_means.mean()
+                    self_sim = np.diagonal(k).copy()
+                    if self.center:
+                        # Double centering equals subtracting the train mean from
+                        # the underlying features.
+                        self_sim = (self_sim - (col_means + col_means)) + grand
+                    stats.append(GroupKernelStats(col_means, float(grand), self_sim))
+                    if not step:
+                        dest[...] = k
+                        continue
+                    if self.normalize:
+                        _check_self_similarities(self_sim, ids)
+                        scale = np.sqrt(self_sim)
+                    for a in range(0, n, _ROWS):
+                        b = min(a + _ROWS, n)
+                        rows, into = k[a:b], dest[a:b]
+                        if self.center:
+                            t = np.add(col_means[a:b, None], col_means, out=sums[: b - a])
+                            np.subtract(rows, t, out=t)
+                            rows = np.add(t, grand, out=t if self.normalize else into)
+                        if self.normalize:
+                            t = np.multiply(scale[a:b, None], scale, out=scales[: b - a])
+                            np.divide(rows, t, out=into)
+                    if self.normalize:
+                        np.fill_diagonal(dest, 1.0)
+        except FloatingPointError:
+            raise DataError(_TOO_LARGE) from None
         self.stats_ = stats
         self.train_stack_ = KernelStack(
             out, ids, ids, raw_stack.group_names, raw_stack.group_sizes,
-            centered=self.center, normalized=self.normalize,
-            _symmetric=step or all(raw_stack.exact),
+            centered=self.center, normalized=self.normalize, _symmetric=True,
         )
         if step and max(self.train_stack_.magnitudes) >= _HALF_MAX:
-            raise ValueError("preprocessed kernel has entries that doubling makes non-finite")
+            raise DataError(_TOO_LARGE)
         return self
 
     def transform_cross(

@@ -11,8 +11,9 @@ selection and a second-order working-set heuristic. Kernel ridge regression
 solves the regularized linear system ``(K + n/(2C) I) a = y - mean(y)``
 directly.
 
-SMO reads K a row at a time: from the kernel array it is given, or, given a
-train stack and weights, as ``sum_j w_j K_j[i]`` computed when first needed,
+SMO reads K a row at a time and its column t as row t, as LIBSVM does: every
+train kernel is bit-symmetric. A row comes from the kernel array given, or from
+a train stack and weights as ``sum_j w_j K_j[i]``, computed when first needed,
 bit for bit the row of :func:`~enmkl.kernels.weighted_sum`, which is never built.
 """
 
@@ -25,7 +26,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .kernels import check_kernel, check_weights
+from .kernels import check_kernel, check_weights, weight_bound
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -80,22 +81,6 @@ class KrrDualSolution:
         object.__setattr__(self, "target_offset", float(self.target_offset))
 
 
-def _kernel_values(k, name: str = "kernel") -> np.ndarray:
-    arr = np.asarray(k, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array")
-    return arr
-
-
-def _train_kernel_values(k) -> tuple[np.ndarray, bool, float]:
-    """The values of a square train kernel that :func:`check_kernel` accepts,
-    whether they equal their transpose bit for bit, and their largest magnitude."""
-    values = _kernel_values(k)
-    if values.shape[0] != values.shape[1]:
-        raise ValueError("train kernel must be square")
-    return (values, *check_kernel(values))
-
-
 def _check_curvature_bound(bound: float, what: str) -> None:
     """Refuse a kernel whose entry magnitudes are at most ``bound`` (named
     ``what`` in the message) when ``4 * bound`` is not finite: SMO's pair
@@ -115,26 +100,22 @@ def _check_labels(ys: list[float]) -> None:
 
 
 def _stack_rows(stack, weights):
-    """The diagonal, row and column getters, and matrix-vector product of the
-    combined kernel ``sum_j w_j K_j`` of a train stack, from the kernels of
-    nonzero weight alone. A row is computed when first asked for and kept;
-    einsum adds in kernel order from zero, as ``weighted_sum`` does, so it is
-    that row of the built sum bit for bit. Columns are the rows when every
-    kernel used is bit-symmetric (``stack.exact``), and gathered otherwise."""
+    """The diagonal, row getter and matrix-vector product of the combined
+    kernel ``sum_j w_j K_j`` of a train stack, from the kernels of nonzero
+    weight alone. A row is computed when first asked for and kept; einsum
+    adds in kernel order from zero, as ``weighted_sum`` does, so it is that
+    row of the built sum bit for bit, and its column too: every kernel of a
+    train stack is bit-symmetric."""
     if stack.row_ids != stack.col_ids:
         raise ValueError("weights combine the kernels of a train stack, not a cross stack")
     w = check_weights(stack, weights)
+    _check_curvature_bound(weight_bound(stack, w), "sum_j beta_j max|K_j|")
     idx = np.flatnonzero(w)
     b, values = w[idx], stack.values
-    # Every entry of the sum is at most this; Python floats overflow to inf quietly.
-    bound = sum(bj * stack.magnitudes[j] for bj, j in zip(b.tolist(), idx.tolist()))
-    _check_curvature_bound(bound, "sum_j beta_j max|K_j|")
     used = slice(None) if idx.size == stack.m else idx  # a slice takes views, not copies
     rows = cache(lambda t: np.einsum("j,jk->k", b, values[used, t]))
-    exact = all(stack.exact[j] for j in idx.tolist())
-    cols = rows if exact else cache(lambda t: np.einsum("j,jk->k", b, values[used, :, t]))
     diag = np.einsum("j,jk->k", b, np.diagonal(values, axis1=1, axis2=2)[used])
-    return diag, rows, cols, lambda v: b @ np.array([values[j] @ v for j in idx])
+    return diag, rows, lambda v: b @ np.array([values[j] @ v for j in idx])
 
 
 def solve_svm_dual(
@@ -170,13 +151,11 @@ def solve_svm_dual(
         from the final gradient, as LIBSVM does.
     """
     if weights is None:
-        K, exact, bound = _train_kernel_values(k)
+        K, bound = check_kernel(k)
         _check_curvature_bound(bound, "max|K|")
         diag, rows, matvec = np.diagonal(K), K.__getitem__, K.__matmul__
-        # cols(t) is K[:, t]: from K if it equals K.T bit for bit, else a copy of K.T.
-        cols = (K if exact else np.ascontiguousarray(K.T)).__getitem__
     else:
-        diag, rows, cols, matvec = _stack_rows(k, weights)
+        diag, rows, matvec = _stack_rows(k, weights)
     y = np.asarray(y, dtype=np.float64)
     n = diag.shape[0]
     if y.shape != (n,):
@@ -325,12 +304,12 @@ def solve_svm_dual(
             else:
                 if ai < 0:
                     ai, aj = 0.0, total
-        # g += cols[i] * s_i + cols[j] * s_j, with the textbook update's
-        # operands in its order, on all three rows.
+        # g += K[:, i] * s_i + K[:, j] * s_j, with the textbook update's
+        # operands in its order, on all three rows; K[:, t] is K[t].
         s_box[()] = -yi * (ai - ai_old)
-        np.multiply(cols(i), s_box, out=step)
+        np.multiply(rows(i), s_box, out=step)
         s_box[()] = -yj * (aj - aj_old)
-        np.multiply(cols(j), s_box, out=step_j)
+        np.multiply(rows(j), s_box, out=step_j)
         step += step_j
         G += step
         for t, at in ((i, ai), (j, aj)):
@@ -364,7 +343,7 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     for any PSD kernel; where the factorization still meets an exactly
     singular system, the minimum-norm least-squares solution takes over.
     """
-    K, *_ = _train_kernel_values(k)
+    K, _ = check_kernel(k)
     y = np.asarray(y, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -395,7 +374,9 @@ def predict(alpha, bias: float, k_cross, labels=None) -> np.ndarray:
     ``bias``. ``k_cross`` has test samples as rows and train samples as
     columns (the train kernel itself works for in-sample values).
     """
-    values = _kernel_values(k_cross, "cross kernel")
+    values = np.asarray(k_cross, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("cross kernel must be a 2-d array")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 1:
         raise ValueError("alpha must be a 1-d array")

@@ -218,15 +218,15 @@ def preprocess_fit_plain(raw_values, center, normalize):
     written out whole, with one temporary per step.
 
     A bit-for-bit reference for the row-blocked fit: a kernel that is not
-    symmetric bit for bit is replaced by ``K/2 + K.T/2`` first (unless both
-    steps are off), centering uses the column means on both sides, and
+    symmetric bit for bit is replaced by ``K/2 + K.T/2`` first, as a train
+    ``KernelStack`` does, centering uses the column means on both sides, and
     normalization divides by the outer product of the square-rooted
     self-similarities. Returns (kernels, [(col_means, grand, self_sim)]).
     """
     out = np.empty_like(raw_values)
     stats = []
     for j, k in enumerate(raw_values):
-        if (center or normalize) and not _same_bits(k, k.T):
+        if not _same_bits(k, k.T):
             k = k / 2.0 + k.T / 2.0
         col_means = k.mean(axis=0)
         grand = col_means.mean()

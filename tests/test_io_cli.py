@@ -1374,6 +1374,44 @@ def _quoted_newline_case(ws, folder):
     return argv, f"{features}:4: not a number: 'x'"
 
 
+def _overflow_kernels(case):
+    """The kernels of one train-stack refusal: ``fit`` (a 4x4 kernel whose
+    normalized entries reach 1e308), ``svm`` (1e308 * I, whose SMO pair
+    curvatures overflow) or ``ridge`` (three kernels whose weighted sum
+    overflows)."""
+    if case == "fit":
+        e, h = 1e-200, 1e108
+        return [np.array([[e, h, -h, -e], [h, e, -e, -h], [-h, -e, e, h], [-e, -h, h, e]])]
+    if case == "svm":
+        return [1e308 * np.eye(8)]
+    p = random_psd_kernel(np.random.default_rng(0), 6)
+    p /= np.abs(p).max()
+    return [p * 1e308, np.eye(6) * 1e308, p * 0.5e308]
+
+
+def _stack_case(case, task, message, *flags):
+    """A refusal case: ``train`` on a binary stack of ``_overflow_kernels(case)``,
+    refused with ``message`` after the stack's path."""
+
+    def run(ws, folder):
+        kernels = _overflow_kernels(case)
+        ids = tuple(f"s{i}" for i in range(len(kernels[0])))
+        names = tuple(f"g{j}" for j in range(len(kernels)))
+        manifest = io.write_stack(folder, KernelStack(np.array(kernels), ids, ids, names,
+                                                      (1,) * len(kernels)), "binary")
+        targets = _write(folder / "t.csv", "id,target\n" + "".join(
+            f"{sid},{(-1) ** i}\n" for i, sid in enumerate(ids)))
+        argv = ["train", "--stack", str(manifest), "--targets", targets, "--task", task,
+                "--C", "1", "--mu", "0.5" if task == "classification" else "0.1", *flags,
+                "--out", str(ws.root / "m.json")]
+        return argv, f"error: {manifest}: {message}"
+
+    return run
+
+
+_RIDGE_OVERFLOW = "the combined kernel overflows: sum_j beta_j max|K_j| = inf"
+
+
 def _option_case(command, flag, value):
     def case(ws, folder):
         argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
@@ -1424,6 +1462,17 @@ _REFUSALS = {
              "--out", str(folder / "m.json")],
             "C = 5e-324 is too small for 20 samples",
         ),
+    ),
+    "fit-overflow": (
+        2, _stack_case("fit", "classification", "preprocessing makes entries of 2**1023",
+                       "--no-center")
+    ),
+    "svm-curvature-overflow": (
+        2, _stack_case("svm", "classification", "the kernel overflows: SMO's pair curvatures",
+                       "--no-center", "--no-normalize")
+    ),
+    "ridge-sum-overflow": (
+        2, _stack_case("ridge", "regression", _RIDGE_OVERFLOW, "--no-center", "--no-normalize")
     ),
     "csv-field-over-limit": (2, _wide_field_case),
     "csv-quoted-newline": (2, _quoted_newline_case),
@@ -1552,7 +1601,23 @@ class TestExitCodes:
         ])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert "kernel overflows: SMO's pair curvatures" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'stack.json'}: the kernel overflows: SMO's pair curvatures"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_a_ridge_fit_whose_combined_kernel_overflows_exits_2(self, tmp_path, capsys):
+        # Each kernel is finite, but at the second iterate sum_j beta_j
+        # max|K_j| is not: refused before the sum, with no overflow or invalid
+        # operation on the way. (The first iterate's block norms underflow,
+        # alpha being about 1e-308, which is harmless and which numpy ignores
+        # by default.)
+        argv, line = _stack_case(
+            "ridge", "regression", _RIDGE_OVERFLOW, "--no-center", "--no-normalize"
+        )(SimpleNamespace(root=tmp_path), tmp_path)
+        with np.errstate(all="raise", under="ignore"):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == line + "\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_predict_needs_features(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from enmkl.errors import DataError
 from enmkl.kernels import (
+    SYMMETRY_TOL,
     GroupedDataset,
     KernelStack,
     StackPreprocessor,
@@ -169,22 +170,24 @@ class TestKernelStackInvariants:
         "center,normalize", [(True, True), (True, False), (False, True), (False, False)]
     )
     def test_exact_records_bit_symmetry_through_preprocessing(self, center, normalize):
-        # SMO reads a stack's columns from its rows only where ``exact`` holds.
+        # Every kernel of a train stack equals its transpose bit for bit, so
+        # SMO reads its columns as its rows: one symmetric only within
+        # tolerance is stored as K/2 + K.T/2, and preprocessing keeps that.
         rng = np.random.default_rng(40)
         k = random_psd_kernel(rng, 12)
         near = k + 1e-12 * rng.uniform(-1.0, 1.0, size=k.shape)
+        assert bit_symmetric(k) and not bit_symmetric(near)
         raw = _stack(k, near)
-        assert raw.exact == (True, False)
+        assert _same_bits(raw.values[0], k)
+        assert _same_bits(raw.values[1], near / 2.0 + near.T / 2.0)
         fitted = StackPreprocessor(center=center, normalize=normalize).fit(raw).train_stack_
-        expected = tuple(center or normalize or j == 0 for j in range(2))
-        assert fitted.exact == expected
-        assert tuple(_same_bits(v, v.T) for v in fitted.values) == expected
-        assert build_linear_kernels(_random_grouped(rng, 9, dims=(2, 3))).exact == (True, True)
-        cross, _ = build_linear_cross_kernels(
-            _random_grouped(rng, 9, dims=(2, 3)), rng.normal(size=(4, 5)), "abcd"
-        )
-        assert cross.exact == (False, False)
-        np.testing.assert_array_equal(raw.magnitudes, [np.abs(k).max(), np.abs(near).max()])
+        built = build_linear_kernels(_random_grouped(rng, 9, dims=(2, 3)))
+        for stack in (raw, fitted, built):
+            assert all(bit_symmetric(v) for v in stack.values)
+        test_X = rng.normal(size=(4, 5))
+        cross, _ = build_linear_cross_kernels(_random_grouped(rng, 9, dims=(2, 3)), test_X, "abcd")
+        for stack in (raw, fitted, built, cross):
+            np.testing.assert_array_equal(stack.magnitudes, np.abs(stack.values).max(axis=(1, 2)))
 
     def test_ids_and_names_become_strings(self):
         stack = KernelStack(np.ones((1, 1, 1)), [7], [7], [3], [1.0])
@@ -260,6 +263,42 @@ class TestBitSymmetric:
         for shape in ((2, 3), (3, 2), (0, 1), (4,)):
             assert not bit_symmetric(np.zeros(shape))
         assert bit_symmetric(np.zeros((0, 0))) and bit_symmetric(np.ones((1, 1)))
+
+
+class TestTrainStackSymmetricPart:
+    """A train stack keeps each kernel that is bit-symmetric as it is and
+    stores every other one as its symmetric part, in a copy of its own."""
+
+    @given(
+        n=st.integers(1, 30),
+        perturbed=st.lists(st.booleans(), min_size=1, max_size=5),
+        signed_zero=st.booleans(),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_kernel_bit_symmetric_and_the_input_kept(
+        self, n, perturbed, signed_zero, fortran, seed
+    ):
+        rng = np.random.default_rng(seed)
+        values = np.array([random_psd_kernel(rng, n) for _ in perturbed])
+        for k, change in zip(values, perturbed):
+            if change:
+                # Off its transpose by at most 0.8 * SYMMETRY_TOL * max|K|.
+                k += 0.4 * SYMMETRY_TOL * np.abs(k).max() * rng.uniform(-1.0, 1.0, size=(n, n))
+                if signed_zero and n > 1:
+                    s, t = rng.choice(n, size=2, replace=False)
+                    k[s, t], k[t, s] = -0.0, 0.0
+        if fortran:
+            values = np.asfortranarray(values)  # taken by copy, not as it is
+        given_bits = values.copy()
+        ids, m = tuple(f"s{i}" for i in range(n)), len(perturbed)
+        stack = KernelStack(values, ids, ids, tuple(f"g{j}" for j in range(m)), (1,) * m)
+        assert _same_bits(values, given_bits)  # the caller's array is never written
+        for k, raw in zip(stack.values, given_bits):
+            assert bit_symmetric(k)
+            expected = raw if bit_symmetric(raw) else raw / 2.0 + raw.T / 2.0
+            assert _same_bits(k, expected)
+        np.testing.assert_array_equal(stack.magnitudes, np.abs(stack.values).max(axis=(1, 2)))
 
 
 class TestGroupedDataset:
@@ -570,6 +609,17 @@ class TestWeightedSum:
         combined = weighted_sum(_stack(*mats), beta)
         assert combined.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
+    def test_refuses_a_sum_that_could_overflow(self):
+        # Every entry is finite, but sum_j beta_j max|K_j| is not: refused
+        # before any arithmetic on the kernels.
+        k = 1e308 * np.eye(3)
+        with np.errstate(all="raise"):
+            with pytest.raises(DataError, match=r"sum_j beta_j max\|K_j\| = inf"):
+                weighted_sum(_stack(k, k), [1.0, 1.0])
+            with pytest.raises(DataError, match="combined kernel overflows"):
+                weighted_sum(_stack(k), [2.0])
+            np.testing.assert_array_equal(weighted_sum(_stack(k, k), [0.5, 0.5]), k)
+
     def test_cross_stack_gives_a_plain_rectangular_array(self):
         stack = KernelStack(
             np.arange(12.0).reshape(2, 2, 3), ("t0", "t1"), ("a", "b", "c"), ("g", "h"), (1, 1)
@@ -676,7 +726,7 @@ class TestPreprocessingMatchesReference:
             assert np.shares_memory(in_place.train_stack_.values, buffer)
             for fitted in (pre, in_place):
                 assert _same_bits(fitted.train_stack_.values, expected)
-                assert fitted.train_stack_.exact == (True,) * raw.m
+                assert all(bit_symmetric(v) for v in fitted.train_stack_.values)
                 for got, (col_means, grand, self_sim) in zip(fitted.stats_, stats):
                     assert _same_bits(got.col_means, col_means)
                     assert _same_bits(got.grand_mean, grand)
@@ -697,7 +747,8 @@ class TestPreprocessingMatchesReference:
     def test_raw_kernels_symmetric_within_tolerance(self):
         # Raw kernels that equal their transpose under == but not bit for bit:
         # one entry a unit in the last place off its mirror, and a -0.0
-        # mirrored by 0.0. Each step first takes their symmetric part.
+        # mirrored by 0.0. The stack takes their symmetric part, and each
+        # step, or the copy with both off, starts from it.
         rng = np.random.default_rng(510)
         off_by_ulp = random_psd_kernel(rng, 9)
         off_by_ulp = (off_by_ulp + off_by_ulp.T) / 2.0
@@ -705,15 +756,14 @@ class TestPreprocessingMatchesReference:
         signed_zero = np.eye(4) + 0.5
         signed_zero[0, 3], signed_zero[3, 0] = -0.0, 0.0
         for raw in (off_by_ulp, signed_zero):
-            assert _stack(raw).exact == (False,)
-            for center, normalize in ((False, True), (True, False), (True, True)):
+            assert not bit_symmetric(raw)
+            assert _same_bits(_stack(raw).values[0], raw / 2.0 + raw.T / 2.0)
+            for center, normalize in ((False, True), (True, False), (True, True), (False, False)):
                 pre = StackPreprocessor(center=center, normalize=normalize).fit(_stack(raw))
                 got = pre.train_stack_.values
                 expected, _ = preprocess_fit_plain(raw[None], center, normalize)
                 assert _same_bits(got, expected)
-                assert _same_bits(got[0], got[0].T) and pre.train_stack_.exact == (True,)
-            kept = StackPreprocessor(center=False, normalize=False).fit(_stack(raw)).train_stack_
-            assert _same_bits(kept.values[0], raw) and kept.exact == (False,)
+                assert bit_symmetric(got[0])
 
     def test_out_overlapping_the_raw_values_one_entry_off(self):
         rng = np.random.default_rng(511)
@@ -728,13 +778,25 @@ class TestPreprocessingMatchesReference:
     def test_normalized_entry_whose_double_overflows(self, center):
         # A symmetric kernel, not PSD, whose normalized entries are finite but
         # some of them above 2**1023 (1e308 raw, 1.4e308 centered): the
-        # reference's average doubles those to inf, and the stack refuses them.
+        # reference's average doubles those to inf, and the fit refuses them
+        # as bad data.
         e, h = 1e-200, 1e108
         raw = np.array([[e, h, -h, -e], [h, e, -e, -h], [-h, -e, e, h], [-e, -h, h, e]])
         with np.errstate(over="ignore"):
             expected, _ = preprocess_fit_reference(raw[None], center, True)
             assert np.isinf(expected).any()
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(DataError, match="non-finite"):
+                StackPreprocessor(center=center, normalize=True).fit(_stack(raw))
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_normalized_entry_that_overflows_is_a_data_error(self, center):
+        # The same kernel at 1e109: the division itself overflows. The fit
+        # stops at that floating-point error, whatever the caller's errstate,
+        # and refuses the stack alike.
+        e, h = 1e-200, 1e109
+        raw = np.array([[e, h, -h, -e], [h, e, -e, -h], [-h, -e, e, h], [-e, -h, h, e]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match=r"entries of 2\*\*1023 or more"):
                 StackPreprocessor(center=center, normalize=True).fit(_stack(raw))
 
 

@@ -14,6 +14,7 @@ from enmkl.io import dump_json
 from enmkl.kernels import (
     KernelStack,
     StackPreprocessor,
+    bit_symmetric,
     build_linear_cross_kernels,
     build_linear_kernels,
     weighted_sum,
@@ -40,6 +41,7 @@ from enmkl.mkl import (
 from enmkl.solvers import predict, solve_krr_dual, solve_svm_dual
 
 from helpers import (
+    _same_bits,
     blocknorm_objective,
     make_classification_data,
     make_regression_data,
@@ -443,8 +445,9 @@ class TestBaseline:
 
     def test_cold_solve_is_the_dense_solve_in_hex(self, monkeypatch):
         # Rows come from the stack, never from a built mixture, with the same
-        # bits; one kernel differs from its transpose within tolerance, so
-        # columns are gathered too.
+        # bits. One kernel differs from its transpose within tolerance: the
+        # stack holds its symmetric part, and a dense solve on a kernel like
+        # it solves on that kernel's symmetric part.
         solves = []
         monkeypatch.setattr(mkl.solvers, "solve_svm_dual",
                             lambda *a, **k: solves.append(solve_svm_dual(*a, **k)) or solves[-1])
@@ -455,13 +458,20 @@ class TestBaseline:
         values = np.array(_preprocessed_stack(data).values)
         values[1] += 3e-11 * rng.uniform(-1.0, 1.0, size=values[1].shape)
         stack = _stack_from_matrices(*values)
-        assert stack.exact == (True, False, True)
+        assert not bit_symmetric(values[1])
+        assert _same_bits(stack.values[1], values[1] / 2.0 + values[1].T / 2.0)
         mixture = weighted_sum(stack, np.full(3, 1.0 / 3.0))
+        near = sum(values) / 3.0
+        assert not bit_symmetric(near)
         for C in (0.1, 1.0, 100.0):
             model = train_sum_baseline(stack, data.targets, "classification", C, solver_tol=1e-6)
             plain = solve_svm_dual(mixture, data.targets, C, tol=1e-6)
             assert [a.hex() for a in model.alpha.tolist()] == [a.hex() for a in plain.alpha.tolist()]
             assert (model.bias.hex(), solves[-1].iterations) == (plain.bias.hex(), plain.iterations)
+            dense = solve_svm_dual(near, data.targets, C, tol=1e-6)
+            halves = solve_svm_dual(near / 2.0 + near.T / 2.0, data.targets, C, tol=1e-6)
+            assert [a.hex() for a in dense.alpha.tolist()] == [a.hex() for a in halves.alpha.tolist()]
+            assert (dense.bias.hex(), dense.iterations) == (halves.bias.hex(), halves.iterations)
 
     def test_svm_fits_build_no_combined_kernel(self, monkeypatch):
         calls = []

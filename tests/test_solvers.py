@@ -111,9 +111,17 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
-def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None):
+def _symmetric_part(K):
+    return K / 2.0 + K.T / 2.0
+
+
+def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None, reference=None):
+    """``solve_svm_dual`` on K is the reference loop on ``reference`` (K by
+    default), bit for bit."""
     sol = solve_svm_dual(K, y, C, tol=tol, alpha0=alpha0)
-    alpha, bias, objective, iterations = smo_reference(K, y, C, tol=tol, alpha0=alpha0)
+    alpha, bias, objective, iterations = smo_reference(
+        K if reference is None else reference, y, C, tol=tol, alpha0=alpha0
+    )
     assert np.array_equal(sol.alpha, alpha)
     assert np.array_equal(sol.bias, bias)
     assert np.array_equal(sol.objective, objective)
@@ -181,7 +189,8 @@ class TestSvmMatchesReferenceExactly:
             K = K + 0.4e-10 * np.abs(K).max() * rng.uniform(-1.0, 1.0, size=(n, n))
             assert not np.array_equal(K, K.T)
             y = random_labels(rng, n)
-            _assert_same_as_reference(K, y, 1.0, tol=1e-8)
+            # The solver takes K's symmetric part, as a train stack does.
+            _assert_same_as_reference(K, y, 1.0, tol=1e-8, reference=_symmetric_part(K))
 
     @pytest.mark.parametrize("C", [1e-2, 0.1, 1.0])
     def test_many_distinct_first_indices(self, C):
@@ -205,8 +214,8 @@ class TestSvmMatchesReferenceExactly:
             _assert_same_as_reference(K, y, 1.0, tol=1e-8)
 
     def test_transpose_differing_only_by_a_signed_zero(self):
-        # K == K.T holds, but not bit for bit: the solver must then take
-        # the columns of K from a copy of K.T, as the reference does.
+        # K == K.T holds, but not bit for bit: the solver takes K's symmetric
+        # part, whose mirrored zeros are both 0.0.
         for seed in range(4):
             rng = np.random.default_rng(1700 + seed)
             n = 25
@@ -217,7 +226,7 @@ class TestSvmMatchesReferenceExactly:
             assert not np.array_equal(K.view(np.uint64), K.T.view(np.uint64))
             y = random_labels(rng, n)
             for C in (0.1, 10.0):
-                _assert_same_as_reference(K, y, C, tol=1e-8)
+                _assert_same_as_reference(K, y, C, tol=1e-8, reference=_symmetric_part(K))
 
     def test_second_index_scores_that_underflow(self):
         # With entries near 1e307 the curvatures are so large that, in the
@@ -268,11 +277,13 @@ class TestSvmMatchesReferenceProperty:
         C = 10.0**log_c
         K = random_psd_kernel(rng, n)
         y = random_labels(rng, n)
+        reference = K
         if signed_zero:
-            # Equal to its transpose only as floats: the columns come from
-            # a copy of K.T.
+            # Equal to its transpose only as floats: the solver takes its
+            # symmetric part.
             s, t = rng.choice(n, size=2, replace=False)
             K[s, t], K[t, s] = 0.0, -0.0
+            reference = _symmetric_part(K)
         alpha0 = None
         if warm:
             nudge = random_psd_kernel(rng, n, rank=2)
@@ -280,7 +291,9 @@ class TestSvmMatchesReferenceProperty:
         # A cap far above what these problems need turns a loop that stalls
         # into a failure.
         sol = solve_svm_dual(K, y, C, tol=tol, max_updates=100_000, alpha0=alpha0)
-        alpha, bias, objective, iterations = smo_reference(K, y, C, tol=tol, alpha0=alpha0)
+        alpha, bias, objective, iterations = smo_reference(
+            reference, y, C, tol=tol, alpha0=alpha0
+        )
         assert np.array_equal(_bits(sol.alpha), _bits(alpha))
         assert _bits(sol.bias) == _bits(bias)
         assert _bits(sol.objective) == _bits(objective)
@@ -289,7 +302,8 @@ class TestSvmMatchesReferenceProperty:
 
 def _random_stack(rng, n, m, asymmetric=None):
     """A train stack of m random PSD kernels; kernel ``asymmetric``, if
-    given, differs from its transpose within SYMMETRY_TOL."""
+    given, differs from its transpose within SYMMETRY_TOL before the stack
+    takes its symmetric part."""
     values = np.array([random_psd_kernel(rng, n) for _ in range(m)])
     if asymmetric is not None:
         k = values[asymmetric]
@@ -300,7 +314,8 @@ def _random_stack(rng, n, m, asymmetric=None):
 
 class TestStackRows:
     """SMO on a stack computes each row of ``sum_j w_j K_j`` when it needs
-    it; every value equals the built ``weighted_sum`` bit for bit."""
+    it; every value equals the built ``weighted_sum`` bit for bit, and a row
+    is also the column that SMO's gradient update reads."""
 
     @settings(max_examples=40)
     @given(
@@ -315,11 +330,11 @@ class TestStackRows:
         m = len(weights)
         stack = _random_stack(rng, n, m, int(rng.integers(m)) if asymmetric else None)
         built = weighted_sum(stack, weights)
-        diag, rows, cols, matvec = solvers._stack_rows(stack, np.array(weights))
+        diag, rows, matvec = solvers._stack_rows(stack, np.array(weights))
         assert _bits(diag).tolist() == _bits(np.diagonal(built)).tolist()
         for t in rng.permutation(n).tolist():
             assert _bits(rows(t)).tolist() == _bits(built[t]).tolist()
-            assert _bits(cols(t)).tolist() == _bits(built[:, t]).tolist()
+            assert _bits(rows(t)).tolist() == _bits(built[:, t]).tolist()
         v = rng.normal(size=n)
         np.testing.assert_allclose(matvec(v), built @ v, rtol=1e-12, atol=1e-12 * n)
 
@@ -553,19 +568,25 @@ class TestOneTrainKernelCheck:
         assert outcomes == [expected] * 3
 
     def test_smo_keeps_its_bits_on_an_accepted_asymmetric_kernel(self, monkeypatch):
-        """On an accepted kernel that is not symmetric bit for bit, SMO reads
-        the columns of K from a copy of K.T. Its result keeps the bits it had
-        before the check moved into ``kernels``; K's rows would give others."""
+        """An accepted kernel that is not symmetric bit for bit is solved on
+        its symmetric part ``K/2 + K.T/2``, dense or from a one-kernel stack,
+        with the bits pinned here; SMO on K's own rows would give others."""
         K = self._kernel("within_tolerance")
-        sol = solve_svm_dual(K, self.Y, 0.1, tol=1e-12)
-        assert [a.hex() for a in sol.alpha.tolist()] == [
-            "0x1.999999999999ap-4", "0x1.0ed1fc3082bdep-11", "0x1.999999999999ap-4",
-            "0x1.999999999999ap-4", "0x1.839486a16133ep-5", "0x1.1c9caf81db14bp-8",
-            "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.0ed1ff6bacd07p-11",
-            "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.839486b325deap-5",
-        ]
-        assert (sol.bias.hex(), sol.iterations) == ("0x1.9291258ba0b12p-1", 37)
-        monkeypatch.setattr(solvers, "check_kernel", lambda k: (True, float(np.abs(k).max())))
+        ids = tuple(f"s{i}" for i in range(self.N))
+        stack = KernelStack(K[None], ids, ids, ("g",), (1,))
+        for sol in (
+            solve_svm_dual(K, self.Y, 0.1, tol=1e-12),
+            solve_svm_dual(stack, self.Y, 0.1, tol=1e-12, weights=[1.0]),
+            solve_svm_dual(K / 2.0 + K.T / 2.0, self.Y, 0.1, tol=1e-12),
+        ):
+            assert [a.hex() for a in sol.alpha.tolist()] == [
+                "0x1.999999999999ap-4", "0x1.0ed1fdd61530bp-11", "0x1.999999999999ap-4",
+                "0x1.999999999999ap-4", "0x1.839486a802c9dp-5", "0x1.1c9caf7e1a619p-8",
+                "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.0ed1fdd08b465p-11",
+                "0x1.999999999999ap-4", "0x1.999999999999ap-4", "0x1.839486acd29b7p-5",
+            ]
+            assert (sol.bias.hex(), sol.iterations) == ("0x1.9291258b6938ap-1", 41)
+        monkeypatch.setattr(solvers, "check_kernel", lambda k: (k, float(np.abs(k).max())))
         rows = solve_svm_dual(K, self.Y, 0.1, tol=1e-12)
         assert rows.alpha.tolist() != sol.alpha.tolist()
 
