@@ -20,9 +20,11 @@ from .io import record_dict
 from .kernels import (
     GroupedDataset,
     StackPreprocessor,
-    build_linear_cross_kernels,
     build_linear_kernels,
+    group_feature_means,
 )
+# Unused here since cv scores through primal weights; perfbench/tracer.py wraps it at this name.
+from .kernels import build_linear_cross_kernels  # noqa: F401
 
 # Default hyperparameter grid: seven decades of C and ten mixing values.
 DEFAULT_C_VALUES = tuple(10.0 ** e for e in range(-3, 4))
@@ -387,12 +389,17 @@ def _partition_decisions(
     """Fit every candidate key on one id set; decision values on another.
 
     ``keys`` are (C, mu) pairs, where mu None is the sum baseline. The
-    partition's kernels are built and preprocessed once: the statistics are
-    fitted on the training ids only and replayed onto the evaluation samples
-    through the cross-kernel path, so nothing leaks. The baseline's solve is
-    the first iteration of every enmkl fit at its C, so when more than one
-    key needs it, it is fitted once and each enmkl fit starts from it.
-    Returns ``{key: (decision values, model)}``.
+    partition's kernels are built and preprocessed once, with statistics
+    fitted on the training ids only. The baseline's solve is the first
+    iteration of every enmkl fit at its C, so when more than one key needs
+    it, it is fitted once and each enmkl fit starts from it.
+
+    The evaluation samples are scored through primal weights, as ``predict``
+    scores new rows: the training and evaluation feature rows are
+    preprocessed once, with the training group means, and each candidate's
+    decision values are ``recover_primal_weights(model, train)
+    .decision_values(evaluation rows)`` bit for bit. Nothing leaks, and no
+    cross kernel is built. Returns ``{key: (decision values, model)}``.
     """
     train_data = data.subset(train_ids)
     eval_data = data.subset(eval_ids)
@@ -410,11 +417,17 @@ def _partition_decisions(
                     conv_tol=conv_tol, max_iter=max_iter, solver_tol=solver_tol,
                     max_updates=max_updates, start=models.get((C, None)),
                 )
-    raw_cross, self_sims = build_linear_cross_kernels(
-        train_data, eval_data.features, eval_data.sample_ids
+    means = group_feature_means(train_data)
+    train_blocks, eval_blocks = (
+        mkl.feature_blocks(part, means, center, normalize) for part in (train_data, eval_data)
     )
-    cross_stack = pre.transform_cross(raw_cross, self_sims)
-    return {key: (mkl.predict_model(models[key], cross_stack), models[key]) for key in keys}
+    fitted = {}
+    for key in keys:
+        model = models[key]
+        weights = mkl.primal_weights(model, train_blocks)
+        decisions = mkl.primal_decisions(model.bias, weights, eval_blocks, eval_data.n_samples)
+        fitted[key] = (decisions, model)
+    return fitted
 
 
 def _score(decisions: np.ndarray, truth: np.ndarray, task: str) -> float:

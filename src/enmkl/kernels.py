@@ -25,7 +25,9 @@ from .errors import DataError, named
 # Tolerances behind the type invariants. Train kernels must be symmetric to
 # within SYMMETRY_TOL relative to their largest entry; a kernel flagged
 # normalized must have a unit diagonal within UNIT_DIAG_TOL; one flagged
-# centered must have row and column means below CENTERED_MEAN_TOL.
+# centered must have row and column means within CENTERED_MEAN_TOL of its
+# largest entry, since centering's round-off grows with the kernel's scale.
+# Both relative tolerances apply to at least 1.
 SYMMETRY_TOL = 1e-10
 UNIT_DIAG_TOL = 1e-10
 CENTERED_MEAN_TOL = 1e-8
@@ -158,7 +160,7 @@ class KernelStack:
                 worst = max(
                     float(np.abs(k.mean(axis=axis)).max(initial=0.0)) for axis in (0, 1)
                 )
-                if worst > CENTERED_MEAN_TOL:
+                if worst > CENTERED_MEAN_TOL * max(1.0, magnitude):
                     raise ValueError("kernel flagged centered has nonzero row or column means")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -541,6 +543,7 @@ class StackPreprocessor:
             raise DataError(_TOO_LARGE)
         return self
 
+    # No command calls this since cv scores through primal weights; perfbench/tracer.py wraps it.
     def transform_cross(
         self, raw_cross: KernelStack, raw_self_sims: list[np.ndarray]
     ) -> KernelStack:

@@ -638,6 +638,7 @@ def train_model(
     )
 
 
+# No command calls this since cv scores through primal weights; perfbench/tracer.py wraps it.
 def predict_model(model: MklModel, stack: KernelStack) -> np.ndarray:
     """Decision values of a trained model on a (cross or train) stack.
 
@@ -697,10 +698,8 @@ class PrimalModel:
             sample_ids=sample_ids,
             group_names=self.group_names,
         )
-        out = np.full(features.shape[0], self.bias)
-        for cols, w in zip(self.group_columns, self.weights):
-            out += processed[:, cols] @ w
-        return out
+        blocks = [processed[:, cols] for cols in self.group_columns]
+        return primal_decisions(self.bias, self.weights, blocks, features.shape[0])
 
     def to_dict(self) -> dict:
         return record_dict(self)
@@ -742,6 +741,39 @@ class PrimalModel:
         return model
 
 
+def feature_blocks(
+    data: GroupedDataset, means, centered: bool, normalized: bool
+) -> list[np.ndarray]:
+    """Each group's slice of ``data``'s feature rows, centered with the train
+    group ``means`` and normalized as the model's kernels were."""
+    columns = [data.group_columns(j) for j in range(data.n_groups)]
+    rows = preprocess_feature_rows(
+        data.features, columns, means, centered, normalized,
+        sample_ids=data.sample_ids, group_names=data.group_names,
+    )
+    return [rows[:, cols] for cols in columns]
+
+
+def primal_weights(model: MklModel, train_blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Each group's primal weight vector ``w_j = beta_j * B_j' coef``.
+
+    ``train_blocks[j]`` is B_j, the model's train samples' preprocessed
+    group-j feature slice, and ``coef = alpha * y`` (classification) or
+    ``alpha`` (regression).
+    """
+    coef = model.alpha if model.train_labels is None else model.alpha * model.train_labels
+    return [b * (block.T @ coef) for b, block in zip(model.beta, train_blocks)]
+
+
+def primal_decisions(bias: float, weights, blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Decision values ``bias + sum_j B_j w_j`` of n preprocessed feature rows,
+    whose group-j slice is ``blocks[j]`` (B_j), under primal weights ``weights``."""
+    out = np.full(n, bias)
+    for block, w in zip(blocks, weights):
+        out += block @ w
+    return out
+
+
 def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> PrimalModel:
     """Reconstruct the explicit primal weight vectors of a linear MKL model.
 
@@ -760,24 +792,11 @@ def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> Prima
     if train_data.group_names != model.group_names:
         raise ValueError("train data group names do not match the model")
     means = group_feature_means(train_data)
-    group_cols = [train_data.group_columns(j) for j in range(train_data.n_groups)]
-    processed = preprocess_feature_rows(
-        train_data.features,
-        group_cols,
-        means,
-        model.centered,
-        model.normalized,
-        sample_ids=train_data.sample_ids,
-        group_names=train_data.group_names,
-    )
-    coef = model.alpha if model.train_labels is None else model.alpha * model.train_labels
-    weights = []
-    for j, cols in enumerate(group_cols):
-        weights.append(model.beta[j] * (processed[:, cols].T @ coef))
+    blocks = feature_blocks(train_data, means, model.centered, model.normalized)
     return PrimalModel(
-        weights=tuple(weights),
+        weights=tuple(primal_weights(model, blocks)),
         group_names=model.group_names,
-        group_columns=tuple(group_cols),
+        group_columns=tuple(train_data.group_columns(j) for j in range(train_data.n_groups)),
         feature_means=tuple(np.asarray(m) for m in means),
         bias=model.bias,
         centered=model.centered,

@@ -366,6 +366,7 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
     return KrrDualSolution(alpha=alpha, target_offset=offset)
 
 
+# Only mkl.predict_model calls this now; perfbench/tracer.py wraps it.
 def predict(alpha, bias: float, k_cross, labels=None) -> np.ndarray:
     """Decision values ``K_cross @ coef + bias`` for a dual model.
 

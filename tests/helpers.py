@@ -17,7 +17,6 @@ from enmkl.kernels import (
     GroupedDataset,
     KernelStack,
     StackPreprocessor,
-    build_linear_cross_kernels,
     build_linear_kernels,
     weighted_sum,
 )
@@ -298,7 +297,10 @@ def nested_cv_reference(
     re-preprocesses each partition's kernels and fits cold, and a baseline
     report is a second run with ``trainer="sum-baseline"``. ``fit_options``
     are ``mkl.train_model``'s ``conv_tol``, ``max_iter``, ``solver_tol`` and
-    ``max_updates``. Kept as the reference the new pass must equal.
+    ``max_updates``. Kept as the reference the new pass must equal. The
+    evaluation samples are scored as ``predict`` scores new rows, through
+    ``recover_primal_weights``; the cross-kernel route this loop first took
+    agrees to round-off (``TestHeldOutScoredThroughPrimalWeights``).
     """
     grid = grid or HyperGrid()
     if task == "classification":
@@ -317,10 +319,8 @@ def nested_cv_reference(
         model = mkl.train_model(
             pre.train_stack_, train_data.targets, task, trainer, C, mu, **fit_options
         )
-        raw_cross, self_sims = build_linear_cross_kernels(
-            train_data, eval_data.features, eval_data.sample_ids
-        )
-        return mkl.predict_model(model, pre.transform_cross(raw_cross, self_sims)), model
+        primal = mkl.recover_primal_weights(model, train_data)
+        return primal.decision_values(eval_data.features, eval_data.sample_ids), model
 
     target_of = {i: t for i, t in zip(data.sample_ids, data.targets)}
     outcomes = []

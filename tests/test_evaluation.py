@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from enmkl import evaluation
 from enmkl.errors import ConvergenceError, DataError
 from enmkl.evaluation import (
     CvReport,
@@ -18,8 +21,13 @@ from enmkl.evaluation import (
     nested_cv,
     pearson_correlation,
 )
-from enmkl.kernels import StackPreprocessor, build_linear_cross_kernels, build_linear_kernels
-from enmkl.mkl import predict_model, train_enmkl_svm
+from enmkl.kernels import (
+    GroupedDataset,
+    StackPreprocessor,
+    build_linear_cross_kernels,
+    build_linear_kernels,
+)
+from enmkl.mkl import predict_model, recover_primal_weights, train_enmkl_svm
 
 from helpers import make_classification_data, make_regression_data, nested_cv_reference
 
@@ -330,10 +338,8 @@ class TestNestedCv:
             model = train_enmkl_svm(
                 pre.train_stack_, train_data.targets, C=1.0, mu=0.5, solver_tol=1e-6
             )
-            raw_cross, sims = build_linear_cross_kernels(
-                train_data, eval_data.features, eval_data.sample_ids
-            )
-            decisions = predict_model(model, pre.transform_cross(raw_cross, sims))
+            primal = recover_primal_weights(model, train_data)
+            decisions = primal.decision_values(eval_data.features, eval_data.sample_ids)
             np.testing.assert_array_equal(outcome.decision_values, decisions)
             assert outcome.selected_c == 1.0 and outcome.selected_mu == 0.5
             np.testing.assert_array_equal(outcome.beta, model.beta)
@@ -499,6 +505,97 @@ class TestNestedCvMatchesReference:
         )
         plan = make_fold_plan(data.sample_ids, 3, 2, seed=12)
         self._check(data, "regression", plan, grid=self.ONE_C, conv_tol=1e-6, max_iter=50)
+
+
+class TestHeldOutScoredThroughPrimalWeights:
+    """A partition's held-out samples are scored as ``predict`` scores new
+    rows, through primal weights. Each candidate's decision values equal
+    ``recover_primal_weights(model, train).decision_values(held-out rows)``
+    bit for bit, and the cross-kernel route (``build_linear_cross_kernels``,
+    ``transform_cross``, ``predict_model``), an independent oracle that works
+    on Gram matrices, to within 1e-12 of the decision values' scale.
+
+    That scale is the size of what the oracle adds and cancels:
+    ``|bias| + sum_j beta_j sum_i |coef_i| A_jt / (n_jt n_ji)`` for held-out
+    sample t. A_jt is the largest raw inner product the oracle's centering
+    subtracts from in group j (t's row of the raw cross kernel, t's
+    self-similarity, the raw train kernel), and n_jt, n_ji are the norms the
+    oracle divides by when it normalizes (1 when it does not). The oracle
+    centers after taking inner products, so a held-out slice near the train
+    mean, or features with a large common offset, cost it relative accuracy
+    in proportion to A_jt / n_jt^2. The feature route centers first and does
+    not lose it.
+    """
+
+    CANDIDATES = [(0.1, None), (0.1, 0.5), (1.0, None), (1.0, 1.0), (10.0, 0.3)]
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize(
+        "center, normalize", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_decisions_match_both_routes(self, task, center, normalize, data):
+        n = data.draw(st.integers(8, 20), label="n")
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="dims")
+        specs = [(f"g{j}", d, "signal" if j == 0 else "noise") for j, d in enumerate(dims)]
+        make = make_classification_data if task == "classification" else make_regression_data
+        base = make(n=n, seed=data.draw(st.integers(0, 2**16), label="seed"), group_specs=specs)
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        dataset = GroupedDataset(
+            base.features * scale, base.groups, base.group_names, base.targets, base.sample_ids
+        )
+        order = data.draw(st.permutations(dataset.sample_ids), label="order")
+        n_eval = data.draw(st.integers(1, n - 4), label="n_eval")
+        train_ids, eval_ids = order[n_eval:], order[:n_eval]
+        train_data, eval_data = dataset.subset(train_ids), dataset.subset(eval_ids)
+        if task == "classification":
+            assume(len(set(train_data.targets.tolist())) == 2)
+        keys = data.draw(
+            st.lists(st.sampled_from(self.CANDIDATES), min_size=1, max_size=3, unique=True),
+            label="keys",
+        )
+
+        fitted = evaluation._partition_decisions(
+            dataset, train_ids, eval_ids, keys, task, center, normalize,
+            conv_tol=1e-4, max_iter=200, solver_tol=1e-3, max_updates=10**6,
+        )
+
+        pre = StackPreprocessor(center=center, normalize=normalize).fit(
+            build_linear_kernels(train_data)
+        )
+        raw_cross, sims = build_linear_cross_kernels(
+            train_data, eval_data.features, eval_data.sample_ids
+        )
+        cross = pre.transform_cross(raw_cross, sims)
+        assert list(fitted) == keys
+        for decisions, model in fitted.values():
+            primal = recover_primal_weights(model, train_data)
+            expected = primal.decision_values(eval_data.features, eval_data.sample_ids)
+            assert decisions.tobytes() == expected.tobytes()
+            oracle = predict_model(model, cross)
+            scale = self._oracle_scale(train_data, eval_data, model, center, normalize)
+            assert (np.abs(decisions - oracle) <= 1e-12 * scale).all()
+
+    @staticmethod
+    def _oracle_scale(train_data, eval_data, model, center, normalize):
+        coef = np.abs(model.alpha if model.train_labels is None else model.alpha * model.train_labels)
+        scale = np.full(eval_data.n_samples, abs(model.bias))
+        for j, beta in enumerate(model.beta):
+            cols = train_data.group_columns(j)
+            train, held = train_data.features[:, cols], eval_data.features[:, cols]
+            raw = np.maximum(np.abs(held @ train.T).max(axis=1), np.abs(train @ train.T).max())
+            raw = np.maximum(raw, np.einsum("ij,ij->i", held, held))
+            if normalize:
+                if center:
+                    mean = train.mean(axis=0)
+                    train, held = train - mean, held - mean
+                scale += beta * raw / np.linalg.norm(held, axis=1) * (
+                    coef / np.linalg.norm(train, axis=1)
+                ).sum()
+            else:
+                scale += beta * raw * coef.sum()
+        return scale
 
 
 class TestOneCandidateFitsNoInnerFold:

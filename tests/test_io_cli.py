@@ -29,6 +29,7 @@ import enmkl
 from enmkl import io
 from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
+from enmkl.evaluation import make_fold_plan
 from enmkl.mkl import model_from_dict, predict_model
 from enmkl.kernels import (
     KernelStack,
@@ -1412,6 +1413,36 @@ def _stack_case(case, task, message, *flags):
 _RIDGE_OVERFLOW = "the combined kernel overflows: sum_j beta_j max|K_j| = inf"
 
 
+def _flagged_centered_case(ws, folder):
+    """A refusal case: ``train`` on the raw stack, its manifest flagged centered."""
+    argv, _ = _edit_manifest(lambda m: m.update(centered=True))(ws, folder)
+    return argv, "kernel flagged centered has nonzero row or column means"
+
+
+def _zero_heldout_slice_case(ws, folder):
+    """A refusal case: ``cv`` whose first partition, outer fold 0 (one
+    candidate fits no inner fold), holds out a sample whose 'noise' slice
+    equals the train mean, so that centering leaves it zero. Every train
+    slice stays nonzero: the fit accepts the partition's kernels."""
+    data, _, groups, targets = _workspace(folder)
+    plan = make_fold_plan(data.sample_ids, 2, 2, seed=0, labels=data.targets)
+    train_ids, test_ids = plan.outer_folds[0]
+    # Nonzero train values summing to 0 exactly; held-out values 0, 1, 1, ...
+    signs = (-1.0) ** np.arange(len(train_ids))
+    if len(train_ids) % 2:
+        signs[-3:] = 1.0, 1.0, -2.0
+    values = dict(zip(train_ids, signs))
+    values.update(zip(test_ids, [0.0] + [1.0] * (len(test_ids) - 1)))
+    features = data.features.copy()
+    features[:, data.group_columns(1)] = [[values[i]] * 2 for i in data.sample_ids]
+    features_csv, _ = _write_features(folder, data, features)
+    argv = ["cv", "--features", features_csv, "--groups", groups, "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5",
+            "--k-outer", "2", "--k-inner", "2", "--out", str(ws.root / "cv")]
+    return argv, (f"error: outer fold 0: sample '{test_ids[0]}' has zero norm in feature "
+                  "group 'noise' and cannot be normalized")
+
+
 def _option_case(command, flag, value):
     def case(ws, folder):
         argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
@@ -1474,6 +1505,8 @@ _REFUSALS = {
     "ridge-sum-overflow": (
         2, _stack_case("ridge", "regression", _RIDGE_OVERFLOW, "--no-center", "--no-normalize")
     ),
+    "centered-flag-on-raw-kernels": (2, _flagged_centered_case),
+    "cv-zero-centered-heldout-slice": (2, _zero_heldout_slice_case),
     "csv-field-over-limit": (2, _wide_field_case),
     "csv-quoted-newline": (2, _quoted_newline_case),
     **{
@@ -1556,6 +1589,32 @@ class TestRefusalTable:
         assert result.stderr.startswith("error: ") and names in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (ws.root / "m.json").exists() and not (ws.root / "cv").exists()
+
+
+class TestLargeFeatureScales:
+    """Centering without normalization at large feature scales: the train
+    stack's centered flag is checked relative to each kernel's scale, so a
+    correct fit is accepted and both commands exit 0."""
+
+    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
+    def test_train_and_cv_without_normalization(self, tmp_path, capsys, scale):
+        data, _, groups, targets = _workspace(tmp_path, n=30, seed=61)
+        features, _ = _write_features(tmp_path, data, data.features * scale)
+        assert main([
+            "kernels", "--features", features, "--groups", groups,
+            "--out", str(tmp_path / "stack"),
+        ]) == 0
+        assert main([
+            "train", "--stack", str(tmp_path / "stack" / "stack.json"), "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5", "--no-normalize",
+            "--out", str(tmp_path / "m.json"),
+        ]) == 0
+        assert main([
+            "cv", "--features", features, "--groups", groups, "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5", "--k-outer", "2",
+            "--k-inner", "2", "--no-normalize", "--out", str(tmp_path / "cv"),
+        ]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestExitCodes:
@@ -1824,10 +1883,12 @@ class TestCvCommand:
         assert blocker.read_text() == "not a folder\n"
 
     def test_work_per_partition(self, tmp_path, capsys, monkeypatch):
-        """``cv --baseline`` preprocesses each partition once and solves each
-        (partition, C) beta = 1/m problem once, all through the functions a
-        tracer wraps: ``cli.nested_cv``, the kernel builders ``evaluation``
-        calls, ``StackPreprocessor``, the three trainers and the SMO solver."""
+        """``cv --baseline`` builds and preprocesses each partition's kernels
+        once and solves each (partition, C) beta = 1/m problem once, all
+        through the functions a tracer wraps: ``cli.nested_cv``, the kernel
+        builders ``evaluation`` calls, ``StackPreprocessor``, the three
+        trainers and the SMO solver. Held-out samples are scored through
+        primal weights, so no cross kernel is built or transformed."""
         from enmkl import cli, evaluation, kernels, mkl, solvers
 
         log = {"cv": 0, "build": 0, "build_cross": 0, "fit": 0, "transform": 0}
@@ -1882,8 +1943,7 @@ class TestCvCommand:
 
         partitions = k_outer * k_inner + k_outer
         assert log == {
-            "cv": 1, "build": partitions, "build_cross": partitions,
-            "fit": partitions, "transform": partitions,
+            "cv": 1, "build": partitions, "build_cross": 0, "fit": partitions, "transform": 0,
         }
         # The outer partitions fit the Cs that enmkl and the baseline picked.
         folds = [
@@ -2157,21 +2217,27 @@ def test_tracer_still_wraps_train(tmp_path):
     """The benchmark's tracer wraps package functions by name; a rename or a
     deletion breaks ``perfbench/run.py --trace 1``."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    _, features, groups, targets = _workspace(tmp_path, n=12)
-    assert main([
-        "kernels", "--features", features, "--groups", groups, "--out", str(tmp_path / "stack"),
-    ]) == 0
-    spans = tmp_path / "spans.json"
-    result = subprocess.run(
-        [sys.executable, str(tracer), str(spans), "run0", "train",
-         "--stack", str(tmp_path / "stack" / "stack.json"), "--targets", targets,
-         "--task", "classification", "--C", "1.0", "--mu", "0.5",
-         "--out", str(tmp_path / "model.json")],
-        env=_src_env(), capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    names = {span["name"] for span in json.loads(spans.read_text())}
-    assert {"mkl.fit", "solvers.smo", "kernels.preprocess_fit", "io.read_stack"} <= names
+    # The SVM never builds the combined kernel; ridge regression builds it.
+    for task, wrapped in (
+        ("classification", {"solvers.smo"}),
+        ("regression", {"kernels.weighted_sum", "solvers.krr"}),
+    ):
+        folder = tmp_path / task
+        folder.mkdir()
+        _, features, groups, targets = _workspace(folder, task, n=12)
+        assert main([
+            "kernels", "--features", features, "--groups", groups, "--out", str(folder / "stack"),
+        ]) == 0
+        spans = folder / "spans.json"
+        result = subprocess.run(
+            [sys.executable, str(tracer), str(spans), "run0", "train",
+             "--stack", str(folder / "stack" / "stack.json"), "--targets", targets,
+             "--task", task, "--C", "1.0", "--mu", "0.5", "--out", str(folder / "model.json")],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        names = {span["name"] for span in json.loads(spans.read_text())}
+        assert {"mkl.fit", "kernels.preprocess_fit", "io.read_stack"} | wrapped <= names
 
 
 def test_tracer_still_wraps_cv(tmp_path):
@@ -2188,8 +2254,11 @@ def test_tracer_still_wraps_cv(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     names = {span["name"] for span in json.loads(spans.read_text())}
+    # Held-out samples are scored through primal weights, so cv builds,
+    # transforms and sums no cross kernel. The tracer still wraps those names,
+    # and it fails to start, here as in every run, if one of them is gone.
     assert {
-        "evaluation.nested_cv", "kernels.build", "kernels.build_cross",
-        "kernels.preprocess_fit", "kernels.transform_cross", "kernels.weighted_sum",
+        "cli.cv", "evaluation.fold_plan", "evaluation.nested_cv", "io.load_dataset",
+        "io.write_json", "kernels.build", "kernels.preprocess_fit",
         "mkl.fit", "mkl.block_norms", "solvers.smo",
     } <= names

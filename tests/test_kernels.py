@@ -89,6 +89,24 @@ class TestKernelStackInvariants:
         with pytest.raises(ValueError, match="nonzero row or column means"):
             _stack([[1.0, 1.0], [1.0, 1.0]], centered=True)
 
+    # Centering's round-off grows with the kernel's scale, so the check on the
+    # flag is relative to the kernel's largest entry.
+    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
+    def test_centered_claim_checked_relative_to_the_kernel_scale(self, scale):
+        data = _random_grouped(np.random.default_rng(5), 50, dims=(5,))
+        data = _dataset(data.features * scale, data.groups, data.group_names)
+        raw = build_linear_kernels(data)
+        fitted = StackPreprocessor(center=True, normalize=False).fit(raw).train_stack_
+        assert fitted.centered
+        k = fitted.values[0]
+        assert max(np.abs(k.mean(axis=0)).max(), np.abs(k.mean(axis=1)).max()) > 1e-8
+        # The raw kernel at the same scale does not have zero means.
+        with pytest.raises(ValueError, match="nonzero row or column means"):
+            _stack(raw.values[0], centered=True)
+        # Nor does the centered one once a relative 1e-7 shifts its entries.
+        with pytest.raises(ValueError, match="nonzero row or column means"):
+            _stack(k + 1e-7 * np.abs(k).max(), centered=True)
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="non-finite"):
             _stack([[1.0, np.nan], [np.nan, 1.0]])
