@@ -106,9 +106,11 @@ class KernelStack:
     that is not :func:`bit_symmetric` is stored as the symmetric part that
     :func:`check_kernel` returns, in a copy, never in the caller's array.
     ``magnitudes[j]`` is kernel j's largest entry magnitude. ``_symmetric`` is
-    for the builders in this module whose train kernels are bit-symmetric by
-    construction: it skips the transposed symmetry scan; every other check
-    still runs.
+    for the builders in this module, whose train kernels are bit-symmetric by
+    construction, and centered by construction where flagged: it skips the
+    transposed symmetry scan and the centered means' check (centering's
+    round-off scales with the raw kernel, which that check cannot see); every
+    other check still runs.
     """
 
     values: np.ndarray
@@ -153,7 +155,7 @@ class KernelStack:
             if self.normalized:
                 if float(np.abs(np.diagonal(k) - 1.0).max(initial=0.0)) > UNIT_DIAG_TOL:
                     raise ValueError("kernel flagged normalized does not have a unit diagonal")
-            elif self.centered:
+            elif self.centered and not _symmetric:
                 # Normalization rescales rows unevenly, so zero means are
                 # only checkable before it; afterwards the flag just records
                 # that centering happened earlier in the pipeline.
@@ -390,13 +392,15 @@ def build_linear_cross_kernels(
     return stack, self_sims
 
 
-def _check_self_similarities(s: np.ndarray, ids: tuple[str, ...]) -> None:
+def _check_self_similarities(s: np.ndarray, ids: tuple[str, ...], group: str) -> None:
+    """Refuse, naming the sample and the group, a self-similarity that is not
+    positive: that sample's slice cannot be normalized."""
     bad = np.flatnonzero(s <= 0.0)
     if bad.size:
         i = int(bad[0])
         raise DataError(
-            f"sample '{ids[i]}' has non-positive self-similarity {s[i]!r}; "
-            "a zero-norm sample cannot be normalized"
+            f"sample '{ids[i]}' has non-positive self-similarity {float(s[i])!r} "
+            f"in feature group '{group}' and cannot be normalized"
         )
 
 
@@ -505,7 +509,7 @@ class StackPreprocessor:
         stats = []
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for k, dest in zip(raw, out):
+                for k, dest, group in zip(raw, out, raw_stack.group_names):
                     col_means = k.mean(axis=0)
                     grand = col_means.mean()
                     self_sim = np.diagonal(k).copy()
@@ -518,7 +522,7 @@ class StackPreprocessor:
                         dest[...] = k
                         continue
                     if self.normalize:
-                        _check_self_similarities(self_sim, ids)
+                        _check_self_similarities(self_sim, ids, group)
                         scale = np.sqrt(self_sim)
                     for a in range(0, n, _ROWS):
                         b = min(a + _ROWS, n)
@@ -565,7 +569,9 @@ class StackPreprocessor:
             raise ValueError("cross stack columns do not match the fitted train samples")
         out = np.empty_like(raw_cross.values)
         buf = np.empty(raw_cross.values.shape[1:])
-        for k, dest, st, sims in zip(raw_cross.values, out, self.stats_, raw_self_sims):
+        for k, dest, st, sims, group in zip(
+            raw_cross.values, out, self.stats_, raw_self_sims, raw_cross.group_names
+        ):
             sims = np.asarray(sims, dtype=np.float64)
             if sims.shape != (raw_cross.n_rows,):
                 raise ValueError("self-similarities must hold one value per test sample")
@@ -580,7 +586,7 @@ class StackPreprocessor:
                 # <x_c, x_c> = <x, x> - 2 * mean_t <x, x_t> + grand mean
                 sims = sims - 2.0 * row_means + st.grand_mean
             if self.normalize:
-                _check_self_similarities(sims, raw_cross.row_ids)
+                _check_self_similarities(sims, raw_cross.row_ids, group)
                 np.divide(k, np.outer(np.sqrt(sims), np.sqrt(st.self_sim), out=buf), out=dest)
             elif not self.center:
                 dest[...] = k

@@ -17,10 +17,12 @@ until the unit-sum-normalized weights stop moving. After the loop, alpha is
 rescaled by ``sum_j beta_j`` and beta normalized to the unit simplex; the
 rescaled pair produces bit-for-bit identical decision values.
 
-The SVM never builds the combined kernel: SMO computes the rows it needs
-from the stack, and ``K q = sum_j beta_j K_j q`` for the loss term and the
-next warm start comes from the products the block norms take. Ridge
-regression builds the combined kernel for its linear solve.
+The SVM solve reads the combined kernel from the stack: SMO builds a small
+one whole, and computes a large one's rows as it needs them (see
+:mod:`enmkl.solvers`). ``K q = sum_j beta_j K_j q`` for the loss term and the
+next warm start comes from the products the block norms take, in one
+batched product. Ridge regression builds the combined kernel for its linear
+solve.
 
 Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
 weights on their way to zero shrink by a near-constant factor per step. The
@@ -46,6 +48,7 @@ solves, rejected ones included, so ``max_iter`` bounds the work;
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -194,16 +197,16 @@ def compute_block_norms(stack, alpha, labels=None, *, beta, products=None) -> np
     if labels is not None:
         q = q * labels
     q_scale = float(q @ q)
-    norms = np.empty(stack.m)
-    for j, k in enumerate(stack.values):
-        form = float(q @ np.matmul(k, q, out=None if products is None else products[j]))
+    # One batched product takes every K_j q; each is the gemv of K_j @ q.
+    products = np.matmul(stack.values, q, out=products)
+    norms = []
+    weights = np.asarray(beta, dtype=np.float64).tolist()
+    for name, b, v in zip(stack.group_names, weights, products):
+        form = float(q @ v)
         if form < -1e-8 * max(q_scale, 1e-300):
-            raise DataError(
-                f"kernel '{stack.group_names[j]}' is not positive semidefinite "
-                f"(q'Kq = {form!r})"
-            )
-        norms[j] = beta[j] * np.sqrt(max(form, 0.0))
-    return norms
+            raise DataError(f"kernel '{name}' is not positive semidefinite (q'Kq = {form!r})")
+        norms.append(b * math.sqrt(max(form, 0.0)))
+    return np.array(norms)
 
 
 def _update_lambda(w: np.ndarray, mu: float) -> np.ndarray:
@@ -223,8 +226,8 @@ def _update_beta(lam: np.ndarray, mu: float) -> np.ndarray:
     where ``lambda_j = 0`` (the limit of the formula). At mu = 1 this
     reduces to ``beta = lambda``.
     """
-    safe = np.where(lam > 0, lam, 1.0)
-    return np.where(lam > 0, 1.0 / (np.sqrt(mu) / safe + (1.0 - mu)), 0.0)
+    root, rest = math.sqrt(mu), 1.0 - mu
+    return np.array([1.0 / (root / x + rest) if x > 0 else 0.0 for x in lam.tolist()])
 
 
 def _slack_loss(kq, targets, bias, C, task):
@@ -320,24 +323,24 @@ def _stack_model(stack: KernelStack, labels, **values) -> MklModel:
 
 
 def _dot(a: list, b: list) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
-def _ridge_least_squares(cols: list, rhs: list) -> list | None:
+def _ridge_least_squares(cols: list, gram: list, rhs: list) -> list | None:
     """``argmin_c ||rhs - sum_i c_i cols_i||``, from the normal equations with
-    a ridge of 1e-10 of their trace, by Cholesky in Python floats.
+    a ridge of 1e-10 of their trace, by Cholesky in Python floats. ``gram``
+    holds the columns' dot products, ``gram[i][j] = _dot(cols[i], cols[j])``.
 
     None when there are no columns or they are all zero.
     """
     k = len(cols)
-    gram = [[_dot(a, b) for b in cols] for a in cols]
     ridge = 1e-10 * sum(gram[i][i] for i in range(k))
     if not ridge > 0:
         return None
     low = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1):
-            value = gram[i][j] - sum(low[i][p] * low[j][p] for p in range(j))
+            value = gram[i][j] - _dot(low[i][:j], low[j][:j])
             if i == j:
                 low[i][i] = math.sqrt(max(value, 0.0) + ridge)
             else:
@@ -362,7 +365,9 @@ class _Anderson:
     differences. The result is then made positive and rescaled to the sum
     of ``g``: an entry ``g`` zeroed stays zero, and any other keeps at least
     ``ANDERSON_FLOOR`` of its ``g`` before the rescaling, so an
-    extrapolation never drops a kernel.
+    extrapolation never drops a kernel. The Gram matrix of the residual
+    differences is kept from step to step: a step adds one row and column
+    and drops the oldest.
     """
 
     def __init__(self):
@@ -372,6 +377,7 @@ class _Anderson:
         self._last = None
         self._dr: list[list[float]] = []
         self._dg: list[list[float]] = []
+        self._gram: list[list[float]] = []
 
     def step(self, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
         """The next iterate, and whether it is extrapolated rather than ``g``."""
@@ -379,18 +385,26 @@ class _Anderson:
         r = [b - a for a, b in zip(x.tolist(), gs)]
         if self._last is not None:
             g0, r0 = self._last
-            self._dr.append([b - a for a, b in zip(r0, r)])
+            dr = [b - a for a, b in zip(r0, r)]
+            self._dr.append(dr)
             self._dg.append([b - a for a, b in zip(g0, gs)])
+            # x * y == y * x, so _dot is symmetric bit for bit.
+            row = [_dot(d, dr) for d in self._dr]
+            for old, value in zip(self._gram, row):
+                old.append(value)
+            self._gram.append(row)
             if len(self._dr) > ANDERSON_DEPTH:
-                del self._dr[0], self._dg[0]
+                del self._dr[0], self._dg[0], self._gram[0]
+                for old in self._gram:
+                    del old[0]
         self._last = (gs, r)
-        c = _ridge_least_squares(self._dr, r)
+        c = _ridge_least_squares(self._dr, self._gram, r)
         if c is None:
             return g, False
+        shifts = [_dot(c, column) for column in zip(*self._dg)]
         nxt = [
-            0.0 if gj == 0.0
-            else max(gj - _dot(c, [d[j] for d in self._dg]), ANDERSON_FLOOR * gj)
-            for j, gj in enumerate(gs)
+            0.0 if gj == 0.0 else max(gj - shift, ANDERSON_FLOOR * gj)
+            for gj, shift in zip(gs, shifts)
         ]
         scale = sum(gs) / sum(nxt)
         return np.array([v * scale for v in nxt]), True

@@ -12,9 +12,13 @@ solves the regularized linear system ``(K + n/(2C) I) a = y - mean(y)``
 directly.
 
 SMO reads K a row at a time and its column t as row t, as LIBSVM does: every
-train kernel is bit-symmetric. A row comes from the kernel array given, or from
-a train stack and weights as ``sum_j w_j K_j[i]``, computed when first needed,
-bit for bit the row of :func:`~enmkl.kernels.weighted_sum`, which is never built.
+train kernel is bit-symmetric. K is the kernel array given, or ``sum_j w_j K_j``
+from a train stack and weights. Up to ``WHOLE_KERNEL_MAX_N`` samples, a solve's
+first update builds that sum whole, by one einsum over the kernels of nonzero
+weight, with every pair curvature, and rows are views of it; above, a row and
+its curvatures are computed when first needed. Either way K is bit for bit what
+:func:`~enmkl.kernels.weighted_sum` builds, and a solve that makes no update
+builds nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ _TAU = 1e-12
 
 DEFAULT_SVM_TOL = 1e-3
 DEFAULT_MAX_UPDATES = 10_000_000
+# Up to this many samples, SMO builds the combined kernel and its pair
+# curvatures whole at a solve's first update rather than row by row.
+WHOLE_KERNEL_MAX_N = 128
 
 
 @dataclass(frozen=True)
@@ -100,22 +107,51 @@ def _check_labels(ys: list[float]) -> None:
 
 
 def _stack_rows(stack, weights):
-    """The diagonal, row getter and matrix-vector product of the combined
-    kernel ``sum_j w_j K_j`` of a train stack, from the kernels of nonzero
-    weight alone. A row is computed when first asked for and kept; einsum
-    adds in kernel order from zero, as ``weighted_sum`` does, so it is that
-    row of the built sum bit for bit, and its column too: every kernel of a
-    train stack is bit-symmetric."""
+    """Getters of the combined kernel ``K = sum_j w_j K_j`` of a train stack,
+    from the kernels of nonzero weight alone: the whole K, its diagonal, its
+    row t, and ``K v`` as ``sum_j w_j (K_j v)``. einsum adds in kernel order
+    from zero, as :func:`~enmkl.kernels.weighted_sum` does, so K, its diagonal
+    and its rows are that sum's bit for bit, and a row is also its column:
+    every kernel of a train stack is bit-symmetric."""
     if stack.row_ids != stack.col_ids:
         raise ValueError("weights combine the kernels of a train stack, not a cross stack")
     w = check_weights(stack, weights)
     _check_curvature_bound(weight_bound(stack, w), "sum_j beta_j max|K_j|")
-    idx = np.flatnonzero(w)
+    idx = [j for j, b in enumerate(w.tolist()) if b]
     b, values = w[idx], stack.values
-    used = slice(None) if idx.size == stack.m else idx  # a slice takes views, not copies
-    rows = cache(lambda t: np.einsum("j,jk->k", b, values[used, t]))
-    diag = np.einsum("j,jk->k", b, np.diagonal(values, axis1=1, axis2=2)[used])
-    return diag, rows, lambda v: b @ np.array([values[j] @ v for j in idx])
+    used = slice(None) if len(idx) == stack.m else idx  # a slice takes views, not copies
+    return (
+        lambda: np.einsum("j,jkl->kl", b, values[used]),
+        lambda: np.einsum("j,jk->k", b, np.diagonal(values, axis1=1, axis2=2)[used]),
+        lambda t: np.einsum("j,jk->k", b, values[used, t]),
+        lambda v: b @ np.array([values[j] @ v for j in idx]),
+    )
+
+
+def _update_parts(whole, diag, rows, y):
+    """What SMO's updates read of K: a row getter, the diagonal as floats, and
+    a getter of row i of the pair curvatures ``K_ii + K_tt - 2 y_i y_t K_it``
+    (flat pairs set to _TAU), given getters of the whole K, its diagonal and
+    its rows. Up to ``WHOLE_KERNEL_MAX_N`` samples K is built whole, every
+    curvature with it, and rows are views; above, a row and its curvatures
+    are computed when first asked for and kept. Products with +-1 and 2 are
+    exact, so both routes give the same curvatures bit for bit."""
+    if y.shape[0] <= WHOLE_KERNEL_MAX_N:
+        K = whole()
+        diag = np.diagonal(K)
+        curvs = np.add.outer(diag, diag)
+        curvs -= K * np.multiply.outer(y, 2.0 * y)
+        curvs[~(curvs > 0)] = _TAU
+        return K.__getitem__, diag.tolist(), curvs.__getitem__
+    diag, two_y, rows = diag(), 2.0 * y, cache(rows)
+
+    @cache
+    def curvatures(i):
+        curv = (diag[i] + diag) - rows(i) * (y[i] * two_y)
+        curv[~(curv > 0)] = _TAU
+        return curv
+
+    return rows, diag.tolist(), curvatures
 
 
 def solve_svm_dual(
@@ -153,11 +189,12 @@ def solve_svm_dual(
     if weights is None:
         K, bound = check_kernel(k)
         _check_curvature_bound(bound, "max|K|")
-        diag, rows, matvec = np.diagonal(K), K.__getitem__, K.__matmul__
+        n, rows, matvec = K.shape[0], K.__getitem__, K.__matmul__
+        whole, diag = (lambda: K), (lambda: np.diagonal(K))
     else:
-        diag, rows, matvec = _stack_rows(k, weights)
+        n = k.n_rows
+        whole, diag, rows, matvec = _stack_rows(k, weights)
     y = np.asarray(y, dtype=np.float64)
-    n = diag.shape[0]
     if y.shape != (n,):
         raise ValueError("labels must hold one value per kernel row")
     ys = y.tolist()
@@ -168,16 +205,15 @@ def solve_svm_dual(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
 
-    # The rows of G are g = -y * grad, g where alpha_t may move up (else
-    # -inf) and g where it may move down (else +inf). One in-place add moves
-    # all three rows and leaves the infinities infinite, so an entry of rows
-    # 1 and 2 is rewritten only when its flag flips.
-    G = np.empty((3, n))
-    g, g_up, g_low = G
+    # The rows of G are g = -y * grad where alpha_t may move up (else -inf)
+    # and where it may move down (else +inf). Every alpha_t in the box can
+    # move one way, so each g_t sits in one row or both. One in-place add
+    # moves both rows and leaves the infinities infinite, so an entry is
+    # rewritten only when its flag flips.
     pos = y > 0
     if alpha0 is None:
         alpha = np.zeros(n)
-        g[:] = y  # -y * grad, where grad = -1 at a = 0
+        g = y  # -y * grad, where grad = -1 at a = 0
         up_mask, low_mask = pos, ~pos
     else:
         alpha = np.array(alpha0, dtype=np.float64, copy=True)
@@ -197,27 +233,22 @@ def solve_svm_dual(
             raise ValueError("alpha0 violates the equality constraint")
         if kq0 is None:
             kq0 = matvec(alpha * y)
-        np.multiply(-y, y * kq0 - 1.0, out=g)
+        g = -y * (y * kq0 - 1.0)
         below, above = alpha < C, alpha > 0
         up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
-    g_up.fill(-np.inf)
-    g_low.fill(np.inf)
-    np.copyto(g_up, g, where=up_mask)
-    np.copyto(g_low, g, where=low_mask)
+    G = np.array([np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)])
+    g_up, g_low = G
 
-    # Row i of the pair curvatures diag_i + diag_t - 2 y_i y_t K_it (flat
-    # pairs set to _TAU) is made when i is first chosen. Products with +-1
-    # and 2 are exact, so every value is bit for bit what the textbook update
-    # on grad computes. Scalar bookkeeping runs on Python floats and bools;
-    # floats are the same doubles.
-    two_y = 2.0 * y
-    curv_rows = {}
+    # The first update fetches what updates read of K (_update_parts).
+    # Scalar bookkeeping runs on Python floats and bools; floats are the
+    # same doubles, and every value is bit for bit what the textbook update
+    # on grad computes.
+    curvatures = None
     score, step, step_j = np.empty((3, n))
     # Scalars reach the ufuncs as 0-d arrays, which numpy takes in faster
     # than Python floats; the doubles and the arithmetic are the same.
     m_box, s_box, zero = np.empty(()), np.empty(()), np.zeros(())
     a = alpha.tolist()
-    ds = diag.tolist()
     up, low = up_mask.tolist(), low_mask.tolist()
     updates = 0
     while True:
@@ -233,16 +264,9 @@ def solve_svm_dual(
                 f"SMO exceeded {max_updates} updates "
                 f"(KKT violation {m_val - M_val:.3e}, tol {tol:.3e})"
             )
-
-        curv = curv_rows.get(i)
-        if curv is None:
-            curv = curv_rows[i] = np.add(diag, ds[i])
-            np.multiply(rows(i), two_y, out=step)
-            if ys[i] > 0:
-                curv -= step
-            else:
-                curv += step
-            curv[~(curv > 0)] = _TAU
+        if curvatures is None:
+            rows, ds, curvatures = _update_parts(whole, diag, rows, y)
+        curv = curvatures(i)
 
         # Second-order choice of j: among violating candidates (t in low with
         # g_t < m), maximize the guaranteed objective decrease b^2 / a for the
@@ -263,7 +287,8 @@ def solve_svm_dual(
         # i is in up and j in low, so g_i = m and g_j = g_low[j].
         yi, yj = ys[i], ys[j]
         Qii, Qjj = ds[i], ds[j]
-        Qij = yi * yj * rows(i).item(j)
+        row_i = rows(i)
+        Qij = yi * yj * row_i.item(j)
         grad_i, grad_j = -yi * m_val, -yj * g_low.item(j)
         ai_old, aj_old = a[i], a[j]
         if yi != yj:
@@ -305,9 +330,9 @@ def solve_svm_dual(
                 if ai < 0:
                     ai, aj = 0.0, total
         # g += K[:, i] * s_i + K[:, j] * s_j, with the textbook update's
-        # operands in its order, on all three rows; K[:, t] is K[t].
+        # operands in its order, on both rows; K[:, t] is K[t].
         s_box[()] = -yi * (ai - ai_old)
-        np.multiply(rows(i), s_box, out=step)
+        np.multiply(row_i, s_box, out=step)
         s_box[()] = -yj * (aj - aj_old)
         np.multiply(rows(j), s_box, out=step_j)
         step += step_j
@@ -315,14 +340,14 @@ def solve_svm_dual(
         for t, at in ((i, ai), (j, aj)):
             a[t] = at
             can_up, can_down = (at < C, at > 0) if ys[t] > 0 else (at > 0, at < C)
-            if can_up != up[t]:
-                up[t] = can_up
-                g_up[t] = g[t] if can_up else -np.inf
-            if can_down != low[t]:
-                low[t] = can_down
-                g_low[t] = g[t] if can_down else np.inf
+            if can_up != up[t] or can_down != low[t]:
+                gt = g_up.item(t) if up[t] else g_low.item(t)
+                up[t], low[t] = can_up, can_down
+                g_up[t] = gt if can_up else -np.inf
+                g_low[t] = gt if can_down else np.inf
         updates += 1
 
+    g = np.where(up, g_up, g_low)
     alpha = np.array(a)
     g_free = g[(alpha > 0) & (alpha < C)]
     if g_free.size:

@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io as stdio
 import json
@@ -1443,6 +1444,23 @@ def _zero_heldout_slice_case(ws, folder):
                   "group 'noise' and cannot be normalized")
 
 
+def _zero_self_similarity_case(ws, folder):
+    """A refusal case: ``train --no-center`` on the kernels of features whose
+    sample 's005' has an all-zero 'noise' slice, so that its raw
+    self-similarity is 0.0 and normalizing it is refused."""
+    data = make_classification_data(
+        n=20, seed=60, group_specs=[("sig", 3, "signal"), ("noise", 2, "noise")]
+    )
+    features = data.features.copy()
+    features[5, data.group_columns(1)] = 0.0
+    stack = build_linear_kernels(dataclasses.replace(data, features=features))
+    manifest = io.write_stack(folder, stack, "binary")
+    return ws.train(manifest) + ["--no-center"], (
+        f"error: {manifest}: sample 's005' has non-positive self-similarity 0.0 in feature "
+        "group 'noise' and cannot be normalized"
+    )
+
+
 def _option_case(command, flag, value):
     def case(ws, folder):
         argv = ws.train(ws.root / "stack" / "stack.json") if command == "train" else ws.cv()
@@ -1507,6 +1525,7 @@ _REFUSALS = {
     ),
     "centered-flag-on-raw-kernels": (2, _flagged_centered_case),
     "cv-zero-centered-heldout-slice": (2, _zero_heldout_slice_case),
+    "train-zero-self-similarity": (2, _zero_self_similarity_case),
     "csv-field-over-limit": (2, _wide_field_case),
     "csv-quoted-newline": (2, _quoted_newline_case),
     **{
@@ -1596,10 +1615,8 @@ class TestLargeFeatureScales:
     stack's centered flag is checked relative to each kernel's scale, so a
     correct fit is accepted and both commands exit 0."""
 
-    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
-    def test_train_and_cv_without_normalization(self, tmp_path, capsys, scale):
-        data, _, groups, targets = _workspace(tmp_path, n=30, seed=61)
-        features, _ = _write_features(tmp_path, data, data.features * scale)
+    @staticmethod
+    def _kernels_train_and_cv(tmp_path, features, groups, targets):
         assert main([
             "kernels", "--features", features, "--groups", groups,
             "--out", str(tmp_path / "stack"),
@@ -1614,6 +1631,21 @@ class TestLargeFeatureScales:
             "--task", "classification", "--C", "1", "--mu", "0.5", "--k-outer", "2",
             "--k-inner", "2", "--no-normalize", "--out", str(tmp_path / "cv"),
         ]) == 0
+
+    @pytest.mark.parametrize("scale", [1e5, 1e6, 1e8])
+    def test_train_and_cv_without_normalization(self, tmp_path, capsys, scale):
+        data, _, groups, targets = _workspace(tmp_path, n=30, seed=61)
+        features, _ = _write_features(tmp_path, data, data.features * scale)
+        self._kernels_train_and_cv(tmp_path, features, groups, targets)
+        assert capsys.readouterr().err == ""
+
+    # Unit spread plus a common offset: centering's round-off scales with the
+    # raw kernel, not with the centered one that the fit hands on.
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_train_and_cv_without_normalization_at_an_offset(self, tmp_path, capsys, offset):
+        data, _, groups, targets = _workspace(tmp_path, n=30, seed=61)
+        features, _ = _write_features(tmp_path, data, data.features + offset)
+        self._kernels_train_and_cv(tmp_path, features, groups, targets)
         assert capsys.readouterr().err == ""
 
 

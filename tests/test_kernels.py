@@ -107,6 +107,21 @@ class TestKernelStackInvariants:
         with pytest.raises(ValueError, match="nonzero row or column means"):
             _stack(k + 1e-7 * np.abs(k).max(), centered=True)
 
+    # At a large common offset, centering's round-off scales with the raw
+    # kernel, which the centered one no longer shows: fit's output, centered
+    # by construction, skips the check; the same values given as a library
+    # stack flagged centered are still checked, and refused.
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_fit_output_skips_the_centered_check_it_passes_by_construction(self, offset):
+        data = _random_grouped(np.random.default_rng(6), 50, dims=(5,))
+        data = _dataset(data.features + offset, data.groups, data.group_names)
+        fitted = StackPreprocessor(center=True, normalize=False).fit(
+            build_linear_kernels(data)
+        ).train_stack_
+        assert fitted.centered
+        with pytest.raises(ValueError, match="nonzero row or column means"):
+            _stack(fitted.values[0], centered=True)
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="non-finite"):
             _stack([[1.0, np.nan], [np.nan, 1.0]])

@@ -46,6 +46,8 @@ from helpers import (
     make_classification_data,
     make_regression_data,
     mkl_svm_grid_oracle,
+    random_labels,
+    random_psd_kernel,
     train_enmkl_reference,
 )
 
@@ -92,6 +94,14 @@ class TestWeightUpdates:
         # mu = 0.25, lambda = 1: 1 / (0.5 / 1 + 0.75) = 0.8.
         np.testing.assert_allclose(_update_beta(np.array([1.0, 1.0]), mu=0.25), [0.8, 0.8])
 
+    def test_beta_on_floats_is_the_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for mu in (0.05, 0.5, 1.0):
+            lam = np.where(rng.random(12) < 0.3, 0.0, rng.uniform(0.0, 3.0, 12))
+            safe = np.where(lam > 0, lam, 1.0)
+            expected = np.where(lam > 0, 1.0 / (np.sqrt(mu) / safe + (1.0 - mu)), 0.0)
+            assert _same_bits(_update_beta(lam, mu), expected), mu
+
     def test_beta_zero_lambda_gives_zero_weight(self):
         beta = _update_beta(np.array([0.5, 0.0]), mu=0.7)
         assert beta[1] == 0.0
@@ -122,6 +132,29 @@ class TestBlockNorms:
         stack = _stack_from_matrices(np.eye(2))
         w = compute_block_norms(stack, [0.5, -0.5], beta=[1.0])
         np.testing.assert_allclose(w, [np.sqrt(0.5)], atol=1e-15)
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(2, 140),
+        m=st.integers(1, 6),
+        labeled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_products_are_the_per_kernel_products(self, n, m, labeled, seed):
+        # One batched matmul takes every K_j q; each must be K_j @ q bit for
+        # bit, and each norm beta_j * sqrt(q' K_j q) as numpy computes it.
+        rng = np.random.default_rng(seed)
+        stack = _stack_from_matrices(*[random_psd_kernel(rng, n) for _ in range(m)])
+        alpha = rng.uniform(0.0, 2.0, size=n)
+        labels = random_labels(rng, n) if labeled else None
+        beta = rng.uniform(0.0, 1.0, size=m)
+        products = np.empty((m, n))
+        w = compute_block_norms(stack, alpha, labels=labels, beta=beta, products=products)
+        q = alpha if labels is None else alpha * labels
+        for j, k in enumerate(stack.values):
+            kq = k @ q
+            assert _same_bits(products[j], kq), j
+            assert w[j].hex() == (beta[j] * np.sqrt(max(float(q @ kq), 0.0))).hex(), j
 
     def test_indefinite_kernel_rejected_with_name(self):
         stack = _stack_from_matrices([[0.0, 1.0], [1.0, 0.0]], names=("flip",))
@@ -554,6 +587,24 @@ class TestAcceleratedLoop:
         if task == "classification":
             return TestAcceleratedLoop.OPTS["solver_tol"] * max(1.0, C)
         return 1e-9 * max(1.0, abs(objective))
+
+    def test_kept_gram_is_the_recomputed_gram(self):
+        # Each step adds one row and column to the Gram matrix of the residual
+        # differences and drops the oldest; it must hold the dot products a
+        # fresh computation gives, bit for bit, through clears and deletions.
+        rng = np.random.default_rng(7)
+        mixer = mkl._Anderson()
+        for step in range(12):
+            if step == 7:
+                mixer.clear()
+            x = rng.uniform(0.1, 1.0, 5)
+            mixer.step(x, x + rng.normal(scale=0.1, size=5))
+            fresh = [[mkl._dot(a, b) for b in mixer._dr] for a in mixer._dr]
+            assert [[v.hex() for v in row] for row in mixer._gram] == [
+                [v.hex() for v in row] for row in fresh
+            ], step
+            since_clear = step - 7 if step >= 7 else step
+            assert len(mixer._dr) == min(since_clear, mkl.ANDERSON_DEPTH)
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("task", ["classification", "regression"])

@@ -313,13 +313,18 @@ def _random_stack(rng, n, m, asymmetric=None):
 
 
 class TestStackRows:
-    """SMO on a stack computes each row of ``sum_j w_j K_j`` when it needs
-    it; every value equals the built ``weighted_sum`` bit for bit, and a row
-    is also the column that SMO's gradient update reads."""
+    """SMO on a stack reads ``sum_j w_j K_j``: up to ``WHOLE_KERNEL_MAX_N``
+    samples built whole at the first update, with every pair curvature, and
+    above that row by row when first needed. Either way every value equals
+    the built ``weighted_sum`` bit for bit, and a row is also the column that
+    SMO's gradient update reads."""
 
     @settings(max_examples=40)
     @given(
-        n=st.integers(2, 40),
+        n=st.one_of(
+            st.integers(2, 40),
+            st.integers(solvers.WHOLE_KERNEL_MAX_N - 3, solvers.WHOLE_KERNEL_MAX_N + 3),
+        ),
         weights=st.lists(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 2.5]), min_size=1, max_size=6)
         .filter(lambda w: any(w)),
         asymmetric=st.booleans(),
@@ -329,14 +334,58 @@ class TestStackRows:
         rng = np.random.default_rng(seed)
         m = len(weights)
         stack = _random_stack(rng, n, m, int(rng.integers(m)) if asymmetric else None)
+        # Signed zeros, which a sum must not turn into -0.0.
+        values = np.array(stack.values)
+        values[:, 0, 1] = values[:, 1, 0] = rng.choice([0.0, -0.0], size=m)
+        stack = KernelStack(values, stack.row_ids, stack.col_ids, stack.group_names,
+                            stack.group_sizes)
         built = weighted_sum(stack, weights)
-        diag, rows, matvec = solvers._stack_rows(stack, np.array(weights))
-        assert _bits(diag).tolist() == _bits(np.diagonal(built)).tolist()
+        whole, diag, rows, matvec = solvers._stack_rows(stack, np.array(weights))
+        assert _bits(whole()).tolist() == _bits(built).tolist()
+        assert _bits(diag()).tolist() == _bits(np.diagonal(built)).tolist()
+        y = random_labels(rng, n)
+        update_rows, ds, curvatures = solvers._update_parts(whole, diag, rows, y)
+        assert [d.hex() for d in ds] == [d.hex() for d in np.diagonal(built).tolist()]
         for t in rng.permutation(n).tolist():
-            assert _bits(rows(t)).tolist() == _bits(built[t]).tolist()
-            assert _bits(rows(t)).tolist() == _bits(built[:, t]).tolist()
+            for getter in (rows, update_rows):
+                assert _bits(getter(t)).tolist() == _bits(built[t]).tolist()
+                assert _bits(getter(t)).tolist() == _bits(built[:, t]).tolist()
+            # The textbook K_tt + K_ii - 2 y_t y_i K_ti, flat pairs set to tau.
+            d = np.diagonal(built)
+            expected = (d[t] + d) - (2.0 * y[t] * y) * built[t]
+            expected[expected <= 0] = solvers._TAU
+            assert _bits(curvatures(t)).tolist() == _bits(expected).tolist()
         v = rng.normal(size=n)
         np.testing.assert_allclose(matvec(v), built @ v, rtol=1e-12, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("n", [30, 90])
+    def test_warm_small_stack_solve_is_the_dense_solve_in_hex(self, monkeypatch, n):
+        # Warm-started as the weight loop starts it: alpha0 from the solve at
+        # the previous weights, kq0 = sum_j w_j (K_j q) from its block norms'
+        # batched products. The whole-kernel route on the stack, the dense
+        # solve on the built sum, and the stack's row-by-row route agree.
+        rng = np.random.default_rng(2100 + n)
+        stack = _random_stack(rng, n, 4)
+        y = random_labels(rng, n)
+        for C in (0.1, 10.0):
+            alpha0 = solve_svm_dual(stack, y, C, weights=[0.25] * 4).alpha
+            weights = np.array([0.5, 0.0, 0.25, 1.5])
+            kq0 = weights @ np.matmul(stack.values, alpha0 * y)
+            solutions = [
+                solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights),
+                solve_svm_dual(weighted_sum(stack, weights), y, C, alpha0=alpha0, kq0=kq0),
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "WHOLE_KERNEL_MAX_N", 0)
+                solutions.append(
+                    solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+                )
+            hexes = [
+                ([a.hex() for a in s.alpha.tolist()], s.bias.hex(), s.objective.hex(), s.iterations)
+                for s in solutions
+            ]
+            assert solutions[0].iterations > 0
+            assert hexes[1] == hexes[0] and hexes[2] == hexes[0], C
 
     @pytest.mark.parametrize("asymmetric", [None, 1])
     def test_cold_solve_is_the_dense_solve(self, asymmetric):
