@@ -17,12 +17,7 @@ import numpy as np
 from .errors import DataError, named
 from . import mkl, solvers
 from .io import record_dict
-from .kernels import (
-    GroupedDataset,
-    StackPreprocessor,
-    build_linear_kernels,
-    group_feature_means,
-)
+from .kernels import GroupedDataset, build_linear_kernels, feature_blocks, group_feature_means
 # Unused here since cv scores through primal weights; perfbench/tracer.py wraps it at this name.
 from .kernels import build_linear_cross_kernels  # noqa: F401
 
@@ -389,24 +384,24 @@ def _partition_decisions(
     """Fit every candidate key on one id set; decision values on another.
 
     ``keys`` are (C, mu) pairs, where mu None is the sum baseline. The
-    partition's kernels are built and preprocessed once, with statistics
-    fitted on the training ids only. The baseline's solve is the first
-    iteration of every enmkl fit at its C, so when more than one key needs
-    it, it is fitted once and each enmkl fit starts from it.
+    partition's train stack is built from its centered, normalized training
+    rows (:func:`build_linear_kernels` with the steps on), so no kernel-space
+    preprocessing pass runs, and every candidate fits on it. A slice that
+    cannot be normalized is refused, naming the sample and the group. The
+    baseline's solve is the first iteration of every enmkl fit at its C, so
+    when more than one key needs it, it is fitted once and each enmkl fit
+    starts from it.
 
     The evaluation samples are scored through primal weights, as ``predict``
-    scores new rows: the training and evaluation feature rows are
-    preprocessed once, with the training group means, and each candidate's
-    decision values are ``recover_primal_weights(model, train)
-    .decision_values(evaluation rows)`` bit for bit. Nothing leaks, and no
-    cross kernel is built. Returns ``{key: (decision values, model)}``.
+    scores new rows: the training and evaluation rows are preprocessed with
+    the training group means, and each candidate's decision values are
+    ``recover_primal_weights(model, train).decision_values(evaluation rows)``
+    bit for bit. Nothing leaks, and no cross kernel is built. Returns
+    ``{key: (decision values, model)}``.
     """
     train_data = data.subset(train_ids)
     eval_data = data.subset(eval_ids)
-    pre = StackPreprocessor(center=center, normalize=normalize).fit(
-        build_linear_kernels(train_data)
-    )
-    stack, targets = pre.train_stack_, train_data.targets
+    stack, targets = build_linear_kernels(train_data, center, normalize), train_data.targets
     models = {}
     for C in dict.fromkeys(c for c, _ in keys):
         mus = [mu for c, mu in keys if c == C and mu is not None]
@@ -419,7 +414,7 @@ def _partition_decisions(
                 )
     means = group_feature_means(train_data)
     train_blocks, eval_blocks = (
-        mkl.feature_blocks(part, means, center, normalize) for part in (train_data, eval_data)
+        feature_blocks(part, means, center, normalize) for part in (train_data, eval_data)
     )
     fitted = {}
     for key in keys:
@@ -499,8 +494,8 @@ def nested_cv(
     With ``baseline``, the sum-baseline trainer is selected and scored on
     the same folds in the same pass, and its report is returned as the
     result's ``baseline``; it equals a separate run with that trainer.
-    Each partition's kernels are built and preprocessed once for all
-    candidates of both trainers.
+    Each partition's preprocessed kernels are built once for all candidates
+    of both trainers.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")

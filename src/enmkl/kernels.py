@@ -5,12 +5,14 @@ Gram matrix. The matrices of one dataset are carried together in a
 :class:`KernelStack` so that centering, normalization, and weighted
 combination stay aligned with sample identifiers and group names.
 
-Centering and normalization operate on Gram matrices directly, but both are
-exactly equivalent to transforming the underlying feature rows (subtracting
-per-group train means, scaling each sample's group slice to unit norm) and
-recomputing inner products. That feature-space view is what
-:func:`preprocess_feature_rows` implements; the test suite checks the two
-routes against each other.
+:class:`StackPreprocessor` centers and normalizes Gram matrices directly, for
+callers that hold only kernels. Both steps are exactly equivalent to
+transforming the underlying feature rows (subtracting per-group train means,
+scaling each sample's group slice to unit norm) and recomputing inner
+products. That feature-space view is what :func:`preprocess_feature_rows`
+implements, and :func:`build_linear_kernels` builds preprocessed kernels
+that way from feature rows; the test suite checks the two routes against
+each other.
 """
 
 from __future__ import annotations
@@ -315,10 +317,11 @@ def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_gram(data: GroupedDataset, j: int, out: np.ndarray) -> np.ndarray:
-    """Group ``j``'s :func:`linear_gram` into ``out``; an overflow names the group."""
+def _group_gram(data: GroupedDataset, j: int, out: np.ndarray, block=None) -> np.ndarray:
+    """The :func:`linear_gram` of group ``j``'s raw feature slice, or of ``block``
+    in its place, into ``out``; an overflow names the group."""
     with named(f"group '{data.group_names[j]}'"):
-        return linear_gram(data.features[:, data.group_columns(j)], out)
+        return linear_gram(data.features[:, data.group_columns(j)] if block is None else block, out)
 
 
 class LinearKernelStream:
@@ -345,20 +348,31 @@ class LinearKernelStream:
         return (_group_gram(data, j, out) for j in range(data.n_groups))
 
 
-def build_linear_kernels(data: GroupedDataset) -> KernelStack:
-    """Compute one raw linear kernel per feature group.
+def build_linear_kernels(
+    data: GroupedDataset, center: bool = False, normalize: bool = False
+) -> KernelStack:
+    """One linear kernel per feature group of the train samples ``data``.
 
-    Kernel j holds the inner products of the group-j feature slices:
-    ``K_j[a, b] = <x_a[group j], x_b[group j]>``. Building the m kernels is
-    independent across groups.
+    Kernel j holds the inner products of the group-j feature slices. With
+    both steps off these are the raw kernels. With a step on, the slices are
+    first preprocessed as :func:`feature_blocks` does with ``data``'s own
+    group means, and a normalized diagonal is set to exactly 1: the result of
+    :meth:`StackPreprocessor.fit` on the raw kernels up to round-off, with no
+    precision lost to a large common offset. The kernels are bit-symmetric,
+    and centered by construction where flagged.
     """
+    blocks = None
+    if center or normalize:
+        blocks = feature_blocks(data, group_feature_means(data), center, normalize)
     n = data.n_samples
     values = np.empty((data.n_groups, n, n))
     for j in range(data.n_groups):
-        _group_gram(data, j, values[j])
+        _group_gram(data, j, values[j], None if blocks is None else blocks[j])
+        if normalize:
+            np.fill_diagonal(values[j], 1.0)
     return KernelStack(
         values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes,
-        _symmetric=True,
+        centered=center, normalized=normalize, _symmetric=True,
     )
 
 
@@ -599,6 +613,19 @@ class StackPreprocessor:
 def group_feature_means(data: GroupedDataset) -> list[np.ndarray]:
     """Per-group column means of the train features, in group order."""
     return [data.features[:, data.group_columns(j)].mean(axis=0) for j in range(data.n_groups)]
+
+
+def feature_blocks(
+    data: GroupedDataset, means, centered: bool, normalized: bool
+) -> list[np.ndarray]:
+    """Each group's slice of ``data``'s feature rows, centered with the train
+    group ``means`` and normalized as the model's kernels were."""
+    columns = [data.group_columns(j) for j in range(data.n_groups)]
+    rows = preprocess_feature_rows(
+        data.features, columns, means, centered, normalized,
+        sample_ids=data.sample_ids, group_names=data.group_names,
+    )
+    return [rows[:, cols] for cols in columns]
 
 
 def preprocess_feature_rows(

@@ -59,6 +59,7 @@ from .io import record_dict
 from .kernels import (
     GroupedDataset,
     KernelStack,
+    feature_blocks,
     group_feature_means,
     preprocess_feature_rows,
     weighted_sum,
@@ -753,19 +754,6 @@ class PrimalModel:
                     f"group '{name}': a column lies outside the {model.n_features} features"
                 )
         return model
-
-
-def feature_blocks(
-    data: GroupedDataset, means, centered: bool, normalized: bool
-) -> list[np.ndarray]:
-    """Each group's slice of ``data``'s feature rows, centered with the train
-    group ``means`` and normalized as the model's kernels were."""
-    columns = [data.group_columns(j) for j in range(data.n_groups)]
-    rows = preprocess_feature_rows(
-        data.features, columns, means, centered, normalized,
-        sample_ids=data.sample_ids, group_names=data.group_names,
-    )
-    return [rows[:, cols] for cols in columns]
 
 
 def primal_weights(model: MklModel, train_blocks: list[np.ndarray]) -> list[np.ndarray]:

@@ -16,7 +16,6 @@ from enmkl.evaluation import CvReport, FoldOutcome, HyperGrid, _fold_metrics, _p
 from enmkl.kernels import (
     GroupedDataset,
     KernelStack,
-    StackPreprocessor,
     build_linear_kernels,
     weighted_sum,
 )
@@ -293,14 +292,18 @@ def nested_cv_reference(
     """Nested cross-validation as first written: candidate by candidate.
 
     A frozen copy of the loop ``evaluation.nested_cv`` ran before it went
-    partition by partition. Every (C, mu) candidate rebuilds and
-    re-preprocesses each partition's kernels and fits cold, and a baseline
-    report is a second run with ``trainer="sum-baseline"``. ``fit_options``
-    are ``mkl.train_model``'s ``conv_tol``, ``max_iter``, ``solver_tol`` and
+    partition by partition. Every (C, mu) candidate rebuilds each
+    partition's preprocessed kernels and fits cold, and a baseline report is
+    a second run with ``trainer="sum-baseline"``. ``fit_options`` are
+    ``mkl.train_model``'s ``conv_tol``, ``max_iter``, ``solver_tol`` and
     ``max_updates``. Kept as the reference the new pass must equal. The
-    evaluation samples are scored as ``predict`` scores new rows, through
-    ``recover_primal_weights``; the cross-kernel route this loop first took
-    agrees to round-off (``TestHeldOutScoredThroughPrimalWeights``).
+    kernels are built from the centered, normalized feature rows, as
+    ``build_linear_kernels`` builds them with its steps on; the kernel-space
+    ``StackPreprocessor.fit`` this loop first took agrees to round-off
+    (``TestPartitionStackMatchesKernelRoute``). The evaluation samples are
+    scored as ``predict`` scores new rows, through ``recover_primal_weights``;
+    the cross-kernel route this loop first took agrees to round-off
+    (``TestHeldOutScoredThroughPrimalWeights``).
     """
     grid = grid or HyperGrid()
     if task == "classification":
@@ -313,12 +316,8 @@ def nested_cv_reference(
     def fit_and_decide(train_ids, eval_ids, C, mu):
         train_data = data.subset(train_ids)
         eval_data = data.subset(eval_ids)
-        pre = StackPreprocessor(center=center, normalize=normalize).fit(
-            build_linear_kernels(train_data)
-        )
-        model = mkl.train_model(
-            pre.train_stack_, train_data.targets, task, trainer, C, mu, **fit_options
-        )
+        stack = build_linear_kernels(train_data, center, normalize)
+        model = mkl.train_model(stack, train_data.targets, task, trainer, C, mu, **fit_options)
         primal = mkl.recover_primal_weights(model, train_data)
         return primal.decision_values(eval_data.features, eval_data.sample_ids), model
 

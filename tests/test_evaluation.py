@@ -1,5 +1,6 @@
 """Metrics, fold plans, and nested cross-validation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,8 +25,11 @@ from enmkl.evaluation import (
 from enmkl.kernels import (
     GroupedDataset,
     StackPreprocessor,
+    bit_symmetric,
     build_linear_cross_kernels,
     build_linear_kernels,
+    feature_blocks,
+    group_feature_means,
 )
 from enmkl.mkl import predict_model, recover_primal_weights, train_enmkl_svm
 
@@ -334,10 +338,8 @@ class TestNestedCv:
         for outcome, (train_ids, test_ids) in zip(report.folds, plan.outer_folds):
             train_data = data.subset(train_ids)
             eval_data = data.subset(test_ids)
-            pre = StackPreprocessor().fit(build_linear_kernels(train_data))
-            model = train_enmkl_svm(
-                pre.train_stack_, train_data.targets, C=1.0, mu=0.5, solver_tol=1e-6
-            )
+            stack = build_linear_kernels(train_data, center=True, normalize=True)
+            model = train_enmkl_svm(stack, train_data.targets, C=1.0, mu=0.5, solver_tol=1e-6)
             primal = recover_primal_weights(model, train_data)
             decisions = primal.decision_values(eval_data.features, eval_data.sample_ids)
             np.testing.assert_array_equal(outcome.decision_values, decisions)
@@ -505,6 +507,80 @@ class TestNestedCvMatchesReference:
         )
         plan = make_fold_plan(data.sample_ids, 3, 2, seed=12)
         self._check(data, "regression", plan, grid=self.ONE_C, conv_tol=1e-6, max_iter=50)
+
+
+class TestPartitionStackMatchesKernelRoute:
+    """A cv partition's train stack, ``build_linear_kernels`` with its steps
+    on, is built from its preprocessed feature rows. It equals the kernel-space route, ``StackPreprocessor.fit`` on the
+    raw kernels, to within 1e-12 of the raw kernel's scale, and bit for bit
+    with both steps off. It is bit-symmetric, with a diagonal of exactly 1
+    when normalized. The held-out rows' products with the training rows equal
+    ``transform_cross`` on the raw cross kernels to the same tolerance.
+
+    The scale is what the kernel route adds and cancels: the largest raw
+    inner product of the group (train kernel, cross kernel, held-out
+    self-similarity), divided by the two preprocessed norms when it
+    normalizes. A common offset makes it large, as the kernel route's error.
+    """
+
+    @pytest.mark.parametrize(
+        "center, normalize", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_partition_stack_matches_kernel_route(self, center, normalize, data):
+        n = data.draw(st.integers(4, 14), label="n")
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="dims")
+        specs = [(f"g{j}", d, "signal" if j == 0 else "noise") for j, d in enumerate(dims)]
+        base = make_regression_data(
+            n=n, seed=data.draw(st.integers(0, 2**16), label="seed"), group_specs=specs
+        )
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        offset = data.draw(st.sampled_from([0.0, 1.0, 1e3]), label="offset")
+        dataset = dataclasses.replace(base, features=(base.features + offset) * scale)
+        n_eval = data.draw(st.integers(1, n - 2), label="n_eval")
+        train_data = dataset.subset(dataset.sample_ids[n_eval:])
+        eval_data = dataset.subset(dataset.sample_ids[:n_eval])
+
+        # What cv runs on a partition: the train stack, and both sides' rows
+        # preprocessed with the training group means for scoring.
+        stack = build_linear_kernels(train_data, center, normalize)
+        means = group_feature_means(train_data)
+        train_blocks, eval_blocks = (
+            feature_blocks(part, means, center, normalize) for part in (train_data, eval_data)
+        )
+
+        raw = build_linear_kernels(train_data)
+        pre = StackPreprocessor(center=center, normalize=normalize).fit(raw)
+        raw_cross, sims = build_linear_cross_kernels(
+            train_data, eval_data.features, eval_data.sample_ids
+        )
+        cross = pre.transform_cross(raw_cross, sims).values
+        assert (stack.centered, stack.normalized) == (center, normalize)
+        if not (center or normalize):
+            assert stack.values.tobytes() == pre.train_stack_.values.tobytes()
+        for j, (k, train_block, eval_block) in enumerate(
+            zip(stack.values, train_blocks, eval_blocks)
+        ):
+            assert bit_symmetric(k)
+            if normalize:
+                assert (np.diagonal(k) == 1.0).all()
+            raw_scale = max(
+                np.abs(raw.values[j]).max(), np.abs(raw_cross.values[j]).max(), sims[j].max()
+            )
+            train_norms, eval_norms = 1.0, 1.0
+            if normalize:
+                cols = train_data.group_columns(j)
+                train_rows, eval_rows = train_data.features[:, cols], eval_data.features[:, cols]
+                if center:
+                    mean = train_rows.mean(axis=0)
+                    train_rows, eval_rows = train_rows - mean, eval_rows - mean
+                train_norms = np.linalg.norm(train_rows, axis=1)
+                eval_norms = np.linalg.norm(eval_rows, axis=1)
+            tol = 1e-12 * raw_scale / np.multiply.outer(train_norms, train_norms)
+            assert (np.abs(k - pre.train_stack_.values[j]) <= tol).all()
+            tol = 1e-12 * raw_scale / np.multiply.outer(eval_norms, train_norms)
+            assert (np.abs(eval_block @ train_block.T - cross[j]) <= tol).all()
 
 
 class TestHeldOutScoredThroughPrimalWeights:

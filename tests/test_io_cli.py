@@ -1424,7 +1424,7 @@ def _zero_heldout_slice_case(ws, folder):
     """A refusal case: ``cv`` whose first partition, outer fold 0 (one
     candidate fits no inner fold), holds out a sample whose 'noise' slice
     equals the train mean, so that centering leaves it zero. Every train
-    slice stays nonzero: the fit accepts the partition's kernels."""
+    slice stays nonzero, so the held-out sample is the one refused."""
     data, _, groups, targets = _workspace(folder)
     plan = make_fold_plan(data.sample_ids, 2, 2, seed=0, labels=data.targets)
     train_ids, test_ids = plan.outer_folds[0]
@@ -1442,6 +1442,36 @@ def _zero_heldout_slice_case(ws, folder):
             "--k-outer", "2", "--k-inner", "2", "--out", str(ws.root / "cv")]
     return argv, (f"error: outer fold 0: sample '{test_ids[0]}' has zero norm in feature "
                   "group 'noise' and cannot be normalized")
+
+
+def _cv_overflow_case(ws, folder):
+    """A refusal case: ``cv`` on features whose 'noise' slices overflow their
+    norms. Its first partition, outer fold 0 (one candidate fits no inner
+    fold), is refused at its first training sample."""
+    data, *_ = _workspace(folder)  # the workspace's own data, with its ids
+    train_ids = make_fold_plan(data.sample_ids, 2, 2, seed=0, labels=data.targets).outer_folds[0][0]
+    return ws.cv(ws.huge), (f"error: outer fold 0: sample '{train_ids[0]}' has overflowing norm "
+                            "in feature group 'noise' and cannot be normalized")
+
+
+def _zero_centered_train_slice_case(ws, folder):
+    """A refusal case: ``cv`` whose first partition, outer fold 0, holds as
+    its first training sample a 'noise' slice equal to the training mean, so
+    that centering leaves it zero and normalizing it is refused."""
+    data, *_ = _workspace(folder)
+    train_ids = make_fold_plan(data.sample_ids, 2, 2, seed=0, labels=data.targets).outer_folds[0][0]
+    # 0 for the first training sample and nonzero values summing to 0 exactly
+    # for the rest, so that the training mean is 0; held-out values 1.
+    signs = (-1.0) ** np.arange(len(train_ids) - 1)
+    if len(signs) % 2:
+        signs[-3:] = 1.0, 1.0, -2.0
+    values = dict.fromkeys(data.sample_ids, 1.0)
+    values.update(zip(train_ids, [0.0, *signs]))
+    features = data.features.copy()
+    features[:, data.group_columns(1)] = [[values[i]] * 2 for i in data.sample_ids]
+    features_csv, _ = _write_features(folder, data, features)
+    return ws.cv(features_csv), (f"error: outer fold 0: sample '{train_ids[0]}' has zero norm in "
+                                 "feature group 'noise' and cannot be normalized")
 
 
 def _zero_self_similarity_case(ws, folder):
@@ -1503,7 +1533,8 @@ _REFUSALS = {
             f"{ws.huge}: group 'noise': kernel overflows",
         ),
     ),
-    "cv-overflow": (2, lambda ws, _: (ws.cv(ws.huge), "group 'noise': kernel overflows")),
+    "cv-overflow": (2, _cv_overflow_case),
+    "cv-zero-centered-train-slice": (2, _zero_centered_train_slice_case),
     "ridge-C-too-small": (
         2, lambda ws, folder: (
             ["train", "--stack", str(ws.root / "ridge" / "stack.json"), "--targets",
@@ -1611,9 +1642,11 @@ class TestRefusalTable:
 
 
 class TestLargeFeatureScales:
-    """Centering without normalization at large feature scales: the train
+    """Large feature scales and offsets. Without normalization, the train
     stack's centered flag is checked relative to each kernel's scale, so a
-    correct fit is accepted and both commands exit 0."""
+    correct fit is accepted and both commands exit 0. ``cv`` centers each
+    partition's feature rows before it takes products, so a common offset
+    costs its kernels no precision, with normalization on too."""
 
     @staticmethod
     def _kernels_train_and_cv(tmp_path, features, groups, targets):
@@ -1647,6 +1680,41 @@ class TestLargeFeatureScales:
         features, _ = _write_features(tmp_path, data, data.features + offset)
         self._kernels_train_and_cv(tmp_path, features, groups, targets)
         assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def _cv_report(folder, data, offset):
+        folder.mkdir()
+        features, groups = _write_features(folder, data, data.features + offset)
+        targets = _write(folder / "targets.csv", "id,target\n" + "".join(
+            f"{i},{'pos' if t > 0 else 'neg'}\n" for i, t in zip(data.sample_ids, data.targets)))
+        assert main([
+            "cv", "--features", features, "--groups", groups, "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5", "--k-outer", "2",
+            "--k-inner", "2", "--solver-tol", "1e-6", "--out", str(folder / "cv"),
+        ]) == 0
+        return json.loads((folder / "cv" / "report.json").read_text())
+
+    # Unit normals plus a common offset, centered and normalized. Centering a
+    # kernel after its products are taken loses about 1e-16 of the offset's
+    # square (beta moved by 4e-4 at 1e6; at 1e7 and 1e8 a kernel came out
+    # indefinite or a self-similarity 0). Centering the rows first keeps beta
+    # within 2e-7 of the unshifted run's at this solver tolerance;
+    # MEAN_BETA_TOL leaves a margin of 50.
+    MEAN_BETA_TOL = 1e-5
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+    def test_cv_at_an_offset_matches_the_unshifted_run(self, tmp_path, capsys, offset):
+        data = make_classification_data(
+            n=40, seed=61, shift=0.7, group_specs=[("sig", 3, "signal"), ("noise", 3, "noise")]
+        )
+        expected = self._cv_report(tmp_path / "unshifted", data, 0.0)
+        capsys.readouterr()
+        got = self._cv_report(tmp_path / "shifted", data, offset)
+        assert capsys.readouterr().err == ""
+        assert got["pooled_metrics"] == pytest.approx(expected["pooled_metrics"], abs=1e-12)
+        np.testing.assert_allclose(
+            got["mean_beta"], expected["mean_beta"], rtol=0, atol=self.MEAN_BETA_TOL
+        )
 
 
 class TestExitCodes:
@@ -1915,12 +1983,14 @@ class TestCvCommand:
         assert blocker.read_text() == "not a folder\n"
 
     def test_work_per_partition(self, tmp_path, capsys, monkeypatch):
-        """``cv --baseline`` builds and preprocesses each partition's kernels
-        once and solves each (partition, C) beta = 1/m problem once, all
-        through the functions a tracer wraps: ``cli.nested_cv``, the kernel
-        builders ``evaluation`` calls, ``StackPreprocessor``, the three
-        trainers and the SMO solver. Held-out samples are scored through
-        primal weights, so no cross kernel is built or transformed."""
+        """``cv --baseline`` builds each partition's kernels once and solves
+        each (partition, C) beta = 1/m problem once, all through the
+        functions a tracer wraps: ``cli.nested_cv``, the kernel builders
+        ``evaluation`` calls, ``StackPreprocessor``, the three trainers and
+        the SMO solver. The kernels are built from preprocessed feature rows,
+        so ``StackPreprocessor.fit`` never runs, and held-out samples are
+        scored through primal weights, so no cross kernel is built or
+        transformed."""
         from enmkl import cli, evaluation, kernels, mkl, solvers
 
         log = {"cv": 0, "build": 0, "build_cross": 0, "fit": 0, "transform": 0}
@@ -1975,7 +2045,7 @@ class TestCvCommand:
 
         partitions = k_outer * k_inner + k_outer
         assert log == {
-            "cv": 1, "build": partitions, "build_cross": 0, "fit": partitions, "transform": 0,
+            "cv": 1, "build": partitions, "build_cross": 0, "fit": 0, "transform": 0,
         }
         # The outer partitions fit the Cs that enmkl and the baseline picked.
         folds = [
@@ -2291,6 +2361,8 @@ def test_tracer_still_wraps_cv(tmp_path):
     # and it fails to start, here as in every run, if one of them is gone.
     assert {
         "cli.cv", "evaluation.fold_plan", "evaluation.nested_cv", "io.load_dataset",
-        "io.write_json", "kernels.build", "kernels.preprocess_fit",
-        "mkl.fit", "mkl.block_norms", "solvers.smo",
+        "io.write_json", "kernels.build", "mkl.fit", "mkl.block_norms", "solvers.smo",
     } <= names
+    # cv builds each partition's kernels from preprocessed feature rows, so no
+    # kernel-space preprocessing runs; train still fits one (see above).
+    assert "kernels.preprocess_fit" not in names
