@@ -255,17 +255,16 @@ def make_fold_plan(
             blocks = list(blocks)
             if len(blocks) != len(ids):
                 raise ValueError("blocks must hold one label per sample")
-            block_of = {i: b for i, b in zip(ids, blocks)}
+            block_of = dict(zip(ids, blocks))
 
     label_of = None
     if labels is not None and block_of is None:
         labels = list(labels)
         if len(labels) != len(ids):
             raise ValueError("labels must hold one value per sample")
-        label_map = {i: l for i, l in zip(ids, labels)}
-        label_of = label_map.__getitem__
+        label_of = dict(zip(ids, labels)).__getitem__
 
-    position = {i: p for i, p in zip(ids, range(len(ids)))}
+    position = {i: p for p, i in enumerate(ids)}
 
     def in_dataset_order(members) -> tuple[str, ...]:
         return tuple(sorted(members, key=position.__getitem__))
@@ -284,10 +283,7 @@ def make_fold_plan(
         )
 
     rng = np.random.default_rng([int(seed), 0])
-    unit_label = None
-    if label_of is not None:
-        unit_label = lambda u: label_of(u)
-    outer_unit_folds = _deal_into_folds(units, k_outer, rng, unit_label)
+    outer_unit_folds = _deal_into_folds(units, k_outer, rng, label_of)
 
     outer = []
     inner_all = []
@@ -305,7 +301,7 @@ def make_fold_plan(
                 + f" of outer fold {fold_index}"
             )
         inner_rng = np.random.default_rng([int(seed), 1 + fold_index])
-        inner_unit_folds = _deal_into_folds(train_units, k_inner, inner_rng, unit_label)
+        inner_unit_folds = _deal_into_folds(train_units, k_inner, inner_rng, label_of)
         inner = []
         for val_units in inner_unit_folds:
             val_ids = {i for u in val_units for i in members_of[u]}

@@ -9,10 +9,10 @@ combination stay aligned with sample identifiers and group names.
 callers that hold only kernels. Both steps are exactly equivalent to
 transforming the underlying feature rows (subtracting per-group train means,
 scaling each sample's group slice to unit norm) and recomputing inner
-products. That feature-space view is what :func:`preprocess_feature_rows`
-implements, and :func:`build_linear_kernels` builds preprocessed kernels
-that way from feature rows; the test suite checks the two routes against
-each other.
+products. That feature-space view is what :func:`preprocess_slices`
+implements, one group slice at a time, and :func:`build_linear_kernels`
+builds every kernel as the Gram matrix of such slices; the test suite checks
+the two routes against each other.
 """
 
 from __future__ import annotations
@@ -289,11 +289,19 @@ class GroupedDataset:
 
     def require_binary_targets(self) -> None:
         """Check that targets are -1/+1 with both classes present."""
-        values = set(self.targets.tolist())
-        if not values <= {-1.0, 1.0}:
-            raise DataError(f"classification targets must be -1/+1, got {sorted(values)}")
-        if len(values) != 2:
-            raise DataError("classification targets contain a single class")
+        check_labels(self.targets)
+
+
+def check_labels(labels) -> list[float]:
+    """``labels`` as Python floats, refused with a DataError unless every one
+    is -1 or +1 and both classes are present."""
+    values = np.asarray(labels, dtype=np.float64).tolist()
+    kinds = set(values)
+    if not kinds <= {-1.0, 1.0}:
+        raise DataError(f"classification labels must be -1/+1, got {sorted(kinds)}")
+    if len(kinds) != 2:
+        raise DataError("classification labels contain a single class; need both -1 and +1")
+    return values
 
 
 def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -317,22 +325,15 @@ def linear_gram(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_gram(data: GroupedDataset, j: int, out: np.ndarray, block=None) -> np.ndarray:
-    """The :func:`linear_gram` of group ``j``'s raw feature slice, or of ``block``
-    in its place, into ``out``; an overflow names the group."""
-    with named(f"group '{data.group_names[j]}'"):
-        return linear_gram(data.features[:, data.group_columns(j)] if block is None else block, out)
-
-
 class LinearKernelStream:
     """A dataset's raw linear kernels, computed one at a time as they are read.
 
     It has the ids, group names and sizes and flags of the raw train
     :class:`KernelStack` that :func:`build_linear_kernels` returns, and
-    iterating ``values`` yields the same kernels in group order. Each is
-    computed into one reused (n, n) buffer, so a yielded kernel holds only
-    until the next one is asked for: a writer that stores each kernel before
-    asking for the next holds one kernel in memory, not m.
+    iterating ``values`` yields the same kernels in group order: each the
+    :func:`linear_gram` of one raw group slice, into one reused (n, n) buffer.
+    A yielded kernel holds only until the next is asked for, so a writer that
+    stores each before asking for the next holds one slice and one kernel.
     """
 
     centered = normalized = False
@@ -345,7 +346,10 @@ class LinearKernelStream:
     @property
     def values(self):
         data, out = self.data, np.empty((self.data.n_samples, self.data.n_samples))
-        return (_group_gram(data, j, out) for j in range(data.n_groups))
+        for j, name in enumerate(data.group_names):
+            with named(f"group '{name}'"):
+                linear_gram(data.features[:, data.group_columns(j)], out)
+            yield out
 
 
 def build_linear_kernels(
@@ -353,23 +357,21 @@ def build_linear_kernels(
 ) -> KernelStack:
     """One linear kernel per feature group of the train samples ``data``.
 
-    Kernel j holds the inner products of the group-j feature slices. With
-    both steps off these are the raw kernels. With a step on, the slices are
-    first preprocessed as :func:`feature_blocks` does with ``data``'s own
-    group means, and a normalized diagonal is set to exactly 1: the result of
-    :meth:`StackPreprocessor.fit` on the raw kernels up to round-off, with no
-    precision lost to a large common offset. The kernels are bit-symmetric,
-    and centered by construction where flagged.
+    Kernel j is the :func:`linear_gram` of the group-j slices that
+    :func:`feature_blocks` returns with ``data``'s own group means; an
+    overflow names the group. With both steps off these are the raw slices
+    and the raw kernels. With a step on, a normalized diagonal is set to
+    exactly 1: the result of :meth:`StackPreprocessor.fit` on the raw kernels
+    up to round-off, with no precision lost to a large common offset. The
+    kernels are bit-symmetric, and centered by construction where flagged.
     """
-    blocks = None
-    if center or normalize:
-        blocks = feature_blocks(data, group_feature_means(data), center, normalize)
-    n = data.n_samples
-    values = np.empty((data.n_groups, n, n))
-    for j in range(data.n_groups):
-        _group_gram(data, j, values[j], None if blocks is None else blocks[j])
+    values = np.empty((data.n_groups, data.n_samples, data.n_samples))
+    blocks = feature_blocks(data, group_feature_means(data), center, normalize)
+    for name, block, out in zip(data.group_names, blocks, values):
+        with named(f"group '{name}'"):
+            linear_gram(block, out)
         if normalize:
-            np.fill_diagonal(values[j], 1.0)
+            np.fill_diagonal(out, 1.0)
     return KernelStack(
         values, data.sample_ids, data.sample_ids, data.group_names, data.group_sizes,
         centered=center, normalized=normalize, _symmetric=True,
@@ -620,37 +622,31 @@ def feature_blocks(
 ) -> list[np.ndarray]:
     """Each group's slice of ``data``'s feature rows, centered with the train
     group ``means`` and normalized as the model's kernels were."""
-    columns = [data.group_columns(j) for j in range(data.n_groups)]
-    rows = preprocess_feature_rows(
-        data.features, columns, means, centered, normalized,
-        sample_ids=data.sample_ids, group_names=data.group_names,
+    return preprocess_slices(
+        data.features, [data.group_columns(j) for j in range(data.n_groups)], means,
+        centered, normalized, sample_ids=data.sample_ids, group_names=data.group_names,
     )
-    return [rows[:, cols] for cols in columns]
 
 
-def preprocess_feature_rows(
-    features,
-    group_columns: list[np.ndarray],
-    group_means: list[np.ndarray],
-    center: bool,
-    normalize: bool,
-    sample_ids=None,
-    group_names=None,
-) -> np.ndarray:
-    """Replay the kernel pipeline directly on feature rows.
+def preprocess_slices(
+    features, group_columns, group_means, center: bool, normalize: bool,
+    sample_ids=None, group_names=None,
+) -> list[np.ndarray]:
+    """Replay the kernel pipeline on each group's slice of the feature rows.
 
-    Per group: subtract the supplied train means (when centering), then scale
-    each sample's group slice to unit Euclidean norm (when normalizing).
-    Inner products of the returned rows reproduce the centered/normalized
-    kernels exactly, which is what makes primal weights comparable to the
-    dual model. A slice whose norm is zero or overflows is a DataError that
-    names the sample and the group (by index if ``group_names`` is None).
+    Per group: cut the slice ``features[:, columns]``, subtract the supplied
+    train means (when centering), then scale each sample's slice to unit
+    Euclidean norm (when normalizing). Returns the slices in group order; with
+    both steps off they are the raw ones. Inner products of the returned
+    slices reproduce the centered/normalized kernels exactly, which is what
+    makes primal weights comparable to the dual model. A slice whose norm is
+    zero or overflows is a DataError that names the sample and the group (by
+    index if ``group_names`` is None).
     """
-    out = np.array(features, dtype=np.float64, copy=True)
-    if out.ndim != 2:
-        raise ValueError("features must be a 2-d array")
+    features = np.asarray(features, dtype=np.float64)
+    slices = []
     for g, cols, mu in zip(group_names or range(len(group_columns)), group_columns, group_means):
-        block = out[:, cols]
+        block = features[:, cols]
         if center:
             block = block - np.asarray(mu, dtype=np.float64)[None, :]
         if normalize:
@@ -665,5 +661,5 @@ def preprocess_feature_rows(
                     f"norm in feature group '{g}' and cannot be normalized"
                 )
             block = block / norms[:, None]
-        out[:, cols] = block
-    return out
+        slices.append(block)
+    return slices

@@ -59,9 +59,10 @@ from .io import record_dict
 from .kernels import (
     GroupedDataset,
     KernelStack,
+    check_labels,
     feature_blocks,
     group_feature_means,
-    preprocess_feature_rows,
+    preprocess_slices,
     weighted_sum,
 )
 
@@ -286,9 +287,7 @@ def _train_targets(stack: KernelStack, targets, task: str):
         raise ValueError("targets must hold one value per train sample")
     if task != "classification":
         return targets, None
-    values = set(targets.tolist())
-    if not values <= {-1.0, 1.0} or len(values) != 2:
-        raise DataError("classification targets must be -1/+1 with both classes present")
+    check_labels(targets)
     return targets, targets
 
 
@@ -704,16 +703,10 @@ class PrimalModel:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise ValueError(f"features must have {self.n_features} columns")
-        processed = preprocess_feature_rows(
-            features,
-            list(self.group_columns),
-            list(self.feature_means),
-            self.centered,
-            self.normalized,
-            sample_ids=sample_ids,
-            group_names=self.group_names,
+        blocks = preprocess_slices(
+            features, self.group_columns, self.feature_means, self.centered, self.normalized,
+            sample_ids=sample_ids, group_names=self.group_names,
         )
-        blocks = [processed[:, cols] for cols in self.group_columns]
         return primal_decisions(self.bias, self.weights, blocks, features.shape[0])
 
     def to_dict(self) -> dict:
@@ -726,7 +719,8 @@ class PrimalModel:
         ``decision_values`` pairs the per-group lists entry by entry, so a
         record whose lists differ in length, whose weight or mean vector does
         not match its group's columns, or whose columns lie outside
-        ``n_features`` is refused with a ``ValueError``.
+        ``n_features``, repeat, or overlap another group's is refused with a
+        ``ValueError``.
         """
         model = cls(
             weights=tuple(np.asarray(w, dtype=np.float64) for w in d["weights"]),
@@ -753,6 +747,9 @@ class PrimalModel:
                 raise ValueError(
                     f"group '{name}': a column lies outside the {model.n_features} features"
                 )
+        columns = [c for cols in model.group_columns for c in cols.tolist()]
+        if len(set(columns)) != len(columns):
+            raise ValueError("a primal group column repeats or belongs to two groups")
         return model
 
 

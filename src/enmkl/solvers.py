@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .kernels import check_kernel, check_weights, weight_bound
+from .kernels import check_kernel, check_labels, check_weights, weight_bound
 
 # Fallback curvature for numerically flat working pairs, as in LIBSVM.
 _TAU = 1e-12
@@ -96,14 +96,6 @@ def _check_curvature_bound(bound: float, what: str) -> None:
         raise DataError(
             f"the kernel overflows: SMO's pair curvatures reach 4 * {what} = 4 * {bound!r}"
         )
-
-
-def _check_labels(ys: list[float]) -> None:
-    kinds = set(ys)
-    if not kinds <= {1.0, -1.0}:
-        raise ValueError("labels must be -1/+1")
-    if len(kinds) < 2:
-        raise ValueError("labels contain a single class; need both -1 and +1")
 
 
 def _stack_rows(stack, weights):
@@ -197,8 +189,7 @@ def solve_svm_dual(
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError("labels must hold one value per kernel row")
-    ys = y.tolist()
-    _check_labels(ys)
+    ys = check_labels(y)
     C = float(C)
     if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be a positive finite number")

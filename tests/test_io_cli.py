@@ -1222,8 +1222,9 @@ class TestMalformedStackAndModel:
         lambda primal: primal["feature_means"][1].append(0.0),
         lambda primal: primal["group_columns"][1].__setitem__(0, primal["n_features"]),
         lambda primal: primal["group_columns"][0].__setitem__(0, -1),
+        lambda primal: primal["group_columns"][0].__setitem__(1, primal["group_columns"][0][0]),
     ], ids=["short-weights", "extra-name", "short-weight-vector", "long-means",
-            "column-past-the-end", "negative-column"])
+            "column-past-the-end", "negative-column", "repeated-column"])
     def test_inconsistent_primal_lists(self, tmp_path, capsys, edit):
         # decision_values pairs these lists entry by entry, so a model with
         # a group cut short would predict without it.
@@ -1365,6 +1366,17 @@ def _model_number_case(command, section, key, value):
         return argv, f"{model}: malformed model file ('{key}' must be a finite number)"
 
     return case
+
+
+def _overlapping_primal_columns_case(ws, folder):
+    """``predict`` on a copy of the trained model whose second primal group
+    starts with the first group's first column."""
+    payload = json.loads((ws.root / "model.json").read_text())
+    columns = payload["primal"]["group_columns"]
+    columns[1][0] = columns[0][0]
+    model = _write(folder / "m.json", json.dumps(payload))
+    argv = ["predict", "--model", model, "--features", ws.features, "--out", str(folder / "p.csv")]
+    return argv, f"{model}: malformed model file (a primal group column repeats"
 
 
 def _quoted_newline_case(ws, folder):
@@ -1572,6 +1584,7 @@ _REFUSALS = {
     "predict-primal-bias=400-digits": (
         2, _model_number_case("predict", "primal", "bias", 10 ** 400)
     ),
+    "predict-overlapping-primal-columns": (2, _overlapping_primal_columns_case),
     "predict-overflowing-norm": (
         2, lambda ws, folder: (
             ["predict", "--model", str(ws.root / "model.json"), "--features", ws.huge,

@@ -16,8 +16,10 @@ from enmkl.kernels import (
     bit_symmetric,
     build_linear_cross_kernels,
     build_linear_kernels,
+    check_labels,
+    group_feature_means,
     linear_gram,
-    preprocess_feature_rows,
+    preprocess_slices,
     weighted_sum,
 )
 
@@ -862,15 +864,36 @@ class TestPipelineAgainstFeatureOracle:
         data = _random_grouped(rng, 9)
         group_cols = [data.group_columns(j) for j in range(data.n_groups)]
         means = [data.features[:, c].mean(axis=0) for c in group_cols]
-        processed = preprocess_feature_rows(
-            data.features, group_cols, means, center=True, normalize=True
-        )
+        slices = preprocess_slices(data.features, group_cols, means, center=True, normalize=True)
         oracle = oracle_feature_pipeline(data.features, group_cols, None)
-        for j, (oracle_train, _) in enumerate(oracle):
-            cols = group_cols[j]
-            np.testing.assert_allclose(
-                processed[:, cols] @ processed[:, cols].T, oracle_train, atol=1e-10
-            )
+        for block, (oracle_train, _) in zip(slices, oracle):
+            np.testing.assert_allclose(block @ block.T, oracle_train, atol=1e-10)
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_interleaved_groups_match_oracle(self, center, normalize):
+        # The two groups' columns alternate, so neither is a contiguous block.
+        rng = np.random.default_rng(43)
+        data = _dataset(rng.normal(size=(9, 6)) + 3.0, [0, 1, 0, 1, 1, 0], ("a", "b"))
+        group_cols = [data.group_columns(j) for j in range(data.n_groups)]
+        slices = preprocess_slices(
+            data.features, group_cols, group_feature_means(data), center, normalize
+        )
+        stack = build_linear_kernels(data, center, normalize)
+        oracle = oracle_feature_pipeline(data.features, group_cols, None, center, normalize)
+        for j, (cols, (oracle_train, _)) in enumerate(zip(group_cols, oracle)):
+            np.testing.assert_allclose(slices[j] @ slices[j].T, oracle_train, atol=1e-10)
+            np.testing.assert_allclose(stack.values[j], oracle_train, atol=1e-10)
+            if not (center or normalize):
+                assert _same_bits(slices[j], data.features[:, cols])
+
+    def test_check_labels(self):
+        values = check_labels(np.array([1.0, -1.0, 1.0]))
+        assert values == [1.0, -1.0, 1.0] and all(type(v) is float for v in values)
+        with pytest.raises(DataError, match="must be -1/\\+1"):
+            check_labels([1.0, 0.0])
+        with pytest.raises(DataError, match="single class"):
+            check_labels([-1.0, -1.0])
 
     def test_preprocessing_preserves_psd(self):
         for seed in range(5):
