@@ -26,9 +26,8 @@ from .evaluation import (
     make_fold_plan,
     nested_cv,
 )
-# build_linear_kernels stays importable from here: perfbench/tracer.py wraps
-# it at this name.
-from .kernels import LinearKernelStream, StackPreprocessor, build_linear_kernels  # noqa: F401
+# cmd_train looks build_linear_kernels up here, where perfbench/tracer.py wraps it.
+from .kernels import LinearKernelStream, StackPreprocessor, build_linear_kernels
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,21 +126,51 @@ def _recoverable_sources(where: str, manifest: dict):
     return features, groups
 
 
+def _written_from(manifest: io.StackManifest, data) -> bool:
+    """Whether the raw CSV stack of ``manifest`` is what ``kernels`` wrote from
+    ``data``: the same samples and groups, and each kernel file's bytes those
+    its recorded sha256 was taken of. The kernel files are hashed, not
+    parsed; a missing one is left for the kernel route to name."""
+    return (
+        manifest.row_ids == manifest.col_ids == data.sample_ids
+        and manifest.group_names == data.group_names
+        and manifest.group_sizes == data.group_sizes
+        and all(
+            path.is_file() and io.sha256_file(path) == digest
+            for path, digest in zip(manifest.files, manifest.digests)
+        )
+    )
+
+
 def cmd_train(args) -> None:
     if args.trainer == "enmkl" and args.mu is None:
         raise UsageError("--mu is required when training the enmkl model")
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
 
-    raw_stack, manifest, buffer = io.read_stack(args.stack)
-    sources = _recoverable_sources(args.stack, manifest)
-    targets, label_mapping = io.parse_targets(args.targets, raw_stack.row_ids, args.task)
-    pre = StackPreprocessor(center=not args.no_center, normalize=not args.no_normalize)
+    manifest = io.read_manifest(args.stack)
+    sources = _recoverable_sources(args.stack, manifest.raw)
+    center, normalize = not args.no_center, not args.no_normalize
+    raw_csv = manifest.fmt == "csv" and not (manifest.centered or manifest.normalized)
+    data = raw_stack = None
+    if sources is not None and raw_csv and None not in manifest.digests:
+        data, _ = io.load_grouped_dataset(*sources)
+    if data is not None and _written_from(manifest, data):
+        row_ids = data.sample_ids
+    else:
+        raw_stack, _, buffer = io.read_stack(manifest)
+        row_ids = raw_stack.row_ids
+    targets, label_mapping = io.parse_targets(args.targets, row_ids, args.task)
     with named(args.stack):
-        pre.fit(raw_stack, out=buffer)
-        del raw_stack  # the fit overwrote the values it was read into
+        if raw_stack is None:
+            # The feature route: the kernels of the source rows, centered
+            # before the products are taken, as cv builds its partitions'.
+            stack = build_linear_kernels(data, center, normalize)
+        else:
+            stack = StackPreprocessor(center, normalize).fit(raw_stack, out=buffer).train_stack_
+            del raw_stack  # the fit overwrote the values it was read into
         model = mkl.train_model(
-            pre.train_stack_, targets, args.task, args.trainer, args.C, args.mu,
+            stack, targets, args.task, args.trainer, args.C, args.mu,
             conv_tol=args.conv_tol, max_iter=args.max_iter,
             solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
         )
@@ -149,7 +178,7 @@ def cmd_train(args) -> None:
     payload = {
         "format_version": io.MODEL_FORMAT_VERSION,
         "model": mkl.model_to_dict(model),
-        "preprocessing": {"center": pre.center, "normalize": pre.normalize},
+        "preprocessing": {"center": center, "normalize": normalize},
         "label_mapping": None
         if label_mapping is None
         else {str(raw): value for raw, value in label_mapping.items()},
@@ -158,8 +187,9 @@ def cmd_train(args) -> None:
     }
 
     if sources is not None:
-        feature_data, _ = io.load_grouped_dataset(sources[0], sources[1])
-        train_data = feature_data.subset(pre.train_stack_.row_ids)
+        if data is None:
+            data, _ = io.load_grouped_dataset(*sources)
+        train_data = data.subset(stack.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
         payload["features"] = {"feature_names": list(train_data.feature_names)}
         payload["primal"] = primal.to_dict()

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -323,9 +323,10 @@ def read_blocks(path, sample_ids) -> dict:
     return out
 
 
-def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
+def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> str:
     """One ``id,<col ids>`` header, then one row of ``values`` per row id.
 
+    Returns the sha256 hex digest of the bytes written, hashed in memory.
     A kernel that equals its transpose bit for bit has each value of its
     upper triangle formatted once, with the lower triangle's strings
     mirrored from it. The bit test matters: ``-0.0 == 0.0`` but their
@@ -341,7 +342,9 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> None:
     lines = ["id," + ",".join(col_ids)]
     for rid, row in zip(row_ids, cells):
         lines.append(rid + "," + ",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    atomic_write_bytes(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read_table_c(path):
@@ -434,7 +437,8 @@ def write_stack(
     """Write a train kernel stack plus manifest into a directory.
 
     One data file per group; the manifest ties them together and records
-    the ids, the preprocessing flags and the source files. Returns the
+    the ids, the preprocessing flags and the source files, and each CSV
+    kernel file's sha256 (a binary file carries its ids' digest). Returns the
     manifest path. ``stack`` may also be a :class:`LinearKernelStream`,
     whose kernels are computed one at a time: each is written before the
     next is computed. An existing manifest is removed before the first
@@ -455,8 +459,10 @@ def write_stack(
         zip(stack.group_names, stack.group_sizes, stack.values)
     ):
         data_file = f"kernel_{j:03d}.{'csv' if fmt == 'csv' else 'bin'}"
-        write_kernel(out_dir / data_file, kernel, stack.row_ids, stack.col_ids)
+        digest = write_kernel(out_dir / data_file, kernel, stack.row_ids, stack.col_ids)
         groups.append({"name": name, "size": size, "data_file": data_file})
+        if digest is not None:
+            groups[-1]["sha256"] = digest
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "kind": "train",
@@ -503,19 +509,36 @@ def _json_ids(where: str, obj, key: str) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def read_stack(manifest_path):
-    """Load a kernel stack written by :func:`write_stack`.
+@dataclass(frozen=True)
+class StackManifest:
+    """A stack manifest that passed :func:`read_manifest`'s checks.
 
-    Returns (stack, manifest dict, values): ``values`` is the writable array
-    the kernel files were read into, behind ``stack.values`` unless the stack
-    stored a kernel's symmetric part in a copy, for a caller that overwrites
-    it once it is done with the stack. A manifest of any kind but ``"train"``
-    is refused. Each kernel file must carry the manifest's ids (a binary
-    file's header, their counts and digest) and is read into its slice.
+    ``files`` are the kernel files' paths, and ``digests`` their recorded
+    sha256, None where the manifest records none (every binary file, and CSV
+    files written before the digest). ``raw`` is the decoded JSON object.
+    """
+
+    path: Path
+    fmt: str
+    row_ids: tuple[str, ...]
+    col_ids: tuple[str, ...]
+    centered: bool
+    normalized: bool
+    group_names: tuple[str, ...]
+    group_sizes: tuple[int, ...]
+    files: tuple[Path, ...]
+    digests: tuple[str | None, ...]
+    raw: dict
+
+
+def read_manifest(manifest_path) -> StackManifest:
+    """Check a manifest written by :func:`write_stack`, reading no kernel file.
+
+    A manifest of another version or of any kind but ``"train"``, or with a
+    missing or ill-typed key, is a DataError naming it.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
-    base = manifest_path.parent
     where = str(manifest_path)
     if not has_version(manifest, "manifest_version", MANIFEST_VERSION):
         raise DataError(
@@ -530,30 +553,56 @@ def read_stack(manifest_path):
         raise DataError(f"{where}: unknown kernel format {fmt!r}")
     row_ids = _json_ids(where, manifest, "sample_ids")
     col_ids = _json_ids(where, manifest, "col_ids")
-    flags = {key: _json_value(where, manifest, key, bool) for key in ("centered", "normalized")}
-    groups = _json_value(where, manifest, "groups", list)
-    values = np.empty((0, len(row_ids), len(col_ids)))
-    names, sizes, paths = [], [], []
-    for j, entry in enumerate(groups):
+    centered, normalized = (
+        _json_value(where, manifest, key, bool) for key in ("centered", "normalized")
+    )
+    names, sizes, files, digests = [], [], [], []
+    for j, entry in enumerate(_json_value(where, manifest, "groups", list)):
         entry_where = f"{where}: groups[{j}]"
         names.append(_json_value(entry_where, entry, "name", str))
         sizes.append(_json_value(entry_where, entry, "size", int))
         if sizes[j] < 1:
             raise DataError(f"{entry_where}: 'size' must be at least 1, got {sizes[j]}")
-        paths.append(base / _json_value(entry_where, entry, "data_file", str))
-        if fmt == "csv":
-            kernel_rows, kernel_cols, kernel = read_features_csv(paths[j])
+        files.append(manifest_path.parent / _json_value(entry_where, entry, "data_file", str))
+        recorded = "sha256" in entry  # CSV kernel files' entries only
+        digests.append(_json_value(entry_where, entry, "sha256", str) if recorded else None)
+    return StackManifest(
+        manifest_path, fmt, row_ids, col_ids, centered, normalized,
+        tuple(names), tuple(sizes), tuple(files), tuple(digests), manifest,
+    )
+
+
+def read_stack(manifest):
+    """Load a kernel stack written by :func:`write_stack`.
+
+    ``manifest`` is the manifest's path or what :func:`read_manifest`
+    returned for it. Returns (stack, manifest dict, values): ``values`` is
+    the writable array the kernel files were read into, behind
+    ``stack.values`` unless the stack stored a kernel's symmetric part in a
+    copy, for a caller that overwrites it once it is done with the stack.
+    Each kernel file must carry the manifest's ids (a binary file's header,
+    their counts and digest) and is read into its slice.
+    """
+    if not isinstance(manifest, StackManifest):
+        manifest = read_manifest(manifest)
+    row_ids, col_ids, paths = manifest.row_ids, manifest.col_ids, manifest.files
+    values = np.empty((0, len(row_ids), len(col_ids)))
+    for j, path in enumerate(paths):
+        if manifest.fmt == "csv":
+            kernel_rows, kernel_cols, kernel = read_features_csv(path)
             if kernel_rows != row_ids or kernel_cols != col_ids:
-                raise DataError(f"{paths[j]}: kernel ids do not match the manifest")
+                raise DataError(f"{path}: kernel ids do not match the manifest")
         else:
-            kernel = read_kernel_binary(paths[j], row_ids, col_ids, out=values[j] if j else None)
+            kernel = read_kernel_binary(path, row_ids, col_ids, out=values[j] if j else None)
         if not j:
             # Allocated only once a kernel file has matched the manifest's ids,
             # so a manifest listing bogus ids fails on them, not on memory.
-            values = np.empty((len(groups),) + kernel.shape, dtype="<f8")
+            values = np.empty((len(paths),) + kernel.shape, dtype="<f8")
         values[j] = kernel  # a no-op for a kernel read straight into its slice
+    names, sizes = manifest.group_names, manifest.group_sizes
+    flags = {"centered": manifest.centered, "normalized": manifest.normalized}
     try:
-        stack = KernelStack(values, row_ids, col_ids, tuple(names), tuple(sizes), **flags)
+        stack = KernelStack(values, row_ids, col_ids, names, sizes, **flags)
     except ValueError as exc:
         # Name the first kernel file that fails the stack's checks on its own.
         for j, path in enumerate(paths):
@@ -561,8 +610,8 @@ def read_stack(manifest_path):
                 KernelStack(values[j:j + 1], row_ids, col_ids, names[j:j + 1], sizes[j:j + 1], **flags)
             except ValueError:
                 raise DataError(f"{path}: {exc}") from None
-        raise DataError(f"{where}: {exc}") from None
-    return stack, manifest, values
+        raise DataError(f"{manifest.path}: {exc}") from None
+    return stack, manifest.raw, values
 
 
 def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:

@@ -667,11 +667,18 @@ class TestStackFiles:
         assert manifest["kind"] == "train" and manifest["format"] == "csv"
         assert manifest["centered"] is False and manifest["normalized"] is False
         assert manifest["sample_ids"] == list(data.sample_ids)
-        assert manifest["groups"] == [{"name": "a", "size": 2, "data_file": "kernel_000.csv"}]
+        # A CSV kernel file's entry records the sha256 of its bytes.
+        digest = io.sha256_file(tmp_path / "stack" / "kernel_000.csv")
+        assert manifest["groups"] == [
+            {"name": "a", "size": 2, "data_file": "kernel_000.csv", "sha256": digest}
+        ]
         assert sorted(p.name for p in (tmp_path / "stack").iterdir()) == [
             "kernel_000.csv", "stack.json"
         ]
         assert not list((tmp_path / "stack").glob("*.meta.json"))
+        # A binary file carries its ids' digest in its header and no sha256.
+        manifest = io.read_json(io.write_stack(tmp_path / "binary", stack, "binary"))
+        assert manifest["groups"] == [{"name": "a", "size": 2, "data_file": "kernel_000.bin"}]
 
 
 class TestPredictionsCsv:
@@ -889,14 +896,43 @@ class TestTrainAndPredict:
         _, features, groups, targets = _workspace(tmp_path)
         stack = self._build_stack(tmp_path, features, groups)
         kernel_file = tmp_path / "stack" / "kernel_000.csv"
+        # The file's first "0" is in its header: column id s000 becomes s100.
         kernel_file.write_text(kernel_file.read_text().replace("0", "1", 1))
+        capsys.readouterr()
         code = main([
             "train", "--stack", stack, "--targets", targets,
             "--task", "classification", "--C", "1.0", "--mu", "1.0",
             "--out", str(tmp_path / "m.json"),
         ])
         assert code == 2
-        assert "changed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {kernel_file}: kernel ids do not match the manifest\n"
+        )
+
+    def test_edited_kernel_file_is_trained_on(self, tmp_path, capsys):
+        """A kernel file rewritten with valid, different values no longer has
+        its recorded sha256, so train reads the stack's kernel files, sources
+        in place or not, and fits the edited kernel."""
+        _, features, groups, targets = _workspace(tmp_path)
+        stack = self._build_stack(tmp_path, features, groups)
+        # Normalization would undo the doubling.
+        args = ["train", "--stack", stack, "--targets", targets, "--task", "classification",
+                "--C", "1.0", "--mu", "0.5", "--no-normalize", "--out"]
+        assert main(args + [str(tmp_path / "intact.json")]) == 0
+        path = tmp_path / "stack" / "kernel_000.csv"
+        rows, cols, values = io.read_features_csv(path)
+        io.write_kernel_csv(path, 2 * values, rows, cols)
+        assert main(args + [str(tmp_path / "edited.json")]) == 0
+        os.rename(features, tmp_path / "moved.csv")
+        assert main(args + [str(tmp_path / "moved.json")]) == 0
+        intact, edited, moved = (
+            io.read_json(tmp_path / f"{name}.json") for name in ("intact", "edited", "moved")
+        )
+        assert edited["primal"] is not None and moved["primal"] is None
+        for payload in (edited, moved):
+            del payload["features"], payload["primal"]
+        assert io.dump_json(edited) == io.dump_json(moved)
+        assert edited["model"]["beta"] != intact["model"]["beta"]
 
     def _train(self, tmp_path, *flags):
         """The model.json trained, with its feature files in place, on ``_workspace``."""
@@ -947,6 +983,75 @@ class TestTrainAndPredict:
         assert reports[0] == reports[1]
 
 
+def _route_case(task, seed):
+    """Features of 12-20 samples in 1-3 groups of 1-3 columns, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    specs = [(f"g{j}", int(rng.integers(1, 4)), "noise" if j else "signal")
+             for j in range(int(rng.integers(1, 4)))]
+    make = make_classification_data if task == "classification" else make_regression_data
+    return make(n=int(rng.integers(12, 21)), seed=seed, group_specs=specs)
+
+
+class TestTrainRoutes:
+    """``train`` on an intact CSV stack builds its kernels from the source rows
+    (the feature route); with the sources moved away it reads and preprocesses
+    the kernel files (the kernel route). The two fit the same model."""
+
+    # Over 6 more seeds per task and centered or normalized flag pair, the
+    # largest beta difference was 2.3e-9 (classification, whose SMO paths
+    # may part at a last bit) and 2.2e-12 (regression).
+    BETA_TOL = {"classification": 1e-5, "regression": 1e-10}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--no-center"], ["--no-normalize"], ["--no-center", "--no-normalize"]],
+        ids=["default", "no-center", "no-normalize", "raw"],
+    )
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_feature_route_fits_the_kernel_route_model(self, tmp_path, capsys, task, flags, seed):
+        data = _route_case(task, 100 * seed + len(flags))
+        features, groups = _write_features(tmp_path, data)
+        targets = _write(tmp_path / "targets.csv", "id,target\n" + "".join(
+            f"{sid},{t!r}\n" for sid, t in zip(data.sample_ids, data.targets.tolist())
+        ))
+        stack = tmp_path / "stack" / "stack.json"
+        assert main(["kernels", "--features", features, "--groups", groups,
+                     "--out", str(stack.parent)]) == 0
+
+        def train(name):
+            assert main([
+                "train", "--stack", str(stack), "--targets", targets, "--task", task,
+                "--C", "1", "--mu", "0.5", "--solver-tol", "1e-8", "--conv-tol", "1e-8",
+                "--out", str(tmp_path / name), *flags,
+            ]) == 0
+            return (tmp_path / name).read_bytes()
+
+        with mock.patch.object(io, "read_stack", side_effect=AssertionError("kernel route")):
+            feature_route = train("features.json")
+        raw = flags == ["--no-center", "--no-normalize"]
+        if raw:
+            # The feature route builds the raw Grams of the kernel files, bit
+            # for bit: a manifest without the files' digests takes the kernel
+            # route, its sources in place, to the same model file.
+            manifest = json.loads(stack.read_text())
+            for entry in manifest["groups"]:
+                del entry["sha256"]
+            stack.write_text(json.dumps(manifest))
+            assert train("undigested.json") == feature_route
+        os.rename(features, tmp_path / "moved.csv")
+        moved = json.loads(train("moved.json"))
+        assert moved["primal"] is None
+
+        got = json.loads(feature_route)
+        if raw:
+            del got["features"], got["primal"], moved["features"], moved["primal"]
+            assert io.dump_json(got) == io.dump_json(moved)
+        else:
+            np.testing.assert_allclose(
+                got["model"]["beta"], moved["model"]["beta"], rtol=0, atol=self.BETA_TOL[task]
+            )
+
+
 class TestTrainInPlace:
     """``train`` preprocesses into the buffer it read the raw kernels into."""
 
@@ -985,6 +1090,9 @@ class TestTrainInPlace:
             assert _same_bits(a.grand_mean, b.grand_mean)
             assert _same_bits(a.self_sim, b.self_sim)
 
+        # With its sources moved away, train reads and preprocesses the stack's
+        # kernel files; an intact CSV stack would build its kernels from them.
+        os.rename(features, tmp_path / "moved.csv")
         self._train(stack, targets, tmp_path / "in_place.json", flags)
         fit = StackPreprocessor.fit
         monkeypatch.setattr(StackPreprocessor, "fit", lambda pre, raw, out=None: fit(pre, raw))
@@ -1009,6 +1117,29 @@ class TestTrainInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 8 * m * n * n + 6 * 8 * n * n + (2 << 20)
+
+    def test_feature_route_holds_no_more_than_binary(self, tmp_path, capsys):
+        # The data above, written by kernels with its sources in place: the
+        # CSV stack's kernels are built from the feature rows, not parsed.
+        m, n = 8, 300
+        data = make_classification_data(
+            n=n, seed=70, group_specs=[(f"g{j}", 4, "signal" if j < 2 else "noise") for j in range(m)]
+        )
+        features, groups = _write_features(tmp_path, data)
+        targets = _write(tmp_path / "targets.csv", "id,target\n" + "".join(
+            f"{sid},{t:g}\n" for sid, t in zip(data.sample_ids, data.targets)
+        ))
+        peaks = {}
+        for fmt in ("csv", "binary"):
+            assert main(["kernels", "--features", features, "--groups", groups,
+                         "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+            tracemalloc.start()
+            try:
+                self._train(str(tmp_path / fmt / "stack.json"), targets, tmp_path / f"{fmt}.json", [])
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["csv"] <= peaks["binary"]
 
 
 def _src_env():
@@ -1532,6 +1663,7 @@ _REFUSALS = {
         2, _edit_manifest(lambda m: m["groups"][1].update(name=m["groups"][0]["name"]))
     ),
     "no-groups": (2, _edit_manifest(lambda m: m.update(groups=[]))),
+    "kernel-sha256-5": (2, _edit_manifest(lambda m: m["groups"][0].update(sha256=5))),
     "size--1": (2, _edit_manifest(lambda m: m["groups"][1].update(size=-1))),
     # An integer of more than 4300 digits is a ValueError, deep nesting a RecursionError.
     "huge-int-manifest": (2, _unparsable_manifest('{"manifest_version": ' + "9" * 5000 + "}")),
@@ -1693,6 +1825,36 @@ class TestLargeFeatureScales:
         features, _ = _write_features(tmp_path, data, data.features + offset)
         self._kernels_train_and_cv(tmp_path, features, groups, targets)
         assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def _trained_beta(folder, data, offset):
+        folder.mkdir()
+        features, groups = _write_features(folder, data, data.features + offset)
+        targets = _write(folder / "targets.csv", "id,target\n" + "".join(
+            f"{i},{'pos' if t > 0 else 'neg'}\n" for i, t in zip(data.sample_ids, data.targets)))
+        assert main(["kernels", "--features", features, "--groups", groups,
+                     "--out", str(folder / "stack")]) == 0
+        assert main([
+            "train", "--stack", str(folder / "stack" / "stack.json"), "--targets", targets,
+            "--task", "classification", "--C", "1", "--mu", "0.5", "--solver-tol", "1e-6",
+            "--out", str(folder / "m.json"),
+        ]) == 0
+        return json.loads((folder / "m.json").read_text())["model"]["beta"]
+
+    # The data of the cv case below. train builds an intact CSV stack's kernels
+    # from the source rows, centered before the products are taken, so an
+    # offset costs it no precision: beta stayed within 5e-8 of the unshifted
+    # run's. From the kernel files, beta moved by 2e-3 at 1e7 and at 1e8 a
+    # self-similarity came out 0.
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+    def test_train_at_an_offset_matches_the_unshifted_run(self, tmp_path, capsys, offset):
+        data = make_classification_data(
+            n=40, seed=61, shift=0.7, group_specs=[("sig", 3, "signal"), ("noise", 3, "noise")]
+        )
+        expected = self._trained_beta(tmp_path / "unshifted", data, 0.0)
+        got = self._trained_beta(tmp_path / "shifted", data, offset)
+        assert capsys.readouterr().err == ""
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
 
     @staticmethod
     def _cv_report(folder, data, offset):
@@ -2343,15 +2505,26 @@ def test_tracer_still_wraps_train(tmp_path):
         assert main([
             "kernels", "--features", features, "--groups", groups, "--out", str(folder / "stack"),
         ]) == 0
-        spans = folder / "spans.json"
-        result = subprocess.run(
-            [sys.executable, str(tracer), str(spans), "run0", "train",
-             "--stack", str(folder / "stack" / "stack.json"), "--targets", targets,
-             "--task", task, "--C", "1.0", "--mu", "0.5", "--out", str(folder / "model.json")],
-            env=_src_env(), capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        names = {span["name"] for span in json.loads(spans.read_text())}
+
+        def span_names():
+            spans = folder / "spans.json"
+            result = subprocess.run(
+                [sys.executable, str(tracer), str(spans), "run0", "train",
+                 "--stack", str(folder / "stack" / "stack.json"), "--targets", targets,
+                 "--task", task, "--C", "1.0", "--mu", "0.5", "--out", str(folder / "model.json")],
+                env=_src_env(), capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            return {span["name"] for span in json.loads(spans.read_text())}
+
+        # An intact stack: its kernels are built from the source rows, and
+        # its kernel files are hashed, not read.
+        names = span_names()
+        assert {"kernels.build", "io.sha256", "mkl.fit"} | wrapped <= names
+        assert not {"io.read_stack", "kernels.preprocess_fit"} & names
+        # Sources moved away: the kernel files are read and preprocessed.
+        os.rename(features, folder / "moved.csv")
+        names = span_names()
         assert {"mkl.fit", "kernels.preprocess_fit", "io.read_stack"} | wrapped <= names
 
 
