@@ -17,15 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io, mkl, solvers
+# A command imports mkl and evaluation only when it runs them, so kernels,
+# report --report and --help load neither them nor solvers.
+from . import io
 from .errors import ConvergenceError, DataError, UsageError, named
-from .evaluation import (
-    DEFAULT_C_VALUES,
-    DEFAULT_MU_VALUES,
-    HyperGrid,
-    make_fold_plan,
-    nested_cv,
-)
 # cmd_train looks build_linear_kernels up here, where perfbench/tracer.py wraps it.
 from .kernels import LinearKernelStream, StackPreprocessor, build_linear_kernels
 
@@ -142,7 +137,21 @@ def _written_from(manifest: io.StackManifest, data) -> bool:
     )
 
 
+# The fit options' destinations and the library keywords they set. The CLI
+# passes on only those given, so the library's own defaults apply to the rest.
+_FIT_KEYWORDS = {
+    "conv_tol": "conv_tol", "max_iter": "max_iter",
+    "solver_tol": "solver_tol", "smo_max_updates": "max_updates",
+}
+
+
+def _fit_options(args) -> dict:
+    return {key: getattr(args, dest) for dest, key in _FIT_KEYWORDS.items() if hasattr(args, dest)}
+
+
 def cmd_train(args) -> None:
+    from . import mkl
+
     if args.trainer == "enmkl" and args.mu is None:
         raise UsageError("--mu is required when training the enmkl model")
     if args.trainer == "sum-baseline" and args.mu is not None:
@@ -170,9 +179,7 @@ def cmd_train(args) -> None:
             stack = StackPreprocessor(center, normalize).fit(raw_stack, out=buffer).train_stack_
             del raw_stack  # the fit overwrote the values it was read into
         model = mkl.train_model(
-            stack, targets, args.task, args.trainer, args.C, args.mu,
-            conv_tol=args.conv_tol, max_iter=args.max_iter,
-            solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
+            stack, targets, args.task, args.trainer, args.C, args.mu, **_fit_options(args)
         )
 
     payload = {
@@ -217,6 +224,8 @@ def _model_section(path, payload: dict, key: str, decode):
 
 
 def _load_model_payload(path):
+    from . import mkl
+
     payload = io.read_json(path)
     if not isinstance(payload, dict) or "model" not in payload:
         raise DataError(f"{path}: not a model file")
@@ -248,6 +257,8 @@ def _predicted_labels(path, model, payload, decisions):
 
 
 def cmd_predict(args) -> None:
+    from . import mkl
+
     payload, model = _load_model_payload(args.model)
     if payload.get("primal") is None:
         raise DataError(
@@ -312,7 +323,23 @@ def _load_report(path) -> tuple[str, str]:
         raise DataError(f"{path}: malformed report file ({exc})") from None
 
 
+# Tracer-only: perfbench/tracer.py wraps these two at this name, and tests
+# patch them here. They go once the tracer wraps the evaluation functions.
+def make_fold_plan(*args, **kwargs):
+    from . import evaluation
+
+    return evaluation.make_fold_plan(*args, **kwargs)
+
+
+def nested_cv(*args, **kwargs):
+    from . import evaluation
+
+    return evaluation.nested_cv(*args, **kwargs)
+
+
 def cmd_cv(args) -> None:
+    from . import evaluation
+
     if args.grid and (args.C is not None or args.mu is not None):
         raise UsageError("--grid replaces --C/--mu; pass one or the other")
 
@@ -331,19 +358,15 @@ def cmd_cv(args) -> None:
             data.sample_ids, args.k_outer, args.k_inner,
             blocks=blocks, seed=args.seed, labels=labels,
         )
-    grid = HyperGrid(
-        c_values=DEFAULT_C_VALUES if args.C is None else args.C,
-        mu_values=DEFAULT_MU_VALUES if args.mu is None else args.mu,
-    )
-    common = dict(
-        center=not args.no_center, normalize=not args.no_normalize,
-        conv_tol=args.conv_tol, max_iter=args.max_iter,
-        solver_tol=args.solver_tol, max_updates=args.smo_max_updates,
+    grid = evaluation.HyperGrid(
+        c_values=evaluation.DEFAULT_C_VALUES if args.C is None else args.C,
+        mu_values=evaluation.DEFAULT_MU_VALUES if args.mu is None else args.mu,
     )
 
     report = nested_cv(
         data, args.task, plan, grid, trainer=args.trainer,
-        baseline=args.baseline and args.trainer != "sum-baseline", **common,
+        center=not args.no_center, normalize=not args.no_normalize,
+        baseline=args.baseline and args.trainer != "sum-baseline", **_fit_options(args),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     report_dict = report.to_dict()
@@ -391,13 +414,15 @@ def cmd_report(args) -> None:
 
 
 def _add_solver_options(parser) -> None:
-    parser.add_argument("--conv-tol", type=_POSITIVE, default=mkl.DEFAULT_CONV_TOL,
+    # No default: an option left out is absent from the namespace (_fit_options).
+    unset = argparse.SUPPRESS
+    parser.add_argument("--conv-tol", type=_POSITIVE, default=unset,
                         help="weight-update convergence tolerance")
-    parser.add_argument("--max-iter", type=_LIMIT, default=mkl.DEFAULT_MAX_ITER,
+    parser.add_argument("--max-iter", type=_LIMIT, default=unset,
                         help="maximum alternating iterations")
-    parser.add_argument("--solver-tol", type=_POSITIVE, default=solvers.DEFAULT_SVM_TOL,
+    parser.add_argument("--solver-tol", type=_POSITIVE, default=unset,
                         help="inner SVM KKT tolerance")
-    parser.add_argument("--smo-max-updates", type=_LIMIT, default=solvers.DEFAULT_MAX_UPDATES,
+    parser.add_argument("--smo-max-updates", type=_LIMIT, default=unset,
                         help="hard cap on SMO pair updates")
     parser.add_argument("--no-center", action="store_true",
                         help="skip kernel centering")

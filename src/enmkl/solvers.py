@@ -127,14 +127,16 @@ def _update_parts(whole, diag, rows, y):
     its rows. Up to ``WHOLE_KERNEL_MAX_N`` samples K is built whole, every
     curvature with it, and rows are views; above, a row and its curvatures
     are computed when first asked for and kept. Products with +-1 and 2 are
-    exact, so both routes give the same curvatures bit for bit."""
+    exact, so both routes give the same curvatures bit for bit. The whole
+    route hands out rows from lists of row views, which index faster than
+    the arrays."""
     if y.shape[0] <= WHOLE_KERNEL_MAX_N:
         K = whole()
         diag = np.diagonal(K)
         curvs = np.add.outer(diag, diag)
         curvs -= K * np.multiply.outer(y, 2.0 * y)
         curvs[~(curvs > 0)] = _TAU
-        return K.__getitem__, diag.tolist(), curvs.__getitem__
+        return list(K).__getitem__, diag.tolist(), list(curvs).__getitem__
     diag, two_y, rows = diag(), 2.0 * y, cache(rows)
 
     @cache
@@ -239,15 +241,21 @@ def solve_svm_dual(
     # Scalars reach the ufuncs as 0-d arrays, which numpy takes in faster
     # than Python floats; the doubles and the arithmetic are the same.
     m_box, s_box, zero = np.empty(()), np.empty(()), np.zeros(())
+    # The loop calls these through locals, bound once per solve.
+    up_argmax, up_item, low_argmin, low_item = g_up.argmax, g_up.item, g_low.argmin, g_low.item
+    score_argmax, score_item = score.argmax, score.item
+    subtract, maximum, multiply, divide, add = (
+        np.subtract, np.maximum, np.multiply, np.divide, np.add
+    )
     a = alpha.tolist()
     up, low = up_mask.tolist(), low_mask.tolist()
     updates = 0
     while True:
         # Initial feasible points always populate both sets (both classes
         # present), so the selection below is well defined.
-        i = int(g_up.argmax())
-        m_val = g_up.item(i)
-        M_val = g_low.item(g_low.argmin())
+        i = int(up_argmax())
+        m_val = up_item(i)
+        M_val = low_item(low_argmin())
         if m_val - M_val <= tol:
             break
         if updates >= max_updates:
@@ -266,12 +274,12 @@ def solve_svm_dual(
         # when that quotient underflows (huge curvatures) or a score is NaN
         # can the best score fail to be positive; the candidate mask decides.
         m_box[()] = m_val
-        np.subtract(m_box, g_low, out=score)
-        np.maximum(score, zero, out=score)
-        score *= score
-        score /= curv
-        j = int(score.argmax())
-        if not score.item(j) > 0.0:
+        subtract(m_box, g_low, out=score)
+        maximum(score, zero, out=score)
+        multiply(score, score, out=score)
+        divide(score, curv, out=score)
+        j = int(score_argmax())
+        if not score_item(j) > 0.0:
             j = int(np.where(g_low < m_val, score, -np.inf).argmax())
 
         # Two-variable subproblem, clipped to the box (LIBSVM update rules).
@@ -280,7 +288,7 @@ def solve_svm_dual(
         Qii, Qjj = ds[i], ds[j]
         row_i = rows(i)
         Qij = yi * yj * row_i.item(j)
-        grad_i, grad_j = -yi * m_val, -yj * g_low.item(j)
+        grad_i, grad_j = -yi * m_val, -yj * low_item(j)
         ai_old, aj_old = a[i], a[j]
         if yi != yj:
             quad = Qii + Qjj + 2.0 * Qij
@@ -323,19 +331,27 @@ def solve_svm_dual(
         # g += K[:, i] * s_i + K[:, j] * s_j, with the textbook update's
         # operands in its order, on both rows; K[:, t] is K[t].
         s_box[()] = -yi * (ai - ai_old)
-        np.multiply(row_i, s_box, out=step)
+        multiply(row_i, s_box, out=step)
         s_box[()] = -yj * (aj - aj_old)
-        np.multiply(rows(j), s_box, out=step_j)
-        step += step_j
-        G += step
-        for t, at in ((i, ai), (j, aj)):
-            a[t] = at
-            can_up, can_down = (at < C, at > 0) if ys[t] > 0 else (at > 0, at < C)
-            if can_up != up[t] or can_down != low[t]:
-                gt = g_up.item(t) if up[t] else g_low.item(t)
-                up[t], low[t] = can_up, can_down
-                g_up[t] = gt if can_up else -np.inf
-                g_low[t] = gt if can_down else np.inf
+        multiply(rows(j), s_box, out=step_j)
+        add(step, step_j, out=step)
+        add(G, step, out=G)
+        # alpha_i, then alpha_j: a flag, and the row entries it guards,
+        # change only when the value reaches or leaves a bound.
+        a[i] = ai
+        can_up, can_down = (ai < C, ai > 0) if yi > 0 else (ai > 0, ai < C)
+        if can_up != up[i] or can_down != low[i]:
+            gt = up_item(i) if up[i] else low_item(i)
+            up[i], low[i] = can_up, can_down
+            g_up[i] = gt if can_up else -np.inf
+            g_low[i] = gt if can_down else np.inf
+        a[j] = aj
+        can_up, can_down = (aj < C, aj > 0) if yj > 0 else (aj > 0, aj < C)
+        if can_up != up[j] or can_down != low[j]:
+            gt = up_item(j) if up[j] else low_item(j)
+            up[j], low[j] = can_up, can_down
+            g_up[j] = gt if can_up else -np.inf
+            g_low[j] = gt if can_down else np.inf
         updates += 1
 
     g = np.where(up, g_up, g_low)

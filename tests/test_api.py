@@ -1,21 +1,13 @@
 """The package's public API: the names ``enmkl`` exports."""
 
-import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import enmkl
-
-
-def _public_imports() -> set[str]:
-    """The public names ``enmkl/__init__.py`` imports from its own modules."""
-    tree = ast.parse(Path(enmkl.__file__).read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    }
 
 
 def test_every_exported_name_resolves():
@@ -24,7 +16,25 @@ def test_every_exported_name_resolves():
 
 
 def test_all_lists_exactly_the_public_imports():
-    assert set(enmkl.__all__) == _public_imports()
+    # enmkl/__init__.py imports nothing eagerly: its table of each public
+    # name's home module stands in for the imports, and __all__ is that table.
+    assert enmkl.__all__ == list(enmkl._HOME)
+    for name, home in enmkl._HOME.items():
+        module = importlib.import_module(f"enmkl.{home}")
+        value = getattr(enmkl, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    # Besides the table's names, the package holds only modules.
+    assert {
+        n for n, v in vars(enmkl).items() if not (n.startswith("_") or isinstance(v, ModuleType))
+    } <= set(enmkl.__all__)
+    src = str(Path(enmkl.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, enmkl; print(sorted(m for m in sys.modules if m.startswith('enmkl')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded.strip() == "['enmkl']"
 
 
 def test_training_loop_internals_are_not_exported():

@@ -1213,6 +1213,94 @@ def test_classification_commands_leave_numpy_ma_unloaded(tmp_path):
     assert io.read_json(tmp_path / "model.json")["model"]["task"] == "classification"
 
 
+_BASE_MODULES = {"enmkl", "enmkl.cli", "enmkl.errors", "enmkl.io", "enmkl.kernels"}
+_FIT_MODULES = _BASE_MODULES | {"enmkl.mkl", "enmkl.solvers"}
+_LOADED_BY_COMMAND = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['enmkl', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('enmkl', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'enmkl')]))"
+)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # kernels, report --report and --help run no solver, fit or cv code;
+    # the commands that load or fit a model run no cv code.
+    _, features, groups, targets = _workspace(tmp_path, n=16)
+    fit = ["--targets", targets, "--task", "classification", "--C", "1.0", "--mu", "0.5"]
+    model, cv = str(tmp_path / "model.json"), tmp_path / "cv"
+    assert main(["kernels", "--features", features, "--groups", groups,
+                 "--out", str(tmp_path / "stack")]) == 0
+    assert main(["train", "--stack", str(tmp_path / "stack" / "stack.json"), *fit,
+                 "--out", model]) == 0
+    assert main(["cv", "--features", features, "--groups", groups, *fit,
+                 "--k-outer", "2", "--k-inner", "2", "--out", str(cv)]) == 0
+    cases = {
+        "help": (["--help"], _BASE_MODULES),
+        "kernels": (["kernels", "--features", features, "--groups", groups,
+                     "--out", str(tmp_path / "stack2")], _BASE_MODULES),
+        "report-report": (["report", "--report", str(cv / "report.json")], _BASE_MODULES),
+        "train": (["train", "--stack", str(tmp_path / "stack" / "stack.json"), *fit,
+                   "--out", str(tmp_path / "model2.json")], _FIT_MODULES),
+        "predict": (["predict", "--model", model, "--features", features,
+                     "--out", str(tmp_path / "pred.csv")], _FIT_MODULES),
+        "report-model": (["report", "--model", model], _FIT_MODULES),
+        "cv": (["cv", "--features", features, "--groups", groups, *fit, "--k-outer", "2",
+                "--k-inner", "2", "--out", str(tmp_path / "cv2")],
+               _FIT_MODULES | {"enmkl.evaluation"}),
+    }
+    # One fresh interpreter per command, all at once.
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _LOADED_BY_COMMAND, *argv],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for name, (argv, _) in cases.items()
+    }
+    for name, (_, allowed) in cases.items():
+        out, err = children[name].communicate(timeout=60)
+        code, loaded = json.loads(out.splitlines()[-1])
+        assert code == 0, (name, err)
+        assert set(loaded) <= allowed, name
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_fit_options_left_out_take_the_library_defaults(tmp_path, capsys, monkeypatch, task):
+    # The CLI passes on only the fit options given; naming the library's
+    # defaults explicitly must change no output byte.
+    specs = [(f"g{j}", 5, "signal" if j < 2 else "noise") for j in range(6)]
+    make = make_classification_data if task == "classification" else make_regression_data
+    data = make(n=100, seed=61, group_specs=specs)
+    features, groups = _write_features(tmp_path, data)
+    targets = _write(tmp_path / "targets.csv", "id,target\n" + "".join(
+        f"{sid},{t!r}\n" for sid, t in zip(data.sample_ids, data.targets.tolist())
+    ))
+    assert main(["kernels", "--features", features, "--groups", groups,
+                 "--out", str(tmp_path / "stack")]) == 0
+    capsys.readouterr()
+    fit = ["--targets", targets, "--task", task]
+    defaults = ["--conv-tol", "1e-4", "--max-iter", "200", "--solver-tol", "1e-3",
+                "--smo-max-updates", "10000000"]
+
+    def run(folder, options):
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        assert main(["train", "--stack", str(tmp_path / "stack" / "stack.json"), *fit,
+                     "--C", "1", "--mu", "0.5", *options, "--out", "model.json"]) == 0
+        assert main(["cv", "--features", features, "--groups", groups, *fit,
+                     "--C", "0.1,10", "--mu", "0.5,1", "--k-outer", "3", "--k-inner", "2",
+                     "--baseline", *options, "--out", "cv"]) == 0
+        files = {p.relative_to(folder): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
+        return capsys.readouterr(), files
+
+    left_out, named = run(tmp_path / "left_out", []), run(tmp_path / "named", defaults)
+    assert len(left_out[1]) == 4  # model.json and the three cv files
+    assert left_out == named
+
+
 def _run_cli(*args):
     """Run ``python -m enmkl`` in a child process, as a user would."""
     return subprocess.run(
