@@ -88,37 +88,25 @@ def _beta_table(group_names, beta, group_sizes=None, header="kernel weights") ->
 
 def cmd_kernels(args) -> None:
     data, _ = io.load_grouped_dataset(args.features, args.groups)
-    sources = {
-        "features_file": str(Path(args.features).resolve()),
-        "groups_file": str(Path(args.groups).resolve()),
-        "features_sha256": io.sha256_file(args.features),
-        "groups_sha256": io.sha256_file(args.groups),
-    }
     with named(args.features):
         manifest_path = io.write_stack(
-            args.out, LinearKernelStream(data), fmt=args.format, sources=sources
+            args.out, LinearKernelStream(data), fmt=args.format,
+            sources=(args.features, args.groups),
         )
     print(f"wrote {data.n_groups} kernels over {data.n_samples} samples to {manifest_path}")
 
 
-def _recoverable_sources(where: str, manifest: dict):
+def _recoverable_sources(manifest: io.StackManifest):
     """Feature/group paths recorded at kernel-build time, when still intact."""
-    sources = io._json_value(where, manifest, "sources", dict)
-    features, groups, *digests = (
-        io._json_value(where, sources, key, str) if key in sources else None
-        for key in ("features_file", "groups_file", "features_sha256", "groups_sha256")
-    )
-    if not features or not groups:
+    if manifest.sources is None or not all(Path(path).is_file() for path, _ in manifest.sources):
         return None
-    if not (Path(features).is_file() and Path(groups).is_file()):
-        return None
-    for path, recorded in zip((features, groups), digests):
+    for path, recorded in manifest.sources:
         if recorded and io.sha256_file(path) != recorded:
             raise DataError(
                 f"{path}: contents changed since the kernel stack was built; "
                 "rerun the kernels command"
             )
-    return features, groups
+    return tuple(path for path, _ in manifest.sources)
 
 
 def _written_from(manifest: io.StackManifest, data) -> bool:
@@ -158,7 +146,7 @@ def cmd_train(args) -> None:
         raise UsageError("--mu does not apply to the sum baseline")
 
     manifest = io.read_manifest(args.stack)
-    sources = _recoverable_sources(args.stack, manifest.raw)
+    sources = _recoverable_sources(manifest)
     center, normalize = not args.no_center, not args.no_normalize
     raw_csv = manifest.fmt == "csv" and not (manifest.centered or manifest.normalized)
     data = raw_stack = None
@@ -167,7 +155,7 @@ def cmd_train(args) -> None:
     if data is not None and _written_from(manifest, data):
         row_ids = data.sample_ids
     else:
-        raw_stack, _, buffer = io.read_stack(manifest)
+        raw_stack, buffer = io.read_stack(manifest)
         row_ids = raw_stack.row_ids
     targets, label_mapping = io.parse_targets(args.targets, row_ids, args.task)
     with named(args.stack):
@@ -182,26 +170,14 @@ def cmd_train(args) -> None:
             stack, targets, args.task, args.trainer, args.C, args.mu, **_fit_options(args)
         )
 
-    payload = {
-        "format_version": io.MODEL_FORMAT_VERSION,
-        "model": mkl.model_to_dict(model),
-        "preprocessing": {"center": center, "normalize": normalize},
-        "label_mapping": None
-        if label_mapping is None
-        else {str(raw): value for raw, value in label_mapping.items()},
-        "features": None,
-        "primal": None,
-    }
-
+    feature_names = primal = None
     if sources is not None:
         if data is None:
             data, _ = io.load_grouped_dataset(*sources)
         train_data = data.subset(stack.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
-        payload["features"] = {"feature_names": list(train_data.feature_names)}
-        payload["primal"] = primal.to_dict()
-
-    io.write_json(args.out, payload)
+        feature_names = train_data.feature_names
+    mkl.write_model_file(args.out, model, label_mapping, feature_names, primal)
     if not model.converged:
         flavor = "degenerate (all block norms zero)" if model.degenerate else "not converged"
         print(f"warning: weight optimization {flavor} after {model.iterations} iterations")
@@ -209,84 +185,33 @@ def cmd_train(args) -> None:
     print(f"wrote model to {args.out}")
 
 
-def _model_section(path, payload: dict, key: str, decode):
-    """``decode(payload[key])`` for one section of a model file.
-
-    A missing or ill-typed key, or a number that is not a finite float,
-    becomes a :class:`DataError` naming the file.
-    """
-    try:
-        return decode(payload[key])
-    except KeyError as exc:
-        raise DataError(f"{path}: model file is missing {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed model file ({exc})") from None
-
-
-def _load_model_payload(path):
-    from . import mkl
-
-    payload = io.read_json(path)
-    if not isinstance(payload, dict) or "model" not in payload:
-        raise DataError(f"{path}: not a model file")
-    if not io.has_version(payload, "format_version", io.MODEL_FORMAT_VERSION):
-        raise DataError(
-            f"{path}: model file is not format_version {io.MODEL_FORMAT_VERSION}; "
-            "rerun the train command"
-        )
-    return payload, _model_section(path, payload, "model", mkl.model_from_dict)
-
-
-def _label_names(mapping) -> dict:
-    """Raw label per -1/+1 class from a model file's ``label_mapping``."""
-    if not isinstance(mapping, dict):
-        raise TypeError("'label_mapping' must be an object")
-    return {float(v): str(k) for k, v in mapping.items()}
-
-
-def _predicted_labels(path, model, payload, decisions):
-    """A classifier's raw label per decision value; None for regression."""
-    if model.task != "classification":
-        return None
-    reverse = {}
-    if payload.get("label_mapping") is not None:
-        reverse = _model_section(path, payload, "label_mapping", _label_names)
-    return [
-        reverse.get(1.0 if d >= 0 else -1.0, "+1" if d >= 0 else "-1") for d in decisions
-    ]
-
-
 def cmd_predict(args) -> None:
     from . import mkl
 
-    payload, model = _load_model_payload(args.model)
-    if payload.get("primal") is None:
+    _, primal, feature_names, class_labels = mkl.read_model_file(args.model)
+    if primal is None:
         raise DataError(
             f"{args.model}: model carries no primal weights (the feature files the "
             "kernel stack was built from were not in place at train time); rerun "
             "kernels and train with the feature files in place"
         )
-    sample_ids, feature_names, features = io.read_features_csv(args.features)
-    stored = payload.get("features") or {}
-    if tuple(stored.get("feature_names", ())) != feature_names:
+    sample_ids, names, features = io.read_features_csv(args.features)
+    if names != feature_names:
         raise DataError(
             f"{args.features}: feature columns do not match the model's training features"
         )
-    primal = _model_section(args.model, payload, "primal", mkl.PrimalModel.from_dict)
     with named(args.features):
         decisions = primal.decision_values(features, sample_ids=sample_ids)
-    labels = _predicted_labels(args.model, model, payload, decisions)
+    labels = None if class_labels is None else [class_labels[d >= 0] for d in decisions.tolist()]
     io.write_predictions_csv(args.out, sample_ids, decisions, labels)
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
 
 
-def _weights_csv(report_dict) -> str:
-    names = report_dict["group_names"]
-    sizes = report_dict["group_sizes"]
-    beta = report_dict["mean_beta"]
+def _weights_csv(names, sizes, beta) -> str:
+    """The weights CSV, heaviest group first; ``beta`` holds Python floats, not numpy's."""
     order = sorted(range(len(names)), key=lambda j: (-beta[j], names[j]))
     lines = ["group,mean_weight,n_features"]
-    lines += [f"{names[j]},{beta[j]!r},{sizes[j]}" for j in order]
+    lines += [f"{io.csv_field(names[j])},{beta[j]!r},{sizes[j]}" for j in order]
     return "\n".join(lines) + "\n"
 
 
@@ -316,7 +241,9 @@ def _load_report(path) -> tuple[str, str]:
     if not isinstance(report_dict, dict) or "pooled_metrics" not in report_dict:
         raise DataError(f"{path}: not a cross-validation report")
     try:
-        return _report_text(report_dict), _weights_csv(report_dict)
+        return _report_text(report_dict), _weights_csv(
+            report_dict["group_names"], report_dict["group_sizes"], report_dict["mean_beta"]
+        )
     except KeyError as exc:
         raise DataError(f"{path}: report file is missing {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
@@ -371,7 +298,8 @@ def cmd_cv(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_dict = report.to_dict()
     io.write_json(out_dir / "report.json", report_dict)
-    io.atomic_write_text(out_dir / "weights.csv", _weights_csv(report_dict))
+    weights = _weights_csv(report.group_names, report.group_sizes, report.mean_beta.tolist())
+    io.atomic_write_text(out_dir / "weights.csv", weights)
     print(_report_text(report_dict))
 
     base = report.baseline
@@ -390,7 +318,9 @@ def cmd_report(args) -> None:
     if (args.model is None) == (args.report is None):
         raise UsageError("report needs exactly one of --model or --report")
     if args.model is not None:
-        payload, model = _load_model_payload(args.model)
+        from . import mkl
+
+        model, *_ = mkl.read_model_file(args.model)
         status = "converged" if model.converged else "not converged"
         print(
             f"task: {model.task}   mu: {model.mu:g}   C: {model.C:g}   "
@@ -398,12 +328,10 @@ def cmd_report(args) -> None:
         )
         print(_beta_table(model.group_names, model.beta, model.group_sizes))
         if args.csv:
-            report_like = {
-                "group_names": list(model.group_names),
-                "group_sizes": list(model.group_sizes or [0] * len(model.group_names)),
-                "mean_beta": model.beta.tolist(),
-            }
-            io.atomic_write_text(args.csv, _weights_csv(report_like))
+            sizes = model.group_sizes or [0] * len(model.group_names)
+            io.atomic_write_text(
+                args.csv, _weights_csv(model.group_names, sizes, model.beta.tolist())
+            )
             print(f"wrote weights to {args.csv}")
     else:
         text, weights = _load_report(args.report)

@@ -31,7 +31,6 @@ from .kernels import GroupedDataset, KernelStack, LinearKernelStream, bit_symmet
 # the first format's, which had no id digest, is refused.
 KERNEL_BINARY_MAGIC = b"ENMKLKR2"
 MANIFEST_VERSION = 2
-MODEL_FORMAT_VERSION = 1
 
 
 def atomic_write_bytes(path, *chunks) -> None:
@@ -323,6 +322,14 @@ def read_blocks(path, sample_ids) -> dict:
     return out
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: wrapped in double quotes, with each inner
+    quote doubled, when it holds a comma, a quote, CR or LF; else unchanged."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> str:
     """One ``id,<col ids>`` header, then one row of ``values`` per row id.
 
@@ -339,8 +346,8 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> str:
             cells.append([above[i] for above in cells] + list(map(float.__repr__, row[i:])))
     else:
         cells = [list(map(float.__repr__, row)) for row in rows]
-    lines = ["id," + ",".join(col_ids)]
-    for rid, row in zip(row_ids, cells):
+    lines = ["id," + ",".join(map(csv_field, col_ids))]
+    for rid, row in zip(map(csv_field, row_ids), cells):
         lines.append(rid + "," + ",".join(row))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     atomic_write_bytes(path, data)
@@ -432,24 +439,29 @@ def read_kernel_binary(path, row_ids, col_ids, out=None) -> np.ndarray:
 
 def write_stack(
     out_dir, stack: KernelStack | LinearKernelStream, fmt: str = "csv", *,
-    sources: dict | None = None,
+    sources: tuple | None = None,
 ) -> Path:
     """Write a train kernel stack plus manifest into a directory.
 
     One data file per group; the manifest ties them together and records
-    the ids, the preprocessing flags and the source files, and each CSV
-    kernel file's sha256 (a binary file carries its ids' digest). Returns the
-    manifest path. ``stack`` may also be a :class:`LinearKernelStream`,
-    whose kernels are computed one at a time: each is written before the
-    next is computed. An existing manifest is removed before the first
-    kernel file is written and the new one is written last, so a run that
-    fails part way leaves no manifest that pairs old and new kernel files.
+    the ids, the preprocessing flags, the resolved path and sha256 of the
+    ``sources`` (the features and groups CSVs), and each CSV kernel file's
+    sha256 (a binary file carries its ids' digest). Returns the manifest
+    path. ``stack`` may also be a :class:`LinearKernelStream`, whose kernels
+    are computed one at a time: each is written before the next is computed.
+    An existing manifest is removed before the first kernel file is written
+    and the new one is written last, so a run that fails part way leaves no
+    manifest that pairs old and new kernel files.
     """
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown kernel format {fmt!r}")
     if stack.row_ids != stack.col_ids:
         raise ValueError("write_stack writes train stacks only")
     write_kernel = write_kernel_csv if fmt == "csv" else write_kernel_binary
+    recorded = {}
+    for key, path in zip(("features", "groups"), sources or ()):
+        recorded[f"{key}_file"] = str(Path(path).resolve())
+        recorded[f"{key}_sha256"] = sha256_file(path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "stack.json"
@@ -472,7 +484,7 @@ def write_stack(
         "sample_ids": list(stack.row_ids),
         "col_ids": list(stack.col_ids),
         "groups": groups,
-        "sources": sources or {},
+        "sources": recorded,
     }
     write_json(manifest_path, manifest)
     return manifest_path
@@ -515,7 +527,8 @@ class StackManifest:
 
     ``files`` are the kernel files' paths, and ``digests`` their recorded
     sha256, None where the manifest records none (every binary file, and CSV
-    files written before the digest). ``raw`` is the decoded JSON object.
+    files written before the digest). ``sources`` pairs the features and the
+    groups CSV's path with its sha256 or None; it is None without both paths.
     """
 
     path: Path
@@ -528,7 +541,7 @@ class StackManifest:
     group_sizes: tuple[int, ...]
     files: tuple[Path, ...]
     digests: tuple[str | None, ...]
-    raw: dict
+    sources: tuple[tuple[str, str | None], tuple[str, str | None]] | None
 
 
 def read_manifest(manifest_path) -> StackManifest:
@@ -566,9 +579,15 @@ def read_manifest(manifest_path) -> StackManifest:
         files.append(manifest_path.parent / _json_value(entry_where, entry, "data_file", str))
         recorded = "sha256" in entry  # CSV kernel files' entries only
         digests.append(_json_value(entry_where, entry, "sha256", str) if recorded else None)
+    sources = _json_value(where, manifest, "sources", dict)
+    features, groups, *source_digests = (
+        _json_value(where, sources, key, str) if key in sources else None
+        for key in ("features_file", "groups_file", "features_sha256", "groups_sha256")
+    )
     return StackManifest(
         manifest_path, fmt, row_ids, col_ids, centered, normalized,
-        tuple(names), tuple(sizes), tuple(files), tuple(digests), manifest,
+        tuple(names), tuple(sizes), tuple(files), tuple(digests),
+        tuple(zip((features, groups), source_digests)) if features and groups else None,
     )
 
 
@@ -576,7 +595,7 @@ def read_stack(manifest):
     """Load a kernel stack written by :func:`write_stack`.
 
     ``manifest`` is the manifest's path or what :func:`read_manifest`
-    returned for it. Returns (stack, manifest dict, values): ``values`` is
+    returned for it. Returns (stack, values): ``values`` is
     the writable array the kernel files were read into, behind
     ``stack.values`` unless the stack stored a kernel's symmetric part in a
     copy, for a caller that overwrites it once it is done with the stack.
@@ -611,12 +630,13 @@ def read_stack(manifest):
             except ValueError:
                 raise DataError(f"{path}: {exc}") from None
         raise DataError(f"{manifest.path}: {exc}") from None
-    return stack, manifest.raw, values
+    return stack, values
 
 
 def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:
     """Prediction rows: decision values plus, for classification, labels."""
     decisions = np.asarray(decisions, dtype=np.float64).tolist()
+    sample_ids = map(csv_field, sample_ids)
     if labels is None:
         lines = ["id,prediction"]
         for sid, d in zip(sample_ids, decisions):
@@ -624,5 +644,5 @@ def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:
     else:
         lines = ["id,decision_value,predicted_label"]
         for sid, d, l in zip(sample_ids, decisions, labels):
-            lines.append(f"{sid},{float.__repr__(d)},{l}")
+            lines.append(f"{sid},{float.__repr__(d)},{csv_field(l)}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -54,8 +54,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from . import solvers
-from .io import record_dict
+from . import io, solvers
 from .kernels import (
     GroupedDataset,
     KernelStack,
@@ -66,6 +65,7 @@ from .kernels import (
     weighted_sum,
 )
 
+MODEL_FORMAT_VERSION = 1
 DEFAULT_CONV_TOL = 1e-4
 DEFAULT_MAX_ITER = 200
 # Weights this small are fixed to zero: beta_j = 0 is a fixed point of the
@@ -642,7 +642,7 @@ def train_model(
         )
     if trainer != "enmkl":
         raise ValueError(f"unknown trainer {trainer!r}")
-    if task == "classification":
+    if _check_task(task) == "classification":
         return train_enmkl_svm(
             stack, targets, C, mu, conv_tol=conv_tol, max_iter=max_iter,
             solver_tol=solver_tol, max_updates=max_updates, start=start,
@@ -710,7 +710,7 @@ class PrimalModel:
         return primal_decisions(self.bias, self.weights, blocks, features.shape[0])
 
     def to_dict(self) -> dict:
-        return record_dict(self)
+        return io.record_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrimalModel":
@@ -723,11 +723,11 @@ class PrimalModel:
         ``ValueError``.
         """
         model = cls(
-            weights=tuple(np.asarray(w, dtype=np.float64) for w in d["weights"]),
+            weights=tuple(_finite(w, "weights") for w in d["weights"]),
             group_names=tuple(str(g) for g in d["group_names"]),
             group_columns=tuple(np.asarray(c, dtype=np.int64) for c in d["group_columns"]),
-            feature_means=tuple(np.asarray(m, dtype=np.float64) for m in d["feature_means"]),
-            bias=_finite_float(d["bias"], "bias"),
+            feature_means=tuple(_finite(m, "feature_means") for m in d["feature_means"]),
+            bias=float(_finite(d["bias"], "bias")),
             centered=bool(d["centered"]),
             normalized=bool(d["normalized"]),
             n_features=int(d["n_features"]),
@@ -806,27 +806,72 @@ def recover_primal_weights(model: MklModel, train_data: GroupedDataset) -> Prima
 
 def model_to_dict(model: MklModel) -> dict:
     """A JSON-ready mapping of the model; floats survive round trips exactly."""
-    return record_dict(model)
+    return io.record_dict(model)
 
 
-def _finite_float(value, name: str) -> float:
-    """``float(value)``, or a ValueError naming the field unless it is finite."""
+def _finite(values, name: str) -> np.ndarray:
+    """``values``, a number or nested lists of them, as a float64 array; a
+    ValueError naming the field unless every entry is finite."""
     try:
-        number = float(value)
+        array = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+        array = np.array(math.inf)
+    if not np.isfinite(array).all():
         raise ValueError(f"'{name}' must be a finite number")
-    return number
+    return array
 
 
 def model_from_dict(d: dict) -> MklModel:
     """Rebuild a model from :func:`model_to_dict` output; every float field
-    must hold a finite number."""
+    and array must hold finite numbers."""
     values = {f.name: d[f.name] for f in fields(MklModel)}
-    for name in ("bias", "mu", "C", "beta_raw_sum"):
-        values[name] = _finite_float(values[name], name)
-    values["objective_history"] = [
-        _finite_float(v, "objective_history") for v in values["objective_history"]
-    ]
+    for name in ("bias", "mu", "C", "beta_raw_sum", "alpha", "beta", "train_labels",
+                 "objective_history"):
+        if values[name] is not None:  # train_labels of a regression model
+            values[name] = _finite(values[name], name)
     return MklModel(**values)
+
+
+def write_model_file(path, model: MklModel, label_mapping, feature_names, primal) -> None:
+    """Write a model file. ``label_mapping`` (raw class label to -1.0 or 1.0) is None for
+    regression; ``feature_names`` and ``primal`` are None without the feature files."""
+    io.write_json(path, {
+        "format_version": MODEL_FORMAT_VERSION,
+        "model": model_to_dict(model),
+        "preprocessing": {"center": model.centered, "normalize": model.normalized},
+        "label_mapping": label_mapping,
+        "features": None if feature_names is None else {"feature_names": list(feature_names)},
+        "primal": None if primal is None else primal.to_dict(),
+    })
+
+
+def read_model_file(path):
+    """(model, primal model or None, feature names or None, class labels) of a
+    :func:`write_model_file` file, every section checked; the class labels are a
+    classifier's raw labels of -1 and +1, None for regression. Any fault is a DataError."""
+    payload = io.read_json(path)
+    if not isinstance(payload, dict) or "model" not in payload:
+        raise DataError(f"{path}: not a model file")
+    if not io.has_version(payload, "format_version", MODEL_FORMAT_VERSION):
+        raise DataError(
+            f"{path}: model file is not format_version {MODEL_FORMAT_VERSION}; "
+            "rerun the train command"
+        )
+    mapping, features, primal = map(payload.get, ("label_mapping", "features", "primal"))
+    try:
+        model = model_from_dict(payload["model"])
+        if not isinstance(mapping, (dict, type(None))):
+            raise TypeError("'label_mapping' must be an object")
+        names = {float(v): str(k) for k, v in (mapping or {}).items()}
+        if features is not None:
+            features = features.get("feature_names") if isinstance(features, dict) else None
+            if type(features) is not list or not all(type(name) is str for name in features):
+                raise TypeError("'features' must hold 'feature_names', a list of strings")
+            features = tuple(features)
+        primal = None if primal is None else PrimalModel.from_dict(primal)
+    except KeyError as exc:
+        raise DataError(f"{path}: model file is missing {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from None
+    labels = names.get(-1.0, "-1"), names.get(1.0, "+1")
+    return model, primal, features, labels if model.task == "classification" else None

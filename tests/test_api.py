@@ -1,5 +1,6 @@
 """The package's public API: the names ``enmkl`` exports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -52,3 +53,28 @@ def test_exception_hierarchy():
     for cls in (enmkl.UsageError, enmkl.ConvergenceError):
         assert issubclass(cls, enmkl.EnmklError) and not issubclass(cls, ValueError)
     assert not issubclass(enmkl.EnmklError, ValueError)
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A name with one leading underscore belongs to its module; another
+    # module that needs it calls a public name instead.
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(Path(enmkl.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                found += [f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
+                          for alias in node.names if node.module and private(alias.name)]
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and private(node.attr)
+        ]
+    assert found == []

@@ -1,6 +1,7 @@
 """File formats and the command-line surface."""
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io as stdio
@@ -623,8 +624,8 @@ class TestStackFiles:
         stack = build_linear_kernels(data)
         out = tmp_path / "stack"
         manifest_path = io.write_stack(out, stack, fmt)
-        loaded, manifest, _ = io.read_stack(manifest_path)
-        assert manifest["kind"] == "train"
+        loaded, _ = io.read_stack(manifest_path)
+        assert io.read_json(manifest_path)["kind"] == "train"
         assert loaded.group_names == stack.group_names
         assert loaded.row_ids == stack.row_ids
         assert loaded.values.flags.c_contiguous and not loaded.values.flags.writeable
@@ -632,9 +633,9 @@ class TestStackFiles:
         np.testing.assert_array_equal(loaded.values, stack.values)
 
         preprocessed = StackPreprocessor().fit(stack).train_stack_
-        loaded, manifest, _ = io.read_stack(
-            io.write_stack(tmp_path / "preprocessed", preprocessed, fmt)
-        )
+        manifest_path = io.write_stack(tmp_path / "preprocessed", preprocessed, fmt)
+        loaded, _ = io.read_stack(manifest_path)
+        manifest = io.read_json(manifest_path)
         assert manifest["centered"] is True and manifest["normalized"] is True
         assert loaded.centered and loaded.normalized
         np.testing.assert_array_equal(loaded.values, preprocessed.values)
@@ -698,6 +699,74 @@ class TestPredictionsCsv:
         assert lines == ["id,prediction", "s0,1.25"]
 
 
+class TestQuotedFields:
+    """The CSV writers quote an id, a group name or a class label that holds a
+    comma or a quote, so every command reads back what another wrote."""
+
+    def test_round_trip_through_the_commands(self, tmp_path, capsys):
+        data = make_classification_data(
+            n=20, seed=61, group_specs=[("sig", 3, "signal"), ('b,"x"', 2, "noise")]
+        )
+        ids = [f"s,{i}" if i % 2 else f's"{i}' for i in range(data.n_samples)]
+        names = [f"f{j}" for j in range(data.n_features)]
+        classes = {-1.0: 'case,"a"', 1.0: "control,b"}
+        sources = tmp_path / "sources"
+        sources.mkdir()
+
+        def write(path, rows):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            return str(path)
+
+        def read(path):
+            with open(path, newline="") as fh:
+                return list(csv.reader(fh))
+
+        features = write(sources / "features.csv", [["id", *names], *(
+            [sid, *map(repr, row)] for sid, row in zip(ids, data.features.tolist()))])
+        groups = write(sources / "groups.csv", [["feature", "group"], *(
+            [name, data.group_names[g]] for name, g in zip(names, data.groups))])
+        targets = write(tmp_path / "targets.csv", [["id", "target"], *(
+            [sid, classes[t]] for sid, t in zip(ids, data.targets))])
+        stack = str(tmp_path / "stack" / "stack.json")
+        assert main(["kernels", "--features", features, "--groups", groups,
+                     "--format", "csv", "--out", str(tmp_path / "stack")]) == 0
+        for j in range(2):
+            rows = read(tmp_path / "stack" / f"kernel_{j:03d}.csv")
+            assert rows[0] == ["id", *ids] and [row[0] for row in rows[1:]] == ids
+
+        def train(out):
+            return main(["train", "--stack", stack, "--targets", targets,
+                         "--task", "classification", "--C", "1", "--mu", "0.5",
+                         "--out", str(tmp_path / out)])
+
+        sources.rename(tmp_path / "moved")  # the kernel route parses the kernel files
+        assert train("kernel_route.json") == 0
+        (tmp_path / "moved").rename(sources)
+        assert train("model.json") == 0
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["model"]["sample_ids"] == ids
+        assert json.loads((tmp_path / "kernel_route.json").read_text())["model"]["sample_ids"] == ids
+
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--features", features, "--out", str(pred)]) == 0
+        rows = read(pred)
+        assert rows[0] == ["id", "decision_value", "predicted_label"]
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(label == classes[1.0 if float(d) >= 0 else -1.0] for _, d, label in rows[1:])
+
+        weights = tmp_path / "weights.csv"
+        assert main(["report", "--model", str(tmp_path / "model.json"), "--csv", str(weights)]) == 0
+        assert sorted(row[0] for row in read(weights)[1:]) == sorted(data.group_names)
+        assert main(["cv", "--features", features, "--groups", groups, "--targets", targets,
+                     "--task", "classification", "--C", "1", "--mu", "0.5", "--k-outer", "2",
+                     "--k-inner", "2", "--out", str(tmp_path / "cv")]) == 0
+        rows = read(tmp_path / "cv" / "weights.csv")
+        assert sorted(row[0] for row in rows[1:]) == sorted(data.group_names)
+        assert all(len(row) == 3 for row in rows)
+
+
 class TestKernelsCommand:
     def test_builds_identical_stacks_on_rerun(self, tmp_path, capsys):
         _, features, groups, _ = _workspace(tmp_path)
@@ -744,7 +813,7 @@ class TestKernelsCommand:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n + (2 << 20)
-        loaded, _, _ = io.read_stack(tmp_path / "stack" / "stack.json")
+        loaded, _ = io.read_stack(tmp_path / "stack" / "stack.json")
         assert loaded.values.tobytes() == build_linear_kernels(data).values.tobytes()
 
     def test_overflowing_kernel_leaves_no_manifest(self, tmp_path, capsys):
@@ -1075,11 +1144,11 @@ class TestTrainInPlace:
         ]) == 0
         options = {"center": "--no-center" not in flags, "normalize": "--no-normalize" not in flags}
 
-        separate, _, _ = io.read_stack(stack)
+        separate, _ = io.read_stack(stack)
         raw_bits = separate.values.copy()
         expected = StackPreprocessor(**options).fit(separate)
         assert np.array_equal(separate.values.view(np.uint64), raw_bits.view(np.uint64))
-        raw, _, buffer = io.read_stack(stack)
+        raw, buffer = io.read_stack(stack)
         assert np.shares_memory(raw.values, buffer) and buffer.flags.writeable
         got = StackPreprocessor(**options).fit(raw, out=buffer)
         assert np.shares_memory(got.train_stack_.values, buffer)
@@ -1569,22 +1638,34 @@ def _wide_field_case(ws, folder):
     return argv, f"{wide}:2: field larger than field limit"
 
 
-def _model_number_case(command, section, key, value):
+def _model_case(command, edit, message):
     """A refusal case: ``predict`` or ``report`` on a copy of the trained model
-    whose ``section`` (``model`` or ``primal``) holds ``value`` at ``key``:
-    a float field that does not convert to a finite float."""
+    that ``edit`` changed, refused with ``message`` after the copy's path."""
 
     def case(ws, folder):
         payload = json.loads((ws.root / "model.json").read_text())
-        payload[section][key] = value
+        edit(payload)
         model = _write(folder / "m.json", json.dumps(payload))
         argv = (
             ["predict", "--model", model, "--features", ws.features, "--out", str(folder / "p.csv")]
             if command == "predict" else ["report", "--model", model]
         )
-        return argv, f"{model}: malformed model file ('{key}' must be a finite number)"
+        return argv, f"{model}: {message}"
 
     return case
+
+
+def _model_number_case(command, section, key, value):
+    """A refusal case: ``predict`` or ``report`` on a copy of the trained model
+    whose ``section`` (``model`` or ``primal``) holds ``value`` at ``key``, or
+    ``value(old value)`` when ``value`` is a function: a float field or array
+    that does not convert to finite floats."""
+
+    def edit(payload):
+        old = payload[section][key]
+        payload[section][key] = value(old) if callable(value) else value
+
+    return _model_case(command, edit, f"malformed model file ('{key}' must be a finite number)")
 
 
 def _overlapping_primal_columns_case(ws, folder):
@@ -1798,11 +1879,30 @@ _REFUSALS = {
             ("mu", "400-digits", 10 ** 400), ("C", "Infinity", float("inf")),
             ("beta_raw_sum", "400-digits", -10 ** 400),
             ("objective_history", "400-digits", [1.0, 10 ** 400]),
+            ("beta", "NaN", lambda beta: [float("nan"), *beta[1:]]),
+            ("alpha", "Infinity", lambda alpha: [*alpha[:-1], float("inf")]),
+            ("train_labels", "NaN", lambda labels: [float("nan"), *labels[1:]]),
         )
     },
     "predict-bias=400-digits": (2, _model_number_case("predict", "model", "bias", 10 ** 400)),
-    "predict-primal-bias=400-digits": (
-        2, _model_number_case("predict", "primal", "bias", 10 ** 400)
+    **{
+        f"predict-primal-{key}={label}": (2, _model_number_case("predict", "primal", key, value))
+        for key, label, value in (
+            ("bias", "400-digits", 10 ** 400),
+            ("weights", "NaN", lambda w: [[float("nan"), *w[0][1:]], *w[1:]]),
+            ("feature_means", "Infinity", lambda m: [[float("inf"), *m[0][1:]], *m[1:]]),
+        )
+    },
+    "predict-features-a-list": (
+        2, _model_case("predict", lambda p: p.update(features=[1]), "malformed model file ('features'")
+    ),
+    "predict-feature_names-5": (
+        2, _model_case("predict", lambda p: p["features"].update(feature_names=5),
+                       "malformed model file ('features' must hold 'feature_names'")
+    ),
+    "report-malformed-primal": (
+        2, _model_case("report", lambda p: p["primal"]["weights"].pop(),
+                       "malformed model file (primal group_names, group_columns, weights")
     ),
     "predict-overlapping-primal-columns": (2, _overlapping_primal_columns_case),
     "predict-overflowing-norm": (

@@ -709,6 +709,13 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="unknown trainer"):
             train_model(_preprocessed_stack(data), data.targets, "classification", "svm", 1.0, 0.5)
 
+    @pytest.mark.parametrize("trainer", ["enmkl", "sum-baseline"])
+    def test_unknown_task_rejected(self, trainer):
+        # Not a ridge fit reported as "regression": each trainer checks the task.
+        data = make_classification_data(n=10, seed=27, group_specs=[("g", 2, "signal")])
+        with pytest.raises(ValueError, match="task must be one of"):
+            train_model(_preprocessed_stack(data), data.targets, "clasification", trainer, 1.0, 0.5)
+
 
 class TestPrediction:
     def _trained(self, seed=16):
