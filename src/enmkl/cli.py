@@ -77,15 +77,6 @@ _LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
 _SEED = _checked(int, lambda s: s < 0, "must be non-negative, got {!r}")
 
 
-def _beta_table(group_names, beta, group_sizes=None, header="kernel weights") -> str:
-    order = sorted(range(len(beta)), key=lambda j: (-beta[j], group_names[j]))
-    lines = [header]
-    for j in order:
-        size = "" if group_sizes is None else f"  ({group_sizes[j]} features)"
-        lines.append(f"  {group_names[j]:<24s} {beta[j]:.6f}{size}")
-    return "\n".join(lines)
-
-
 def cmd_kernels(args) -> None:
     data, _ = io.load_grouped_dataset(args.features, args.groups)
     with named(args.features):
@@ -181,7 +172,7 @@ def cmd_train(args) -> None:
     if not model.converged:
         flavor = "degenerate (all block norms zero)" if model.degenerate else "not converged"
         print(f"warning: weight optimization {flavor} after {model.iterations} iterations")
-    print(_beta_table(model.group_names, model.beta, model.group_sizes))
+    print(io.beta_table(model.group_names, model.beta, model.group_sizes))
     print(f"wrote model to {args.out}")
 
 
@@ -205,49 +196,6 @@ def cmd_predict(args) -> None:
     labels = None if class_labels is None else [class_labels[d >= 0] for d in decisions.tolist()]
     io.write_predictions_csv(args.out, sample_ids, decisions, labels)
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
-
-
-def _weights_csv(names, sizes, beta) -> str:
-    """The weights CSV, heaviest group first; ``beta`` holds Python floats, not numpy's."""
-    order = sorted(range(len(names)), key=lambda j: (-beta[j], names[j]))
-    lines = ["group,mean_weight,n_features"]
-    lines += [f"{io.csv_field(names[j])},{beta[j]!r},{sizes[j]}" for j in order]
-    return "\n".join(lines) + "\n"
-
-
-def _metrics_text(metrics) -> str:
-    return "  ".join(
-        f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in sorted(metrics.items())
-    )
-
-
-def _report_text(report_dict) -> str:
-    lines = [f"task: {report_dict['task']}   trainer: {report_dict['trainer']}"]
-    names = report_dict["group_names"]
-    for fold in report_dict["folds"]:
-        metrics = _metrics_text(fold["metrics"])
-        mu = "-" if fold["selected_mu"] is None else f"{fold['selected_mu']:g}"
-        lines.append(f"  fold {fold['fold_index']}: C={fold['selected_c']:g} mu={mu}  {metrics}")
-    lines.append(f"pooled: {_metrics_text(report_dict['pooled_metrics'])}")
-    lines.append(f"selected kernels: {report_dict['selected_count']} of {len(names)}")
-    lines.append(_beta_table(names, report_dict["mean_beta"], report_dict["group_sizes"],
-                             header="mean kernel weights"))
-    return "\n".join(lines)
-
-
-def _load_report(path) -> tuple[str, str]:
-    """The printout and the weights CSV of a CV report file, or a DataError naming it."""
-    report_dict = io.read_json(path)
-    if not isinstance(report_dict, dict) or "pooled_metrics" not in report_dict:
-        raise DataError(f"{path}: not a cross-validation report")
-    try:
-        return _report_text(report_dict), _weights_csv(
-            report_dict["group_names"], report_dict["group_sizes"], report_dict["mean_beta"]
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: report file is missing {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed report file ({exc})") from None
 
 
 # Tracer-only: perfbench/tracer.py wraps these two at this name, and tests
@@ -295,22 +243,8 @@ def cmd_cv(args) -> None:
         center=not args.no_center, normalize=not args.no_normalize,
         baseline=args.baseline and args.trainer != "sum-baseline", **_fit_options(args),
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_dict = report.to_dict()
-    io.write_json(out_dir / "report.json", report_dict)
-    weights = _weights_csv(report.group_names, report.group_sizes, report.mean_beta.tolist())
-    io.atomic_write_text(out_dir / "weights.csv", weights)
-    print(_report_text(report_dict))
-
-    base = report.baseline
-    if base is not None:
-        io.write_json(out_dir / "report_baseline.json", base.to_dict())
-        print("\nsum-baseline comparison")
-        for key, value in sorted(base.pooled_metrics.items()):
-            main_value = report.pooled_metrics.get(key)
-            main_text = "n/a" if main_value is None else f"{main_value:.4f}"
-            base_text = "n/a" if value is None else f"{value:.4f}"
-            print(f"  {key}: enmkl={main_text}  baseline={base_text}")
+    base = None if report.baseline is None else report.baseline.to_dict()
+    print(io.write_cv_report(out_dir, report.to_dict(), base))
     print(f"wrote report to {out_dir / 'report.json'}")
 
 
@@ -322,23 +256,19 @@ def cmd_report(args) -> None:
 
         model, *_ = mkl.read_model_file(args.model)
         status = "converged" if model.converged else "not converged"
-        print(
+        names, sizes = model.group_names, model.group_sizes or [0] * len(model.group_names)
+        text = (
             f"task: {model.task}   mu: {model.mu:g}   C: {model.C:g}   "
-            f"iterations: {model.iterations} ({status})"
+            f"iterations: {model.iterations} ({status})\n"
+            + io.beta_table(names, model.beta, model.group_sizes)
         )
-        print(_beta_table(model.group_names, model.beta, model.group_sizes))
-        if args.csv:
-            sizes = model.group_sizes or [0] * len(model.group_names)
-            io.atomic_write_text(
-                args.csv, _weights_csv(model.group_names, sizes, model.beta.tolist())
-            )
-            print(f"wrote weights to {args.csv}")
+        weights = io.weights_csv(names, sizes, model.beta.tolist())
     else:
-        text, weights = _load_report(args.report)
-        print(text)
-        if args.csv:
-            io.atomic_write_text(args.csv, weights)
-            print(f"wrote weights to {args.csv}")
+        text, weights = io.read_cv_report(args.report)
+    print(text)
+    if args.csv:
+        io.atomic_write_text(args.csv, weights)
+        print(f"wrote weights to {args.csv}")
 
 
 def _add_solver_options(parser) -> None:

@@ -334,9 +334,6 @@ class FoldOutcome:
     decision_values: np.ndarray
     true_targets: np.ndarray
 
-    def to_dict(self) -> dict:
-        return record_dict(self)
-
 
 @dataclass(frozen=True)
 class CvReport:

@@ -1,4 +1,4 @@
-"""File formats: feature/target CSVs, kernel files, manifests, JSON.
+"""File formats: feature/target CSVs, kernel files, manifests, CV reports, JSON.
 
 All writes are atomic (write to a temporary sibling, then rename), and all
 formatting is deterministic: floats are written with Python's shortest
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -497,11 +498,16 @@ def has_version(obj, key: str, version: int) -> bool:
 
 
 _JSON_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
-               dict: "an object"}
+               dict: "an object", float: "a finite number"}
+
+
+def _finite_number(value) -> bool:
+    """Whether a decoded JSON value is an integer or float (not a bool) within float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _json_value(where: str, obj, key: str, kind: type):
-    """``obj[key]`` of a decoded JSON object; it must have exactly type ``kind``.
+    """``obj[key]`` of a decoded JSON object, of exactly type ``kind`` (``float``: a finite number).
 
     A missing or ill-typed value is a :class:`DataError` that starts with
     ``where``, so it names the file it came from.
@@ -509,7 +515,7 @@ def _json_value(where: str, obj, key: str, kind: type):
     if not isinstance(obj, dict) or key not in obj:
         raise DataError(f"{where}: missing '{key}'")
     value = obj[key]
-    if type(value) is not kind:
+    if not (_finite_number(value) if kind is float else type(value) is kind):
         raise DataError(f"{where}: '{key}' must be {_JSON_KINDS[kind]}")
     return value
 
@@ -646,3 +652,94 @@ def write_predictions_csv(path, sample_ids, decisions, labels=None) -> None:
         for sid, d, l in zip(sample_ids, decisions, labels):
             lines.append(f"{sid},{float.__repr__(d)},{csv_field(l)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def beta_table(group_names, beta, group_sizes=None, header="kernel weights") -> str:
+    order = sorted(range(len(beta)), key=lambda j: (-beta[j], group_names[j]))
+    sizes = [""] * len(beta) if group_sizes is None else [f"  ({n} features)" for n in group_sizes]
+    return "\n".join([header, *(f"  {group_names[j]:<24s} {beta[j]:.6f}{sizes[j]}" for j in order)])
+
+
+def weights_csv(names, sizes, beta) -> str:
+    """The weights CSV, heaviest group first; ``beta`` holds Python floats, not numpy's."""
+    order = sorted(range(len(names)), key=lambda j: (-beta[j], names[j]))
+    rows = (f"{csv_field(names[j])},{beta[j]!r},{sizes[j]}" for j in order)
+    return "\n".join(["group,mean_weight,n_features", *rows]) + "\n"
+
+
+def _metrics_text(metrics) -> str:
+    return "  ".join(
+        f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in sorted(metrics.items())
+    )
+
+
+def _cv_report_text(report) -> str:
+    """The printout of a CV report record, as ``cv`` and ``report --report`` print it."""
+    lines = [f"task: {report['task']}   trainer: {report['trainer']}"]
+    for fold in report["folds"]:
+        metrics = _metrics_text(fold["metrics"])
+        mu = "-" if fold["selected_mu"] is None else f"{fold['selected_mu']:g}"
+        lines.append(f"  fold {fold['fold_index']}: C={fold['selected_c']:g} mu={mu}  {metrics}")
+    lines.append(f"pooled: {_metrics_text(report['pooled_metrics'])}")
+    lines.append(f"selected kernels: {report['selected_count']} of {len(report['group_names'])}")
+    lines.append(beta_table(report["group_names"], report["mean_beta"], report["group_sizes"],
+                            header="mean kernel weights"))
+    return "\n".join(lines)
+
+
+def write_cv_report(out_dir, report: dict, baseline: dict | None) -> str:
+    """Write ``CvReport.to_dict()`` records into ``out_dir``: ``report.json``, ``weights.csv``
+    and, given a baseline, ``report_baseline.json``. Returns the printout, comparison included."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "report.json", report)
+    weights = weights_csv(report["group_names"], report["group_sizes"], report["mean_beta"])
+    atomic_write_text(out_dir / "weights.csv", weights)
+    text = _cv_report_text(report)
+    if baseline is not None:
+        write_json(out_dir / "report_baseline.json", baseline)
+        text += "\n\nsum-baseline comparison"
+        for key, value in sorted(baseline["pooled_metrics"].items()):
+            main, base = ("n/a" if v is None else f"{v:.4f}"
+                          for v in (report["pooled_metrics"].get(key), value))
+            text += f"\n  {key}: enmkl={main}  baseline={base}"
+    return text
+
+
+def _json_metrics(where: str, obj, key: str) -> None:
+    if not all(v is None or _finite_number(v) for v in _json_value(where, obj, key, dict).values()):
+        raise DataError(f"{where}: '{key}' must map names to finite numbers or null")
+
+
+def read_cv_report(path) -> tuple[str, str]:
+    """The printout and the weights CSV of a :func:`write_cv_report` report file; every
+    field they read is checked first, and a fault is a DataError naming the file and field."""
+    report, where = read_json(path), str(path)
+    if not isinstance(report, dict) or "pooled_metrics" not in report:
+        raise DataError(f"{where}: not a cross-validation report")
+    _json_value(where, report, "task", str)
+    _json_value(where, report, "trainer", str)
+    names = _json_ids(where, report, "group_names")
+    if not names or len(set(names)) != len(names):
+        raise DataError(f"{where}: 'group_names' must be one or more distinct strings")
+    sizes = _json_value(where, report, "group_sizes", list)
+    if len(sizes) != len(names) or not all(type(s) is int and s > 0 for s in sizes):
+        raise DataError(f"{where}: 'group_sizes' must hold one positive integer per group")
+    beta = _json_value(where, report, "mean_beta", list)
+    if len(beta) != len(names) or not all(map(_finite_number, beta)):
+        raise DataError(f"{where}: 'mean_beta' must hold one finite number per group")
+    if not 0 <= _json_value(where, report, "selected_count", int) <= len(names):
+        raise DataError(f"{where}: 'selected_count' must lie in [0, {len(names)}]")
+    _json_metrics(where, report, "pooled_metrics")
+    if not _json_value(where, report, "folds", list):
+        raise DataError(f"{where}: 'folds' must not be empty")
+    for i, fold in enumerate(report["folds"]):
+        at = f"{where}: folds[{i}]"
+        _json_value(at, fold, "fold_index", int)
+        if _json_value(at, fold, "selected_c", float) <= 0:
+            raise DataError(f"{at}: 'selected_c' must be positive")
+        mu = fold.get("selected_mu", "missing")
+        if mu is not None and not (_finite_number(mu) and 0 < mu <= 1):
+            raise DataError(f"{at}: 'selected_mu' must be null or lie in (0, 1]")
+        _json_metrics(at, fold, "metrics")
+    return _cv_report_text(report), weights_csv(names, sizes, beta)

@@ -857,12 +857,14 @@ def read_model_file(path):
             f"{path}: model file is not format_version {MODEL_FORMAT_VERSION}; "
             "rerun the train command"
         )
-    mapping, features, primal = map(payload.get, ("label_mapping", "features", "primal"))
+    labels, features, primal = map(payload.get, ("label_mapping", "features", "primal"))
     try:
         model = model_from_dict(payload["model"])
-        if not isinstance(mapping, (dict, type(None))):
-            raise TypeError("'label_mapping' must be an object")
-        names = {float(v): str(k) for k, v in (mapping or {}).items()}
+        if model.task == "regression" and labels is not None:
+            raise ValueError("'label_mapping' must be null for a regression model")
+        raw = {v: k for k, v in labels.items() if type(v) is float} if type(labels) is dict else {}
+        if model.task == "classification" and (set(raw) != {-1.0, 1.0} or len(labels) != 2):
+            raise ValueError("'label_mapping' must map two class labels to -1.0 and 1.0")
         if features is not None:
             features = features.get("feature_names") if isinstance(features, dict) else None
             if type(features) is not list or not all(type(name) is str for name in features):
@@ -873,5 +875,4 @@ def read_model_file(path):
         raise DataError(f"{path}: model file is missing {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
-    labels = names.get(-1.0, "-1"), names.get(1.0, "+1")
-    return model, primal, features, labels if model.task == "classification" else None
+    return model, primal, features, (raw[-1.0], raw[1.0]) if raw else None

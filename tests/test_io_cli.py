@@ -1307,11 +1307,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                  "--out", model]) == 0
     assert main(["cv", "--features", features, "--groups", groups, *fit,
                  "--k-outer", "2", "--k-inner", "2", "--out", str(cv)]) == 0
+    report = io.read_json(cv / "report.json")
+    report["mean_beta"][0] = float("nan")
+    malformed = _write(tmp_path / "malformed.json", json.dumps(report))
     cases = {
         "help": (["--help"], _BASE_MODULES),
         "kernels": (["kernels", "--features", features, "--groups", groups,
                      "--out", str(tmp_path / "stack2")], _BASE_MODULES),
         "report-report": (["report", "--report", str(cv / "report.json")], _BASE_MODULES),
+        "report-malformed-report": (["report", "--report", malformed], _BASE_MODULES),
         "train": (["train", "--stack", str(tmp_path / "stack" / "stack.json"), *fit,
                    "--out", str(tmp_path / "model2.json")], _FIT_MODULES),
         "predict": (["predict", "--model", model, "--features", features,
@@ -1332,7 +1336,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, (_, allowed) in cases.items():
         out, err = children[name].communicate(timeout=60)
         code, loaded = json.loads(out.splitlines()[-1])
-        assert code == 0, (name, err)
+        assert code == (2 if name == "report-malformed-report" else 0), (name, err)
         assert set(loaded) <= allowed, name
 
 
@@ -1900,6 +1904,13 @@ _REFUSALS = {
         2, _model_case("predict", lambda p: p["features"].update(feature_names=5),
                        "malformed model file ('features' must hold 'feature_names'")
     ),
+    **{
+        f"{command}-label_mapping-a=5-b=7": (
+            2, _model_case(command, lambda p: p.update(label_mapping={"a": 5, "b": 7}),
+                           "malformed model file ('label_mapping' must map two class labels")
+        )
+        for command in ("predict", "report")
+    },
     "report-malformed-primal": (
         2, _model_case("report", lambda p: p["primal"]["weights"].pop(),
                        "malformed model file (primal group_names, group_columns, weights")
@@ -2571,6 +2582,27 @@ class TestReportCommand:
         assert "pooled:" in capsys.readouterr().out
         assert open(csv_out).readline().strip() == "group,mean_weight,n_features"
 
+    @pytest.mark.parametrize("task,extra", [("classification", ["--baseline"]), ("regression", [])])
+    def test_reprints_what_cv_printed_and_wrote(self, tmp_path, capsys, task, extra):
+        # report --report renders a report file as cv rendered the report it
+        # wrote: the printout up to the baseline comparison, and weights.csv.
+        _, features, groups, targets = _workspace(tmp_path, task, n=18, seed=69)
+        cv = tmp_path / "cv"
+        assert main([
+            "cv", "--features", features, "--groups", groups, "--targets", targets,
+            "--task", task, "--C", "0.5,2", "--mu", "0.5,1", "--k-outer", "3", "--k-inner", "2",
+            *extra, "--out", str(cv),
+        ]) == 0
+        printed = capsys.readouterr().out.partition("\nsum-baseline comparison")[0]
+        printed = printed.removesuffix(f"wrote report to {cv / 'report.json'}\n")
+        csv_out = tmp_path / "w.csv"
+        assert main(["report", "--report", str(cv / "report.json"), "--csv", str(csv_out)]) == 0
+        assert capsys.readouterr().out == printed + f"wrote weights to {csv_out}\n"
+        assert csv_out.read_bytes() == (cv / "weights.csv").read_bytes()
+        if extra:
+            assert main(["report", "--report", str(cv / "report_baseline.json")]) == 0
+            assert "trainer: sum-baseline" in capsys.readouterr().out
+
     def test_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1
         assert main(["report", "--model", "a", "--report", "b"]) == 1
@@ -2596,30 +2628,46 @@ class TestReportCommand:
             "group,mean_weight,n_features\nb,0.75,3\na,0.25,2\n"
         )
 
-    def _without_selected_c(self):
-        report = json.loads(json.dumps(self._REPORT))
-        del report["folds"][0]["selected_c"]
-        return report
+    @staticmethod
+    def _fold(**changes):
+        """An edit of ``_REPORT``'s copy that sets these keys of its first fold."""
+        return lambda report: report["folds"][0].update(changes)
 
     @pytest.mark.parametrize(
         "payload,message",
         [
-            ({"pooled_metrics": {}}, "report file is missing 'task'"),
+            ({"pooled_metrics": {}}, "missing 'task'"),
             (5, "not a cross-validation report"),
             ([], "not a cross-validation report"),
-            ("fold without selected_c", "report file is missing 'selected_c'"),
-            ({**_REPORT, "mean_beta": ["x", 0.75]}, "malformed report file"),
-            ({**_REPORT, "mean_beta": [0.25]}, "malformed report file"),
-            ({**_REPORT, "pooled_metrics": []}, "malformed report file"),
+            (lambda report: report["folds"][0].pop("selected_c"), "folds[0]: missing 'selected_c'"),
+            ({**_REPORT, "mean_beta": ["x", 0.75]}, "'mean_beta' must hold one finite number"),
+            ({**_REPORT, "mean_beta": [0.25]}, "'mean_beta' must hold one finite number"),
+            ({**_REPORT, "pooled_metrics": []}, "'pooled_metrics' must be an object"),
+            ({**_REPORT, "mean_beta": [float("nan"), 0.75]}, "'mean_beta' must hold one finite"),
+            ({**_REPORT, "mean_beta": [float("inf"), 0.75]}, "'mean_beta' must hold one finite"),
+            ({**_REPORT, "mean_beta": [10 ** 400, 0.75]}, "'mean_beta' must hold one finite"),
+            ({**_REPORT, "group_sizes": ["x", 3]}, "'group_sizes' must hold one positive integer"),
+            (_fold(selected_c=True), "folds[0]: 'selected_c' must be a finite number"),
+            (_fold(selected_c=-1), "folds[0]: 'selected_c' must be positive"),
+            (_fold(selected_mu=0), "folds[0]: 'selected_mu' must be null or lie in (0, 1]"),
+            (_fold(selected_mu=1.5), "folds[0]: 'selected_mu' must be null or lie in"),
+            (_fold(metrics={"accuracy": [0.5]}), "folds[0]: 'metrics' must map names"),
+            ({**_REPORT, "pooled_metrics": {"accuracy": "x"}}, "'pooled_metrics' must map names"),
+            ({**_REPORT, "task": 5}, "'task' must be a string"),
+            ({**_REPORT, "selected_count": -3}, "'selected_count' must lie in [0, 2]"),
+            ({**_REPORT, "folds": []}, "'folds' must not be empty"),
+            ({**_REPORT, "group_names": ["a", "a"]}, "'group_names' must be one or more distinct strings"),
         ],
     )
     def test_report_of_the_wrong_shape_exits_2(self, tmp_path, payload, message):
-        if payload == "fold without selected_c":
-            payload = self._without_selected_c()
+        if callable(payload):
+            edit, payload = payload, json.loads(json.dumps(self._REPORT))
+            edit(payload)
         path = _write(tmp_path / "r.json", json.dumps(payload))
         result = _run_cli("report", "--report", path, "--csv", str(tmp_path / "w.csv"))
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {path}: {message}")
+        assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
         assert not (tmp_path / "w.csv").exists()
