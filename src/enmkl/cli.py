@@ -12,17 +12,14 @@ solver fails to converge.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-# A command imports mkl and evaluation only when it runs them, so kernels,
-# report --report and --help load neither them nor solvers.
-from . import io
+# A command checks its options and output paths first, then imports the
+# modules it runs, so --help and every refusal of them load no numpy, and
+# kernels and report --report load no solver, fit or cv code.
 from .errors import ConvergenceError, DataError, UsageError, named
-# cmd_train looks build_linear_kernels up here, where perfbench/tracer.py wraps it.
-from .kernels import LinearKernelStream, StackPreprocessor, build_linear_kernels
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +62,7 @@ def _float_list(convert):
     return parse
 
 
-_POSITIVE = _checked(float, lambda v: not 0 < v < np.inf, "must be positive and finite, got {!r}")
+_POSITIVE = _checked(float, lambda v: not 0 < v < math.inf, "must be positive and finite, got {!r}")
 _MU = _checked(
     float,
     lambda mu: not 0.0 < mu <= 1.0,
@@ -77,7 +74,26 @@ _LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
 _SEED = _checked(int, lambda s: s < 0, "must be non-negative, got {!r}")
 
 
+def _check_out(flag: str, path: str, folder: bool = False) -> None:
+    """Refuse, before any work, an output file that is a directory or whose
+    directory is missing, and an output directory at or under a file."""
+    out = Path(path)
+    if folder:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        fault = None if existing.is_dir() else f"{existing} exists and is not a directory"
+    elif out.is_dir():
+        fault = "Is a directory"
+    else:
+        fault = None if out.parent.is_dir() else f"No such directory: {out.parent}"
+    if fault:
+        raise DataError(f"{flag} {path}: {fault}")
+
+
 def cmd_kernels(args) -> None:
+    _check_out("--out", args.out, folder=True)
+    from . import io
+    from .kernels import LinearKernelStream
+
     data, _ = io.load_grouped_dataset(args.features, args.groups)
     with named(args.features):
         manifest_path = io.write_stack(
@@ -89,6 +105,8 @@ def cmd_kernels(args) -> None:
 
 def _recoverable_sources(manifest: io.StackManifest):
     """Feature/group paths recorded at kernel-build time, when still intact."""
+    from . import io
+
     if manifest.sources is None or not all(Path(path).is_file() for path, _ in manifest.sources):
         return None
     for path, recorded in manifest.sources:
@@ -105,6 +123,8 @@ def _written_from(manifest: io.StackManifest, data) -> bool:
     ``data``: the same samples and groups, and each kernel file's bytes those
     its recorded sha256 was taken of. The kernel files are hashed, not
     parsed; a missing one is left for the kernel route to name."""
+    from . import io
+
     return (
         manifest.row_ids == manifest.col_ids == data.sample_ids
         and manifest.group_names == data.group_names
@@ -129,12 +149,13 @@ def _fit_options(args) -> dict:
 
 
 def cmd_train(args) -> None:
-    from . import mkl
-
     if args.trainer == "enmkl" and args.mu is None:
         raise UsageError("--mu is required when training the enmkl model")
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
+    _check_out("--out", args.out)
+    from . import io, mkl
+    from .kernels import StackPreprocessor
 
     manifest = io.read_manifest(args.stack)
     sources = _recoverable_sources(manifest)
@@ -177,7 +198,8 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    from . import mkl
+    _check_out("--out", args.out)
+    from . import io, mkl
 
     _, primal, feature_names, class_labels = mkl.read_model_file(args.model)
     if primal is None:
@@ -198,8 +220,14 @@ def cmd_predict(args) -> None:
     print(f"wrote {len(sample_ids)} predictions to {args.out}")
 
 
-# Tracer-only: perfbench/tracer.py wraps these two at this name, and tests
-# patch them here. They go once the tracer wraps the evaluation functions.
+# Tracer-only: perfbench/tracer.py wraps these three at this name, and tests
+# patch them here. They go once the tracer wraps the functions they forward to.
+def build_linear_kernels(*args, **kwargs):
+    from . import kernels
+
+    return kernels.build_linear_kernels(*args, **kwargs)
+
+
 def make_fold_plan(*args, **kwargs):
     from . import evaluation
 
@@ -213,18 +241,13 @@ def nested_cv(*args, **kwargs):
 
 
 def cmd_cv(args) -> None:
-    from . import evaluation
-
     if args.grid and (args.C is not None or args.mu is not None):
         raise UsageError("--grid replaces --C/--mu; pass one or the other")
+    # --out is made only after the fits, so a failed cv leaves no folder.
+    _check_out("--out", args.out, folder=True)
+    from . import evaluation, io
 
-    # --out is made only after the fits, so a failed cv leaves no folder; an
-    # --out that cannot become a folder is refused before them.
     out_dir = Path(args.out)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise DataError(f"--out {out_dir}: {existing} exists and is not a directory")
-
     data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
     blocks = io.read_blocks(args.blocks, data.sample_ids) if args.blocks else None
     labels = data.targets if args.task == "classification" else None
@@ -251,6 +274,10 @@ def cmd_cv(args) -> None:
 def cmd_report(args) -> None:
     if (args.model is None) == (args.report is None):
         raise UsageError("report needs exactly one of --model or --report")
+    if args.csv:
+        _check_out("--csv", args.csv)
+    from . import io
+
     if args.model is not None:
         from . import mkl
 

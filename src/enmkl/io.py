@@ -39,7 +39,7 @@ def atomic_write_bytes(path, *chunks) -> None:
     never seen half-written.
 
     They go to a temporary sibling that then replaces the target; a write or
-    replace that fails removes the temporary file and re-raises.
+    replace that fails removes the sibling and re-raises, naming the target.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -48,9 +48,11 @@ def atomic_write_bytes(path, *chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

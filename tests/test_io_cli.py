@@ -114,6 +114,24 @@ class TestAtomicWrites:
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_failed_open_or_replace_names_the_target(self, tmp_path, monkeypatch):
+        missing = tmp_path / "nodir" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            io.atomic_write_text(missing, "new")
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        target = tmp_path / "out.txt"
+        io.atomic_write_text(target, "old")
+
+        def replace(src, dst):
+            raise PermissionError(13, "Permission denied", str(src), str(dst))
+
+        monkeypatch.setattr(io.os, "replace", replace)
+        with pytest.raises(PermissionError) as info:
+            io.atomic_write_text(target, "new")
+        assert str(info.value) == f"[Errno 13] Permission denied: '{target}'"
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 class TestJsonConventions:
     def test_sorted_keys_and_trailing_newline(self):
@@ -1282,6 +1300,7 @@ def test_classification_commands_leave_numpy_ma_unloaded(tmp_path):
     assert io.read_json(tmp_path / "model.json")["model"]["task"] == "classification"
 
 
+_STARTUP_MODULES = {"enmkl", "enmkl.cli", "enmkl.errors"}
 _BASE_MODULES = {"enmkl", "enmkl.cli", "enmkl.errors", "enmkl.io", "enmkl.kernels"}
 _FIT_MODULES = _BASE_MODULES | {"enmkl.mkl", "enmkl.solvers"}
 _LOADED_BY_COMMAND = (
@@ -1311,7 +1330,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     report["mean_beta"][0] = float("nan")
     malformed = _write(tmp_path / "malformed.json", json.dumps(report))
     cases = {
-        "help": (["--help"], _BASE_MODULES),
+        "help": (["--help"], _STARTUP_MODULES),
         "kernels": (["kernels", "--features", features, "--groups", groups,
                      "--out", str(tmp_path / "stack2")], _BASE_MODULES),
         "report-report": (["report", "--report", str(cv / "report.json")], _BASE_MODULES),
@@ -1338,6 +1357,44 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         code, loaded = json.loads(out.splitlines()[-1])
         assert code == (2 if name == "report-malformed-report" else 0), (name, err)
         assert set(loaded) <= allowed, name
+
+
+def test_help_and_refusals_of_the_command_line_load_no_numpy(tmp_path):
+    # Each is answered from the command line and the file system alone:
+    # numpy's import is most of a command's start-up.
+    folder, file = tmp_path / "folder", _write(tmp_path / "file.csv", "id,a\n")
+    folder.mkdir()
+    missing = str(tmp_path / "nodir" / "out")
+    fit = ["--targets", "t.csv", "--task", "classification", "--C", "1"]
+    train = ["train", "--stack", "stack.json", *fit]
+    cv = ["cv", "--features", "f.csv", "--groups", "g.csv", *fit]
+    cases = [
+        (0, ["--help"]),
+        *((0, [command, "--help"]) for command in ("kernels", "train", "predict", "cv", "report")),
+        (1, ["predict", "--model", "m.json", "--out", "p.csv"]),
+        (1, [*train, "--out", "m.json"]),
+        (1, [*train, "--trainer", "sum-baseline", "--mu", "0.5", "--out", "m.json"]),
+        (1, [*cv, "--grid", "--out", "cv"]),
+        (1, ["report"]),
+        (1, ["report", "--model", "m.json", "--report", "r.json"]),
+        (1, [*train, "--mu", "0.5", "--C", "0", "--out", "m.json"]),
+        (2, [*train, "--mu", "0.5", "--out", missing]),
+        (2, [*train, "--mu", "0.5", "--out", str(folder)]),
+        (2, ["predict", "--model", "m.json", "--features", "f.csv", "--out", str(folder)]),
+        (2, ["report", "--model", "m.json", "--csv", missing]),
+        (2, ["kernels", "--features", "f.csv", "--groups", "g.csv", "--out", file]),
+        (2, [*cv, "--mu", "0.5", "--out", str(Path(file) / "cv")]),
+    ]
+    script = _LOADED_BY_COMMAND + "\nprint(json.dumps('numpy' in sys.modules))"
+    for expected, argv in cases:
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=_src_env(),
+                             capture_output=True, text=True)
+        *printed, loaded, numpy = out.stdout.splitlines()
+        code, modules = json.loads(loaded)
+        assert code == expected, (argv, out.stderr)
+        assert set(modules) <= _STARTUP_MODULES and not json.loads(numpy), argv
+        # A refusal prints nothing but its one error line.
+        assert expected == 0 or (printed == [] and len(out.stderr.splitlines()) == 1), argv
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
@@ -1815,6 +1872,27 @@ def _option_case(command, flag, value):
     return case
 
 
+def _out_case(command, flag, where):
+    """A refusal case: ``command`` whose output ``flag`` names a file in a
+    ``missing`` folder, an existing ``folder``, or, for a folder, a ``file``."""
+
+    def case(ws, folder):
+        out = {"missing": folder / "no" / "out", "folder": folder,
+               "file": Path(ws.features)}[where]
+        argv = {
+            "train": ws.train(ws.root / "stack" / "stack.json")[:-2],
+            "predict": ["predict", "--model", str(ws.root / "model.json"),
+                        "--features", ws.features],
+            "report": ["report", "--model", str(ws.root / "model.json")],
+            "kernels": ["kernels", "--features", ws.features, "--groups", ws.groups],
+        }[command]
+        fault = {"missing": f"No such directory: {folder / 'no'}", "folder": "Is a directory",
+                 "file": f"{out} exists and is not a directory"}[where]
+        return [*argv, flag, str(out)], f"error: {flag} {out}: {fault}"
+
+    return case
+
+
 # name -> (exit code, case); a case maps the workspace and a folder of its
 # own to the command line and to text its error line must hold.
 _REFUSALS = {
@@ -1830,6 +1908,11 @@ _REFUSALS = {
         for value in ("1,inf", "nan", "1,0")
     },
     "cv--seed=-1": (1, _option_case("cv", "--seed", "-1")),
+    "train--out-in-a-missing-folder": (2, _out_case("train", "--out", "missing")),
+    "train--out-a-folder": (2, _out_case("train", "--out", "folder")),
+    "predict--out-a-folder": (2, _out_case("predict", "--out", "folder")),
+    "report--csv-in-a-missing-folder": (2, _out_case("report", "--csv", "missing")),
+    "kernels--out-a-file": (2, _out_case("kernels", "--out", "file")),
     "sources-a-list": (2, _edit_manifest(lambda m: m.update(sources=["x"]))),
     "features_file-5": (2, _edit_manifest(lambda m: m["sources"].update(features_file=5))),
     "repeated-group-name": (
