@@ -23,8 +23,8 @@ _HOME = {
     "HyperGrid": "evaluation",
     "KernelStack": "kernels",
     "KrrDualSolution": "solvers",
-    "MklModel": "mkl",
-    "PrimalModel": "mkl",
+    "MklModel": "model",
+    "PrimalModel": "model",
     "StackPreprocessor": "kernels",
     "SvmDualSolution": "solvers",
     "UsageError": "errors",
@@ -33,8 +33,8 @@ _HOME = {
     "build_linear_cross_kernels": "kernels",
     "build_linear_kernels": "kernels",
     "make_fold_plan": "evaluation",
-    "model_from_dict": "mkl",
-    "model_to_dict": "mkl",
+    "model_from_dict": "model",
+    "model_to_dict": "model",
     "mse": "evaluation",
     "nested_cv": "evaluation",
     "pearson_correlation": "evaluation",

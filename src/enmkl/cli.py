@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 # A command checks its options and output paths first, then imports the
-# modules it runs, so --help and every refusal of them load no numpy, and
-# kernels and report --report load no solver, fit or cv code.
+# modules it runs, so --help and every refusal of them load no numpy,
+# report --report loads only io, and predict and report --model only io and
+# model: no kernel, solver, fit or cv code.
 from .errors import ConvergenceError, DataError, UsageError, named
 
 
@@ -74,11 +75,16 @@ _LIMIT = _checked(int, lambda n: n < 1, "must be at least 1, got {!r}")
 _SEED = _checked(int, lambda s: s < 0, "must be non-negative, got {!r}")
 
 
-def _check_out(flag: str, path: str, folder: bool = False) -> None:
-    """Refuse, before any work, an output file that is a directory or whose
-    directory is missing, and an output directory at or under a file."""
+def _check_out(args, flag: str, inputs, writes=()) -> None:
+    """Refuse, before any work, the output of option ``flag``: a file that is
+    a directory or whose directory is missing, or, given ``writes`` (glob
+    patterns of the files written into it), a directory at or under a file;
+    and either when a file it would write is the file of an option in ``inputs``.
+    The message names the paths as given."""
+    path = getattr(args, flag[2:])
     out = Path(path)
-    if folder:
+    written = [p for pattern in writes for p in out.glob(pattern)] if writes else [out]
+    if writes:
         existing = next(p for p in (out, *out.parents) if p.exists())
         fault = None if existing.is_dir() else f"{existing} exists and is not a directory"
     elif out.is_dir():
@@ -87,10 +93,17 @@ def _check_out(flag: str, path: str, folder: bool = False) -> None:
         fault = None if out.parent.is_dir() else f"No such directory: {out.parent}"
     if fault:
         raise DataError(f"{flag} {path}: {fault}")
+    for option in inputs:
+        given = getattr(args, option[2:])
+        if given and Path(given).is_file() and any(
+            p.is_file() and p.samefile(given) for p in written
+        ):
+            raise DataError(f"{flag} {path}: would overwrite the input {option} {given}")
 
 
 def cmd_kernels(args) -> None:
-    _check_out("--out", args.out, folder=True)
+    kernel_files = "kernel_[0-9]*." + ("csv" if args.format == "csv" else "bin")
+    _check_out(args, "--out", ("--features", "--groups"), writes=("stack.json", kernel_files))
     from . import io
     from .kernels import LinearKernelStream
 
@@ -153,7 +166,7 @@ def cmd_train(args) -> None:
         raise UsageError("--mu is required when training the enmkl model")
     if args.trainer == "sum-baseline" and args.mu is not None:
         raise UsageError("--mu does not apply to the sum baseline")
-    _check_out("--out", args.out)
+    _check_out(args, "--out", ("--stack", "--targets"))
     from . import io, mkl
     from .kernels import StackPreprocessor
 
@@ -198,10 +211,10 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    _check_out("--out", args.out)
-    from . import io, mkl
+    _check_out(args, "--out", ("--model", "--features"))
+    from . import io, model
 
-    _, primal, feature_names, class_labels = mkl.read_model_file(args.model)
+    _, primal, feature_names, class_labels = model.read_model_file(args.model)
     if primal is None:
         raise DataError(
             f"{args.model}: model carries no primal weights (the feature files the "
@@ -244,7 +257,8 @@ def cmd_cv(args) -> None:
     if args.grid and (args.C is not None or args.mu is not None):
         raise UsageError("--grid replaces --C/--mu; pass one or the other")
     # --out is made only after the fits, so a failed cv leaves no folder.
-    _check_out("--out", args.out, folder=True)
+    _check_out(args, "--out", ("--features", "--groups", "--targets", "--blocks"),
+               writes=("report.json", "weights.csv", "report_baseline.json"))
     from . import evaluation, io
 
     out_dir = Path(args.out)
@@ -275,13 +289,13 @@ def cmd_report(args) -> None:
     if (args.model is None) == (args.report is None):
         raise UsageError("report needs exactly one of --model or --report")
     if args.csv:
-        _check_out("--csv", args.csv)
+        _check_out(args, "--csv", ("--model", "--report"))
     from . import io
 
     if args.model is not None:
-        from . import mkl
+        from .model import read_model_file
 
-        model, *_ = mkl.read_model_file(args.model)
+        model, *_ = read_model_file(args.model)
         status = "converged" if model.converged else "not converged"
         names, sizes = model.group_names, model.group_sizes or [0] * len(model.group_names)
         text = (

@@ -20,6 +20,7 @@ from .io import record_dict
 from .kernels import GroupedDataset, build_linear_kernels, feature_blocks, group_feature_means
 # Unused here since cv scores through primal weights; perfbench/tracer.py wraps it at this name.
 from .kernels import build_linear_cross_kernels  # noqa: F401
+from .model import primal_decisions
 
 # Default hyperparameter grid: seven decades of C and ten mixing values.
 DEFAULT_C_VALUES = tuple(10.0 ** e for e in range(-3, 4))
@@ -413,7 +414,7 @@ def _partition_decisions(
     for key in keys:
         model = models[key]
         weights = mkl.primal_weights(model, train_blocks)
-        decisions = mkl.primal_decisions(model.bias, weights, eval_blocks, eval_data.n_samples)
+        decisions = primal_decisions(model.bias, weights, eval_blocks, eval_data.n_samples)
         fitted[key] = (decisions, model)
     return fitted
 

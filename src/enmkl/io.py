@@ -22,11 +22,14 @@ import struct
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import GroupedDataset, KernelStack, LinearKernelStream, bit_symmetric
+
+if TYPE_CHECKING:  # io imports kernels in the functions that use it, for predict's start-up
+    from .kernels import KernelStack, LinearKernelStream
 
 # Binary kernels start with this magic; a file with any other start, such as
 # the first format's, which had no id digest, is refused.
@@ -277,6 +280,8 @@ def load_grouped_dataset(
     Returns (dataset, label_mapping) where label_mapping is None for
     regression or when no targets were given.
     """
+    from .kernels import GroupedDataset
+
     sample_ids, feature_names, features = read_features_csv(features_path)
     mapping = {}
     for name, (group, lineno) in read_column_csv(groups_path, "map", key_name="feature").items():
@@ -342,6 +347,8 @@ def write_kernel_csv(path, values: np.ndarray, row_ids, col_ids) -> str:
     mirrored from it. The bit test matters: ``-0.0 == 0.0`` but their
     strings differ, so such a kernel takes the full-matrix path.
     """
+    from .kernels import bit_symmetric
+
     rows = values.tolist()
     if bit_symmetric(values):
         cells = []
@@ -610,6 +617,8 @@ def read_stack(manifest):
     Each kernel file must carry the manifest's ids (a binary file's header,
     their counts and digest) and is read into its slice.
     """
+    from .kernels import KernelStack
+
     if not isinstance(manifest, StackManifest):
         manifest = read_manifest(manifest)
     row_ids, col_ids, paths = manifest.row_ids, manifest.col_ids, manifest.files

@@ -9,7 +9,7 @@ combination stay aligned with sample identifiers and group names.
 callers that hold only kernels. Both steps are exactly equivalent to
 transforming the underlying feature rows (subtracting per-group train means,
 scaling each sample's group slice to unit norm) and recomputing inner
-products. That feature-space view is what :func:`preprocess_slices`
+products. That feature-space view is what :func:`enmkl.model.preprocess_slices`
 implements, one group slice at a time, and :func:`build_linear_kernels`
 builds every kernel as the Gram matrix of such slices; the test suite checks
 the two routes against each other.
@@ -622,44 +622,10 @@ def feature_blocks(
 ) -> list[np.ndarray]:
     """Each group's slice of ``data``'s feature rows, centered with the train
     group ``means`` and normalized as the model's kernels were."""
+    from .model import preprocess_slices  # kept out of the kernels command's start-up
+
     return preprocess_slices(
         data.features, [data.group_columns(j) for j in range(data.n_groups)], means,
         centered, normalized, sample_ids=data.sample_ids, group_names=data.group_names,
     )
 
-
-def preprocess_slices(
-    features, group_columns, group_means, center: bool, normalize: bool,
-    sample_ids=None, group_names=None,
-) -> list[np.ndarray]:
-    """Replay the kernel pipeline on each group's slice of the feature rows.
-
-    Per group: cut the slice ``features[:, columns]``, subtract the supplied
-    train means (when centering), then scale each sample's slice to unit
-    Euclidean norm (when normalizing). Returns the slices in group order; with
-    both steps off they are the raw ones. Inner products of the returned
-    slices reproduce the centered/normalized kernels exactly, which is what
-    makes primal weights comparable to the dual model. A slice whose norm is
-    zero or overflows is a DataError that names the sample and the group (by
-    index if ``group_names`` is None).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    slices = []
-    for g, cols, mu in zip(group_names or range(len(group_columns)), group_columns, group_means):
-        block = features[:, cols]
-        if center:
-            block = block - np.asarray(mu, dtype=np.float64)[None, :]
-        if normalize:
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(block, axis=1)
-            bad = np.flatnonzero(~(norms > 0.0) | (norms == np.inf))
-            if bad.size:
-                i = int(bad[0])
-                label = sample_ids[i] if sample_ids is not None else str(i)
-                raise DataError(
-                    f"sample '{label}' has {'zero' if norms[i] == 0 else 'overflowing'} "
-                    f"norm in feature group '{g}' and cannot be normalized"
-                )
-            block = block / norms[:, None]
-        slices.append(block)
-    return slices

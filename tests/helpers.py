@@ -19,7 +19,8 @@ from enmkl.kernels import (
     build_linear_kernels,
     weighted_sum,
 )
-from enmkl.mkl import _check_mu, _check_task, _slack_loss, compute_block_norms
+from enmkl.mkl import _check_mu, _slack_loss, compute_block_norms
+from enmkl.model import check_task
 from enmkl.solvers import DEFAULT_MAX_UPDATES, DEFAULT_SVM_TOL, solve_krr_dual, solve_svm_dual
 
 
@@ -389,7 +390,7 @@ def train_enmkl_reference(
     accelerated loop is checked against.
     """
     mu = _check_mu(mu)
-    task = _check_task(task)
+    task = check_task(task)
     C = float(C)
     targets, labels = mkl._train_targets(stack, targets, task)
 
@@ -464,7 +465,7 @@ def blocknorm_objective(
     identity numerically.
     """
     mu = _check_mu(mu)
-    task = _check_task(task)
+    task = check_task(task)
     targets = np.asarray(targets, dtype=np.float64)
     labels = targets if task == "classification" else None
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)

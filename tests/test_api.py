@@ -78,3 +78,34 @@ def test_no_module_reads_another_modules_private_names():
             and node.value.id in siblings and private(node.attr)
         ]
     assert found == []
+
+
+# The package modules each module imports at module level. A command loads
+# its modules' imports too, so this keeps kernels, solvers and the fitting
+# code off the path of predict and report --model, which load io and model.
+_MODULE_IMPORTS = {
+    "__init__": set(), "__main__": {"cli"}, "errors": set(), "cli": {"errors"},
+    "io": {"errors"}, "model": {"errors", "io"}, "kernels": {"errors"},
+    "solvers": {"errors", "kernels"}, "mkl": {"errors", "kernels", "model", "solvers"},
+    "evaluation": {"errors", "io", "kernels", "mkl", "model", "solvers"},
+}
+
+
+def test_each_module_imports_only_its_layers_at_module_level():
+    found = {}
+    for path in sorted(Path(enmkl.__file__).resolve().parent.glob("*.py")):
+        imported, pending = set(), list(ast.parse(path.read_text()).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update([node.module] if node.module else (a.name for a in node.names))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [
+                    f"{node.module}.{a.name}" for a in node.names]
+                imported.update(n.split(".")[1] for n in names if n.startswith("enmkl."))
+            elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                pending += node.orelse  # annotations only: never run
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending += [n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt)]
+        found[path.stem] = imported
+    assert found == _MODULE_IMPORTS

@@ -1301,8 +1301,9 @@ def test_classification_commands_leave_numpy_ma_unloaded(tmp_path):
 
 
 _STARTUP_MODULES = {"enmkl", "enmkl.cli", "enmkl.errors"}
-_BASE_MODULES = {"enmkl", "enmkl.cli", "enmkl.errors", "enmkl.io", "enmkl.kernels"}
-_FIT_MODULES = _BASE_MODULES | {"enmkl.mkl", "enmkl.solvers"}
+_IO_MODULES = _STARTUP_MODULES | {"enmkl.io"}
+_MODEL_MODULES = _IO_MODULES | {"enmkl.model"}
+_FIT_MODULES = _MODEL_MODULES | {"enmkl.kernels", "enmkl.mkl", "enmkl.solvers"}
 _LOADED_BY_COMMAND = (
     "import json, runpy, sys\n"
     "sys.argv = ['enmkl', *sys.argv[1:]]\n"
@@ -1315,8 +1316,9 @@ _LOADED_BY_COMMAND = (
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # kernels, report --report and --help run no solver, fit or cv code;
-    # the commands that load or fit a model run no cv code.
+    # --help runs no numpy code; report --report only io's; kernels no model,
+    # solver, fit or cv code; predict and report --model only the model's and
+    # io's; train no cv code.
     _, features, groups, targets = _workspace(tmp_path, n=16)
     fit = ["--targets", targets, "--task", "classification", "--C", "1.0", "--mu", "0.5"]
     model, cv = str(tmp_path / "model.json"), tmp_path / "cv"
@@ -1332,14 +1334,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     cases = {
         "help": (["--help"], _STARTUP_MODULES),
         "kernels": (["kernels", "--features", features, "--groups", groups,
-                     "--out", str(tmp_path / "stack2")], _BASE_MODULES),
-        "report-report": (["report", "--report", str(cv / "report.json")], _BASE_MODULES),
-        "report-malformed-report": (["report", "--report", malformed], _BASE_MODULES),
+                     "--out", str(tmp_path / "stack2")], _IO_MODULES | {"enmkl.kernels"}),
+        "report-report": (["report", "--report", str(cv / "report.json")], _IO_MODULES),
+        "report-malformed-report": (["report", "--report", malformed], _IO_MODULES),
         "train": (["train", "--stack", str(tmp_path / "stack" / "stack.json"), *fit,
                    "--out", str(tmp_path / "model2.json")], _FIT_MODULES),
         "predict": (["predict", "--model", model, "--features", features,
-                     "--out", str(tmp_path / "pred.csv")], _FIT_MODULES),
-        "report-model": (["report", "--model", model], _FIT_MODULES),
+                     "--out", str(tmp_path / "pred.csv")], _MODEL_MODULES),
+        "report-model": (["report", "--model", model], _MODEL_MODULES),
         "cv": (["cv", "--features", features, "--groups", groups, *fit, "--k-outer", "2",
                 "--k-inner", "2", "--out", str(tmp_path / "cv2")],
                _FIT_MODULES | {"enmkl.evaluation"}),
@@ -1356,7 +1358,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         out, err = children[name].communicate(timeout=60)
         code, loaded = json.loads(out.splitlines()[-1])
         assert code == (2 if name == "report-malformed-report" else 0), (name, err)
-        assert set(loaded) <= allowed, name
+        assert set(loaded) == allowed, name
 
 
 def test_help_and_refusals_of_the_command_line_load_no_numpy(tmp_path):
@@ -1364,6 +1366,7 @@ def test_help_and_refusals_of_the_command_line_load_no_numpy(tmp_path):
     # numpy's import is most of a command's start-up.
     folder, file = tmp_path / "folder", _write(tmp_path / "file.csv", "id,a\n")
     folder.mkdir()
+    written = _write(folder / "report.json", "{}")
     missing = str(tmp_path / "nodir" / "out")
     fit = ["--targets", "t.csv", "--task", "classification", "--C", "1"]
     train = ["train", "--stack", "stack.json", *fit]
@@ -1384,6 +1387,9 @@ def test_help_and_refusals_of_the_command_line_load_no_numpy(tmp_path):
         (2, ["report", "--model", "m.json", "--csv", missing]),
         (2, ["kernels", "--features", "f.csv", "--groups", "g.csv", "--out", file]),
         (2, [*cv, "--mu", "0.5", "--out", str(Path(file) / "cv")]),
+        (2, ["predict", "--model", file, "--features", "f.csv", "--out", file]),
+        (2, ["cv", "--features", str(written), "--groups", "g.csv", *fit, "--mu", "0.5",
+             "--out", str(folder)]),
     ]
     script = _LOADED_BY_COMMAND + "\nprint(json.dumps('numpy' in sys.modules))"
     for expected, argv in cases:
@@ -1893,6 +1899,36 @@ def _out_case(command, flag, where):
     return case
 
 
+def _input_case(command):
+    """A refusal case: ``command`` whose output would overwrite one of its
+    inputs, a copy of the workspace's file in the case's folder. A file
+    output is that copy; a folder output (kernels, cv) holds it under the
+    name of a file the command writes there."""
+
+    def case(ws, folder):
+        model = str(ws.root / "model.json")
+        argv, flag, option, source, target = {
+            "kernels": (["kernels", "--features", ws.features, "--groups", ws.groups,
+                         "--out", folder / "stack"],
+                        "--out", "--features", ws.features, folder / "stack" / "kernel_000.csv"),
+            "train": (ws.train(ws.root / "stack" / "stack.json"),
+                      "--out", "--targets", ws.targets, folder / "t.csv"),
+            "predict": (["predict", "--model", model, "--features", ws.features, "--out", "p"],
+                        "--out", "--model", model, folder / "m.json"),
+            "cv": (ws.cv(), "--out", "--groups", ws.groups, folder / "cv" / "weights.csv"),
+            "report": (["report", "--model", model, "--csv", "w"],
+                       "--csv", "--model", model, folder / "m.json"),
+        }[command]
+        target.parent.mkdir(exist_ok=True)
+        shutil.copy(source, target)
+        out = target.parent if command in ("kernels", "cv") else target
+        argv = [str(a) for a in argv]
+        argv[argv.index(option) + 1], argv[argv.index(flag) + 1] = str(target), str(out)
+        return argv, f"error: {flag} {out}: would overwrite the input {option} {target}"
+
+    return case
+
+
 # name -> (exit code, case); a case maps the workspace and a folder of its
 # own to the command line and to text its error line must hold.
 _REFUSALS = {
@@ -1913,6 +1949,10 @@ _REFUSALS = {
     "predict--out-a-folder": (2, _out_case("predict", "--out", "folder")),
     "report--csv-in-a-missing-folder": (2, _out_case("report", "--csv", "missing")),
     "kernels--out-a-file": (2, _out_case("kernels", "--out", "file")),
+    **{
+        f"{command}-output-overwrites-an-input": (2, _input_case(command))
+        for command in ("kernels", "train", "predict", "cv", "report")
+    },
     "sources-a-list": (2, _edit_manifest(lambda m: m.update(sources=["x"]))),
     "features_file-5": (2, _edit_manifest(lambda m: m["sources"].update(features_file=5))),
     "repeated-group-name": (
@@ -2042,8 +2082,9 @@ class TestRefusalTable:
                     "--task", "classification", "--C", "1", "--mu", "0.5",
                     "--k-outer", "2", "--k-inner", "2", "--out", str(root / "cv")]
 
-        return SimpleNamespace(root=root, features=features, groups=groups, huge=huge_features,
-                               ridge_targets=ridge_targets, train=train, cv=cv)
+        return SimpleNamespace(root=root, features=features, groups=groups, targets=targets,
+                               huge=huge_features, ridge_targets=ridge_targets, train=train,
+                               cv=cv)
 
     @pytest.fixture(scope="class")
     def results(self, ws):
@@ -2845,6 +2886,30 @@ def test_tracer_still_wraps_train(tmp_path):
         os.rename(features, folder / "moved.csv")
         names = span_names()
         assert {"mkl.fit", "kernels.preprocess_fit", "io.read_stack"} | wrapped <= names
+
+
+def test_tracer_still_wraps_predict(tmp_path):
+    """As above, for the names ``predict`` and ``report --model`` go through.
+    ``PrimalModel`` is defined in ``enmkl.model``; the tracer wraps its
+    method through the name ``enmkl.mkl.PrimalModel``, the same class."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    _, features, groups, targets = _workspace(tmp_path, n=12)
+    model = str(tmp_path / "model.json")
+    assert main(["kernels", "--features", features, "--groups", groups,
+                 "--out", str(tmp_path / "stack")]) == 0
+    assert main(["train", "--stack", str(tmp_path / "stack" / "stack.json"), "--targets", targets,
+                 "--task", "classification", "--C", "1.0", "--mu", "0.5", "--out", model]) == 0
+    for argv, wrapped in (
+        (["predict", "--model", model, "--features", features, "--out", str(tmp_path / "p.csv")],
+         {"cli.predict", "io.read_json", "io.read_features", "mkl.primal_decision",
+          "io.write_predictions"}),
+        (["report", "--model", model], {"io.read_json"}),
+    ):
+        spans = tmp_path / "spans.json"
+        result = subprocess.run([sys.executable, str(tracer), str(spans), "run0", *argv],
+                                env=_src_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert wrapped <= {span["name"] for span in json.loads(spans.read_text())}, argv
 
 
 def test_tracer_still_wraps_cv(tmp_path):

@@ -19,9 +19,9 @@ from enmkl.kernels import (
     check_labels,
     group_feature_means,
     linear_gram,
-    preprocess_slices,
     weighted_sum,
 )
+from enmkl.model import preprocess_slices
 
 from helpers import (
     _same_bits,
