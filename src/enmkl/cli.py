@@ -107,7 +107,7 @@ def cmd_kernels(args) -> None:
     from . import io
     from .kernels import LinearKernelStream
 
-    data, _ = io.load_grouped_dataset(args.features, args.groups)
+    data = io.load_grouped_dataset(args.features, args.groups)
     with named(args.features):
         manifest_path = io.write_stack(
             args.out, LinearKernelStream(data), fmt=args.format,
@@ -139,7 +139,7 @@ def _written_from(manifest: io.StackManifest, data) -> bool:
     from . import io
 
     return (
-        manifest.row_ids == manifest.col_ids == data.sample_ids
+        manifest.row_ids == data.sample_ids
         and manifest.group_names == data.group_names
         and manifest.group_sizes == data.group_sizes
         and all(
@@ -171,12 +171,18 @@ def cmd_train(args) -> None:
     from .kernels import StackPreprocessor
 
     manifest = io.read_manifest(args.stack)
+    out = Path(args.out)
+    for listed in (*manifest.files, *(path for path, _ in manifest.sources or ())):
+        if out.is_file() and Path(listed).is_file() and out.samefile(listed):
+            raise DataError(
+                f"--out {args.out}: would overwrite {listed}, an input listed in --stack {args.stack}"
+            )
     sources = _recoverable_sources(manifest)
     center, normalize = not args.no_center, not args.no_normalize
     raw_csv = manifest.fmt == "csv" and not (manifest.centered or manifest.normalized)
     data = raw_stack = None
     if sources is not None and raw_csv and None not in manifest.digests:
-        data, _ = io.load_grouped_dataset(*sources)
+        data = io.load_grouped_dataset(*sources)
     if data is not None and _written_from(manifest, data):
         row_ids = data.sample_ids
     else:
@@ -198,7 +204,7 @@ def cmd_train(args) -> None:
     feature_names = primal = None
     if sources is not None:
         if data is None:
-            data, _ = io.load_grouped_dataset(*sources)
+            data = io.load_grouped_dataset(*sources)
         train_data = data.subset(stack.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
         feature_names = train_data.feature_names
@@ -262,7 +268,7 @@ def cmd_cv(args) -> None:
     from . import evaluation, io
 
     out_dir = Path(args.out)
-    data, _ = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
+    data = io.load_grouped_dataset(args.features, args.groups, args.targets, args.task)
     blocks = io.read_blocks(args.blocks, data.sample_ids) if args.blocks else None
     labels = data.targets if args.task == "classification" else None
     with named(args.blocks or args.features):

@@ -145,52 +145,37 @@ class FoldPlan:
     seed: int = 0
 
     def __post_init__(self):
-        all_ids = set(self.sample_ids)
-        if len(all_ids) != len(self.sample_ids):
+        if len(set(self.sample_ids)) != len(self.sample_ids):
             raise ValueError("sample ids must be unique")
         if len(self.outer_folds) != len(self.inner_folds):
             raise ValueError("need one inner split per outer fold")
-        seen = set()
-        for train, test in self.outer_folds:
+        self._check_splits(self.sample_ids, self.outer_folds, "outer", "test", "all samples")
+        for (outer_train, _), inner in zip(self.outer_folds, self.inner_folds):
+            self._check_splits(outer_train, inner, "inner", "validation", "the outer training set")
+
+    def _check_splits(self, ids, splits, level: str, held: str, whole: str) -> None:
+        """Check that the (train, held-out) pairs ``splits`` are the k folds of
+        ``ids``: each side nonempty, the two disjoint and together ``ids``, the
+        held-out sets disjoint and covering ``ids``, and no block on both
+        sides. ``level``, ``held`` and ``whole`` word the errors."""
+        ids, covered = set(ids), set()
+        for train, test in splits:
             train_set, test_set = set(train), set(test)
             if not test_set or not train_set:
-                raise ValueError("every outer fold needs nonempty train and test sets")
+                raise ValueError(f"every {level} fold needs nonempty train and {held} sets")
             if train_set & test_set:
-                raise ValueError("outer train and test sets overlap")
-            if train_set | test_set != all_ids:
-                raise ValueError("every outer fold must cover all samples")
-            if seen & test_set:
-                raise ValueError("outer test sets must be disjoint")
-            seen |= test_set
-            self._check_blocks(train_set, test_set)
-        if seen != all_ids:
-            raise ValueError("outer test sets must cover all samples")
-        for (outer_train, _), inner in zip(self.outer_folds, self.inner_folds):
-            outer_train_set = set(outer_train)
-            covered = set()
-            for train, val in inner:
-                train_set, val_set = set(train), set(val)
-                if not val_set or not train_set:
-                    raise ValueError("every inner fold needs nonempty train and validation sets")
-                if train_set & val_set:
-                    raise ValueError("inner train and validation sets overlap")
-                if train_set | val_set != outer_train_set:
-                    raise ValueError("inner folds must cover exactly the outer training set")
-                if covered & val_set:
-                    raise ValueError("inner validation sets must be disjoint")
-                covered |= val_set
-                self._check_blocks(train_set, val_set)
-            if covered != outer_train_set:
-                raise ValueError("inner validation sets must cover the outer training set")
-
-    def _check_blocks(self, train_set: set, eval_set: set) -> None:
-        if self.blocks is None:
-            return
-        train_blocks = {self.blocks[i] for i in train_set}
-        eval_blocks = {self.blocks[i] for i in eval_set}
-        shared = train_blocks & eval_blocks
-        if shared:
-            raise ValueError(f"block {sorted(shared)[0]!r} is split across a fold boundary")
+                raise ValueError(f"{level} train and {held} sets overlap")
+            if train_set | test_set != ids:
+                raise ValueError(f"{level} folds must cover exactly {whole}")
+            if covered & test_set:
+                raise ValueError(f"{level} {held} sets must be disjoint")
+            covered |= test_set
+            if self.blocks is not None:
+                shared = {self.blocks[i] for i in train_set} & {self.blocks[i] for i in test_set}
+                if shared:
+                    raise ValueError(f"block {sorted(shared)[0]!r} is split across a fold boundary")
+        if covered != ids:
+            raise ValueError(f"{level} {held} sets must cover {whole}")
 
     @property
     def k_outer(self) -> int:
@@ -251,7 +236,7 @@ def make_fold_plan(
     block_of = None
     if blocks is not None:
         if hasattr(blocks, "keys"):
-            block_of = {str(i): blocks[i] if i in blocks else blocks[str(i)] for i in ids}
+            block_of = {i: blocks[i] for i in ids}
         else:
             blocks = list(blocks)
             if len(blocks) != len(ids):
@@ -265,55 +250,43 @@ def make_fold_plan(
             raise ValueError("labels must hold one value per sample")
         label_of = dict(zip(ids, labels)).__getitem__
 
-    position = {i: p for p, i in enumerate(ids)}
-
-    def in_dataset_order(members) -> tuple[str, ...]:
-        return tuple(sorted(members, key=position.__getitem__))
-
     if block_of is None:
-        units = list(ids)
+        units, kind = list(ids), "samples"
         members_of = {i: (i,) for i in ids}
     else:
-        units = sorted(set(block_of.values()), key=str)
+        units, kind = sorted(set(block_of.values()), key=str), "blocks"
         members_of = {b: tuple(i for i in ids if block_of[i] == b) for b in units}
+    position = {i: p for p, i in enumerate(ids)}
 
-    if k_outer > len(units):
-        raise DataError(
-            f"k_outer = {k_outer} exceeds the {len(units)} available "
-            + ("blocks" if block_of is not None else "samples")
-        )
+    def split(pool: list, k: int, stream: int, refusal: str) -> list:
+        """(train units, held-out units) of the k folds of ``pool``, dealt from
+        RNG stream ``[seed, stream]``; a DataError ``refusal`` when k > len(pool)."""
+        if k > len(pool):
+            raise DataError(refusal)
+        pairs = []
+        for held in _deal_into_folds(pool, k, np.random.default_rng([int(seed), stream]), label_of):
+            held_set = set(held)
+            pairs.append(([u for u in pool if u not in held_set], held))
+        return pairs
 
-    rng = np.random.default_rng([int(seed), 0])
-    outer_unit_folds = _deal_into_folds(units, k_outer, rng, label_of)
+    def ids_of(pairs) -> tuple:
+        """(train, held-out) unit pairs as pairs of their samples, in dataset order."""
 
-    outer = []
-    inner_all = []
-    for fold_index, test_units in enumerate(outer_unit_folds):
-        test_ids = {i for u in test_units for i in members_of[u]}
-        test_set = set(test_units)
-        train_units = [u for u in units if u not in test_set]
-        train_ids = {i for u in train_units for i in members_of[u]}
-        outer.append((in_dataset_order(train_ids), in_dataset_order(test_ids)))
+        def samples(side):
+            return tuple(sorted({i for u in side for i in members_of[u]}, key=position.__getitem__))
 
-        if k_inner > len(train_units):
-            raise DataError(
-                f"k_inner = {k_inner} exceeds the {len(train_units)} training "
-                + ("blocks" if block_of is not None else "samples")
-                + f" of outer fold {fold_index}"
-            )
-        inner_rng = np.random.default_rng([int(seed), 1 + fold_index])
-        inner_unit_folds = _deal_into_folds(train_units, k_inner, inner_rng, label_of)
-        inner = []
-        for val_units in inner_unit_folds:
-            val_ids = {i for u in val_units for i in members_of[u]}
-            inner_train_ids = train_ids - val_ids
-            inner.append((in_dataset_order(inner_train_ids), in_dataset_order(val_ids)))
-        inner_all.append(tuple(inner))
+        return tuple((samples(train), samples(held)) for train, held in pairs)
 
+    outer = split(units, k_outer, 0, f"k_outer = {k_outer} exceeds the {len(units)} available {kind}")
+    inner = [
+        split(train, k_inner, 1 + fold,
+              f"k_inner = {k_inner} exceeds the {len(train)} training {kind} of outer fold {fold}")
+        for fold, (train, _) in enumerate(outer)
+    ]
     return FoldPlan(
         sample_ids=ids,
-        outer_folds=tuple(outer),
-        inner_folds=tuple(inner_all),
+        outer_folds=ids_of(outer),
+        inner_folds=tuple(map(ids_of, inner)),
         blocks=block_of,
         seed=int(seed),
     )

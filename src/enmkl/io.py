@@ -64,8 +64,12 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, lossless floats."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, lossless floats.
+
+    A NaN or infinite float is a ValueError: JSON has no such number, and
+    the readers refuse the ``NaN`` and ``Infinity`` that ``json`` would write.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def record_dict(record, skip=()) -> dict:
@@ -242,7 +246,8 @@ def parse_targets(targets_path, sample_ids, task: str):
 
     Classification maps the two distinct raw labels onto -1/+1 in sorted
     order and returns the mapping; regression parses real values and
-    returns None for the mapping.
+    returns None for the mapping. Regression targets whose sum of squares
+    overflows float64 are refused: the fits square and sum them.
     """
     raw = read_column_csv(targets_path, "target")
     for sid in sample_ids:
@@ -262,6 +267,10 @@ def parse_targets(targets_path, sample_ids, task: str):
     for sid in sample_ids:
         text, lineno = raw[sid]
         values.append(_parse_float(targets_path, lineno, text))
+    if not math.isfinite(sum(v * v for v in values)):
+        raise DataError(
+            f"{targets_path}: regression targets too large: their sum of squares overflows"
+        )
     return np.array(values), None
 
 
@@ -273,12 +282,8 @@ def load_grouped_dataset(
     The group map is a ``feature,group`` CSV; groups keep the order in which
     they first appear in it. Every feature column must appear in the group
     map, and every group in the map must match at least one present column.
-    For classification the raw target labels (exactly two distinct values)
-    are mapped onto -1/+1 in sorted order; the mapping is returned so
-    predictions can be written back in the caller's vocabulary.
-
-    Returns (dataset, label_mapping) where label_mapping is None for
-    regression or when no targets were given.
+    Targets, when given, are read by :func:`parse_targets` (classification
+    labels become -1/+1); without them every target is 0.
     """
     from .kernels import GroupedDataset
 
@@ -303,12 +308,11 @@ def load_grouped_dataset(
     group_index = {g: j for j, g in enumerate(group_order)}
     groups = np.array([group_index[mapping[name]] for name in feature_names], dtype=np.int64)
 
-    label_mapping = None
     targets = np.zeros(len(sample_ids))
     if targets_path is not None:
-        targets, label_mapping = parse_targets(targets_path, sample_ids, task)
+        targets, _ = parse_targets(targets_path, sample_ids, task)
 
-    data = GroupedDataset(
+    return GroupedDataset(
         features=features,
         groups=groups,
         group_names=group_order,
@@ -316,7 +320,6 @@ def load_grouped_dataset(
         sample_ids=sample_ids,
         feature_names=feature_names,
     )
-    return data, label_mapping
 
 
 def read_blocks(path, sample_ids) -> dict:
@@ -548,8 +551,7 @@ class StackManifest:
 
     path: Path
     fmt: str
-    row_ids: tuple[str, ...]
-    col_ids: tuple[str, ...]
+    row_ids: tuple[str, ...]  # the column ids too: a train stack's kernels are square
     centered: bool
     normalized: bool
     group_names: tuple[str, ...]
@@ -562,8 +564,9 @@ class StackManifest:
 def read_manifest(manifest_path) -> StackManifest:
     """Check a manifest written by :func:`write_stack`, reading no kernel file.
 
-    A manifest of another version or of any kind but ``"train"``, or with a
-    missing or ill-typed key, is a DataError naming it.
+    A manifest of another version or of any kind but ``"train"``, with
+    ``col_ids`` other than its ``sample_ids``, or with a missing or
+    ill-typed key, is a DataError naming it.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -580,7 +583,8 @@ def read_manifest(manifest_path) -> StackManifest:
     if fmt not in ("csv", "binary"):
         raise DataError(f"{where}: unknown kernel format {fmt!r}")
     row_ids = _json_ids(where, manifest, "sample_ids")
-    col_ids = _json_ids(where, manifest, "col_ids")
+    if _json_ids(where, manifest, "col_ids") != row_ids:
+        raise DataError(f"{where}: 'col_ids' must equal 'sample_ids' in a train stack")
     centered, normalized = (
         _json_value(where, manifest, key, bool) for key in ("centered", "normalized")
     )
@@ -600,7 +604,7 @@ def read_manifest(manifest_path) -> StackManifest:
         for key in ("features_file", "groups_file", "features_sha256", "groups_sha256")
     )
     return StackManifest(
-        manifest_path, fmt, row_ids, col_ids, centered, normalized,
+        manifest_path, fmt, row_ids, centered, normalized,
         tuple(names), tuple(sizes), tuple(files), tuple(digests),
         tuple(zip((features, groups), source_digests)) if features and groups else None,
     )
@@ -621,7 +625,8 @@ def read_stack(manifest):
 
     if not isinstance(manifest, StackManifest):
         manifest = read_manifest(manifest)
-    row_ids, col_ids, paths = manifest.row_ids, manifest.col_ids, manifest.files
+    row_ids = col_ids = manifest.row_ids
+    paths = manifest.files
     values = np.empty((0, len(row_ids), len(col_ids)))
     for j, path in enumerate(paths):
         if manifest.fmt == "csv":

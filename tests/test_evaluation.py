@@ -1,7 +1,9 @@
 """Metrics, fold plans, and nested cross-validation."""
 
 import dataclasses
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +264,121 @@ class TestFoldPlans:
                     ((("c",), ("d",)), (("d",), ("c",))),
                 ),
             )
+
+
+# sha256 of json.dumps([outer_folds, inner_folds]) of plans over 23 ids,
+# recorded before the nested split was written as one routine; the labels
+# are ignored when blocks are given.
+_IDS = [f"s{i:02d}" for i in range(23)]
+_LABELS = [1.0 if i % 3 else -1.0 for i in range(23)]
+_BLOCKS = [f"b{(i * 7) % 9}" for i in range(23)]
+_GOLDEN_PLANS = {
+    "plain": (
+        dict(k_outer=5, k_inner=3, seed=11),
+        "293e7984e20748e17abb05311ba22b3dcfc8ff5b425b5c78c296a0442eb0bef6",
+    ),
+    "stratified": (
+        dict(k_outer=4, k_inner=3, seed=12, labels=_LABELS),
+        "da7c4de3706f7c8a13b24d16995c49def9ab08561eac379bb3bd77c8876072ce",
+    ),
+    "blocks-dict": (
+        dict(k_outer=3, k_inner=2, seed=13, blocks=dict(zip(_IDS, _BLOCKS))),
+        "b9d3f30997274e79f216642aa5b946da5335b5ed6ef0118a00fd5a8a198d5cfd",
+    ),
+    "blocks-sequence": (
+        dict(k_outer=4, k_inner=2, seed=14, blocks=_BLOCKS),
+        "468b5fa7bb544cefab6be9443d85abec36897f007aca6bbe388ab491ae322f21",
+    ),
+    "blocks-labels": (
+        dict(k_outer=3, k_inner=2, seed=15, blocks=_BLOCKS, labels=_LABELS),
+        "576ad7af380829e73a8ef8e472663c1e6258419984ccfda1d4d520d20bf1b7f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_PLANS))
+def test_fold_plans_keep_their_digests(name):
+    kwargs, digest = _GOLDEN_PLANS[name]
+    plan = make_fold_plan(_IDS, **kwargs)
+    text = json.dumps([plan.outer_folds, plan.inner_folds])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# A valid plan over a, b, c, d: outer folds ab|cd and cd|ab, each training
+# pair split one sample per inner fold. Each malformed plan below changes one
+# part of it: name -> (replaced fields, the whole ValueError message).
+_AB, _CD = ("a", "b"), ("c", "d")
+_INNER = (((("a",), ("b",)), (("b",), ("a",))), ((("c",), ("d",)), (("d",), ("c",))))
+
+
+def _inner_of_fold_0(*folds):
+    return {"inner_folds": (tuple(folds), _INNER[1])}
+
+
+_MALFORMED_PLANS = {
+    "repeated-id": ({"sample_ids": ("a", "b", "c", "c")}, "sample ids must be unique"),
+    "inner-split-missing": ({"inner_folds": _INNER[:1]}, "need one inner split per outer fold"),
+    "outer-empty-test": (
+        {"outer_folds": ((_AB + _CD, ()), (_CD, _AB))},
+        "every outer fold needs nonempty train and test sets",
+    ),
+    "outer-overlap": (
+        {"outer_folds": ((("a", "b", "c"), _CD), (_CD, _AB))}, "outer train and test sets overlap"
+    ),
+    "outer-not-covering": (
+        {"outer_folds": ((("a",), _CD), (_CD, _AB))}, "outer folds must cover exactly all samples"
+    ),
+    "outer-tests-overlap": (
+        {"outer_folds": ((_AB, _CD), (_AB, _CD))}, "outer test sets must be disjoint"
+    ),
+    "outer-block-split": (
+        {"blocks": {"a": "x", "b": "y", "c": "y", "d": "z"}},
+        "block 'y' is split across a fold boundary",
+    ),
+    "outer-tests-not-covering": (
+        {"outer_folds": ((_AB, _CD),), "inner_folds": _INNER[:1]},
+        "outer test sets must cover all samples",
+    ),
+    "inner-empty-validation": (
+        _inner_of_fold_0((_AB, ()), (("b",), ("a",))),
+        "every inner fold needs nonempty train and validation sets",
+    ),
+    "inner-overlap": (
+        _inner_of_fold_0((_AB, ("b",)), (("b",), ("a",))),
+        "inner train and validation sets overlap",
+    ),
+    "inner-not-covering": (
+        _inner_of_fold_0((("a", "c"), ("b",)), (("b",), ("a",))),
+        "inner folds must cover exactly the outer training set",
+    ),
+    "inner-validations-overlap": (
+        _inner_of_fold_0((("a",), ("b",)), (("a",), ("b",))),
+        "inner validation sets must be disjoint",
+    ),
+    "inner-block-split": (
+        {"blocks": {"a": "x", "b": "x", "c": "y", "d": "y"}},
+        "block 'x' is split across a fold boundary",
+    ),
+    "inner-validations-not-covering": (
+        _inner_of_fold_0((("a",), ("b",))),
+        "inner validation sets must cover the outer training set",
+    ),
+}
+
+
+def test_the_unmalformed_plan_is_valid():
+    plan = FoldPlan(sample_ids=("a", "b", "c", "d"), outer_folds=((_AB, _CD), (_CD, _AB)),
+                    inner_folds=_INNER, blocks={"a": "x", "b": "y", "c": "z", "d": "w"})
+    assert plan.k_outer == 2
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_PLANS))
+def test_malformed_fold_plan_refused(name):
+    fields, message = _MALFORMED_PLANS[name]
+    plan = dict(sample_ids=("a", "b", "c", "d"), outer_folds=((_AB, _CD), (_CD, _AB)),
+                inner_folds=_INNER)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FoldPlan(**{**plan, **fields})
 
 
 class TestPickBest:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io as stdio
 import json
+import math
 import os
 import re
 import shlex
@@ -144,6 +145,13 @@ class TestJsonConventions:
         loaded = json.loads(io.dump_json({"v": values}))
         assert loaded["v"] == values
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_are_not_written(self, tmp_path, value):
+        # The readers refuse the NaN and Infinity that json would write.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            io.write_json(tmp_path / "x.json", {"v": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_parse_error_carries_location(self, tmp_path):
         path = _write(tmp_path / "bad.json", '{\n  "a": oops\n}\n')
         with pytest.raises(DataError, match=r"bad\.json:2: invalid JSON"):
@@ -184,8 +192,7 @@ class TestFeatureCsv:
 class TestGroupMapCsv:
     def _load(self, tmp_path, group_map):
         features = _write(tmp_path / "f.csv", "id,f0,f1,f2\ns0,1.0,2.0,3.0\n")
-        data, _ = io.load_grouped_dataset(features, _write(tmp_path / "g.csv", group_map))
-        return data
+        return io.load_grouped_dataset(features, _write(tmp_path / "g.csv", group_map))
 
     def test_appearance_order(self, tmp_path):
         data = self._load(tmp_path, "feature,group\nf0,beta\nf1,alpha\nf2,beta\n")
@@ -1507,7 +1514,9 @@ class TestMalformedStackAndModel:
 
     def test_manifest_ids_disagreeing_with_csv_kernel(self, tmp_path, capsys):
         stack_dir, _, targets = self._stack(tmp_path)
-        self._edit_json(stack_dir / "stack.json", lambda m: m["sample_ids"].reverse())
+        # Both id lists, as a train stack's are equal (reversing one is refused on its own).
+        self._edit_json(stack_dir / "stack.json",
+                        lambda m: (m["sample_ids"].reverse(), m["col_ids"].reverse()))
         result = self._train(tmp_path, stack_dir, targets)
         self._assert_data_error(result, "kernel_000.csv")
         assert "kernel ids do not match the manifest" in result.stderr
@@ -1680,6 +1689,68 @@ def _edit_manifest(edit):
         edit(manifest)
         (folder / "stack" / "stack.json").write_text(json.dumps(manifest))
         return ws.train(folder / "stack" / "stack.json"), "stack.json"
+
+    return case
+
+
+def _renamed_col_ids_case(ws, folder):
+    """``train`` on a copy of the CSV stack whose column ids were renamed
+    alike in the manifest and in every kernel file's header, which made it
+    a cross stack that reached the preprocessing fit."""
+    stack = folder / "stack"
+    shutil.copytree(ws.root / "stack", stack)
+    manifest = json.loads((stack / "stack.json").read_text())
+    manifest["col_ids"] = ["x" + i for i in manifest["col_ids"]]
+    (stack / "stack.json").write_text(json.dumps(manifest))
+    for kernel in stack.glob("kernel_*.csv"):
+        header, rest = kernel.read_text().split("\n", 1)
+        kernel.write_text(",".join(["id", *manifest["col_ids"]]) + "\n" + rest)
+    return ws.train(stack / "stack.json"), (
+        f"error: {stack / 'stack.json'}: 'col_ids' must equal 'sample_ids' in a train stack"
+    )
+
+
+def _listed_input_case(listed):
+    """A refusal case: ``train --out`` names a file that a copy of the stack's
+    manifest lists: its first ``kernel`` file, or the ``source`` features CSV,
+    copied beside it and recorded in the manifest in place of the original."""
+
+    def case(ws, folder):
+        shutil.copytree(ws.root / "stack", folder / "stack")
+        manifest_path = folder / "stack" / "stack.json"
+        if listed == "kernel":
+            out = folder / "stack" / "kernel_000.csv"
+        else:
+            out = (folder / "features.csv").resolve()
+            shutil.copy(ws.features, out)
+            manifest = json.loads(manifest_path.read_text())
+            manifest["sources"]["features_file"] = str(out)
+            manifest_path.write_text(json.dumps(manifest))
+        return ws.train(manifest_path, out), (
+            f"error: --out {out}: would overwrite {out}, an input listed in --stack {manifest_path}"
+        )
+
+    return case
+
+
+def _overflowing_targets_case(command, scaled):
+    """A refusal case: ``command`` on regression targets whose sum of squares
+    overflows, the ridge workspace's targets mapped by ``scaled(t, i)``."""
+
+    def case(ws, folder):
+        rows = list(csv.reader(Path(ws.ridge_targets).read_text().splitlines()))[1:]
+        targets = _write(folder / "t.csv", "id,target\n" + "".join(
+            f"{sid},{scaled(float(t), i)!r}\n" for i, (sid, t) in enumerate(rows)))
+        fit = ["--task", "regression", "--C", "10", "--mu", "1.0"]
+        argv = (
+            ["train", "--stack", str(ws.root / "ridge" / "stack.json"), "--targets", targets,
+             *fit, "--out", str(folder / "m.json")]
+            if command == "train" else
+            ["cv", "--features", ws.ridge_features, "--groups", ws.ridge_groups,
+             "--targets", targets, *fit, "--k-outer", "2", "--k-inner", "2",
+             "--out", str(folder / "cv")]
+        )
+        return argv, f"error: {targets}: regression targets too large: their sum of squares overflows"
 
     return case
 
@@ -1961,6 +2032,17 @@ _REFUSALS = {
     "no-groups": (2, _edit_manifest(lambda m: m.update(groups=[]))),
     "kernel-sha256-5": (2, _edit_manifest(lambda m: m["groups"][0].update(sha256=5))),
     "size--1": (2, _edit_manifest(lambda m: m["groups"][1].update(size=-1))),
+    "col_ids-renamed": (2, _renamed_col_ids_case),
+    "train--out-a-kernel-file": (2, _listed_input_case("kernel")),
+    "train--out-a-source": (2, _listed_input_case("source")),
+    "train-targets-times-1e155": (2, _overflowing_targets_case("train", lambda t, i: t * 1e155)),
+    "cv-targets-times-1e155": (2, _overflowing_targets_case("cv", lambda t, i: t * 1e155)),
+    "train-targets-alternating-1e308": (
+        2, _overflowing_targets_case("train", lambda t, i: 1e308 if i % 2 else -1e308)
+    ),
+    "cv-targets-alternating-1e308": (
+        2, _overflowing_targets_case("cv", lambda t, i: 1e308 if i % 2 else -1e308)
+    ),
     # An integer of more than 4300 digits is a ValueError, deep nesting a RecursionError.
     "huge-int-manifest": (2, _unparsable_manifest('{"manifest_version": ' + "9" * 5000 + "}")),
     "deep-manifest": (2, _unparsable_manifest("[" * 100_000 + "]" * 100_000)),
@@ -2083,8 +2165,9 @@ class TestRefusalTable:
                     "--k-outer", "2", "--k-inner", "2", "--out", str(root / "cv")]
 
         return SimpleNamespace(root=root, features=features, groups=groups, targets=targets,
-                               huge=huge_features, ridge_targets=ridge_targets, train=train,
-                               cv=cv)
+                               huge=huge_features, ridge_features=ridge_features,
+                               ridge_groups=ridge_groups, ridge_targets=ridge_targets,
+                               train=train, cv=cv)
 
     @pytest.fixture(scope="class")
     def results(self, ws):
@@ -2107,6 +2190,82 @@ class TestRefusalTable:
         assert result.stderr.startswith("error: ") and names in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (ws.root / "m.json").exists() and not (ws.root / "cv").exists()
+
+
+class TestTargetsAtTheOverflowBoundary:
+    """Regression targets are refused exactly where their sum of squares
+    overflows float64. One power of ten below that, ``train`` and ``cv``
+    exit 0, every JSON number they write is finite, and their own readers
+    take the files back."""
+
+    @staticmethod
+    def _scaled(folder, targets, scale):
+        rows = list(csv.reader(Path(targets).read_text().splitlines()))[1:]
+        return _write(folder / f"t{scale:g}.csv", "id,target\n" + "".join(
+            f"{sid},{float(t) * scale!r}\n" for sid, t in rows))
+
+    @pytest.fixture(scope="class")
+    def ws(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("overflow")
+        _, features, groups, targets = _workspace(root, "regression", n=40, seed=62)
+        assert main(["kernels", "--features", features, "--groups", groups,
+                     "--out", str(root / "stack")]) == 0
+        values = [float(t) for _, t in list(csv.reader(Path(targets).read_text().splitlines()))[1:]]
+
+        def sum_of_squares(scale):  # as the targets file scaled by ``scale`` holds them
+            return sum((v * scale) * (v * scale) for v in values)
+
+        scale = 1e150
+        while math.isfinite(sum_of_squares(scale * 10)):
+            scale *= 10
+        return SimpleNamespace(root=root, features=features, groups=groups, targets=targets,
+                               scale=scale)
+
+    def _commands(self, ws, folder, scale):
+        folder.mkdir()
+        targets = self._scaled(folder, ws.targets, scale)
+        fit = ["--task", "regression", "--C", "10", "--mu", "1.0"]
+        return targets, {
+            "train": ["train", "--stack", str(ws.root / "stack" / "stack.json"),
+                      "--targets", targets, *fit, "--out", str(folder / "m.json")],
+            "cv": ["cv", "--features", ws.features, "--groups", ws.groups, "--targets", targets,
+                   *fit, "--k-outer", "2", "--k-inner", "2", "--out", str(folder / "cv")],
+        }
+
+    @staticmethod
+    def _finite_json(path):
+        def refuse(constant):
+            raise AssertionError(f"{path} holds {constant}")
+
+        return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_largest_finite_scale_is_accepted(self, ws, tmp_path, capsys, command):
+        _, argv = self._commands(ws, tmp_path / "ok", ws.scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv[command]) == 0
+        if command == "train":
+            model = tmp_path / "ok" / "m.json"
+            self._finite_json(model)
+            assert main(["predict", "--model", str(model), "--features", ws.features,
+                         "--out", str(tmp_path / "p.csv")]) == 0
+            assert main(["report", "--model", str(model)]) == 0
+        else:
+            report = tmp_path / "ok" / "cv" / "report.json"
+            self._finite_json(report)
+            assert main(["report", "--report", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_ten_times_that_is_refused(self, ws, tmp_path, capsys, command):
+        targets, argv = self._commands(ws, tmp_path / "over", ws.scale * 10)
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {targets}: regression targets too large: their sum of squares overflows\n"
+        )
+        assert not (tmp_path / "over" / "m.json").exists()
+        assert not (tmp_path / "over" / "cv").exists()
 
 
 class TestLargeFeatureScales:
