@@ -254,8 +254,13 @@ def make_fold_plan(
         units, kind = list(ids), "samples"
         members_of = {i: (i,) for i in ids}
     else:
-        units, kind = sorted(set(block_of.values()), key=str), "blocks"
-        members_of = {b: tuple(i for i in ids if block_of[i] == b) for b in units}
+        members_of = {}
+        for i in ids:
+            b = block_of[i]
+            if b != b:
+                raise ValueError(f"sample {i!r} has block label {b}, which is not equal to itself")
+            members_of.setdefault(b, []).append(i)
+        units, kind = sorted(members_of, key=str), "blocks"
     position = {i: p for p, i in enumerate(ids)}
 
     def split(pool: list, k: int, stream: int, refusal: str) -> list:

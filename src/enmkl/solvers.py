@@ -19,6 +19,16 @@ weight, with every pair curvature, and rows are views of it; above, a row and
 its curvatures are computed when first needed. Either way K is bit for bit what
 :func:`~enmkl.kernels.weighted_sum` builds, and a solve that makes no update
 builds nothing.
+
+:func:`newton_warm_start` prepares a warm start for SMO; SMO itself does not
+change, and still certifies what it returns at its tolerance. Given the
+previous solve's multipliers at new kernel weights, it takes the dual's
+Newton step on the free multipliers (those strictly inside the box), with
+the others fixed and the equality constraint kept, and stops at the box. It
+returns the start unchanged when it already meets SMO's stop rule, when
+fewer than two multipliers are free, when their kernel is singular on the
+step's subspace, when the step would not raise the dual objective, and
+above ``WHOLE_KERNEL_MAX_N`` samples.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ _TAU = 1e-12
 DEFAULT_SVM_TOL = 1e-3
 DEFAULT_MAX_UPDATES = 10_000_000
 # Up to this many samples, SMO builds the combined kernel and its pair
-# curvatures whole at a solve's first update rather than row by row.
+# curvatures whole at a solve's first update rather than row by row, and
+# newton_warm_start moves a warm start; above, it hands the start on as is.
 WHOLE_KERNEL_MAX_N = 128
 
 
@@ -133,8 +144,8 @@ def _update_parts(whole, diag, rows, y):
     if y.shape[0] <= WHOLE_KERNEL_MAX_N:
         K = whole()
         diag = np.diagonal(K)
-        curvs = np.add.outer(diag, diag)
-        curvs -= K * np.multiply.outer(y, 2.0 * y)
+        curvs = diag[:, None] + diag
+        curvs -= K * (y[:, None] * (2.0 * y))
         curvs[~(curvs > 0)] = _TAU
         return list(K).__getitem__, diag.tolist(), list(curvs).__getitem__
     diag, two_y, rows = diag(), 2.0 * y, cache(rows)
@@ -198,11 +209,11 @@ def solve_svm_dual(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
 
-    # The rows of G are g = -y * grad where alpha_t may move up (else -inf)
-    # and where it may move down (else +inf). Every alpha_t in the box can
-    # move one way, so each g_t sits in one row or both. One in-place add
-    # moves both rows and leaves the infinities infinite, so an entry is
-    # rewritten only when its flag flips.
+    # g_up and g_low hold g = -y * grad where alpha_t may move up (else
+    # -inf) and where it may move down (else +inf). Every alpha_t in the box
+    # can move one way, so each g_t sits in one of them or both. In-place
+    # adds leave the infinities infinite, so an entry is rewritten only when
+    # its flag flips.
     pos = y > 0
     if alpha0 is None:
         alpha = np.zeros(n)
@@ -229,8 +240,7 @@ def solve_svm_dual(
         g = -y * (y * kq0 - 1.0)
         below, above = alpha < C, alpha > 0
         up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
-    G = np.array([np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)])
-    g_up, g_low = G
+    g_up, g_low = np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)
 
     # The first update fetches what updates read of K (_update_parts).
     # Scalar bookkeeping runs on Python floats and bools; floats are the
@@ -329,13 +339,14 @@ def solve_svm_dual(
                 if ai < 0:
                     ai, aj = 0.0, total
         # g += K[:, i] * s_i + K[:, j] * s_j, with the textbook update's
-        # operands in its order, on both rows; K[:, t] is K[t].
+        # operands in its order, in g_up and g_low; K[:, t] is K[t].
         s_box[()] = -yi * (ai - ai_old)
         multiply(row_i, s_box, out=step)
         s_box[()] = -yj * (aj - aj_old)
         multiply(rows(j), s_box, out=step_j)
         add(step, step_j, out=step)
-        add(G, step, out=G)
+        add(g_up, step, out=g_up)
+        add(g_low, step, out=g_low)
         # alpha_i, then alpha_j: a flag, and the row entries it guards,
         # change only when the value reaches or leaves a bound.
         a[i] = ai
@@ -365,6 +376,73 @@ def solve_svm_dual(
     # sum(a) - 1/2 a'Qa = 1/2 a'(1 - grad), and 1 - grad = 1 + y * g.
     objective = 0.5 * float(alpha @ (1.0 + y * g))
     return SvmDualSolution(alpha=alpha, bias=bias, objective=objective, iterations=updates)
+
+
+def newton_warm_start(stack, weights, y, C: float, tol: float, alpha0, kq0):
+    """``(alpha, kq)``: the warm start ``alpha0`` of an SVM solve on ``sum_j
+    weights_j K_j`` of a train stack, moved by one Newton step on its free
+    multipliers, and ``kq0``, the combined kernel times ``alpha0 * y``, moved
+    with it. The inputs are as :func:`solve_svm_dual` accepts them.
+
+    Over the free set F = {t : 0 < alpha0_t < C}, the step solves ``max_e
+    g_F'e - 1/2 e'K_FF e`` subject to ``sum(e) = 0`` for the change e of
+    ``alpha * y``, where ``g = -y * grad`` as SMO keeps it, and moves by
+    ``t e``, with t <= 1 the largest step the box allows; the multiplier that
+    blocks it is set to its bound exactly. It reads the F rows of each
+    kernel of nonzero weight. ``alpha0`` comes back unchanged in the cases
+    the module docstring lists, and when the step's solution is not finite
+    or the moved multipliers would fail SMO's equality check. Above
+    ``WHOLE_KERNEL_MAX_N`` samples, gathering the F rows costs about what
+    the step saves SMO.
+    """
+    if y.shape[0] > WHOLE_KERNEL_MAX_N:
+        return alpha0, kq0
+    g = -y * (y * kq0 - 1.0)
+    pos = y > 0
+    below, above = alpha0 < C, alpha0 > 0
+    up, low = np.where(pos, below, above), np.where(pos, above, below)
+    free = (below & above).nonzero()[0]
+    if np.where(up, g, -np.inf).max() - np.where(low, g, np.inf).min() <= tol or free.size < 2:
+        return alpha0, kq0
+    w = np.asarray(weights, dtype=np.float64)
+    idx = w.nonzero()[0]
+    w = w[idx]
+    rows = stack.values[idx[:, None], free]  # (kernels, |F|, n)
+    K = np.einsum("j,jab->ab", w, rows[:, :, free])
+    # e = (u, -sum(u)) keeps sum(e) = 0, and u solves H u = r for the reduced
+    # Hessian H = Z'K_FF Z, Z = [I; -1']. A Cholesky pivot of H near zero
+    # shows K_FF singular on that subspace, as duplicated samples make it.
+    H = K[:-1, :-1] - K[:-1, -1:] - K[-1:, :-1] + K[-1, -1]
+    gf, yf, a = g[free], y[free], alpha0[free]
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(H))
+        if not pivots.min() ** 2 > 1e-10 * H.diagonal().max():
+            return alpha0, kq0
+        with np.errstate(all="ignore"):  # an overflow leaves e non-finite
+            u = np.linalg.solve(H, gf[:-1] - gf[-1])
+            e = np.append(u, -u.sum())
+    except np.linalg.LinAlgError:
+        return alpha0, kq0
+    if not np.isfinite(e).all():
+        return alpha0, kq0
+    d = yf * e
+    room = np.where(d > 0, C - a, a)
+    ratios = np.divide(room, np.abs(d), out=np.ones_like(d), where=np.abs(d) > room)
+    k = int(ratios.argmin())
+    t = ratios.item(k)
+    if not t > 0.0:
+        return alpha0, kq0
+    moved = np.clip(a + t * d, 0.0, C)
+    if t < 1.0:
+        moved[k] = C if d[k] > 0 else 0.0
+    step = (moved - a) * yf
+    if not float(gf @ step) - 0.5 * float(step @ K @ step) > 0.0:
+        return alpha0, kq0
+    alpha = alpha0.copy()
+    alpha[free] = moved
+    if abs(float(alpha @ y)) > 1e-8 * max(1.0, float(alpha.sum())):
+        return alpha0, kq0
+    return alpha, kq0 + w @ (step @ rows)
 
 
 def solve_krr_dual(k, y, C: float) -> KrrDualSolution:

@@ -12,7 +12,16 @@ import numpy as np
 
 from enmkl import mkl
 from enmkl.errors import DataError
-from enmkl.evaluation import CvReport, FoldOutcome, HyperGrid, _fold_metrics, _pick_best, _score
+from enmkl.evaluation import (
+    CvReport,
+    FoldOutcome,
+    FoldPlan,
+    HyperGrid,
+    _deal_into_folds,
+    _fold_metrics,
+    _pick_best,
+    _score,
+)
 from enmkl.kernels import (
     GroupedDataset,
     KernelStack,
@@ -285,6 +294,49 @@ def transform_cross_reference(raw_values, raw_self_sims, stats, center, normaliz
             k = k / np.outer(np.sqrt(sims), np.sqrt(self_sim))
         out[j] = k
     return out
+
+
+def make_fold_plan_reference(sample_ids, k_outer, k_inner, blocks=None, seed=0, labels=None):
+    """``make_fold_plan`` as it gathered each block's members: by comparing
+    every sample's label with every block. Inputs are assumed valid."""
+    ids = tuple(str(i) for i in sample_ids)
+    block_of = None
+    if blocks is not None:
+        keyed = hasattr(blocks, "keys")
+        block_of = {i: blocks[i] for i in ids} if keyed else dict(zip(ids, blocks))
+    label_of = None
+    if labels is not None and block_of is None:
+        label_of = dict(zip(ids, labels)).__getitem__
+    if block_of is None:
+        units = list(ids)
+        members_of = {i: (i,) for i in ids}
+    else:
+        units = sorted(set(block_of.values()), key=str)
+        members_of = {b: tuple(i for i in ids if block_of[i] == b) for b in units}
+    position = {i: p for p, i in enumerate(ids)}
+
+    def split(pool, k, stream):
+        pairs = []
+        for held in _deal_into_folds(pool, k, np.random.default_rng([int(seed), stream]), label_of):
+            held_set = set(held)
+            pairs.append(([u for u in pool if u not in held_set], held))
+        return pairs
+
+    def ids_of(pairs):
+        def samples(side):
+            return tuple(sorted({i for u in side for i in members_of[u]}, key=position.__getitem__))
+
+        return tuple((samples(train), samples(held)) for train, held in pairs)
+
+    outer = split(units, k_outer, 0)
+    inner = [split(train, k_inner, 1 + fold) for fold, (train, _) in enumerate(outer)]
+    return FoldPlan(
+        sample_ids=ids,
+        outer_folds=ids_of(outer),
+        inner_folds=tuple(map(ids_of, inner)),
+        blocks=block_of,
+        seed=int(seed),
+    )
 
 
 def nested_cv_reference(

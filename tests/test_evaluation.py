@@ -35,7 +35,12 @@ from enmkl.kernels import (
 )
 from enmkl.mkl import predict_model, recover_primal_weights, train_enmkl_svm
 
-from helpers import make_classification_data, make_regression_data, nested_cv_reference
+from helpers import (
+    make_classification_data,
+    make_fold_plan_reference,
+    make_regression_data,
+    nested_cv_reference,
+)
 
 
 class TestBalancedAccuracy:
@@ -302,6 +307,23 @@ def test_fold_plans_keep_their_digests(name):
     plan = make_fold_plan(_IDS, **kwargs)
     text = json.dumps([plan.outer_folds, plan.inner_folds])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_large_blocked_plan_is_the_per_block_scan_plan():
+    # 4,000 samples in two-sample blocks: grouping the ids in one pass gives
+    # the plan that scanning every sample for each block gave.
+    ids = [f"s{i:04d}" for i in range(4000)]
+    blocks = [f"b{(i * 7919) % 2000}" for i in range(4000)]
+    plan = make_fold_plan(ids, 5, 5, blocks=blocks, seed=3)
+    reference = make_fold_plan_reference(ids, 5, 5, blocks=blocks, seed=3)
+    assert (plan.outer_folds, plan.inner_folds) == (reference.outer_folds, reference.inner_folds)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.nan, np.float64("nan")])
+def test_block_label_unequal_to_itself_is_refused(nan):
+    blocks = {"a": "x", "b": nan, "c": "y", "d": "y"}
+    with pytest.raises(ValueError, match=r"^sample 'b' has block label nan, which is not equal"):
+        make_fold_plan(["a", "b", "c", "d"], 2, 2, blocks=blocks)
 
 
 # A valid plan over a, b, c, d: outer folds ab|cd and cd|ab, each training

@@ -668,6 +668,45 @@ class TestAcceleratedLoop:
             assert set(np.flatnonzero(beta_next == 0)) <= set(np.flatnonzero(step == 0))
 
 
+class TestNewtonWarmStartInTheLoop:
+    """The weight loop's warm solves start from ``newton_warm_start``."""
+
+    # Tight enough that both fits below stop near the same optimum.
+    OPTS = dict(conv_tol=1e-7, max_iter=1000, solver_tol=1e-7)
+
+    @pytest.mark.parametrize("C, mu", [(1.0, 0.5), (10.0, 1.0), (1.0, 1.0)])
+    def test_fewer_smo_updates_same_kernels(self, monkeypatch, C, mu):
+        specs = [("s0", 3, "signal"), ("s1", 3, "signal")] + [
+            (f"n{j}", 3, "noise") for j in range(4)
+        ]
+        data = make_classification_data(n=40, seed=0, group_specs=specs, shift=1.0)
+        stack = _preprocessed_stack(data)
+        solve, updates = mkl.solvers.solve_svm_dual, []
+
+        def counting(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            updates.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(mkl.solvers, "solve_svm_dual", counting)
+        stepped = train_enmkl_svm(stack, data.targets, C=C, mu=mu, **self.OPTS)
+        stepped_updates = sum(updates)
+        updates.clear()
+        monkeypatch.setattr(
+            mkl.solvers, "newton_warm_start",
+            lambda stack, weights, y, C, tol, alpha0, kq0: (alpha0, kq0),
+        )
+        plain = train_enmkl_svm(stack, data.targets, C=C, mu=mu, **self.OPTS)
+        assert stepped.converged and plain.converged
+        assert stepped_updates < sum(updates)
+        np.testing.assert_array_equal(
+            stepped.beta > SELECTION_THRESHOLD, plain.beta > SELECTION_THRESHOLD
+        )
+        # Each fit stops within conv_tol of a step of its own path; the paths
+        # differ by SMO's stopping points, which leaves the weights this close.
+        np.testing.assert_allclose(stepped.beta, plain.beta, rtol=0, atol=SELECTION_THRESHOLD)
+
+
 class TestTrainModel:
     """``train_model`` picks the trainer the CLI and nested CV ask for."""
 

@@ -9,6 +9,7 @@ from enmkl import solvers
 from enmkl.errors import ConvergenceError, DataError
 from enmkl.kernels import SYMMETRY_TOL, KernelStack, weighted_sum
 from enmkl.solvers import (
+    DEFAULT_SVM_TOL,
     SvmDualSolution,
     predict,
     solve_krr_dual,
@@ -461,6 +462,146 @@ class TestStackRows:
         for args, options in (((k,), {}), ((stack,), {"weights": [1.0]})):
             with np.errstate(all="raise"), pytest.raises(DataError, match="pair curvatures"):
                 solve_svm_dual(*args, y, 1.0, **options)
+
+
+def _loop_start(rng, n, m, kind, C, tol=DEFAULT_SVM_TOL):
+    """A warm start as the weight loop hands one to the step: a stack of m
+    kernels ("full" rank, "low-rank", or "duplicated" samples, with equal
+    labels on the copies), labels, new weights, the solve at other weights,
+    and ``kq0`` from the batched products of the block norms."""
+    if kind == "duplicated":
+        base = rng.normal(size=(n - n // 4, 3 * m))
+        X = np.vstack([base, base[: n // 4]])
+        values = np.array([X[:, 3 * j:3 * j + 3] @ X[:, 3 * j:3 * j + 3].T for j in range(m)])
+    else:
+        rank = (lambda: int(rng.integers(1, 4))) if kind == "low-rank" else (lambda: None)
+        values = np.array([random_psd_kernel(rng, n, rank=rank()) for _ in range(m)])
+    ids = tuple(f"s{i}" for i in range(n))
+    stack = KernelStack(values, ids, ids, tuple(f"g{j}" for j in range(m)), (1,) * m)
+    y = random_labels(rng, n)
+    if kind == "duplicated":
+        y[n - n // 4:] = y[: n // 4]
+    weights = rng.uniform(0.0, 1.0, m)
+    weights[0] += 0.1
+    previous = rng.uniform(0.1, 1.0, m)
+    alpha0 = solve_svm_dual(stack, y, C, tol=tol, weights=previous, max_updates=10**5).alpha
+    return stack, y, weights, alpha0, weights @ np.matmul(stack.values, alpha0 * y)
+
+
+def _dual_objective(stack, weights, y, alpha):
+    q = alpha * y
+    return float(alpha.sum() - 0.5 * q @ weighted_sum(stack, weights) @ q)
+
+
+def _violation(y, C, alpha, kq):
+    """SMO's stop-rule quantity m - M at ``alpha``, from ``kq``."""
+    g = -y * (y * kq - 1.0)
+    up = np.where(y > 0, alpha < C, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < C)
+    return g[up].max() - g[low].min()
+
+
+class TestNewtonWarmStart:
+    """``newton_warm_start`` hands SMO a feasible start no worse than alpha0,
+    or alpha0 itself; SMO still certifies the answer."""
+
+    KINDS = ("full", "low-rank", "duplicated")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_is_feasible_and_no_worse(self):
+        moved = 0
+        for seed in range(90):
+            rng = np.random.default_rng(2500 + seed)
+            n, m = int(rng.integers(4, 41)), int(rng.integers(1, 5))
+            C = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
+            stack, y, weights, alpha0, kq0 = _loop_start(rng, n, m, self.KINDS[seed % 3], C)
+            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
+            if alpha is alpha0:
+                assert kq is kq0
+                continue
+            moved += 1
+            assert ((alpha >= 0.0) & (alpha <= C)).all(), seed
+            # A multiplier the step blocks on is set to its bound, not left a
+            # rounding error inside the box.
+            near = (alpha != alpha0) & ((alpha < 1e-12 * C) | (alpha > C * (1.0 - 1e-12)))
+            assert ((alpha == 0.0) | (alpha == C))[near].all(), seed
+            # SMO's own equality check, which it would refuse the start by.
+            assert abs(float(alpha @ y)) <= 1e-8 * max(1.0, float(alpha.sum())), seed
+            before = _dual_objective(stack, weights, y, alpha0)
+            after = _dual_objective(stack, weights, y, alpha)
+            assert after >= before - 1e-12 * max(1.0, abs(before)), seed
+            expected = weighted_sum(stack, weights) @ (alpha * y)
+            np.testing.assert_allclose(kq, expected, rtol=0, atol=1e-12 * np.abs(kq0).max() * n)
+            sol = solve_svm_dual(stack, y, C, alpha0=alpha, kq0=kq, weights=weights)
+            assert _violation(y, C, sol.alpha, weights @ np.matmul(stack.values, sol.alpha * y)) \
+                <= 1e-3 + 1e-9
+        # Most starts are moved; a table where none were would test nothing.
+        assert moved >= 60
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["duplicated-pair", "rank-one", "last-is-a-copy"])
+    def test_singular_system_returns_alpha0(self, case):
+        # Every multiplier free at C/2, which balanced labels make feasible,
+        # and far from optimal: the free set's kernel is singular on the
+        # subspace sum(e) = 0, so the step passes alpha0 through. The
+        # duplicated pair's Cholesky ends on a pivot of round-off size, the
+        # other two cases' Cholesky fails outright.
+        rng = np.random.default_rng(2601)
+        X = rng.normal(size=(8, 10))
+        if case == "rank-one":
+            X = X[:, :1]
+        elif case == "duplicated-pair":
+            X[5] = X[1]
+        else:
+            X[7] = X[3]  # the free sample the reduced system eliminates
+        ids = tuple(f"s{i}" for i in range(8))
+        stack = KernelStack(np.array([X @ X.T]), ids, ids, ("g",), (X.shape[1],))
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        C, weights = 1.0, np.array([0.7])
+        alpha0 = np.full(8, C / 2)
+        assert float(alpha0 @ y) == 0.0
+        kq0 = weights @ np.matmul(stack.values, alpha0 * y)
+        assert _violation(y, C, alpha0, kq0) > 1e-3
+        alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
+        assert alpha is alpha0 and kq is kq0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_within_tol_returns_alpha0(self):
+        for seed in range(30):
+            rng = np.random.default_rng(2700 + seed)
+            n, m = int(rng.integers(4, 41)), int(rng.integers(1, 4))
+            C = float(rng.choice([0.1, 1.0, 10.0]))
+            stack, y, weights, _, _ = _loop_start(rng, n, m, self.KINDS[seed % 3], C)
+            # Solved at a tenth of the tolerance, so the recomputed gradient's
+            # round-off cannot carry the violation above it.
+            alpha0 = solve_svm_dual(stack, y, C, tol=1e-4, weights=weights).alpha
+            kq0 = weights @ np.matmul(stack.values, alpha0 * y)
+            assert _violation(y, C, alpha0, kq0) <= 1e-3
+            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
+            assert alpha is alpha0 and kq is kq0
+
+    def test_smo_from_the_step_matches_the_bruteforce_qp(self):
+        # Criterion 01's oracle and tolerance: the objective within 1e-4.
+        moved = 0
+        for seed in range(45):
+            rng = np.random.default_rng(2800 + seed)
+            n, m = int(rng.integers(4, 7)), int(rng.integers(1, 4))
+            C = float(rng.choice([0.1, 1.0, 10.0]))
+            stack, y, weights, alpha0, kq0 = _loop_start(rng, n, m, self.KINDS[seed % 3], C)
+            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-7, alpha0, kq0)
+            moved += alpha is not alpha0
+            sol = solve_svm_dual(stack, y, C, tol=1e-7, alpha0=alpha, kq0=kq, weights=weights)
+            _, oracle = svm_dual_bruteforce(weighted_sum(stack, weights), y, C)
+            assert abs(sol.objective - oracle) <= 1e-4, seed
+        assert moved >= 20
+
+    def test_large_problems_are_passed_through(self):
+        rng = np.random.default_rng(2900)
+        n = solvers.WHOLE_KERNEL_MAX_N + 1
+        stack, y, weights, alpha0, kq0 = _loop_start(rng, n, 2, "full", 1.0)
+        assert _violation(y, 1.0, alpha0, kq0) > 1e-3
+        alpha, kq = solvers.newton_warm_start(stack, weights, y, 1.0, 1e-3, alpha0, kq0)
+        assert alpha is alpha0 and kq is kq0
 
 
 class TestSvmSolutionInvariants:
