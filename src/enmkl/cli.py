@@ -168,6 +168,7 @@ def cmd_train(args) -> None:
         raise UsageError("--mu does not apply to the sum baseline")
     _check_out(args, "--out", ("--stack", "--targets"))
     from . import io, mkl
+    from .model import write_model_file
     from .kernels import StackPreprocessor
 
     manifest = io.read_manifest(args.stack)
@@ -208,7 +209,7 @@ def cmd_train(args) -> None:
         train_data = data.subset(stack.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
         feature_names = train_data.feature_names
-    mkl.write_model_file(args.out, model, label_mapping, feature_names, primal)
+    write_model_file(args.out, model, label_mapping, feature_names, primal)
     if not model.converged:
         flavor = "degenerate (all block norms zero)" if model.degenerate else "not converged"
         print(f"warning: weight optimization {flavor} after {model.iterations} iterations")

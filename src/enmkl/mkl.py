@@ -21,10 +21,9 @@ The SVM solve reads the combined kernel from the stack: SMO builds a small
 one whole, and computes a large one's rows as it needs them (see
 :mod:`enmkl.solvers`). ``K q = sum_j beta_j K_j q`` for the loss term and the
 next warm start comes from the products the block norms take, in one
-batched product. Each warm solve first hands its start to
-:func:`~enmkl.solvers.newton_warm_start`, which moves the previous alpha by
-one Newton step on its free multipliers at the new weights (on at most
-``solvers.WHOLE_KERNEL_MAX_N`` samples); SMO finishes from there. Ridge
+batched product. On at most ``solvers.WHOLE_KERNEL_MAX_N`` samples, a warm
+solve first moves the previous alpha by Newton steps on its free
+multipliers at the new weights, and SMO finishes from there. Ridge
 regression builds the combined kernel for its linear solve.
 
 Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
@@ -66,8 +65,6 @@ from .kernels import (
     weighted_sum,
 )
 from .model import MklModel, PrimalModel, check_task
-# The model file's functions, for callers that fit and save models through mkl.
-from .model import model_from_dict, model_to_dict, read_model_file, write_model_file  # noqa: F401
 
 DEFAULT_CONV_TOL = 1e-4
 DEFAULT_MAX_ITER = 200
@@ -207,11 +204,7 @@ def _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates,
     of one ridge solve on ``combined`` when ``labels`` is None (the bias is
     then the target offset)."""
     if labels is not None:
-        kq0 = None
-        if alpha0 is not None:
-            alpha0, kq0 = solvers.newton_warm_start(
-                stack, beta, labels, C, solver_tol, alpha0, beta @ products
-            )
+        kq0 = None if alpha0 is None else beta @ products
         sol = solvers.solve_svm_dual(
             stack, labels, C, tol=solver_tol, max_updates=max_updates, alpha0=alpha0,
             weights=beta, kq0=kq0,
@@ -467,7 +460,8 @@ def train_enmkl_svm(
     normalized weights by at most ``conv_tol`` in every coordinate, or
     ``max_iter`` solves are spent (reported via ``converged``, not an
     error). The inner solver warm-starts from the previous solve's
-    coefficients, first moved by :func:`~enmkl.solvers.newton_warm_start`.
+    coefficients, first moved by Newton steps on the free multipliers
+    (see :mod:`enmkl.solvers`).
 
     The first iteration solves on the uniform mixture, which is what
     :func:`train_sum_baseline` fits. ``start``, that baseline's model on

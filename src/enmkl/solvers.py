@@ -14,21 +14,24 @@ directly.
 SMO reads K a row at a time and its column t as row t, as LIBSVM does: every
 train kernel is bit-symmetric. K is the kernel array given, or ``sum_j w_j K_j``
 from a train stack and weights. Up to ``WHOLE_KERNEL_MAX_N`` samples, a solve's
-first update builds that sum whole, by one einsum over the kernels of nonzero
-weight, with every pair curvature, and rows are views of it; above, a row and
-its curvatures are computed when first needed. Either way K is bit for bit what
-:func:`~enmkl.kernels.weighted_sum` builds, and a solve that makes no update
-builds nothing.
+first Newton step or update builds that sum whole, by one einsum over the
+kernels of nonzero weight, its first update every pair curvature, and rows
+are views of it; above, a row and its curvatures are computed when first
+needed. Either way K is bit for bit what
+:func:`~enmkl.kernels.weighted_sum` builds, and a solve that neither updates
+nor takes a Newton step builds nothing.
 
-:func:`newton_warm_start` prepares a warm start for SMO; SMO itself does not
-change, and still certifies what it returns at its tolerance. Given the
-previous solve's multipliers at new kernel weights, it takes the dual's
-Newton step on the free multipliers (those strictly inside the box), with
-the others fixed and the equality constraint kept, and stops at the box. It
-returns the start unchanged when it already meets SMO's stop rule, when
-fewer than two multipliers are free, when their kernel is singular on the
-step's subspace, when the step would not raise the dual objective, and
-above ``WHOLE_KERNEL_MAX_N`` samples.
+A warm start on at most ``WHOLE_KERNEL_MAX_N`` samples first takes Newton
+steps on that whole K (:func:`_newton_step`): on its free multipliers, those
+strictly inside the box, with the others fixed and the equality constraint
+kept, stopped at the box. From the second step on, SMO's maximal violating
+pair joins the free set, as in SimpleSVM (Vishwanathan, Smola & Murty 2003),
+and the steps repeat while the free set changes, at most ``NEWTON_ROUNDS``
+times. They stop when the start meets SMO's stop rule, when fewer than two
+multipliers are free, when their kernel is singular on the step's subspace,
+or when a step would not raise the dual objective. SMO's loop (:func:`_smo`)
+then starts from where they end, and certifies what it returns at its
+tolerance.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ _TAU = 1e-12
 DEFAULT_SVM_TOL = 1e-3
 DEFAULT_MAX_UPDATES = 10_000_000
 # Up to this many samples, SMO builds the combined kernel and its pair
-# curvatures whole at a solve's first update rather than row by row, and
-# newton_warm_start moves a warm start; above, it hands the start on as is.
+# curvatures whole rather than row by row, and a warm start takes Newton
+# steps on that kernel first. Above, gathering the free rows costs about what
+# the steps save SMO.
 WHOLE_KERNEL_MAX_N = 128
+# The most Newton steps a warm start takes before SMO's loop.
+NEWTON_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class SvmDualSolution:
     ``alpha`` satisfies the box constraints exactly (updates clip to the
     bounds) and the equality constraint up to round-off. ``objective`` is the
     dual value ``sum(alpha) - 1/2 alpha' Q alpha`` and ``iterations`` counts
-    two-variable updates.
+    SMO's two-variable updates; the Newton steps of a warm start count none.
     """
 
     alpha: np.ndarray
@@ -209,16 +215,9 @@ def solve_svm_dual(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
 
-    # g_up and g_low hold g = -y * grad where alpha_t may move up (else
-    # -inf) and where it may move down (else +inf). Every alpha_t in the box
-    # can move one way, so each g_t sits in one of them or both. In-place
-    # adds leave the infinities infinite, so an entry is rewritten only when
-    # its flag flips.
-    pos = y > 0
     if alpha0 is None:
-        alpha = np.zeros(n)
-        g = y  # -y * grad, where grad = -1 at a = 0
-        up_mask, low_mask = pos, ~pos
+        # g = y exactly, and no multiplier is free, so no Newton step.
+        alpha, kq0 = np.zeros(n), np.zeros(n)
     else:
         alpha = np.array(alpha0, dtype=np.float64, copy=True)
         if alpha.shape != (n,):
@@ -237,12 +236,48 @@ def solve_svm_dual(
             raise ValueError("alpha0 violates the equality constraint")
         if kq0 is None:
             kq0 = matvec(alpha * y)
+    # g_up and g_low hold g = -y * grad where alpha_t may move up (else
+    # -inf) and where it may move down (else +inf). Every alpha_t in the box
+    # can move one way, so each g_t sits in one of them or both. In-place
+    # adds leave the infinities infinite, so an entry is rewritten only when
+    # its flag flips. Newton steps first move a start that breaks the stop
+    # rule (module docstring).
+    pos, rounds, free = y > 0, 0, None
+    while True:
         g = -y * (y * kq0 - 1.0)
         below, above = alpha < C, alpha > 0
         up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
-    g_up, g_low = np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)
+        g_up, g_low = np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)
+        if rounds == NEWTON_ROUNDS or n > WHOLE_KERNEL_MAX_N:
+            break
+        i, j = g_up.argmax(), g_low.argmin()
+        if g_up[i] - g_low[j] <= tol:
+            break
+        last, free = free, below & above
+        if rounds:
+            free[[i, j]] = True
+        free = free.nonzero()[0]
+        if free.size < 2 or (last is not None and np.array_equal(free, last)):
+            break
+        if not rounds:
+            whole = cache(whole)  # the step's K is the K SMO's updates read
+        moved = _newton_step(whole(), y, C, alpha, kq0, g, free)
+        if moved is None:
+            break
+        (alpha, kq0), rounds = moved, rounds + 1
+    return _smo(
+        lambda: _update_parts(whole, diag, rows, y), y, ys, C, tol, max_updates,
+        alpha, g_up, g_low, up_mask, low_mask,
+    )
 
-    # The first update fetches what updates read of K (_update_parts).
+
+def _smo(parts, y, ys, C, tol, max_updates, alpha, g_up, g_low, up_mask, low_mask):
+    """SMO's update loop and its finish, from a feasible ``alpha`` with ``g =
+    -y * grad`` in ``g_up`` and ``g_low`` as :func:`solve_svm_dual` sets them
+    up; ``ys`` is ``y`` as floats, and ``parts()`` gives what updates read of
+    K (:func:`_update_parts`)."""
+    n = y.shape[0]
+    # The first update fetches what updates read of K.
     # Scalar bookkeeping runs on Python floats and bools; floats are the
     # same doubles, and every value is bit for bit what the textbook update
     # on grad computes.
@@ -274,7 +309,7 @@ def solve_svm_dual(
                 f"(KKT violation {m_val - M_val:.3e}, tol {tol:.3e})"
             )
         if curvatures is None:
-            rows, ds, curvatures = _update_parts(whole, diag, rows, y)
+            rows, ds, curvatures = parts()
         curv = curvatures(i)
 
         # Second-order choice of j: among violating candidates (t in low with
@@ -378,71 +413,56 @@ def solve_svm_dual(
     return SvmDualSolution(alpha=alpha, bias=bias, objective=objective, iterations=updates)
 
 
-def newton_warm_start(stack, weights, y, C: float, tol: float, alpha0, kq0):
-    """``(alpha, kq)``: the warm start ``alpha0`` of an SVM solve on ``sum_j
-    weights_j K_j`` of a train stack, moved by one Newton step on its free
-    multipliers, and ``kq0``, the combined kernel times ``alpha0 * y``, moved
-    with it. The inputs are as :func:`solve_svm_dual` accepts them.
+def _newton_step(K, y, C: float, alpha, kq, g, free):
+    """``(alpha, kq)`` moved by the SVM dual's Newton step on the multipliers
+    ``free``, or None where it would not help. ``K`` is the whole kernel,
+    ``kq`` is ``K @ (alpha * y)`` and ``g`` is ``-y * grad``, as SMO keeps
+    it.
 
-    Over the free set F = {t : 0 < alpha0_t < C}, the step solves ``max_e
-    g_F'e - 1/2 e'K_FF e`` subject to ``sum(e) = 0`` for the change e of
-    ``alpha * y``, where ``g = -y * grad`` as SMO keeps it, and moves by
-    ``t e``, with t <= 1 the largest step the box allows; the multiplier that
-    blocks it is set to its bound exactly. It reads the F rows of each
-    kernel of nonzero weight. ``alpha0`` comes back unchanged in the cases
-    the module docstring lists, and when the step's solution is not finite
-    or the moved multipliers would fail SMO's equality check. Above
-    ``WHOLE_KERNEL_MAX_N`` samples, gathering the F rows costs about what
-    the step saves SMO.
+    Over F = ``free``, the step solves ``max_e g_F'e - 1/2 e'K_FF e`` subject
+    to ``sum(e) = 0`` for the change e of ``alpha * y``, and moves by ``t
+    e``, with t <= 1 the largest step the box allows; the multiplier that
+    blocks it is set to its bound exactly. It is None when K_FF is singular
+    on that subspace, when its solution is not finite or t is not positive,
+    when the dual objective would not rise, and when the moved multipliers
+    would fail SMO's equality check.
     """
-    if y.shape[0] > WHOLE_KERNEL_MAX_N:
-        return alpha0, kq0
-    g = -y * (y * kq0 - 1.0)
-    pos = y > 0
-    below, above = alpha0 < C, alpha0 > 0
-    up, low = np.where(pos, below, above), np.where(pos, above, below)
-    free = (below & above).nonzero()[0]
-    if np.where(up, g, -np.inf).max() - np.where(low, g, np.inf).min() <= tol or free.size < 2:
-        return alpha0, kq0
-    w = np.asarray(weights, dtype=np.float64)
-    idx = w.nonzero()[0]
-    w = w[idx]
-    rows = stack.values[idx[:, None], free]  # (kernels, |F|, n)
-    K = np.einsum("j,jab->ab", w, rows[:, :, free])
+    K_F = K[free]
+    K_FF = K_F[:, free]
     # e = (u, -sum(u)) keeps sum(e) = 0, and u solves H u = r for the reduced
     # Hessian H = Z'K_FF Z, Z = [I; -1']. A Cholesky pivot of H near zero
     # shows K_FF singular on that subspace, as duplicated samples make it.
-    H = K[:-1, :-1] - K[:-1, -1:] - K[-1:, :-1] + K[-1, -1]
-    gf, yf, a = g[free], y[free], alpha0[free]
+    H = K_FF[:-1, :-1] - K_FF[:-1, -1:] - K_FF[-1:, :-1] + K_FF[-1, -1]
+    gf, yf, a = g[free], y[free], alpha[free]
     try:
         pivots = np.diagonal(np.linalg.cholesky(H))
         if not pivots.min() ** 2 > 1e-10 * H.diagonal().max():
-            return alpha0, kq0
+            return None
         with np.errstate(all="ignore"):  # an overflow leaves e non-finite
             u = np.linalg.solve(H, gf[:-1] - gf[-1])
-            e = np.append(u, -u.sum())
+            e = np.concatenate((u, [-u.sum()]))
     except np.linalg.LinAlgError:
-        return alpha0, kq0
+        return None
     if not np.isfinite(e).all():
-        return alpha0, kq0
+        return None
     d = yf * e
     room = np.where(d > 0, C - a, a)
     ratios = np.divide(room, np.abs(d), out=np.ones_like(d), where=np.abs(d) > room)
     k = int(ratios.argmin())
     t = ratios.item(k)
     if not t > 0.0:
-        return alpha0, kq0
+        return None
     moved = np.clip(a + t * d, 0.0, C)
     if t < 1.0:
         moved[k] = C if d[k] > 0 else 0.0
     step = (moved - a) * yf
-    if not float(gf @ step) - 0.5 * float(step @ K @ step) > 0.0:
-        return alpha0, kq0
-    alpha = alpha0.copy()
+    if not float(gf @ step) - 0.5 * float(step @ K_FF @ step) > 0.0:
+        return None
+    alpha = alpha.copy()
     alpha[free] = moved
     if abs(float(alpha @ y)) > 1e-8 * max(1.0, float(alpha.sum())):
-        return alpha0, kq0
-    return alpha, kq0 + w @ (step @ rows)
+        return None
+    return alpha, kq + step @ K_F
 
 
 def solve_krr_dual(k, y, C: float) -> KrrDualSolution:

@@ -33,7 +33,8 @@ from enmkl import io
 from enmkl.cli import build_parser, main
 from enmkl.errors import DataError
 from enmkl.evaluation import make_fold_plan
-from enmkl.mkl import model_from_dict, predict_model
+from enmkl.mkl import predict_model
+from enmkl.model import model_from_dict
 from enmkl.kernels import (
     KernelStack,
     LinearKernelStream,

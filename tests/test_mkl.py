@@ -28,8 +28,6 @@ from enmkl.mkl import (
     _update_lambda,
     compute_block_norms,
     enmkl_objective,
-    model_from_dict,
-    model_to_dict,
     predict_model,
     recover_primal_weights,
     selected_kernel_count,
@@ -38,6 +36,7 @@ from enmkl.mkl import (
     train_model,
     train_sum_baseline,
 )
+from enmkl.model import model_from_dict, model_to_dict
 from enmkl.solvers import predict, solve_krr_dual, solve_svm_dual
 
 from helpers import (
@@ -669,7 +668,8 @@ class TestAcceleratedLoop:
 
 
 class TestNewtonWarmStartInTheLoop:
-    """The weight loop's warm solves start from ``newton_warm_start``."""
+    """The weight loop's warm solves start with Newton steps on their free
+    multipliers, which ``solvers.NEWTON_ROUNDS = 0`` switches off."""
 
     # Tight enough that both fits below stop near the same optimum.
     OPTS = dict(conv_tol=1e-7, max_iter=1000, solver_tol=1e-7)
@@ -692,10 +692,7 @@ class TestNewtonWarmStartInTheLoop:
         stepped = train_enmkl_svm(stack, data.targets, C=C, mu=mu, **self.OPTS)
         stepped_updates = sum(updates)
         updates.clear()
-        monkeypatch.setattr(
-            mkl.solvers, "newton_warm_start",
-            lambda stack, weights, y, C, tol, alpha0, kq0: (alpha0, kq0),
-        )
+        monkeypatch.setattr(mkl.solvers, "NEWTON_ROUNDS", 0)
         plain = train_enmkl_svm(stack, data.targets, C=C, mu=mu, **self.OPTS)
         assert stepped.converged and plain.converged
         assert stepped_updates < sum(updates)
@@ -705,6 +702,100 @@ class TestNewtonWarmStartInTheLoop:
         # Each fit stops within conv_tol of a step of its own path; the paths
         # differ by SMO's stopping points, which leaves the weights this close.
         np.testing.assert_allclose(stepped.beta, plain.beta, rtol=0, atol=SELECTION_THRESHOLD)
+
+
+def _draw_weight_loop_problem(data):
+    """A classification problem the weight loop solves to tight tolerances:
+    2-6 kernels on 8-40 samples, each the Gram matrix of d_j random features
+    (kernel 0 of full rank, so the combined kernel is positive definite and
+    alpha unique), labels that follow kernel 0's first feature, and (C, mu)."""
+    n, m = data.draw(st.integers(8, 40)), data.draw(st.integers(2, 6))
+    C, mu = data.draw(st.sampled_from([0.1, 1.0, 10.0])), data.draw(st.sampled_from([0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    features = [rng.normal(size=(n, n + 2))] + [
+        rng.normal(size=(n, int(rng.integers(2, n + 3)))) for _ in range(m - 1)
+    ]
+    y = np.where(features[0][:, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    ids = tuple(f"s{i}" for i in range(n))
+    stack = KernelStack(
+        np.array([X @ X.T / X.shape[1] for X in features]), ids, ids,
+        tuple(f"g{j}" for j in range(m)), tuple(X.shape[1] for X in features),
+    )
+    return stack, y, C, mu
+
+
+class TestWeightLoopMetamorphic:
+    """Derandomized properties of the SVM weight loop at tight tolerances:
+    its weights do not depend on the warm-start machinery, on the order of
+    the kernels, or on the order of the samples."""
+
+    # The update cap turns an SMO solve that stalls into a failure.
+    OPTS = dict(conv_tol=1e-8, max_iter=2000, solver_tol=1e-8, max_updates=200_000)
+
+    def _fit(self, stack, y, C, mu):
+        return train_enmkl_svm(stack, y, C, mu, **self.OPTS)
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_beta_does_not_depend_on_the_warm_start_machinery(self, data):
+        stack, y, C, mu = _draw_weight_loop_problem(data)
+        fit = self._fit(stack, y, C, mu)
+        assert fit.converged
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mkl.solvers, "NEWTON_ROUNDS", 0)
+            unstepped = self._fit(stack, y, C, mu)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mkl._Anderson, "step", lambda self, x, g: (g, False))
+            plain = self._fit(stack, y, C, mu)
+        assert unstepped.converged
+        # Plain steps shrink a vanishing weight by a factor near one per
+        # step; where max_iter ends them first they are no reference.
+        for other in (unstepped, plain) if plain.converged else (unstepped,):
+            np.testing.assert_allclose(other.beta, fit.beta, rtol=0, atol=SELECTION_THRESHOLD)
+            np.testing.assert_array_equal(
+                other.beta > SELECTION_THRESHOLD, fit.beta > SELECTION_THRESHOLD
+            )
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_permuting_the_kernels_permutes_beta(self, data):
+        stack, y, C, mu = _draw_weight_loop_problem(data)
+        order = data.draw(st.permutations(range(stack.m)))
+        permuted = KernelStack(
+            stack.values[order], stack.row_ids, stack.col_ids,
+            tuple(stack.group_names[j] for j in order), tuple(stack.group_sizes[j] for j in order),
+        )
+        fit, other = self._fit(stack, y, C, mu), self._fit(permuted, y, C, mu)
+        assert fit.converged and other.converged
+        np.testing.assert_allclose(other.beta, fit.beta[order], rtol=0, atol=1e-6)
+        # The decision values: the kernel expansion, and the bias where a
+        # multiplier clearly inside the box pins it. Without one, any point
+        # of an interval is an optimal bias, and SMO's stopping point picks it.
+        values, permuted_values = predict_model(fit, stack), predict_model(other, permuted)
+        atol = 1e-6 * max(1.0, float(np.abs(values).max()))
+        np.testing.assert_allclose(
+            permuted_values - other.bias, values - fit.bias, rtol=0, atol=atol
+        )
+        top = C * fit.beta_raw_sum  # the box of the model's rescaled alpha
+        if ((fit.alpha > 1e-6 * top) & (fit.alpha < (1.0 - 1e-6) * top)).any():
+            assert abs(other.bias - fit.bias) <= atol
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_permuting_the_samples_permutes_alpha(self, data):
+        stack, y, C, mu = _draw_weight_loop_problem(data)
+        order = list(data.draw(st.permutations(range(stack.n_rows))))
+        ids = tuple(stack.row_ids[i] for i in order)
+        permuted = KernelStack(
+            stack.values[:, order][:, :, order], ids, ids, stack.group_names, stack.group_sizes
+        )
+        fit, other = self._fit(stack, y, C, mu), self._fit(permuted, y[order], C, mu)
+        assert fit.converged and other.converged
+        assert other.sample_ids == ids
+        top = C * fit.beta_raw_sum  # the box of the model's rescaled alpha
+        np.testing.assert_allclose(other.alpha, fit.alpha[order], rtol=0, atol=1e-6 * top)
+        np.testing.assert_allclose(other.beta, fit.beta, rtol=0, atol=1e-6)
 
 
 class TestTrainModel:

@@ -1,5 +1,8 @@
 """Single-kernel dual solvers: SVM working-set optimization and ridge."""
 
+import contextlib
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,10 +119,19 @@ def _symmetric_part(K):
     return K / 2.0 + K.T / 2.0
 
 
+@contextlib.contextmanager
+def _newton_steps_off():
+    """Warm starts go to SMO's loop as they are given: no Newton steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "NEWTON_ROUNDS", 0)
+        yield
+
+
 def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None, reference=None):
-    """``solve_svm_dual`` on K is the reference loop on ``reference`` (K by
-    default), bit for bit."""
-    sol = solve_svm_dual(K, y, C, tol=tol, alpha0=alpha0)
+    """``solve_svm_dual`` on K, with a warm start's Newton steps off, is the
+    reference loop on ``reference`` (K by default), bit for bit."""
+    with _newton_steps_off():
+        sol = solve_svm_dual(K, y, C, tol=tol, alpha0=alpha0)
     alpha, bias, objective, iterations = smo_reference(
         K if reference is None else reference, y, C, tol=tol, alpha0=alpha0
     )
@@ -130,7 +142,8 @@ def _assert_same_as_reference(K, y, C, tol=1e-3, alpha0=None, reference=None):
 
 
 class TestSvmMatchesReferenceExactly:
-    """``solve_svm_dual`` replays the reference SMO loop bit for bit."""
+    """``solve_svm_dual`` replays the reference SMO loop bit for bit, from
+    cold starts and, with the Newton steps off, from warm ones."""
 
     @pytest.mark.parametrize("C", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
     def test_cold_start(self, C):
@@ -261,7 +274,8 @@ class TestSvmMatchesReferenceProperty:
 
     Warm starts from a perturbed kernel's solution and C across six decades
     make alpha_t enter and leave the bounds often, which rewrites the masked
-    gradient rows entry by entry.
+    gradient rows entry by entry. The Newton steps are off, so a warm start
+    reaches SMO's loop as it is given.
     """
 
     @settings(max_examples=60)
@@ -291,7 +305,8 @@ class TestSvmMatchesReferenceProperty:
             alpha0 = solve_svm_dual(K + nudge, y, C, tol=tol).alpha
         # A cap far above what these problems need turns a loop that stalls
         # into a failure.
-        sol = solve_svm_dual(K, y, C, tol=tol, max_updates=100_000, alpha0=alpha0)
+        with _newton_steps_off():
+            sol = solve_svm_dual(K, y, C, tol=tol, max_updates=100_000, alpha0=alpha0)
         alpha, bias, objective, iterations = smo_reference(
             reference, y, C, tol=tol, alpha0=alpha0
         )
@@ -363,8 +378,10 @@ class TestStackRows:
     def test_warm_small_stack_solve_is_the_dense_solve_in_hex(self, monkeypatch, n):
         # Warm-started as the weight loop starts it: alpha0 from the solve at
         # the previous weights, kq0 = sum_j w_j (K_j q) from its block norms'
-        # batched products. The whole-kernel route on the stack, the dense
-        # solve on the built sum, and the stack's row-by-row route agree.
+        # batched products. The whole-kernel route on the stack and the dense
+        # solve on the built sum take the same Newton steps and agree. With
+        # WHOLE_KERNEL_MAX_N = 0, which also switches the steps off, the
+        # stack's row-by-row route agrees with the dense solve without steps.
         rng = np.random.default_rng(2100 + n)
         stack = _random_stack(rng, n, 4)
         y = random_labels(rng, n)
@@ -372,21 +389,26 @@ class TestStackRows:
             alpha0 = solve_svm_dual(stack, y, C, weights=[0.25] * 4).alpha
             weights = np.array([0.5, 0.0, 0.25, 1.5])
             kq0 = weights @ np.matmul(stack.values, alpha0 * y)
+            dense = weighted_sum(stack, weights)
+            stepped, steps, _ = _stepped_solve(monkeypatch, stack, y, weights, C, 1e-3, alpha0, kq0)
             solutions = [
-                solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights),
-                solve_svm_dual(weighted_sum(stack, weights), y, C, alpha0=alpha0, kq0=kq0),
+                stepped,
+                solve_svm_dual(dense, y, C, alpha0=alpha0, kq0=kq0),
             ]
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "WHOLE_KERNEL_MAX_N", 0)
                 solutions.append(
                     solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
                 )
+            with _newton_steps_off():
+                solutions.append(solve_svm_dual(dense, y, C, alpha0=alpha0, kq0=kq0))
             hexes = [
                 ([a.hex() for a in s.alpha.tolist()], s.bias.hex(), s.objective.hex(), s.iterations)
                 for s in solutions
             ]
-            assert solutions[0].iterations > 0
-            assert hexes[1] == hexes[0] and hexes[2] == hexes[0], C
+            assert steps and steps[0] is not None
+            assert solutions[2].iterations > 0
+            assert hexes[1] == hexes[0] and hexes[3] == hexes[2], C
 
     @pytest.mark.parametrize("asymmetric", [None, 1])
     def test_cold_solve_is_the_dense_solve(self, asymmetric):
@@ -501,57 +523,115 @@ def _violation(y, C, alpha, kq):
     return g[up].max() - g[low].min()
 
 
+def _stepped_solve(monkeypatch, stack, y, weights, C, tol, alpha0, kq0):
+    """The solve from a weight-loop start, what each Newton step returned
+    (``(alpha, kq)``, or None for a step not taken), and the alpha that
+    SMO's loop started from."""
+    steps, starts = [], []
+    step, smo = solvers._newton_step, solvers._smo
+
+    def recording_step(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    def recording_smo(parts, y, ys, C, tol, max_updates, alpha, *rest):
+        starts.append(alpha.copy())
+        return smo(parts, y, ys, C, tol, max_updates, alpha, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_newton_step", recording_step)
+        patch.setattr(solvers, "_smo", recording_smo)
+        sol = solve_svm_dual(stack, y, C, tol=tol, alpha0=alpha0, kq0=kq0, weights=weights)
+    return sol, steps, starts[0]
+
+
 class TestNewtonWarmStart:
-    """``newton_warm_start`` hands SMO a feasible start no worse than alpha0,
-    or alpha0 itself; SMO still certifies the answer."""
+    """A warm start's Newton steps hand SMO's loop a feasible start no worse
+    than alpha0, or alpha0 itself; SMO still certifies the answer."""
 
     KINDS = ("full", "low-rank", "duplicated")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_start_is_feasible_and_no_worse(self):
-        moved = 0
+    @classmethod
+    def _table(cls):
+        """90 weight-loop starts: n 4-40, 1-4 kernels of each kind, C 0.01-100."""
         for seed in range(90):
             rng = np.random.default_rng(2500 + seed)
             n, m = int(rng.integers(4, 41)), int(rng.integers(1, 5))
             C = float(rng.choice([0.01, 0.1, 1.0, 10.0, 100.0]))
-            stack, y, weights, alpha0, kq0 = _loop_start(rng, n, m, self.KINDS[seed % 3], C)
-            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
-            if alpha is alpha0:
-                assert kq is kq0
+            yield seed, C, _loop_start(rng, n, m, cls.KINDS[seed % 3], C)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_is_feasible_and_no_worse(self, monkeypatch):
+        moved = 0
+        for seed, C, (stack, y, weights, alpha0, kq0) in self._table():
+            n = y.size
+            sol, steps, start = _stepped_solve(
+                monkeypatch, stack, y, weights, C, 1e-3, alpha0, kq0
+            )
+            taken = [step for step in steps if step is not None]
+            if not taken:
+                assert _bits(start).tolist() == _bits(alpha0).tolist(), seed
                 continue
             moved += 1
-            assert ((alpha >= 0.0) & (alpha <= C)).all(), seed
-            # A multiplier the step blocks on is set to its bound, not left a
-            # rounding error inside the box.
-            near = (alpha != alpha0) & ((alpha < 1e-12 * C) | (alpha > C * (1.0 - 1e-12)))
-            assert ((alpha == 0.0) | (alpha == C))[near].all(), seed
-            # SMO's own equality check, which it would refuse the start by.
-            assert abs(float(alpha @ y)) <= 1e-8 * max(1.0, float(alpha.sum())), seed
-            before = _dual_objective(stack, weights, y, alpha0)
-            after = _dual_objective(stack, weights, y, alpha)
-            assert after >= before - 1e-12 * max(1.0, abs(before)), seed
-            expected = weighted_sum(stack, weights) @ (alpha * y)
-            np.testing.assert_allclose(kq, expected, rtol=0, atol=1e-12 * np.abs(kq0).max() * n)
-            sol = solve_svm_dual(stack, y, C, alpha0=alpha, kq0=kq, weights=weights)
+            assert _bits(start).tolist() == _bits(taken[-1][0]).tolist(), seed
+            # Every step, from the one before it.
+            before, previous = _dual_objective(stack, weights, y, alpha0), alpha0
+            for alpha, kq in taken:
+                assert ((alpha >= 0.0) & (alpha <= C)).all(), seed
+                # A multiplier the step blocks on is set to its bound, not left
+                # a rounding error inside the box.
+                near = (alpha != previous) & ((alpha < 1e-12 * C) | (alpha > C * (1.0 - 1e-12)))
+                assert ((alpha == 0.0) | (alpha == C))[near].all(), seed
+                # SMO's own equality check, which it would refuse the start by.
+                assert abs(float(alpha @ y)) <= 1e-8 * max(1.0, float(alpha.sum())), seed
+                after = _dual_objective(stack, weights, y, alpha)
+                assert after >= before - 1e-12 * max(1.0, abs(before)), seed
+                expected = weighted_sum(stack, weights) @ (alpha * y)
+                np.testing.assert_allclose(
+                    kq, expected, rtol=0, atol=1e-12 * np.abs(kq0).max() * n
+                )
+                before, previous = after, alpha
             assert _violation(y, C, sol.alpha, weights @ np.matmul(stack.values, sol.alpha * y)) \
                 <= 1e-3 + 1e-9
         # Most starts are moved; a table where none were would test nothing.
         assert moved >= 60
 
+    def test_the_maximal_violating_pair_joins_the_free_set(self, monkeypatch):
+        # From the second step on, SMO's maximal violating pair joins the
+        # free set, so a multiplier at a bound can come free before SMO runs.
+        joined, step = [], solvers._newton_step
+
+        def recording(K, y, C, alpha, kq, g, free):
+            at_bound = (alpha[free] == 0.0) | (alpha[free] == C)
+            result = step(K, y, C, alpha, kq, g, free)
+            joined.append(bool(at_bound.any()) and result is not None)
+            return result
+
+        monkeypatch.setattr(solvers, "_newton_step", recording)
+        for _, C, (stack, y, weights, alpha0, kq0) in self._table():
+            solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+        assert sum(joined) >= 30
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case", ["duplicated-pair", "rank-one", "last-is-a-copy"])
-    def test_singular_system_returns_alpha0(self, case):
+    @pytest.mark.parametrize(
+        "case", ["duplicated-pair", "near-duplicated-pair", "rank-one", "last-is-a-copy"]
+    )
+    def test_singular_system_returns_alpha0(self, monkeypatch, case):
         # Every multiplier free at C/2, which balanced labels make feasible,
-        # and far from optimal: the free set's kernel is singular on the
-        # subspace sum(e) = 0, so the step passes alpha0 through. The
-        # duplicated pair's Cholesky ends on a pivot of round-off size, the
-        # other two cases' Cholesky fails outright.
+        # and far from optimal: the free set's kernel is singular, or nearly,
+        # on the subspace sum(e) = 0, so the first step is not taken and
+        # SMO's loop starts at alpha0. The duplicated pair's Cholesky ends on
+        # a pivot of round-off size; rank-one's and last-is-a-copy's fails
+        # outright. A pair 1e-7 apart ends on a pivot that small, which LU
+        # solves without complaint: only the pivot test refuses it.
         rng = np.random.default_rng(2601)
         X = rng.normal(size=(8, 10))
         if case == "rank-one":
             X = X[:, :1]
         elif case == "duplicated-pair":
             X[5] = X[1]
+        elif case == "near-duplicated-pair":
+            X[5] = X[1] + 1e-7 * rng.normal(size=10)
         else:
             X[7] = X[3]  # the free sample the reduced system eliminates
         ids = tuple(f"s{i}" for i in range(8))
@@ -562,11 +642,12 @@ class TestNewtonWarmStart:
         assert float(alpha0 @ y) == 0.0
         kq0 = weights @ np.matmul(stack.values, alpha0 * y)
         assert _violation(y, C, alpha0, kq0) > 1e-3
-        alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
-        assert alpha is alpha0 and kq is kq0
+        _, steps, start = _stepped_solve(monkeypatch, stack, y, weights, C, 1e-3, alpha0, kq0)
+        assert steps == [None]
+        assert _bits(start).tolist() == _bits(alpha0).tolist()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_start_within_tol_returns_alpha0(self):
+    def test_start_within_tol_returns_alpha0(self, monkeypatch):
         for seed in range(30):
             rng = np.random.default_rng(2700 + seed)
             n, m = int(rng.integers(4, 41)), int(rng.integers(1, 4))
@@ -577,10 +658,17 @@ class TestNewtonWarmStart:
             alpha0 = solve_svm_dual(stack, y, C, tol=1e-4, weights=weights).alpha
             kq0 = weights @ np.matmul(stack.values, alpha0 * y)
             assert _violation(y, C, alpha0, kq0) <= 1e-3
-            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-3, alpha0, kq0)
-            assert alpha is alpha0 and kq is kq0
+            with monkeypatch.context() as patch:
+                # The solve returns without building K: no step, no update.
+                patch.setattr(solvers, "_update_parts", None)
+                sol, steps, start = _stepped_solve(
+                    patch, stack, y, weights, C, 1e-3, alpha0, kq0
+                )
+            assert steps == [] and sol.iterations == 0, seed
+            assert _bits(start).tolist() == _bits(alpha0).tolist()
+            assert _bits(sol.alpha).tolist() == _bits(alpha0).tolist()
 
-    def test_smo_from_the_step_matches_the_bruteforce_qp(self):
+    def test_smo_from_the_step_matches_the_bruteforce_qp(self, monkeypatch):
         # Criterion 01's oracle and tolerance: the objective within 1e-4.
         moved = 0
         for seed in range(45):
@@ -588,20 +676,63 @@ class TestNewtonWarmStart:
             n, m = int(rng.integers(4, 7)), int(rng.integers(1, 4))
             C = float(rng.choice([0.1, 1.0, 10.0]))
             stack, y, weights, alpha0, kq0 = _loop_start(rng, n, m, self.KINDS[seed % 3], C)
-            alpha, kq = solvers.newton_warm_start(stack, weights, y, C, 1e-7, alpha0, kq0)
-            moved += alpha is not alpha0
-            sol = solve_svm_dual(stack, y, C, tol=1e-7, alpha0=alpha, kq0=kq, weights=weights)
+            sol, steps, _ = _stepped_solve(monkeypatch, stack, y, weights, C, 1e-7, alpha0, kq0)
+            moved += any(step is not None for step in steps)
             _, oracle = svm_dual_bruteforce(weighted_sum(stack, weights), y, C)
             assert abs(sol.objective - oracle) <= 1e-4, seed
         assert moved >= 20
 
-    def test_large_problems_are_passed_through(self):
+    def test_large_problems_are_passed_through(self, monkeypatch):
         rng = np.random.default_rng(2900)
         n = solvers.WHOLE_KERNEL_MAX_N + 1
         stack, y, weights, alpha0, kq0 = _loop_start(rng, n, 2, "full", 1.0)
         assert _violation(y, 1.0, alpha0, kq0) > 1e-3
-        alpha, kq = solvers.newton_warm_start(stack, weights, y, 1.0, 1e-3, alpha0, kq0)
-        assert alpha is alpha0 and kq is kq0
+        _, steps, start = _stepped_solve(monkeypatch, stack, y, weights, 1.0, 1e-3, alpha0, kq0)
+        assert steps == []
+        assert _bits(start).tolist() == _bits(alpha0).tolist()
+
+
+def _binary_warm_start(n, C):
+    """A weight-loop warm start on ten kernels of eight binary features each,
+    whose integer entries no summation order rounds."""
+    rng = np.random.default_rng(3100 + n)
+    m = 10
+    X = rng.integers(0, 2, size=(n, 8 * m)).astype(np.float64)
+    values = np.array([X[:, 8 * j:8 * j + 8] @ X[:, 8 * j:8 * j + 8].T for j in range(m)])
+    ids = tuple(f"s{i}" for i in range(n))
+    stack = KernelStack(values, ids, ids, tuple(f"g{j}" for j in range(m)), (8,) * m)
+    y = random_labels(rng, n)
+    alpha0 = solve_svm_dual(stack, y, C, weights=rng.uniform(0.1, 1.0, m)).alpha
+    weights = rng.uniform(0.1, 1.0, m)
+    return stack, y, weights, alpha0, weights @ np.matmul(stack.values, alpha0 * y)
+
+
+class TestLargeWarmSolvesKeepTheirBits:
+    """Above ``WHOLE_KERNEL_MAX_N`` samples a warm solve takes no Newton step.
+    The digests of alpha, bias, objective and update count were taken when
+    the step still ran outside the solver, only below that size; a step
+    that ran above it would change them."""
+
+    DIGESTS = {
+        (129, 0.1): "8c74225fdd12ada156a7b40430a01cb6fe3b1074f849a7a0a5ebf78b4702a8f8",
+        (129, 1.0): "7ee5a21a66fc0bfd0c08279f2648e662ee66bf1c5cb3dc03720f937bd5fa426b",
+        (200, 0.1): "e2500a584e19fe5a10103d244d182f3dd8818829f87f68edd4318c230031d774",
+        (200, 1.0): "b8efecbfedf17eb3b24750511cc802340d34867d5b0e1480130b0f2fd91412c7",
+    }
+
+    @pytest.mark.parametrize("n, C", sorted(DIGESTS))
+    def test_warm_stack_solve_digest(self, n, C):
+        stack, y, weights, alpha0, kq0 = _binary_warm_start(n, C)
+        # A start the steps would move: it breaks the stop rule, with many
+        # multipliers free.
+        assert _violation(y, C, alpha0, kq0) > 1e-3
+        assert ((alpha0 > 0) & (alpha0 < C)).sum() >= 30
+        sol = solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+        text = " ".join(
+            [*(a.hex() for a in sol.alpha.tolist()), sol.bias.hex(), sol.objective.hex(),
+             str(sol.iterations)]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[n, C]
 
 
 class TestSvmSolutionInvariants:
