@@ -177,6 +177,23 @@ def _parse_row(path, lineno: int, fields) -> list[float]:
     return [_parse_float(path, lineno, text) for text in fields]
 
 
+def _keyed_rows(path, rows, n_fields: int, key_name: str):
+    """Yield each ``(line number, fields)`` row as ``(line number, key, other
+    fields)``, in file order, once it has ``n_fields`` fields and a new,
+    non-empty key; ``key_name`` words the errors."""
+    seen = set()
+    for lineno, row in rows:
+        if len(row) != n_fields:
+            raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}")
+        key = row[0].strip()
+        if not key:
+            raise DataError(f"{path}:{lineno}: empty {key_name}")
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate {key_name} '{key}'")
+        seen.add(key)
+        yield lineno, key, row[1:]
+
+
 def read_features_csv(path):
     """Parse an ``id,<name>,...`` table, a features CSV or a kernel CSV: a
     header, then one row of numbers per id.
@@ -198,22 +215,10 @@ def read_features_csv(path):
         raise DataError(f"{path}:{header_line}: duplicate column name in header")
     if not all(col_names):
         raise DataError(f"{path}:{header_line}: empty column name in header")
-    ids = []
-    seen = set()
-    data = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        sid = row[0].strip()
-        if not sid:
-            raise DataError(f"{path}:{lineno}: empty sample id")
-        if sid in seen:
-            raise DataError(f"{path}:{lineno}: duplicate sample id '{sid}'")
-        seen.add(sid)
+    ids, data = [], []
+    for lineno, sid, fields in _keyed_rows(path, rows[1:], len(header), "sample id"):
         ids.append(sid)
-        data.append(_parse_row(path, lineno, row[1:]))
+        data.append(_parse_row(path, lineno, fields))
     if not ids:
         raise DataError(f"{path}: no data rows")
     return tuple(ids), col_names, np.array(data, dtype=np.float64)
@@ -225,17 +230,8 @@ def read_column_csv(path, value_name: str = "value", key_name: str = "sample id"
     Keys are non-empty and unique and keep their file order; ``key_name``
     and ``value_name`` word the errors.
     """
-    rows = _read_csv_rows(path)
-    out: dict[str, tuple[str, int]] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        key = row[0].strip()
-        if not key:
-            raise DataError(f"{path}:{lineno}: empty {key_name}")
-        if key in out:
-            raise DataError(f"{path}:{lineno}: duplicate {key_name} '{key}'")
-        out[key] = (row[1].strip(), lineno)
+    rows = _keyed_rows(path, _read_csv_rows(path)[1:], 2, key_name)
+    out = {key: (fields[0].strip(), lineno) for lineno, key, fields in rows}
     if not out:
         raise DataError(f"{path}: no {value_name} rows")
     return out

@@ -50,7 +50,6 @@ solves, rejected ones included, so ``max_iter`` bounds the work;
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -228,92 +227,36 @@ def _stack_model(stack: KernelStack, labels, **values) -> MklModel:
     )
 
 
-def _dot(a: list, b: list) -> float:
-    return sum(map(operator.mul, a, b))
-
-
-def _ridge_least_squares(cols: list, gram: list, rhs: list) -> list | None:
-    """``argmin_c ||rhs - sum_i c_i cols_i||``, from the normal equations with
-    a ridge of 1e-10 of their trace, by Cholesky in Python floats. ``gram``
-    holds the columns' dot products, ``gram[i][j] = _dot(cols[i], cols[j])``.
-
-    None when there are no columns or they are all zero.
-    """
-    k = len(cols)
-    ridge = 1e-10 * sum(gram[i][i] for i in range(k))
-    if not ridge > 0:
-        return None
-    low = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1):
-            value = gram[i][j] - _dot(low[i][:j], low[j][:j])
-            if i == j:
-                low[i][i] = math.sqrt(max(value, 0.0) + ridge)
-            else:
-                low[i][j] = value / low[j][j]
-    z: list[float] = []
-    for i, col in enumerate(cols):
-        z.append((_dot(col, rhs) - _dot(low[i][:i], z)) / low[i][i])
-    c = [0.0] * k
-    for i in reversed(range(k)):
-        c[i] = (z[i] - sum(low[p][i] * c[p] for p in range(i + 1, k))) / low[i][i]
-    return c
-
-
 class _Anderson:
-    """Type-II Anderson extrapolation of a fixed-point map (Walker & Ni 2011,
-    *Anderson acceleration for fixed-point iterations*), without a safeguard.
-
-    :meth:`step` takes an iterate ``x`` and its plain step ``g = T(x)``. It
-    keeps the differences of the last ``ANDERSON_DEPTH + 1`` residuals
-    ``r = g - x`` and plain steps, fits ``r`` by the residual differences in
-    least squares, and moves ``g`` by the same combination of step
-    differences. The result is then made positive and rescaled to the sum
-    of ``g``: an entry ``g`` zeroed stays zero, and any other keeps at least
-    ``ANDERSON_FLOOR`` of its ``g`` before the rescaling, so an
-    extrapolation never drops a kernel. The Gram matrix of the residual
-    differences is kept from step to step: a step adds one row and column
-    and drops the oldest.
+    """Type-II Anderson extrapolation of a fixed-point map (Walker & Ni 2011),
+    without a safeguard. :meth:`step` takes an iterate ``x`` and its plain
+    step ``g = T(x)``, fits the residual ``g - x`` by the differences of the
+    last ``ANDERSON_DEPTH + 1`` residuals in least squares (the normal
+    equations with a ridge of 1e-10 of their trace), and moves ``g`` by the
+    same combination of plain-step differences. Zeros of ``g`` stay zero,
+    other entries keep at least ``ANDERSON_FLOOR`` of ``g``, and the result
+    is then rescaled to the sum of ``g``.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self._last = None
-        self._dr: list[list[float]] = []
-        self._dg: list[list[float]] = []
-        self._gram: list[list[float]] = []
+        self._kept: list[tuple[np.ndarray, np.ndarray]] = []  # (g, g - x) of the last steps
 
     def step(self, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
         """The next iterate, and whether it is extrapolated rather than ``g``."""
-        gs = g.tolist()
-        r = [b - a for a, b in zip(x.tolist(), gs)]
-        if self._last is not None:
-            g0, r0 = self._last
-            dr = [b - a for a, b in zip(r0, r)]
-            self._dr.append(dr)
-            self._dg.append([b - a for a, b in zip(g0, gs)])
-            # x * y == y * x, so _dot is symmetric bit for bit.
-            row = [_dot(d, dr) for d in self._dr]
-            for old, value in zip(self._gram, row):
-                old.append(value)
-            self._gram.append(row)
-            if len(self._dr) > ANDERSON_DEPTH:
-                del self._dr[0], self._dg[0], self._gram[0]
-                for old in self._gram:
-                    del old[0]
-        self._last = (gs, r)
-        c = _ridge_least_squares(self._dr, self._gram, r)
-        if c is None:
+        self._kept = [*self._kept[-ANDERSON_DEPTH:], (g, g - x)]
+        kept = np.array(self._kept)
+        dg, dr = (kept[1:] - kept[:-1]).transpose(1, 0, 2)
+        gram = dr @ dr.T
+        ridge = 1e-10 * gram.trace()
+        if not ridge > 0:  # no differences yet, or all of them zero
             return g, False
-        shifts = [_dot(c, column) for column in zip(*self._dg)]
-        nxt = [
-            0.0 if gj == 0.0 else max(gj - shift, ANDERSON_FLOOR * gj)
-            for gj, shift in zip(gs, shifts)
-        ]
-        scale = sum(gs) / sum(nxt)
-        return np.array([v * scale for v in nxt]), True
+        gram.flat[:: len(gram) + 1] += ridge
+        c = np.linalg.solve(gram, dr @ kept[-1, 1])
+        nxt = np.where(g == 0.0, 0.0, np.maximum(g - c @ dg, ANDERSON_FLOOR * g))
+        return nxt * (g.sum() / nxt.sum()), True
 
 
 def _train_enmkl(

@@ -146,17 +146,17 @@ class PrimalModel:
         record whose lists differ in length, whose weight or mean vector does
         not match its group's columns, or whose columns lie outside
         ``n_features``, repeat, or overlap another group's is refused with a
-        ``ValueError``.
+        ``ValueError``, as are flags, counts and columns of another JSON type.
         """
         model = cls(
             weights=tuple(_finite(w, "weights") for w in d["weights"]),
             group_names=tuple(str(g) for g in d["group_names"]),
-            group_columns=tuple(np.asarray(c, dtype=np.int64) for c in d["group_columns"]),
+            group_columns=tuple(_integers(c, "group_columns") for c in d["group_columns"]),
             feature_means=tuple(_finite(m, "feature_means") for m in d["feature_means"]),
             bias=float(_finite(d["bias"], "bias")),
-            centered=bool(d["centered"]),
-            normalized=bool(d["normalized"]),
-            n_features=int(d["n_features"]),
+            centered=_exact(d["centered"], "centered", bool),
+            normalized=_exact(d["normalized"], "normalized", bool),
+            n_features=_exact(d["n_features"], "n_features", int),
         )
         groups = (model.group_names, model.group_columns, model.weights, model.feature_means)
         if len(set(map(len, groups))) != 1:
@@ -242,14 +242,35 @@ def _finite(values, name: str) -> np.ndarray:
     return array
 
 
+def _exact(value, name: str, kind: type):
+    """``value`` if its type is exactly ``kind``, bool or int as JSON decodes
+    them (a bool is no int); otherwise a ValueError naming the field."""
+    if type(value) is not kind:
+        raise ValueError(f"'{name}' must be {'true or false' if kind is bool else 'an integer'}")
+    return value
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values``, a list of ints (no bools), as an int64 array; else a ValueError naming it."""
+    if type(values) is not list or not all(type(v) is int for v in values):
+        raise ValueError(f"'{name}' must be a list of integers")
+    return np.asarray(values, dtype=np.int64)
+
+
 def model_from_dict(d: dict) -> MklModel:
     """Rebuild a model from :func:`model_to_dict` output; every float field
-    and array must hold finite numbers."""
+    and array must hold finite numbers, every flag be a bool and every count
+    an int, as JSON decodes them."""
     values = {f.name: d[f.name] for f in fields(MklModel)}
     for name in ("bias", "mu", "C", "beta_raw_sum", "alpha", "beta", "train_labels",
                  "objective_history"):
         if values[name] is not None:  # train_labels of a regression model
             values[name] = _finite(values[name], name)
+    for name in ("converged", "degenerate", "centered", "normalized"):
+        _exact(values[name], name, bool)
+    _exact(values["iterations"], "iterations", int)
+    if values["group_sizes"] is not None:
+        _integers(values["group_sizes"], "group_sizes")
     return MklModel(**values)
 
 

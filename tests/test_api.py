@@ -80,6 +80,24 @@ def test_no_module_reads_another_modules_private_names():
     assert found == []
 
 
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one dependency; scipy, pytest and hypothesis are test
+    # extras. Imports inside functions count: a command would fail on them.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "enmkl"}
+    found = []
+    for path in sorted(Path(enmkl.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == []
+
+
 # The package modules each module imports at module level. A command loads
 # its modules' imports too, so this keeps kernels, solvers and the fitting
 # code off the path of predict and report --model, which load io and model.

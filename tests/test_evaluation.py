@@ -271,6 +271,57 @@ class TestFoldPlans:
             )
 
 
+def _check_folds(splits, whole, block_of, class_of, k):
+    """Assert that the k (train, held-out) pairs ``splits`` split ``whole``:
+    the held-out sets partition it, each train set is the rest, no side is
+    empty, no block lies on both sides, and, when ``class_of`` is given, each
+    class's held-out count differs by at most one across the folds."""
+    assert len(splits) == k
+    held_ids = [i for _, held in splits for i in held]
+    assert sorted(held_ids) == sorted(whole)
+    for train, held in splits:
+        assert train and held
+        assert set(train) == set(whole) - set(held) and len(train) + len(held) == len(whole)
+        if block_of is not None:
+            assert {block_of[i] for i in train}.isdisjoint(block_of[i] for i in held)
+    if class_of is not None:
+        for label in {class_of[i] for i in whole}:
+            counts = [sum(class_of[i] == label for i in held) for _, held in splits]
+            assert max(counts) - min(counts) <= 1, (label, counts)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fold_plans_keep_their_invariants(data):
+    ids = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=4, max_size=60,
+                             unique=True), label="ids")
+    n = len(ids)
+    blocks = data.draw(st.none() | st.lists(st.integers(0, n // 2), min_size=n, max_size=n),
+                       label="blocks")
+    labels = data.draw(st.none() | st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                            max_size=n), label="labels")
+    k_outer = data.draw(st.integers(2, 5), label="k_outer")
+    k_inner = data.draw(st.integers(2, 5), label="k_inner")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    def make():
+        return make_fold_plan(ids, k_outer, k_inner, blocks=blocks, seed=seed, labels=labels)
+
+    try:
+        plan = make()
+    except DataError as exc:  # too few samples or blocks for the folds
+        assert "exceeds the" in str(exc)
+        return
+    block_of = None if blocks is None else dict(zip(ids, blocks))
+    # Without blocks every sample is a unit; without labels they are one class.
+    class_of = None if blocks is not None else dict(zip(ids, labels or [0.0] * n))
+    _check_folds(plan.outer_folds, ids, block_of, class_of, k_outer)
+    for (train, _), inner in zip(plan.outer_folds, plan.inner_folds):
+        _check_folds(inner, train, block_of, class_of, k_inner)
+    again = make()
+    assert (again.outer_folds, again.inner_folds) == (plan.outer_folds, plan.inner_folds)
+
+
 # sha256 of json.dumps([outer_folds, inner_folds]) of plans over 23 ids,
 # recorded before the nested split was written as one routine; the labels
 # are ignored when blocks are given.

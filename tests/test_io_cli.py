@@ -1794,17 +1794,18 @@ def _model_case(command, edit, message):
     return case
 
 
-def _model_number_case(command, section, key, value):
+def _model_field_case(command, section, key, value, must="be a finite number"):
     """A refusal case: ``predict`` or ``report`` on a copy of the trained model
     whose ``section`` (``model`` or ``primal``) holds ``value`` at ``key``, or
-    ``value(old value)`` when ``value`` is a function: a float field or array
-    that does not convert to finite floats."""
+    ``value(old value)`` when ``value`` is a function, refused because the
+    field must ``must``: by default a float field or array that does not
+    convert to finite floats."""
 
     def edit(payload):
         old = payload[section][key]
         payload[section][key] = value(old) if callable(value) else value
 
-    return _model_case(command, edit, f"malformed model file ('{key}' must be a finite number)")
+    return _model_case(command, edit, f"malformed model file ('{key}' must {must})")
 
 
 def _overlapping_primal_columns_case(ws, folder):
@@ -2083,7 +2084,7 @@ _REFUSALS = {
     "csv-field-over-limit": (2, _wide_field_case),
     "csv-quoted-newline": (2, _quoted_newline_case),
     **{
-        f"report-{key}={label}": (2, _model_number_case("report", "model", key, value))
+        f"report-{key}={label}": (2, _model_field_case("report", "model", key, value))
         for key, label, value in (
             ("bias", "400-digits", 10 ** 400), ("bias", "NaN", float("nan")),
             ("mu", "400-digits", 10 ** 400), ("C", "Infinity", float("inf")),
@@ -2094,13 +2095,30 @@ _REFUSALS = {
             ("train_labels", "NaN", lambda labels: [float("nan"), *labels[1:]]),
         )
     },
-    "predict-bias=400-digits": (2, _model_number_case("predict", "model", "bias", 10 ** 400)),
+    "predict-bias=400-digits": (2, _model_field_case("predict", "model", "bias", 10 ** 400)),
     **{
-        f"predict-primal-{key}={label}": (2, _model_number_case("predict", "primal", key, value))
+        f"predict-primal-{key}={label}": (2, _model_field_case("predict", "primal", key, value))
         for key, label, value in (
             ("bias", "400-digits", 10 ** 400),
             ("weights", "NaN", lambda w: [[float("nan"), *w[0][1:]], *w[1:]]),
             ("feature_means", "Infinity", lambda m: [[float("inf"), *m[0][1:]], *m[1:]]),
+        )
+    },
+    # A flag must be JSON true or false and a count a JSON integer, not a
+    # string, a float or a bool that bool() or int() would take.
+    **{
+        f"{command}-{section}-{key}={label}": (
+            2, _model_field_case(command, section, key, value, must)
+        )
+        for command, section, key, label, value, must in (
+            ("report", "model", "converged", "no", "no", "be true or false"),
+            ("report", "model", "iterations", "2.5", 2.5, "be an integer"),
+            ("report", "model", "group_sizes", "1.5", lambda sizes: [1.5, *sizes[1:]],
+             "be a list of integers"),
+            ("predict", "primal", "centered", "false", "false", "be true or false"),
+            ("predict", "primal", "n_features", "true", True, "be an integer"),
+            ("predict", "primal", "group_columns", "1.5",
+             lambda columns: [[1.5, *columns[0][1:]], *columns[1:]], "be a list of integers"),
         )
     },
     "predict-features-a-list": (

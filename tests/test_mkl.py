@@ -587,23 +587,69 @@ class TestAcceleratedLoop:
             return TestAcceleratedLoop.OPTS["solver_tol"] * max(1.0, C)
         return 1e-9 * max(1.0, abs(objective))
 
-    def test_kept_gram_is_the_recomputed_gram(self):
-        # Each step adds one row and column to the Gram matrix of the residual
-        # differences and drops the oldest; it must hold the dot products a
-        # fresh computation gives, bit for bit, through clears and deletions.
-        rng = np.random.default_rng(7)
-        mixer = mkl._Anderson()
-        for step in range(12):
-            if step == 7:
-                mixer.clear()
-            x = rng.uniform(0.1, 1.0, 5)
-            mixer.step(x, x + rng.normal(scale=0.1, size=5))
-            fresh = [[mkl._dot(a, b) for b in mixer._dr] for a in mixer._dr]
-            assert [[v.hex() for v in row] for row in mixer._gram] == [
-                [v.hex() for v in row] for row in fresh
-            ], step
-            since_clear = step - 7 if step >= 7 else step
-            assert len(mixer._dr) == min(since_clear, mkl.ANDERSON_DEPTH)
+    @staticmethod
+    def _anderson_reference(history):
+        """The step an Anderson mixer takes after the (x, g) pairs of
+        ``history``: the ridge problem as an augmented least-squares system
+        over the last ``ANDERSON_DEPTH`` differences, by ``lstsq``. Returns
+        the next iterate, the weights before the rescaling, and how many
+        differences it used; None in place of both arrays for the plain step."""
+        kept = history[-(mkl.ANDERSON_DEPTH + 1):]
+        (x, g), k = kept[-1], len(kept) - 1
+        dr = np.diff([b - a for a, b in kept], axis=0)
+        dg = np.diff([b for _, b in kept], axis=0)
+        ridge = 1e-10 * float((dr * dr).sum())
+        if not ridge > 0:
+            return None, None, k
+        system = np.vstack([dr.T, np.sqrt(ridge) * np.eye(k)])
+        c = np.linalg.lstsq(system, np.concatenate([g - x, np.zeros(k)]), rcond=None)[0]
+        unscaled = np.where(g == 0.0, 0.0, np.maximum(g - c @ dg, mkl.ANDERSON_FLOOR * g))
+        return unscaled * (g.sum() / unscaled.sum()), unscaled, k
+
+    def test_anderson_step_is_the_ridge_least_squares_step(self):
+        rng = np.random.default_rng(37)
+        floored = 0
+        for trial in range(150):
+            m = int(rng.integers(2, 41))
+            mixer, history = mkl._Anderson(), []
+            # A noisy map that shrinks some entries toward zero and keeps
+            # others, as the weight update does, and zeroes a few.
+            # Steps 4 and 5 have more history than ANDERSON_DEPTH differences.
+            x, rate = rng.uniform(0.1, 1.0, m), rng.uniform(0.2, 1.0, m)
+            for step in range(9):
+                if step == 6:
+                    mixer.clear()
+                    history = []
+                g = np.abs(rate * x + rng.normal(scale=0.02, size=m))
+                g[rng.random(m) < 0.1] = 0.0
+                g[0] = max(g[0], 0.5)
+                if step == 7:  # the residual of the step before: a zero difference
+                    x, g = history[-1]
+                history.append((x, g))
+                out, extrapolated = mixer.step(x, g)
+                expected, unscaled, k = self._anderson_reference(history)
+                label = f"trial {trial}, m={m}, step {step}"
+                # The first step since a clear, and the repeat, have no nonzero difference.
+                assert expected is None or step not in (0, 6, 7), label
+                if expected is None:
+                    assert not extrapolated and out is g, label
+                    x = g
+                    continue
+                assert extrapolated, label
+                # The normal equations square the differences' condition: with
+                # k >= m they are rank deficient and only the ridge of 1e-10 of
+                # their trace bounds it, so round-off grows up to 1e10-fold.
+                rtol = 1e-12 if k < m else 1e-5
+                scale = float(np.abs(expected).max())
+                np.testing.assert_allclose(out, expected, rtol=0, atol=rtol * scale, err_msg=label)
+                assert (out[g == 0.0] == 0.0).all() and (out[g > 0.0] > 0.0).all(), label
+                assert abs(out.sum() - g.sum()) <= 1e-12 * g.sum(), label
+                # The floor before the rescaling, as a floor on the result.
+                positive, lowest = g > 0.0, mkl.ANDERSON_FLOOR * g.sum() / unscaled.sum()
+                assert (out[positive] >= (1 - rtol) * lowest * g[positive]).all(), label
+                floored += int((unscaled[positive] == mkl.ANDERSON_FLOOR * g[positive]).any())
+                x = out
+        assert floored >= 20  # the floor binds on enough steps to be tested
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("task", ["classification", "regression"])
