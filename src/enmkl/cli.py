@@ -132,14 +132,15 @@ def _recoverable_sources(manifest: io.StackManifest):
 
 
 def _written_from(manifest: io.StackManifest, data) -> bool:
-    """Whether the raw CSV stack of ``manifest`` is what ``kernels`` wrote from
-    ``data``: the same samples and groups, and each kernel file's bytes those
-    its recorded sha256 was taken of. The kernel files are hashed, not
-    parsed; a missing one is left for the kernel route to name."""
+    """Whether ``manifest`` is a raw CSV stack that ``kernels`` wrote from
+    ``data``: not preprocessed, the same samples and groups, and each kernel
+    file's bytes those its recorded sha256 was taken of. The kernel files are
+    hashed, not parsed; a missing one is left for the kernel route to name."""
     from . import io
 
     return (
-        manifest.row_ids == data.sample_ids
+        manifest.fmt == "csv" and not (manifest.centered or manifest.normalized)
+        and None not in manifest.digests and manifest.row_ids == data.sample_ids
         and manifest.group_names == data.group_names
         and manifest.group_sizes == data.group_sizes
         and all(
@@ -180,10 +181,8 @@ def cmd_train(args) -> None:
             )
     sources = _recoverable_sources(manifest)
     center, normalize = not args.no_center, not args.no_normalize
-    raw_csv = manifest.fmt == "csv" and not (manifest.centered or manifest.normalized)
-    data = raw_stack = None
-    if sources is not None and raw_csv and None not in manifest.digests:
-        data = io.load_grouped_dataset(*sources)
+    data = None if sources is None else io.load_grouped_dataset(*sources)
+    raw_stack = None
     if data is not None and _written_from(manifest, data):
         row_ids = data.sample_ids
     else:
@@ -203,9 +202,7 @@ def cmd_train(args) -> None:
         )
 
     feature_names = primal = None
-    if sources is not None:
-        if data is None:
-            data = io.load_grouped_dataset(*sources)
+    if data is not None:
         train_data = data.subset(stack.row_ids)
         primal = mkl.recover_primal_weights(model, train_data)
         feature_names = train_data.feature_names

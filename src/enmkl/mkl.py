@@ -13,18 +13,21 @@ regularization of the kernel weights (mu = 1) and a uniform l2 blend
     lambda_j  = ||w_j|| / (sqrt(mu) * sum_k ||w_k||)
     beta_j    = 1 / (sqrt(mu) / lambda_j + (1 - mu))
 
-until the unit-sum-normalized weights stop moving. After the loop, alpha is
-rescaled by ``sum_j beta_j`` and beta normalized to the unit simplex; the
-rescaled pair produces bit-for-bit identical decision values.
+until the unit-sum-normalized weights stop moving. At these scales the
+objective's penalty is ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2``,
+which is how it is evaluated. After the loop, alpha is rescaled by
+``sum_j beta_j`` and beta normalized to the unit simplex; the rescaled pair
+produces bit-for-bit identical decision values.
 
-The SVM solve reads the combined kernel from the stack: SMO builds a small
-one whole, and computes a large one's rows as it needs them (see
-:mod:`enmkl.solvers`). ``K q = sum_j beta_j K_j q`` for the loss term and the
-next warm start comes from the products the block norms take, in one
-batched product. On at most ``solvers.WHOLE_KERNEL_MAX_N`` samples, a warm
-solve first moves the previous alpha by Newton steps on its free
-multipliers at the new weights, and SMO finishes from there. Ridge
-regression builds the combined kernel for its linear solve.
+For both tasks, ``K q = sum_j beta_j K_j q`` for the loss term comes from
+the products ``K_j q`` the block norms take, in one batched product. The SVM
+solve reads the combined kernel from the stack: SMO builds a small one
+whole, and computes a large one's rows as it needs them (see
+:mod:`enmkl.solvers`). Its next warm start reads the same products: on at
+most ``solvers.WHOLE_KERNEL_MAX_N`` samples, a warm solve first moves the
+previous alpha by Newton steps on its free multipliers at the new weights,
+and SMO finishes from there. Ridge regression builds the combined kernel
+only for its linear solve.
 
 Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
 weights on their way to zero shrink by a near-constant factor per step. The
@@ -133,29 +136,20 @@ def _update_beta(lam: np.ndarray, mu: float) -> np.ndarray:
     where ``lambda_j = 0`` (the limit of the formula). At mu = 1 this
     reduces to ``beta = lambda``.
     """
-    root, rest = math.sqrt(mu), 1.0 - mu
-    return np.array([1.0 / (root / x + rest) if x > 0 else 0.0 for x in lam.tolist()])
+    with np.errstate(divide="ignore"):
+        return 1.0 / (math.sqrt(mu) / lam + (1.0 - mu))
 
 
-def _slack_loss(kq, targets, bias, C, task):
-    """The loss term of the training objective, given ``K q`` (see
-    :func:`compute_block_norms` for q)."""
-    if task == "classification":
-        slack = np.maximum(0.0, 1.0 - targets * (kq + bias))
-        return C * float(slack.sum())
-    residual = (targets - bias) - kq
-    return (C / kq.shape[0]) * float(residual @ residual)
-
-
-def _objective(kq, w, lam, targets, bias, mu, C, task) -> float:
+def _objective(kq, w, targets, bias, mu, C, task) -> float:
     """The elastic-net objective from one state's ``K q`` (see
-    :func:`_slack_loss`), block norms and their closed-form scales ``lam``
-    (None when every block norm is zero)."""
-    penalty = 0.5 * (1.0 - mu) * float(w @ w)
-    if lam is not None:
-        pos = lam > 0
-        penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
-    return penalty + _slack_loss(kq, targets, bias, C, task)
+    :func:`compute_block_norms` for q) and block norms ``w``: the penalty
+    ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2`` plus the loss."""
+    total = float(w.sum())
+    penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
+    if task == "classification":
+        return penalty + C * float(np.maximum(0.0, 1.0 - targets * (kq + bias)).sum())
+    residual = (targets - bias) - kq
+    return penalty + (C / kq.shape[0]) * float(residual @ residual)
 
 
 def enmkl_objective(
@@ -163,12 +157,12 @@ def enmkl_objective(
 ) -> float:
     """The elastic-net training objective at a model state.
 
-    Evaluates ``1/2 sum_j (sqrt(mu)/lambda_j) ||w_j||^2 + (1-mu)/2 sum_j
-    ||w_j||^2`` plus the task's loss, with the scale variables ``lambda`` at
-    their closed-form optimum for the current block norms. Slacks are
-    recomputed from the decision values, so any (alpha, bias, beta) triple
-    can be scored. With every block norm zero the penalty vanishes and only
-    the loss remains.
+    Evaluates ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2`` plus the
+    task's loss: the weighted-norm penalty ``1/2 sum_j (sqrt(mu)/lambda_j)
+    ||w_j||^2 + (1-mu)/2 sum_j ||w_j||^2`` at the scale variables' closed-form
+    optimum for the current block norms. Slacks are recomputed from the
+    decision values, so any (alpha, bias, beta) triple can be scored. With
+    every block norm zero the penalty vanishes and only the loss remains.
     """
     mu = _check_mu(mu)
     task = check_task(task)
@@ -176,9 +170,8 @@ def enmkl_objective(
     labels = targets if task == "classification" else None
     combined = weighted_sum(stack, beta)  # refuses a beta of the wrong length
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-    lam = _update_lambda(w, mu) if float(w.sum()) > 0 else None
     kq = combined @ np.asarray(alpha if labels is None else alpha * labels, dtype=np.float64)
-    return _objective(kq, w, lam, targets, bias, mu, C, task)
+    return _objective(kq, w, targets, bias, mu, C, task)
 
 
 def _train_targets(stack: KernelStack, targets, task: str):
@@ -196,12 +189,11 @@ def _train_targets(stack: KernelStack, targets, task: str):
     return targets, targets
 
 
-def _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates,
-           alpha0=None, products=None):
-    """``(alpha, bias)`` of one SVM solve on ``sum_j beta_j K_j`` from the
-    stack, warm-started at ``alpha0`` with its block norms' ``products``, or
-    of one ridge solve on ``combined`` when ``labels`` is None (the bias is
-    then the target offset)."""
+def _solve(stack, beta, targets, labels, C, solver_tol, max_updates, alpha0=None, products=None):
+    """``(alpha, bias)`` of one solve on ``sum_j beta_j K_j``: an SVM solve
+    that reads the stack, warm-started at ``alpha0`` with its block norms'
+    ``products``, or, when ``labels`` is None, a ridge solve on the combined
+    kernel it builds (the bias is then the target offset)."""
     if labels is not None:
         kq0 = None if alpha0 is None else beta @ products
         sol = solvers.solve_svm_dual(
@@ -209,7 +201,7 @@ def _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates,
             weights=beta, kq0=kq0,
         )
         return sol.alpha, sol.bias
-    sol = solvers.solve_krr_dual(combined, targets, C)
+    sol = solvers.solve_krr_dual(weighted_sum(stack, beta), targets, C)
     return sol.alpha, sol.target_offset
 
 
@@ -303,32 +295,27 @@ def _train_enmkl(
     extrapolated = False
     best = np.inf
     accepted = None  # (alpha, bias, plain step's beta, its lambda), last accepted iterate
-    # The SVM's K_j q, kept from the block norms to the next solve.
-    products = None if labels is None else np.empty((m, stack.n_rows))
+    # Each K_j q, from the block norms: K q for the objective, and the SVM's
+    # next warm start.
+    products = np.empty((m, stack.n_rows))
 
     for _ in range(max_iter):
         iterations += 1
-        combined = weighted_sum(stack, beta) if labels is None else None
         if start is not None:
             # Iteration 1 solves on the beta = 1/m kernel: the baseline's solve.
             alpha, bias, start = start.alpha, start.bias, None
         else:
             alpha, bias = _solve(
-                stack, beta, combined, targets, labels, C, solver_tol, max_updates, warm, products
+                stack, beta, targets, labels, C, solver_tol, max_updates, warm, products
             )
         warm = alpha
 
-        if labels is None:
-            w, kq = compute_block_norms(stack, alpha, beta=beta), combined @ alpha
-        else:
-            w = compute_block_norms(stack, alpha, labels=labels, beta=beta, products=products)
-            kq = beta @ products
+        w = compute_block_norms(stack, alpha, labels, beta=beta, products=products)
+        objective = _objective(beta @ products, w, targets, bias, mu, C, task)
         if not (w > 0).any():
-            history.append(_objective(kq, w, None, targets, bias, mu, C, task))
+            history.append(objective)
             degenerate = True
             break
-        lam = _update_lambda(w, mu)
-        objective = _objective(kq, w, lam, targets, bias, mu, C, task)
         if extrapolated:
             # The solver noise an accepted objective may rise by: SMO stops at
             # a KKT violation of solver_tol, and the loss term scales it by C;
@@ -345,6 +332,7 @@ def _train_enmkl(
                 continue
         history.append(objective)
         best = min(best, objective)
+        lam = _update_lambda(w, mu)
         beta_new = _update_beta(lam, mu)
         beta_new = np.where(beta_new < BETA_DROP_TOL, 0.0, beta_new)
         lam_new = np.where(beta_new > 0, lam, 0.0)
@@ -457,8 +445,7 @@ def train_sum_baseline(
     task = check_task(task)
     targets, labels = _train_targets(stack, targets, task)
     beta = np.full(stack.m, 1.0 / stack.m)
-    combined = weighted_sum(stack, beta) if labels is None else None
-    alpha, bias = _solve(stack, beta, combined, targets, labels, C, solver_tol, max_updates)
+    alpha, bias = _solve(stack, beta, targets, labels, C, solver_tol, max_updates)
     return _stack_model(
         stack, labels, beta=beta, alpha=alpha, bias=bias, task=task, mu=0.0, C=float(C),
         iterations=1, converged=True,

@@ -125,7 +125,9 @@ class PrimalModel:
     n_features: int
 
     def decision_values(self, features, sample_ids=None) -> np.ndarray:
-        """Predict from raw feature rows via the recovered primal weights."""
+        """Predict from raw feature rows via the recovered primal weights. A
+        decision value that is not finite is a DataError naming the first such
+        sample (by index if ``sample_ids`` is None)."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise ValueError(f"features must have {self.n_features} columns")
@@ -133,7 +135,14 @@ class PrimalModel:
             features, self.group_columns, self.feature_means, self.centered, self.normalized,
             sample_ids=sample_ids, group_names=self.group_names,
         )
-        return primal_decisions(self.bias, self.weights, blocks, features.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            decisions = primal_decisions(self.bias, self.weights, blocks, features.shape[0])
+        bad = np.flatnonzero(~np.isfinite(decisions))
+        if bad.size:
+            i = int(bad[0])
+            label = sample_ids[i] if sample_ids is not None else str(i)
+            raise DataError(f"sample '{label}' has no finite decision value ({decisions[i]})")
+        return decisions
 
     def to_dict(self) -> dict:
         return io.record_dict(self)

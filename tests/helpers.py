@@ -28,7 +28,7 @@ from enmkl.kernels import (
     build_linear_kernels,
     weighted_sum,
 )
-from enmkl.mkl import _check_mu, _slack_loss, compute_block_norms
+from enmkl.mkl import _check_mu, compute_block_norms
 from enmkl.model import check_task
 from enmkl.solvers import DEFAULT_MAX_UPDATES, DEFAULT_SVM_TOL, solve_krr_dual, solve_svm_dual
 
@@ -466,13 +466,12 @@ def train_enmkl_reference(
         warm = alpha
 
         w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-        lam = mkl._update_lambda(w, mu) if float(w.sum()) > 0 else None
         kq = combined @ (alpha if labels is None else alpha * labels)
-        history.append(mkl._objective(kq, w, lam, targets, bias, mu, C, task))
-        if lam is None:
+        history.append(lambda_form_penalty(w, mu) + loss_term(kq, targets, bias, C, task))
+        if not float(w.sum()) > 0:
             degenerate = True
             break
-        beta_new = mkl._update_beta(lam, mu)
+        beta_new = mkl._update_beta(mkl._update_lambda(w, mu), mu)
         beta_new = np.where(beta_new < mkl.BETA_DROP_TOL, 0.0, beta_new)
         delta = float(np.abs(beta_new / beta_new.sum() - beta / beta.sum()).max())
         beta = beta_new
@@ -506,25 +505,49 @@ def train_enmkl_reference(
     )
 
 
-def blocknorm_objective(
+def lambda_form_penalty(w, mu: float) -> float:
+    """The elastic-net penalty in its scale-variable form.
+
+    ``1/2 sum_j (sqrt(mu)/lambda_j) ||w_j||^2 + (1-mu)/2 sum_j ||w_j||^2``
+    with ``lambda_j = ||w_j|| / (sqrt(mu) sum_k ||w_k||)``, the closed-form
+    scales, summed over the blocks with lambda_j > 0; with every block norm
+    zero only the second sum (zero) remains. The library evaluates the
+    equivalent block-norm form; this one stays on its own code path so tests
+    can check the identity numerically.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    penalty = 0.5 * (1.0 - mu) * float(w @ w)
+    total = float(w.sum())
+    if total > 0:
+        lam = w / (np.sqrt(mu) * total)
+        pos = lam > 0
+        penalty += 0.5 * np.sqrt(mu) * float((w[pos] ** 2 / lam[pos]).sum())
+    return penalty
+
+
+def loss_term(kq, targets, bias: float, C: float, task: str) -> float:
+    """The training objective's loss from ``K q``: ``C sum_i max(0, 1 -
+    y_i (K q + b)_i)`` for classification, ``(C/n) ||t - b - K q||^2`` for
+    regression."""
+    if task == "classification":
+        return C * float(np.maximum(0.0, 1.0 - targets * (kq + bias)).sum())
+    residual = (targets - bias) - kq
+    return (C / kq.shape[0]) * float(residual @ residual)
+
+
+def lambda_form_objective(
     stack: KernelStack, targets, alpha, bias: float, beta, mu: float, C: float, task: str
 ) -> float:
-    """The equivalent block-norm form of the training objective.
-
-    ``mu/2 (sum_j ||w_j||)^2 + (1-mu)/2 sum_j ||w_j||^2`` plus the loss.
-    With the scale variables at their closed-form optimum the two forms
-    coincide; keeping both on separate code paths lets tests check the
-    identity numerically.
-    """
+    """The training objective with the penalty in its scale-variable form
+    (:func:`lambda_form_penalty`), the other form of ``enmkl_objective``."""
     mu = _check_mu(mu)
     task = check_task(task)
     targets = np.asarray(targets, dtype=np.float64)
     labels = targets if task == "classification" else None
     w = compute_block_norms(stack, alpha, labels=labels, beta=beta)
-    total = float(w.sum())
-    penalty = 0.5 * mu * total * total + 0.5 * (1.0 - mu) * float(w @ w)
     q = np.asarray(alpha, dtype=np.float64) if labels is None else alpha * labels
-    return penalty + _slack_loss(weighted_sum(stack, beta) @ q, targets, bias, C, task)
+    kq = weighted_sum(stack, beta) @ q
+    return lambda_form_penalty(w, mu) + loss_term(kq, targets, bias, C, task)
 
 
 def oracle_feature_pipeline(train_X, group_cols, test_X=None, center=True, normalize=True):

@@ -32,7 +32,7 @@ from enmkl.mkl import (
 from enmkl.solvers import solve_krr_dual, solve_svm_dual
 
 from helpers import (
-    blocknorm_objective,
+    lambda_form_objective,
     make_classification_data,
     make_regression_data,
     mkl_svm_grid_oracle,
@@ -185,7 +185,7 @@ def test_criterion_05_objective_form_equivalence():
             alpha = model.alpha / model.beta_raw_sum
             beta = model.beta * model.beta_raw_sum
             a = enmkl_objective(stack, data.targets, alpha, model.bias, beta, mu, 1.0, task)
-            b = blocknorm_objective(stack, data.targets, alpha, model.bias, beta, mu, 1.0, task)
+            b = lambda_form_objective(stack, data.targets, alpha, model.bias, beta, mu, 1.0, task)
             assert abs(a - b) <= 1e-10, f"trial {trial}: {a!r} vs {b!r}"
 
 

@@ -1777,6 +1777,16 @@ def _wide_field_case(ws, folder):
     return argv, f"{wide}:2: field larger than field limit"
 
 
+def _overflowing_decision_case(ws, folder):
+    """``predict`` on a copy of the trained model whose primal weights are all
+    1e308: finite, so the model loads, but some decision values overflow."""
+    payload = json.loads((ws.root / "model.json").read_text())
+    payload["primal"]["weights"] = [[1e308] * len(w) for w in payload["primal"]["weights"]]
+    model = _write(folder / "m.json", json.dumps(payload))
+    argv = ["predict", "--model", model, "--features", ws.features, "--out", str(folder / "p.csv")]
+    return argv, f"{ws.features}: sample 's002' has no finite decision value"
+
+
 def _model_case(command, edit, message):
     """A refusal case: ``predict`` or ``report`` on a copy of the trained model
     that ``edit`` changed, refused with ``message`` after the copy's path."""
@@ -2140,6 +2150,7 @@ _REFUSALS = {
                        "malformed model file (primal group_names, group_columns, weights")
     ),
     "predict-overlapping-primal-columns": (2, _overlapping_primal_columns_case),
+    "predict-overflowing-decision": (2, _overflowing_decision_case),
     "predict-overflowing-norm": (
         2, lambda ws, folder: (
             ["predict", "--model", str(ws.root / "model.json"), "--features", ws.huge,
@@ -2209,6 +2220,7 @@ class TestRefusalTable:
         assert result.stderr.startswith("error: ") and names in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (ws.root / "m.json").exists() and not (ws.root / "cv").exists()
+        assert not (ws.root / "cases" / name / "p.csv").is_file()
 
 
 class TestTargetsAtTheOverflowBoundary:

@@ -41,7 +41,8 @@ from enmkl.solvers import predict, solve_krr_dual, solve_svm_dual
 
 from helpers import (
     _same_bits,
-    blocknorm_objective,
+    lambda_form_objective,
+    lambda_form_penalty,
     make_classification_data,
     make_regression_data,
     mkl_svm_grid_oracle,
@@ -216,8 +217,45 @@ class TestObjectives:
                 targets = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
                 alpha = np.abs(alpha)
             a = enmkl_objective(stack, targets, alpha, bias, beta, mu, C, task)
-            b = blocknorm_objective(stack, targets, alpha, bias, beta, mu, C, task)
+            b = lambda_form_objective(stack, targets, alpha, bias, beta, mu, C, task)
             assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=200)
+    @given(
+        w=st.integers(1, 40).flatmap(
+            lambda m: arrays(np.float64, m, elements=st.just(0.0) | st.floats(1e-6, 1e6))
+        ),
+        mu=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_closed_form_penalty_is_the_lambda_form(self, w, mu):
+        # A state with no loss: the objective is the penalty alone.
+        zero = np.zeros(1)
+        closed = mkl._objective(zero, w, zero, 0.0, mu, 1.0, "regression")
+        assert closed == pytest.approx(lambda_form_penalty(w, mu), rel=1e-12, abs=0)
+        assert mkl._objective(zero, np.zeros_like(w), zero, 0.0, mu, 1.0, "regression") == 0.0
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_history_is_the_objective_of_each_solve(self, monkeypatch, task):
+        # With Anderson off every solve is accepted, so the i-th history entry
+        # is the objective at the i-th solve's (alpha, bias) and weights.
+        make = make_classification_data if task == "classification" else make_regression_data
+        data = make(n=30, seed=39, group_specs=[("a", 3, "signal"), ("b", 3, "noise"),
+                                                ("c", 2, "noise")])
+        stack = _preprocessed_stack(data)
+        monkeypatch.setattr(mkl._Anderson, "step", lambda self, x, g: (g, False))
+        solve, states = mkl._solve, []
+
+        def recording(stack, beta, *args):
+            alpha, bias = solve(stack, beta, *args)
+            states.append((np.array(beta), np.array(alpha), bias))
+            return alpha, bias
+
+        monkeypatch.setattr(mkl, "_solve", recording)
+        model = train_model(stack, data.targets, task, "enmkl", 1.0, 0.5)
+        assert model.converged and len(model.objective_history) == len(states) > 2
+        for i, ((beta, alpha, bias), value) in enumerate(zip(states, model.objective_history)):
+            expected = enmkl_objective(stack, data.targets, alpha, bias, beta, 0.5, 1.0, task)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0), i
 
 
 class TestTrainerStructure:
@@ -411,7 +449,7 @@ class TestAgainstGridOracle:
             oracle_beta, oracle_obj = mkl_svm_grid_oracle(
                 stack, data.targets, C=1.0, mu=mu, step=0.005
             )
-            trained_obj = blocknorm_objective(
+            trained_obj = lambda_form_objective(
                 stack, data.targets,
                 model.alpha / model.beta_raw_sum, model.bias,
                 model.beta * model.beta_raw_sum, mu, 1.0, "classification",
@@ -451,7 +489,7 @@ class TestAgainstGridOracle:
             if best is None or obj < best[0]:
                 best = (obj, beta / beta.sum())
         oracle_obj, oracle_beta = best
-        trained_obj = blocknorm_objective(
+        trained_obj = lambda_form_objective(
             stack, y, model.alpha / model.beta_raw_sum, model.bias,
             model.beta * model.beta_raw_sum, mu, C, "regression",
         )
@@ -691,8 +729,8 @@ class TestAcceleratedLoop:
         solves = []
         norms = mkl.compute_block_norms
 
-        def recording(stack, alpha, labels=None, *, beta):
-            w = norms(stack, alpha, labels=labels, beta=beta)
+        def recording(stack, alpha, labels=None, *, beta, products=None):
+            w = norms(stack, alpha, labels=labels, beta=beta, products=products)
             solves.append((np.array(beta), w))
             return w
 
