@@ -20,14 +20,16 @@ which is how it is evaluated. After the loop, alpha is rescaled by
 produces bit-for-bit identical decision values.
 
 For both tasks, ``K q = sum_j beta_j K_j q`` for the loss term comes from
-the products ``K_j q`` the block norms take, in one batched product. The SVM
-solve reads the combined kernel from the stack: SMO builds a small one
-whole, and computes a large one's rows as it needs them (see
-:mod:`enmkl.solvers`). Its next warm start reads the same products: on at
-most ``solvers.WHOLE_KERNEL_MAX_N`` samples, a warm solve first moves the
-previous alpha by Newton steps on its free multipliers at the new weights,
-and SMO finishes from there. Ridge regression builds the combined kernel
-only for its linear solve.
+the products ``K_j q`` the block norms take, in one batched product. Above
+``solvers.WHOLE_KERNEL_MAX_N`` samples, where at most a quarter of q moved
+since the last solve, as between warm SVM solves, each product is updated
+from the moved entries instead. The SVM solve reads the combined kernel
+from the stack: SMO builds a small one whole, and computes a large one's
+rows as it needs them (see :mod:`enmkl.solvers`). Its next warm start reads
+the same products: a warm solve first moves the previous alpha by Newton
+steps on its free multipliers at the new weights, and SMO finishes from
+there. Ridge regression builds the combined kernel only for its linear
+solve.
 
 Steps 1-2 are a fixed-point map, and iterated plainly its tail is geometric:
 weights on their way to zero shrink by a near-constant factor per step. The
@@ -92,7 +94,9 @@ def _check_mu(mu: float | None) -> float:
     return mu
 
 
-def compute_block_norms(stack, alpha, labels=None, *, beta, products=None) -> np.ndarray:
+def compute_block_norms(
+    stack, alpha, labels=None, *, beta, products=None, previous=None
+) -> np.ndarray:
     """Per-kernel primal block norms from the dual coefficients.
 
     ``||w_j|| = beta_j * sqrt(q' K_j q)`` with ``q = alpha * labels`` for
@@ -101,14 +105,28 @@ def compute_block_norms(stack, alpha, labels=None, *, beta, products=None) -> np
     ``-1e-8 * ||q||^2`` means the kernel is not PSD and is rejected. The
     shapes are the caller's to keep: ``alpha`` and ``labels`` hold one value
     per train sample, ``beta`` one weight per kernel; ``products``, if
-    given, is an (m, n) array that receives each ``K_j q``.
+    given, is an (m, n) array that receives each ``K_j q``. If it holds them
+    for ``previous``, an earlier alpha, on more than
+    ``solvers.WHOLE_KERNEL_MAX_N`` samples, and at most a quarter of q's
+    entries moved since, each ``K_j q`` is updated from the moved entries.
     """
     q = np.asarray(alpha, dtype=np.float64)
     if labels is not None:
         q = q * labels
     q_scale = float(q @ q)
-    # One batched product takes every K_j q; each is the gemv of K_j @ q.
-    products = np.matmul(stack.values, q, out=products)
+    moved = None
+    if previous is not None and stack.n_rows > solvers.WHOLE_KERNEL_MAX_N:
+        dq = q - (previous if labels is None else previous * labels)
+        moved = np.flatnonzero(dq)
+    if moved is not None and 4 * moved.size <= q.size:
+        # K_j q += K_j[T]' dq_T (K_j is symmetric), one kernel at a time: an
+        # (m, |T|, n) gather of every kernel's rows would raise peak memory.
+        dq = dq[moved]
+        for product, values in zip(products, stack.values):
+            product += dq @ values[moved]
+    else:
+        # One batched product takes every K_j q; each is the gemv of K_j @ q.
+        products = np.matmul(stack.values, q, out=products)
     norms = []
     weights = np.asarray(beta, dtype=np.float64).tolist()
     for name, b, v in zip(stack.group_names, weights, products):
@@ -295,8 +313,8 @@ def _train_enmkl(
     extrapolated = False
     best = np.inf
     accepted = None  # (alpha, bias, plain step's beta, its lambda), last accepted iterate
-    # Each K_j q, from the block norms: K q for the objective, and the SVM's
-    # next warm start.
+    # Each K_j q of the last solve's alpha, from the block norms: K q for the
+    # objective, and the SVM's next warm start.
     products = np.empty((m, stack.n_rows))
 
     for _ in range(max_iter):
@@ -308,9 +326,11 @@ def _train_enmkl(
             alpha, bias = _solve(
                 stack, beta, targets, labels, C, solver_tol, max_updates, warm, products
             )
-        warm = alpha
+        previous, warm = warm, alpha
 
-        w = compute_block_norms(stack, alpha, labels, beta=beta, products=products)
+        w = compute_block_norms(
+            stack, alpha, labels, beta=beta, products=products, previous=previous
+        )
         objective = _objective(beta @ products, w, targets, bias, mu, C, task)
         if not (w > 0).any():
             history.append(objective)

@@ -16,15 +16,16 @@ train kernel is bit-symmetric. K is the kernel array given, or ``sum_j w_j K_j``
 from a train stack and weights. Up to ``WHOLE_KERNEL_MAX_N`` samples, a solve's
 first Newton step or update builds that sum whole, by one einsum over the
 kernels of nonzero weight, its first update every pair curvature, and rows
-are views of it; above, a row and its curvatures are computed when first
-needed. Either way K is bit for bit what
+are views of it; above, a row is computed when a Newton step or an update
+first needs it and kept for the rest of the solve, and its curvatures when
+an update first needs them. Either way K is bit for bit what
 :func:`~enmkl.kernels.weighted_sum` builds, and a solve that neither updates
 nor takes a Newton step builds nothing.
 
-A warm start on at most ``WHOLE_KERNEL_MAX_N`` samples first takes Newton
-steps on that whole K (:func:`_newton_step`): on its free multipliers, those
-strictly inside the box, with the others fixed and the equality constraint
-kept, stopped at the box. From the second step on, SMO's maximal violating
+A warm start first takes Newton steps (:func:`_newton_step`) on the rows of
+K its updates read: on its free multipliers, those strictly inside the box,
+with the others fixed and the equality constraint kept, stopped at the box.
+From the second step on, SMO's maximal violating
 pair joins the free set, as in SimpleSVM (Vishwanathan, Smola & Murty 2003),
 and the steps repeat while the free set changes, at most ``NEWTON_ROUNDS``
 times. They stop when the start meets SMO's stop rule, when fewer than two
@@ -51,9 +52,7 @@ _TAU = 1e-12
 DEFAULT_SVM_TOL = 1e-3
 DEFAULT_MAX_UPDATES = 10_000_000
 # Up to this many samples, SMO builds the combined kernel and its pair
-# curvatures whole rather than row by row, and a warm start takes Newton
-# steps on that kernel first. Above, gathering the free rows costs about what
-# the steps save SMO.
+# curvatures whole rather than row by row.
 WHOLE_KERNEL_MAX_N = 128
 # The most Newton steps a warm start takes before SMO's loop.
 NEWTON_ROUNDS = 8
@@ -142,8 +141,9 @@ def _update_parts(whole, diag, rows, y):
     a getter of row i of the pair curvatures ``K_ii + K_tt - 2 y_i y_t K_it``
     (flat pairs set to _TAU), given getters of the whole K, its diagonal and
     its rows. Up to ``WHOLE_KERNEL_MAX_N`` samples K is built whole, every
-    curvature with it, and rows are views; above, a row and its curvatures
-    are computed when first asked for and kept. Products with +-1 and 2 are
+    curvature with it, and rows are views; above, rows come from ``rows``,
+    which the solve caches, and a row's curvatures are computed when first
+    asked for and kept. Products with +-1 and 2 are
     exact, so both routes give the same curvatures bit for bit. The whole
     route hands out rows from lists of row views, which index faster than
     the arrays."""
@@ -154,7 +154,7 @@ def _update_parts(whole, diag, rows, y):
         curvs -= K * (y[:, None] * (2.0 * y))
         curvs[~(curvs > 0)] = _TAU
         return list(K).__getitem__, diag.tolist(), list(curvs).__getitem__
-    diag, two_y, rows = diag(), 2.0 * y, cache(rows)
+    diag, two_y = diag(), 2.0 * y
 
     @cache
     def curvatures(i):
@@ -205,6 +205,8 @@ def solve_svm_dual(
     else:
         n = k.n_rows
         whole, diag, rows, matvec = _stack_rows(k, weights)
+    # One K and one row cache per solve, which the steps and SMO's updates share.
+    whole, rows = cache(whole), cache(rows)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError("labels must hold one value per kernel row")
@@ -248,7 +250,7 @@ def solve_svm_dual(
         below, above = alpha < C, alpha > 0
         up_mask, low_mask = np.where(pos, below, above), np.where(pos, above, below)
         g_up, g_low = np.where(up_mask, g, -np.inf), np.where(low_mask, g, np.inf)
-        if rounds == NEWTON_ROUNDS or n > WHOLE_KERNEL_MAX_N:
+        if rounds == NEWTON_ROUNDS:
             break
         i, j = g_up.argmax(), g_low.argmin()
         if g_up[i] - g_low[j] <= tol:
@@ -259,9 +261,11 @@ def solve_svm_dual(
         free = free.nonzero()[0]
         if free.size < 2 or (last is not None and np.array_equal(free, last)):
             break
-        if not rounds:
-            whole = cache(whole)  # the step's K is the K SMO's updates read
-        moved = _newton_step(whole(), y, C, alpha, kq0, g, free)
+        if n <= WHOLE_KERNEL_MAX_N:
+            K_F = whole()[free]
+        else:
+            K_F = np.array([rows(i) for i in free.tolist()])
+        moved = _newton_step(K_F, y, C, alpha, kq0, g, free)
         if moved is None:
             break
         (alpha, kq0), rounds = moved, rounds + 1
@@ -413,11 +417,11 @@ def _smo(parts, y, ys, C, tol, max_updates, alpha, g_up, g_low, up_mask, low_mas
     return SvmDualSolution(alpha=alpha, bias=bias, objective=objective, iterations=updates)
 
 
-def _newton_step(K, y, C: float, alpha, kq, g, free):
+def _newton_step(K_F, y, C: float, alpha, kq, g, free):
     """``(alpha, kq)`` moved by the SVM dual's Newton step on the multipliers
-    ``free``, or None where it would not help. ``K`` is the whole kernel,
-    ``kq`` is ``K @ (alpha * y)`` and ``g`` is ``-y * grad``, as SMO keeps
-    it.
+    ``free``, or None where it would not help. ``K_F`` holds the kernel's
+    rows ``free``, ``kq`` is ``K @ (alpha * y)`` and ``g`` is ``-y * grad``,
+    as SMO keeps it.
 
     Over F = ``free``, the step solves ``max_e g_F'e - 1/2 e'K_FF e`` subject
     to ``sum(e) = 0`` for the change e of ``alpha * y``, and moves by ``t
@@ -427,7 +431,6 @@ def _newton_step(K, y, C: float, alpha, kq, g, free):
     when the dual objective would not rise, and when the moved multipliers
     would fail SMO's equality check.
     """
-    K_F = K[free]
     K_FF = K_F[:, free]
     # e = (u, -sum(u)) keeps sum(e) = 0, and u solves H u = r for the reduced
     # Hessian H = Z'K_FF Z, Z = [I; -1']. A Cholesky pivot of H near zero

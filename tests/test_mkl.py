@@ -729,8 +729,8 @@ class TestAcceleratedLoop:
         solves = []
         norms = mkl.compute_block_norms
 
-        def recording(stack, alpha, labels=None, *, beta, products=None):
-            w = norms(stack, alpha, labels=labels, beta=beta, products=products)
+        def recording(stack, alpha, labels=None, *, beta, **options):
+            w = norms(stack, alpha, labels=labels, beta=beta, **options)
             solves.append((np.array(beta), w))
             return w
 
@@ -788,12 +788,50 @@ class TestNewtonWarmStartInTheLoop:
         np.testing.assert_allclose(stepped.beta, plain.beta, rtol=0, atol=SELECTION_THRESHOLD)
 
 
-def _draw_weight_loop_problem(data):
+class TestIncrementalProducts:
+    """Above ``WHOLE_KERNEL_MAX_N`` samples, when at most a quarter of the
+    multipliers moved, the weight loop updates each ``K_j q`` from the moved
+    ones in place of the batched product."""
+
+    @pytest.mark.parametrize("n", [129, 200, 300])
+    def test_products_are_the_batched_products(self, monkeypatch, n):
+        specs = [("s0", 3, "signal"), ("s1", 3, "signal")] + [
+            (f"n{j}", 3, "noise") for j in range(3)
+        ]
+        data = make_classification_data(n=n, seed=n, group_specs=specs, shift=0.5)
+        stack = _preprocessed_stack(data)
+        norms, matmul = mkl.compute_block_norms, np.matmul
+        batched, in_place = [], []
+
+        def counting(*args, **kwargs):
+            batched.append(args)
+            return matmul(*args, **kwargs)
+
+        def checking(stack, alpha, labels=None, *, beta, products=None, previous=None):
+            before = len(batched)
+            w = norms(stack, alpha, labels, beta=beta, products=products, previous=previous)
+            in_place.append(len(batched) == before)
+            # Every iterate's products, against a fresh batched product.
+            fresh = matmul(stack.values, alpha * labels)
+            scale = np.abs(fresh).max(axis=1, keepdims=True)
+            assert (np.abs(products - fresh) <= 1e-12 * scale).all(), len(in_place)
+            return w
+
+        monkeypatch.setattr(np, "matmul", counting)
+        monkeypatch.setattr(mkl, "compute_block_norms", checking)
+        model = train_enmkl_svm(stack, data.targets, C=1.0, mu=0.5)
+        assert model.converged
+        assert len(in_place) == model.iterations
+        assert any(in_place) and not in_place[0]
+
+
+def _draw_weight_loop_problem(data, sizes=st.integers(8, 40)):
     """A classification problem the weight loop solves to tight tolerances:
-    2-6 kernels on 8-40 samples, each the Gram matrix of d_j random features
-    (kernel 0 of full rank, so the combined kernel is positive definite and
-    alpha unique), labels that follow kernel 0's first feature, and (C, mu)."""
-    n, m = data.draw(st.integers(8, 40)), data.draw(st.integers(2, 6))
+    2-6 kernels on ``sizes`` samples (8-40), each the Gram matrix of d_j
+    random features (kernel 0 of full rank, so the combined kernel is
+    positive definite and alpha unique), labels that follow kernel 0's first
+    feature, and (C, mu)."""
+    n, m = data.draw(sizes), data.draw(st.integers(2, 6))
     C, mu = data.draw(st.sampled_from([0.1, 1.0, 10.0])), data.draw(st.sampled_from([0.3, 0.7, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     features = [rng.normal(size=(n, n + 2))] + [
@@ -840,6 +878,30 @@ class TestWeightLoopMetamorphic:
             np.testing.assert_array_equal(
                 other.beta > SELECTION_THRESHOLD, fit.beta > SELECTION_THRESHOLD
             )
+
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_beta_above_whole_kernel_max_n_does_not_depend_on_the_warm_start_machinery(
+        self, data
+    ):
+        # Above WHOLE_KERNEL_MAX_N samples the steps read rows, and the
+        # products are updated from the moved multipliers: against no steps
+        # and the batched products at every iterate.
+        low = mkl.solvers.WHOLE_KERNEL_MAX_N + 1
+        stack, y, C, mu = _draw_weight_loop_problem(data, st.integers(low, low + 31))
+        fit = self._fit(stack, y, C, mu)
+        norms = mkl.compute_block_norms
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mkl.solvers, "NEWTON_ROUNDS", 0)
+            patch.setattr(
+                mkl, "compute_block_norms", lambda *args, previous=None, **kw: norms(*args, **kw)
+            )
+            plain = self._fit(stack, y, C, mu)
+        assert fit.converged and plain.converged
+        np.testing.assert_allclose(plain.beta, fit.beta, rtol=0, atol=SELECTION_THRESHOLD)
+        np.testing.assert_array_equal(
+            plain.beta > SELECTION_THRESHOLD, fit.beta > SELECTION_THRESHOLD
+        )
 
     @settings(max_examples=30)
     @given(data=st.data())

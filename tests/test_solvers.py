@@ -378,10 +378,11 @@ class TestStackRows:
     def test_warm_small_stack_solve_is_the_dense_solve_in_hex(self, monkeypatch, n):
         # Warm-started as the weight loop starts it: alpha0 from the solve at
         # the previous weights, kq0 = sum_j w_j (K_j q) from its block norms'
-        # batched products. The whole-kernel route on the stack and the dense
-        # solve on the built sum take the same Newton steps and agree. With
-        # WHOLE_KERNEL_MAX_N = 0, which also switches the steps off, the
-        # stack's row-by-row route agrees with the dense solve without steps.
+        # batched products. The whole-kernel route on the stack, the dense
+        # solve on the built sum, and, with WHOLE_KERNEL_MAX_N = 0, the
+        # stack's row-by-row route take the same Newton steps on the same
+        # rows and agree. With the steps off (NEWTON_ROUNDS = 0), the
+        # row-by-row route agrees with the dense solve.
         rng = np.random.default_rng(2100 + n)
         stack = _random_stack(rng, n, 4)
         y = random_labels(rng, n)
@@ -397,9 +398,14 @@ class TestStackRows:
             ]
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "WHOLE_KERNEL_MAX_N", 0)
-                solutions.append(
-                    solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+                rowwise, row_steps, _ = _stepped_solve(
+                    patch, stack, y, weights, C, 1e-3, alpha0, kq0
                 )
+                solutions.append(rowwise)
+                with _newton_steps_off():
+                    solutions.append(
+                        solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+                    )
             with _newton_steps_off():
                 solutions.append(solve_svm_dual(dense, y, C, alpha0=alpha0, kq0=kq0))
             hexes = [
@@ -407,8 +413,10 @@ class TestStackRows:
                 for s in solutions
             ]
             assert steps and steps[0] is not None
-            assert solutions[2].iterations > 0
-            assert hexes[1] == hexes[0] and hexes[3] == hexes[2], C
+            assert row_steps and row_steps[0] is not None
+            assert solutions[3].iterations > 0
+            assert hexes[1] == hexes[0] and hexes[2] == hexes[0], C
+            assert hexes[4] == hexes[3], C
 
     @pytest.mark.parametrize("asymmetric", [None, 1])
     def test_cold_solve_is_the_dense_solve(self, asymmetric):
@@ -682,14 +690,43 @@ class TestNewtonWarmStart:
             assert abs(sol.objective - oracle) <= 1e-4, seed
         assert moved >= 20
 
-    def test_large_problems_are_passed_through(self, monkeypatch):
+    def test_large_problems_take_steps(self, monkeypatch):
+        # Above WHOLE_KERNEL_MAX_N samples the steps read the free set's rows,
+        # computed one at a time, in place of the whole kernel.
         rng = np.random.default_rng(2900)
         n = solvers.WHOLE_KERNEL_MAX_N + 1
         stack, y, weights, alpha0, kq0 = _loop_start(rng, n, 2, "full", 1.0)
         assert _violation(y, 1.0, alpha0, kq0) > 1e-3
-        _, steps, start = _stepped_solve(monkeypatch, stack, y, weights, 1.0, 1e-3, alpha0, kq0)
-        assert steps == []
-        assert _bits(start).tolist() == _bits(alpha0).tolist()
+        sol, steps, start = _stepped_solve(
+            monkeypatch, stack, y, weights, 1.0, 1e-3, alpha0, kq0
+        )
+        taken = [step for step in steps if step is not None]
+        assert taken
+        assert _bits(start).tolist() == _bits(taken[-1][0]).tolist()
+        assert _violation(y, 1.0, sol.alpha, weights @ np.matmul(stack.values, sol.alpha * y)) \
+            <= 1e-3 + 1e-9
+
+    def test_large_problems_compute_each_row_once(self, monkeypatch):
+        # The steps and SMO's updates read one cache of rows: a warm solve
+        # that steps and then updates computes no row of K twice.
+        stack, y, weights, alpha0, kq0 = _binary_warm_start(200, 1.0)
+        assert _violation(y, 1.0, alpha0, kq0) > 1e-3
+        computed, stack_rows = [], solvers._stack_rows
+
+        def counting_rows(stack, weights):
+            whole, diag, rows, matvec = stack_rows(stack, weights)
+
+            def row(t):
+                computed.append(t)
+                return rows(t)
+
+            return whole, diag, row, matvec
+
+        monkeypatch.setattr(solvers, "_stack_rows", counting_rows)
+        sol, steps, _ = _stepped_solve(monkeypatch, stack, y, weights, 1.0, 1e-3, alpha0, kq0)
+        assert any(step is not None for step in steps)
+        assert sol.iterations > 0
+        assert computed and len(computed) == len(set(computed))
 
 
 def _binary_warm_start(n, C):
@@ -708,26 +745,30 @@ def _binary_warm_start(n, C):
 
 
 class TestLargeWarmSolvesKeepTheirBits:
-    """Above ``WHOLE_KERNEL_MAX_N`` samples a warm solve takes no Newton step.
-    The digests of alpha, bias, objective and update count were taken when
-    the step still ran outside the solver, only below that size; a step
-    that ran above it would change them."""
+    """Above ``WHOLE_KERNEL_MAX_N`` samples a warm solve takes Newton steps on
+    the free set's rows before SMO's updates. The digests of alpha, bias,
+    objective and update count pin that route; each solve is also checked
+    against the reference SMO loop from the same start, within criterion
+    01's objective tolerance."""
 
     DIGESTS = {
-        (129, 0.1): "8c74225fdd12ada156a7b40430a01cb6fe3b1074f849a7a0a5ebf78b4702a8f8",
-        (129, 1.0): "7ee5a21a66fc0bfd0c08279f2648e662ee66bf1c5cb3dc03720f937bd5fa426b",
-        (200, 0.1): "e2500a584e19fe5a10103d244d182f3dd8818829f87f68edd4318c230031d774",
-        (200, 1.0): "b8efecbfedf17eb3b24750511cc802340d34867d5b0e1480130b0f2fd91412c7",
+        (129, 0.1): "24806674c1ab2045fb8174481a72682411083866b2f2c4e8c712a235aeeda407",
+        (129, 1.0): "62f28fa752b3a17f75f302101b0a03b53bc9bab9b0855c50ebab1cc19f493985",
+        (200, 0.1): "96b6f6595c34eb121a995e94115b8394ddcda9eaae614388b1a16284402e341d",
+        (200, 1.0): "3c9f2c9ad6ee36a9d33417ef5b0147cd1f48538373f37d4f84f6f262361a89c2",
     }
 
     @pytest.mark.parametrize("n, C", sorted(DIGESTS))
-    def test_warm_stack_solve_digest(self, n, C):
+    def test_warm_stack_solve_digest(self, monkeypatch, n, C):
         stack, y, weights, alpha0, kq0 = _binary_warm_start(n, C)
-        # A start the steps would move: it breaks the stop rule, with many
+        # A start the steps move: it breaks the stop rule, with many
         # multipliers free.
         assert _violation(y, C, alpha0, kq0) > 1e-3
         assert ((alpha0 > 0) & (alpha0 < C)).sum() >= 30
-        sol = solve_svm_dual(stack, y, C, alpha0=alpha0, kq0=kq0, weights=weights)
+        sol, steps, _ = _stepped_solve(monkeypatch, stack, y, weights, C, 1e-3, alpha0, kq0)
+        assert any(step is not None for step in steps)
+        _, _, objective, _ = smo_reference(weighted_sum(stack, weights), y, C, alpha0=alpha0)
+        assert abs(sol.objective - objective) <= 1e-4
         text = " ".join(
             [*(a.hex() for a in sol.alpha.tolist()), sol.bias.hex(), sol.objective.hex(),
              str(sol.iterations)]
