@@ -123,7 +123,7 @@ def _recoverable_sources(manifest: io.StackManifest):
     if manifest.sources is None or not all(Path(path).is_file() for path, _ in manifest.sources):
         return None
     for path, recorded in manifest.sources:
-        if recorded and io.sha256_file(path) != recorded:
+        if io.sha256_file(path) != recorded:
             raise DataError(
                 f"{path}: contents changed since the kernel stack was built; "
                 "rerun the kernels command"
@@ -150,16 +150,11 @@ def _written_from(manifest: io.StackManifest, data) -> bool:
     )
 
 
-# The fit options' destinations and the library keywords they set. The CLI
-# passes on only those given, so the library's own defaults apply to the rest.
-_FIT_KEYWORDS = {
-    "conv_tol": "conv_tol", "max_iter": "max_iter",
-    "solver_tol": "solver_tol", "smo_max_updates": "max_updates",
-}
-
-
 def _fit_options(args) -> dict:
-    return {key: getattr(args, dest) for dest, key in _FIT_KEYWORDS.items() if hasattr(args, dest)}
+    """The fit options given, under their library keywords, which are their
+    destinations; the library's own defaults apply to the rest."""
+    keys = ("conv_tol", "max_iter", "solver_tol", "max_updates")
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
 def cmd_train(args) -> None:
@@ -188,6 +183,15 @@ def cmd_train(args) -> None:
     else:
         raw_stack, buffer = io.read_stack(manifest)
         row_ids = raw_stack.row_ids
+        if data is not None:
+            # The source rows of the stack's samples, which the primal
+            # weights are recovered from.
+            try:
+                data = data.subset(row_ids)
+            except ValueError as exc:
+                raise DataError(
+                    f"{args.stack}: {exc} in {sources[0]}; rerun the kernels command"
+                ) from None
     targets, label_mapping = io.parse_targets(args.targets, row_ids, args.task)
     with named(args.stack):
         if raw_stack is None:
@@ -203,9 +207,8 @@ def cmd_train(args) -> None:
 
     feature_names = primal = None
     if data is not None:
-        train_data = data.subset(stack.row_ids)
-        primal = mkl.recover_primal_weights(model, train_data)
-        feature_names = train_data.feature_names
+        primal = mkl.recover_primal_weights(model, data)
+        feature_names = data.feature_names
     write_model_file(args.out, model, label_mapping, feature_names, primal)
     if not model.converged:
         flavor = "degenerate (all block norms zero)" if model.degenerate else "not converged"
@@ -325,7 +328,7 @@ def _add_solver_options(parser) -> None:
                         help="maximum alternating iterations")
     parser.add_argument("--solver-tol", type=_POSITIVE, default=unset,
                         help="inner SVM KKT tolerance")
-    parser.add_argument("--smo-max-updates", type=_LIMIT, default=unset,
+    parser.add_argument("--smo-max-updates", type=_LIMIT, default=unset, dest="max_updates",
                         help="hard cap on SMO pair updates")
     parser.add_argument("--no-center", action="store_true",
                         help="skip kernel centering")

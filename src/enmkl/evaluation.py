@@ -10,6 +10,7 @@ and everything downstream of it, is reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +18,29 @@ import numpy as np
 from .errors import DataError, named
 from . import mkl, solvers
 from .io import record_dict
-from .kernels import GroupedDataset, build_linear_kernels, feature_blocks, group_feature_means
+from .kernels import (
+    GroupedDataset, build_linear_kernels, check_labels, feature_blocks, group_feature_means,
+)
 # Unused here since cv scores through primal weights; perfbench/tracer.py wraps it at this name.
 from .kernels import build_linear_cross_kernels  # noqa: F401
-from .model import primal_decisions
+from .model import check_task, primal_decisions
 
 # Default hyperparameter grid: seven decades of C and ten mixing values.
 DEFAULT_C_VALUES = tuple(10.0 ** e for e in range(-3, 4))
 DEFAULT_MU_VALUES = tuple(i / 10 for i in range(1, 11))
 
 
+def _parallel(a, b, what: str, dtype=None):
+    """``a`` and ``b`` as arrays of ``dtype``, refused unless they are parallel 1-d arrays."""
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"{what} must be parallel 1-d arrays")
+    return a, b
+
+
 def balanced_accuracy(predicted, truth) -> float:
     """Mean of per-class recalls; insensitive to class imbalance."""
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise ValueError("predicted and true labels must be parallel 1-d arrays")
+    predicted, truth = _parallel(predicted, truth, "predicted and true labels")
     classes = sorted(set(truth.tolist()))
     if len(classes) < 2:
         raise DataError("balanced accuracy needs both classes in the true labels")
@@ -65,10 +73,7 @@ def auc(decision_values, truth) -> float:
     Equals the probability that a random positive (+1) sample scores higher
     than a random negative one; tied scores count one half.
     """
-    scores = np.asarray(decision_values, dtype=np.float64)
-    truth = np.asarray(truth)
-    if scores.shape != truth.shape or scores.ndim != 1:
-        raise ValueError("decision values and labels must be parallel 1-d arrays")
+    scores, truth = _parallel(decision_values, truth, "decision values and labels", np.float64)
     pos = truth > 0
     n_pos = int(pos.sum())
     n_neg = int(scores.size - n_pos)
@@ -81,10 +86,7 @@ def auc(decision_values, truth) -> float:
 
 def mse(predicted, truth) -> float:
     """Mean squared error."""
-    predicted = np.asarray(predicted, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise ValueError("predictions and targets must be parallel 1-d arrays")
+    predicted, truth = _parallel(predicted, truth, "predictions and targets", np.float64)
     diff = predicted - truth
     return float(diff @ diff) / diff.size
 
@@ -95,17 +97,15 @@ def pearson_correlation(predicted, truth) -> float:
     Raises :class:`DataError` when either side has zero variance; a
     constant vector has no defined correlation.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predicted.shape != truth.shape or predicted.ndim != 1:
-        raise ValueError("predictions and targets must be parallel 1-d arrays")
+    predicted, truth = _parallel(predicted, truth, "predictions and targets", np.float64)
     a = predicted - predicted.mean()
     b = truth - truth.mean()
     va = float(a @ a)
     vb = float(b @ b)
     if va <= 0 or vb <= 0:
         raise DataError("correlation is undefined when either side has zero variance")
-    return float(a @ b) / np.sqrt(va * vb)
+    # The roots are taken apart: va * vb may overflow or underflow.
+    return float(a @ b) / (math.sqrt(va) * math.sqrt(vb))
 
 
 @dataclass(frozen=True)
@@ -469,15 +469,14 @@ def nested_cv(
     Each partition's preprocessed kernels are built once for all candidates
     of both trainers.
     """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"unknown task {task!r}")
+    task = check_task(task)
     if trainer not in ("enmkl", "sum-baseline"):
         raise ValueError(f"unknown trainer {trainer!r}")
     grid = grid or HyperGrid()
     if set(plan.sample_ids) != set(data.sample_ids):
         raise ValueError("fold plan does not cover the dataset's sample ids")
     if task == "classification":
-        data.require_binary_targets()
+        check_labels(data.targets)
     base_keys = [(c, None) for c in grid.c_values]
     if trainer == "enmkl":
         for mu in grid.mu_values:

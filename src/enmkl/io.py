@@ -542,7 +542,7 @@ class StackManifest:
     ``files`` are the kernel files' paths, and ``digests`` their recorded
     sha256, None where the manifest records none (every binary file, and CSV
     files written before the digest). ``sources`` pairs the features and the
-    groups CSV's path with its sha256 or None; it is None without both paths.
+    groups CSV's path with its sha256; it is None without both paths.
     """
 
     path: Path
@@ -554,15 +554,15 @@ class StackManifest:
     group_sizes: tuple[int, ...]
     files: tuple[Path, ...]
     digests: tuple[str | None, ...]
-    sources: tuple[tuple[str, str | None], tuple[str, str | None]] | None
+    sources: tuple[tuple[str, str], tuple[str, str]] | None
 
 
 def read_manifest(manifest_path) -> StackManifest:
     """Check a manifest written by :func:`write_stack`, reading no kernel file.
 
     A manifest of another version or of any kind but ``"train"``, with
-    ``col_ids`` other than its ``sample_ids``, or with a missing or
-    ill-typed key, is a DataError naming it.
+    ``col_ids`` other than its ``sample_ids``, with a source file but not its
+    sha256, or with a missing or ill-typed key, is a DataError naming it.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -599,6 +599,11 @@ def read_manifest(manifest_path) -> StackManifest:
         _json_value(where, sources, key, str) if key in sources else None
         for key in ("features_file", "groups_file", "features_sha256", "groups_sha256")
     )
+    for path, digest in zip((features, groups), source_digests):
+        if path is not None and digest is None:
+            raise DataError(
+                f"{where}: 'sources' names {path} without its sha256; rerun the kernels command"
+            )
     return StackManifest(
         manifest_path, fmt, row_ids, centered, normalized,
         tuple(names), tuple(sizes), tuple(files), tuple(digests),

@@ -287,10 +287,6 @@ class GroupedDataset:
             feature_names=self.feature_names,
         )
 
-    def require_binary_targets(self) -> None:
-        """Check that targets are -1/+1 with both classes present."""
-        check_labels(self.targets)
-
 
 def check_labels(labels) -> list[float]:
     """``labels`` as Python floats, refused with a DataError unless every one

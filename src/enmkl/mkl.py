@@ -41,9 +41,9 @@ plain step zeroed at zero and gives any other at least ``ANDERSON_FLOOR``
 of its plain-step value, so extrapolation never drops a kernel. The
 safeguard keeps an extrapolated iterate only if its objective is at most
 the best accepted objective plus the solver's noise (``solver_tol * max(1,
-C)`` for the SVM, relative 1e-9 for ridge regression). A rejected iterate
-clears the memory, and the loop takes the plain step from the last accepted
-iterate instead.
+C)`` for the SVM, ``1e-9 * |best|`` for ridge regression, whose objective
+scales with the targets' square). A rejected iterate clears the memory, and
+the loop takes the plain step from the last accepted iterate instead.
 
 ``conv_tol`` keeps its meaning: the loop stops at an accepted iterate whose
 plain step moves the normalized weights by at most ``conv_tol``, and returns
@@ -281,11 +281,8 @@ def _train_enmkl(
     max_updates: int,
     start: MklModel | None,
 ) -> MklModel:
-    mu = _check_mu(mu)
-    task = check_task(task)
-    C = float(C)
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError("C must be a positive finite number")
+    # Each solve checks C; the trainers pass task as a literal.
+    mu, C = _check_mu(mu), float(C)
     if not (np.isfinite(conv_tol) and conv_tol > 0):
         raise ValueError("conv_tol must be a positive finite number")
     if max_iter < 1:
@@ -339,11 +336,12 @@ def _train_enmkl(
         if extrapolated:
             # The solver noise an accepted objective may rise by: SMO stops at
             # a KKT violation of solver_tol, and the loss term scales it by C;
-            # the ridge solve is exact up to round-off.
+            # the ridge solve is exact up to round-off, relative to an
+            # objective that scales with the targets' square.
             if task == "classification":
                 slack = solver_tol * max(1.0, C)
             else:
-                slack = 1e-9 * max(1.0, abs(best))
+                slack = 1e-9 * abs(best)
             if objective > best + slack:
                 # Rejected: restart the memory at the last accepted plain step.
                 mixer.clear()

@@ -66,6 +66,7 @@ class SvmDualSolution:
     bounds) and the equality constraint up to round-off. ``objective`` is the
     dual value ``sum(alpha) - 1/2 alpha' Q alpha`` and ``iterations`` counts
     SMO's two-variable updates; the Newton steps of a warm start count none.
+    ``alpha`` is the solver's own array, read-only.
     """
 
     alpha: np.ndarray
@@ -73,35 +74,18 @@ class SvmDualSolution:
     objective: float
     iterations: int
 
-    def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=np.float64, copy=True)
-        if alpha.ndim != 1 or not np.isfinite(alpha).all():
-            raise ValueError("alpha must be a finite 1-d array")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "objective", float(self.objective))
-        object.__setattr__(self, "iterations", int(self.iterations))
-
 
 @dataclass(frozen=True)
 class KrrDualSolution:
     """Dual coefficients of kernel ridge regression on centered targets.
 
     Predictions are ``K_cross @ alpha + target_offset`` where
-    ``target_offset`` is the training-target mean.
+    ``target_offset`` is the training-target mean. ``alpha`` is the
+    solver's own array, read-only.
     """
 
     alpha: np.ndarray
     target_offset: float
-
-    def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=np.float64, copy=True)
-        if alpha.ndim != 1 or not np.isfinite(alpha).all():
-            raise ValueError("alpha must be a finite 1-d array")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "target_offset", float(self.target_offset))
 
 
 def _check_curvature_bound(bound: float, what: str) -> None:
@@ -414,6 +398,7 @@ def _smo(parts, y, ys, C, tol, max_updates, alpha, g_up, g_low, up_mask, low_mas
 
     # sum(a) - 1/2 a'Qa = 1/2 a'(1 - grad), and 1 - grad = 1 + y * g.
     objective = 0.5 * float(alpha @ (1.0 + y * g))
+    alpha.setflags(write=False)
     return SvmDualSolution(alpha=alpha, bias=bias, objective=objective, iterations=updates)
 
 
@@ -496,6 +481,9 @@ def solve_krr_dual(k, y, C: float) -> KrrDualSolution:
         alpha = np.linalg.solve(A, y_c)
     except np.linalg.LinAlgError:
         alpha = np.linalg.lstsq(A, y_c, rcond=None)[0]
+    if not np.isfinite(alpha).all():
+        raise DataError(f"C = {C!r} is too large for this kernel: the ridge solve overflows")
+    alpha.setflags(write=False)
     return KrrDualSolution(alpha=alpha, target_offset=offset)
 
 

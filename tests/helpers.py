@@ -26,6 +26,7 @@ from enmkl.kernels import (
     GroupedDataset,
     KernelStack,
     build_linear_kernels,
+    check_labels,
     weighted_sum,
 )
 from enmkl.mkl import _check_mu, compute_block_norms
@@ -360,7 +361,7 @@ def nested_cv_reference(
     """
     grid = grid or HyperGrid()
     if task == "classification":
-        data.require_binary_targets()
+        check_labels(data.targets)
     if trainer == "enmkl":
         candidates = [(c, mu) for c in grid.c_values for mu in grid.mu_values]
     else:

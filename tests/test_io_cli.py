@@ -1711,6 +1711,21 @@ def _renamed_col_ids_case(ws, folder):
     )
 
 
+def _stray_sample_case(ws, folder):
+    """``train`` on a stack whose recorded sources are intact but lack one of
+    its samples: the kernels of the workspace's rows with 's003' renamed
+    'x003', written with the workspace's features and groups as sources, and
+    targets that hold 'x003'."""
+    data = io.load_grouped_dataset(ws.features, ws.groups)
+    ids = tuple("x003" if i == "s003" else i for i in data.sample_ids)
+    stack = build_linear_kernels(dataclasses.replace(data, sample_ids=ids))
+    manifest = io.write_stack(folder, stack, "csv", sources=(ws.features, ws.groups))
+    targets = _write(folder / "t.csv", Path(ws.targets).read_text().replace("s003,", "x003,"))
+    argv = ws.train(manifest)
+    argv[argv.index("--targets") + 1] = targets
+    return argv, f"error: {manifest}: unknown sample id 'x003' in {Path(ws.features).resolve()}"
+
+
 def _listed_input_case(listed):
     """A refusal case: ``train --out`` names a file that a copy of the stack's
     manifest lists: its first ``kernel`` file, or the ``source`` features CSV,
@@ -2045,6 +2060,11 @@ _REFUSALS = {
     "kernel-sha256-5": (2, _edit_manifest(lambda m: m["groups"][0].update(sha256=5))),
     "size--1": (2, _edit_manifest(lambda m: m["groups"][1].update(size=-1))),
     "col_ids-renamed": (2, _renamed_col_ids_case),
+    **{
+        f"sources-without-{key}": (2, _edit_manifest(lambda m, key=key: m["sources"].pop(key)))
+        for key in ("features_sha256", "groups_sha256")
+    },
+    "stack-sample-not-in-sources": (2, _stray_sample_case),
     "train--out-a-kernel-file": (2, _listed_input_case("kernel")),
     "train--out-a-source": (2, _listed_input_case("source")),
     "train-targets-times-1e155": (2, _overflowing_targets_case("train", lambda t, i: t * 1e155)),
@@ -2221,6 +2241,53 @@ class TestRefusalTable:
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not (ws.root / "m.json").exists() and not (ws.root / "cv").exists()
         assert not (ws.root / "cases" / name / "p.csv").is_file()
+
+
+class TestRegressionTargetScale:
+    """``cv`` on regression targets times 2**k reports the fits of the
+    unscaled targets: the same folds, selections and weights, every mse
+    times 4**k, and the same Pearson r. At 2**260 the product
+    of the two variances overflows, at 2**-340 it underflows, and the ridge
+    fits' objectives fall far below 1 there."""
+
+    SPECS = [("a", 3, "signal"), ("b", 3, "noise"), ("c", 2, "noise"),
+             ("d", 4, "signal"), ("e", 2, "noise")]
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("scale")
+        data = make_regression_data(n=40, seed=0, group_specs=self.SPECS)
+        features, groups = _write_features(root, data)
+
+        def run(k):
+            targets = _write(root / f"t{k}.csv", "id,target\n" + "".join(
+                f"{sid},{float(t) * 2.0 ** k!r}\n" for sid, t in zip(data.sample_ids, data.targets)))
+            out = root / f"cv{k}"
+            assert main([
+                "cv", "--features", features, "--groups", groups, "--targets", targets,
+                "--task", "regression", "--C", "10", "--mu", "1.0", "--k-outer", "2",
+                "--k-inner", "2", "--out", str(out),
+            ]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        return run
+
+    @pytest.mark.parametrize("k", [260, -340])
+    def test_scaled_targets_report_the_same_fits(self, run, capsys, k):
+        base, scaled = run(0), run(k)
+        assert capsys.readouterr().err == ""
+        assert scaled["mean_beta"] == base["mean_beta"]
+        assert scaled["selected_count"] == base["selected_count"]
+        pairs = [(scaled["pooled_metrics"], base["pooled_metrics"])]
+        for fold, base_fold in zip(scaled["folds"], base["folds"]):
+            assert fold["beta"] == base_fold["beta"]
+            assert (fold["selected_c"], fold["iterations"]) == (
+                base_fold["selected_c"], base_fold["iterations"]
+            )
+            pairs.append((fold["metrics"], base_fold["metrics"]))
+        for metrics, base_metrics in pairs:
+            assert metrics["mse"] == base_metrics["mse"] * 4.0 ** k
+            assert metrics["pearson_r"] == base_metrics["pearson_r"]
 
 
 class TestTargetsAtTheOverflowBoundary:
@@ -2531,7 +2598,7 @@ class TestExitCodes:
         assert (train.C, train.mu, train.conv_tol, train.solver_tol) == (
             sys.float_info.max, 5e-324, 1e-300, sys.float_info.max
         )
-        assert (train.max_iter, train.smo_max_updates) == (1, 1)
+        assert (train.max_iter, train.max_updates) == (1, 1)
         assert parser.parse_args([
             "train", "--stack", "s", "--targets", "t", "--task", "regression",
             "--C", "1e-300", "--mu", "1", "--out", "m",

@@ -944,6 +944,39 @@ class TestWeightLoopMetamorphic:
         np.testing.assert_allclose(other.beta, fit.beta, rtol=0, atol=1e-6)
 
 
+class TestRidgeTargetScale:
+    """Ridge regression on targets times 2**k is the same fit with alpha and
+    the offset times 2**k, bit for bit: the objective scales by 4**k, and so
+    does the safeguard's slack. Each problem rejects extrapolated iterates
+    at k = 0, where an absolute slack below an objective of 1 would accept them."""
+
+    SPECS = [("a", 3, "signal"), ("b", 3, "noise"), ("c", 2, "noise"),
+             ("d", 4, "signal"), ("e", 2, "noise")]
+    PROBLEMS = [(0, 10.0, 1.0), (2, 1.0, 0.5), (7, 1.0, 0.5)]  # (data seed, C, mu)
+
+    @classmethod
+    def _fit(cls, seed, C, mu, k):
+        data = make_regression_data(n=30, seed=seed, group_specs=cls.SPECS)
+        stack = build_linear_kernels(data, True, True)
+        return train_enmkl_krr(stack, data.targets * 2.0 ** k, C, mu)
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        fits = {problem: self._fit(*problem, 0) for problem in self.PROBLEMS}
+        for fit in fits.values():
+            assert fit.iterations > len(fit.objective_history)  # a rejected iterate
+        return fits
+
+    @settings(max_examples=40)
+    @given(problem=st.sampled_from(PROBLEMS), k=st.integers(-60, 60))
+    def test_fit_scales_with_the_targets(self, unscaled, problem, k):
+        fit, scaled = unscaled[problem], self._fit(*problem, k)
+        assert _same_bits(scaled.beta, fit.beta)
+        assert _same_bits(scaled.alpha, fit.alpha * 2.0 ** k)
+        assert scaled.bias == fit.bias * 2.0 ** k
+        assert (scaled.iterations, scaled.converged) == (fit.iterations, fit.converged)
+
+
 class TestTrainModel:
     """``train_model`` picks the trainer the CLI and nested CV ask for."""
 

@@ -13,7 +13,6 @@ from enmkl.errors import ConvergenceError, DataError
 from enmkl.kernels import SYMMETRY_TOL, KernelStack, weighted_sum
 from enmkl.solvers import (
     DEFAULT_SVM_TOL,
-    SvmDualSolution,
     predict,
     solve_krr_dual,
     solve_svm_dual,
@@ -831,6 +830,18 @@ class TestSvmSolutionInvariants:
         recomputed = sol.alpha.sum() - 0.5 * coef @ K @ coef
         assert sol.objective == pytest.approx(recomputed, abs=1e-12)
 
+    def test_solutions_hold_plain_values_and_read_only_alpha(self):
+        K, y, _, cold = self._solve(704)
+        warm = solve_svm_dual(K, y, 1.0, alpha0=cold.alpha)
+        ridge = solve_krr_dual(K, y, 1.0)
+        for sol in (cold, warm):
+            assert type(sol.bias) is float and type(sol.objective) is float
+            assert type(sol.iterations) is int
+        assert type(ridge.target_offset) is float
+        for alpha in (cold.alpha, warm.alpha, ridge.alpha):
+            assert alpha.dtype == np.float64 and alpha.shape == (len(y),)
+            assert not alpha.flags.writeable
+
 
 class TestSvmValidation:
     def test_rejects_asymmetric_kernel(self):
@@ -838,16 +849,16 @@ class TestSvmValidation:
             solve_svm_dual(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, -1.0]), 1.0)
 
     def test_rejects_single_class(self):
-        with pytest.raises(ValueError, match="single class"):
+        with pytest.raises(DataError, match="single class"):
             solve_svm_dual(np.eye(2), np.array([1.0, 1.0]), 1.0)
 
     def test_rejects_non_binary_labels(self):
         for bad in (0.0, 2.0, np.nan):
-            with pytest.raises(ValueError, match="-1/\\+1"):
+            with pytest.raises(DataError, match="-1/\\+1"):
                 solve_svm_dual(np.eye(3), np.array([1.0, -1.0, bad]), 1.0)
 
     def test_rejects_bad_c(self):
-        for C in (0.0, -1.0, np.inf):
+        for C in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="C must be"):
                 solve_svm_dual(np.eye(2), np.array([1.0, -1.0]), C)
 
@@ -1030,6 +1041,3 @@ class TestPredict:
         with pytest.raises(ValueError, match="train columns"):
             predict(np.array([1.0]), 0.0, np.array([[1.0, 2.0]]))
 
-    def test_solution_types_restrict_shapes(self):
-        with pytest.raises(ValueError, match="finite 1-d"):
-            SvmDualSolution(np.array([[1.0]]), 0.0, 0.0, 1)
